@@ -1,0 +1,82 @@
+//! The two checksums/hashes whose values are part of on-disk and
+//! on-wire formats.
+
+/// IEEE CRC-32 lookup table, generated at compile time.
+const CRC_TABLE: [u32; 256] = {
+    let mut table = [0u32; 256];
+    let mut i = 0;
+    while i < 256 {
+        let mut c = i as u32;
+        let mut k = 0;
+        while k < 8 {
+            c = if c & 1 != 0 {
+                0xEDB8_8320 ^ (c >> 1)
+            } else {
+                c >> 1
+            };
+            k += 1;
+        }
+        table[i] = c;
+        i += 1;
+    }
+    table
+};
+
+/// IEEE CRC-32 of `data` — the checksum in every [`crate::frame`]
+/// header.
+pub fn crc32(data: &[u8]) -> u32 {
+    crc32_extend(0, data)
+}
+
+/// Continues a CRC-32 over more bytes: `crc` is the checksum of
+/// everything hashed so far (`0` for nothing), the result the checksum
+/// of that plus `data`. Lets a reader checksum a file in chunks.
+pub fn crc32_extend(crc: u32, data: &[u8]) -> u32 {
+    let mut state = !crc;
+    for &b in data {
+        state = CRC_TABLE[((state ^ u32::from(b)) & 0xFF) as usize] ^ (state >> 8);
+    }
+    !state
+}
+
+/// FNV-1a 64-bit hash of a byte string: stable across platforms and
+/// releases, so it may name things that outlive a process
+/// (configuration fingerprints, checkpoint keys, shard placement,
+/// fault-stream seeds).
+pub fn fnv1a(bytes: &[u8]) -> u64 {
+    let mut hash: u64 = 0xcbf2_9ce4_8422_2325;
+    for &b in bytes {
+        hash ^= u64::from(b);
+        hash = hash.wrapping_mul(0x0000_0100_0000_01b3);
+    }
+    hash
+}
+
+#[cfg(test)]
+mod tests {
+    use super::*;
+
+    #[test]
+    fn crc32_matches_reference_vectors() {
+        // Standard check value for the IEEE polynomial.
+        assert_eq!(crc32(b"123456789"), 0xCBF4_3926);
+        assert_eq!(crc32(b""), 0);
+    }
+
+    #[test]
+    fn crc32_extend_equals_one_shot_at_every_split() {
+        let data = b"the quick brown fox jumps over the lazy dog";
+        for cut in 0..=data.len() {
+            let (head, tail) = data.split_at(cut);
+            assert_eq!(crc32_extend(crc32(head), tail), crc32(data), "cut {cut}");
+        }
+    }
+
+    #[test]
+    fn fnv_known_values() {
+        // FNV-1a published test vectors.
+        assert_eq!(fnv1a(b""), 0xcbf29ce484222325);
+        assert_eq!(fnv1a(b"a"), 0xaf63dc4c8601ec8c);
+        assert_eq!(fnv1a(b"foobar"), 0x85944171f73967e8);
+    }
+}

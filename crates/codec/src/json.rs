@@ -1,14 +1,36 @@
-//! JSON text serialization for [`Value`], used as the on-disk
-//! persistence format (one document per line).
+//! JSON text serialization for [`Value`]: the database's on-disk
+//! persistence format (one document per line), the payload of journal
+//! records, and the body of worker protocol messages.
 //!
 //! This is a complete, dependency-free JSON reader/writer for the
 //! document model. Numbers that are integral and fit in `i64` parse to
 //! [`Value::Int`]; everything else numeric becomes [`Value::Float`].
 
-use crate::error::DbError;
 use crate::value::Value;
 use std::collections::BTreeMap;
+use std::fmt;
 use std::fmt::Write as _;
+
+/// Why a text is not a JSON document.
+#[derive(Debug, Clone, PartialEq, Eq)]
+pub struct JsonError {
+    /// Byte offset of the failure.
+    pub offset: usize,
+    /// Cause.
+    pub message: String,
+}
+
+impl fmt::Display for JsonError {
+    fn fmt(&self, f: &mut fmt::Formatter<'_>) -> fmt::Result {
+        write!(
+            f,
+            "JSON parse error at byte {}: {}",
+            self.offset, self.message
+        )
+    }
+}
+
+impl std::error::Error for JsonError {}
 
 /// Serializes a value to compact JSON.
 pub fn to_json(value: &Value) -> String {
@@ -50,23 +72,49 @@ fn write_value(out: &mut String, value: &Value) {
             }
             out.push(']');
         }
-        Value::Map(map) => {
-            out.push('{');
-            for (i, (key, item)) in map.iter().enumerate() {
-                if i > 0 {
-                    out.push(',');
-                }
-                write_string(out, key);
-                out.push(':');
-                write_value(out, item);
-            }
-            out.push('}');
-        }
+        Value::Map(map) => write_object(out, map.iter().map(|(k, v)| (k.as_str(), v))),
     }
+}
+
+/// Serializes `fields` as one compact JSON object, in the order given.
+///
+/// A [`Value::Map`] renders its keys sorted; this is for formats whose
+/// field order is part of their bytes (protocol messages lead with
+/// `"type"`).
+pub fn object_to_json<'a>(fields: impl IntoIterator<Item = (&'a str, &'a Value)>) -> String {
+    let mut out = String::new();
+    write_object(&mut out, fields);
+    out
+}
+
+fn write_object<'a>(out: &mut String, fields: impl IntoIterator<Item = (&'a str, &'a Value)>) {
+    out.push('{');
+    for (i, (key, item)) in fields.into_iter().enumerate() {
+        if i > 0 {
+            out.push(',');
+        }
+        write_string(out, key);
+        out.push(':');
+        write_value(out, item);
+    }
+    out.push('}');
 }
 
 fn write_string(out: &mut String, s: &str) {
     out.push('"');
+    escape_into(out, s);
+    out.push('"');
+}
+
+/// Escapes `s` as the *contents* of a JSON string literal (no
+/// surrounding quotes).
+pub fn escape(s: &str) -> String {
+    let mut out = String::with_capacity(s.len());
+    escape_into(&mut out, s);
+    out
+}
+
+fn escape_into(out: &mut String, s: &str) {
     for c in s.chars() {
         match c {
             '"' => out.push_str("\\\""),
@@ -80,16 +128,15 @@ fn write_string(out: &mut String, s: &str) {
             c => out.push(c),
         }
     }
-    out.push('"');
 }
 
 /// Parses a JSON document into a [`Value`].
 ///
 /// # Errors
 ///
-/// Returns [`DbError::Parse`] describing the byte offset and cause for
+/// Returns a [`JsonError`] describing the byte offset and cause for
 /// malformed input, including trailing garbage after the top-level value.
-pub fn from_json(text: &str) -> Result<Value, DbError> {
+pub fn from_json(text: &str) -> Result<Value, JsonError> {
     let mut parser = Parser {
         bytes: text.as_bytes(),
         pos: 0,
@@ -109,8 +156,8 @@ struct Parser<'a> {
 }
 
 impl<'a> Parser<'a> {
-    fn error(&self, message: &str) -> DbError {
-        DbError::Parse {
+    fn error(&self, message: &str) -> JsonError {
+        JsonError {
             offset: self.pos,
             message: message.to_owned(),
         }
@@ -132,7 +179,7 @@ impl<'a> Parser<'a> {
         }
     }
 
-    fn expect(&mut self, byte: u8) -> Result<(), DbError> {
+    fn expect(&mut self, byte: u8) -> Result<(), JsonError> {
         if self.bump() == Some(byte) {
             Ok(())
         } else {
@@ -141,7 +188,7 @@ impl<'a> Parser<'a> {
         }
     }
 
-    fn parse_value(&mut self) -> Result<Value, DbError> {
+    fn parse_value(&mut self) -> Result<Value, JsonError> {
         self.skip_ws();
         match self.peek() {
             Some(b'n') => self.parse_literal("null", Value::Null),
@@ -156,7 +203,7 @@ impl<'a> Parser<'a> {
         }
     }
 
-    fn parse_literal(&mut self, literal: &str, value: Value) -> Result<Value, DbError> {
+    fn parse_literal(&mut self, literal: &str, value: Value) -> Result<Value, JsonError> {
         if self.bytes[self.pos..].starts_with(literal.as_bytes()) {
             self.pos += literal.len();
             Ok(value)
@@ -165,7 +212,7 @@ impl<'a> Parser<'a> {
         }
     }
 
-    fn parse_number(&mut self) -> Result<Value, DbError> {
+    fn parse_number(&mut self) -> Result<Value, JsonError> {
         let start = self.pos;
         if self.peek() == Some(b'-') {
             self.pos += 1;
@@ -203,7 +250,7 @@ impl<'a> Parser<'a> {
             .map_err(|_| self.error("invalid number"))
     }
 
-    fn parse_string(&mut self) -> Result<String, DbError> {
+    fn parse_string(&mut self) -> Result<String, JsonError> {
         self.expect(b'"')?;
         let mut out = String::new();
         loop {
@@ -266,7 +313,7 @@ impl<'a> Parser<'a> {
         }
     }
 
-    fn parse_hex4(&mut self) -> Result<u32, DbError> {
+    fn parse_hex4(&mut self) -> Result<u32, JsonError> {
         let mut code = 0u32;
         for _ in 0..4 {
             let b = self
@@ -280,7 +327,7 @@ impl<'a> Parser<'a> {
         Ok(code)
     }
 
-    fn parse_array(&mut self) -> Result<Value, DbError> {
+    fn parse_array(&mut self) -> Result<Value, JsonError> {
         self.expect(b'[')?;
         let mut items = Vec::new();
         self.skip_ws();
@@ -302,7 +349,7 @@ impl<'a> Parser<'a> {
         }
     }
 
-    fn parse_map(&mut self) -> Result<Value, DbError> {
+    fn parse_map(&mut self) -> Result<Value, JsonError> {
         self.expect(b'{')?;
         let mut map = BTreeMap::new();
         self.skip_ws();
@@ -408,6 +455,26 @@ mod tests {
     fn whitespace_tolerated() {
         let v = from_json("  { \"a\" : [ 1 , 2 ] }\n").unwrap();
         assert_eq!(v.at("a.1").and_then(Value::as_int), Some(2));
+    }
+
+    #[test]
+    fn escapes_quotes_backslashes_and_control_chars() {
+        assert_eq!(escape("plain"), "plain");
+        assert_eq!(escape("a\"b\\c"), "a\\\"b\\\\c");
+        assert_eq!(escape("x\n\t\r"), "x\\n\\t\\r");
+        assert_eq!(escape("\u{1}"), "\\u0001");
+    }
+
+    #[test]
+    fn object_fields_keep_the_order_given() {
+        let kind = Value::from("hello");
+        let pid = Value::from(7i64);
+        let text = object_to_json([("type", &kind), ("pid", &pid)]);
+        assert_eq!(text, "{\"type\":\"hello\",\"pid\":7}");
+        // The same fields as a map render sorted, and parse back equal.
+        let map = Value::map([("type", kind.clone()), ("pid", pid.clone())]);
+        assert_eq!(to_json(&map), "{\"pid\":7,\"type\":\"hello\"}");
+        assert_eq!(from_json(&text).unwrap(), map);
     }
 
     #[test]

@@ -5,11 +5,11 @@ use std::fmt;
 
 /// A dynamically typed document value.
 ///
-/// Documents stored in a [`crate::Collection`] are `Value::Map`s; nested
+/// Documents stored in a database collection are `Value::Map`s; nested
 /// values are addressed with dotted paths (`"config.cpu.count"`).
 ///
 /// ```
-/// use simart_db::Value;
+/// use simart_codec::Value;
 ///
 /// let doc = Value::map([
 ///     ("name", Value::from("blackscholes")),

@@ -381,6 +381,17 @@ fn campaign(args: &[String]) -> i32 {
         eprintln!("error: --kill-rate requires --scheduler broker or remote");
         return 2;
     }
+    // Remote workers are supervised by redelivery, and their faults are
+    // real process kills; `launch_remote` has no per-attempt retry or
+    // in-process error injection to hand these two options to.
+    if scheduler_kind == "remote" && retries > 0 {
+        eprintln!("error: --retries has no effect with --scheduler remote; use --max-redeliveries");
+        return 2;
+    }
+    if scheduler_kind == "remote" && fault_rate > 0.0 {
+        eprintln!("error: --fault-rate has no effect with --scheduler remote; use --kill-rate");
+        return 2;
+    }
     let max_redeliveries: u32 = flag(args, "--max-redeliveries")
         .and_then(|s| s.parse().ok())
         .unwrap_or(1);

@@ -99,6 +99,20 @@ fn campaign_persists_and_resumes() {
 }
 
 #[test]
+fn remote_scheduler_rejects_the_options_it_would_ignore() {
+    for (option, value, instead) in [
+        ("--retries", "2", "--max-redeliveries"),
+        ("--fault-rate", "0.5", "--kill-rate"),
+    ] {
+        let (stdout, stderr, code) = simart(&["campaign", "--scheduler", "remote", option, value]);
+        assert_eq!(code, 2, "{option}: {stdout}{stderr}");
+        assert!(stderr.contains(option), "{stderr}");
+        assert!(stderr.contains(instead), "{stderr}");
+        assert!(!stdout.contains("campaign:"), "nothing ran: {stdout}");
+    }
+}
+
+#[test]
 fn matrix_totals_match_figure_8() {
     let (stdout, _, code) = simart(&["matrix"]);
     assert_eq!(code, 0);

@@ -9,7 +9,7 @@
 
 use crate::collection::Snapshot;
 use crate::query::Filter;
-use crate::value::Value;
+use crate::Value;
 use std::collections::BTreeMap;
 
 /// A numeric reduction.

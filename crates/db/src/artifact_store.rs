@@ -11,7 +11,7 @@ use crate::blobstore::BlobKey;
 use crate::database::Database;
 use crate::error::DbError;
 use crate::query::Filter;
-use crate::value::Value;
+use crate::Value;
 use simart_artifact::{Artifact, ArtifactId, ArtifactKind, GitInfo};
 use std::str::FromStr;
 
@@ -461,35 +461,6 @@ mod tests {
         assert!(closure.iter().any(|a| a.id() == repo.id()));
         assert!(closure.iter().any(|a| a.id() == bin.id()));
         assert!(closure.iter().any(|a| a.id() == script.id()));
-    }
-
-    /// The DAG walks must ride the multikey `inputs` index: with
-    /// observability compiled in, a dependent-closure walk bumps
-    /// `db.query_planned_index` on every frontier step and never falls
-    /// back to a `db.query_scans` collection scan.
-    #[cfg(feature = "observe")]
-    #[test]
-    fn dependency_walks_ride_the_inputs_index() {
-        use simart_observe as observe;
-        let (store, [repo, _, _, results]) = diamond();
-        observe::reset();
-        observe::enable();
-        let impact = store.dependent_closure(repo.id()).unwrap();
-        let closure = store.input_closure(results.id()).unwrap();
-        observe::disable();
-        assert_eq!(impact.len(), 3);
-        assert_eq!(closure.len(), 4);
-        let snapshot = observe::snapshot();
-        let counter = |name: &str| match snapshot.metrics.get(name) {
-            Some(observe::MetricValue::Counter(n)) => *n,
-            _ => 0,
-        };
-        // Frontier probes: repo, bin, script, results — one indexed
-        // `inputs` probe each (the input walk uses primary-key gets,
-        // which are neither planned nor scans).
-        assert_eq!(counter("db.query_planned_index"), 4);
-        assert_eq!(counter("db.query_scans"), 0);
-        observe::reset();
     }
 
     #[test]

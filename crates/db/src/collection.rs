@@ -17,7 +17,7 @@
 use crate::error::DbError;
 use crate::journal::{self, JournalCell, JournalOp};
 use crate::query::{Filter, Probe, SortOrder};
-use crate::value::Value;
+use crate::Value;
 use parking_lot::RwLock;
 use simart_observe as observe;
 use std::collections::{BTreeMap, BTreeSet, HashSet};
@@ -32,12 +32,7 @@ const SHARD_COUNT: usize = 16;
 
 /// FNV-1a over the document id selects its shard.
 fn shard_of(id: &str) -> usize {
-    let mut hash: u64 = 0xcbf2_9ce4_8422_2325;
-    for byte in id.as_bytes() {
-        hash ^= u64::from(*byte);
-        hash = hash.wrapping_mul(0x0000_0100_0000_01b3);
-    }
-    (hash % SHARD_COUNT as u64) as usize
+    (simart_codec::fnv1a(id.as_bytes()) % SHARD_COUNT as u64) as usize
 }
 
 /// How a secondary index organizes its keys.
@@ -1243,6 +1238,15 @@ mod tests {
         let mut map: Vec<(String, Value)> = vec![("_id".into(), Value::from(id))];
         map.extend(extra.into_iter().map(|(k, v)| (k.to_owned(), v)));
         map.into_iter().collect()
+    }
+
+    /// Golden values captured before `shard_of` moved onto the shared
+    /// `simart_codec::fnv1a` (see `tests/format_pins.rs` at the root).
+    #[test]
+    fn shard_placement_is_pinned() {
+        assert_eq!(shard_of("run-0001"), 2);
+        assert_eq!(shard_of("artifact/linux-5.4.49"), 3);
+        assert_eq!(shard_of("7f3c9a52-0b1e-4d6a-9c1f-2e8b5a7d4c10"), 9);
     }
 
     #[test]

@@ -5,7 +5,7 @@ use crate::collection::{Collection, IndexKind, IndexSpec};
 use crate::error::DbError;
 use crate::journal::{self, Journal, JournalCell, JournalCursor, JournalOp};
 use crate::json;
-use crate::value::Value;
+use crate::Value;
 use parking_lot::RwLock;
 use simart_observe as observe;
 use std::collections::BTreeMap;
@@ -464,7 +464,9 @@ impl Database {
                     if line.trim().is_empty() {
                         continue;
                     }
-                    let outcome = json::from_json(line).and_then(|doc| collection.insert(doc));
+                    let outcome = json::from_json(line)
+                        .map_err(DbError::from)
+                        .and_then(|doc| collection.insert(doc));
                     if let Err(err) = outcome {
                         if options.strict {
                             return Err(DbError::CorruptRecord {
@@ -583,7 +585,7 @@ impl Database {
                 let target = self.collection(&collection);
                 let id = doc
                     .at("_id")
-                    .and_then(crate::value::Value::as_str)
+                    .and_then(crate::Value::as_str)
                     .map(str::to_owned)
                     .unwrap_or_default();
                 match target.get(&id) {
@@ -694,7 +696,7 @@ fn remove_stale_tmp_files(dir: &Path) -> Result<(), DbError> {
 mod tests {
     use super::*;
     use crate::query::Filter;
-    use crate::value::Value;
+    use crate::Value;
 
     fn temp_dir(tag: &str) -> PathBuf {
         let dir = std::env::temp_dir().join(format!("simart-db-test-{tag}-{}", std::process::id()));

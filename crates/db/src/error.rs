@@ -122,6 +122,15 @@ impl std::error::Error for DbError {
     }
 }
 
+impl From<simart_codec::JsonError> for DbError {
+    fn from(err: simart_codec::JsonError) -> DbError {
+        DbError::Parse {
+            offset: err.offset,
+            message: err.message,
+        }
+    }
+}
+
 impl From<std::io::Error> for DbError {
     fn from(err: std::io::Error) -> DbError {
         DbError::Io(err)

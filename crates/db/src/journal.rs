@@ -27,19 +27,13 @@
 //!
 //! ## On-disk format
 //!
-//! `<dir>/journal.log` is a sequence of records, each framed as
-//!
-//! ```text
-//! [len: u32 LE] [crc: u32 LE] [payload: len bytes]
-//! ```
-//!
-//! where `crc` is the IEEE CRC-32 of the payload and the payload is the
-//! compact JSON rendering of one [`JournalOp`]. Replay
-//! ([`read_journal`]) walks records from the start and stops at the
-//! first frame that is incomplete, fails its CRC, or does not parse —
-//! the *torn tail* a crash mid-append leaves behind. Everything before
-//! the tear is recovered exactly; the tear itself is reported, never
-//! fatal.
+//! `<dir>/journal.log` is a sequence of [`simart_codec::frame`] records
+//! whose payload is the compact JSON rendering of one [`JournalOp`].
+//! Replay ([`read_journal`]) walks records from the start and stops at
+//! the first frame that is incomplete, fails its CRC, or does not parse
+//! — the *torn tail* a crash mid-append leaves behind. Everything
+//! before the tear is recovered exactly; the tear itself is reported,
+//! never fatal.
 //!
 //! [`Database::open`]: crate::Database::open
 //! [`Database::save`]: crate::Database::save
@@ -47,8 +41,10 @@
 
 use crate::error::DbError;
 use crate::json;
-use crate::value::Value;
+use crate::Value;
 use parking_lot::{Mutex, RwLock};
+use simart_codec::frame::{self, Frame};
+use simart_codec::{crc32, crc32_extend};
 use simart_observe as observe;
 use std::fs;
 use std::io::{Read as _, Seek as _, SeekFrom, Write as _};
@@ -282,16 +278,8 @@ pub fn read_journal_from(dir: &Path, offset: u64) -> Result<JournalReplay, DbErr
     file.read_to_end(&mut bytes)?;
     let mut ops = Vec::new();
     let mut pos = 0usize;
-    while bytes.len() - pos >= 8 {
-        let len = u32::from_le_bytes(bytes[pos..pos + 4].try_into().expect("4 bytes")) as usize;
-        let crc = u32::from_le_bytes(bytes[pos + 4..pos + 8].try_into().expect("4 bytes"));
-        if bytes.len() - pos - 8 < len {
-            break;
-        }
-        let payload = &bytes[pos + 8..pos + 8 + len];
-        if crc32(payload) != crc {
-            break;
-        }
+    // Anything but a whole, parseable record is the torn tail.
+    while let Frame::Complete { payload, consumed } = frame::next_frame(&bytes[pos..]) {
         let Ok(text) = std::str::from_utf8(payload) else {
             break;
         };
@@ -299,7 +287,7 @@ pub fn read_journal_from(dir: &Path, offset: u64) -> Result<JournalReplay, DbErr
             break;
         };
         ops.push(op);
-        pos += 8 + len;
+        pos += consumed;
     }
     Ok(JournalReplay {
         ops,
@@ -374,18 +362,16 @@ pub fn prefix_crc(dir: &Path, upto: u64) -> Result<Option<u32>, DbError> {
         return Ok(None);
     }
     let mut reader = file.take(upto);
-    let mut state = 0xFFFF_FFFFu32;
+    let mut crc = crc32(b"");
     let mut buf = [0u8; 64 * 1024];
     loop {
         let n = reader.read(&mut buf)?;
         if n == 0 {
             break;
         }
-        for &b in &buf[..n] {
-            state = CRC_TABLE[((state ^ u32::from(b)) & 0xFF) as usize] ^ (state >> 8);
-        }
+        crc = crc32_extend(crc, &buf[..n]);
     }
-    Ok(Some(state ^ 0xFFFF_FFFF))
+    Ok(Some(crc))
 }
 
 /// The shared slot holding a database's journal writer. Every
@@ -479,12 +465,7 @@ impl Journal {
     /// the tear, until a checkpoint compaction rewrites the file.
     pub(crate) fn append(&self, op: &JournalOp) -> Result<(), DbError> {
         let _timer = observe::timer("db.journal_append_us");
-        let payload = op.to_payload();
-        let bytes = payload.as_bytes();
-        let mut frame = Vec::with_capacity(8 + bytes.len());
-        frame.extend_from_slice(&(bytes.len() as u32).to_le_bytes());
-        frame.extend_from_slice(&crc32(bytes).to_le_bytes());
-        frame.extend_from_slice(bytes);
+        let frame = frame::encode_frame(op.to_payload().as_bytes());
         let mut writer = self.writer.lock();
         if writer.poisoned {
             return Err(DbError::JournalPoisoned);
@@ -548,36 +529,6 @@ impl Journal {
     }
 }
 
-/// IEEE CRC-32 lookup table, generated at compile time.
-const CRC_TABLE: [u32; 256] = {
-    let mut table = [0u32; 256];
-    let mut i = 0;
-    while i < 256 {
-        let mut c = i as u32;
-        let mut k = 0;
-        while k < 8 {
-            c = if c & 1 != 0 {
-                0xEDB8_8320 ^ (c >> 1)
-            } else {
-                c >> 1
-            };
-            k += 1;
-        }
-        table[i] = c;
-        i += 1;
-    }
-    table
-};
-
-/// IEEE CRC-32 of `data` (the frame checksum).
-pub(crate) fn crc32(data: &[u8]) -> u32 {
-    let mut c = 0xFFFF_FFFFu32;
-    for &b in data {
-        c = CRC_TABLE[((c ^ u32::from(b)) & 0xFF) as usize] ^ (c >> 8);
-    }
-    c ^ 0xFFFF_FFFF
-}
-
 fn to_hex(data: &[u8]) -> String {
     let mut out = String::with_capacity(data.len() * 2);
     for b in data {
@@ -599,13 +550,6 @@ fn from_hex(hex: &str) -> Option<Vec<u8>> {
 #[cfg(test)]
 mod tests {
     use super::*;
-
-    #[test]
-    fn crc32_matches_reference_vectors() {
-        // Standard check value for the IEEE polynomial.
-        assert_eq!(crc32(b"123456789"), 0xCBF4_3926);
-        assert_eq!(crc32(b""), 0);
-    }
 
     #[test]
     fn ops_round_trip_through_payload_encoding() {

@@ -9,8 +9,9 @@
 //! back by field values. This crate provides exactly those capabilities
 //! with zero external services:
 //!
-//! * [`Value`] — a JSON-like document model with its own text
-//!   serialization (used for on-disk persistence);
+//! * [`Value`] and [`json`] — the JSON-like document model and its
+//!   text serialization (used for on-disk persistence), re-exported
+//!   from `simart-codec` where they are defined;
 //! * [`Collection`] — sharded, ordered document storage with declared
 //!   secondary indexes ([`IndexSpec`]), copy-on-write [`Snapshot`]
 //!   reads, and a [`Filter`] query engine with an index-aware planner;
@@ -51,9 +52,7 @@ mod collection;
 mod database;
 mod error;
 pub mod journal;
-pub mod json;
 mod query;
-mod value;
 
 pub use aggregate::{group_reduce, reduce, Reduce};
 pub use artifact_store::ArtifactStore;
@@ -66,4 +65,4 @@ pub use journal::{
     JOURNAL_FILE,
 };
 pub use query::{Filter, SortOrder};
-pub use value::Value;
+pub use simart_codec::{json, Value};

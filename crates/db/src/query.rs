@@ -1,6 +1,6 @@
 //! The query engine: composable document filters.
 
-use crate::value::Value;
+use crate::Value;
 
 /// Sort direction for query results.
 #[derive(Debug, Clone, Copy, PartialEq, Eq, Default)]

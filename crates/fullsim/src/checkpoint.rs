@@ -10,9 +10,9 @@
 //! version) — so a restored checkpoint can never silently stand in for
 //! a different experiment.
 //!
-//! The on-disk format reuses the journal-style CRC framing of
-//! `simart-db` (DESIGN.md §4.8): a magic header followed by
-//! `[len u32 LE][crc32 u32 LE][payload]` frames, each independently
+//! The on-disk format is a magic header followed by three
+//! [`simart_codec::frame`] records (header, boot, stats) — the framing
+//! of the database journal (DESIGN.md §4.8), each record independently
 //! checksummed. Unlike a journal, a checkpoint is all-or-nothing: any
 //! torn or corrupt frame fails the load (and the campaign executor
 //! falls back to a cold boot, re-saving a fresh checkpoint).
@@ -26,10 +26,12 @@
 use crate::rng::fnv1a;
 use crate::stats::{StatValue, Stats};
 use crate::system::{Checkpoint, SimOutput, SystemConfig};
+use simart_codec::frame::{self, push_frame, Frame};
 use std::fmt;
 use std::fs;
 use std::io::{self, Write as _};
 use std::path::PathBuf;
+use std::sync::atomic::{AtomicU64, Ordering};
 
 /// Checkpoint format version; part of the content-address key, so a
 /// format change can never misread old files as current ones.
@@ -154,8 +156,9 @@ impl CheckpointStore {
 
     /// Saves a boot checkpoint for `config`, returning its key.
     ///
-    /// The write is atomic (tempfile + rename) so a crashed save never
-    /// leaves a half-written artifact under a valid key.
+    /// The write is atomic (a temporary file private to this call,
+    /// synced, then renamed) so neither a crashed nor a concurrent save
+    /// ever leaves a half-written artifact under a valid key.
     ///
     /// # Errors
     ///
@@ -173,13 +176,27 @@ impl CheckpointStore {
         }
         let key = checkpoint_key(config);
         let bytes = serialize(&key, checkpoint);
-        let tmp = self.dir.join(format!(".{key}.{EXT}.tmp"));
-        {
-            let mut file = fs::File::create(&tmp)?;
-            file.write_all(&bytes)?;
-            file.sync_all()?;
+        // Racing savers of one key (threads or worker processes booting
+        // the same configuration cold) each write a temporary of their
+        // own; sharing one let a rename move the file away under the
+        // other writer. Whichever rename lands last wins, and the
+        // contents are identical.
+        static NEXT_TMP: AtomicU64 = AtomicU64::new(0);
+        let tmp = self.dir.join(format!(
+            ".{key}.{EXT}.{}-{}.tmp",
+            std::process::id(),
+            NEXT_TMP.fetch_add(1, Ordering::Relaxed)
+        ));
+        let written = fs::File::create(&tmp)
+            .and_then(|mut file| {
+                file.write_all(&bytes)?;
+                file.sync_all()
+            })
+            .and_then(|()| fs::rename(&tmp, self.path_for(&key)));
+        if let Err(e) = written {
+            let _ = fs::remove_file(&tmp);
+            return Err(e.into());
         }
-        fs::rename(&tmp, self.path_for(&key))?;
         Ok(key)
     }
 
@@ -268,61 +285,16 @@ impl CheckpointStore {
     }
 }
 
-/// IEEE CRC-32, bitwise-identical to the journal framing in
-/// `simart-db` (kept local: the simulator does not depend on the
-/// database crate).
-fn crc32(bytes: &[u8]) -> u32 {
-    const TABLE: [u32; 256] = {
-        let mut table = [0u32; 256];
-        let mut i = 0;
-        while i < 256 {
-            let mut c = i as u32;
-            let mut k = 0;
-            while k < 8 {
-                c = if c & 1 == 1 {
-                    0xEDB8_8320 ^ (c >> 1)
-                } else {
-                    c >> 1
-                };
-                k += 1;
-            }
-            table[i] = c;
-            i += 1;
-        }
-        table
-    };
-    let mut state = 0xFFFF_FFFFu32;
-    for &b in bytes {
-        state = TABLE[((state ^ u32::from(b)) & 0xFF) as usize] ^ (state >> 8);
-    }
-    state ^ 0xFFFF_FFFF
-}
-
-/// Appends one `[len][crc][payload]` frame.
-fn push_frame(out: &mut Vec<u8>, payload: &[u8]) {
-    out.extend_from_slice(&(payload.len() as u32).to_le_bytes());
-    out.extend_from_slice(&crc32(payload).to_le_bytes());
-    out.extend_from_slice(payload);
-}
-
 /// Reads the frame at `*pos`, advancing it.
 fn read_frame<'a>(bytes: &'a [u8], pos: &mut usize) -> Result<&'a [u8], CheckpointError> {
-    let header_end = *pos + 8;
-    if header_end > bytes.len() {
-        return Err(CheckpointError::Corrupt("torn frame header".to_owned()));
+    match frame::next_frame(&bytes[*pos..]) {
+        Frame::Complete { payload, consumed } => {
+            *pos += consumed;
+            Ok(payload)
+        }
+        Frame::Incomplete | Frame::BadLength(_) => Err(bad("torn frame")),
+        Frame::BadCrc { .. } => Err(bad("frame CRC mismatch")),
     }
-    let len = u32::from_le_bytes(bytes[*pos..*pos + 4].try_into().expect("4 bytes")) as usize;
-    let crc = u32::from_le_bytes(bytes[*pos + 4..header_end].try_into().expect("4 bytes"));
-    let payload_end = header_end + len;
-    if payload_end > bytes.len() {
-        return Err(CheckpointError::Corrupt("torn frame payload".to_owned()));
-    }
-    let payload = &bytes[header_end..payload_end];
-    if crc32(payload) != crc {
-        return Err(CheckpointError::Corrupt("frame CRC mismatch".to_owned()));
-    }
-    *pos = payload_end;
-    Ok(payload)
 }
 
 /// Renders the checkpoint as magic + header frame + boot frame +
@@ -629,6 +601,43 @@ mod tests {
         );
         assert_eq!(&healed, &cold);
         assert!(store.load(&config).unwrap().is_some(), "artifact re-saved");
+        fs::remove_dir_all(&dir).unwrap();
+    }
+
+    #[test]
+    fn racing_savers_on_a_cold_store_never_fail() {
+        const THREADS: usize = 8;
+        const ROUNDS: usize = 50;
+        let dir = tmp_dir("race");
+        let store = CheckpointStore::open(&dir).unwrap();
+        let config = smoke_config();
+        let path = store.path_for(&checkpoint_key(&config));
+        let reference = config.checkpoint_boot().unwrap();
+        let barrier = std::sync::Barrier::new(THREADS);
+        for round in 0..ROUNDS {
+            // Every round starts cold, and the barrier releases all
+            // threads into the load-miss / boot / save path together.
+            let _ = fs::remove_file(&path);
+            std::thread::scope(|scope| {
+                for _ in 0..THREADS {
+                    scope.spawn(|| {
+                        barrier.wait();
+                        let (checkpoint, _) = store
+                            .boot_or_restore(&config)
+                            .unwrap_or_else(|e| panic!("round {round}: {e}"));
+                        assert_eq!(&checkpoint, &reference, "round {round}");
+                    });
+                }
+            });
+            let loaded = store.load(&config).unwrap().expect("a racer saved it");
+            assert_eq!(&loaded, &reference, "round {round}: bit-identical load");
+        }
+        let leftovers: Vec<_> = fs::read_dir(&dir)
+            .unwrap()
+            .map(|entry| entry.unwrap().file_name())
+            .filter(|name| name.to_string_lossy().ends_with(".tmp"))
+            .collect();
+        assert!(leftovers.is_empty(), "temporaries left: {leftovers:?}");
         fs::remove_dir_all(&dir).unwrap();
     }
 

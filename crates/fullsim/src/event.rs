@@ -4,25 +4,11 @@
 //! sequence) so simulation is fully deterministic regardless of how
 //! events were scheduled.
 //!
-//! Two implementations share that contract:
-//!
-//! * [`EventQueue`] — the default, a **calendar queue** (a hashed
-//!   timing wheel with an overflow heap). Schedule and pop are O(1)
-//!   amortized at high event rates because an event lands directly in
-//!   the bucket for its time window instead of sifting through a heap.
-//!   Far-future events that fall beyond the calendar's horizon wait in
-//!   an overflow [`BinaryHeap`] and migrate into buckets as simulated
-//!   time approaches them.
-//! * [`HeapEventQueue`] — the original binary-heap queue, kept as the
-//!   O(log n) reference. The property tests in `tests/props.rs` prove
-//!   both produce byte-identical event traces, and
-//!   `benches/hotpath.rs` uses it as the baseline the calendar queue
-//!   must beat.
-//!
-//! Determinism does not depend on bucket geometry: within a bucket
-//! events are kept sorted by the full `(when, priority, seq)` key, and
-//! bucket windows partition time, so pop order equals the heap's order
-//! exactly — not just statistically.
+//! [`EventQueue`] is a binary heap over that `(when, priority, seq)`
+//! key. The queue's only production user is the boot-stage loop, which
+//! holds about four pending events per boot; at that population (and up
+//! to roughly ten thousand) nothing beats the heap, so nothing more
+//! elaborate is kept.
 
 use crate::ticks::Tick;
 use std::cmp::Ordering;
@@ -72,12 +58,7 @@ impl<T> Ord for Event<T> {
     }
 }
 
-/// Smallest number of calendar buckets.
-const MIN_BUCKETS: usize = 8;
-/// Largest number of calendar buckets.
-const MAX_BUCKETS: usize = 1 << 15;
-
-/// A deterministic discrete-event queue (calendar-queue implementation).
+/// A deterministic discrete-event queue.
 ///
 /// ```
 /// use simart_fullsim::event::EventQueue;
@@ -90,20 +71,7 @@ const MAX_BUCKETS: usize = 1 << 15;
 /// ```
 #[derive(Debug)]
 pub struct EventQueue<T> {
-    /// Calendar buckets; each sorted *descending* by key so the minimum
-    /// pops from the tail in O(1).
-    buckets: Vec<Vec<Event<T>>>,
-    /// Bucket width in ticks (>= 1); adapted to the mean event gap on
-    /// resize so one rotation spans roughly the pending horizon.
-    width: Tick,
-    /// Bucket index whose window starts at `day_start`.
-    cursor: usize,
-    /// Lower bound (inclusive, width-aligned) of the cursor's window.
-    day_start: Tick,
-    /// Events beyond the calendar horizon, ordered min-first.
-    overflow: BinaryHeap<Event<T>>,
-    /// Number of events currently stored in `buckets`.
-    in_buckets: usize,
+    heap: BinaryHeap<Event<T>>,
     now: Tick,
     next_seq: u64,
     processed: u64,
@@ -119,12 +87,7 @@ impl<T> EventQueue<T> {
     /// Creates an empty queue at tick 0.
     pub fn new() -> Self {
         EventQueue {
-            buckets: (0..MIN_BUCKETS).map(|_| Vec::new()).collect(),
-            width: 1,
-            cursor: 0,
-            day_start: 0,
-            overflow: BinaryHeap::new(),
-            in_buckets: 0,
+            heap: BinaryHeap::new(),
             now: 0,
             next_seq: 0,
             processed: 0,
@@ -147,217 +110,6 @@ impl<T> EventQueue<T> {
     ///
     /// Panics when scheduling in the past (`when < now`) — a simulator
     /// bug that must never be silently absorbed.
-    pub fn schedule(&mut self, when: Tick, payload: T) {
-        self.schedule_with_priority(when, 0, payload);
-    }
-
-    /// Schedules with an explicit tie-break priority.
-    ///
-    /// # Panics
-    ///
-    /// Panics when scheduling in the past.
-    pub fn schedule_with_priority(&mut self, when: Tick, priority: Priority, payload: T) {
-        assert!(
-            when >= self.now,
-            "cannot schedule event in the past ({when} < {})",
-            self.now
-        );
-        let seq = self.next_seq;
-        self.next_seq += 1;
-        self.insert(Event {
-            when,
-            priority,
-            payload,
-            seq,
-        });
-        if self.len() > self.buckets.len() * 2 && self.buckets.len() < MAX_BUCKETS {
-            self.rebuild(self.buckets.len() * 2);
-        }
-    }
-
-    /// Schedules `delta` ticks after now.
-    pub fn schedule_after(&mut self, delta: Tick, payload: T) {
-        let when = self.now.saturating_add(delta);
-        self.schedule(when, payload);
-    }
-
-    /// Pops the earliest event, advancing simulated time to it.
-    pub fn pop(&mut self) -> Option<Event<T>> {
-        if self.is_empty() {
-            return None;
-        }
-        loop {
-            // If the calendar is empty, jump straight to the overflow
-            // minimum instead of sweeping empty windows one by one.
-            if self.in_buckets == 0 {
-                let min_when = self.overflow.peek().expect("len > 0").when;
-                self.day_start = (min_when / self.width) * self.width;
-                self.cursor = ((self.day_start / self.width) % self.buckets.len() as u64) as usize;
-            }
-            // Migrate overflow events that fall inside the current
-            // window; they always belong to the cursor's bucket. A
-            // window whose end overflows the tick type reaches the end
-            // of time and takes everything that is left.
-            let window_end = self.day_start.checked_add(self.width);
-            while self
-                .overflow
-                .peek()
-                .is_some_and(|e| window_end.is_none_or(|end| e.when < end))
-            {
-                let event = self.overflow.pop().expect("peeked");
-                Self::bucket_insert(&mut self.buckets[self.cursor], event);
-                self.in_buckets += 1;
-            }
-            if let Some(event) = self.buckets[self.cursor].pop() {
-                self.in_buckets -= 1;
-                self.now = event.when;
-                self.processed += 1;
-                if self.len() < self.buckets.len() / 4 && self.buckets.len() > MIN_BUCKETS {
-                    self.rebuild(self.buckets.len() / 2);
-                }
-                return Some(event);
-            }
-            // Current window exhausted: advance the calendar one day.
-            self.cursor = (self.cursor + 1) % self.buckets.len();
-            self.day_start = self.day_start.saturating_add(self.width);
-        }
-    }
-
-    /// The tick of the next pending event.
-    pub fn peek_when(&self) -> Option<Tick> {
-        let bucket_min = self
-            .buckets
-            .iter()
-            .filter_map(|b| b.last())
-            .map(|e| e.key())
-            .min();
-        let overflow_min = self.overflow.peek().map(Event::key);
-        match (bucket_min, overflow_min) {
-            (Some(b), Some(o)) => Some(b.min(o).0),
-            (Some(b), None) => Some(b.0),
-            (None, Some(o)) => Some(o.0),
-            (None, None) => None,
-        }
-    }
-
-    /// Number of pending events.
-    pub fn len(&self) -> usize {
-        self.in_buckets + self.overflow.len()
-    }
-
-    /// Whether no events are pending.
-    pub fn is_empty(&self) -> bool {
-        self.len() == 0
-    }
-
-    /// Discards all pending events without advancing time.
-    pub fn clear(&mut self) {
-        for bucket in &mut self.buckets {
-            bucket.clear();
-        }
-        self.overflow.clear();
-        self.in_buckets = 0;
-    }
-
-    /// First tick strictly beyond the calendar's reach; events at or
-    /// past it wait in the overflow heap.
-    fn horizon(&self) -> Tick {
-        self.day_start
-            .saturating_add(self.width.saturating_mul(self.buckets.len() as u64))
-    }
-
-    /// Places an event into its calendar bucket or the overflow heap.
-    fn insert(&mut self, event: Event<T>) {
-        if event.when < self.horizon() {
-            let idx = ((event.when / self.width) % self.buckets.len() as u64) as usize;
-            Self::bucket_insert(&mut self.buckets[idx], event);
-            self.in_buckets += 1;
-        } else {
-            self.overflow.push(event);
-        }
-    }
-
-    /// Inserts into a descending-sorted bucket, preserving total order.
-    fn bucket_insert(bucket: &mut Vec<Event<T>>, event: Event<T>) {
-        let key = event.key();
-        let pos = bucket.partition_point(|e| e.key() > key);
-        bucket.insert(pos, event);
-    }
-
-    /// Redistributes all pending events over `n_buckets` buckets with a
-    /// width matched to the mean gap between pending events.
-    fn rebuild(&mut self, n_buckets: usize) {
-        let mut events: Vec<Event<T>> = Vec::with_capacity(self.len());
-        for bucket in &mut self.buckets {
-            events.append(bucket);
-        }
-        events.extend(std::mem::take(&mut self.overflow));
-        self.in_buckets = 0;
-        self.buckets = (0..n_buckets).map(|_| Vec::new()).collect();
-        // Width ~ span / count keeps roughly one event per bucket, the
-        // calendar-queue operating point where schedule and pop are O(1).
-        let span = match (
-            events.iter().map(|e| e.when).min(),
-            events.iter().map(|e| e.when).max(),
-        ) {
-            (Some(lo), Some(hi)) => hi - lo,
-            _ => 0,
-        };
-        self.width = (span / (events.len().max(1) as u64)).max(1);
-        self.day_start = (self.now / self.width) * self.width;
-        self.cursor = ((self.day_start / self.width) % n_buckets as u64) as usize;
-        for event in events {
-            self.insert(event);
-        }
-    }
-}
-
-/// The original binary-heap event queue, retained as the O(log n)
-/// reference implementation.
-///
-/// `tests/props.rs` drives this and [`EventQueue`] with identical
-/// schedules and asserts identical pop traces; `benches/hotpath.rs`
-/// contrasts their schedule/pop cost as the pending-event count grows.
-#[derive(Debug)]
-pub struct HeapEventQueue<T> {
-    heap: BinaryHeap<Event<T>>,
-    now: Tick,
-    next_seq: u64,
-    processed: u64,
-}
-
-impl<T> Default for HeapEventQueue<T> {
-    fn default() -> Self {
-        Self::new()
-    }
-}
-
-impl<T> HeapEventQueue<T> {
-    /// Creates an empty queue at tick 0.
-    pub fn new() -> Self {
-        HeapEventQueue {
-            heap: BinaryHeap::new(),
-            now: 0,
-            next_seq: 0,
-            processed: 0,
-        }
-    }
-
-    /// Current simulated time (the tick of the last popped event).
-    pub fn now(&self) -> Tick {
-        self.now
-    }
-
-    /// Number of events processed so far.
-    pub fn processed(&self) -> u64 {
-        self.processed
-    }
-
-    /// Schedules an event at absolute tick `when` with default priority.
-    ///
-    /// # Panics
-    ///
-    /// Panics when scheduling in the past (`when < now`).
     pub fn schedule(&mut self, when: Tick, payload: T) {
         self.schedule_with_priority(when, 0, payload);
     }
@@ -474,7 +226,7 @@ mod tests {
     }
 
     #[test]
-    fn far_future_events_use_the_overflow_heap() {
+    fn tick_extremes_pop_in_order() {
         let mut q = EventQueue::new();
         q.schedule(u64::MAX, "doomsday");
         q.schedule(u64::MAX - 1, "eve");
@@ -484,80 +236,5 @@ mod tests {
         assert_eq!(q.pop().unwrap().payload, "eve");
         assert_eq!(q.pop().unwrap().payload, "doomsday");
         assert_eq!(q.now(), u64::MAX);
-    }
-
-    #[test]
-    fn sparse_picosecond_gaps_pop_in_order() {
-        // Boot stages are ~1e12 ticks apart: the calendar must rebase
-        // across huge empty spans instead of sweeping windows.
-        let mut q = EventQueue::new();
-        let mut when = 0u64;
-        for stage in 0..16u64 {
-            when += 900_000_000_000 + stage * 7_777;
-            q.schedule(when, stage);
-        }
-        let order: Vec<u64> = std::iter::from_fn(|| q.pop().map(|e| e.payload)).collect();
-        assert_eq!(order, (0..16).collect::<Vec<_>>());
-    }
-
-    #[test]
-    fn grows_and_shrinks_without_losing_events() {
-        let mut q = EventQueue::new();
-        // Enough events to force several grow rebuilds...
-        for i in 0..10_000u64 {
-            q.schedule((i * 37) % 4096 + 1, i);
-        }
-        assert_eq!(q.len(), 10_000);
-        // ...then drain, forcing shrink rebuilds on the way down.
-        let mut popped = Vec::with_capacity(10_000);
-        let mut last = (0, 0, 0);
-        while let Some(e) = q.pop() {
-            let key = (e.when, e.priority, e.seq);
-            assert!(key > last, "pop order regressed: {key:?} after {last:?}");
-            last = key;
-            popped.push(e.payload);
-        }
-        popped.sort_unstable();
-        assert_eq!(popped, (0..10_000).collect::<Vec<_>>());
-    }
-
-    #[test]
-    fn matches_heap_queue_trace_exactly() {
-        // Interleaved schedule/pop mirror-driving both implementations.
-        let mut cal = EventQueue::new();
-        let mut heap = HeapEventQueue::new();
-        let mut state = 0x2545_f491_4f6c_dd1du64;
-        let mut step = || {
-            state ^= state << 13;
-            state ^= state >> 7;
-            state ^= state << 17;
-            state
-        };
-        for round in 0..2_000u64 {
-            let r = step();
-            if r % 3 != 0 || cal.is_empty() {
-                let delta = match r % 5 {
-                    0 => r % 7,                  // dense ties
-                    1 => r % 100_000,            // near future
-                    _ => r % 10_000_000_000_000, // far future (overflow)
-                };
-                let priority = (r % 3) as Priority - 1;
-                let when = cal.now() + delta;
-                cal.schedule_with_priority(when, priority, round);
-                heap.schedule_with_priority(when, priority, round);
-            } else {
-                let a = cal.pop().map(|e| (e.when, e.priority, e.payload));
-                let b = heap.pop().map(|e| (e.when, e.priority, e.payload));
-                assert_eq!(a, b, "divergence at round {round}");
-                assert_eq!(cal.now(), heap.now());
-            }
-        }
-        while !heap.is_empty() {
-            let a = cal.pop().map(|e| (e.when, e.priority, e.payload));
-            let b = heap.pop().map(|e| (e.when, e.priority, e.payload));
-            assert_eq!(a, b);
-        }
-        assert!(cal.is_empty());
-        assert_eq!(cal.processed(), heap.processed());
     }
 }

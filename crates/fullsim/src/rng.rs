@@ -9,16 +9,7 @@
 use rand::rngs::SmallRng;
 use rand::{Rng, RngCore, SeedableRng};
 
-/// FNV-1a 64-bit hash of a byte string. Used for configuration
-/// fingerprints (stable across platforms and releases).
-pub fn fnv1a(bytes: &[u8]) -> u64 {
-    let mut hash: u64 = 0xcbf2_9ce4_8422_2325;
-    for &b in bytes {
-        hash ^= b as u64;
-        hash = hash.wrapping_mul(0x0000_0100_0000_01b3);
-    }
-    hash
-}
+pub use simart_codec::fnv1a;
 
 /// A deterministic RNG derived from a textual seed.
 #[derive(Debug, Clone)]
@@ -104,14 +95,6 @@ impl DetRng {
 #[cfg(test)]
 mod tests {
     use super::*;
-
-    #[test]
-    fn fnv_known_values() {
-        // FNV-1a published test vectors.
-        assert_eq!(fnv1a(b""), 0xcbf29ce484222325);
-        assert_eq!(fnv1a(b"a"), 0xaf63dc4c8601ec8c);
-        assert_eq!(fnv1a(b"foobar"), 0x85944171f73967e8);
-    }
 
     #[test]
     fn same_label_same_stream() {

@@ -2,7 +2,7 @@
 //! cache capacity, coherence safety, and statistics.
 
 use proptest::prelude::*;
-use simart_fullsim::event::{EventQueue, HeapEventQueue};
+use simart_fullsim::event::EventQueue;
 use simart_fullsim::isa::decode::{decode, encode, StaticInst};
 use simart_fullsim::isa::OpClass;
 use simart_fullsim::mem::cache::{SetAssocCache, LINE_BYTES};
@@ -29,44 +29,43 @@ proptest! {
         prop_assert_eq!(popped, (0..times.len()).collect::<Vec<_>>());
     }
 
-    /// The calendar queue and the reference heap queue produce
-    /// *identical* event traces under arbitrary interleaved
-    /// schedule/pop traffic — time, priority and payload all match at
-    /// every step. This is the determinism proof for the timing-wheel
-    /// replacement: same tie-break order, not just same multiset.
+    /// Under arbitrary interleaved schedule/pop traffic the queue pops
+    /// exactly what a sorted list would: the pending event with the
+    /// smallest `(when, priority, insertion order)` — same tie-break
+    /// order at every step, not just the same multiset.
     #[test]
-    fn calendar_queue_trace_equals_heap_queue_trace(
+    fn event_queue_trace_equals_sorted_oracle(
         ops in proptest::collection::vec(
             // (pop?, delta from now, priority)
             (any::<bool>(), 0u64..5_000_000_000_000, -2i32..3),
             1..300,
         ),
     ) {
-        let mut cal = EventQueue::new();
-        let mut heap = HeapEventQueue::new();
+        let mut queue = EventQueue::new();
+        let mut oracle: Vec<(u64, i32, usize)> = Vec::new();
+        fn pop_oracle(oracle: &mut Vec<(u64, i32, usize)>) -> Option<(u64, i32, usize)> {
+            let min = oracle.iter().copied().min()?;
+            oracle.retain(|e| *e != min);
+            Some(min)
+        }
         for (i, (pop, delta, priority)) in ops.into_iter().enumerate() {
-            if pop && !cal.is_empty() {
-                let a = cal.pop().map(|e| (e.when, e.priority, e.payload));
-                let b = heap.pop().map(|e| (e.when, e.priority, e.payload));
-                prop_assert_eq!(a, b);
-                prop_assert_eq!(cal.now(), heap.now());
+            if pop && !queue.is_empty() {
+                let got = queue.pop().map(|e| (e.when, e.priority, e.payload));
+                prop_assert_eq!(got, pop_oracle(&mut oracle));
+                prop_assert_eq!(Some(queue.now()), got.map(|e| e.0));
             } else {
-                let when = cal.now() + delta;
-                cal.schedule_with_priority(when, priority, i);
-                heap.schedule_with_priority(when, priority, i);
+                let when = queue.now() + delta;
+                queue.schedule_with_priority(when, priority, i);
+                oracle.push((when, priority, i));
             }
-            prop_assert_eq!(cal.len(), heap.len());
-            prop_assert_eq!(cal.peek_when(), heap.peek_when());
+            prop_assert_eq!(queue.len(), oracle.len());
+            prop_assert_eq!(queue.peek_when(), oracle.iter().map(|e| e.0).min());
         }
-        loop {
-            let a = cal.pop().map(|e| (e.when, e.priority, e.payload));
-            let b = heap.pop().map(|e| (e.when, e.priority, e.payload));
-            prop_assert_eq!(a, b);
-            if b.is_none() {
-                break;
-            }
+        while let Some(event) = queue.pop() {
+            let got = Some((event.when, event.priority, event.payload));
+            prop_assert_eq!(got, pop_oracle(&mut oracle));
         }
-        prop_assert_eq!(cal.processed(), heap.processed());
+        prop_assert!(oracle.is_empty());
     }
 
     /// Every encodable instruction round-trips through the 32-bit

@@ -17,7 +17,7 @@
 //! metrics work in every build; the recording half follows the crate's
 //! `enabled`-feature contract (see the crate docs).
 
-use crate::json::escape;
+use simart_codec::json::escape;
 use std::collections::BTreeMap;
 use std::fmt::Write as _;
 
@@ -530,58 +530,5 @@ mod tests {
         assert!(json.contains("\"name\":\"a.gauge\",\"kind\":\"gauge\",\"value\":-3"));
         assert!(json.contains("\"kind\":\"histogram\",\"count\":4,\"sum_us\":400"));
         assert!(!json.contains('\n'), "compact single line");
-    }
-
-    #[cfg(feature = "enabled")]
-    #[test]
-    fn registry_records_inside_capture_window() {
-        crate::enable();
-        count("m.test.counter", 2);
-        count("m.test.counter", 3);
-        gauge("m.test.gauge", 9);
-        observe_us("m.test.hist_us", 1_000);
-        observe_us("m.test.hist_us", 1_000);
-        crate::disable();
-        // Outside the window nothing lands.
-        count("m.test.counter", 100);
-        let snap = snapshot();
-        assert_eq!(
-            snap.metrics.get("m.test.counter"),
-            Some(&MetricValue::Counter(5))
-        );
-        assert_eq!(
-            snap.metrics.get("m.test.gauge"),
-            Some(&MetricValue::Gauge(9))
-        );
-        match snap.metrics.get("m.test.hist_us") {
-            Some(MetricValue::Histogram(h)) => {
-                assert_eq!((h.count, h.sum_us), (2, 2_000));
-                assert_eq!(h.quantile(0.5), 1_000);
-            }
-            other => panic!("expected histogram, got {other:?}"),
-        }
-    }
-
-    #[cfg(feature = "enabled")]
-    #[test]
-    fn timer_and_stamp_record_elapsed_time() {
-        crate::enable();
-        {
-            let _t = timer("m.timer.hist_us");
-            std::thread::sleep(std::time::Duration::from_millis(2));
-        }
-        let stamp = Stamp::now();
-        std::thread::sleep(std::time::Duration::from_millis(2));
-        stamp.observe_into("m.stamp.hist_us");
-        crate::disable();
-        for name in ["m.timer.hist_us", "m.stamp.hist_us"] {
-            match snapshot().metrics.get(name) {
-                Some(MetricValue::Histogram(h)) => {
-                    assert_eq!(h.count, 1, "{name}");
-                    assert!(h.sum_us >= 1_000, "{name}: {}us", h.sum_us);
-                }
-                other => panic!("{name}: expected histogram, got {other:?}"),
-            }
-        }
     }
 }

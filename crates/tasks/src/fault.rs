@@ -20,6 +20,7 @@
 //! plan, and they are only interpreted by the broker's supervision
 //! layer ([`BrokerScheduler`](crate::BrokerScheduler)).
 
+use simart_codec::fnv1a;
 use std::fmt;
 use std::sync::atomic::{AtomicU64, Ordering};
 use std::time::Duration;
@@ -485,16 +486,6 @@ fn mix(value: u64) -> u64 {
     z = (z ^ (z >> 30)).wrapping_mul(0xBF58_476D_1CE4_E5B9);
     z = (z ^ (z >> 27)).wrapping_mul(0x94D0_49BB_1331_11EB);
     z ^ (z >> 31)
-}
-
-/// FNV-1a over the task name, mixing it into the per-task stream.
-fn fnv1a(bytes: &[u8]) -> u64 {
-    let mut hash = 0xCBF2_9CE4_8422_2325u64;
-    for byte in bytes {
-        hash ^= u64::from(*byte);
-        hash = hash.wrapping_mul(0x0000_0100_0000_01B3);
-    }
-    hash
 }
 
 /// Deterministic draw in [0, 1): SplitMix64 finalizer over

@@ -1,18 +1,12 @@
 //! The coordinator ↔ worker wire protocol for the remote scheduler.
 //!
-//! Messages travel over local pipes as length-prefixed, CRC-framed
-//! JSON — byte-for-byte the record format of the database journal
-//! (`simart-db::journal`), reused here because its torn-tail discipline
-//! is exactly what a crash-prone byte stream needs:
+//! Messages travel over pipes and sockets as [`simart_codec::frame`]
+//! records — byte-for-byte the record format of the database journal,
+//! reused here because its torn-tail discipline is exactly what a
+//! crash-prone byte stream needs. The payload of each frame is one
+//! compact JSON object with a `"type"` field, written and parsed by
+//! [`simart_codec::json`].
 //!
-//! ```text
-//! +----------------+----------------+====================+
-//! | len: u32 LE    | crc: u32 LE    | payload (len bytes)|
-//! +----------------+----------------+====================+
-//! ```
-//!
-//! `len` is the payload length, `crc` the IEEE CRC-32 of the payload,
-//! and the payload one compact JSON object with a `"type"` field.
 //! [`FrameDecoder`] buffers an incoming byte stream and yields whole
 //! payloads: a *short* frame (stream ends mid-record) is simply "not
 //! yet" — never an error — while a frame whose CRC or length field is
@@ -22,25 +16,19 @@
 //! holds here for torn pipes: every byte-boundary truncation of a
 //! valid frame decodes to "incomplete", not garbage (see the fuzz
 //! test below).
-//!
-//! The JSON codec is deliberately tiny and self-contained (flat
-//! objects of strings, unsigned integers, and booleans) so the task
-//! crate stays free of database-layer dependencies.
 
-use std::collections::HashMap;
+use simart_codec::frame::{self, Frame};
+use simart_codec::{json, Value};
 use std::fmt;
+
+pub use simart_codec::crc32;
+pub use simart_codec::frame::{encode_frame, MAX_FRAME_LEN};
 
 /// Protocol version spoken by this build. A worker whose
 /// [`Message::Hello`] carries a different version is rejected during
 /// the handshake — mixed-version coordinator/worker pairs must not
 /// exchange task frames.
 pub const PROTOCOL_VERSION: u64 = 1;
-
-/// Upper bound on a frame's payload length. A length field beyond
-/// this is treated as corruption (it is far larger than any protocol
-/// message), so a bit-flipped length cannot make the decoder buffer
-/// gigabytes waiting for a frame that never completes.
-pub const MAX_FRAME_LEN: usize = 16 * 1024 * 1024;
 
 /// Wire-level decode failures. Short frames are *not* errors (the
 /// decoder just waits for more bytes); these are genuine corruption.
@@ -77,29 +65,6 @@ impl fmt::Display for WireError {
 }
 
 impl std::error::Error for WireError {}
-
-/// IEEE CRC-32 (the journal's checksum), computed bitwise — the frame
-/// rate is a handful of messages per task, so table-free is plenty.
-pub fn crc32(data: &[u8]) -> u32 {
-    let mut crc = 0xFFFF_FFFFu32;
-    for &byte in data {
-        crc ^= u32::from(byte);
-        for _ in 0..8 {
-            let mask = 0u32.wrapping_sub(crc & 1);
-            crc = (crc >> 1) ^ (0xEDB8_8320 & mask);
-        }
-    }
-    !crc
-}
-
-/// Wraps a payload in a `[len][crc][payload]` frame.
-pub fn encode_frame(payload: &[u8]) -> Vec<u8> {
-    let mut frame = Vec::with_capacity(8 + payload.len());
-    frame.extend_from_slice(&(payload.len() as u32).to_le_bytes());
-    frame.extend_from_slice(&crc32(payload).to_le_bytes());
-    frame.extend_from_slice(payload);
-    frame
-}
 
 /// Incremental frame decoder over a byte stream.
 ///
@@ -138,29 +103,16 @@ impl FrameDecoder {
     /// only a frame prefix, or an error on corruption. After an error
     /// the stream is unusable — the caller should drop the connection.
     pub fn next_frame(&mut self) -> Result<Option<Vec<u8>>, WireError> {
-        let avail = self.buf.len() - self.pos;
-        if avail < 8 {
-            return Ok(None);
+        match frame::next_frame(&self.buf[self.pos..]) {
+            Frame::Complete { payload, consumed } => {
+                let payload = payload.to_vec();
+                self.pos += consumed;
+                Ok(Some(payload))
+            }
+            Frame::Incomplete => Ok(None),
+            Frame::BadCrc { expected, actual } => Err(WireError::BadCrc { expected, actual }),
+            Frame::BadLength(len) => Err(WireError::BadLength(u64::from(len))),
         }
-        let header = &self.buf[self.pos..];
-        let len = u32::from_le_bytes(header[0..4].try_into().expect("4 header bytes")) as usize;
-        let crc = u32::from_le_bytes(header[4..8].try_into().expect("4 header bytes"));
-        if len > MAX_FRAME_LEN {
-            return Err(WireError::BadLength(len as u64));
-        }
-        if avail - 8 < len {
-            return Ok(None);
-        }
-        let payload = self.buf[self.pos + 8..self.pos + 8 + len].to_vec();
-        let actual = crc32(&payload);
-        if actual != crc {
-            return Err(WireError::BadCrc {
-                expected: crc,
-                actual,
-            });
-        }
-        self.pos += 8 + len;
-        Ok(Some(payload))
     }
 }
 
@@ -248,29 +200,11 @@ pub enum Message {
 }
 
 impl Message {
-    /// Serializes the message to its JSON payload (unframed).
+    /// Serializes the message to its JSON payload (unframed): one
+    /// object, `"type"` first, then the fields in declaration order.
     pub fn encode(&self) -> Vec<u8> {
-        let mut out = String::from("{");
-        let mut first = true;
-        let mut put = |out: &mut String, key: &str, value: &JsonValue| {
-            if !first {
-                out.push(',');
-            }
-            first = false;
-            push_json_string(out, key);
-            out.push(':');
-            match value {
-                JsonValue::Str(s) => push_json_string(out, s),
-                JsonValue::Num(n) => out.push_str(&n.to_string()),
-                JsonValue::Bool(b) => out.push_str(if *b { "true" } else { "false" }),
-            }
-        };
         let fields = self.fields();
-        for (key, value) in &fields {
-            put(&mut out, key, value);
-        }
-        out.push('}');
-        out.into_bytes()
+        json::object_to_json(fields.iter().map(|(key, value)| (*key, value))).into_bytes()
     }
 
     /// The message framed and ready to write to a pipe.
@@ -278,28 +212,34 @@ impl Message {
         encode_frame(&self.encode())
     }
 
-    fn fields(&self) -> Vec<(&'static str, JsonValue)> {
-        use JsonValue::{Bool, Num, Str};
+    fn fields(&self) -> Vec<(&'static str, Value)> {
+        let text = |s: &str| Value::from(s);
+        // The document model's integer is an i64. Every number the
+        // protocol carries in practice (pids, counters, milliseconds)
+        // fits and keeps the digits it always had; a u64 beyond
+        // `i64::MAX` travels as its two's-complement bit pattern and
+        // `decode` reads it back exactly.
+        let num = |n: &u64| Value::Int(*n as i64);
         match self {
             Message::Hello {
                 protocol,
                 pid,
                 session,
             } => vec![
-                ("type", Str("hello".into())),
-                ("protocol", Num(*protocol)),
-                ("pid", Num(*pid)),
-                ("session", Num(*session)),
+                ("type", text("hello")),
+                ("protocol", num(protocol)),
+                ("pid", num(pid)),
+                ("session", num(session)),
             ],
             Message::HelloAck {
                 generation,
                 heartbeat_ms,
                 session,
             } => vec![
-                ("type", Str("hello-ack".into())),
-                ("generation", Num(*generation)),
-                ("heartbeatMs", Num(*heartbeat_ms)),
-                ("session", Num(*session)),
+                ("type", text("hello-ack")),
+                ("generation", num(generation)),
+                ("heartbeatMs", num(heartbeat_ms)),
+                ("session", num(session)),
             ],
             Message::Dispatch {
                 job,
@@ -309,22 +249,20 @@ impl Message {
                 kind,
                 payload,
                 timeout_ms,
-            } => {
-                vec![
-                    ("type", Str("dispatch".into())),
-                    ("job", Num(*job)),
-                    ("delivery", Num(*delivery)),
-                    ("generation", Num(*generation)),
-                    ("name", Str(name.clone())),
-                    ("kind", Str(kind.clone())),
-                    ("payload", Str(payload.clone())),
-                    ("timeoutMs", Num(*timeout_ms)),
-                ]
-            }
+            } => vec![
+                ("type", text("dispatch")),
+                ("job", num(job)),
+                ("delivery", num(delivery)),
+                ("generation", num(generation)),
+                ("name", text(name)),
+                ("kind", text(kind)),
+                ("payload", text(payload)),
+                ("timeoutMs", num(timeout_ms)),
+            ],
             Message::Heartbeat { pid, busy } => vec![
-                ("type", Str("heartbeat".into())),
-                ("pid", Num(*pid)),
-                ("busy", Num(*busy)),
+                ("type", text("heartbeat")),
+                ("pid", num(pid)),
+                ("busy", num(busy)),
             ],
             Message::TaskResult {
                 job,
@@ -334,18 +272,16 @@ impl Message {
                 output,
                 error,
             } => vec![
-                ("type", Str("result".into())),
-                ("job", Num(*job)),
-                ("delivery", Num(*delivery)),
-                ("generation", Num(*generation)),
-                ("ok", Bool(*ok)),
-                ("output", Str(output.clone())),
-                ("error", Str(error.clone())),
+                ("type", text("result")),
+                ("job", num(job)),
+                ("delivery", num(delivery)),
+                ("generation", num(generation)),
+                ("ok", Value::Bool(*ok)),
+                ("output", text(output)),
+                ("error", text(error)),
             ],
-            Message::Drain => vec![("type", Str("drain".into()))],
-            Message::Bye { pid } => {
-                vec![("type", Str("bye".into())), ("pid", Num(*pid))]
-            }
+            Message::Drain => vec![("type", text("drain"))],
+            Message::Bye { pid } => vec![("type", text("bye")), ("pid", num(pid))],
         }
     }
 
@@ -353,44 +289,38 @@ impl Message {
     ///
     /// # Errors
     ///
-    /// [`WireError::Malformed`] when the payload is not valid JSON,
-    /// the `type` is unknown, or a required field is missing.
+    /// [`WireError::Malformed`] when the payload is not a JSON object,
+    /// the `type` is unknown, or a required field is missing or of the
+    /// wrong type.
     pub fn decode(payload: &[u8]) -> Result<Message, WireError> {
+        let malformed = WireError::Malformed;
         let text = std::str::from_utf8(payload)
-            .map_err(|_| WireError::Malformed("payload is not utf-8".to_owned()))?;
-        let fields = parse_flat_object(text)?;
+            .map_err(|_| malformed("payload is not utf-8".to_owned()))?;
+        let doc = json::from_json(text).map_err(|e| malformed(e.to_string()))?;
+        let fields = doc
+            .as_map()
+            .ok_or_else(|| malformed("expected a JSON object".to_owned()))?;
         let str_field = |name: &str| -> Result<String, WireError> {
             match fields.get(name) {
-                Some(JsonValue::Str(s)) => Ok(s.clone()),
-                _ => Err(WireError::Malformed(format!(
-                    "missing string field `{name}`"
-                ))),
+                Some(Value::Str(s)) => Ok(s.clone()),
+                _ => Err(malformed(format!("missing string field `{name}`"))),
             }
         };
         let num_field = |name: &str| -> Result<u64, WireError> {
             match fields.get(name) {
-                Some(JsonValue::Num(n)) => Ok(*n),
-                _ => Err(WireError::Malformed(format!(
-                    "missing numeric field `{name}`"
-                ))),
+                Some(Value::Int(n)) => Ok(*n as u64),
+                _ => Err(malformed(format!("missing numeric field `{name}`"))),
             }
         };
         let bool_field = |name: &str| -> Result<bool, WireError> {
             match fields.get(name) {
-                Some(JsonValue::Bool(b)) => Ok(*b),
-                _ => Err(WireError::Malformed(format!(
-                    "missing boolean field `{name}`"
-                ))),
+                Some(Value::Bool(b)) => Ok(*b),
+                _ => Err(malformed(format!("missing boolean field `{name}`"))),
             }
         };
         // `session` arrived with the TCP transport; frames from
         // pre-session peers omit it, which decodes as token 0.
-        let opt_num_field = |name: &str| -> u64 {
-            match fields.get(name) {
-                Some(JsonValue::Num(n)) => *n,
-                _ => 0,
-            }
-        };
+        let opt_num_field = |name: &str| num_field(name).unwrap_or(0);
         match str_field("type")?.as_str() {
             "hello" => Ok(Message::Hello {
                 protocol: num_field("protocol")?,
@@ -427,162 +357,9 @@ impl Message {
             "bye" => Ok(Message::Bye {
                 pid: num_field("pid")?,
             }),
-            other => Err(WireError::Malformed(format!(
-                "unknown message type `{other}`"
-            ))),
+            other => Err(malformed(format!("unknown message type `{other}`"))),
         }
     }
-}
-
-/// A value in a flat protocol object.
-#[derive(Debug, Clone, PartialEq, Eq)]
-enum JsonValue {
-    Str(String),
-    Num(u64),
-    Bool(bool),
-}
-
-fn push_json_string(out: &mut String, s: &str) {
-    out.push('"');
-    for ch in s.chars() {
-        match ch {
-            '"' => out.push_str("\\\""),
-            '\\' => out.push_str("\\\\"),
-            '\n' => out.push_str("\\n"),
-            '\r' => out.push_str("\\r"),
-            '\t' => out.push_str("\\t"),
-            c if (c as u32) < 0x20 => {
-                out.push_str(&format!("\\u{:04x}", c as u32));
-            }
-            c => out.push(c),
-        }
-    }
-    out.push('"');
-}
-
-/// Parses one flat JSON object (`{"k": "v", "n": 1, "b": true}`) —
-/// the only shape protocol payloads take. Nested containers are
-/// rejected as malformed.
-fn parse_flat_object(text: &str) -> Result<HashMap<String, JsonValue>, WireError> {
-    let malformed = |why: &str| WireError::Malformed(why.to_owned());
-    let mut chars = text.chars().peekable();
-    let mut fields = HashMap::new();
-    skip_ws(&mut chars);
-    if chars.next() != Some('{') {
-        return Err(malformed("expected `{`"));
-    }
-    skip_ws(&mut chars);
-    if chars.peek() == Some(&'}') {
-        chars.next();
-        return Ok(fields);
-    }
-    loop {
-        skip_ws(&mut chars);
-        let key = parse_string(&mut chars)?;
-        skip_ws(&mut chars);
-        if chars.next() != Some(':') {
-            return Err(malformed("expected `:` after key"));
-        }
-        skip_ws(&mut chars);
-        let value = match chars.peek() {
-            Some('"') => JsonValue::Str(parse_string(&mut chars)?),
-            Some('t') | Some('f') => {
-                let word: String =
-                    std::iter::from_fn(|| chars.next_if(|c| c.is_ascii_alphabetic())).collect();
-                match word.as_str() {
-                    "true" => JsonValue::Bool(true),
-                    "false" => JsonValue::Bool(false),
-                    _ => return Err(malformed("expected `true` or `false`")),
-                }
-            }
-            Some(c) if c.is_ascii_digit() => {
-                let digits: String =
-                    std::iter::from_fn(|| chars.next_if(char::is_ascii_digit)).collect();
-                JsonValue::Num(
-                    digits
-                        .parse()
-                        .map_err(|_| malformed("number out of range"))?,
-                )
-            }
-            _ => return Err(malformed("unsupported value (flat objects only)")),
-        };
-        fields.insert(key, value);
-        skip_ws(&mut chars);
-        match chars.next() {
-            Some(',') => continue,
-            Some('}') => break,
-            _ => return Err(malformed("expected `,` or `}`")),
-        }
-    }
-    Ok(fields)
-}
-
-fn skip_ws(chars: &mut std::iter::Peekable<std::str::Chars<'_>>) {
-    while chars.next_if(|c| c.is_whitespace()).is_some() {}
-}
-
-fn parse_string(chars: &mut std::iter::Peekable<std::str::Chars<'_>>) -> Result<String, WireError> {
-    let malformed = |why: &str| WireError::Malformed(why.to_owned());
-    if chars.next() != Some('"') {
-        return Err(malformed("expected string"));
-    }
-    let mut out = String::new();
-    loop {
-        match chars.next() {
-            None => return Err(malformed("unterminated string")),
-            Some('"') => return Ok(out),
-            Some('\\') => match chars.next() {
-                Some('"') => out.push('"'),
-                Some('\\') => out.push('\\'),
-                Some('/') => out.push('/'),
-                Some('n') => out.push('\n'),
-                Some('r') => out.push('\r'),
-                Some('t') => out.push('\t'),
-                Some('b') => out.push('\u{8}'),
-                Some('f') => out.push('\u{c}'),
-                Some('u') => {
-                    let code = parse_hex4(chars)?;
-                    // Combine a surrogate pair when one follows;
-                    // otherwise fall back to the replacement char.
-                    let ch = if (0xD800..0xDC00).contains(&code) {
-                        let low = if chars.peek() == Some(&'\\') {
-                            chars.next();
-                            if chars.next() == Some('u') {
-                                parse_hex4(chars)?
-                            } else {
-                                0
-                            }
-                        } else {
-                            0
-                        };
-                        if (0xDC00..0xE000).contains(&low) {
-                            let combined = 0x10000 + ((code - 0xD800) << 10) + (low - 0xDC00);
-                            char::from_u32(combined).unwrap_or('\u{FFFD}')
-                        } else {
-                            '\u{FFFD}'
-                        }
-                    } else {
-                        char::from_u32(code).unwrap_or('\u{FFFD}')
-                    };
-                    out.push(ch);
-                }
-                _ => return Err(malformed("unknown escape")),
-            },
-            Some(c) => out.push(c),
-        }
-    }
-}
-
-fn parse_hex4(chars: &mut std::iter::Peekable<std::str::Chars<'_>>) -> Result<u32, WireError> {
-    let mut code = 0u32;
-    for _ in 0..4 {
-        let digit = chars
-            .next()
-            .and_then(|c| c.to_digit(16))
-            .ok_or_else(|| WireError::Malformed("bad \\u escape".to_owned()))?;
-        code = code * 16 + digit;
-    }
-    Ok(code)
 }
 
 #[cfg(test)]
@@ -625,13 +402,6 @@ mod tests {
     }
 
     #[test]
-    fn crc32_matches_reference_vectors() {
-        // Same vectors the journal's implementation is pinned to.
-        assert_eq!(crc32(b"123456789"), 0xCBF4_3926);
-        assert_eq!(crc32(b""), 0);
-    }
-
-    #[test]
     fn messages_round_trip() {
         for msg in sample_messages() {
             let decoded = Message::decode(&msg.encode()).unwrap();
@@ -650,6 +420,20 @@ mod tests {
             error: "quotes \" slashes \\ newline \n tab \t nul \u{0} unicode ✓".to_owned(),
         };
         assert_eq!(Message::decode(&msg.encode()).unwrap(), msg);
+    }
+
+    #[test]
+    fn numbers_span_the_whole_u64_range() {
+        // Up to i64::MAX the digits are the plain decimal ones; beyond,
+        // the value still reads back exactly.
+        let small = Message::Bye { pid: 4242 };
+        assert_eq!(small.encode(), b"{\"type\":\"bye\",\"pid\":4242}");
+        for pid in [i64::MAX as u64, i64::MAX as u64 + 1, u64::MAX] {
+            let msg = Message::Bye { pid };
+            assert_eq!(Message::decode(&msg.encode()).unwrap(), msg);
+        }
+        // A number that is not an integer is not a protocol number.
+        assert!(Message::decode(b"{\"type\":\"bye\",\"pid\":1.5}").is_err());
     }
 
     #[test]
