@@ -490,7 +490,8 @@ fn campaign(args: &[String]) -> i32 {
     if fault_rate > 0.0 {
         options = options.fault(Arc::new(FaultInjector::new(fault_seed).errors(fault_rate)));
     }
-    if kill_rate > 0.0 {
+    // Remote kills are real SIGKILLs configured on the scheduler below.
+    if kill_rate > 0.0 && scheduler_kind != "remote" {
         options = options.worker_fault(Arc::new(
             FaultInjector::new(fault_seed).worker_kills(kill_rate),
         ));

@@ -16,7 +16,7 @@ use simart_observe as observe;
 use simart_run::{FsRun, RunError, RunStatus, RunStore};
 use simart_tasks::{
     FaultInjector, RemoteEvent, RemoteScheduler, RemoteTaskSpec, RetryPolicy, Scheduler, Task,
-    TaskReport, TaskState,
+    TaskHandle, TaskReport, TaskState,
 };
 use std::collections::HashMap;
 use std::fmt;
@@ -342,11 +342,11 @@ impl Experiment {
     ///
     /// Provenance discipline: every status change and attempt is logged
     /// on the run record, and the *terminal* status (`Done`, `Failed`,
-    /// `TimedOut`) is written exactly once per launched run — here,
-    /// after the task's report arrives, never from inside the attempt
-    /// closure. A detached attempt that straggles in after its run
-    /// timed out cannot overwrite the terminal state because store
-    /// transitions enforce the lifecycle.
+    /// `TimedOut`) is written exactly once per launched run — after the
+    /// task's report arrives, never from inside the attempt closure. A
+    /// detached attempt that straggles in after its run timed out
+    /// cannot overwrite the terminal state because store transitions
+    /// enforce the lifecycle.
     pub fn launch_with<S: Scheduler + ?Sized>(
         &self,
         runs: Vec<FsRun>,
@@ -357,92 +357,43 @@ impl Experiment {
         let _span = observe::span(|| format!("experiment.launch:{}", self.name));
         let mut summary = LaunchSummary::default();
         let mut handles = Vec::new();
+        // Admit and submit run by run: workers start on the first runs
+        // while the rest are still being admitted.
         for fs_run in runs {
-            let Some(fs_run) = self.admit(fs_run, options, &mut summary) else {
-                continue;
-            };
-            let store = self.runs.clone();
-            let execute = execute.clone();
-            let policy = options.retry_policy.clone();
-            let fault = options.fault.clone();
-            let timeout = fs_run.timeout();
-            let run_id = fs_run.id();
-            let name = format!("{}/{}", self.name, fs_run.run_hash());
-            let fault_name = name.clone();
-            // 1-based attempt counter for this run, shared across the
-            // per-attempt invocations of the closure below.
-            let attempt_counter = Arc::new(AtomicU32::new(0));
-            let mut task = Task::new(name, move || {
-                let attempt = attempt_counter.fetch_add(1, Ordering::SeqCst) + 1;
-                let delay_before = policy.delay_before(attempt);
-                let run = fs_run.clone();
-                // Queued -> Running on the first attempt, Retrying ->
-                // Running afterwards.
-                let _ = store.transition(run.id(), RunStatus::Running);
-                // Faults are injected around the executor (not around
-                // the bookkeeping) so injected errors still leave a
-                // complete provenance trail. Injected panics unwind
-                // here and are caught by the task layer.
-                let result = match &fault {
-                    Some(injector) => injector
-                        .inject(&fault_name, attempt)
-                        .and_then(|()| execute(&run)),
-                    None => execute(&run),
-                };
-                let (disposition, result) = match result {
-                    Ok(outcome) => {
-                        // Executor-provided provenance (e.g. the
-                        // checkpoint save/restore trail) is journaled
-                        // before the results land.
-                        for event in &outcome.events {
-                            let _ = store.log_event(run.id(), event);
-                        }
-                        let _ = store.attach_results(
-                            run.id(),
-                            outcome.sim_ticks,
-                            &outcome.outcome,
-                            &outcome.payload,
-                        );
-                        if outcome.success {
-                            ("succeeded", Ok(outcome.outcome))
-                        } else {
-                            ("errored", Err(outcome.outcome))
-                        }
-                    }
-                    Err(err) => ("errored", Err(err)),
-                };
-                let _ = store.record_attempt(run.id(), disposition, delay_before);
-                if result.is_err() {
-                    // Park the run for a possible retry; the terminal
-                    // status (if retries are exhausted) is written by
-                    // the post-wait loop, exactly once.
-                    let _ = store.transition(run.id(), RunStatus::Retrying);
-                }
-                result
-            })
-            .timeout(timeout)
-            .retry_policy(options.retry_policy.clone());
-            if let Some(injector) = &options.worker_fault {
-                // Consulted by supervised schedulers for worker-level
-                // chaos; its attempt stream is expected to stay silent.
-                task = task.fault_injector(Arc::clone(injector));
+            if let Some(fs_run) = self.admit(fs_run, options, &mut summary) {
+                let run_id = fs_run.id();
+                let task = self.local_task(fs_run, execute.clone(), options);
+                observe::count("experiment.runs_launched", 1);
+                handles.push((run_id, scheduler.submit(task)));
             }
-            observe::count("experiment.runs_launched", 1);
-            handles.push((run_id, scheduler.submit(task)));
         }
+        // The task closure archived every attempt as it ran.
+        self.settle(handles, options, summary, |_, _| {})
+    }
+
+    /// The name a run's task travels under. It embeds the run hash, so
+    /// it is unique within the experiment.
+    fn task_name(&self, fs_run: &FsRun) -> String {
+        format!("{}/{}", self.name, fs_run.run_hash())
+    }
+
+    /// Waits for every submitted run's report and seals its terminal
+    /// status, exactly once per run. `absorb` sees each report first,
+    /// to archive whatever the task itself could not.
+    fn settle(
+        &self,
+        handles: Vec<(Uuid, TaskHandle)>,
+        options: &LaunchOptions,
+        mut summary: LaunchSummary,
+        absorb: impl Fn(Uuid, &mut TaskReport),
+    ) -> LaunchSummary {
         for (run_id, handle) in handles {
-            let report: TaskReport = handle.wait();
-            match report.state {
-                TaskState::Succeeded => {
-                    summary.done += 1;
-                    let _ = self.runs.transition(run_id, RunStatus::Done);
-                }
-                TaskState::Failed => {
-                    summary.failed += 1;
-                    let _ = self.runs.transition(run_id, RunStatus::Failed);
-                }
+            let mut report = handle.wait();
+            absorb(run_id, &mut report);
+            let (status, count) = match report.state {
+                TaskState::Succeeded => (RunStatus::Done, &mut summary.done),
+                TaskState::Failed => (RunStatus::Failed, &mut summary.failed),
                 TaskState::TimedOut => {
-                    summary.timed_out += 1;
                     // The attempt never returned, so record it here
                     // before sealing the terminal status.
                     let _ = self.runs.record_attempt(
@@ -450,15 +401,87 @@ impl Experiment {
                         "timed-out",
                         options.retry_policy.delay_before(report.attempts),
                     );
-                    let _ = self.runs.transition(run_id, RunStatus::TimedOut);
+                    (RunStatus::TimedOut, &mut summary.timed_out)
                 }
-                TaskState::Quarantined => self.seal_quarantine(run_id, &report, &mut summary),
-            }
-            if report.attempts > 1 {
+                TaskState::Quarantined => {
+                    // The quarantine record is persisted *first* so it
+                    // exists by the time the status flips.
+                    let letter = crate::quarantine::DeadLetter {
+                        run_id,
+                        task: report.name.clone(),
+                        error: report.error.clone().unwrap_or_default(),
+                        redeliveries: report.redeliveries,
+                        lease_events: report.lease_events.clone(),
+                        attempts: report.attempts,
+                        released: false,
+                    };
+                    let _ = crate::quarantine::persist(&self.db, &letter);
+                    (RunStatus::Quarantined, &mut summary.quarantined)
+                }
+            };
+            *count += 1;
+            let _ = self.runs.transition(run_id, status);
+            if report.attempts > 1 || report.redeliveries > 0 {
                 summary.retried += 1;
             }
         }
         summary
+    }
+
+    /// The in-process task for one run: each attempt executes the run
+    /// and archives what it produced, under the launch's retry policy
+    /// and fault injectors.
+    fn local_task(
+        &self,
+        fs_run: FsRun,
+        execute: impl Fn(&FsRun) -> Result<ExecOutcome, String> + Send + Sync + 'static,
+        options: &LaunchOptions,
+    ) -> Task {
+        let name = self.task_name(&fs_run);
+        let store = self.runs.clone();
+        let policy = options.retry_policy.clone();
+        let fault = options.fault.clone();
+        let timeout = fs_run.timeout();
+        let fault_name = name.clone();
+        // 1-based attempt counter for this run, shared across the
+        // per-attempt invocations of the closure below.
+        let attempt_counter = AtomicU32::new(0);
+        let mut task = Task::new(name, move || {
+            let attempt = attempt_counter.fetch_add(1, Ordering::SeqCst) + 1;
+            // Queued -> Running on the first attempt, Retrying ->
+            // Running afterwards.
+            let _ = store.transition(fs_run.id(), RunStatus::Running);
+            // Faults are injected around the executor (not around the
+            // bookkeeping) so injected errors still leave a complete
+            // provenance trail. Injected panics unwind here and are
+            // caught by the task layer.
+            let result = match &fault {
+                Some(injector) => injector
+                    .inject(&fault_name, attempt)
+                    .and_then(|()| execute(&fs_run)),
+                None => execute(&fs_run),
+            };
+            let delay_before = policy.delay_before(attempt);
+            if !archive_attempt(&store, fs_run.id(), result.as_ref().ok(), delay_before) {
+                // Park the run for a possible retry; the terminal
+                // status (if retries are exhausted) is sealed after
+                // the report arrives, exactly once.
+                let _ = store.transition(fs_run.id(), RunStatus::Retrying);
+            }
+            match result {
+                Ok(outcome) if outcome.success => Ok(outcome.outcome),
+                Ok(outcome) => Err(outcome.outcome),
+                Err(err) => Err(err),
+            }
+        })
+        .timeout(timeout)
+        .retry_policy(options.retry_policy.clone());
+        if let Some(injector) = &options.worker_fault {
+            // Consulted by supervised schedulers for worker-level
+            // chaos; its attempt stream is expected to stay silent.
+            task = task.fault_injector(Arc::clone(injector));
+        }
+        task
     }
 
     /// Admits one run for launch: records fresh runs (transitioning
@@ -526,24 +549,6 @@ impl Experiment {
         }
     }
 
-    /// Seals a dead-lettered run: the quarantine record is persisted
-    /// *first* so it exists by the time the status flips to
-    /// `Quarantined`.
-    fn seal_quarantine(&self, run_id: Uuid, report: &TaskReport, summary: &mut LaunchSummary) {
-        summary.quarantined += 1;
-        let letter = crate::quarantine::DeadLetter {
-            run_id,
-            task: report.name.clone(),
-            error: report.error.clone().unwrap_or_default(),
-            redeliveries: report.redeliveries,
-            lease_events: report.lease_events.clone(),
-            attempts: report.attempts,
-            released: false,
-        };
-        let _ = crate::quarantine::persist(&self.db, &letter);
-        let _ = self.runs.transition(run_id, RunStatus::Quarantined);
-    }
-
     /// Launches runs on the multi-process [`RemoteScheduler`] (steps
     /// ④–⑦ across a process boundary).
     ///
@@ -552,9 +557,10 @@ impl Experiment {
     /// [`crate::remote::CAMPAIGN_KIND`] task whose payload carries the
     /// run's sweep parameters, and the worker process resolves the
     /// kind through [`crate::remote::campaign_registry`]. Admission
-    /// (dedup and `--resume` semantics) matches `launch_with`; results
-    /// are decoded and archived here after the ack, and a
-    /// dead-lettered delivery lands in the same quarantine records.
+    /// (dedup and `--resume` semantics) and terminal statuses match
+    /// `launch_with`; results are decoded and archived here after the
+    /// ack, and a dead-lettered delivery lands in the same quarantine
+    /// records.
     ///
     /// Delivery provenance is journaled onto each run as
     /// `remote-dispatch:<delivery>:g<generation>` and
@@ -565,85 +571,87 @@ impl Experiment {
     /// worker session resumes while holding the run's lease (audited
     /// by SA0018 for session-resume divergence).
     ///
-    /// `options.retry_policy`, `options.fault`, and
-    /// `options.worker_fault` are ignored: across a process boundary,
-    /// retries are the supervisor's redeliveries
-    /// ([`simart_tasks::SupervisorConfig::max_redeliveries`]) and
-    /// worker chaos is real SIGKILLs via
-    /// [`simart_tasks::RemoteConfig::fault`]. A run whose submission
-    /// is refused (backpressure deadline or scheduler shutdown) counts
-    /// as failed in the summary but keeps its `Queued` record, so a
-    /// `--resume` relaunch picks it up.
+    /// # Panics
+    ///
+    /// Panics if `options` carries a retry policy or a fault injector:
+    /// across a process boundary, retries are the supervisor's
+    /// redeliveries — use
+    /// [`simart_tasks::SupervisorConfig::max_redeliveries`] — and chaos
+    /// is real SIGKILLs and connection faults — use
+    /// [`simart_tasks::RemoteConfig::fault`]. Only `options.resume`
+    /// applies here.
     pub fn launch_remote(
         &self,
         runs: Vec<FsRun>,
         scheduler: &RemoteScheduler,
         options: &LaunchOptions,
     ) -> LaunchSummary {
+        assert!(
+            options.retry_policy == RetryPolicy::default(),
+            "LaunchOptions::retry_policy has no effect on launch_remote; \
+             use SupervisorConfig::max_redeliveries"
+        );
+        assert!(
+            options.fault.is_none(),
+            "LaunchOptions::fault has no effect on launch_remote; use RemoteConfig::fault"
+        );
+        assert!(
+            options.worker_fault.is_none(),
+            "LaunchOptions::worker_fault has no effect on launch_remote; use RemoteConfig::fault"
+        );
         let _span = observe::span(|| format!("experiment.launch_remote:{}", self.name));
         let mut summary = LaunchSummary::default();
-        let mut admitted = Vec::new();
-        for fs_run in runs {
-            if let Some(fs_run) = self.admit(fs_run, options, &mut summary) {
-                admitted.push(fs_run);
-            }
-        }
-
-        // Task-name -> run-id map for the provenance hook. Names embed
-        // the run hash, so they are unique within the experiment.
-        let ids: Arc<HashMap<String, Uuid>> = Arc::new(
-            admitted
-                .iter()
-                .map(|run| (format!("{}/{}", self.name, run.run_hash()), run.id()))
-                .collect(),
-        );
+        // Admit everything before the first dispatch: this path is all
+        // control plane, and admission interleaved with the hook's
+        // journal writes from coordinator threads measured ~10 % slower.
+        let admitted: Vec<FsRun> = runs
+            .into_iter()
+            .filter_map(|fs_run| self.admit(fs_run, options, &mut summary))
+            .collect();
+        // Task-name -> run-id map for the provenance hook.
+        let ids: HashMap<String, Uuid> = admitted
+            .iter()
+            .map(|run| (self.task_name(run), run.id()))
+            .collect();
         let store = self.runs.clone();
-        scheduler.set_event_hook(move |event| match event {
-            RemoteEvent::Dispatched {
-                task,
-                delivery,
-                generation,
-                ..
-            } => {
-                if let Some(&id) = ids.get(task) {
-                    let _ =
-                        store.log_event(id, &format!("remote-dispatch:{delivery}:g{generation}"));
-                    // Queued -> Running on the first delivery; later
-                    // deliveries find the run already Running and the
-                    // refused edge is simply dropped.
-                    let _ = store.transition(id, RunStatus::Running);
-                }
-            }
-            RemoteEvent::Acked {
-                task,
-                delivery,
-                generation,
-            } => {
-                if let Some(&id) = ids.get(task) {
-                    let _ = store.log_event(id, &format!("remote-ack:{delivery}:g{generation}"));
-                }
-            }
-            RemoteEvent::Reconnected {
-                task,
-                session,
-                generation,
-            } => {
+        scheduler.set_event_hook(move |event| {
+            let (task, line) = match event {
+                RemoteEvent::Dispatched {
+                    task,
+                    delivery,
+                    generation,
+                    ..
+                } => (task, format!("remote-dispatch:{delivery}:g{generation}")),
+                RemoteEvent::Acked {
+                    task,
+                    delivery,
+                    generation,
+                } => (task, format!("remote-ack:{delivery}:g{generation}")),
                 // A worker session resumed over a fresh TCP connection
                 // while holding this run's lease; journal the resume so
                 // SA0018 can audit acks against live sessions.
-                if let Some(&id) = ids.get(task) {
-                    let _ =
-                        store.log_event(id, &format!("remote-reconnect:{session}:g{generation}"));
-                }
+                RemoteEvent::Reconnected {
+                    task,
+                    session,
+                    generation,
+                } => (task, format!("remote-reconnect:{session}:g{generation}")),
+                RemoteEvent::Redelivered { .. } | RemoteEvent::DeadLettered { .. } => return,
+            };
+            let Some(&id) = ids.get(task) else {
+                return;
+            };
+            let _ = store.log_event(id, &line);
+            if matches!(event, RemoteEvent::Dispatched { .. }) {
+                // Queued -> Running on the first delivery; later
+                // deliveries find the run already Running and the
+                // refused edge is simply dropped.
+                let _ = store.transition(id, RunStatus::Running);
             }
-            RemoteEvent::Redelivered { .. } | RemoteEvent::DeadLettered { .. } => {}
         });
-
         let mut handles = Vec::new();
         for fs_run in admitted {
-            let name = format!("{}/{}", self.name, fs_run.run_hash());
             let spec = RemoteTaskSpec::new(
-                name,
+                self.task_name(&fs_run),
                 crate::remote::CAMPAIGN_KIND,
                 crate::remote::encode_run_payload(fs_run.params()),
             )
@@ -651,74 +659,28 @@ impl Experiment {
             observe::count("experiment.runs_launched", 1);
             match scheduler.submit(spec) {
                 Ok(handle) => handles.push((fs_run.id(), handle)),
+                // Refused (backpressure deadline or shutdown): failed in
+                // the summary, but the record stays `Queued`, so a
+                // resuming relaunch picks it up.
                 Err(_) => summary.failed += 1,
             }
         }
-        for (run_id, handle) in handles {
-            let report: TaskReport = handle.wait();
-            match report.state {
-                TaskState::Succeeded => {
-                    // The worker already ran the simulation; archive
-                    // its outcome under the run record here. A worker
-                    // reporting `success: false` (e.g. a kernel panic)
-                    // still archived real results — only the terminal
-                    // status differs.
-                    match report.output.as_deref().map(crate::remote::decode_outcome) {
-                        Some(Ok(outcome)) => {
-                            for event in &outcome.events {
-                                let _ = self.runs.log_event(run_id, event);
-                            }
-                            let _ = self.runs.attach_results(
-                                run_id,
-                                outcome.sim_ticks,
-                                &outcome.outcome,
-                                &outcome.payload,
-                            );
-                            let disposition = if outcome.success {
-                                "succeeded"
-                            } else {
-                                "errored"
-                            };
-                            let _ = self
-                                .runs
-                                .record_attempt(run_id, disposition, Duration::ZERO);
-                            if outcome.success {
-                                summary.done += 1;
-                                let _ = self.runs.transition(run_id, RunStatus::Done);
-                            } else {
-                                summary.failed += 1;
-                                let _ = self.runs.transition(run_id, RunStatus::Failed);
-                            }
-                        }
-                        _ => {
-                            // Version-skewed or mangled outcome
-                            // encoding: fail loudly, never archive a
-                            // guess.
-                            let _ = self.runs.record_attempt(run_id, "errored", Duration::ZERO);
-                            summary.failed += 1;
-                            let _ = self.runs.transition(run_id, RunStatus::Failed);
-                        }
-                    }
+        self.settle(handles, options, summary, |run_id, report| {
+            // The attempt ran in a worker process, so nothing about it
+            // is archived yet. A worker reporting `success: false`
+            // (e.g. a kernel panic) still produced real results — only
+            // the terminal status differs. A version-skewed or mangled
+            // outcome encoding fails loudly: never archive a guess.
+            if matches!(report.state, TaskState::Succeeded | TaskState::Failed) {
+                let outcome = report
+                    .output
+                    .as_deref()
+                    .and_then(|output| crate::remote::decode_outcome(output).ok());
+                if !archive_attempt(&self.runs, run_id, outcome.as_ref(), Duration::ZERO) {
+                    report.state = TaskState::Failed;
                 }
-                TaskState::Failed => {
-                    summary.failed += 1;
-                    let _ = self.runs.record_attempt(run_id, "errored", Duration::ZERO);
-                    let _ = self.runs.transition(run_id, RunStatus::Failed);
-                }
-                TaskState::TimedOut => {
-                    summary.timed_out += 1;
-                    let _ = self
-                        .runs
-                        .record_attempt(run_id, "timed-out", Duration::ZERO);
-                    let _ = self.runs.transition(run_id, RunStatus::TimedOut);
-                }
-                TaskState::Quarantined => self.seal_quarantine(run_id, &report, &mut summary),
             }
-            if report.redeliveries > 0 {
-                summary.retried += 1;
-            }
-        }
-        summary
+        })
     }
 
     /// Queries run documents (workflow step ⑧).
@@ -735,6 +697,33 @@ impl Experiment {
     pub fn runs_using(&self, artifact: ArtifactId) -> Result<Vec<FsRun>, ExperimentError> {
         Ok(self.runs.find_by_artifact(artifact)?)
     }
+}
+
+/// Archives what one attempt produced — the executor's provenance
+/// events (e.g. the checkpoint save/restore trail) before the results,
+/// then the attempt record — and says whether the run succeeded.
+/// `None` is an attempt that produced no outcome at all.
+fn archive_attempt(
+    store: &RunStore,
+    run_id: Uuid,
+    outcome: Option<&ExecOutcome>,
+    delay_before: Duration,
+) -> bool {
+    if let Some(outcome) = outcome {
+        for event in &outcome.events {
+            let _ = store.log_event(run_id, event);
+        }
+        let _ = store.attach_results(
+            run_id,
+            outcome.sim_ticks,
+            &outcome.outcome,
+            &outcome.payload,
+        );
+    }
+    let success = outcome.is_some_and(|outcome| outcome.success);
+    let disposition = if success { "succeeded" } else { "errored" };
+    let _ = store.record_attempt(run_id, disposition, delay_before);
+    success
 }
 
 #[cfg(test)]
@@ -1103,5 +1092,33 @@ mod tests {
         });
         let kernel = ids[3];
         assert_eq!(experiment.runs_using(kernel).unwrap().len(), 1);
+    }
+
+    /// `launch_remote` must refuse the option before it touches the
+    /// scheduler, so a worker program that never speaks the protocol
+    /// will do.
+    fn launch_remote_with(options: LaunchOptions) {
+        let (experiment, ids) = experiment_with_components();
+        let runs = vec![make_run(&experiment, ids, "x")];
+        let remote = RemoteScheduler::new(simart_tasks::WorkerCommand::new("cat"), 1).unwrap();
+        experiment.launch_remote(runs, &remote, &options);
+    }
+
+    #[test]
+    #[should_panic(expected = "use SupervisorConfig::max_redeliveries")]
+    fn launch_remote_rejects_a_retry_policy() {
+        launch_remote_with(LaunchOptions::default().retry_policy(RetryPolicy::immediate(3)));
+    }
+
+    #[test]
+    #[should_panic(expected = "LaunchOptions::fault has no effect on launch_remote")]
+    fn launch_remote_rejects_a_fault_injector() {
+        launch_remote_with(LaunchOptions::default().fault(Arc::new(FaultInjector::new(1))));
+    }
+
+    #[test]
+    #[should_panic(expected = "LaunchOptions::worker_fault has no effect on launch_remote")]
+    fn launch_remote_rejects_a_worker_fault_injector() {
+        launch_remote_with(LaunchOptions::default().worker_fault(Arc::new(FaultInjector::new(1))));
     }
 }

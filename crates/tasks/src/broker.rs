@@ -30,39 +30,34 @@
 //! after its task was redelivered either wins the race — at-least-once
 //! semantics — or its stale report is discarded).
 //!
+//! The contract itself — numbered deliveries, first-report-wins,
+//! redeliver-or-dead-letter — is the pure, crate-private `LeaseTable`; this module
+//! drives it with threads.
+//!
 //! With the default config (`max_redeliveries: 0`) an expired lease is
 //! reported as [`TaskState::TimedOut`] at once, matching the classic
 //! watchdog behaviour — but unlike the watchdog, the wedged thread is
 //! reaped once it finishes instead of leaking forever.
 
 use crate::fault::Fault;
+use crate::lease::{Cause, JobId, LeaseTable, Owner, Revoked, Settled};
 use crate::supervise::SupervisorConfig;
 use crate::task::{execute_supervised, Task, TaskHandle, TaskReport, TaskState};
 use crate::{trace, Scheduler};
 use crossbeam::channel::{bounded, unbounded, Receiver, RecvTimeoutError, Sender};
 use parking_lot::Mutex;
 use simart_observe as observe;
-use std::collections::HashMap;
 use std::fmt;
 use std::sync::atomic::{AtomicBool, AtomicU64, Ordering};
 use std::sync::Arc;
 use std::thread::JoinHandle;
 use std::time::Instant;
 
-/// A queued delivery of a task. Redeliveries share `job_id`,
-/// `reported`, and the report channel with the original submission.
-struct JobEnvelope {
+/// What the lease table keeps for each job: the task, and where its
+/// single report goes.
+struct BrokerJob {
     task: Task,
     report_tx: Sender<TaskReport>,
-    /// First-report-wins guard: whoever swaps this to `true` delivers
-    /// the single report for this job.
-    reported: Arc<AtomicBool>,
-    job_id: u64,
-    /// 1-based delivery number (1 = original submission).
-    delivery: u32,
-    /// Supervisor lease events accumulated across deliveries.
-    lease_events: Vec<String>,
-    first_enqueued: Instant,
 }
 
 /// Flags shared between a worker thread and the supervisor.
@@ -84,21 +79,6 @@ struct WorkerSlot {
     generation: u64,
 }
 
-/// An in-flight delivery, owned by a worker, watched by the supervisor.
-struct Lease {
-    task: Task,
-    report_tx: Sender<TaskReport>,
-    reported: Arc<AtomicBool>,
-    delivery: u32,
-    /// `dequeue time + timeout + grace`; `None` for tasks without a
-    /// timeout (recovered only if their worker dies).
-    deadline: Option<Instant>,
-    slot: usize,
-    generation: u64,
-    lease_events: Vec<String>,
-    first_enqueued: Instant,
-}
-
 #[derive(Debug, Default)]
 struct BrokerStats {
     submitted: AtomicU64,
@@ -115,24 +95,24 @@ struct BrokerStats {
 /// Mutable supervision state, behind one lock.
 struct SupervisionState {
     slots: Vec<WorkerSlot>,
-    leases: HashMap<u64, Lease>,
+    /// The delivery contract: jobs, leases, redelivery, dead letters.
+    table: LeaseTable<BrokerJob>,
+    /// Sending half of the ticket queue. `None` once `shutdown_now` /
+    /// `Drop` closed it, which also stops respawns and redelivery.
+    queue: Option<Sender<JobId>>,
     /// Detached (presumed-wedged) worker threads awaiting reap.
     detached: Vec<JoinHandle<()>>,
     next_generation: u64,
-    /// Set by `shutdown_now` / `Drop`: stops respawns and redelivery.
-    shutdown: bool,
 }
 
 /// State shared between the scheduler handle, workers, and supervisor.
 struct Shared {
     stats: BrokerStats,
     config: SupervisorConfig,
-    queue: Mutex<Option<Sender<JobEnvelope>>>,
-    /// The broker's own view of the queue: used by `shutdown_now` to
-    /// drain jobs the workers will never run, and by respawned workers.
-    pending: Receiver<JobEnvelope>,
+    /// Receiving half of the ticket queue: workers pull job ids from
+    /// it, and `shutdown_now` drains the ones they will never run.
+    pending: Receiver<JobId>,
     state: Mutex<SupervisionState>,
-    next_job: AtomicU64,
     queue_trace_id: u64,
 }
 
@@ -164,20 +144,18 @@ impl BrokerScheduler {
     /// Panics if `workers` is zero.
     pub fn with_config(workers: usize, config: SupervisorConfig) -> BrokerScheduler {
         assert!(workers > 0, "a broker needs at least one worker");
-        let (tx, rx) = unbounded::<JobEnvelope>();
+        let (tx, rx) = unbounded::<JobId>();
         let shared = Arc::new(Shared {
             stats: BrokerStats::default(),
             config,
-            queue: Mutex::new(Some(tx)),
             pending: rx,
             state: Mutex::new(SupervisionState {
                 slots: Vec::with_capacity(workers),
-                leases: HashMap::new(),
+                table: LeaseTable::new(config),
+                queue: Some(tx),
                 detached: Vec::new(),
                 next_generation: 0,
-                shutdown: false,
             }),
-            next_job: AtomicU64::new(1),
             queue_trace_id: trace::fresh_id(),
         });
         {
@@ -209,14 +187,17 @@ impl BrokerScheduler {
     /// are no longer redelivered. Returns the number of jobs discarded
     /// by this call.
     pub fn shutdown_now(&self) -> u64 {
-        self.shared.state.lock().shutdown = true;
-        let _ = self.shared.queue.lock().take();
+        let mut st = self.shared.state.lock();
+        st.queue = None;
         let mut discarded = 0u64;
-        // Race with workers draining the same queue is fine: each job
-        // goes to exactly one side.
-        while let Ok(envelope) = self.shared.pending.try_recv() {
-            drop(envelope); // drops report_tx → synthesized failure
-            discarded += 1;
+        // Race with workers draining the same queue is fine: each
+        // ticket goes to exactly one side.
+        while let Ok(job) = self.shared.pending.try_recv() {
+            // Dropping the job drops its report sender, so the handle
+            // synthesizes the failure.
+            if st.table.discard(job).is_some() {
+                discarded += 1;
+            }
         }
         self.shared
             .stats
@@ -317,34 +298,32 @@ impl Scheduler for BrokerScheduler {
         self.shared.stats.submitted.fetch_add(1, Ordering::SeqCst);
         task.stamp_queued();
         trace::task_submit(task.trace_id);
-        let envelope = JobEnvelope {
-            task,
-            report_tx: tx,
-            reported: Arc::new(AtomicBool::new(false)),
-            job_id: self.shared.next_job.fetch_add(1, Ordering::SeqCst),
-            delivery: 1,
-            lease_events: Vec::new(),
-            first_enqueued: Instant::now(),
-        };
-        match self.shared.queue.lock().as_ref() {
+        let mut st = self.shared.state.lock();
+        let SupervisionState { table, queue, .. } = &mut *st;
+        let queued = match queue {
             Some(sender) => {
+                let timeout = task.timeout;
+                let payload = BrokerJob {
+                    task,
+                    report_tx: tx,
+                };
+                let job = table.submit(name.clone(), timeout, payload, Instant::now());
                 observe::count("broker.enqueued", 1);
                 trace::enqueue(self.shared.queue_trace_id);
-                if sender.send(envelope).is_err() {
-                    // All receivers gone (queue torn down mid-send):
-                    // degrade to the drop path instead of panicking.
-                    // The returned envelope — report sender included —
-                    // is dropped, so the handle resolves to a
-                    // synthesized failure.
-                    self.shared.stats.dropped.fetch_add(1, Ordering::SeqCst);
+                // All receivers gone (queue torn down mid-send):
+                // degrade to the drop path instead of stranding the
+                // handle on a job no worker will ever see.
+                sender.send(job).is_ok() || {
+                    table.discard(job);
+                    false
                 }
             }
-            None => {
-                // Shut down: drop the report sender so the handle
-                // resolves to a synthesized failure.
-                self.shared.stats.dropped.fetch_add(1, Ordering::SeqCst);
-                drop(envelope);
-            }
+            None => false,
+        };
+        if !queued {
+            // Shut down: the report sender is dropped with the task, so
+            // the handle resolves to a synthesized failure.
+            self.shared.stats.dropped.fetch_add(1, Ordering::SeqCst);
         }
         TaskHandle { receiver: rx, name }
     }
@@ -356,15 +335,16 @@ impl Scheduler for BrokerScheduler {
 
 impl Drop for BrokerScheduler {
     fn drop(&mut self) {
-        self.shared.state.lock().shutdown = true;
-        let _ = self.shared.queue.lock().take();
+        // Close the queue without discarding: workers run what is
+        // already queued, then their `recv` fails and they exit.
+        self.shared.state.lock().queue = None;
         // Disconnecting the stop channel ends the supervisor loop.
         self.stop.take();
         if let Some(supervisor) = self.supervisor.take() {
             let _ = supervisor.join();
         }
         // Collect handles first, then join without holding the state
-        // lock (workers lock it to register/complete leases).
+        // lock (workers lock it to take and settle leases).
         let (workers, detached) = {
             let mut st = self.shared.state.lock();
             let workers: Vec<_> = st
@@ -393,35 +373,40 @@ fn spawn_worker(
     let shared = Arc::clone(shared);
     std::thread::Builder::new()
         .name(format!("simart-broker-worker-{slot}-g{generation}"))
-        .spawn(move || worker_loop(&shared, slot, generation, &flags))
+        .spawn(move || worker_loop(&shared, Owner { slot, generation }, &flags))
         .expect("spawning broker worker")
 }
 
-fn worker_loop(shared: &Arc<Shared>, slot: usize, generation: u64, flags: &Arc<WorkerFlags>) {
-    while let Ok(envelope) = shared.pending.recv() {
+fn worker_loop(shared: &Arc<Shared>, owner: Owner, flags: &Arc<WorkerFlags>) {
+    while let Ok(job) = shared.pending.recv() {
         trace::dequeue(shared.queue_trace_id);
         observe::count("broker.dequeued", 1);
-        if envelope.reported.load(Ordering::SeqCst) {
-            // A stale redelivery: the job was already reported (e.g. a
-            // detached straggler finished first). Discard silently.
+        // Take the lease before consulting worker faults, so a killed
+        // worker leaves a lease behind for the supervisor to recover.
+        let granted = shared
+            .state
+            .lock()
+            .table
+            .grant(job, owner, Instant::now())
+            .map(|granted| (granted.payload.task.clone(), granted.delivery));
+        let Some((task, delivery)) = granted else {
+            // A stale ticket: the job already settled (e.g. a detached
+            // straggler finished first). Discard silently.
             if flags.detached.load(Ordering::SeqCst) {
                 break;
             }
             continue;
-        }
+        };
+        trace::lease_grant(task.trace_id);
         // Broker-to-worker handoff latency (the task's own queue stamp
         // keeps ticking until `execute`).
-        if let Some(us) = envelope.task.queue_stamp.elapsed_us() {
+        if let Some(us) = task.queue_stamp.elapsed_us() {
             observe::observe_us("broker.queue_latency_us", us);
         }
-        // Take the lease before consulting worker faults, so a killed
-        // worker leaves a lease behind for the supervisor to recover.
-        register_lease(shared, &envelope, slot, generation);
-        let worker_fault = envelope
-            .task
+        let worker_fault = task
             .fault
             .as_ref()
-            .and_then(|inj| inj.take_worker_fault(envelope.task.name(), envelope.delivery));
+            .and_then(|inj| inj.take_worker_fault(task.name(), delivery));
         match worker_fault {
             Some(Fault::WorkerKill) => {
                 // Simulated SIGKILL: die holding the lease, without
@@ -431,26 +416,16 @@ fn worker_loop(shared: &Arc<Shared>, slot: usize, generation: u64, flags: &Arc<W
             Some(Fault::WorkerStall(stall)) => std::thread::sleep(stall),
             _ => {}
         }
-        let mut report = execute_supervised(envelope.task.clone());
-        // Completion: release the lease (only our own delivery — a
-        // redelivered copy may have re-registered under the same id).
-        {
-            let mut st = shared.state.lock();
-            if st
-                .leases
-                .get(&envelope.job_id)
-                .is_some_and(|lease| lease.delivery == envelope.delivery)
-            {
-                st.leases.remove(&envelope.job_id);
-            }
-        }
-        if !envelope.reported.swap(true, Ordering::SeqCst) {
-            report.redeliveries = envelope.delivery - 1;
-            report.lease_events = envelope.lease_events.clone();
+        let report = execute_supervised(task);
+        // First report wins: a delivery whose job already settled (it
+        // was dead-lettered, or another delivery finished first) gets
+        // nothing back and its report is discarded.
+        let settled = shared.state.lock().table.complete(job, report);
+        if let Some(settled) = settled {
             // Count before delivering the report: a waiter that
             // observes the report must also observe the count.
             shared.stats.completed.fetch_add(1, Ordering::SeqCst);
-            let _ = envelope.report_tx.send(report);
+            let _ = settled.payload.report_tx.send(settled.report);
         }
         if flags.detached.load(Ordering::SeqCst) {
             // The supervisor presumed this worker wedged and already
@@ -459,28 +434,6 @@ fn worker_loop(shared: &Arc<Shared>, slot: usize, generation: u64, flags: &Arc<W
         }
     }
     flags.graceful.store(true, Ordering::SeqCst);
-}
-
-fn register_lease(shared: &Shared, envelope: &JobEnvelope, slot: usize, generation: u64) {
-    trace::lease_grant(envelope.task.trace_id);
-    let deadline = envelope
-        .task
-        .timeout
-        .map(|timeout| Instant::now() + timeout + shared.config.grace);
-    shared.state.lock().leases.insert(
-        envelope.job_id,
-        Lease {
-            task: envelope.task.clone(),
-            report_tx: envelope.report_tx.clone(),
-            reported: Arc::clone(&envelope.reported),
-            delivery: envelope.delivery,
-            deadline,
-            slot,
-            generation,
-            lease_events: envelope.lease_events.clone(),
-            first_enqueued: envelope.first_enqueued,
-        },
-    );
 }
 
 fn spawn_supervisor(shared: Arc<Shared>, stop: Receiver<()>) -> JoinHandle<()> {
@@ -528,39 +481,27 @@ fn recover_dead_workers(shared: &Arc<Shared>, st: &mut SupervisionState) {
         if !died {
             continue;
         }
-        let dead_generation = st.slots[slot_idx].generation;
+        let dead = Owner {
+            slot: slot_idx,
+            generation: st.slots[slot_idx].generation,
+        };
         if let Some(handle) = st.slots[slot_idx].handle.take() {
             let _ = handle.join();
         }
-        if !st.shutdown {
+        if st.queue.is_some() {
             respawn(shared, st, slot_idx);
         }
         // Whatever lease the dead worker held dies with it: recover it
         // now instead of waiting out its deadline.
-        let orphaned: Vec<u64> = st
-            .leases
-            .iter()
-            .filter(|(_, lease)| lease.slot == slot_idx && lease.generation == dead_generation)
-            .map(|(job_id, _)| *job_id)
-            .collect();
-        for job_id in orphaned {
-            if let Some(lease) = st.leases.remove(&job_id) {
-                recover_lease(shared, st, job_id, lease, "worker-died");
-            }
+        for job in st.table.held_by(dead) {
+            revoke_lease(shared, st, job, Cause::WorkerDied);
         }
     }
 }
 
 fn expire_leases(shared: &Arc<Shared>, st: &mut SupervisionState) {
-    let now = Instant::now();
-    let expired: Vec<u64> = st
-        .leases
-        .iter()
-        .filter(|(_, lease)| lease.deadline.is_some_and(|deadline| now >= deadline))
-        .map(|(job_id, _)| *job_id)
-        .collect();
-    for job_id in expired {
-        let Some(lease) = st.leases.remove(&job_id) else {
+    for job in st.table.expired(Instant::now()) {
+        let Some(owner) = st.table.lease(job).map(|lease| lease.owner) else {
             continue;
         };
         shared
@@ -572,15 +513,16 @@ fn expire_leases(shared: &Arc<Shared>, st: &mut SupervisionState) {
         // Detach it and spawn a replacement — unless the live-detached
         // cap is reached, in which case fail fast (the pool degrades
         // rather than leaking more threads).
-        let owner_current = st.slots[lease.slot].generation == lease.generation && !st.shutdown;
+        let owner_current =
+            st.slots[owner.slot].generation == owner.generation && st.queue.is_some();
         if owner_current && st.detached.len() >= shared.config.max_detached {
-            dead_letter(shared, lease, "detached-cap");
+            revoke_lease(shared, st, job, Cause::DetachedCap);
             continue;
         }
         if owner_current {
-            detach_and_respawn(shared, st, lease.slot);
+            detach_and_respawn(shared, st, owner.slot);
         }
-        recover_lease(shared, st, job_id, lease, "lease-expired");
+        revoke_lease(shared, st, job, Cause::LeaseExpired);
     }
 }
 
@@ -612,114 +554,43 @@ fn respawn(shared: &Arc<Shared>, st: &mut SupervisionState, slot_idx: usize) {
     observe::count("broker.worker_respawns", 1);
 }
 
-/// Redelivers a recovered lease if the cap and queue allow, otherwise
-/// dead-letters it.
-fn recover_lease(
-    shared: &Shared,
-    _st: &mut SupervisionState,
-    job_id: u64,
-    mut lease: Lease,
-    cause: &str,
-) {
-    trace::lease_revoke(lease.task.trace_id);
-    lease
-        .lease_events
-        .push(format!("delivery:{}:{}", lease.delivery, cause));
-    let redeliveries_so_far = lease.delivery - 1;
-    let sender = shared.queue.lock().clone();
-    let Some(sender) = sender else {
-        return dead_letter(shared, lease, cause);
+/// Revokes a lease and acts on the table's verdict: queue the next
+/// delivery's ticket, or deliver the dead letter. Once the queue is
+/// closed — and for [`Cause::DetachedCap`], which must not tie up
+/// another thread — nothing is redelivered.
+fn revoke_lease(shared: &Shared, st: &mut SupervisionState, job: JobId, cause: Cause) {
+    let Some(trace_id) = st.table.get(job).map(|job| job.payload.task.trace_id) else {
+        return;
     };
-    if redeliveries_so_far >= shared.config.max_redeliveries {
-        return dead_letter(shared, lease, cause);
-    }
-    shared.stats.redelivered.fetch_add(1, Ordering::SeqCst);
-    observe::count("broker.redelivered", 1);
-    trace::task_requeue(lease.task.trace_id);
-    trace::enqueue(shared.queue_trace_id);
-    let envelope = JobEnvelope {
-        task: lease.task,
-        report_tx: lease.report_tx,
-        reported: lease.reported,
-        job_id,
-        delivery: lease.delivery + 1,
-        lease_events: lease.lease_events,
-        first_enqueued: lease.first_enqueued,
+    trace::lease_revoke(trace_id);
+    let now = Instant::now();
+    let SupervisionState { table, queue, .. } = st;
+    let dead = match queue {
+        Some(sender) if cause != Cause::DetachedCap => match table.revoke(job, cause, now) {
+            Some(Revoked::Requeued) => {
+                shared.stats.redelivered.fetch_add(1, Ordering::SeqCst);
+                observe::count("broker.redelivered", 1);
+                trace::task_requeue(trace_id);
+                trace::enqueue(shared.queue_trace_id);
+                // Cannot fail: `Shared` holds a receiver.
+                let _ = sender.send(job);
+                None
+            }
+            Some(Revoked::DeadLettered(settled)) => Some(settled),
+            None => None,
+        },
+        _ => table.fail(job, cause, now),
     };
-    if let Err(failed) = sender.send(envelope) {
-        // Queue closed between the clone and the send: dead-letter the
-        // envelope we got back instead.
-        let envelope = failed.0;
-        dead_letter(
-            shared,
-            Lease {
-                task: envelope.task,
-                report_tx: envelope.report_tx,
-                reported: envelope.reported,
-                delivery: envelope.delivery - 1,
-                deadline: None,
-                slot: 0,
-                generation: 0,
-                lease_events: envelope.lease_events,
-                first_enqueued: envelope.first_enqueued,
-            },
-            cause,
-        );
-    }
-}
-
-/// Synthesizes the terminal report for a lease that cannot be
-/// redelivered (first-report-wins, like any other delivery).
-fn dead_letter(shared: &Shared, lease: Lease, cause: &str) {
-    shared.stats.dead_lettered.fetch_add(1, Ordering::SeqCst);
-    let redeliveries = lease.delivery - 1;
-    let (state, detached, error) = match cause {
-        "detached-cap" => (
-            TaskState::TimedOut,
-            false,
-            format!(
-                "task lease expired but the detached-worker cap ({}) is reached; \
-                 failing fast without redelivery",
-                shared.config.max_detached
-            ),
-        ),
-        _ if redeliveries > 0 => (
-            TaskState::Quarantined,
-            false,
-            format!(
-                "task quarantined: redelivery cap ({}) exhausted after {} deliveries \
-                 (last cause: {cause})",
-                shared.config.max_redeliveries, lease.delivery
-            ),
-        ),
-        "worker-died" => (
-            TaskState::Failed,
-            false,
-            "worker died holding the task lease; no redeliveries allowed".to_owned(),
-        ),
-        _ => (
-            TaskState::TimedOut,
-            true,
-            format!(
-                "task lease expired (timeout {:?} + grace {:?}); no redeliveries allowed",
-                lease.task.timeout, shared.config.grace
-            ),
-        ),
-    };
-    let report = TaskReport {
-        name: lease.task.name().to_owned(),
-        state,
-        output: None,
-        error: Some(error),
-        attempts: 0,
-        duration: lease.first_enqueued.elapsed(),
-        detached,
-        history: Vec::new(),
-        redeliveries,
-        lease_events: lease.lease_events,
-    };
-    if !lease.reported.swap(true, Ordering::SeqCst) {
-        let _ = lease.report_tx.send(report);
+    if let Some(Settled {
+        payload,
+        mut report,
+    }) = dead
+    {
+        shared.stats.dead_lettered.fetch_add(1, Ordering::SeqCst);
+        // The thread behind an expired, never-redelivered lease was
+        // detached and is still running somewhere.
+        report.detached = cause == Cause::LeaseExpired && report.state == TaskState::TimedOut;
+        let _ = payload.report_tx.send(report);
     }
 }
 

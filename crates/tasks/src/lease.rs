@@ -1,0 +1,862 @@
+//! The delivery contract, written once: a pure lease state machine.
+//!
+//! [`LeaseTable`] owns everything the broker (threads) and the remote
+//! coordinator (processes) promise about a submitted job:
+//!
+//! * a job has one identity ([`JobId`]) and settles **exactly once** —
+//!   whoever reports first wins, and a settled job leaves the table so
+//!   no later report, revocation or ticket can produce a second one;
+//! * deliveries are numbered from 1; a *grant* leases the current
+//!   delivery to an [`Owner`] until `timeout + grace`;
+//! * a *revoked* lease appends one `delivery:<n>:<cause>` event and is
+//!   redelivered (`n + 1`) while the redelivery cap allows, otherwise
+//!   dead-lettered with the single cause → ([`TaskState`], error text)
+//!   classification below;
+//! * a *resend* re-queues a dispatch that never arrived under the
+//!   **same** delivery number, spending no budget.
+//!
+//! The table does no I/O, spawns nothing, and never reads a clock —
+//! every operation that needs the time takes `now`. Queue order,
+//! worker lifecycles (detach/respawn, spawn/kill), metrics and
+//! tracepoints belong to the drivers, which act on what the table
+//! returns.
+
+use crate::supervise::SupervisorConfig;
+use crate::task::{TaskReport, TaskState};
+use std::collections::BTreeMap;
+use std::time::{Duration, Instant};
+
+/// Scheduler-unique job identity (never reused).
+pub(crate) type JobId = u64;
+
+/// A lease holder: a position in the worker pool plus the generation
+/// occupying it, so a replacement is never mistaken for the worker it
+/// replaced.
+#[derive(Debug, Clone, Copy, PartialEq, Eq)]
+pub(crate) struct Owner {
+    pub(crate) slot: usize,
+    pub(crate) generation: u64,
+}
+
+/// Why a lease was revoked (or a job failed outright). The label is
+/// the `<cause>` of the `delivery:<n>:<cause>` event grammar; data a
+/// dead-letter message needs rides along.
+#[derive(Debug, Clone, Copy, PartialEq, Eq)]
+pub(crate) enum Cause {
+    /// The lease outlived `timeout + grace`.
+    LeaseExpired,
+    /// The lease expired but the broker may not detach another thread.
+    DetachedCap,
+    /// A broker worker thread died holding the lease.
+    WorkerDied,
+    /// A worker process was lost; the label says how (`worker-died`,
+    /// `heartbeat-lost`, `torn-frame`).
+    ProcessLost(&'static str),
+    /// The dispatch frame never reached the worker.
+    DispatchLost,
+    /// No worker process could be started at all.
+    NoWorkers,
+    /// No worker was reachable for this long.
+    WorkersUnreachable(Duration),
+}
+
+impl Cause {
+    pub(crate) fn label(self) -> &'static str {
+        match self {
+            Cause::LeaseExpired => "lease-expired",
+            Cause::DetachedCap => "detached-cap",
+            Cause::WorkerDied => "worker-died",
+            Cause::ProcessLost(how) => how,
+            Cause::DispatchLost => "dispatch-lost",
+            Cause::NoWorkers => "no-workers",
+            Cause::WorkersUnreachable(_) => "workers-unreachable",
+        }
+    }
+}
+
+/// A live (unsettled) job. Handed out by shared reference only; the
+/// table alone mutates it.
+pub(crate) struct Job<P> {
+    /// What the driver needs to run and report the job.
+    pub(crate) payload: P,
+    pub(crate) name: String,
+    pub(crate) timeout: Option<Duration>,
+    /// 1-based number of the current delivery.
+    pub(crate) delivery: u32,
+    /// The `delivery:<n>:<cause>` trail so far.
+    pub(crate) events: Vec<String>,
+    pub(crate) submitted: Instant,
+}
+
+/// An in-flight delivery.
+pub(crate) struct Lease {
+    pub(crate) owner: Owner,
+    pub(crate) granted: Instant,
+    /// `None` for jobs without a timeout: recovered only when their
+    /// owner is lost.
+    pub(crate) deadline: Option<Instant>,
+}
+
+/// A job leaving the table with its single report.
+pub(crate) struct Settled<P> {
+    pub(crate) payload: P,
+    pub(crate) report: TaskReport,
+}
+
+/// What revoking a lease led to.
+pub(crate) enum Revoked<P> {
+    /// The job awaits its next delivery: queue its id again.
+    Requeued,
+    /// The cap is spent: deliver this terminal report.
+    DeadLettered(Settled<P>),
+}
+
+pub(crate) struct LeaseTable<P> {
+    config: SupervisorConfig,
+    jobs: BTreeMap<JobId, Job<P>>,
+    leases: BTreeMap<JobId, Lease>,
+    next_job: JobId,
+}
+
+impl<P> LeaseTable<P> {
+    pub(crate) fn new(config: SupervisorConfig) -> LeaseTable<P> {
+        LeaseTable {
+            config,
+            jobs: BTreeMap::new(),
+            leases: BTreeMap::new(),
+            next_job: 0,
+        }
+    }
+
+    /// Registers a job awaiting its first delivery.
+    pub(crate) fn submit(
+        &mut self,
+        name: String,
+        timeout: Option<Duration>,
+        payload: P,
+        now: Instant,
+    ) -> JobId {
+        self.next_job += 1;
+        self.jobs.insert(
+            self.next_job,
+            Job {
+                payload,
+                name,
+                timeout,
+                delivery: 1,
+                events: Vec::new(),
+                submitted: now,
+            },
+        );
+        self.next_job
+    }
+
+    /// The job, while it is unsettled.
+    pub(crate) fn get(&self, job: JobId) -> Option<&Job<P>> {
+        self.jobs.get(&job)
+    }
+
+    /// The job's lease, while it is in flight.
+    pub(crate) fn lease(&self, job: JobId) -> Option<&Lease> {
+        self.leases.get(&job)
+    }
+
+    /// No unsettled job remains.
+    pub(crate) fn is_empty(&self) -> bool {
+        self.jobs.is_empty()
+    }
+
+    /// Jobs currently leased.
+    pub(crate) fn in_flight(&self) -> usize {
+        self.leases.len()
+    }
+
+    /// Leases the job's current delivery to `owner` and returns the
+    /// job to deliver. `None` for a stale ticket: the job already
+    /// settled, or is already in flight.
+    pub(crate) fn grant(&mut self, job: JobId, owner: Owner, now: Instant) -> Option<&Job<P>> {
+        let record = self.jobs.get(&job)?;
+        if self.leases.contains_key(&job) {
+            return None;
+        }
+        let deadline = record.timeout.map(|t| now + t + self.config.grace);
+        self.leases.insert(
+            job,
+            Lease {
+                owner,
+                granted: now,
+                deadline,
+            },
+        );
+        Some(record)
+    }
+
+    /// Settles the job with a worker's report, stamped with the
+    /// delivery history. `None` when the job already settled — the
+    /// late report is discarded (first report wins).
+    pub(crate) fn complete(&mut self, job: JobId, mut report: TaskReport) -> Option<Settled<P>> {
+        let record = self.jobs.remove(&job)?;
+        self.leases.remove(&job);
+        report.redeliveries = record.delivery - 1;
+        report.lease_events = record.events;
+        Some(Settled {
+            payload: record.payload,
+            report,
+        })
+    }
+
+    /// Leases past their deadline at `now`, oldest job first.
+    pub(crate) fn expired(&self, now: Instant) -> Vec<JobId> {
+        self.leases
+            .iter()
+            .filter(|(_, lease)| lease.deadline.is_some_and(|deadline| now >= deadline))
+            .map(|(job, _)| *job)
+            .collect()
+    }
+
+    /// Jobs leased to `owner`, oldest first.
+    pub(crate) fn held_by(&self, owner: Owner) -> Vec<JobId> {
+        self.leases
+            .iter()
+            .filter(|(_, lease)| lease.owner == owner)
+            .map(|(job, _)| *job)
+            .collect()
+    }
+
+    /// Revokes the job's lease: records the event, then redelivers if
+    /// the cap allows, else dead-letters. `None` when the job holds no
+    /// lease (already settled, or waiting in the queue).
+    pub(crate) fn revoke(&mut self, job: JobId, cause: Cause, now: Instant) -> Option<Revoked<P>> {
+        let record = self.leases.get(&job).and(self.jobs.get_mut(&job))?;
+        if record.delivery > self.config.max_redeliveries {
+            return self.fail(job, cause, now).map(Revoked::DeadLettered);
+        }
+        self.leases.remove(&job);
+        record.events.push(event(record.delivery, cause));
+        record.delivery += 1;
+        Some(Revoked::Requeued)
+    }
+
+    /// Re-queues a delivery that never reached its worker: the lease
+    /// is dropped and the event recorded, but the delivery number (and
+    /// so the redelivery budget) is untouched. `false` when the job
+    /// holds no lease.
+    pub(crate) fn resend(&mut self, job: JobId, cause: Cause) -> bool {
+        let Some(record) = self.leases.remove(&job).and(self.jobs.get_mut(&job)) else {
+            return false;
+        };
+        record.events.push(event(record.delivery, cause));
+        true
+    }
+
+    /// Dead-letters the job now, whatever budget remains. A held lease
+    /// is revoked (and the event recorded) first.
+    pub(crate) fn fail(&mut self, job: JobId, cause: Cause, now: Instant) -> Option<Settled<P>> {
+        let mut record = self.jobs.remove(&job)?;
+        if self.leases.remove(&job).is_some() {
+            record.events.push(event(record.delivery, cause));
+        }
+        let (state, error) = self.classify(&record, cause);
+        Some(Settled {
+            payload: record.payload,
+            report: TaskReport {
+                name: record.name,
+                state,
+                output: None,
+                error: Some(error),
+                attempts: 0,
+                duration: now.saturating_duration_since(record.submitted),
+                detached: false,
+                history: Vec::new(),
+                redeliveries: record.delivery - 1,
+                lease_events: record.events,
+            },
+        })
+    }
+
+    /// [`LeaseTable::fail`] for every unsettled job, oldest first.
+    pub(crate) fn fail_all(&mut self, cause: Cause, now: Instant) -> Vec<Settled<P>> {
+        let jobs: Vec<JobId> = self.jobs.keys().copied().collect();
+        jobs.into_iter()
+            .filter_map(|job| self.fail(job, cause, now))
+            .collect()
+    }
+
+    /// Forgets the job without a report (the scheduler is dropping
+    /// it); the caller disposes of the payload.
+    pub(crate) fn discard(&mut self, job: JobId) -> Option<P> {
+        self.leases.remove(&job);
+        self.jobs.remove(&job).map(|record| record.payload)
+    }
+
+    /// [`LeaseTable::discard`] for every unsettled job.
+    pub(crate) fn discard_all(&mut self) {
+        self.leases.clear();
+        self.jobs.clear();
+    }
+
+    /// The terminal state and message for a job that cannot be
+    /// delivered again.
+    fn classify(&self, job: &Job<P>, cause: Cause) -> (TaskState, String) {
+        let SupervisorConfig {
+            grace,
+            max_redeliveries,
+            max_detached,
+            ..
+        } = self.config;
+        match cause {
+            Cause::DetachedCap => (
+                TaskState::TimedOut,
+                format!(
+                    "task lease expired but the detached-worker cap ({max_detached}) is reached; \
+                     failing fast without redelivery"
+                ),
+            ),
+            _ if job.delivery > 1 => (
+                TaskState::Quarantined,
+                format!(
+                    "task quarantined: redelivery cap ({max_redeliveries}) exhausted after {} \
+                     deliveries (last cause: {})",
+                    job.delivery,
+                    cause.label()
+                ),
+            ),
+            Cause::LeaseExpired => (
+                TaskState::TimedOut,
+                format!(
+                    "task lease expired (timeout {:?} + grace {grace:?}); no redeliveries allowed",
+                    job.timeout
+                ),
+            ),
+            Cause::WorkerDied => (
+                TaskState::Failed,
+                "worker died holding the task lease; no redeliveries allowed".to_owned(),
+            ),
+            Cause::NoWorkers => (
+                TaskState::Failed,
+                "no live worker processes remain; task cannot be delivered".to_owned(),
+            ),
+            Cause::WorkersUnreachable(deadline) => (
+                TaskState::Failed,
+                format!(
+                    "no remote worker reachable past the unreachable deadline ({deadline:?}); \
+                     the coordinator degraded loudly instead of hanging"
+                ),
+            ),
+            Cause::ProcessLost(_) | Cause::DispatchLost => (
+                TaskState::Failed,
+                format!(
+                    "worker process died holding the task lease ({}); no redeliveries allowed",
+                    cause.label()
+                ),
+            ),
+        }
+    }
+}
+
+fn event(delivery: u32, cause: Cause) -> String {
+    format!("delivery:{delivery}:{}", cause.label())
+}
+
+#[cfg(test)]
+mod tests {
+    use super::*;
+    use proptest::prelude::*;
+    use std::collections::BTreeSet;
+
+    const GRACE: Duration = Duration::from_millis(40);
+
+    fn config(max_redeliveries: u32) -> SupervisorConfig {
+        SupervisorConfig {
+            grace: GRACE,
+            max_redeliveries,
+            max_detached: 7,
+            ..SupervisorConfig::default()
+        }
+    }
+
+    fn worker_report(name: &str) -> TaskReport {
+        TaskReport {
+            state: TaskState::Succeeded,
+            output: Some("ok".to_owned()),
+            attempts: 1,
+            ..TaskReport::dropped_by_scheduler(name.to_owned())
+        }
+    }
+
+    /// What the model independently expects of one job.
+    #[derive(Default)]
+    struct Shadow {
+        delivery: u32,
+        events: Vec<String>,
+        lease: Option<(Owner, Option<Instant>)>,
+        /// Reports delivered plus discards: must end at exactly one.
+        outcomes: u32,
+    }
+
+    /// Drives a [`LeaseTable`] through a seeded interleaving under a
+    /// hand-advanced clock, checking the contract after every step.
+    struct Model {
+        seed: u64,
+        rng: u64,
+        cap: u32,
+        table: LeaseTable<()>,
+        now: Instant,
+        /// The driver's queue is closed: revocations dead-letter.
+        closed: bool,
+        jobs: BTreeMap<JobId, Shadow>,
+        /// Every delivery ever started and not yet reported; stale
+        /// ones (revoked since) stay in, like stragglers do.
+        executions: Vec<JobId>,
+        ops: Vec<String>,
+    }
+
+    impl Model {
+        fn new(seed: u64, cap: u32) -> Model {
+            Model {
+                seed,
+                rng: seed,
+                cap,
+                table: LeaseTable::new(config(cap)),
+                now: Instant::now(),
+                closed: false,
+                jobs: BTreeMap::new(),
+                executions: Vec::new(),
+                ops: Vec::new(),
+            }
+        }
+
+        /// splitmix64
+        fn below(&mut self, bound: u64) -> u64 {
+            self.rng = self.rng.wrapping_add(0x9E37_79B9_7F4A_7C15);
+            let mut z = self.rng;
+            z = (z ^ (z >> 30)).wrapping_mul(0xBF58_476D_1CE4_E5B9);
+            z = (z ^ (z >> 27)).wrapping_mul(0x94D0_49BB_1331_11EB);
+            (z ^ (z >> 31)) % bound
+        }
+
+        fn pick(&mut self, from: &[JobId]) -> Option<JobId> {
+            (!from.is_empty()).then(|| from[self.below(from.len() as u64) as usize])
+        }
+
+        fn ensure(&self, ok: bool, what: &str) {
+            assert!(
+                ok,
+                "{what}\n  seed {} max_redeliveries {}\n  {}",
+                self.seed,
+                self.cap,
+                self.ops.join("\n  ")
+            );
+        }
+
+        fn live(&self) -> Vec<JobId> {
+            let live = self.jobs.iter().filter(|(_, shadow)| shadow.outcomes == 0);
+            live.map(|(job, _)| *job).collect()
+        }
+
+        fn leased(&self) -> Vec<JobId> {
+            let mut live = self.live();
+            live.retain(|job| self.jobs[job].lease.is_some());
+            live
+        }
+
+        fn owner(&mut self) -> Owner {
+            Owner {
+                slot: self.below(3) as usize,
+                generation: self.below(3),
+            }
+        }
+
+        /// A report left the table: it must be the job's first, and
+        /// must carry the job's whole delivery history.
+        fn reported(&mut self, job: JobId, report: &TaskReport) {
+            let shadow = self.jobs.get_mut(&job).expect("reported job was submitted");
+            shadow.outcomes += 1;
+            shadow.lease = None;
+            let (delivery, events) = (shadow.delivery, shadow.events.clone());
+            self.ensure(self.jobs[&job].outcomes == 1, "a job got a second report");
+            self.ensure(
+                report.redeliveries + 1 == delivery,
+                "redeliveries != delivery - 1",
+            );
+            self.ensure(report.redeliveries <= self.cap, "redelivered past the cap");
+            self.ensure(report.lease_events == events, "lease history differs");
+            self.ensure(
+                report.state != TaskState::Quarantined || report.redeliveries > 0,
+                "quarantined without a redelivery",
+            );
+            self.ensure(self.table.get(job).is_none(), "settled job still live");
+        }
+
+        /// Revokes (or, once closed, fails) a lease and checks the
+        /// single event it must append.
+        fn revoke(&mut self, job: JobId, cause: Cause) {
+            let delivery = self.jobs[&job].delivery;
+            let expect_event = format!("delivery:{delivery}:{}", cause.label());
+            let shadow = self.jobs.get_mut(&job).expect("revoked job was submitted");
+            shadow.events.push(expect_event);
+            shadow.lease = None;
+            let outcome = if self.closed {
+                self.table
+                    .fail(job, cause, self.now)
+                    .map(Revoked::DeadLettered)
+            } else {
+                self.table.revoke(job, cause, self.now)
+            };
+            match outcome {
+                Some(Revoked::Requeued) => {
+                    self.ensure(delivery <= self.cap, "redelivered past the cap");
+                    self.jobs.get_mut(&job).expect("checked").delivery += 1;
+                    let record = self.table.get(job).expect("requeued job is live");
+                    self.ensure(record.delivery == delivery + 1, "delivery did not advance");
+                    self.ensure(
+                        record.events == self.jobs[&job].events,
+                        "revocation did not append exactly one event",
+                    );
+                    self.ensure(self.table.lease(job).is_none(), "requeued job kept a lease");
+                }
+                Some(Revoked::DeadLettered(settled)) => {
+                    self.ensure(
+                        self.closed || delivery > self.cap,
+                        "dead-lettered with budget left",
+                    );
+                    self.reported(job, &settled.report);
+                }
+                None => self.ensure(false, "a held lease could not be revoked"),
+            }
+        }
+
+        fn step(&mut self) {
+            let live = self.live();
+            let leased = self.leased();
+            match self.below(10) {
+                0 | 1 => {
+                    let timeout = match self.below(3) {
+                        0 => None,
+                        n => Some(Duration::from_millis(50 * n)),
+                    };
+                    let job =
+                        self.table
+                            .submit(format!("t{}", self.jobs.len()), timeout, (), self.now);
+                    self.ops.push(format!("submit {job} timeout {timeout:?}"));
+                    self.ensure(!self.jobs.contains_key(&job), "job id reused");
+                    let shadow = Shadow {
+                        delivery: 1,
+                        ..Shadow::default()
+                    };
+                    self.jobs.insert(job, shadow);
+                }
+                2 | 3 => {
+                    // Any known id, not just queued ones: stale tickets
+                    // must be refused.
+                    let all: Vec<JobId> = self.jobs.keys().copied().collect();
+                    let Some(job) = self.pick(&all) else { return };
+                    let owner = self.owner();
+                    self.ops.push(format!("grant {job} to {owner:?}"));
+                    let grantable = live.contains(&job) && !leased.contains(&job);
+                    let granted = self.table.grant(job, owner, self.now).map(|g| g.delivery);
+                    self.ensure(granted.is_some() == grantable, "grant of a stale ticket");
+                    if let Some(delivery) = granted {
+                        self.ensure(delivery == self.jobs[&job].delivery, "granted delivery");
+                        let timeout = self.table.get(job).and_then(|record| record.timeout);
+                        let deadline = timeout.map(|t| self.now + t + GRACE);
+                        let lease = self.table.lease(job).expect("granted job is leased");
+                        self.ensure(lease.deadline == deadline, "deadline != timeout + grace");
+                        self.jobs.get_mut(&job).expect("checked").lease = Some((owner, deadline));
+                        self.executions.push(job);
+                    }
+                }
+                4 => {
+                    // A delivery finishes — the current one, or a
+                    // straggler from an older delivery or generation.
+                    if self.executions.is_empty() {
+                        return;
+                    }
+                    let at = self.below(self.executions.len() as u64) as usize;
+                    let job = self.executions.swap_remove(at);
+                    self.ops.push(format!("complete {job}"));
+                    let first = self.jobs[&job].outcomes == 0;
+                    let settled = self.table.complete(job, worker_report("w"));
+                    self.ensure(settled.is_some() == first, "first report must win, once");
+                    if let Some(settled) = settled {
+                        self.ensure(settled.report.state.is_success(), "worker report kept");
+                        self.reported(job, &settled.report);
+                    }
+                }
+                5 => {
+                    let advance = Duration::from_millis(self.below(120));
+                    self.now += advance;
+                    self.ops.push(format!("advance {advance:?}, expire"));
+                    let due: BTreeSet<JobId> = leased
+                        .iter()
+                        .filter(|job| {
+                            let (_, deadline) = self.jobs[job].lease.expect("leased");
+                            deadline.is_some_and(|deadline| self.now >= deadline)
+                        })
+                        .copied()
+                        .collect();
+                    let expired = self.table.expired(self.now);
+                    self.ensure(
+                        expired.iter().copied().collect::<BTreeSet<_>>() == due,
+                        "expired set differs",
+                    );
+                    for job in expired {
+                        self.revoke(job, Cause::LeaseExpired);
+                    }
+                }
+                6 => {
+                    let owner = self.owner();
+                    self.ops.push(format!("lost {owner:?}"));
+                    let held = self.table.held_by(owner);
+                    let mut expect = leased.clone();
+                    expect.retain(|job| self.jobs[job].lease.expect("leased").0 == owner);
+                    self.ensure(held == expect, "held_by differs");
+                    for job in held {
+                        self.revoke(job, Cause::ProcessLost("worker-died"));
+                    }
+                }
+                7 => {
+                    let Some(job) = self.pick(&live) else { return };
+                    self.ops.push(format!("resend {job}"));
+                    let delivery = self.jobs[&job].delivery;
+                    let was_leased = leased.contains(&job);
+                    let resent = self.table.resend(job, Cause::DispatchLost);
+                    self.ensure(resent == was_leased, "resend needs a lease");
+                    if resent {
+                        let shadow = self.jobs.get_mut(&job).expect("checked");
+                        shadow
+                            .events
+                            .push(format!("delivery:{delivery}:dispatch-lost"));
+                        shadow.lease = None;
+                        let record = self.table.get(job).expect("resent job is live");
+                        self.ensure(record.delivery == delivery, "resend spent budget");
+                        self.ensure(record.events == self.jobs[&job].events, "resend event");
+                    }
+                }
+                8 => {
+                    // Rare, or nothing else would ever get far.
+                    if self.below(8) != 0 {
+                        return;
+                    }
+                    self.ops.push("shutdown: discard queued".to_owned());
+                    self.closed = true;
+                    for job in live {
+                        if !leased.contains(&job) {
+                            let discarded = self.table.discard(job).is_some();
+                            self.ensure(discarded, "a queued job could not be discarded");
+                            self.jobs.get_mut(&job).expect("checked").outcomes += 1;
+                        }
+                    }
+                }
+                _ => {
+                    if self.below(8) != 0 {
+                        return;
+                    }
+                    self.fail_all();
+                }
+            }
+        }
+
+        fn fail_all(&mut self) {
+            self.ops.push("fail_all no-workers".to_owned());
+            let (live, leased) = (self.live(), self.leased());
+            for job in &leased {
+                let delivery = self.jobs[job].delivery;
+                let shadow = self.jobs.get_mut(job).expect("checked");
+                shadow
+                    .events
+                    .push(format!("delivery:{delivery}:no-workers"));
+            }
+            let settled = self.table.fail_all(Cause::NoWorkers, self.now);
+            self.ensure(
+                settled.len() == live.len(),
+                "fail_all must settle every job",
+            );
+            for (job, settled) in live.into_iter().zip(settled) {
+                let expect = if self.jobs[&job].delivery > 1 {
+                    TaskState::Quarantined
+                } else {
+                    TaskState::Failed
+                };
+                self.ensure(settled.report.state == expect, "fail_all state");
+                self.reported(job, &settled.report);
+            }
+            self.ensure(self.table.is_empty(), "fail_all left jobs behind");
+        }
+    }
+
+    proptest! {
+        /// Random interleavings of submit / grant / complete (current
+        /// and stale) / expire / worker-lost / resend / fail_all /
+        /// shutdown: every job gets exactly one outcome and the
+        /// delivery bookkeeping never drifts.
+        #[test]
+        fn interleavings_keep_the_contract(seed in any::<u64>(), cap in 0u32..4) {
+            let mut model = Model::new(seed, cap);
+            for _ in 0..150 {
+                model.step();
+            }
+            // Stragglers first, then whatever is left fails: nothing
+            // may end without its one outcome.
+            while let Some(job) = model.executions.pop() {
+                if let Some(settled) = model.table.complete(job, worker_report("w")) {
+                    model.reported(job, &settled.report);
+                }
+            }
+            model.fail_all();
+            model.ensure(
+                model.jobs.values().all(|shadow| shadow.outcomes == 1),
+                "a job ended without exactly one outcome",
+            );
+        }
+    }
+
+    /// With no redelivery budget, each cause maps to the state and the
+    /// exact message its scheduler has always produced.
+    #[test]
+    fn unredelivered_causes_classify_as_before() {
+        let unreachable = Duration::from_millis(400);
+        let cases = [
+            (
+                Cause::LeaseExpired,
+                TaskState::TimedOut,
+                "task lease expired (timeout Some(30ms) + grace 40ms); no redeliveries allowed",
+            ),
+            (
+                Cause::DetachedCap,
+                TaskState::TimedOut,
+                "task lease expired but the detached-worker cap (7) is reached; \
+                 failing fast without redelivery",
+            ),
+            (
+                Cause::WorkerDied,
+                TaskState::Failed,
+                "worker died holding the task lease; no redeliveries allowed",
+            ),
+            (
+                Cause::ProcessLost("worker-died"),
+                TaskState::Failed,
+                "worker process died holding the task lease (worker-died); \
+                 no redeliveries allowed",
+            ),
+            (
+                Cause::ProcessLost("heartbeat-lost"),
+                TaskState::Failed,
+                "worker process died holding the task lease (heartbeat-lost); \
+                 no redeliveries allowed",
+            ),
+            (
+                Cause::ProcessLost("torn-frame"),
+                TaskState::Failed,
+                "worker process died holding the task lease (torn-frame); \
+                 no redeliveries allowed",
+            ),
+            (
+                Cause::NoWorkers,
+                TaskState::Failed,
+                "no live worker processes remain; task cannot be delivered",
+            ),
+            (
+                Cause::WorkersUnreachable(unreachable),
+                TaskState::Failed,
+                "no remote worker reachable past the unreachable deadline (400ms); \
+                 the coordinator degraded loudly instead of hanging",
+            ),
+        ];
+        let now = Instant::now();
+        let owner = Owner {
+            slot: 0,
+            generation: 1,
+        };
+        for (cause, state, error) in cases {
+            let mut table = LeaseTable::new(config(0));
+            let timeout = Some(Duration::from_millis(30));
+            let job = table.submit("t".to_owned(), timeout, (), now);
+            assert!(table.grant(job, owner, now).is_some());
+            let later = now + Duration::from_millis(75);
+            let Some(Revoked::DeadLettered(settled)) = table.revoke(job, cause, later) else {
+                panic!("{cause:?}: no budget, so the revocation must dead-letter");
+            };
+            let report = settled.report;
+            assert_eq!(report.state, state, "{cause:?}");
+            assert_eq!(report.error.as_deref(), Some(error), "{cause:?}");
+            assert_eq!(
+                report.lease_events,
+                [format!("delivery:1:{}", cause.label())]
+            );
+            assert_eq!((report.attempts, report.redeliveries), (0, 0));
+            assert_eq!(report.duration, Duration::from_millis(75));
+            assert!(table.is_empty());
+        }
+    }
+
+    /// The cap is spent one delivery at a time, then the job is
+    /// quarantined with the whole trail.
+    #[test]
+    fn exhausted_cap_quarantines_with_history() {
+        let mut table = LeaseTable::new(config(1));
+        let now = Instant::now();
+        let owner = Owner {
+            slot: 2,
+            generation: 5,
+        };
+        let job = table.submit("t".to_owned(), None, (), now);
+        assert!(table.expired(now + Duration::from_secs(3600)).is_empty());
+        table.grant(job, owner, now);
+        assert!(matches!(
+            table.revoke(job, Cause::WorkerDied, now),
+            Some(Revoked::Requeued)
+        ));
+        assert!(
+            table.revoke(job, Cause::WorkerDied, now).is_none(),
+            "not leased"
+        );
+        assert_eq!(
+            table.grant(job, owner, now).map(|job| job.delivery),
+            Some(2)
+        );
+        let Some(Revoked::DeadLettered(settled)) = table.revoke(job, Cause::LeaseExpired, now)
+        else {
+            panic!("second revocation exhausts a cap of one");
+        };
+        assert_eq!(settled.report.state, TaskState::Quarantined);
+        assert_eq!(
+            settled.report.error.as_deref(),
+            Some(
+                "task quarantined: redelivery cap (1) exhausted after 2 deliveries \
+                 (last cause: lease-expired)"
+            )
+        );
+        assert_eq!(
+            settled.report.lease_events,
+            ["delivery:1:worker-died", "delivery:2:lease-expired"]
+        );
+        assert_eq!(settled.report.redeliveries, 1);
+    }
+
+    /// The remote coordinator's `no-workers` fast-fail: every queued
+    /// job is reported `Failed` exactly once, with no lease event.
+    #[test]
+    fn fail_all_reports_every_pending_job_once() {
+        let mut table = LeaseTable::new(config(3));
+        let now = Instant::now();
+        let jobs: Vec<JobId> = (0..5)
+            .map(|i| table.submit(format!("t{i}"), None, (), now))
+            .collect();
+        let settled = table.fail_all(Cause::NoWorkers, now);
+        assert_eq!(settled.len(), jobs.len());
+        for (i, settled) in settled.iter().enumerate() {
+            assert_eq!(settled.report.name, format!("t{i}"));
+            assert_eq!(settled.report.state, TaskState::Failed);
+            assert!(settled.report.lease_events.is_empty());
+        }
+        assert!(table.is_empty());
+        assert!(
+            table.fail_all(Cause::NoWorkers, now).is_empty(),
+            "only once"
+        );
+        for job in jobs {
+            assert!(table.complete(job, worker_report("late")).is_none());
+        }
+    }
+}

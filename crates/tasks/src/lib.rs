@@ -4,14 +4,17 @@
 //! `gem5art-tasks` package, which hands run objects to Celery, the
 //! Python `multiprocessing` library, or no scheduler at all.
 //!
-//! Three schedulers share one [`Scheduler`] interface:
+//! Four schedulers; the first three share the [`Scheduler`] interface:
 //!
 //! * [`SerialScheduler`] — runs tasks inline ("no job scheduler at
 //!   all");
 //! * [`PoolScheduler`] — a fixed thread pool (the `multiprocessing`
 //!   analogue);
-//! * [`BrokerScheduler`] — a broker queue drained by detached workers,
-//!   with retries and per-task timeouts (the Celery analogue).
+//! * [`BrokerScheduler`] — a broker queue drained by supervised worker
+//!   threads, with retries and per-task timeouts (the Celery analogue);
+//! * [`RemoteScheduler`] — the same delivery contract over
+//!   crash-isolated worker *processes* (pipes or TCP). It takes
+//!   [`RemoteTaskSpec`]s, not closures, so it has its own `submit`.
 //!
 //! Every submission returns a [`TaskHandle`] whose
 //! [`TaskHandle::wait`] yields the final [`TaskReport`]. Like the
@@ -27,13 +30,14 @@
 //! per-attempt history ([`AttemptRecord`]), which is bit-identical
 //! across runs with equal seeds.
 //!
-//! The broker additionally *supervises* its workers: dequeued jobs
-//! carry leases, a heartbeat supervisor redelivers work whose lease
-//! expired or whose worker died (up to
-//! [`SupervisorConfig::max_redeliveries`]), respawns dead workers, and
-//! reaps detached threads. Tasks that exhaust redelivery are
+//! The broker and the remote scheduler *supervise* their workers, and
+//! the contract is written once, in the crate-private `lease` module:
+//! every delivery holds a lease, a heartbeat supervisor redelivers work
+//! whose lease expired or whose worker died (up to
+//! [`SupervisorConfig::max_redeliveries`]) and replaces the worker,
+//! the first report wins, and a task that exhausts redelivery is
 //! dead-lettered as [`TaskState::Quarantined`]. See
-//! [`BrokerScheduler::with_config`].
+//! [`BrokerScheduler::with_config`] and [`RemoteScheduler`].
 //!
 //! ```
 //! use simart_tasks::{PoolScheduler, Scheduler, Task};
@@ -51,6 +55,7 @@
 
 mod broker;
 mod fault;
+mod lease;
 mod pool;
 pub mod remote;
 mod retry;

@@ -22,24 +22,21 @@
 //! reachable past [`RemoteConfig::unreachable_deadline`] while work is
 //! pending, the coordinator fails that work loudly instead of hanging.
 //!
-//! The delivery contract is the broker's supervision contract,
-//! verbatim:
+//! The delivery contract is the broker's, because it is the same code:
+//! the pure `LeaseTable` (numbered deliveries under leases of task
+//! timeout + grace, first-report-wins, redelivery up to
+//! [`SupervisorConfig::max_redeliveries`] then
+//! [`TaskState::Quarantined`], `"delivery:<n>:<cause>"` history in the
+//! report). This module is the process-level driver that feeds it: a
+//! worker whose PID dies, whose heartbeats stop, whose lease expires
+//! or whose stream tears is SIGKILLed, reaped and respawned under a
+//! bumped generation, and the lease it held is revoked.
 //!
-//! * every dispatched job holds a *lease* (task timeout + grace);
-//! * a worker whose PID dies, whose heartbeats stop, or whose lease
-//!   expires is killed and respawned with a bumped generation;
-//! * the job is re-delivered up to
-//!   [`SupervisorConfig::max_redeliveries`] times, with
-//!   first-report-wins dedup, and dead-lettered as
-//!   [`TaskState::Quarantined`] once the cap is exhausted;
-//! * lease history rides along in the report as
-//!   `"delivery:<n>:<cause>"` events.
-//!
-//! On top of that contract: bounded-queue backpressure on submit
-//! (blocking with a deadline, [`SubmitError`] on shutdown) and
-//! work-stealing between idle workers. Chaos is literal here — a
-//! [`FaultInjector`] with a kill rate makes the coordinator SIGKILL
-//! real worker PIDs at dispatch time.
+//! Around the table: one FIFO of jobs awaiting a worker (an idle ready
+//! worker takes the oldest), bounded-queue backpressure on submit
+//! (blocking with a deadline, [`SubmitError`] on shutdown), and literal
+//! chaos — a [`FaultInjector`] with a kill rate makes the coordinator
+//! SIGKILL real worker PIDs at dispatch time.
 //!
 //! Because a process boundary cannot ship closures, remote tasks are
 //! [`RemoteTaskSpec`]s: a handler *kind* resolved by the worker's
@@ -47,6 +44,7 @@
 //! of the protocol is [`worker_main`].
 
 use crate::fault::{Fault, FaultInjector};
+use crate::lease::{Cause, JobId, LeaseTable, Owner, Revoked, Settled};
 use crate::retry::RetryPolicy;
 use crate::supervise::SupervisorConfig;
 use crate::task::{AttemptDisposition, AttemptRecord, TaskHandle, TaskReport, TaskState};
@@ -137,8 +135,8 @@ impl WorkerCommand {
 #[derive(Clone)]
 pub struct RemoteConfig {
     /// The broker supervision contract: heartbeat cadence, lease
-    /// grace, redelivery cap. `max_detached` is unused — remote
-    /// workers are killed, never detached.
+    /// grace, how often a job may be redelivered. `max_detached` is
+    /// unused — remote workers are killed, never detached.
     pub supervisor: SupervisorConfig,
     /// Bound on queued (not yet dispatched) jobs; submits beyond it
     /// block until space frees or `submit_deadline` passes.
@@ -330,8 +328,6 @@ pub struct RemoteStats {
     pub frame_errors: u64,
     /// Real SIGKILLs sent by the chaos injector.
     pub chaos_kills: u64,
-    /// Jobs stolen from a busy worker's queue by an idle one.
-    pub steals: u64,
     /// TCP sessions that reconnected and resumed after losing their
     /// connection.
     pub reconnects: u64,
@@ -347,6 +343,7 @@ pub struct RemoteStats {
     pub in_flight: usize,
 }
 
+#[derive(Default)]
 struct StatCounters {
     submitted: AtomicU64,
     completed: AtomicU64,
@@ -356,51 +353,19 @@ struct StatCounters {
     respawns: AtomicU64,
     frame_errors: AtomicU64,
     chaos_kills: AtomicU64,
-    steals: AtomicU64,
     reconnects: AtomicU64,
     partitions: AtomicU64,
     resume_reconciled: AtomicU64,
 }
 
-impl StatCounters {
-    fn new() -> StatCounters {
-        StatCounters {
-            submitted: AtomicU64::new(0),
-            completed: AtomicU64::new(0),
-            dropped: AtomicU64::new(0),
-            dead_lettered: AtomicU64::new(0),
-            redelivered: AtomicU64::new(0),
-            respawns: AtomicU64::new(0),
-            frame_errors: AtomicU64::new(0),
-            chaos_kills: AtomicU64::new(0),
-            steals: AtomicU64::new(0),
-            reconnects: AtomicU64::new(0),
-            partitions: AtomicU64::new(0),
-            resume_reconciled: AtomicU64::new(0),
-        }
-    }
-}
-
 type EventHook = Arc<dyn Fn(&RemoteEvent) + Send + Sync>;
 
+/// What the lease table keeps for each job: the spec to dispatch, and
+/// where its single report goes.
 struct RemoteJob {
     spec: RemoteTaskSpec,
     report_tx: Sender<TaskReport>,
-    reported: Arc<AtomicBool>,
-    job_id: u64,
-    /// 1-based delivery number (redeliveries = delivery - 1).
-    delivery: u32,
-    lease_events: Vec<String>,
-    first_enqueued: Instant,
     trace_id: u64,
-}
-
-struct RemoteLease {
-    job: RemoteJob,
-    deadline: Option<Instant>,
-    /// When the dispatch frame was written, for the lost-dispatch
-    /// reconciliation in the heartbeat handler.
-    granted: Instant,
 }
 
 struct Slot {
@@ -414,9 +379,9 @@ struct Slot {
     ready: bool,
     /// Drain sent or Bye received: reap without respawn.
     exiting: bool,
-    busy: Option<u64>,
+    /// The job this worker process was last sent and has not answered.
+    busy: Option<JobId>,
     last_seen: Instant,
-    queue: VecDeque<RemoteJob>,
     reader: Option<JoinHandle<()>>,
     /// Session token minted at spawn; a reconnecting TCP worker
     /// presents it in its Hello to resume this slot.
@@ -435,19 +400,26 @@ struct Slot {
     net_frames: Arc<AtomicU64>,
 }
 
+impl Slot {
+    /// Alive, handshaken, not draining, and not working on anything.
+    fn idle(&self) -> bool {
+        self.child.is_some() && self.ready && !self.exiting && self.busy.is_none()
+    }
+}
+
 struct CoordState {
     slots: Vec<Slot>,
-    leases: HashMap<u64, RemoteLease>,
+    /// The delivery contract: jobs, leases, redelivery, dead letters.
+    table: LeaseTable<RemoteJob>,
+    /// The one dispatch queue: jobs awaiting a worker, oldest first.
+    pending: VecDeque<JobId>,
     retired_readers: Vec<JoinHandle<()>>,
-    next_job: u64,
     next_generation: u64,
     next_session: u64,
     next_epoch: u64,
     /// When pending work first found no reachable worker (drives the
     /// loud `workers-unreachable` degradation).
     unreachable_since: Option<Instant>,
-    /// Queued-but-undispatched jobs across all slot queues.
-    backlog: usize,
     /// No new submits accepted.
     shutdown: bool,
     /// No more respawns (shutdown is reaping).
@@ -455,6 +427,15 @@ struct CoordState {
     /// Children reaped and threads joined; terminal.
     reaped: bool,
     drained_clean: bool,
+}
+
+impl CoordState {
+    fn owner(&self, slot: usize) -> Owner {
+        Owner {
+            slot,
+            generation: self.slots[slot].generation,
+        }
+    }
 }
 
 struct Shared {
@@ -484,8 +465,8 @@ impl Shared {
 /// the broker's lease/supervision contract. See the module docs.
 pub struct RemoteScheduler {
     shared: Arc<Shared>,
-    supervisor: Mutex<Option<JoinHandle<()>>>,
-    acceptor: Mutex<Option<JoinHandle<()>>>,
+    /// The supervisor, plus the acceptor on a joining transport.
+    threads: Mutex<Vec<JoinHandle<()>>>,
 }
 
 impl RemoteScheduler {
@@ -512,20 +493,20 @@ impl RemoteScheduler {
     ) -> std::io::Result<RemoteScheduler> {
         let workers = workers.max(1);
         let transport = transport::make_transport(config.transport)?;
+        let table = LeaseTable::new(config.supervisor);
         let shared = Arc::new(Shared {
             command,
             config,
             transport,
             state: Mutex::new(CoordState {
                 slots: Vec::new(),
-                leases: HashMap::new(),
+                table,
+                pending: VecDeque::new(),
                 retired_readers: Vec::new(),
-                next_job: 0,
                 next_generation: 0,
                 next_session: 0,
                 next_epoch: 0,
                 unreachable_since: None,
-                backlog: 0,
                 shutdown: false,
                 abandoned: false,
                 reaped: false,
@@ -533,7 +514,7 @@ impl RemoteScheduler {
             }),
             space: Condvar::new(),
             stopping: AtomicBool::new(false),
-            stats: StatCounters::new(),
+            stats: StatCounters::default(),
             hook: Mutex::new(None),
             queue_trace: trace::fresh_id(),
         });
@@ -558,20 +539,16 @@ impl RemoteScheduler {
                 spawn_error.unwrap_or_else(|| std::io::Error::other("no worker process started"))
             );
         }
-        let supervisor = {
-            let shared = Arc::clone(&shared);
-            std::thread::spawn(move || supervise_loop(&shared))
-        };
-        let acceptor = if shared.transport.joins() {
-            let shared = Arc::clone(&shared);
-            Some(std::thread::spawn(move || accept_loop(&shared)))
-        } else {
-            None
-        };
+        let mut threads = Vec::new();
+        let supervised = Arc::clone(&shared);
+        threads.push(std::thread::spawn(move || supervise_loop(&supervised)));
+        if shared.transport.joins() {
+            let accepting = Arc::clone(&shared);
+            threads.push(std::thread::spawn(move || accept_loop(&accepting)));
+        }
         Ok(RemoteScheduler {
             shared,
-            supervisor: Mutex::new(Some(supervisor)),
-            acceptor: Mutex::new(acceptor),
+            threads: Mutex::new(threads),
         })
     }
 
@@ -591,7 +568,7 @@ impl RemoteScheduler {
             if st.shutdown {
                 return Err(SubmitError::Shutdown);
             }
-            if st.backlog < self.shared.config.queue_capacity {
+            if st.pending.len() < self.shared.config.queue_capacity {
                 break;
             }
             let now = Instant::now();
@@ -606,23 +583,20 @@ impl RemoteScheduler {
                 .unwrap_or_else(|poisoned| poisoned.into_inner());
             st = guard;
         }
-        st.next_job += 1;
-        let job_id = st.next_job;
         let trace_id = trace::fresh_id();
         trace::task_submit(trace_id);
         self.shared.stats.submitted.fetch_add(1, Ordering::SeqCst);
         observe::count("broker.remote_submitted", 1);
-        let job = RemoteJob {
+        let timeout = spec.timeout;
+        let payload = RemoteJob {
             spec,
             report_tx,
-            reported: Arc::new(AtomicBool::new(false)),
-            job_id,
-            delivery: 1,
-            lease_events: Vec::new(),
-            first_enqueued: Instant::now(),
             trace_id,
         };
-        enqueue_job(&self.shared, &mut st, job);
+        let job = st
+            .table
+            .submit(name.clone(), timeout, payload, Instant::now());
+        enqueue(&self.shared, &mut st, job);
         pump(&self.shared, &mut st);
         Ok(TaskHandle { receiver, name })
     }
@@ -646,7 +620,7 @@ impl RemoteScheduler {
         }
         st.shutdown = true;
         let deadline = Instant::now() + self.shared.config.drain_deadline;
-        while (st.backlog > 0 || !st.leases.is_empty()) && Instant::now() < deadline {
+        while !st.table.is_empty() && Instant::now() < deadline {
             let (guard, _) = self
                 .shared
                 .space
@@ -654,7 +628,7 @@ impl RemoteScheduler {
                 .unwrap_or_else(|poisoned| poisoned.into_inner());
             st = guard;
         }
-        let clean = st.backlog == 0 && st.leases.is_empty();
+        let clean = st.table.is_empty();
         st.drained_clean = clean;
         st.abandoned = true;
         discard_pending(&self.shared, &mut st);
@@ -685,8 +659,7 @@ impl RemoteScheduler {
         // No further joins: reconnecting workers exhaust their dial
         // budget and exit.
         self.shared.transport.close();
-        self.reap_children(Duration::from_secs(5));
-        self.stop_supervisor();
+        self.reap(Duration::from_secs(5));
         clean
     }
 
@@ -702,7 +675,7 @@ impl RemoteScheduler {
         }
         st.shutdown = true;
         st.abandoned = true;
-        st.drained_clean = st.backlog == 0 && st.leases.is_empty();
+        st.drained_clean = st.table.is_empty();
         let discarded = discard_pending(&self.shared, &mut st);
         for slot in &mut st.slots {
             if let Some(child) = slot.child.as_mut() {
@@ -714,8 +687,7 @@ impl RemoteScheduler {
         drop(st);
         self.shared.transport.close();
         self.shared.space.notify_all();
-        self.reap_children(Duration::ZERO);
-        self.stop_supervisor();
+        self.reap(Duration::ZERO);
         discarded
     }
 
@@ -733,12 +705,11 @@ impl RemoteScheduler {
             respawns: s.respawns.load(Ordering::SeqCst),
             frame_errors: s.frame_errors.load(Ordering::SeqCst),
             chaos_kills: s.chaos_kills.load(Ordering::SeqCst),
-            steals: s.steals.load(Ordering::SeqCst),
             reconnects: s.reconnects.load(Ordering::SeqCst),
             partitions: s.partitions.load(Ordering::SeqCst),
             resume_reconciled: s.resume_reconciled.load(Ordering::SeqCst),
-            backlog: st.backlog,
-            in_flight: st.leases.len(),
+            backlog: st.pending.len(),
+            in_flight: st.table.in_flight(),
         }
     }
 
@@ -760,9 +731,9 @@ impl RemoteScheduler {
     }
 
     /// Waits for every child PID to exit, force-killing any still
-    /// alive after `grace`, then joins reader threads. Leaves no
-    /// zombies behind.
-    fn reap_children(&self, grace: Duration) {
+    /// alive after `grace`, then joins the reader, supervisor and
+    /// acceptor threads. Leaves no zombies behind.
+    fn reap(&self, grace: Duration) {
         let (children, readers) = {
             let mut st = self.shared.lock();
             let children: Vec<Child> = st.slots.iter_mut().filter_map(|s| s.child.take()).collect();
@@ -794,25 +765,10 @@ impl RemoteScheduler {
         }
         self.shared.lock().reaped = true;
         self.shared.space.notify_all();
-    }
-
-    fn stop_supervisor(&self) {
         self.shared.stopping.store(true, Ordering::SeqCst);
-        let handle = self
-            .supervisor
-            .lock()
-            .unwrap_or_else(|p| p.into_inner())
-            .take();
-        if let Some(handle) = handle {
-            let _ = handle.join();
-        }
-        let acceptor = self
-            .acceptor
-            .lock()
-            .unwrap_or_else(|p| p.into_inner())
-            .take();
-        if let Some(acceptor) = acceptor {
-            let _ = acceptor.join();
+        let threads = std::mem::take(&mut *self.threads.lock().unwrap_or_else(|p| p.into_inner()));
+        for thread in threads {
+            let _ = thread.join();
         }
     }
 }
@@ -844,7 +800,6 @@ fn dead_slot(generation: u64) -> Slot {
         exiting: false,
         busy: None,
         last_seen: Instant::now(),
-        queue: VecDeque::new(),
         reader: None,
         session: 0,
         session_trace: 0,
@@ -881,21 +836,11 @@ fn spawn_worker(
     let (child, duplex) = shared.transport.spawn(&shared.command, session)?;
     let pid = child.id();
     let mut slot = Slot {
-        generation,
         child: Some(child),
-        writer: None,
         pid,
-        ready: false,
-        exiting: false,
-        busy: None,
-        last_seen: Instant::now(),
-        queue: VecDeque::new(),
-        reader: None,
         session,
         session_trace: trace::fresh_id(),
-        conn_epoch: 0,
-        had_conn: false,
-        net_frames: Arc::new(AtomicU64::new(0)),
+        ..dead_slot(generation)
     };
     if let Some(duplex) = duplex {
         st.next_epoch += 1;
@@ -912,8 +857,8 @@ fn spawn_worker(
     Ok(slot)
 }
 
-/// Per-worker reader thread: pumps the worker's byte stream through
-/// the frame decoder until EOF or a hard decode error.
+/// Per-worker reader thread: handles the worker's frames until EOF or
+/// a corrupt one.
 fn reader_loop(
     shared: &Arc<Shared>,
     slot_idx: usize,
@@ -921,11 +866,11 @@ fn reader_loop(
     epoch: u64,
     mut input: Box<dyn Read + Send>,
 ) {
-    let mut decoder = FrameDecoder::new();
-    let mut buf = [0u8; 8192];
+    let mut wire = WireReader::new();
     loop {
-        let n = match input.read(&mut buf) {
-            Ok(0) | Err(_) => {
+        match wire.next(&mut input) {
+            Ok(Some(message)) => handle_message(shared, slot_idx, generation, message),
+            Ok(None) => {
                 // Pipe EOF means a dead process: the supervisor reaps
                 // and respawns. TCP EOF means a dead *connection*: mark
                 // it lost so the session can resume on reconnect.
@@ -934,32 +879,15 @@ fn reader_loop(
                 }
                 return;
             }
-            Ok(n) => n,
-        };
-        decoder.feed(&buf[..n]);
-        loop {
-            match decoder.next_frame() {
-                Ok(None) => break,
-                Ok(Some(payload)) => match Message::decode(&payload) {
-                    Ok(message) => handle_message(shared, slot_idx, generation, message),
-                    Err(err) => {
-                        on_frame_error(shared, slot_idx, generation, epoch, &err.to_string());
-                        return;
-                    }
-                },
-                Err(err) => {
-                    on_frame_error(shared, slot_idx, generation, epoch, &err.to_string());
-                    return;
-                }
-            }
+            Err(why) => return on_frame_error(shared, slot_idx, generation, epoch, &why),
         }
     }
 }
 
 /// A TCP worker's connection died while its process (presumably)
 /// lives: drop the writer, keep the lease — the session resumes when
-/// the worker redials, and a worker that never does goes stale and is
-/// recycled by the heartbeat-lost supervision path.
+/// the worker redials, and a worker that never does exhausts its dial
+/// budget, exits, and is recovered as `worker-died`.
 fn conn_lost(shared: &Arc<Shared>, slot_idx: usize, generation: u64, epoch: u64) {
     let mut st = shared.lock();
     if st.abandoned || st.reaped {
@@ -969,15 +897,21 @@ fn conn_lost(shared: &Arc<Shared>, slot_idx: usize, generation: u64, epoch: u64)
     if slot.generation != generation || slot.conn_epoch != epoch || slot.exiting {
         return; // a stale reader of a replaced connection or worker
     }
-    if slot.child.is_none() || (slot.writer.is_none() && !slot.ready) {
-        return; // already marked lost (e.g. by a failed dispatch write)
+    if slot.child.is_some() {
+        mark_partitioned(shared, slot);
     }
-    slot.writer = None;
-    slot.ready = false;
-    shared.stats.partitions.fetch_add(1, Ordering::SeqCst);
-    observe::count("broker.remote_partitions", 1);
     drop(st);
     shared.space.notify_all();
+}
+
+/// Drops a slot's dead connection, once: the worker is unreachable
+/// until it redials.
+fn mark_partitioned(shared: &Shared, slot: &mut Slot) {
+    if slot.writer.take().is_some() {
+        slot.ready = false;
+        shared.stats.partitions.fetch_add(1, Ordering::SeqCst);
+        observe::count("broker.remote_partitions", 1);
+    }
 }
 
 /// Acceptor thread (joining transports only): polls for worker
@@ -991,31 +925,72 @@ fn accept_loop(shared: &Arc<Shared>) {
     }
 }
 
-/// Runs the coordinator side of the handshake on a freshly joined
-/// connection and wires it into the slot whose session token the
-/// worker presented. A second attach for a session is a *resume*:
-/// the in-flight lease is reconciled (kept granted), the reconnect is
-/// counted, and the race detector gets its join-then-send barrier.
+/// The coordinator's answer to a worker's Hello, on either transport.
+/// A protocol mismatch marks the worker for reaping without respawn
+/// (the same binary would only loop). Otherwise the HelloAck goes out
+/// on `writer`, which becomes the slot's connection, and the slot is
+/// ready for work. `false` (writer dropped) when the worker was refused
+/// or the connection is already dead.
+fn answer_hello(
+    shared: &Shared,
+    slot: &mut Slot,
+    mut writer: Box<dyn Write + Send>,
+    protocol: u64,
+    pid: u64,
+) -> bool {
+    if protocol != PROTOCOL_VERSION {
+        eprintln!(
+            "simart-tasks: worker pid {pid} speaks protocol {protocol}, \
+             coordinator speaks {PROTOCOL_VERSION}; dropping it"
+        );
+        slot.exiting = true;
+        if let Some(child) = slot.child.as_mut() {
+            let _ = child.kill();
+        }
+        return false;
+    }
+    let ack = Message::HelloAck {
+        generation: slot.generation,
+        heartbeat_ms: (shared.config.supervisor.heartbeat.as_millis() as u64).max(1),
+        session: slot.session,
+    };
+    if writer
+        .write_all(&ack.to_frame())
+        .and_then(|()| writer.flush())
+        .is_err()
+    {
+        return false;
+    }
+    slot.writer = Some(writer);
+    slot.ready = true;
+    slot.last_seen = Instant::now();
+    true
+}
+
+/// Reads the Hello off a freshly joined connection and wires the
+/// connection into the slot whose session token the worker presented.
+/// A second attach for a session is a *resume*: the in-flight lease is
+/// reconciled (kept granted), the reconnect is counted, and the race
+/// detector gets its join-then-send barrier.
 fn attach_connection(shared: &Arc<Shared>, mut duplex: Duplex) {
-    // Handshake outside the state lock, under a read timeout so a
-    // client that never speaks cannot wedge the acceptor. The worker
-    // sends nothing after Hello until it sees the HelloAck, so the
-    // throwaway decoder below cannot swallow post-handshake frames.
+    // Read outside the state lock, under a read timeout so a client
+    // that never speaks cannot wedge the acceptor. The worker sends
+    // nothing after Hello until it sees the HelloAck, so the throwaway
+    // decoder below cannot swallow post-handshake frames.
     if let Some(stream) = duplex.stream.as_ref() {
         let _ = stream.set_read_timeout(Some(Duration::from_millis(500)));
     }
-    let mut handshake = WireReader::new();
-    let hello = handshake.next(&mut duplex.reader);
+    let hello = WireReader::new().next(&mut duplex.reader);
     if let Some(stream) = duplex.stream.as_ref() {
         let _ = stream.set_read_timeout(None);
     }
-    let (protocol, pid, session) = match hello {
-        Ok(Some(Message::Hello {
-            protocol,
-            pid,
-            session,
-        })) => (protocol, pid, session),
-        _ => return, // gone or garbled before the handshake: ignore
+    let Ok(Some(Message::Hello {
+        protocol,
+        pid,
+        session,
+    })) = hello
+    else {
+        return; // gone or garbled before the handshake: ignore
     };
     let mut st = shared.lock();
     if st.abandoned || st.reaped {
@@ -1031,18 +1006,6 @@ fn attach_connection(shared: &Arc<Shared>, mut duplex: Duplex) {
         // retry budget and exits.
         return;
     };
-    if protocol != PROTOCOL_VERSION {
-        eprintln!(
-            "simart-tasks: worker pid {pid} speaks protocol {protocol}, \
-             coordinator speaks {PROTOCOL_VERSION}; dropping it"
-        );
-        let slot = &mut st.slots[slot_idx];
-        slot.exiting = true; // reap without respawn: same binary would loop
-        if let Some(child) = slot.child.as_mut() {
-            let _ = child.kill();
-        }
-        return;
-    }
     let generation = st.slots[slot_idx].generation;
     let resumed = st.slots[slot_idx].had_conn;
     let _span = resumed.then(|| observe::span(|| "remote.reconnect".to_owned()));
@@ -1052,7 +1015,7 @@ fn attach_connection(shared: &Arc<Shared>, mut duplex: Duplex) {
         .as_ref()
         .filter(|injector| injector.net_faults_enabled())
         .cloned();
-    let (reader, mut writer): (Box<dyn Read + Send>, Box<dyn Write + Send>) = match chaos {
+    let (reader, writer): (Box<dyn Read + Send>, Box<dyn Write + Send>) = match chaos {
         Some(injector) => {
             let sever = duplex.stream.as_ref().and_then(|s| s.try_clone().ok());
             (
@@ -1069,18 +1032,8 @@ fn attach_connection(shared: &Arc<Shared>, mut duplex: Duplex) {
         }
         None => (duplex.reader, duplex.writer),
     };
-    let heartbeat_ms = (shared.config.supervisor.heartbeat.as_millis() as u64).max(1);
-    let ack = Message::HelloAck {
-        generation,
-        heartbeat_ms,
-        session,
-    };
-    if writer
-        .write_all(&ack.to_frame())
-        .and_then(|()| writer.flush())
-        .is_err()
-    {
-        return; // connection already dead (or chaos reset it): the worker redials
+    if !answer_hello(shared, &mut st.slots[slot_idx], writer, protocol, pid) {
+        return; // refused, or the connection died (or chaos reset it): the worker redials
     }
     st.next_epoch += 1;
     let epoch = st.next_epoch;
@@ -1091,28 +1044,23 @@ fn attach_connection(shared: &Arc<Shared>, mut duplex: Duplex) {
         let shared = Arc::clone(shared);
         std::thread::spawn(move || reader_loop(&shared, slot_idx, generation, epoch, reader))
     };
-    let session_trace = st.slots[slot_idx].session_trace;
-    {
-        let slot = &mut st.slots[slot_idx];
-        slot.writer = Some(writer);
-        slot.conn_epoch = epoch;
-        slot.ready = true;
-        slot.last_seen = Instant::now();
-        slot.had_conn = true;
-        slot.reader = Some(reader_handle);
-    }
+    let slot = &mut st.slots[slot_idx];
+    slot.conn_epoch = epoch;
+    slot.had_conn = true;
+    slot.reader = Some(reader_handle);
     if resumed {
         shared.stats.reconnects.fetch_add(1, Ordering::SeqCst);
         observe::count("broker.remote_reconnects", 1);
-        trace::remote_reconnect(session_trace);
+        trace::remote_reconnect(slot.session_trace);
         // Reconcile in-flight work: the lease stays granted (the
         // worker may still be computing; its re-sent result dedups
         // under first-report-wins, and a dispatch lost in flight
         // resolves through lease expiry).
-        let reconciled = st.slots[slot_idx]
+        let reconciled = slot
             .busy
-            .and_then(|job_id| st.leases.get(&job_id))
-            .map(|lease| lease.job.spec.name.clone());
+            .filter(|&job| st.table.lease(job).is_some())
+            .and_then(|job| st.table.get(job))
+            .map(|job| job.name.clone());
         if let Some(task) = reconciled {
             shared
                 .stats
@@ -1135,49 +1083,23 @@ fn attach_connection(shared: &Arc<Shared>, mut duplex: Duplex) {
 }
 
 fn handle_message(shared: &Arc<Shared>, slot_idx: usize, generation: u64, message: Message) {
+    let mut st = shared.lock();
     match message {
         // Pipe transport only: a TCP worker's Hello is consumed by
         // [`attach_connection`] before its reader thread starts.
         Message::Hello { protocol, pid, .. } => {
-            let mut st = shared.lock();
             if st.slots[slot_idx].generation != generation {
                 return; // stale reader of a replaced worker
             }
-            if protocol != PROTOCOL_VERSION {
-                eprintln!(
-                    "simart-tasks: worker pid {pid} speaks protocol {protocol}, \
-                     coordinator speaks {PROTOCOL_VERSION}; dropping it"
-                );
-                let slot = &mut st.slots[slot_idx];
-                slot.exiting = true; // reap without respawn: same binary would loop
-                if let Some(child) = slot.child.as_mut() {
-                    let _ = child.kill();
-                }
+            let Some(writer) = st.slots[slot_idx].writer.take() else {
                 return;
-            }
-            let heartbeat_ms = (shared.config.supervisor.heartbeat.as_millis() as u64).max(1);
-            let ack = Message::HelloAck {
-                generation,
-                heartbeat_ms,
-                session: st.slots[slot_idx].session,
             };
-            let slot = &mut st.slots[slot_idx];
-            slot.last_seen = Instant::now();
-            let sent = match slot.writer.as_mut() {
-                Some(writer) => writer
-                    .write_all(&ack.to_frame())
-                    .and_then(|()| writer.flush())
-                    .is_ok(),
-                None => false,
-            };
-            if sent {
-                slot.ready = true;
+            if answer_hello(shared, &mut st.slots[slot_idx], writer, protocol, pid) {
                 pump(shared, &mut st);
             }
         }
         Message::Heartbeat { busy, .. } => {
             observe::count("broker.remote_heartbeats", 1);
-            let mut st = shared.lock();
             if st.slots[slot_idx].generation != generation {
                 return;
             }
@@ -1187,30 +1109,27 @@ fn handle_message(shared: &Arc<Shared>, slot_idx: usize, generation: u64, messag
             // processed in order, so an *idle* heartbeat arriving a
             // full staleness budget after the lease was granted means
             // the dispatch frame never arrived (a silent one-way
-            // partition ate it) — redeliver now instead of waiting
+            // partition ate it) — send it again now instead of waiting
             // out the task's full lease.
             let stale_after = shared.config.supervisor.remote_stale_after();
-            let lost = st.slots[slot_idx].busy.filter(|&job_id| {
-                busy != job_id
+            let lost = st.slots[slot_idx].busy.filter(|&job| {
+                busy != job
                     && st
-                        .leases
-                        .get(&job_id)
+                        .table
+                        .lease(job)
                         .is_some_and(|lease| lease.granted.elapsed() >= stale_after)
             });
-            if let Some(job_id) = lost {
+            if let Some(job) = lost {
                 st.slots[slot_idx].busy = None;
-                if let Some(mut lease) = st.leases.remove(&job_id) {
+                // The job never reached a worker, so this is a re-send
+                // of the *same* delivery — it spends no redelivery
+                // budget.
+                if st.table.resend(job, Cause::DispatchLost) {
                     observe::count("broker.remote_lost_dispatches", 1);
-                    trace::lease_revoke(lease.job.trace_id);
-                    lease
-                        .job
-                        .lease_events
-                        .push(format!("delivery:{}:dispatch-lost", lease.job.delivery));
-                    // The job never reached a worker, so this is a
-                    // re-send of the *same* delivery, not a redelivery
-                    // — it spends no budget from the cap (mirroring
-                    // the requeue of a failed pipe dispatch write).
-                    enqueue_job(shared, &mut st, lease.job);
+                    if let Some(record) = st.table.get(job) {
+                        trace::lease_revoke(record.payload.trace_id);
+                    }
+                    enqueue(shared, &mut st, job);
                 }
                 pump(shared, &mut st);
                 shared.space.notify_all();
@@ -1224,21 +1143,8 @@ fn handle_message(shared: &Arc<Shared>, slot_idx: usize, generation: u64, messag
             output,
             error,
         } => {
-            let mut st = shared.lock();
-            // First report wins, whatever generation it came from: a
-            // stale worker finishing after redelivery still resolves
-            // the job; the duplicate later report finds no lease.
-            if let Some(lease) = st.leases.remove(&job) {
-                deliver_ack(
-                    shared,
-                    lease,
-                    delivery as u32,
-                    reporter_gen,
-                    ok,
-                    output,
-                    error,
-                );
-            }
+            let result = if ok { Ok(output) } else { Err(error) };
+            accept_result(shared, &mut st, job, delivery as u32, reporter_gen, result);
             if st.slots[slot_idx].generation == generation {
                 if st.slots[slot_idx].busy == Some(job) {
                     st.slots[slot_idx].busy = None;
@@ -1249,7 +1155,6 @@ fn handle_message(shared: &Arc<Shared>, slot_idx: usize, generation: u64, messag
             shared.space.notify_all();
         }
         Message::Bye { .. } => {
-            let mut st = shared.lock();
             if st.slots[slot_idx].generation == generation {
                 st.slots[slot_idx].exiting = true;
                 st.slots[slot_idx].ready = false;
@@ -1260,56 +1165,57 @@ fn handle_message(shared: &Arc<Shared>, slot_idx: usize, generation: u64, messag
     }
 }
 
-/// Accepted result → task report (first-report-wins).
-fn deliver_ack(
+/// A worker's result frame → the job's report. First report wins,
+/// whatever delivery or generation it came from: a stale worker
+/// finishing after redelivery still settles the job, and whichever
+/// result comes second finds it gone.
+fn accept_result(
     shared: &Arc<Shared>,
-    lease: RemoteLease,
+    st: &mut CoordState,
+    job: JobId,
     delivery: u32,
     reporter_gen: u64,
-    ok: bool,
-    output: String,
-    error: String,
+    result: Result<String, String>,
 ) {
-    let job = lease.job;
+    let Some(record) = st.table.get(job) else {
+        return;
+    };
+    let (state, disposition) = match result {
+        Ok(_) => (TaskState::Succeeded, AttemptDisposition::Succeeded),
+        Err(_) => (TaskState::Failed, AttemptDisposition::Errored),
+    };
+    let report = TaskReport {
+        name: record.name.clone(),
+        state,
+        output: result.as_ref().ok().cloned(),
+        error: result.err(),
+        attempts: 1,
+        duration: record.submitted.elapsed(),
+        detached: false,
+        history: vec![AttemptRecord {
+            index: record.delivery,
+            disposition,
+            delay_before: Duration::ZERO,
+        }],
+        redeliveries: 0,
+        lease_events: Vec::new(),
+    };
+    let Some(Settled { payload, report }) = st.table.complete(job, report) else {
+        return;
+    };
     observe::count("broker.remote_acks", 1);
-    trace::remote_ack(job.trace_id);
-    trace::task_finish(job.trace_id);
+    trace::remote_ack(payload.trace_id);
+    trace::task_finish(payload.trace_id);
     emit(
         shared,
         RemoteEvent::Acked {
-            task: job.spec.name.clone(),
+            task: report.name.clone(),
             delivery,
             generation: reporter_gen,
         },
     );
-    let report = TaskReport {
-        name: job.spec.name.clone(),
-        state: if ok {
-            TaskState::Succeeded
-        } else {
-            TaskState::Failed
-        },
-        output: if ok { Some(output) } else { None },
-        error: if ok { None } else { Some(error) },
-        attempts: 1,
-        duration: job.first_enqueued.elapsed(),
-        detached: false,
-        history: vec![AttemptRecord {
-            index: job.delivery,
-            disposition: if ok {
-                AttemptDisposition::Succeeded
-            } else {
-                AttemptDisposition::Errored
-            },
-            delay_before: Duration::ZERO,
-        }],
-        redeliveries: job.delivery - 1,
-        lease_events: job.lease_events,
-    };
-    if !job.reported.swap(true, Ordering::SeqCst) {
-        let _ = job.report_tx.send(report);
-        shared.stats.completed.fetch_add(1, Ordering::SeqCst);
-    }
+    let _ = payload.report_tx.send(report);
+    shared.stats.completed.fetch_add(1, Ordering::SeqCst);
 }
 
 /// Satellite: a torn or corrupt frame must never wedge the
@@ -1328,29 +1234,38 @@ fn on_frame_error(shared: &Arc<Shared>, slot_idx: usize, generation: u64, epoch:
          killing and respawning it",
         st.slots[slot_idx].pid
     );
-    recycle_slot(shared, &mut st, slot_idx, "torn-frame");
+    recycle_slot(shared, &mut st, slot_idx, Cause::ProcessLost("torn-frame"));
     pump(shared, &mut st);
     shared.space.notify_all();
 }
 
 /// Kills, reaps, and (unless abandoned) respawns a slot's worker,
-/// recovering any lease it held with the given cause.
-fn recycle_slot(shared: &Arc<Shared>, st: &mut CoordState, slot_idx: usize, cause: &str) {
-    if let Some(child) = st.slots[slot_idx].child.as_mut() {
-        let _ = child.kill();
-    }
+/// revoking any lease it held with the given cause.
+fn recycle_slot(shared: &Arc<Shared>, st: &mut CoordState, slot_idx: usize, cause: Cause) {
     if let Some(mut child) = st.slots[slot_idx].child.take() {
+        let _ = child.kill();
         let _ = child.wait(); // immediate after SIGKILL; reaps the PID
     }
-    st.slots[slot_idx].writer = None;
-    st.slots[slot_idx].ready = false;
-    let busy = st.slots[slot_idx].busy.take();
-    if let Some(job_id) = busy {
-        if let Some(lease) = st.leases.remove(&job_id) {
-            recover_lease(shared, st, lease, cause);
-        }
+    worker_gone(shared, st, slot_idx, cause, true);
+}
+
+/// The slot's process is gone (and reaped): forget its connection,
+/// revoke what it held, and fill the slot again if asked to.
+fn worker_gone(
+    shared: &Arc<Shared>,
+    st: &mut CoordState,
+    slot_idx: usize,
+    cause: Cause,
+    respawn: bool,
+) {
+    let slot = &mut st.slots[slot_idx];
+    slot.writer = None;
+    slot.ready = false;
+    slot.busy = None;
+    for job in st.table.held_by(st.owner(slot_idx)) {
+        revoke_lease(shared, st, job, cause);
     }
-    if !st.abandoned {
+    if respawn && !st.abandoned {
         respawn_slot(shared, st, slot_idx);
     }
 }
@@ -1363,200 +1278,106 @@ fn respawn_slot(shared: &Arc<Shared>, st: &mut CoordState, slot_idx: usize) {
     }
     st.next_generation += 1;
     let generation = st.next_generation;
-    // Queued jobs ride over to the replacement worker; the old
-    // session token is retired, so a zombie connection of the killed
-    // process can never attach to the new slot.
-    let queue = std::mem::take(&mut st.slots[slot_idx].queue);
+    // The old session token is retired with the slot, so a zombie
+    // connection of the killed process can never attach to the new one.
     match spawn_worker(shared, st, slot_idx, generation) {
-        Ok(mut slot) => {
-            slot.queue = queue;
+        Ok(slot) => {
             st.slots[slot_idx] = slot;
             shared.stats.respawns.fetch_add(1, Ordering::SeqCst);
             observe::count("broker.remote_respawns", 1);
         }
         Err(err) => {
             eprintln!("simart-tasks: failed to respawn remote worker: {err}");
-            let mut dead = dead_slot(generation);
-            dead.queue = queue;
-            st.slots[slot_idx] = dead;
+            st.slots[slot_idx] = dead_slot(generation);
         }
     }
 }
 
-/// Broker-contract lease recovery: record the `delivery:<n>:<cause>`
-/// event, then redeliver (cap permitting) or dead-letter.
-fn recover_lease(shared: &Arc<Shared>, st: &mut CoordState, mut lease: RemoteLease, cause: &str) {
-    trace::lease_revoke(lease.job.trace_id);
-    lease
-        .job
-        .lease_events
-        .push(format!("delivery:{}:{}", lease.job.delivery, cause));
-    let cap = shared.config.supervisor.max_redeliveries;
-    let redeliveries_so_far = lease.job.delivery - 1;
-    if redeliveries_so_far >= cap {
-        dead_letter(shared, st, lease.job, cause);
+/// Revokes a lease and acts on the table's verdict: queue the next
+/// delivery, or deliver the dead letter.
+fn revoke_lease(shared: &Arc<Shared>, st: &mut CoordState, job: JobId, cause: Cause) {
+    let Some(record) = st.table.get(job) else {
         return;
+    };
+    let (trace_id, delivery) = (record.payload.trace_id, record.delivery);
+    trace::lease_revoke(trace_id);
+    match st.table.revoke(job, cause, Instant::now()) {
+        Some(Revoked::Requeued) => {
+            shared.stats.redelivered.fetch_add(1, Ordering::SeqCst);
+            observe::count("broker.remote_redelivered", 1);
+            trace::task_requeue(trace_id);
+            if let Some(record) = st.table.get(job) {
+                emit(
+                    shared,
+                    RemoteEvent::Redelivered {
+                        task: record.name.clone(),
+                        delivery,
+                        cause: cause.label().to_owned(),
+                    },
+                );
+            }
+            enqueue(shared, st, job);
+        }
+        Some(Revoked::DeadLettered(settled)) => deliver_dead_letter(shared, settled, cause),
+        None => {}
     }
-    shared.stats.redelivered.fetch_add(1, Ordering::SeqCst);
-    observe::count("broker.remote_redelivered", 1);
-    trace::task_requeue(lease.job.trace_id);
-    emit(
-        shared,
-        RemoteEvent::Redelivered {
-            task: lease.job.spec.name.clone(),
-            delivery: lease.job.delivery,
-            cause: cause.to_owned(),
-        },
-    );
-    let mut job = lease.job;
-    job.delivery += 1;
-    enqueue_job(shared, st, job);
 }
 
-/// Terminal failure classification, mirroring the in-process broker's
-/// dead-letter mapping: exhausted redeliveries quarantine, a dead
-/// worker with no redelivery budget fails, an expired lease with no
-/// budget times out.
-fn dead_letter(shared: &Arc<Shared>, _st: &mut CoordState, job: RemoteJob, cause: &str) {
-    let cap = shared.config.supervisor.max_redeliveries;
-    let redeliveries = job.delivery - 1;
-    let (state, error) = if redeliveries > 0 {
-        (
-            TaskState::Quarantined,
-            format!(
-                "task quarantined: redelivery cap ({cap}) exhausted after {} deliveries \
-                 (last cause: {cause})",
-                job.delivery
-            ),
-        )
-    } else if cause == "lease-expired" {
-        (
-            TaskState::TimedOut,
-            format!(
-                "task lease expired (timeout {:?} + grace {:?}); no redeliveries allowed",
-                job.spec.timeout, shared.config.supervisor.grace
-            ),
-        )
-    } else if cause == "no-workers" {
-        (
-            TaskState::Failed,
-            "no live worker processes remain; task cannot be delivered".to_owned(),
-        )
-    } else if cause == "workers-unreachable" {
-        (
-            TaskState::Failed,
-            format!(
-                "no remote worker reachable past the unreachable deadline ({:?}); \
-                 the coordinator degraded loudly instead of hanging",
-                shared.config.unreachable_deadline
-            ),
-        )
-    } else {
-        (
-            TaskState::Failed,
-            format!(
-                "worker process died holding the task lease ({cause}); no redeliveries allowed"
-            ),
-        )
-    };
+/// Hands a job's terminal, table-synthesized report to its submitter.
+fn deliver_dead_letter(shared: &Arc<Shared>, settled: Settled<RemoteJob>, cause: Cause) {
+    let Settled { payload, report } = settled;
     observe::count("broker.remote_dead_letters", 1);
-    trace::task_finish(job.trace_id);
+    trace::task_finish(payload.trace_id);
     emit(
         shared,
         RemoteEvent::DeadLettered {
-            task: job.spec.name.clone(),
-            cause: cause.to_owned(),
+            task: report.name.clone(),
+            cause: cause.label().to_owned(),
         },
     );
-    let report = TaskReport {
-        name: job.spec.name.clone(),
-        state,
-        output: None,
-        error: Some(error),
-        attempts: 0,
-        duration: job.first_enqueued.elapsed(),
-        detached: false,
-        history: Vec::new(),
-        redeliveries,
-        lease_events: job.lease_events,
-    };
-    if !job.reported.swap(true, Ordering::SeqCst) {
-        let _ = job.report_tx.send(report);
-    }
+    let _ = payload.report_tx.send(report);
     shared.stats.dead_lettered.fetch_add(1, Ordering::SeqCst);
 }
 
-/// Queues a job on the live slot with the shortest queue.
-fn enqueue_job(shared: &Arc<Shared>, st: &mut CoordState, job: RemoteJob) {
+/// Appends a job to the dispatch queue.
+fn enqueue(shared: &Arc<Shared>, st: &mut CoordState, job: JobId) {
     trace::enqueue(shared.queue_trace);
-    let target = st
-        .slots
-        .iter()
-        .enumerate()
-        .filter(|(_, s)| s.child.is_some() && !s.exiting)
-        .min_by_key(|(_, s)| s.queue.len())
-        .map(|(i, _)| i)
-        .unwrap_or(0);
-    st.slots[target].queue.push_back(job);
-    st.backlog += 1;
+    st.pending.push_back(job);
 }
 
-/// Gives every idle, ready worker a job — from its own queue first,
-/// else stolen from the longest peer queue.
+/// Gives every idle, ready worker the oldest queued job.
 fn pump(shared: &Arc<Shared>, st: &mut CoordState) {
     for i in 0..st.slots.len() {
-        loop {
-            let slot = &st.slots[i];
-            if slot.child.is_none() || !slot.ready || slot.exiting || slot.busy.is_some() {
-                break;
-            }
-            let job = match st.slots[i].queue.pop_front() {
-                Some(job) => job,
-                None => {
-                    let victim = st
-                        .slots
-                        .iter()
-                        .enumerate()
-                        .filter(|(j, _)| *j != i)
-                        .max_by_key(|(_, s)| s.queue.len())
-                        .filter(|(_, s)| !s.queue.is_empty())
-                        .map(|(j, _)| j);
-                    match victim {
-                        Some(j) => {
-                            shared.stats.steals.fetch_add(1, Ordering::SeqCst);
-                            observe::count("broker.remote_steals", 1);
-                            match st.slots[j].queue.pop_back() {
-                                Some(job) => job,
-                                None => break,
-                            }
-                        }
-                        None => break,
-                    }
-                }
-            };
-            st.backlog -= 1;
-            trace::dequeue(shared.queue_trace);
-            if !dispatch(shared, st, i, job) {
-                break;
-            }
-        }
+        while st.slots[i].idle() && dispatch(shared, st, i) {}
     }
 }
 
-/// Writes a dispatch frame to slot `i` and registers the lease.
-/// Returns `false` when the worker's pipe was broken (the job is
-/// requeued and the worker left for the supervisor to recycle).
-fn dispatch(shared: &Arc<Shared>, st: &mut CoordState, i: usize, job: RemoteJob) -> bool {
-    let generation = st.slots[i].generation;
+/// Sends the job at the head of the queue to idle slot `i` and grants
+/// the lease. Returns `false` when there is nothing to send, or the
+/// worker's connection was broken (the job stays at the head of the
+/// queue, and the worker is left for the supervisor to recycle or its
+/// session to resume).
+fn dispatch(shared: &Arc<Shared>, st: &mut CoordState, i: usize) -> bool {
+    let Some(&job) = st.pending.front() else {
+        return false;
+    };
+    let Some(record) = st.table.get(job) else {
+        // A stale ticket: a straggler's report settled the job while
+        // its next delivery was still queued.
+        st.pending.pop_front();
+        return true;
+    };
+    let owner = st.owner(i);
     let pid = st.slots[i].pid;
+    let spec = &record.payload.spec;
     let message = Message::Dispatch {
-        job: job.job_id,
-        delivery: u64::from(job.delivery),
-        generation,
-        name: job.spec.name.clone(),
-        kind: job.spec.kind.clone(),
-        payload: job.spec.payload.clone(),
-        timeout_ms: job.spec.timeout.map_or(0, |t| t.as_millis() as u64),
+        job,
+        delivery: u64::from(record.delivery),
+        generation: owner.generation,
+        name: spec.name.clone(),
+        kind: spec.kind.clone(),
+        payload: spec.payload.clone(),
+        timeout_ms: spec.timeout.map_or(0, |t| t.as_millis() as u64),
     };
     let written = match st.slots[i].writer.as_mut() {
         Some(writer) => writer
@@ -1566,57 +1387,44 @@ fn dispatch(shared: &Arc<Shared>, st: &mut CoordState, i: usize, job: RemoteJob)
         None => false,
     };
     if !written {
-        st.slots[i].queue.push_front(job);
-        st.backlog += 1;
         if shared.transport.joins() {
             // The connection broke, not (necessarily) the process:
             // drop it and let the session resume on redial.
-            if st.slots[i].writer.take().is_some() {
-                st.slots[i].ready = false;
-                shared.stats.partitions.fetch_add(1, Ordering::SeqCst);
-                observe::count("broker.remote_partitions", 1);
-            }
+            mark_partitioned(shared, &mut st.slots[i]);
         } else if let Some(child) = st.slots[i].child.as_mut() {
             let _ = child.kill(); // supervisor reaps and respawns
         }
         return false;
     }
+    st.pending.pop_front();
+    trace::dequeue(shared.queue_trace);
+    let now = Instant::now();
+    let Some(record) = st.table.grant(job, owner, now) else {
+        return true; // unreachable: queued jobs hold no lease
+    };
+    st.slots[i].busy = Some(job);
     observe::count("broker.remote_dispatches", 1);
     observe::observe_us(
         "broker.remote_queue_latency_us",
-        job.first_enqueued.elapsed().as_micros() as u64,
+        now.duration_since(record.submitted).as_micros() as u64,
     );
-    trace::lease_grant(job.trace_id);
-    trace::remote_dispatch(job.trace_id);
+    trace::lease_grant(record.payload.trace_id);
+    trace::remote_dispatch(record.payload.trace_id);
     emit(
         shared,
         RemoteEvent::Dispatched {
-            task: job.spec.name.clone(),
-            delivery: job.delivery,
-            generation,
+            task: record.name.clone(),
+            delivery: record.delivery,
+            generation: owner.generation,
             pid,
         },
     );
     let chaos_kill = shared.config.fault.as_ref().is_some_and(|injector| {
         matches!(
-            injector.take_worker_fault(&job.spec.name, job.delivery),
+            injector.take_worker_fault(&record.name, record.delivery),
             Some(Fault::WorkerKill)
         )
     });
-    let deadline = job
-        .spec
-        .timeout
-        .map(|t| Instant::now() + t + shared.config.supervisor.grace);
-    let job_id = job.job_id;
-    st.slots[i].busy = Some(job_id);
-    st.leases.insert(
-        job_id,
-        RemoteLease {
-            job,
-            deadline,
-            granted: Instant::now(),
-        },
-    );
     if chaos_kill {
         shared.stats.chaos_kills.fetch_add(1, Ordering::SeqCst);
         observe::count("broker.remote_kills", 1);
@@ -1627,20 +1435,13 @@ fn dispatch(shared: &Arc<Shared>, st: &mut CoordState, i: usize, job: RemoteJob)
     true
 }
 
-/// Drops every queued job and live lease without a report (handles
+/// Drops every queued and in-flight job without a report (handles
 /// synthesize "scheduler dropped task"). Returns the queued count.
 fn discard_pending(shared: &Arc<Shared>, st: &mut CoordState) -> u64 {
-    let mut discarded = 0u64;
-    for slot in &mut st.slots {
-        while let Some(job) = slot.queue.pop_front() {
-            discarded += 1;
-            drop(job);
-        }
-    }
-    st.backlog = 0;
-    for (_, lease) in st.leases.drain() {
-        drop(lease);
-    }
+    let CoordState { pending, table, .. } = st;
+    let discarded = pending.drain(..).filter(|&job| table.get(job).is_some());
+    let discarded = discarded.count() as u64;
+    table.discard_all();
     shared.stats.dropped.fetch_add(discarded, Ordering::SeqCst);
     discarded
 }
@@ -1674,6 +1475,7 @@ fn supervise_loop(shared: &Arc<Shared>) {
 fn tick(shared: &Arc<Shared>, st: &mut CoordState) {
     let now = Instant::now();
     let stale_after = shared.config.supervisor.remote_stale_after();
+    let expired = st.table.expired(now);
     for i in 0..st.slots.len() {
         let exited = match st.slots[i].child.as_mut() {
             Some(child) => matches!(child.try_wait(), Ok(Some(_))),
@@ -1681,99 +1483,64 @@ fn tick(shared: &Arc<Shared>, st: &mut CoordState) {
         };
         if exited {
             // try_wait() already reaped the PID; drop the handle.
-            let was_exiting = st.slots[i].exiting;
             st.slots[i].child = None;
-            st.slots[i].writer = None;
-            st.slots[i].ready = false;
-            let busy = st.slots[i].busy.take();
-            if let Some(job_id) = busy {
-                if let Some(lease) = st.leases.remove(&job_id) {
-                    recover_lease(shared, st, lease, "worker-died");
-                }
-            }
-            if !was_exiting && !st.abandoned {
-                respawn_slot(shared, st, i);
-            }
+            let respawn = !st.slots[i].exiting;
+            worker_gone(shared, st, i, Cause::ProcessLost("worker-died"), respawn);
             continue;
         }
         let slot = &st.slots[i];
         if slot.child.is_none() || !slot.ready || slot.exiting {
             continue;
         }
-        let lease_expired = slot.busy.is_some_and(|job_id| {
-            st.leases
-                .get(&job_id)
-                .and_then(|lease| lease.deadline)
-                .is_some_and(|deadline| now >= deadline)
-        });
-        let heartbeat_lost = now.duration_since(slot.last_seen) >= stale_after;
-        if lease_expired {
-            recycle_slot(shared, st, i, "lease-expired");
-        } else if heartbeat_lost {
-            recycle_slot(shared, st, i, "heartbeat-lost");
+        if slot.busy.is_some_and(|job| expired.contains(&job)) {
+            recycle_slot(shared, st, i, Cause::LeaseExpired);
+        } else if now.duration_since(slot.last_seen) >= stale_after {
+            recycle_slot(shared, st, i, Cause::ProcessLost("heartbeat-lost"));
         }
     }
-    if !st.abandoned && st.backlog > 0 && st.slots.iter().all(|s| s.child.is_none()) {
+    if !st.abandoned && !st.pending.is_empty() && st.slots.iter().all(|s| s.child.is_none()) {
         // Every spawn has failed: fail queued work fast instead of
         // letting submitters hang forever.
-        let mut stranded = Vec::new();
-        for slot in &mut st.slots {
-            while let Some(job) = slot.queue.pop_front() {
-                stranded.push(job);
-            }
-        }
-        st.backlog = 0;
-        for job in stranded {
-            dead_letter(shared, st, job, "no-workers");
-        }
+        fail_everything(shared, st, Cause::NoWorkers, now);
     }
     // Loud degradation: work is pending but no worker is reachable
     // (children may be alive yet disconnected — a total partition).
     // Past the deadline, fail everything queued *and* in flight
     // rather than hanging silently.
-    let pending = st.backlog > 0 || !st.leases.is_empty();
     let any_ready = st
         .slots
         .iter()
         .any(|s| s.child.is_some() && s.ready && !s.exiting);
-    if !st.abandoned && pending && !any_ready {
+    if !st.abandoned && !st.table.is_empty() && !any_ready {
         let since = *st.unreachable_since.get_or_insert(now);
-        if now.duration_since(since) >= shared.config.unreachable_deadline {
+        let deadline = shared.config.unreachable_deadline;
+        if now.duration_since(since) >= deadline {
             eprintln!(
-                "simart-tasks: no remote worker reachable for {:?} with {} queued and {} \
+                "simart-tasks: no remote worker reachable for {deadline:?} with {} queued and {} \
                  in-flight jobs; failing them (workers-unreachable)",
-                shared.config.unreachable_deadline,
-                st.backlog,
-                st.leases.len()
+                st.pending.len(),
+                st.table.in_flight()
             );
-            let mut stranded = Vec::new();
-            for slot in &mut st.slots {
-                slot.busy = None;
-                while let Some(job) = slot.queue.pop_front() {
-                    stranded.push(job);
-                }
-            }
-            st.backlog = 0;
-            let in_flight: Vec<u64> = st.leases.keys().copied().collect();
-            for job_id in in_flight {
-                if let Some(mut lease) = st.leases.remove(&job_id) {
-                    trace::lease_revoke(lease.job.trace_id);
-                    lease.job.lease_events.push(format!(
-                        "delivery:{}:workers-unreachable",
-                        lease.job.delivery
-                    ));
-                    stranded.push(lease.job);
-                }
-            }
-            for job in stranded {
-                dead_letter(shared, st, job, "workers-unreachable");
-            }
+            fail_everything(shared, st, Cause::WorkersUnreachable(deadline), now);
             st.unreachable_since = None;
         }
     } else {
         st.unreachable_since = None;
     }
     pump(shared, st);
+}
+
+/// Dead-letters every queued and in-flight job with `cause`.
+fn fail_everything(shared: &Arc<Shared>, st: &mut CoordState, cause: Cause, now: Instant) {
+    st.pending.clear();
+    for slot in &mut st.slots {
+        if let Some(record) = slot.busy.take().and_then(|job| st.table.get(job)) {
+            trace::lease_revoke(record.payload.trace_id);
+        }
+    }
+    for settled in st.table.fail_all(cause, now) {
+        deliver_dead_letter(shared, settled, cause);
+    }
 }
 
 // ---------------------------------------------------------------------------
@@ -1850,6 +1617,7 @@ impl fmt::Debug for HandlerRegistry {
     }
 }
 
+/// Reads whole messages off a byte stream.
 struct WireReader {
     decoder: FrameDecoder,
     buf: [u8; 8192],
@@ -1863,18 +1631,18 @@ impl WireReader {
         }
     }
 
-    /// `Ok(None)` on EOF, `Err(())` on a corrupt stream.
-    fn next(&mut self, input: &mut impl Read) -> Result<Option<Message>, ()> {
+    /// `Ok(None)` once the stream ends (EOF or a read error — either
+    /// way the peer is gone), `Err(why)` on a corrupt frame.
+    fn next(&mut self, input: &mut impl Read) -> Result<Option<Message>, String> {
         loop {
-            match self.decoder.next_frame() {
-                Ok(Some(payload)) => return Message::decode(&payload).map(Some).map_err(|_| ()),
-                Err(_) => return Err(()),
-                Ok(None) => {}
+            if let Some(payload) = self.decoder.next_frame().map_err(|e| e.to_string())? {
+                return Message::decode(&payload)
+                    .map(Some)
+                    .map_err(|e| e.to_string());
             }
             match input.read(&mut self.buf) {
-                Ok(0) => return Ok(None),
+                Ok(0) | Err(_) => return Ok(None),
                 Ok(n) => self.decoder.feed(&self.buf[..n]),
-                Err(_) => return Err(()),
             }
         }
     }
@@ -1886,66 +1654,83 @@ fn send_frame<W: Write>(out: &Mutex<W>, message: &Message) -> std::io::Result<()
     out.flush()
 }
 
-/// Runs the worker side of the protocol on this process's
-/// stdin/stdout until the coordinator drains it or goes away.
-/// Returns the process exit code: `0` for a graceful end (drain or
-/// coordinator EOF), non-zero for a corrupt stream or handshake
-/// failure.
-///
-/// The worker says [`Message::Hello`], waits for the
-/// [`Message::HelloAck`] carrying its generation and heartbeat
-/// cadence, then loops: heartbeats from a background thread, one
-/// [`Message::TaskResult`] per [`Message::Dispatch`] (handler panics
-/// are contained and reported as errors), and a [`Message::Bye`] in
-/// answer to [`Message::Drain`].
-///
-/// Nothing else in the process may write to stdout — the byte stream
-/// *is* the protocol.
-pub fn worker_main(registry: &HandlerRegistry) -> i32 {
-    let stdout = Arc::new(Mutex::new(std::io::stdout()));
+/// How one connection's worth of the worker protocol ended.
+enum SessionEnd {
+    /// The coordinator drained us.
+    Drained,
+    /// The stream ended cleanly (coordinator gone, or connection cut).
+    Eof,
+    /// The stream carried garbage (or the wrong message mid-handshake).
+    Corrupt,
+    /// A frame could not be written.
+    WriteFailed,
+}
+
+/// The worker side of the protocol over one connection, whatever
+/// carries it: say [`Message::Hello`], wait for the
+/// [`Message::HelloAck`] carrying our generation and heartbeat cadence
+/// (then call `on_handshake`), re-send a result a previous connection
+/// failed to deliver, and loop — heartbeats from a background thread,
+/// one [`Message::TaskResult`] per [`Message::Dispatch`] (handler
+/// panics are contained and reported as errors), a [`Message::Bye`] in
+/// answer to [`Message::Drain`]. A result that cannot be written is
+/// left in `unsent`. The flag returned with the end says whether the
+/// handshake completed.
+fn run_session<W: Write + Send + 'static>(
+    registry: &HandlerRegistry,
+    input: &mut impl Read,
+    out: &Arc<Mutex<W>>,
+    session: u64,
+    unsent: &mut Option<Message>,
+    on_handshake: impl FnOnce(),
+) -> (SessionEnd, bool) {
     let pid = u64::from(std::process::id());
-    if send_frame(
-        &stdout,
-        &Message::Hello {
-            protocol: PROTOCOL_VERSION,
-            pid,
-            session: 0, // pipes have no reconnect, hence no session
-        },
-    )
-    .is_err()
-    {
-        return 1;
+    let hello = Message::Hello {
+        protocol: PROTOCOL_VERSION,
+        pid,
+        session,
+    };
+    if send_frame(out, &hello).is_err() {
+        return (SessionEnd::WriteFailed, false);
     }
-    let mut stdin = std::io::stdin();
-    let mut reader = WireReader::new();
-    let (generation, heartbeat_ms) = match reader.next(&mut stdin) {
+    let mut wire = WireReader::new();
+    let (generation, heartbeat_ms) = match wire.next(input) {
         Ok(Some(Message::HelloAck {
             generation,
             heartbeat_ms,
             ..
         })) => (generation, heartbeat_ms),
-        Ok(None) => return 0, // coordinator vanished before the handshake
-        _ => return 2,
+        Ok(None) => return (SessionEnd::Eof, false),
+        _ => return (SessionEnd::Corrupt, false),
     };
+    on_handshake();
+    if let Some(reply) = unsent.as_ref() {
+        if send_frame(out, reply).is_err() {
+            return (SessionEnd::WriteFailed, true);
+        }
+    }
+    *unsent = None;
     let busy = Arc::new(AtomicU64::new(0));
+    let stop = Arc::new(AtomicBool::new(false));
     {
-        let stdout = Arc::clone(&stdout);
+        let out = Arc::clone(out);
         let busy = Arc::clone(&busy);
+        let stop = Arc::clone(&stop);
         std::thread::spawn(move || loop {
             std::thread::sleep(Duration::from_millis(heartbeat_ms.max(1)));
             let beat = Message::Heartbeat {
                 pid,
                 busy: busy.load(Ordering::SeqCst),
             };
-            if send_frame(&stdout, &beat).is_err() {
-                return; // coordinator gone; main loop sees EOF
+            if stop.load(Ordering::SeqCst) || send_frame(&out, &beat).is_err() {
+                return; // session over, or connection gone (main loop sees EOF)
             }
         });
     }
-    loop {
-        match reader.next(&mut stdin) {
-            Ok(None) => return 0,
-            Err(()) => return 2,
+    let end = loop {
+        match wire.next(input) {
+            Ok(None) => break SessionEnd::Eof,
+            Err(_) => break SessionEnd::Corrupt,
             Ok(Some(Message::Dispatch {
                 job,
                 delivery,
@@ -1963,8 +1748,7 @@ pub fn worker_main(registry: &HandlerRegistry) -> i32 {
                     delivery: delivery as u32,
                     generation,
                 };
-                let result = registry.run(&work);
-                let (ok, output, error) = match result {
+                let (ok, output, error) = match registry.run(&work) {
                     Ok(output) => (true, output, String::new()),
                     Err(error) => (false, String::new(), error),
                 };
@@ -1976,21 +1760,49 @@ pub fn worker_main(registry: &HandlerRegistry) -> i32 {
                     output,
                     error,
                 };
-                let sent = send_frame(&stdout, &reply);
+                let sent = send_frame(out, &reply);
                 // Only report idle once the result is on the wire: an
                 // idle heartbeat overtaking the result would read as a
                 // lost dispatch to the coordinator.
                 busy.store(0, Ordering::SeqCst);
                 if sent.is_err() {
-                    return 1;
+                    *unsent = Some(reply);
+                    break SessionEnd::WriteFailed;
                 }
             }
             Ok(Some(Message::Drain)) => {
-                let _ = send_frame(&stdout, &Message::Bye { pid });
-                return 0;
+                let _ = send_frame(out, &Message::Bye { pid });
+                break SessionEnd::Drained;
             }
             Ok(Some(_)) => {}
         }
+    };
+    stop.store(true, Ordering::SeqCst);
+    (end, true)
+}
+
+/// Runs the worker side of the protocol on this process's
+/// stdin/stdout until the coordinator drains it or goes away.
+/// Returns the process exit code: `0` for a graceful end (drain or
+/// coordinator EOF), non-zero for a corrupt stream or a write failure.
+///
+/// Nothing else in the process may write to stdout — the byte stream
+/// *is* the protocol.
+pub fn worker_main(registry: &HandlerRegistry) -> i32 {
+    let stdout = Arc::new(Mutex::new(std::io::stdout()));
+    // Pipes have no reconnect, hence no session and nothing to resume.
+    let session = run_session(
+        registry,
+        &mut std::io::stdin(),
+        &stdout,
+        0,
+        &mut None,
+        || {},
+    );
+    match session.0 {
+        SessionEnd::Drained | SessionEnd::Eof => 0,
+        SessionEnd::WriteFailed => 1,
+        SessionEnd::Corrupt => 2,
     }
 }
 
@@ -1998,20 +1810,13 @@ pub fn worker_main(registry: &HandlerRegistry) -> i32 {
 /// worker tolerates before giving up and exiting.
 const MAX_DIAL_FAILURES: u32 = 8;
 
-enum SessionEnd {
-    /// The coordinator drained us: exit gracefully.
-    Drained,
-    /// The connection died. `handshook` distinguishes a session that
-    /// was live (reset the failure budget and redial immediately)
-    /// from a dial that never completed the handshake (burn budget).
-    Lost { handshook: bool },
-}
-
 /// Runs the worker side of the protocol over TCP: dials `addr`,
 /// presents the session token from [`WORKER_SESSION_ENV`] in its
 /// [`Message::Hello`], and — because over TCP the *connection* can die
 /// while the process lives — redials with capped exponential backoff
-/// on any connection loss, resuming the same session. A
+/// on any connection loss, resuming the same session. EOF *and*
+/// corrupt streams end the connection, not the process:
+/// chaos-corrupted coordinator frames are healed by a reconnect. A
 /// [`Message::TaskResult`] the dead connection failed to carry is
 /// re-sent first on the new one; the coordinator's first-report-wins
 /// dedup makes any duplicate harmless.
@@ -2027,7 +1832,7 @@ pub fn worker_main_connect(registry: &HandlerRegistry, addr: &str) -> i32 {
     let backoff = RetryPolicy::exponential(Duration::from_millis(20))
         .cap(Duration::from_millis(400))
         .max_attempts(MAX_DIAL_FAILURES + 1);
-    let mut pending: Option<Message> = None;
+    let mut unsent: Option<Message> = None;
     let mut failures = 0u32;
     loop {
         if failures >= MAX_DIAL_FAILURES {
@@ -2040,142 +1845,37 @@ pub fn worker_main_connect(registry: &HandlerRegistry, addr: &str) -> i32 {
         // delay_before(1) is zero: the first dial (and the redial
         // right after a live session drops) is immediate.
         std::thread::sleep(backoff.delay_before(failures + 1));
-        let stream = match TcpStream::connect(addr) {
-            Ok(stream) => stream,
-            Err(_) => {
-                failures += 1;
-                continue;
-            }
+        let connection = TcpStream::connect(addr).and_then(|stream| {
+            let _ = stream.set_nodelay(true);
+            Ok((stream.try_clone()?, stream.try_clone()?, stream))
+        });
+        let Ok((writer, mut input, stream)) = connection else {
+            failures += 1;
+            continue;
         };
-        let _ = stream.set_nodelay(true);
-        match run_connected_session(registry, &stream, session, &mut pending) {
-            SessionEnd::Drained => return 0,
-            SessionEnd::Lost { handshook: true } => failures = 1,
-            SessionEnd::Lost { handshook: false } => failures += 1,
+        // Handshake under a read timeout: a HelloAck lost to a chaos
+        // partition must not wedge the worker forever.
+        let _ = stream.set_read_timeout(Some(Duration::from_secs(2)));
+        let (end, handshook) = run_session(
+            registry,
+            &mut input,
+            &Arc::new(Mutex::new(writer)),
+            session,
+            &mut unsent,
+            || {
+                let _ = stream.set_read_timeout(None);
+            },
+        );
+        let _ = stream.shutdown(std::net::Shutdown::Both);
+        match (end, handshook) {
+            (SessionEnd::Drained, _) => return 0,
+            // A session that was live resets the failure budget and
+            // redials immediately; a dial that never completed the
+            // handshake burns budget.
+            (_, true) => failures = 1,
+            (_, false) => failures += 1,
         }
     }
-}
-
-/// One connection's worth of the TCP worker protocol; see
-/// [`worker_main_connect`]. `pending` carries an unsent result across
-/// connections.
-fn run_connected_session(
-    registry: &HandlerRegistry,
-    stream: &TcpStream,
-    session: u64,
-    pending: &mut Option<Message>,
-) -> SessionEnd {
-    let pid = u64::from(std::process::id());
-    let (writer, mut input) = match (stream.try_clone(), stream.try_clone()) {
-        (Ok(writer), Ok(input)) => (Arc::new(Mutex::new(writer)), input),
-        _ => return SessionEnd::Lost { handshook: false },
-    };
-    let hello = Message::Hello {
-        protocol: PROTOCOL_VERSION,
-        pid,
-        session,
-    };
-    if send_frame(&writer, &hello).is_err() {
-        return SessionEnd::Lost { handshook: false };
-    }
-    // Handshake under a read timeout: a HelloAck lost to a chaos
-    // partition must not wedge the worker forever.
-    let _ = stream.set_read_timeout(Some(Duration::from_secs(2)));
-    let mut reader = WireReader::new();
-    let (generation, heartbeat_ms) = match reader.next(&mut input) {
-        Ok(Some(Message::HelloAck {
-            generation,
-            heartbeat_ms,
-            ..
-        })) => (generation, heartbeat_ms),
-        _ => return SessionEnd::Lost { handshook: false },
-    };
-    let _ = stream.set_read_timeout(None);
-    // Resume: re-send the result the previous connection failed to
-    // deliver before taking new work.
-    if let Some(reply) = pending.as_ref() {
-        if send_frame(&writer, reply).is_err() {
-            return SessionEnd::Lost { handshook: true };
-        }
-    }
-    *pending = None;
-    let busy = Arc::new(AtomicU64::new(0));
-    let stop = Arc::new(AtomicBool::new(false));
-    let heartbeats = {
-        let writer = Arc::clone(&writer);
-        let busy = Arc::clone(&busy);
-        let stop = Arc::clone(&stop);
-        std::thread::spawn(move || loop {
-            std::thread::sleep(Duration::from_millis(heartbeat_ms.max(1)));
-            if stop.load(Ordering::SeqCst) {
-                return;
-            }
-            let beat = Message::Heartbeat {
-                pid,
-                busy: busy.load(Ordering::SeqCst),
-            };
-            if send_frame(&writer, &beat).is_err() {
-                return; // connection gone; main loop sees EOF
-            }
-        })
-    };
-    let end = loop {
-        match reader.next(&mut input) {
-            // EOF *and* corrupt streams end the connection, not the
-            // process: chaos-corrupted coordinator frames are healed
-            // by a reconnect.
-            Ok(None) | Err(()) => break SessionEnd::Lost { handshook: true },
-            Ok(Some(Message::Dispatch {
-                job,
-                delivery,
-                name,
-                kind,
-                payload,
-                ..
-            })) => {
-                busy.store(job, Ordering::SeqCst);
-                let work = WorkerJob {
-                    job,
-                    name,
-                    kind,
-                    payload,
-                    delivery: delivery as u32,
-                    generation,
-                };
-                let result = registry.run(&work);
-                let (ok, output, error) = match result {
-                    Ok(output) => (true, output, String::new()),
-                    Err(error) => (false, String::new(), error),
-                };
-                let reply = Message::TaskResult {
-                    job,
-                    delivery,
-                    generation,
-                    ok,
-                    output,
-                    error,
-                };
-                let sent = send_frame(&writer, &reply);
-                // Only report idle once the result is on the wire: an
-                // idle heartbeat overtaking the result would read as a
-                // lost dispatch to the coordinator.
-                busy.store(0, Ordering::SeqCst);
-                if sent.is_err() {
-                    *pending = Some(reply);
-                    break SessionEnd::Lost { handshook: true };
-                }
-            }
-            Ok(Some(Message::Drain)) => {
-                let _ = send_frame(&writer, &Message::Bye { pid });
-                break SessionEnd::Drained;
-            }
-            Ok(Some(_)) => {}
-        }
-    };
-    stop.store(true, Ordering::SeqCst);
-    let _ = stream.shutdown(std::net::Shutdown::Both);
-    let _ = heartbeats.join();
-    end
 }
 
 #[cfg(test)]

@@ -1,19 +1,18 @@
-//! Supervision policy for the broker scheduler.
+//! Supervision policy shared by the broker and remote schedulers.
 //!
-//! The broker (see [`BrokerScheduler`](crate::BrokerScheduler)) pairs
-//! every dequeued job with a *lease* — a deadline of the task's timeout
-//! plus a grace period — and runs a supervisor thread that ticks on a
-//! heartbeat. Each tick the supervisor reaps finished detached worker
-//! threads, respawns workers that died holding a lease, and recovers
-//! expired leases by redelivering the task (up to a cap) or
-//! dead-lettering it. [`SupervisorConfig`] is the knob set for that
-//! loop; the defaults reproduce the classic watchdog semantics (no
-//! redelivery, timeouts reported as timed-out) so supervision is
-//! strictly opt-in per scheduler instance.
+//! Both pair every delivery with a *lease* — a deadline of the task's
+//! timeout plus a grace period — and run a supervisor that ticks on a
+//! heartbeat, replaces workers that died or wedged, and recovers their
+//! leases by redelivering the task (up to a cap) or dead-lettering it
+//! (the crate-private `lease` module is that contract).
+//! [`SupervisorConfig`] is the knob set; the defaults reproduce the
+//! classic watchdog semantics (no redelivery, timeouts reported as
+//! timed-out) so redelivery is strictly opt-in per scheduler instance.
 
 use std::time::Duration;
 
-/// Tuning for the broker's supervisor thread.
+/// Tuning for a scheduler's supervisor ([`BrokerScheduler`](crate::BrokerScheduler),
+/// [`RemoteScheduler`](crate::RemoteScheduler)).
 ///
 /// Construct with [`SupervisorConfig::default`] and override fields as
 /// needed:

@@ -322,6 +322,42 @@ fn idle_workers_steal_from_busy_peers() {
     remote.shutdown();
 }
 
+/// A worker that stops answering (SIGSTOP: alive, but silent) is
+/// declared wedged once its heartbeats go stale — SIGKILLed, reaped,
+/// respawned — and the task it held is redelivered.
+fn stalled_worker_is_recycled_on_heartbeat_loss() {
+    let remote = RemoteScheduler::with_config(worker_cmd(), 1, config(1)).unwrap();
+    let stalled = remote.worker_pids()[0];
+    let handle = remote
+        .submit(RemoteTaskSpec::new("stalls", "sleep-ms", "300"))
+        .unwrap();
+    let deadline = Instant::now() + Duration::from_secs(10);
+    while remote.stats().in_flight == 0 && Instant::now() < deadline {
+        std::thread::sleep(Duration::from_millis(2));
+    }
+    let stopped = std::process::Command::new("kill")
+        .args(["-STOP", &stalled.to_string()])
+        .status()
+        .expect("run kill(1)");
+    assert!(stopped.success(), "kill -STOP {stalled}");
+    let report = handle.wait();
+    assert_eq!(
+        report.state,
+        TaskState::Succeeded,
+        "error: {:?}",
+        report.error
+    );
+    assert_eq!(report.redeliveries, 1);
+    assert_eq!(
+        report.lease_events,
+        vec!["delivery:1:heartbeat-lost".to_owned()]
+    );
+    assert!(remote.stats().respawns >= 1, "stalled worker was replaced");
+    assert!(!remote.worker_pids().contains(&stalled));
+    remote.shutdown();
+    assert_reaped(stalled);
+}
+
 fn main() {
     if std::env::var_os("SIMART_REMOTE_WORKER").is_some() {
         std::process::exit(worker_main(&registry()));
@@ -347,6 +383,10 @@ fn main() {
         (
             "idle_workers_steal_from_busy_peers",
             idle_workers_steal_from_busy_peers,
+        ),
+        (
+            "stalled_worker_is_recycled_on_heartbeat_loss",
+            stalled_worker_is_recycled_on_heartbeat_loss,
         ),
     ];
     for (name, test) in tests {
