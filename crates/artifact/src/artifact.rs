@@ -3,7 +3,6 @@
 use crate::error::ArtifactError;
 use crate::hash::{Digest, Md5};
 use crate::uuid::Uuid;
-use serde::{Deserialize, Serialize};
 use std::fmt;
 
 /// The role an artifact plays in an experiment.
@@ -11,7 +10,7 @@ use std::fmt;
 /// Mirrors the free-form `typ` string of the paper's framework, but as a
 /// closed enum so experiment code cannot typo a category. [`ArtifactKind::Other`]
 /// remains for extensions.
-#[derive(Debug, Clone, PartialEq, Eq, Hash, Serialize, Deserialize)]
+#[derive(Debug, Clone, PartialEq, Eq, Hash)]
 #[non_exhaustive]
 pub enum ArtifactKind {
     /// A source-code repository (identified by git URL + revision).
@@ -54,7 +53,7 @@ impl fmt::Display for ArtifactKind {
 }
 
 /// Git provenance recorded for repository-backed artifacts.
-#[derive(Debug, Clone, PartialEq, Eq, Hash, Serialize, Deserialize)]
+#[derive(Debug, Clone, PartialEq, Eq, Hash)]
 pub struct GitInfo {
     /// Upstream repository URL.
     pub url: String,
@@ -68,7 +67,7 @@ pub struct GitInfo {
 /// revision for repositories. In this reproduction content is usually
 /// synthetic, so inline bytes are the common case; git sources record
 /// URL + revision exactly like the paper.
-#[derive(Debug, Clone, PartialEq, Eq, Serialize, Deserialize)]
+#[derive(Debug, Clone, PartialEq, Eq)]
 pub enum ContentSource {
     /// Inline content bytes (hashed with MD5).
     Bytes(Vec<u8>),
@@ -133,7 +132,7 @@ impl ContentSource {
 /// Carries the user-supplied reproduction metadata from the paper's
 /// `registerArtifact` call (command, cwd, path, documentation, inputs)
 /// plus the generated identity attributes (UUID, MD5 hash, git info).
-#[derive(Debug, Clone, PartialEq, Serialize, Deserialize)]
+#[derive(Debug, Clone, PartialEq)]
 pub struct Artifact {
     id: Uuid,
     name: String,

@@ -93,19 +93,6 @@ impl fmt::Debug for Uuid {
     }
 }
 
-impl serde::Serialize for Uuid {
-    fn serialize<S: serde::Serializer>(&self, serializer: S) -> Result<S::Ok, S::Error> {
-        serializer.serialize_str(&self.to_string())
-    }
-}
-
-impl<'de> serde::Deserialize<'de> for Uuid {
-    fn deserialize<D: serde::Deserializer<'de>>(deserializer: D) -> Result<Self, D::Error> {
-        let s = String::deserialize(deserializer)?;
-        s.parse().map_err(serde::de::Error::custom)
-    }
-}
-
 /// Error returned when parsing a malformed UUID string.
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
 pub struct ParseUuidError;

@@ -9,7 +9,7 @@
 //! The query half makes the same kind of claim for secondary indexes:
 //! an indexed point lookup resolves through a hash probe — O(log n) in
 //! practice, flat for any campaign you can store — while a filter over
-//! an unindexed path scans every shard, O(n). Both are measured on the
+//! an unindexed path scans every document, O(n). Both are measured on the
 //! same documents at 1k and 100k so the planner's benefit is a number
 //! too. Built with `--features observe`, the bench also proves the
 //! planner took the index route by reading the
@@ -146,7 +146,7 @@ fn measure_point_lookup(db: &Database, docs: usize) -> Duration {
 }
 
 /// Best-of-`REPEATS` cost of a filter over an unindexed path — the
-/// planner finds no probe and falls back to a full shard scan.
+/// planner finds no probe and falls back to a full collection scan.
 fn measure_scan(db: &Database, docs: usize) -> Duration {
     let runs = db.collection("runs");
     let mut best = Duration::MAX;

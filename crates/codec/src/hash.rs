@@ -41,8 +41,7 @@ pub fn crc32_extend(crc: u32, data: &[u8]) -> u32 {
 
 /// FNV-1a 64-bit hash of a byte string: stable across platforms and
 /// releases, so it may name things that outlive a process
-/// (configuration fingerprints, checkpoint keys, shard placement,
-/// fault-stream seeds).
+/// (configuration fingerprints, checkpoint keys, fault-stream seeds).
 pub fn fnv1a(bytes: &[u8]) -> u64 {
     let mut hash: u64 = 0xcbf2_9ce4_8422_2325;
     for &b in bytes {

@@ -14,6 +14,7 @@ use crate::query::Filter;
 use crate::Value;
 use simart_artifact::{Artifact, ArtifactId, ArtifactKind, GitInfo};
 use std::str::FromStr;
+use std::sync::Arc;
 
 /// Artifact ↔ document mapping over a [`Database`].
 #[derive(Debug, Clone)]
@@ -84,7 +85,7 @@ impl ArtifactStore {
     }
 
     /// Loads the payload bytes stored with an artifact, if any.
-    pub fn load_payload(&self, id: ArtifactId) -> Option<bytes::Bytes> {
+    pub fn load_payload(&self, id: ArtifactId) -> Option<Arc<[u8]>> {
         let doc = self.collection().get(&id.to_string())?;
         let key = BlobKey::from_hex(doc.at("payload").and_then(Value::as_str)?)?;
         self.db.blobs().get(key)

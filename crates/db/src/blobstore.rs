@@ -5,7 +5,6 @@
 //! free. Keys are MD5 fingerprints of the content.
 
 use crate::journal::{self, JournalCell, JournalOp};
-use bytes::Bytes;
 use parking_lot::RwLock;
 use simart_artifact::hash::{Digest, Md5};
 use simart_observe as observe;
@@ -57,7 +56,7 @@ impl fmt::Display for BlobKey {
 /// ```
 #[derive(Debug, Clone, Default)]
 pub struct BlobStore {
-    inner: Arc<RwLock<HashMap<BlobKey, Bytes>>>,
+    inner: Arc<RwLock<HashMap<BlobKey, Arc<[u8]>>>>,
     journal: JournalCell,
 }
 
@@ -79,8 +78,7 @@ impl BlobStore {
     /// Stores content, returning its key. Identical content is stored
     /// only once; only first-time content is journaled (dedup hits
     /// change nothing).
-    pub fn put(&self, data: impl Into<Bytes>) -> BlobKey {
-        let data = data.into();
+    pub fn put(&self, data: Vec<u8>) -> BlobKey {
         let key = BlobKey::for_content(&data);
         observe::count("db.blob_puts", 1);
         match self.inner.write().entry(key) {
@@ -88,20 +86,16 @@ impl BlobStore {
                 observe::count("db.blob_dedup_hits", 1);
             }
             std::collections::hash_map::Entry::Vacant(slot) => {
-                journal::append_best_effort(
-                    &self.journal,
-                    &JournalOp::BlobPut {
-                        data: data.to_vec(),
-                    },
-                );
-                slot.insert(data);
+                let stored: Arc<[u8]> = data.as_slice().into();
+                journal::append_best_effort(&self.journal, &JournalOp::BlobPut { data });
+                slot.insert(stored);
             }
         }
         key
     }
 
     /// Fetches content by key.
-    pub fn get(&self, key: BlobKey) -> Option<Bytes> {
+    pub fn get(&self, key: BlobKey) -> Option<Arc<[u8]>> {
         self.inner.read().get(&key).cloned()
     }
 
@@ -111,7 +105,7 @@ impl BlobStore {
     }
 
     /// Removes content by key, returning it.
-    pub fn remove(&self, key: BlobKey) -> Option<Bytes> {
+    pub fn remove(&self, key: BlobKey) -> Option<Arc<[u8]>> {
         let mut inner = self.inner.write();
         if inner.contains_key(&key) {
             journal::append_best_effort(
@@ -134,7 +128,7 @@ impl BlobStore {
 
     /// Total stored bytes across all blobs.
     pub fn total_bytes(&self) -> usize {
-        self.inner.read().values().map(Bytes::len).sum()
+        self.inner.read().values().map(|data| data.len()).sum()
     }
 
     /// Snapshot of all keys, sorted for determinism.

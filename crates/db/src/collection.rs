@@ -1,11 +1,12 @@
-//! Document collections: hash-sharded storage, declared secondary
-//! indexes, and copy-on-write snapshots.
+//! Document collections: one ordered map, declared secondary indexes,
+//! and copy-on-write snapshots.
 //!
-//! A collection's documents are split across [`SHARD_COUNT`] hash
-//! shards (by `_id`), each behind its own lock, so point reads on
-//! different documents never contend. Every shard holds its map behind
-//! an [`Arc`]; [`Collection::snapshot`] clones those `Arc`s to freeze a
-//! consistent view, and writers use copy-on-write
+//! A collection's documents live in one `BTreeMap` keyed by `_id`,
+//! behind the same lock as its indexes: writers hold it for validate →
+//! journal append → apply, point reads and index probes hold it
+//! shared. The map sits behind an [`Arc`]; [`Collection::snapshot`]
+//! (and every scan) clones that `Arc` to freeze a consistent view and
+//! releases the lock, and writers use copy-on-write
 //! ([`Arc::make_mut`]) so they proceed while snapshots are held.
 //!
 //! Secondary indexes are declared with [`Collection::ensure_index`]
@@ -24,16 +25,6 @@ use std::collections::{BTreeMap, BTreeSet, HashSet};
 use std::ops::Bound;
 use std::ops::ControlFlow;
 use std::sync::Arc;
-
-/// Number of hash shards per collection. A fixed power of two keeps
-/// `_id -> shard` assignment stable across processes (shard layout is
-/// an in-memory detail, but determinism keeps iteration reproducible).
-const SHARD_COUNT: usize = 16;
-
-/// FNV-1a over the document id selects its shard.
-fn shard_of(id: &str) -> usize {
-    (simart_codec::fnv1a(id.as_bytes()) % SHARD_COUNT as u64) as usize
-}
 
 /// How a secondary index organizes its keys.
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
@@ -422,13 +413,23 @@ impl IndexSet {
 /// A consistent, immutable view of a collection's documents.
 ///
 /// Obtained from [`Collection::snapshot`]; cheap to create (clones one
-/// `Arc` per shard under a brief lock) and never blocks or observes
-/// subsequent writers, which copy-on-write their shard maps instead.
+/// `Arc` under a brief lock) and never blocks or observes subsequent
+/// writers, which copy-on-write the map instead.
 /// Reads on a snapshot record no query metrics.
 #[derive(Debug, Clone)]
 pub struct Snapshot {
     name: String,
-    shards: Vec<Arc<BTreeMap<String, Value>>>,
+    docs: Arc<BTreeMap<String, Value>>,
+}
+
+/// The documents of `docs` matching `filter`, in `_id` order (the
+/// map's own). Every scan — a [`Snapshot`]'s reads and a
+/// [`Collection`]'s unplanned queries — is this iterator.
+fn scan<'a>(
+    docs: &'a BTreeMap<String, Value>,
+    filter: &'a Filter,
+) -> impl Iterator<Item = (&'a String, &'a Value)> {
+    docs.iter().filter(move |(_, doc)| filter.matches(doc))
 }
 
 impl Snapshot {
@@ -439,17 +440,17 @@ impl Snapshot {
 
     /// Number of documents in the snapshot.
     pub fn len(&self) -> usize {
-        self.shards.iter().map(|s| s.len()).sum()
+        self.docs.len()
     }
 
     /// Whether the snapshot holds no documents.
     pub fn is_empty(&self) -> bool {
-        self.shards.iter().all(|s| s.is_empty())
+        self.docs.is_empty()
     }
 
     /// Fetches a document by `_id`.
     pub fn get(&self, id: &str) -> Option<Value> {
-        self.shards[shard_of(id)].get(id).cloned()
+        self.docs.get(id).cloned()
     }
 
     /// All documents, ordered by `_id`.
@@ -459,40 +460,19 @@ impl Snapshot {
 
     /// Documents matching `filter`, ordered by `_id`.
     pub fn find(&self, filter: &Filter) -> Vec<Value> {
-        let mut matches: Vec<(&String, &Value)> = self
-            .shards
-            .iter()
-            .flat_map(|shard| shard.iter())
-            .filter(|(_, doc)| filter.matches(doc))
-            .collect();
-        matches.sort_by(|a, b| a.0.cmp(b.0));
-        matches.into_iter().map(|(_, doc)| doc.clone()).collect()
+        scan(&self.docs, filter)
+            .map(|(_, doc)| doc.clone())
+            .collect()
     }
 
     /// The first matching document in `_id` order.
     pub fn find_one(&self, filter: &Filter) -> Option<Value> {
-        let mut best: Option<(&String, &Value)> = None;
-        for entry in self
-            .shards
-            .iter()
-            .flat_map(|shard| shard.iter())
-            .filter(|(_, doc)| filter.matches(doc))
-        {
-            match &best {
-                Some((id, _)) if *id <= entry.0 => {}
-                _ => best = Some(entry),
-            }
-        }
-        best.map(|(_, doc)| doc.clone())
+        scan(&self.docs, filter).next().map(|(_, doc)| doc.clone())
     }
 
     /// Counts matching documents.
     pub fn count(&self, filter: &Filter) -> usize {
-        self.shards
-            .iter()
-            .flat_map(|shard| shard.iter())
-            .filter(|(_, doc)| filter.matches(doc))
-            .count()
+        scan(&self.docs, filter).count()
     }
 
     /// Matching documents sorted by a field path (missing fields sort
@@ -520,11 +500,11 @@ fn sort_docs(docs: &mut [Value], sort_path: &str, order: SortOrder) {
 ///
 /// Collections are cheap `Arc` handles; clones share storage, and all
 /// operations are thread-safe (the paper's framework writes results from
-/// many concurrent simulation tasks into one database). Documents live
-/// in hash shards behind per-shard locks; declared indexes live behind
-/// one collection-wide lock that serializes writers against each other
-/// (and against index readers) while leaving point reads and held
-/// [`Snapshot`]s contention-free.
+/// many concurrent simulation tasks into one database). Documents and
+/// declared indexes live behind one collection-wide lock that
+/// serializes writers against each other (and against point reads and
+/// index probes) while leaving scans and held [`Snapshot`]s
+/// contention-free.
 ///
 /// Collections obtained from a directory-attached database
 /// ([`Database::open`](crate::Database::open)) write every mutation
@@ -537,24 +517,56 @@ fn sort_docs(docs: &mut [Value], sort_path: &str, order: SortOrder) {
 #[derive(Debug, Clone)]
 pub struct Collection {
     name: String,
-    inner: Arc<Inner>,
+    /// Writers hold this lock in write mode for the whole validate +
+    /// journal-append + apply sequence, so any holder of the read lock
+    /// sees documents and indexes mutually consistent.
+    inner: Arc<RwLock<State>>,
     journal: JournalCell,
 }
 
-#[derive(Debug)]
-struct Inner {
-    /// Hash shards; `shard_of(_id)` picks the slot. Each shard's map is
-    /// `Arc`-wrapped for copy-on-write snapshot isolation.
-    shards: Vec<RwLock<Shard>>,
-    /// Declared secondary indexes. Writers take this lock in write mode
-    /// for the whole journal-append + apply sequence, so any holder of
-    /// the read lock sees documents and indexes mutually consistent.
-    indexes: RwLock<IndexSet>,
+#[derive(Debug, Default)]
+struct State {
+    /// Every document by `_id`; `Arc`-wrapped for copy-on-write
+    /// snapshot isolation.
+    docs: Arc<BTreeMap<String, Value>>,
+    /// Declared secondary indexes.
+    indexes: IndexSet,
 }
 
-#[derive(Debug, Default)]
-struct Shard {
-    docs: Arc<BTreeMap<String, Value>>,
+impl State {
+    /// The one plan-or-scan decision, shared by reads and
+    /// `update_many`: candidate ids from an applicable index probe
+    /// (counted on `db.query_planned_index`), or `None` when the caller
+    /// has to scan (counted on `db.query_scans`).
+    fn plan(&self, filter: &Filter) -> Option<Vec<String>> {
+        let planned = planned_ids(&self.indexes, filter);
+        let counter = match planned {
+            Some(_) => "db.query_planned_index",
+            None => "db.query_scans",
+        };
+        observe::count(counter, 1);
+        planned
+    }
+}
+
+/// Walks the documents of `docs` matching `filter` in `_id` order:
+/// the `planned` candidates when there are some, a [`scan`] otherwise.
+/// The full filter is re-applied either way, so probes only need to
+/// over-approximate.
+fn walk(
+    docs: &BTreeMap<String, Value>,
+    planned: Option<Vec<String>>,
+    filter: &Filter,
+    f: &mut dyn FnMut(&str, &Value) -> ControlFlow<()>,
+) -> ControlFlow<()> {
+    match planned {
+        Some(ids) => ids
+            .iter()
+            .filter_map(|id| docs.get_key_value(id))
+            .filter(|(_, doc)| filter.matches(doc))
+            .try_for_each(|(id, doc)| f(id, doc)),
+        None => scan(docs, filter).try_for_each(|(id, doc)| f(id, doc)),
+    }
 }
 
 impl Collection {
@@ -568,12 +580,7 @@ impl Collection {
     pub(crate) fn with_journal(name: impl Into<String>, journal: JournalCell) -> Collection {
         Collection {
             name: name.into(),
-            inner: Arc::new(Inner {
-                shards: (0..SHARD_COUNT)
-                    .map(|_| RwLock::new(Shard::default()))
-                    .collect(),
-                indexes: RwLock::new(IndexSet::default()),
-            }),
+            inner: Arc::new(RwLock::new(State::default())),
             journal,
         }
     }
@@ -583,22 +590,11 @@ impl Collection {
         &self.name
     }
 
-    /// Captures one `Arc` per shard. Callers hold the index lock (read
-    /// or write) across the captures so the view is a consistent cut.
-    fn capture_shards(&self) -> Vec<Arc<BTreeMap<String, Value>>> {
-        self.inner
-            .shards
-            .iter()
-            .map(|shard| Arc::clone(&shard.read().docs))
-            .collect()
-    }
-
     /// A consistent copy-on-write snapshot of the collection.
     pub fn snapshot(&self) -> Snapshot {
-        let _indexes = self.inner.indexes.read();
         Snapshot {
             name: self.name.clone(),
-            shards: self.capture_shards(),
+            docs: Arc::clone(&self.inner.read().docs),
         }
     }
 
@@ -614,8 +610,8 @@ impl Collection {
     /// * [`DbError::IndexConflict`] — a different index already covers
     ///   `spec.path`.
     pub fn ensure_index(&self, spec: IndexSpec) -> Result<(), DbError> {
-        let mut indexes = self.inner.indexes.write();
-        if let Some(existing) = indexes.get(&spec.path) {
+        let mut state = self.inner.write();
+        if let Some(existing) = state.indexes.get(&spec.path) {
             if existing.spec == spec {
                 return Ok(());
             }
@@ -625,11 +621,9 @@ impl Collection {
             });
         }
         let mut index = Index::new(spec.clone());
-        for shard in &self.inner.shards {
-            for (id, doc) in shard.read().docs.iter() {
-                index.check_unique(&self.name, id, doc)?;
-                index.add(id, doc);
-            }
+        for (id, doc) in state.docs.iter() {
+            index.check_unique(&self.name, id, doc)?;
+            index.add(id, doc);
         }
         journal::append_if_attached(
             &self.journal,
@@ -638,7 +632,7 @@ impl Collection {
                 spec,
             },
         )?;
-        indexes.indexes.push(index);
+        state.indexes.indexes.push(index);
         Ok(())
     }
 
@@ -656,9 +650,9 @@ impl Collection {
 
     /// The declared index specs, in declaration order.
     pub fn index_specs(&self) -> Vec<IndexSpec> {
-        self.inner
+        let state = self.inner.read();
+        state
             .indexes
-            .read()
             .indexes
             .iter()
             .map(|ix| ix.spec.clone())
@@ -670,8 +664,8 @@ impl Collection {
     /// Hash-index keys are decoded from their rendered form; multikey
     /// array entries appear both whole and per element.
     pub fn index_entries(&self, path: &str) -> Option<Vec<(Value, Vec<String>)>> {
-        let indexes = self.inner.indexes.read();
-        let index = indexes.get(path)?;
+        let state = self.inner.read();
+        let index = state.indexes.get(path)?;
         Some(match &index.data {
             IndexData::Hash(map) => map
                 .iter()
@@ -695,8 +689,9 @@ impl Collection {
     /// across a rebuild from the same documents; used by the
     /// persistence manifest, divergence lints, and property tests.
     pub fn index_state(&self) -> Value {
-        let indexes = self.inner.indexes.read();
-        let mut states: Vec<(String, Value)> = indexes
+        let state = self.inner.read();
+        let mut states: Vec<(String, Value)> = state
+            .indexes
             .indexes
             .iter()
             .map(|index| {
@@ -727,24 +722,21 @@ impl Collection {
     /// documents absent from an index that should cover them. An empty
     /// result means indexes and documents agree exactly.
     pub fn verify_indexes(&self) -> Vec<IndexDivergence> {
-        let indexes = self.inner.indexes.read();
-        let shards = self.capture_shards();
+        let state = self.inner.read();
         let mut out = Vec::new();
-        for index in &indexes.indexes {
+        for index in &state.indexes.indexes {
             let path = &index.spec.path;
             let actual = index.rendered_entries();
             let mut expected: BTreeMap<String, BTreeSet<String>> = BTreeMap::new();
-            for shard in &shards {
-                for (id, doc) in shard.iter() {
-                    for key in index.expected_keys(doc) {
-                        expected.entry(key).or_default().insert(id.clone());
-                    }
+            for (id, doc) in state.docs.iter() {
+                for key in index.expected_keys(doc) {
+                    expected.entry(key).or_default().insert(id.clone());
                 }
             }
             for (key, ids) in &actual {
                 for id in ids {
                     if expected.get(key).is_none_or(|set| !set.contains(id)) {
-                        let detail = if shards[shard_of(id)].contains_key(id) {
+                        let detail = if state.docs.contains_key(id) {
                             format!(
                                 "index entry {key} -> {id} does not match the document's rendered key"
                             )
@@ -778,8 +770,13 @@ impl Collection {
     /// exercised; never call this outside tests.
     #[doc(hidden)]
     pub fn inject_index_entry(&self, path: &str, rendered_key: &str, id: &str) {
-        let mut indexes = self.inner.indexes.write();
-        let Some(index) = indexes.indexes.iter_mut().find(|ix| ix.spec.path == path) else {
+        let mut state = self.inner.write();
+        let Some(index) = state
+            .indexes
+            .indexes
+            .iter_mut()
+            .find(|ix| ix.spec.path == path)
+        else {
             return;
         };
         match &mut index.data {
@@ -812,16 +809,15 @@ impl Collection {
     pub fn insert(&self, doc: Value) -> Result<(), DbError> {
         let _timer = observe::timer("db.insert_us");
         let id = id_of(&doc)?;
-        let mut indexes = self.inner.indexes.write();
-        let mut shard = self.inner.shards[shard_of(&id)].write();
-        if shard.docs.contains_key(&id) {
+        let mut state = self.inner.write();
+        if state.docs.contains_key(&id) {
             return Err(DbError::DuplicateId {
                 collection: self.name.clone(),
                 id,
             });
         }
         // Validate unique constraints before mutating anything.
-        indexes.check_unique(&self.name, &id, &doc)?;
+        state.indexes.check_unique(&self.name, &id, &doc)?;
         // Write-ahead: the journal record lands before the in-memory
         // mutation, so a failed append leaves memory untouched and a
         // crash right after it replays to the same state.
@@ -832,8 +828,8 @@ impl Collection {
                 doc: doc.clone(),
             },
         )?;
-        indexes.add_doc(&id, &doc);
-        Arc::make_mut(&mut shard.docs).insert(id, doc);
+        state.indexes.add_doc(&id, &doc);
+        Arc::make_mut(&mut state.docs).insert(id, doc);
         Ok(())
     }
 
@@ -844,11 +840,10 @@ impl Collection {
     pub fn upsert(&self, doc: Value) -> Result<Option<Value>, DbError> {
         let _timer = observe::timer("db.insert_us");
         let id = id_of(&doc)?;
-        let mut indexes = self.inner.indexes.write();
-        let mut shard = self.inner.shards[shard_of(&id)].write();
-        let previous = shard.docs.get(&id).cloned();
+        let mut state = self.inner.write();
+        let previous = state.docs.get(&id).cloned();
         // The occupant being replaced is exempt from unique checks.
-        indexes.check_unique(&self.name, &id, &doc)?;
+        state.indexes.check_unique(&self.name, &id, &doc)?;
         journal::append_if_attached(
             &self.journal,
             &JournalOp::Upsert {
@@ -857,57 +852,37 @@ impl Collection {
             },
         )?;
         if let Some(prev) = &previous {
-            indexes.remove_doc(&id, prev);
+            state.indexes.remove_doc(&id, prev);
         }
-        indexes.add_doc(&id, &doc);
-        Arc::make_mut(&mut shard.docs).insert(id, doc);
+        state.indexes.add_doc(&id, &doc);
+        Arc::make_mut(&mut state.docs).insert(id, doc);
         Ok(previous)
     }
 
-    /// Fetches a document by `_id`. Touches only the owning shard's
-    /// lock — never contends with queries or writers on other shards.
+    /// Fetches a document by `_id`.
     pub fn get(&self, id: &str) -> Option<Value> {
-        self.inner.shards[shard_of(id)].read().docs.get(id).cloned()
+        self.inner.read().docs.get(id).cloned()
     }
 
-    /// Walks matching documents in `_id` order, planner-first: an
-    /// applicable index probe yields candidate ids (counted on
-    /// `db.query_planned_index`), a scan freezes the shard maps and
-    /// merges them (counted on `db.query_scans`). The full filter is
-    /// re-applied either way, so probes only need to over-approximate.
+    /// Walks matching documents in `_id` order, planner-first (see
+    /// [`State::plan`]).
     fn for_each_matching(
         &self,
         filter: &Filter,
         f: &mut dyn FnMut(&str, &Value) -> ControlFlow<()>,
     ) {
-        let indexes = self.inner.indexes.read();
-        if let Some(ids) = planned_ids(&indexes, filter) {
-            observe::count("db.query_planned_index", 1);
-            for id in ids {
-                let shard = self.inner.shards[shard_of(&id)].read();
-                if let Some(doc) = shard.docs.get(&id) {
-                    if filter.matches(doc) {
-                        if let ControlFlow::Break(()) = f(&id, doc) {
-                            return;
-                        }
-                    }
-                }
+        let state = self.inner.read();
+        let _ = match state.plan(filter) {
+            // A probe's candidates are few: look them up under the
+            // lock, so no writer copies the map on this walk's account.
+            planned @ Some(_) => walk(&state.docs, planned, filter, f),
+            // A scan can be long: freeze the map, release the lock.
+            None => {
+                let docs = Arc::clone(&state.docs);
+                drop(state);
+                walk(&docs, None, filter, f)
             }
-        } else {
-            observe::count("db.query_scans", 1);
-            let shards = self.capture_shards();
-            drop(indexes);
-            let mut entries: Vec<(&String, &Value)> =
-                shards.iter().flat_map(|shard| shard.iter()).collect();
-            entries.sort_by(|a, b| a.0.cmp(b.0));
-            for (id, doc) in entries {
-                if filter.matches(doc) {
-                    if let ControlFlow::Break(()) = f(id, doc) {
-                        return;
-                    }
-                }
-            }
-        }
+        };
     }
 
     /// Returns all documents matching `filter`, ordered by `_id`.
@@ -942,60 +917,39 @@ impl Collection {
     /// key, then `_id`. Without one, this scans and sorts (missing
     /// fields sort as `Null`, ties keep `_id` order).
     pub fn find_sorted(&self, filter: &Filter, sort_path: &str, order: SortOrder) -> Vec<Value> {
-        let indexes = self.inner.indexes.read();
-        let ordered = indexes
-            .get(sort_path)
-            .filter(|ix| ix.spec.kind == IndexKind::Ordered)
-            .is_some();
-        if !ordered {
-            drop(indexes);
+        let state = self.inner.read();
+        let Some(IndexData::Ordered(map)) = state.indexes.get(sort_path).map(|ix| &ix.data) else {
+            drop(state);
             let mut results = self.find(filter);
             sort_docs(&mut results, sort_path, order);
             return results;
-        }
+        };
         let _span = observe::span(|| "db.query".to_owned());
         let _timer = observe::timer("db.query_us");
         observe::count("db.query_planned_index", 1);
-        let shards = self.capture_shards();
-        let index = indexes.get(sort_path).expect("checked above");
-        let IndexData::Ordered(map) = &index.data else {
-            unreachable!("ordered index carries ordered data");
-        };
-        // The Null block merges explicitly-null entries (indexed) with
+        // The Null block holds explicitly-null documents (indexed) and
         // documents missing the field entirely (not indexed), in `_id`
         // order — matching the scan path's sort semantics.
-        let mut null_block: Vec<String> = shards
-            .iter()
-            .flat_map(|shard| shard.iter())
-            .filter(|(_, doc)| doc.at(sort_path).is_none())
-            .map(|(id, _)| id.clone())
-            .collect();
-        let mut rest: Vec<String> = Vec::new();
+        let nulls = state
+            .docs
+            .values()
+            .filter(|doc| doc.at(sort_path).is_none_or(Value::is_null));
         let keys: Box<dyn Iterator<Item = (&OrdKey, &BTreeSet<String>)>> = match order {
             SortOrder::Ascending => Box::new(map.iter()),
             SortOrder::Descending => Box::new(map.iter().rev()),
         };
-        for (key, ids) in keys {
-            if key.value.is_null() {
-                null_block.extend(ids.iter().cloned());
-            } else {
-                rest.extend(ids.iter().cloned());
-            }
-        }
-        null_block.sort();
-        let sequence = match order {
-            SortOrder::Ascending => null_block.into_iter().chain(rest),
-            SortOrder::Descending => rest.into_iter().chain(null_block),
+        let keyed = keys
+            .filter(|(key, _)| !key.value.is_null())
+            .flat_map(|(_, ids)| ids)
+            .filter_map(|id| state.docs.get(id));
+        let sequence: Box<dyn Iterator<Item = &Value>> = match order {
+            SortOrder::Ascending => Box::new(nulls.chain(keyed)),
+            SortOrder::Descending => Box::new(keyed.chain(nulls)),
         };
-        let mut out = Vec::new();
-        for id in sequence {
-            if let Some(doc) = shards[shard_of(&id)].get(&id) {
-                if filter.matches(doc) {
-                    out.push(doc.clone());
-                }
-            }
-        }
-        out
+        sequence
+            .filter(|doc| filter.matches(doc))
+            .cloned()
+            .collect()
     }
 
     /// Counts documents matching `filter`.
@@ -1017,9 +971,8 @@ impl Collection {
     /// the in-memory delete — durability of that record then waits for
     /// the next checkpoint.
     pub fn delete(&self, id: &str) -> Option<Value> {
-        let mut indexes = self.inner.indexes.write();
-        let mut shard = self.inner.shards[shard_of(id)].write();
-        if !shard.docs.contains_key(id) {
+        let mut state = self.inner.write();
+        if !state.docs.contains_key(id) {
             return None;
         }
         journal::append_best_effort(
@@ -1029,8 +982,8 @@ impl Collection {
                 id: id.to_owned(),
             },
         );
-        let doc = Arc::make_mut(&mut shard.docs).remove(id)?;
-        indexes.remove_doc(id, &doc);
+        let doc = Arc::make_mut(&mut state.docs).remove(id)?;
+        state.indexes.remove_doc(id, &doc);
         Some(doc)
     }
 
@@ -1055,7 +1008,7 @@ impl Collection {
 
     /// Applies `update` to every matching document (the `_id` field is
     /// protected). Returns how many documents changed. The whole batch
-    /// runs under the index lock, so no writer interleaves, and unique
+    /// runs under the write lock, so no writer interleaves, and unique
     /// indexes are re-enforced at commit: every rewritten document is
     /// checked (including against the other rewrites in the batch)
     /// before anything is journaled or stored, so a rejected batch
@@ -1072,51 +1025,18 @@ impl Collection {
         filter: &Filter,
         update: impl Fn(&mut Value),
     ) -> Result<usize, DbError> {
-        let mut indexes = self.inner.indexes.write();
-        let ids = {
-            let mut ids = Vec::new();
-            match planned_ids(&indexes, filter) {
-                Some(candidates) => {
-                    observe::count("db.query_planned_index", 1);
-                    for id in candidates {
-                        let shard = self.inner.shards[shard_of(&id)].read();
-                        if shard.docs.get(&id).is_some_and(|doc| filter.matches(doc)) {
-                            ids.push(id);
-                        }
-                    }
-                }
-                None => {
-                    observe::count("db.query_scans", 1);
-                    let mut entries: Vec<(String, bool)> = Vec::new();
-                    for shard in &self.inner.shards {
-                        for (id, doc) in shard.read().docs.iter() {
-                            entries.push((id.clone(), filter.matches(doc)));
-                        }
-                    }
-                    entries.sort();
-                    ids.extend(
-                        entries
-                            .into_iter()
-                            .filter(|(_, matched)| *matched)
-                            .map(|(id, _)| id),
-                    );
-                }
-            }
-            ids
-        };
+        let mut state = self.inner.write();
         // Stage every rewrite first — nothing is journaled or stored
         // until the whole batch validates.
-        let mut staged: Vec<(String, Value, Value)> = Vec::with_capacity(ids.len());
-        for id in &ids {
-            let shard = self.inner.shards[shard_of(id)].read();
-            let Some(old) = shard.docs.get(id).cloned() else {
-                continue;
-            };
+        let mut staged: Vec<(String, Value, Value)> = Vec::new();
+        let _ = walk(&state.docs, state.plan(filter), filter, &mut |id, old| {
             let mut new = old.clone();
             update(&mut new);
-            new.set_at("_id", Value::Str(id.clone()));
-            staged.push((id.clone(), old, new));
-        }
+            new.set_at("_id", Value::Str(id.to_owned()));
+            staged.push((id.to_owned(), old.clone(), new));
+            ControlFlow::Continue(())
+        });
+        let indexes = &mut state.indexes;
         // Trial-apply against the index state we hold exclusively:
         // retract every old document, then admit the rewrites one by
         // one so batch-internal collisions are caught too. On a
@@ -1138,7 +1058,6 @@ impl Collection {
         }
         let changed = staged.len();
         for (id, _, new) in staged {
-            let mut shard = self.inner.shards[shard_of(&id)].write();
             journal::append_best_effort(
                 &self.journal,
                 &JournalOp::Upsert {
@@ -1146,26 +1065,19 @@ impl Collection {
                     doc: new.clone(),
                 },
             );
-            Arc::make_mut(&mut shard.docs).insert(id, new);
+            Arc::make_mut(&mut state.docs).insert(id, new);
         }
         Ok(changed)
     }
 
     /// Number of documents.
     pub fn len(&self) -> usize {
-        self.inner
-            .shards
-            .iter()
-            .map(|shard| shard.read().docs.len())
-            .sum()
+        self.inner.read().docs.len()
     }
 
     /// Whether the collection is empty.
     pub fn is_empty(&self) -> bool {
-        self.inner
-            .shards
-            .iter()
-            .all(|shard| shard.read().docs.is_empty())
+        self.inner.read().docs.is_empty()
     }
 
     /// Snapshot of all documents (ordered by `_id`).
@@ -1238,15 +1150,6 @@ mod tests {
         let mut map: Vec<(String, Value)> = vec![("_id".into(), Value::from(id))];
         map.extend(extra.into_iter().map(|(k, v)| (k.to_owned(), v)));
         map.into_iter().collect()
-    }
-
-    /// Golden values captured before `shard_of` moved onto the shared
-    /// `simart_codec::fnv1a` (see `tests/format_pins.rs` at the root).
-    #[test]
-    fn shard_placement_is_pinned() {
-        assert_eq!(shard_of("run-0001"), 2);
-        assert_eq!(shard_of("artifact/linux-5.4.49"), 3);
-        assert_eq!(shard_of("7f3c9a52-0b1e-4d6a-9c1f-2e8b5a7d4c10"), 9);
     }
 
     #[test]

@@ -115,8 +115,13 @@ impl Database {
 
     /// Gets (creating on first use) the named collection.
     pub fn collection(&self, name: &str) -> Collection {
-        let mut collections = self.collections.write();
-        collections
+        // Stores call this on every operation: the common case is a
+        // shared-lock lookup, and only creation takes the write lock.
+        if let Some(existing) = self.collections.read().get(name) {
+            return existing.clone();
+        }
+        self.collections
+            .write()
             .entry(name.to_owned())
             .or_insert_with(|| Collection::with_journal(name, Arc::clone(&self.journal)))
             .clone()

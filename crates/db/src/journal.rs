@@ -388,11 +388,13 @@ pub(crate) fn append_if_attached(cell: &JournalCell, op: &JournalOp) -> Result<(
     }
 }
 
-/// Like [`append_if_attached`] for write paths that cannot propagate
-/// errors (`delete`, `update_many`, blob puts): an append failure is
-/// counted on the `db.journal_append_errors` metric and the in-memory
-/// mutation proceeds — durability of that one record is then deferred
-/// to the next checkpoint.
+/// Like [`append_if_attached`] for write paths that do not return an
+/// append failure: `delete` and blob puts have no error to return it
+/// in, and `update_many` has already applied the batch to the indexes
+/// when its appends run. The failure is counted on the
+/// `db.journal_append_errors` metric and the in-memory mutation
+/// proceeds — durability of that one record is then deferred to the
+/// next checkpoint.
 pub(crate) fn append_best_effort(cell: &JournalCell, op: &JournalOp) {
     if append_if_attached(cell, op).is_err() {
         observe::count("db.journal_append_errors", 1);

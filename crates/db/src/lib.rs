@@ -12,9 +12,10 @@
 //! * [`Value`] and [`json`] — the JSON-like document model and its
 //!   text serialization (used for on-disk persistence), re-exported
 //!   from `simart-codec` where they are defined;
-//! * [`Collection`] — sharded, ordered document storage with declared
-//!   secondary indexes ([`IndexSpec`]), copy-on-write [`Snapshot`]
-//!   reads, and a [`Filter`] query engine with an index-aware planner;
+//! * [`Collection`] — ordered document storage (one map behind one
+//!   lock) with declared secondary indexes ([`IndexSpec`]),
+//!   copy-on-write [`Snapshot`] reads, and a [`Filter`] query engine
+//!   with an index-aware planner;
 //! * [`BlobStore`] — content-addressed byte storage (the GridFS
 //!   analogue) that deduplicates identical uploads;
 //! * [`Database`] — a named set of collections plus a blob store, with

@@ -22,11 +22,10 @@ use crate::cpu::CpuKind;
 use crate::kernel::{BootKind, BootStage, KernelVersion};
 use crate::mem::MemKind;
 use crate::rng::fnv1a;
-use serde::{Deserialize, Serialize};
 use std::fmt;
 
 /// The outcome classes of a full-system boot attempt.
-#[derive(Debug, Clone, PartialEq, Eq, Hash, Serialize, Deserialize)]
+#[derive(Debug, Clone, PartialEq, Eq, Hash)]
 pub enum BootOutcome {
     /// The system booted and exited cleanly.
     Success,

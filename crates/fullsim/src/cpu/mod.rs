@@ -26,11 +26,10 @@ pub use timing::TimingSimpleCpu;
 use crate::isa::InstStream;
 use crate::mem::MemorySystem;
 use crate::stats::Stats;
-use serde::{Deserialize, Serialize};
 use std::fmt;
 
 /// CPU model selector.
-#[derive(Debug, Clone, Copy, PartialEq, Eq, Hash, Serialize, Deserialize)]
+#[derive(Debug, Clone, Copy, PartialEq, Eq, Hash)]
 pub enum CpuKind {
     /// Executes code using the host's hardware; no timing simulation.
     Kvm,

@@ -10,7 +10,6 @@
 
 use crate::mem::code::CodeMemory;
 use crate::rng::DetRng;
-use serde::{Deserialize, Serialize};
 use std::fmt;
 
 pub mod decode;
@@ -22,7 +21,7 @@ use decode::{DecodeCache, StaticInst};
 ///
 /// Deliberately mirrors gem5's `OpClass` taxonomy at the granularity
 /// the timing models need.
-#[derive(Debug, Clone, Copy, PartialEq, Eq, Hash, Serialize, Deserialize)]
+#[derive(Debug, Clone, Copy, PartialEq, Eq, Hash)]
 pub enum OpClass {
     /// Integer ALU operation (add, logic, shifts).
     IntAlu,
@@ -102,7 +101,7 @@ impl fmt::Display for OpClass {
 }
 
 /// Relative frequencies of each [`OpClass`] in a workload.
-#[derive(Debug, Clone, PartialEq, Serialize, Deserialize)]
+#[derive(Debug, Clone, PartialEq)]
 pub struct InstMix {
     weights: [f64; 10],
 }
@@ -188,7 +187,7 @@ pub struct Inst {
 }
 
 /// Parameters shaping the memory reference stream.
-#[derive(Debug, Clone, Copy, PartialEq, Serialize, Deserialize)]
+#[derive(Debug, Clone, Copy, PartialEq)]
 pub struct AddressProfile {
     /// Size of the hot working set in bytes.
     pub working_set: u64,

@@ -5,11 +5,10 @@
 //! Linux bring-up; each stage contributes instructions whose cost the
 //! configured CPU/memory models then determine.
 
-use serde::{Deserialize, Serialize};
 use std::fmt;
 
 /// A Linux kernel release line.
-#[derive(Debug, Clone, Copy, PartialEq, Eq, Hash, PartialOrd, Ord, Serialize, Deserialize)]
+#[derive(Debug, Clone, Copy, PartialEq, Eq, Hash, PartialOrd, Ord)]
 pub enum KernelVersion {
     /// v4.4 LTS (2016).
     V4_4,
@@ -82,7 +81,7 @@ impl fmt::Display for KernelVersion {
 }
 
 /// How far the system boots.
-#[derive(Debug, Clone, Copy, PartialEq, Eq, Hash, Serialize, Deserialize)]
+#[derive(Debug, Clone, Copy, PartialEq, Eq, Hash)]
 pub enum BootKind {
     /// Boot the kernel only, then exit (the paper's "booting only the
     /// Linux kernel").
@@ -101,7 +100,7 @@ impl fmt::Display for BootKind {
 }
 
 /// The canonical boot stages, in order.
-#[derive(Debug, Clone, Copy, PartialEq, Eq, Hash, Serialize, Deserialize)]
+#[derive(Debug, Clone, Copy, PartialEq, Eq, Hash)]
 pub enum BootStage {
     /// Kernel image decompression.
     Decompress,

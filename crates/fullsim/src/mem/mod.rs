@@ -17,7 +17,6 @@ pub mod dram;
 pub mod ruby;
 
 use crate::stats::Stats;
-use serde::{Deserialize, Serialize};
 use std::fmt;
 
 /// The kind of memory access a CPU issues.
@@ -39,7 +38,7 @@ impl AccessKind {
 }
 
 /// Memory-system configuration selector.
-#[derive(Debug, Clone, Copy, PartialEq, Eq, Hash, Serialize, Deserialize)]
+#[derive(Debug, Clone, Copy, PartialEq, Eq, Hash)]
 pub enum MemKind {
     /// Classic hierarchy. `coherent` selects a coherent crossbar
     /// between the private L1s.

@@ -8,11 +8,10 @@
 //! workload is lowered to instruction streams.
 
 use crate::kernel::KernelVersion;
-use serde::{Deserialize, Serialize};
 use std::fmt;
 
 /// A user-land disk image.
-#[derive(Debug, Clone, Copy, PartialEq, Eq, Hash, Serialize, Deserialize)]
+#[derive(Debug, Clone, Copy, PartialEq, Eq, Hash)]
 pub enum OsImage {
     /// Ubuntu 18.04 LTS server (GCC 7.4 tool-chain, kernel 4.15 line).
     Ubuntu1804,
@@ -30,7 +29,7 @@ impl fmt::Display for OsImage {
 }
 
 /// Performance-relevant character of an OS image.
-#[derive(Debug, Clone, PartialEq, Serialize, Deserialize)]
+#[derive(Debug, Clone, PartialEq)]
 pub struct OsProfile {
     /// Bundled system compiler version.
     pub gcc_version: &'static str,

@@ -5,12 +5,11 @@
 //! dump them as a sorted text block — the analogue of gem5's
 //! `stats.txt` that the paper's framework archives per run.
 
-use serde::{Deserialize, Serialize};
 use std::collections::BTreeMap;
 use std::fmt;
 
 /// A single statistic value.
-#[derive(Debug, Clone, Copy, PartialEq, Serialize, Deserialize)]
+#[derive(Debug, Clone, Copy, PartialEq)]
 pub enum StatValue {
     /// Monotonic counter.
     Count(u64),
@@ -28,7 +27,7 @@ impl fmt::Display for StatValue {
 }
 
 /// A registry of named statistics.
-#[derive(Debug, Clone, Default, PartialEq, Serialize, Deserialize)]
+#[derive(Debug, Clone, Default, PartialEq)]
 pub struct Stats {
     values: BTreeMap<String, StatValue>,
 }

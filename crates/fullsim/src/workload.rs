@@ -9,11 +9,10 @@
 //! granularity this simulator models.
 
 use crate::isa::{AddressProfile, InstMix, OpClass};
-use serde::{Deserialize, Serialize};
 use std::fmt;
 
 /// PARSEC-style input sizes.
-#[derive(Debug, Clone, Copy, PartialEq, Eq, Hash, Serialize, Deserialize)]
+#[derive(Debug, Clone, Copy, PartialEq, Eq, Hash)]
 pub enum InputSize {
     /// Minimal correctness-test input.
     Test,
@@ -54,7 +53,7 @@ impl fmt::Display for InputSize {
 }
 
 /// A complete workload description.
-#[derive(Debug, Clone, PartialEq, Serialize, Deserialize)]
+#[derive(Debug, Clone, PartialEq)]
 pub struct WorkloadProfile {
     /// Workload name (e.g. `blackscholes`).
     pub name: String,

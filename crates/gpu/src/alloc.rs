@@ -12,11 +12,10 @@
 
 use crate::config::GpuConfig;
 use crate::kernel::GpuKernel;
-use serde::{Deserialize, Serialize};
 use std::fmt;
 
 /// Which register allocator to use.
-#[derive(Debug, Clone, Copy, PartialEq, Eq, Hash, Serialize, Deserialize)]
+#[derive(Debug, Clone, Copy, PartialEq, Eq, Hash)]
 pub enum AllocPolicy {
     /// One wavefront per SIMD16 at a time.
     Simple,

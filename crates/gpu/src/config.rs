@@ -1,6 +1,5 @@
 //! GPU machine configuration (the paper's Table III).
 
-use serde::{Deserialize, Serialize};
 use simart_fullsim::ticks::Clock;
 
 /// Fidelity of the GPU model's dependence tracking.
@@ -12,7 +11,7 @@ use simart_fullsim::ticks::Clock;
 /// the occupancy-scaled scoreboard/replay stalls (issue logic that can
 /// disambiguate in-flight accesses precisely), letting the benefit of
 /// extra wavefronts show undiluted.
-#[derive(Debug, Clone, Copy, PartialEq, Eq, Hash, Default, Serialize, Deserialize)]
+#[derive(Debug, Clone, Copy, PartialEq, Eq, Hash, Default)]
 pub enum DependenceTracking {
     /// The public GCN3 model's behaviour (the paper's measurements).
     #[default]
@@ -22,7 +21,7 @@ pub enum DependenceTracking {
 }
 
 /// Configuration of the simulated GPU.
-#[derive(Debug, Clone, PartialEq, Serialize, Deserialize)]
+#[derive(Debug, Clone, PartialEq)]
 pub struct GpuConfig {
     /// Number of compute units.
     pub cus: usize,

@@ -5,10 +5,8 @@
 //! and a synchronization profile. These are the knobs that decide how
 //! the two register allocators behave on a given application.
 
-use serde::{Deserialize, Serialize};
-
 /// Instruction categories the GPU pipeline distinguishes.
-#[derive(Debug, Clone, Copy, PartialEq, Eq, Hash, Serialize, Deserialize)]
+#[derive(Debug, Clone, Copy, PartialEq, Eq, Hash)]
 pub enum GpuOp {
     /// Vector ALU op (occupies a SIMD16 for 4 cycles per wavefront).
     Valu,
@@ -23,7 +21,7 @@ pub enum GpuOp {
 }
 
 /// Relative frequency of each [`GpuOp`] in a kernel.
-#[derive(Debug, Clone, Copy, PartialEq, Serialize, Deserialize)]
+#[derive(Debug, Clone, Copy, PartialEq)]
 pub struct GpuInstMix {
     /// Weight of vector ALU work.
     pub valu: f64,
@@ -78,7 +76,7 @@ impl GpuInstMix {
 }
 
 /// How a kernel synchronizes.
-#[derive(Debug, Clone, Copy, PartialEq, Serialize, Deserialize)]
+#[derive(Debug, Clone, Copy, PartialEq)]
 pub enum SyncProfile {
     /// No inter-workgroup synchronization.
     None,
@@ -104,7 +102,7 @@ pub enum SyncProfile {
 }
 
 /// A GPU kernel dispatch descriptor.
-#[derive(Debug, Clone, PartialEq, Serialize, Deserialize)]
+#[derive(Debug, Clone, PartialEq)]
 pub struct GpuKernel {
     /// Kernel/application name.
     pub name: String,

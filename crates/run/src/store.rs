@@ -7,6 +7,7 @@ use simart_artifact::{ArtifactId, Uuid};
 use simart_db::{BlobKey, Database, Filter, Value};
 use simart_observe as observe;
 use std::str::FromStr;
+use std::sync::Arc;
 use std::time::Duration;
 
 /// Stores run records (and their result payloads) in a [`Database`].
@@ -65,6 +66,18 @@ impl RunStore {
         }
     }
 
+    /// Rewrites the one document of run `id` in place.
+    fn update(&self, id: Uuid, rewrite: impl Fn(&mut Value)) -> Result<(), RunError> {
+        let n = self
+            .db
+            .collection(Self::COLLECTION)
+            .update_many(&Filter::eq("_id", id.to_string()), rewrite)?;
+        if n == 0 {
+            return Err(not_found(id));
+        }
+        Ok(())
+    }
+
     /// Loads a run by id.
     ///
     /// # Errors
@@ -76,11 +89,7 @@ impl RunStore {
             .db
             .collection(Self::COLLECTION)
             .get(&id.to_string())
-            .ok_or_else(|| {
-                RunError::Db(simart_db::DbError::NotFound {
-                    query: id.to_string(),
-                })
-            })?;
+            .ok_or_else(|| not_found(id))?;
         doc_to_run(&doc)
     }
 
@@ -96,19 +105,10 @@ impl RunStore {
     /// Propagates lookup failures.
     pub fn set_status(&self, id: Uuid, status: RunStatus) -> Result<(), RunError> {
         observe::count("run.transitions", 1);
-        let n = self.db.collection(Self::COLLECTION).update_many(
-            &Filter::eq("_id", id.to_string()),
-            |doc| {
-                doc.set_at("status", Value::from(status.to_string()));
-                push_event(doc, &format!("status:{status}"));
-            },
-        )?;
-        if n == 0 {
-            return Err(RunError::Db(simart_db::DbError::NotFound {
-                query: id.to_string(),
-            }));
-        }
-        Ok(())
+        self.update(id, |doc| {
+            doc.set_at("status", Value::from(status.to_string()));
+            push_event(doc, &format!("status:{status}"));
+        })
     }
 
     /// Appends a free-form provenance event to the run's event log
@@ -121,18 +121,7 @@ impl RunStore {
     ///
     /// Propagates lookup failures.
     pub fn log_event(&self, id: Uuid, event: &str) -> Result<(), RunError> {
-        let n = self.db.collection(Self::COLLECTION).update_many(
-            &Filter::eq("_id", id.to_string()),
-            |doc| {
-                push_event(doc, event);
-            },
-        )?;
-        if n == 0 {
-            return Err(RunError::Db(simart_db::DbError::NotFound {
-                query: id.to_string(),
-            }));
-        }
-        Ok(())
+        self.update(id, |doc| push_event(doc, event))
     }
 
     /// Moves a run to `next`, enforcing the lifecycle: the change is
@@ -165,35 +154,27 @@ impl RunStore {
         delay_before: Duration,
     ) -> Result<u32, RunError> {
         let recorded = std::cell::Cell::new(0u32);
-        let n = self.db.collection(Self::COLLECTION).update_many(
-            &Filter::eq("_id", id.to_string()),
-            |doc| {
-                let prior = doc.at("attemptCount").and_then(Value::as_int).unwrap_or(0);
-                let count = u32::try_from(prior).unwrap_or(0).saturating_add(1);
-                recorded.set(count);
-                doc.set_at("attemptCount", Value::from(u64::from(count)));
-                let mut attempts: Vec<Value> = doc
-                    .at("attempts")
-                    .and_then(Value::as_array)
-                    .map(<[Value]>::to_vec)
-                    .unwrap_or_default();
-                attempts.push(Value::map([
-                    ("index", Value::from(u64::from(count))),
-                    ("disposition", Value::from(disposition)),
-                    (
-                        "delayMs",
-                        Value::from(u64::try_from(delay_before.as_millis()).unwrap_or(u64::MAX)),
-                    ),
-                ]));
-                doc.set_at("attempts", Value::array(attempts));
-                push_event(doc, &format!("attempt:{count}:{disposition}"));
-            },
-        )?;
-        if n == 0 {
-            return Err(RunError::Db(simart_db::DbError::NotFound {
-                query: id.to_string(),
-            }));
-        }
+        self.update(id, |doc| {
+            let prior = doc.at("attemptCount").and_then(Value::as_int).unwrap_or(0);
+            let count = u32::try_from(prior).unwrap_or(0).saturating_add(1);
+            recorded.set(count);
+            doc.set_at("attemptCount", Value::from(u64::from(count)));
+            let mut attempts: Vec<Value> = doc
+                .at("attempts")
+                .and_then(Value::as_array)
+                .map(<[Value]>::to_vec)
+                .unwrap_or_default();
+            attempts.push(Value::map([
+                ("index", Value::from(u64::from(count))),
+                ("disposition", Value::from(disposition)),
+                (
+                    "delayMs",
+                    Value::from(u64::try_from(delay_before.as_millis()).unwrap_or(u64::MAX)),
+                ),
+            ]));
+            doc.set_at("attempts", Value::array(attempts));
+            push_event(doc, &format!("attempt:{count}:{disposition}"));
+        })?;
         Ok(recorded.get())
     }
 
@@ -221,11 +202,7 @@ impl RunStore {
             .db
             .collection(Self::COLLECTION)
             .get(&id.to_string())
-            .ok_or_else(|| {
-                RunError::Db(simart_db::DbError::NotFound {
-                    query: id.to_string(),
-                })
-            })?;
+            .ok_or_else(|| not_found(id))?;
         let Some(attempts) = doc.at("attempts").and_then(Value::as_array) else {
             return Ok(Vec::new());
         };
@@ -284,24 +261,16 @@ impl RunStore {
         payload: &[u8],
     ) -> Result<BlobKey, RunError> {
         let key = self.db.blobs().put(payload.to_vec());
-        let n = self.db.collection(Self::COLLECTION).update_many(
-            &Filter::eq("_id", id.to_string()),
-            |doc| {
-                doc.set_at("results.simTicks", Value::from(sim_ticks));
-                doc.set_at("results.outcome", Value::from(outcome));
-                doc.set_at("results.payload", Value::from(key.to_hex()));
-            },
-        )?;
-        if n == 0 {
-            return Err(RunError::Db(simart_db::DbError::NotFound {
-                query: id.to_string(),
-            }));
-        }
+        self.update(id, |doc| {
+            doc.set_at("results.simTicks", Value::from(sim_ticks));
+            doc.set_at("results.outcome", Value::from(outcome));
+            doc.set_at("results.payload", Value::from(key.to_hex()));
+        })?;
         Ok(key)
     }
 
     /// Loads the archived result payload of a run, if any.
-    pub fn load_results(&self, id: Uuid) -> Option<bytes::Bytes> {
+    pub fn load_results(&self, id: Uuid) -> Option<Arc<[u8]>> {
         let doc = self.db.collection(Self::COLLECTION).get(&id.to_string())?;
         let key = BlobKey::from_hex(doc.at("results.payload")?.as_str()?)?;
         self.db.blobs().get(key)
@@ -373,6 +342,12 @@ pub struct RunAttempt {
     pub disposition: String,
     /// Backoff delay scheduled before this attempt, in milliseconds.
     pub delay_ms: u64,
+}
+
+fn not_found(id: Uuid) -> RunError {
+    RunError::Db(simart_db::DbError::NotFound {
+        query: id.to_string(),
+    })
 }
 
 /// Appends one entry to a run document's provenance event log.

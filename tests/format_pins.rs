@@ -3,8 +3,7 @@
 //! stream. The literals were captured from the tree *before* the
 //! shared `simart-codec` crate replaced the per-crate copies of the
 //! frame, CRC-32, FNV-1a and JSON code; they must never change without
-//! a format-version bump. (Shard placement, the one pinned value with
-//! no public surface, is pinned next to `shard_of` in `simart-db`.)
+//! a format-version bump.
 
 use simart_db::{Database, Value};
 use simart_fullsim::checkpoint::{checkpoint_key, CheckpointStore};
