@@ -13,7 +13,7 @@ use simart_artifact::{
 };
 use simart_db::{ArtifactStore, Database, DbError, Filter, Value};
 use simart_observe as observe;
-use simart_run::{FsRun, RunError, RunStatus, RunStore};
+use simart_run::{FsRun, RunEdit, RunError, RunStatus, RunStore};
 use simart_tasks::{
     FaultInjector, RemoteEvent, RemoteScheduler, RemoteTaskSpec, RetryPolicy, Scheduler, Task,
     TaskHandle, TaskReport, TaskState,
@@ -368,7 +368,7 @@ impl Experiment {
             }
         }
         // The task closure archived every attempt as it ran.
-        self.settle(handles, options, summary, |_, _| {})
+        self.settle(handles, options, summary, |edit, _| edit)
     }
 
     /// The name a run's task travels under. It embeds the run hash, so
@@ -379,25 +379,25 @@ impl Experiment {
 
     /// Waits for every submitted run's report and seals its terminal
     /// status, exactly once per run. `absorb` sees each report first,
-    /// to archive whatever the task itself could not.
+    /// to archive whatever the task itself could not; what it adds
+    /// reaches the record in the same write as the status.
     fn settle(
         &self,
         handles: Vec<(Uuid, TaskHandle)>,
         options: &LaunchOptions,
         mut summary: LaunchSummary,
-        absorb: impl Fn(Uuid, &mut TaskReport),
+        absorb: impl for<'a> Fn(RunEdit<'a>, &mut TaskReport) -> RunEdit<'a>,
     ) -> LaunchSummary {
         for (run_id, handle) in handles {
             let mut report = handle.wait();
-            absorb(run_id, &mut report);
+            let mut edit = absorb(self.runs.edit(run_id), &mut report);
             let (status, count) = match report.state {
                 TaskState::Succeeded => (RunStatus::Done, &mut summary.done),
                 TaskState::Failed => (RunStatus::Failed, &mut summary.failed),
                 TaskState::TimedOut => {
                     // The attempt never returned, so record it here
                     // before sealing the terminal status.
-                    let _ = self.runs.record_attempt(
-                        run_id,
+                    edit = edit.attempt(
                         "timed-out",
                         options.retry_policy.delay_before(report.attempts),
                     );
@@ -420,7 +420,7 @@ impl Experiment {
                 }
             };
             *count += 1;
-            let _ = self.runs.transition(run_id, status);
+            let _ = edit.transition(status).commit();
             if report.attempts > 1 || report.redeliveries > 0 {
                 summary.retried += 1;
             }
@@ -461,13 +461,18 @@ impl Experiment {
                     .and_then(|()| execute(&fs_run)),
                 None => execute(&fs_run),
             };
-            let delay_before = policy.delay_before(attempt);
-            if !archive_attempt(&store, fs_run.id(), result.as_ref().ok(), delay_before) {
+            let (mut edit, success) = archive_attempt(
+                store.edit(fs_run.id()),
+                result.as_ref().ok(),
+                policy.delay_before(attempt),
+            );
+            if !success {
                 // Park the run for a possible retry; the terminal
                 // status (if retries are exhausted) is sealed after
                 // the report arrives, exactly once.
-                let _ = store.transition(fs_run.id(), RunStatus::Retrying);
+                edit = edit.transition(RunStatus::Retrying);
             }
+            let _ = edit.commit();
             match result {
                 Ok(outcome) if outcome.success => Ok(outcome.outcome),
                 Ok(outcome) => Err(outcome.outcome),
@@ -484,8 +489,8 @@ impl Experiment {
         task
     }
 
-    /// Admits one run for launch: records fresh runs (transitioning
-    /// them to `Queued`), skips duplicates, and applies resume
+    /// Admits one run for launch: records fresh runs (already
+    /// `Queued`, in one write), skips duplicates, and applies resume
     /// semantics to previously stored records. Returns the run object
     /// to execute (the *stored* record when resuming, so provenance
     /// accumulates on one document) or `None` when the run is skipped;
@@ -496,11 +501,10 @@ impl Experiment {
         options: &LaunchOptions,
         summary: &mut LaunchSummary,
     ) -> Option<FsRun> {
+        let _ = fs_run.transition(RunStatus::Queued);
         match self.runs.record(&fs_run) {
             Ok(()) => {
                 summary.fresh += 1;
-                let _ = fs_run.transition(RunStatus::Queued);
-                let _ = self.runs.transition(fs_run.id(), RunStatus::Queued);
                 Some(fs_run)
             }
             Err(RunError::DuplicateRun { .. }) => {
@@ -640,13 +644,14 @@ impl Experiment {
             let Some(&id) = ids.get(task) else {
                 return;
             };
-            let _ = store.log_event(id, &line);
+            let mut edit = store.edit(id).event(line);
             if matches!(event, RemoteEvent::Dispatched { .. }) {
                 // Queued -> Running on the first delivery; later
                 // deliveries find the run already Running and the
                 // refused edge is simply dropped.
-                let _ = store.transition(id, RunStatus::Running);
+                edit = edit.transition(RunStatus::Running);
             }
+            let _ = edit.commit();
         });
         let mut handles = Vec::new();
         for fs_run in admitted {
@@ -665,21 +670,24 @@ impl Experiment {
                 Err(_) => summary.failed += 1,
             }
         }
-        self.settle(handles, options, summary, |run_id, report| {
+        self.settle(handles, options, summary, |edit, report| {
             // The attempt ran in a worker process, so nothing about it
             // is archived yet. A worker reporting `success: false`
             // (e.g. a kernel panic) still produced real results — only
             // the terminal status differs. A version-skewed or mangled
             // outcome encoding fails loudly: never archive a guess.
-            if matches!(report.state, TaskState::Succeeded | TaskState::Failed) {
-                let outcome = report
-                    .output
-                    .as_deref()
-                    .and_then(|output| crate::remote::decode_outcome(output).ok());
-                if !archive_attempt(&self.runs, run_id, outcome.as_ref(), Duration::ZERO) {
-                    report.state = TaskState::Failed;
-                }
+            if !matches!(report.state, TaskState::Succeeded | TaskState::Failed) {
+                return edit;
             }
+            let outcome = report
+                .output
+                .as_deref()
+                .and_then(|output| crate::remote::decode_outcome(output).ok());
+            let (edit, success) = archive_attempt(edit, outcome.as_ref(), Duration::ZERO);
+            if !success {
+                report.state = TaskState::Failed;
+            }
+            edit
         })
     }
 
@@ -699,31 +707,24 @@ impl Experiment {
     }
 }
 
-/// Archives what one attempt produced — the executor's provenance
-/// events (e.g. the checkpoint save/restore trail) before the results,
-/// then the attempt record — and says whether the run succeeded.
-/// `None` is an attempt that produced no outcome at all.
-fn archive_attempt(
-    store: &RunStore,
-    run_id: Uuid,
+/// Adds to `edit` what one attempt produced — the executor's
+/// provenance events (e.g. the checkpoint save/restore trail) before
+/// the results, then the attempt record — and says whether the attempt
+/// succeeded. `None` is an attempt that produced no outcome at all.
+fn archive_attempt<'a>(
+    mut edit: RunEdit<'a>,
     outcome: Option<&ExecOutcome>,
     delay_before: Duration,
-) -> bool {
+) -> (RunEdit<'a>, bool) {
     if let Some(outcome) = outcome {
         for event in &outcome.events {
-            let _ = store.log_event(run_id, event);
+            edit = edit.event(event.as_str());
         }
-        let _ = store.attach_results(
-            run_id,
-            outcome.sim_ticks,
-            &outcome.outcome,
-            &outcome.payload,
-        );
+        edit = edit.results(outcome.sim_ticks, &outcome.outcome, &outcome.payload);
     }
     let success = outcome.is_some_and(|outcome| outcome.success);
     let disposition = if success { "succeeded" } else { "errored" };
-    let _ = store.record_attempt(run_id, disposition, delay_before);
-    success
+    (edit.attempt(disposition, delay_before), success)
 }
 
 #[cfg(test)]

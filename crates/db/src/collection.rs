@@ -16,7 +16,7 @@
 //! and [`Collection::verify_indexes`] can cross-check it at any time.
 
 use crate::error::DbError;
-use crate::journal::{self, JournalCell, JournalOp};
+use crate::journal::{self, DocRecord, JournalCell, JournalOp};
 use crate::query::{Filter, Probe, SortOrder};
 use crate::Value;
 use parking_lot::RwLock;
@@ -553,11 +553,11 @@ impl State {
 /// the `planned` candidates when there are some, a [`scan`] otherwise.
 /// The full filter is re-applied either way, so probes only need to
 /// over-approximate.
-fn walk(
-    docs: &BTreeMap<String, Value>,
+fn walk<'a>(
+    docs: &'a BTreeMap<String, Value>,
     planned: Option<Vec<String>>,
-    filter: &Filter,
-    f: &mut dyn FnMut(&str, &Value) -> ControlFlow<()>,
+    filter: &'a Filter,
+    f: &mut dyn FnMut(&'a str, &'a Value) -> ControlFlow<()>,
 ) -> ControlFlow<()> {
     match planned {
         Some(ids) => ids
@@ -821,13 +821,7 @@ impl Collection {
         // Write-ahead: the journal record lands before the in-memory
         // mutation, so a failed append leaves memory untouched and a
         // crash right after it replays to the same state.
-        journal::append_if_attached(
-            &self.journal,
-            &JournalOp::Insert {
-                collection: self.name.clone(),
-                doc: doc.clone(),
-            },
-        )?;
+        journal::append_doc_if_attached(&self.journal, DocRecord::Insert, &self.name, &doc)?;
         state.indexes.add_doc(&id, &doc);
         Arc::make_mut(&mut state.docs).insert(id, doc);
         Ok(())
@@ -844,13 +838,7 @@ impl Collection {
         let previous = state.docs.get(&id).cloned();
         // The occupant being replaced is exempt from unique checks.
         state.indexes.check_unique(&self.name, &id, &doc)?;
-        journal::append_if_attached(
-            &self.journal,
-            &JournalOp::Upsert {
-                collection: self.name.clone(),
-                doc: doc.clone(),
-            },
-        )?;
+        journal::append_doc_if_attached(&self.journal, DocRecord::Upsert, &self.name, &doc)?;
         if let Some(prev) = &previous {
             state.indexes.remove_doc(&id, prev);
         }
@@ -1007,7 +995,8 @@ impl Collection {
     }
 
     /// Applies `update` to every matching document (the `_id` field is
-    /// protected). Returns how many documents changed. The whole batch
+    /// protected). Returns how many documents matched; one that `update`
+    /// leaves as it was is counted, but not journaled again. The whole batch
     /// runs under the write lock, so no writer interleaves, and unique
     /// indexes are re-enforced at commit: every rewritten document is
     /// checked (including against the other rewrites in the batch)
@@ -1026,17 +1015,23 @@ impl Collection {
         update: impl Fn(&mut Value),
     ) -> Result<usize, DbError> {
         let mut state = self.inner.write();
+        let planned = state.plan(filter);
+        let State { docs, indexes } = &mut *state;
         // Stage every rewrite first — nothing is journaled or stored
-        // until the whole batch validates.
-        let mut staged: Vec<(String, Value, Value)> = Vec::new();
-        let _ = walk(&state.docs, state.plan(filter), filter, &mut |id, old| {
+        // until the whole batch validates. The old documents stay
+        // borrowed from the map.
+        let mut staged: Vec<(&str, &Value, Value)> = Vec::new();
+        let mut matched = 0;
+        let _ = walk(docs, planned, filter, &mut |id, old| {
+            matched += 1;
             let mut new = old.clone();
             update(&mut new);
             new.set_at("_id", Value::Str(id.to_owned()));
-            staged.push((id.to_owned(), old.clone(), new));
+            if new != *old {
+                staged.push((id, old, new));
+            }
             ControlFlow::Continue(())
         });
-        let indexes = &mut state.indexes;
         // Trial-apply against the index state we hold exclusively:
         // retract every old document, then admit the rewrites one by
         // one so batch-internal collisions are caught too. On a
@@ -1056,18 +1051,27 @@ impl Collection {
             }
             indexes.add_doc(id, new);
         }
-        let changed = staged.len();
-        for (id, _, new) in staged {
-            journal::append_best_effort(
-                &self.journal,
-                &JournalOp::Upsert {
-                    collection: self.name.clone(),
-                    doc: new.clone(),
-                },
-            );
-            Arc::make_mut(&mut state.docs).insert(id, new);
+        let rewrites: Vec<(String, Value)> = staged
+            .into_iter()
+            .map(|(id, _, new)| {
+                journal::count_append_error(journal::append_doc_if_attached(
+                    &self.journal,
+                    DocRecord::Upsert,
+                    &self.name,
+                    &new,
+                ));
+                (id.to_owned(), new)
+            })
+            .collect();
+        // `make_mut` copies the map when a snapshot holds it: not for
+        // a batch that changed nothing.
+        if !rewrites.is_empty() {
+            let docs = Arc::make_mut(docs);
+            for (id, new) in rewrites {
+                docs.insert(id, new);
+            }
         }
-        Ok(changed)
+        Ok(matched)
     }
 
     /// Number of documents.

@@ -113,16 +113,12 @@ impl JournalOp {
     /// Compact JSON payload for one record.
     fn to_payload(&self) -> String {
         let value = match self {
-            JournalOp::Insert { collection, doc } => Value::map([
-                ("op", Value::from("ins")),
-                ("c", Value::from(collection.clone())),
-                ("d", doc.clone()),
-            ]),
-            JournalOp::Upsert { collection, doc } => Value::map([
-                ("op", Value::from("ups")),
-                ("c", Value::from(collection.clone())),
-                ("d", doc.clone()),
-            ]),
+            JournalOp::Insert { collection, doc } => {
+                return DocRecord::Insert.payload(collection, doc)
+            }
+            JournalOp::Upsert { collection, doc } => {
+                return DocRecord::Upsert.payload(collection, doc)
+            }
             JournalOp::Delete { collection, id } => Value::map([
                 ("op", Value::from("del")),
                 ("c", Value::from(collection.clone())),
@@ -203,6 +199,29 @@ impl JournalOp {
             }),
             other => Err(format!("unknown journal op `{other}`")),
         }
+    }
+}
+
+/// The two document-carrying records ([`JournalOp::Insert`] and
+/// [`JournalOp::Upsert`]) as the write path appends them: the
+/// collection name and the document are borrowed, so a write
+/// serialises the stored document without first copying it into an op.
+#[derive(Debug, Clone, Copy)]
+pub(crate) enum DocRecord {
+    Insert,
+    Upsert,
+}
+
+impl DocRecord {
+    /// The record's payload — byte for byte what rendering the
+    /// `{op, c, d}` map gives (a map renders its keys sorted).
+    fn payload(self, collection: &str, doc: &Value) -> String {
+        let op = Value::from(match self {
+            DocRecord::Insert => "ins",
+            DocRecord::Upsert => "ups",
+        });
+        let collection = Value::from(collection);
+        json::object_to_json([("c", &collection), ("d", doc), ("op", &op)])
     }
 }
 
@@ -388,6 +407,20 @@ pub(crate) fn append_if_attached(cell: &JournalCell, op: &JournalOp) -> Result<(
     }
 }
 
+/// [`append_if_attached`] for a document record, serialised from the
+/// borrowed document.
+pub(crate) fn append_doc_if_attached(
+    cell: &JournalCell,
+    record: DocRecord,
+    collection: &str,
+    doc: &Value,
+) -> Result<(), DbError> {
+    match cell.read().as_ref() {
+        Some(journal) => journal.append_rendered(|| record.payload(collection, doc)),
+        None => Ok(()),
+    }
+}
+
 /// Like [`append_if_attached`] for write paths that do not return an
 /// append failure: `delete` and blob puts have no error to return it
 /// in, and `update_many` has already applied the batch to the indexes
@@ -396,7 +429,12 @@ pub(crate) fn append_if_attached(cell: &JournalCell, op: &JournalOp) -> Result<(
 /// proceeds — durability of that one record is then deferred to the
 /// next checkpoint.
 pub(crate) fn append_best_effort(cell: &JournalCell, op: &JournalOp) {
-    if append_if_attached(cell, op).is_err() {
+    count_append_error(append_if_attached(cell, op));
+}
+
+/// Counts a best-effort append's failure (see [`append_best_effort`]).
+pub(crate) fn count_append_error(appended: Result<(), DbError>) {
+    if appended.is_err() {
         observe::count("db.journal_append_errors", 1);
     }
 }
@@ -458,6 +496,11 @@ impl Journal {
     }
 
     /// Appends one framed record.
+    pub(crate) fn append(&self, op: &JournalOp) -> Result<(), DbError> {
+        self.append_rendered(|| op.to_payload())
+    }
+
+    /// Appends one framed record carrying the payload `render` gives.
     ///
     /// A failed write is rolled back to the previous frame boundary so
     /// a torn frame can never sit *between* intact records (replay
@@ -465,9 +508,9 @@ impl Journal {
     /// itself fails the journal is poisoned: every further append
     /// returns [`DbError::JournalPoisoned`] instead of appending after
     /// the tear, until a checkpoint compaction rewrites the file.
-    pub(crate) fn append(&self, op: &JournalOp) -> Result<(), DbError> {
+    fn append_rendered(&self, render: impl FnOnce() -> String) -> Result<(), DbError> {
         let _timer = observe::timer("db.journal_append_us");
-        let frame = frame::encode_frame(op.to_payload().as_bytes());
+        let frame = frame::encode_frame(render().as_bytes());
         let mut writer = self.writer.lock();
         if writer.poisoned {
             return Err(DbError::JournalPoisoned);

@@ -55,4 +55,4 @@ pub use error::RunError;
 pub use fs_run::{FsRun, FsRunBuilder};
 pub use se_run::SeRun;
 pub use status::RunStatus;
-pub use store::{RunAttempt, RunStore};
+pub use store::{Committed, RunAttempt, RunEdit, RunStore};

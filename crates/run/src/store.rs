@@ -6,6 +6,7 @@ use crate::status::RunStatus;
 use simart_artifact::{ArtifactId, Uuid};
 use simart_db::{BlobKey, Database, Filter, Value};
 use simart_observe as observe;
+use std::cell::RefCell;
 use std::str::FromStr;
 use std::sync::Arc;
 use std::time::Duration;
@@ -49,13 +50,22 @@ impl RunStore {
 
     /// Records a new run.
     ///
+    /// A run recorded past `Created` (admission records its runs
+    /// already `Queued`) opens its event log with `status:<status>`:
+    /// the document is the one that recording it `Created` and then
+    /// taking the edge would leave, in one write.
+    ///
     /// # Errors
     ///
     /// [`RunError::DuplicateRun`] when a run with the same hash exists.
     pub fn record(&self, run: &FsRun) -> Result<(), RunError> {
         let _timer = observe::timer("run.record_us");
         observe::count("run.records", 1);
-        let doc = run_to_doc(run);
+        let mut doc = run_to_doc(run);
+        if run.status() != RunStatus::Created {
+            observe::count("run.transitions", 1);
+            push_event(&mut doc, &format!("status:{}", run.status()));
+        }
         match self.db.collection(Self::COLLECTION).insert(doc) {
             Ok(()) => Ok(()),
             Err(simart_db::DbError::UniqueViolation { .. })
@@ -66,16 +76,13 @@ impl RunStore {
         }
     }
 
-    /// Rewrites the one document of run `id` in place.
-    fn update(&self, id: Uuid, rewrite: impl Fn(&mut Value)) -> Result<(), RunError> {
-        let n = self
-            .db
-            .collection(Self::COLLECTION)
-            .update_many(&Filter::eq("_id", id.to_string()), rewrite)?;
-        if n == 0 {
-            return Err(not_found(id));
+    /// Starts an atomic edit of run `id`'s document; see [`RunEdit`].
+    pub fn edit(&self, id: Uuid) -> RunEdit<'_> {
+        RunEdit {
+            store: self,
+            id,
+            parts: Vec::new(),
         }
-        Ok(())
     }
 
     /// Loads a run by id.
@@ -104,11 +111,7 @@ impl RunStore {
     ///
     /// Propagates lookup failures.
     pub fn set_status(&self, id: Uuid, status: RunStatus) -> Result<(), RunError> {
-        observe::count("run.transitions", 1);
-        self.update(id, |doc| {
-            doc.set_at("status", Value::from(status.to_string()));
-            push_event(doc, &format!("status:{status}"));
-        })
+        self.edit(id).set_status(status).commit().map(drop)
     }
 
     /// Appends a free-form provenance event to the run's event log
@@ -121,23 +124,25 @@ impl RunStore {
     ///
     /// Propagates lookup failures.
     pub fn log_event(&self, id: Uuid, event: &str) -> Result<(), RunError> {
-        self.update(id, |doc| push_event(doc, event))
+        self.edit(id).event(event).commit().map(drop)
     }
 
     /// Moves a run to `next`, enforcing the lifecycle: the change is
     /// refused (and nothing is written) unless the run's current
     /// status [can transition](RunStatus::can_transition_to) to `next`.
+    /// The check and the write are one step under the collection's
+    /// write lock, so of two racing edges out of one status exactly
+    /// one is taken.
     ///
     /// # Errors
     ///
     /// [`RunError::IllegalTransition`] on a lifecycle violation;
     /// propagates lookup failures.
     pub fn transition(&self, id: Uuid, next: RunStatus) -> Result<(), RunError> {
-        let from = self.load(id)?.status();
-        if !from.can_transition_to(next) {
-            return Err(RunError::IllegalTransition { from, to: next });
+        match self.edit(id).transition(next).commit()?.refused.first() {
+            Some(&(from, to)) => Err(RunError::IllegalTransition { from, to }),
+            None => Ok(()),
         }
-        self.set_status(id, next)
     }
 
     /// Appends one attempt to the run's attempt history (bumping the
@@ -153,29 +158,8 @@ impl RunStore {
         disposition: &str,
         delay_before: Duration,
     ) -> Result<u32, RunError> {
-        let recorded = std::cell::Cell::new(0u32);
-        self.update(id, |doc| {
-            let prior = doc.at("attemptCount").and_then(Value::as_int).unwrap_or(0);
-            let count = u32::try_from(prior).unwrap_or(0).saturating_add(1);
-            recorded.set(count);
-            doc.set_at("attemptCount", Value::from(u64::from(count)));
-            let mut attempts: Vec<Value> = doc
-                .at("attempts")
-                .and_then(Value::as_array)
-                .map(<[Value]>::to_vec)
-                .unwrap_or_default();
-            attempts.push(Value::map([
-                ("index", Value::from(u64::from(count))),
-                ("disposition", Value::from(disposition)),
-                (
-                    "delayMs",
-                    Value::from(u64::try_from(delay_before.as_millis()).unwrap_or(u64::MAX)),
-                ),
-            ]));
-            doc.set_at("attempts", Value::array(attempts));
-            push_event(doc, &format!("attempt:{count}:{disposition}"));
-        })?;
-        Ok(recorded.get())
+        let committed = self.edit(id).attempt(disposition, delay_before).commit()?;
+        Ok(committed.attempts)
     }
 
     /// Number of attempts recorded for a run (0 when none, or when the
@@ -260,13 +244,11 @@ impl RunStore {
         outcome: &str,
         payload: &[u8],
     ) -> Result<BlobKey, RunError> {
-        let key = self.db.blobs().put(payload.to_vec());
-        self.update(id, |doc| {
-            doc.set_at("results.simTicks", Value::from(sim_ticks));
-            doc.set_at("results.outcome", Value::from(outcome));
-            doc.set_at("results.payload", Value::from(key.to_hex()));
-        })?;
-        Ok(key)
+        let committed = self
+            .edit(id)
+            .results(sim_ticks, outcome, payload)
+            .commit()?;
+        Ok(committed.payload.expect("the edit attached results"))
     }
 
     /// Loads the archived result payload of a run, if any.
@@ -331,6 +313,182 @@ impl RunStore {
     }
 }
 
+/// One atomic edit of a run document, started by [`RunStore::edit`]:
+/// any mix of provenance events, results, attempt records and
+/// lifecycle edges.
+///
+/// [`commit`](RunEdit::commit) applies the parts in the order they
+/// were added, under the collection's write lock, as one rewrite of
+/// the document and (on an attached database) one journal record. The
+/// document ends up exactly as the same steps made one call at a time
+/// leave it. A checked edge ([`transition`](RunEdit::transition)) is
+/// judged against the status the document has at that point of the
+/// edit; a refused edge drops only itself — the parts around it are
+/// still written, as they were when each was a call of its own.
+#[derive(Debug)]
+#[must_use = "an edit writes nothing until it is committed"]
+pub struct RunEdit<'a> {
+    store: &'a RunStore,
+    id: Uuid,
+    parts: Vec<Part>,
+}
+
+#[derive(Debug)]
+enum Part {
+    Event(String),
+    Results {
+        sim_ticks: u64,
+        outcome: String,
+        payload: BlobKey,
+    },
+    Attempt {
+        disposition: String,
+        delay_before: Duration,
+    },
+    Status {
+        next: RunStatus,
+        checked: bool,
+    },
+}
+
+/// What a committed [`RunEdit`] did.
+#[derive(Debug, Clone, PartialEq, Eq, Default)]
+pub struct Committed {
+    /// The attempt count the edit's last `attempt` part recorded (0
+    /// when it had none).
+    pub attempts: u32,
+    /// Blob-store key of the payload the edit's last `results` part
+    /// archived.
+    pub payload: Option<BlobKey>,
+    /// The `(from, to)` of every lifecycle edge the edit refused, in
+    /// edit order.
+    pub refused: Vec<(RunStatus, RunStatus)>,
+}
+
+impl RunEdit<'_> {
+    /// Appends a free-form provenance event to the event log.
+    pub fn event(mut self, event: impl Into<String>) -> Self {
+        self.parts.push(Part::Event(event.into()));
+        self
+    }
+
+    /// Attaches results: summary statistics fields plus `payload`
+    /// (e.g. the stats dump), which goes to the blob store right away.
+    pub fn results(mut self, sim_ticks: u64, outcome: &str, payload: &[u8]) -> Self {
+        let payload = self.store.db.blobs().put(payload.to_vec());
+        self.parts.push(Part::Results {
+            sim_ticks,
+            outcome: outcome.to_owned(),
+            payload,
+        });
+        self
+    }
+
+    /// Appends one attempt to the attempt history: bumps the attempt
+    /// counter and logs an `attempt:<n>:<disposition>` event.
+    pub fn attempt(mut self, disposition: &str, delay_before: Duration) -> Self {
+        self.parts.push(Part::Attempt {
+            disposition: disposition.to_owned(),
+            delay_before,
+        });
+        self
+    }
+
+    /// Takes the lifecycle edge to `next` if it is
+    /// [legal](RunStatus::can_transition_to), logging `status:<next>`.
+    pub fn transition(mut self, next: RunStatus) -> Self {
+        self.parts.push(Part::Status {
+            next,
+            checked: true,
+        });
+        self
+    }
+
+    /// Writes status `next` (and its `status:<next>` event) without
+    /// consulting the lifecycle; see [`RunStore::set_status`].
+    pub fn set_status(mut self, next: RunStatus) -> Self {
+        self.parts.push(Part::Status {
+            next,
+            checked: false,
+        });
+        self
+    }
+
+    /// Applies the edit. An edit that changes nothing (no parts, or
+    /// only refused edges) writes nothing.
+    ///
+    /// # Errors
+    ///
+    /// Propagates lookup failures; [`RunError::Corrupt`] when a checked
+    /// edge found no readable status to leave (the edge is dropped, the
+    /// rest of the edit is written).
+    pub fn commit(self) -> Result<Committed, RunError> {
+        // `update_many` takes a `Fn`; it runs at most once here, as
+        // `_id` matches at most one document.
+        let outcome = RefCell::new(Ok(Committed::default()));
+        let matched = self.store.db.collection(RunStore::COLLECTION).update_many(
+            &Filter::eq("_id", self.id.to_string()),
+            |doc| {
+                let mut done = Committed::default();
+                let mut unreadable = None;
+                for part in &self.parts {
+                    if let Err(err) = part.apply(doc, &mut done) {
+                        unreadable.get_or_insert(err);
+                    }
+                }
+                *outcome.borrow_mut() = unreadable.map_or(Ok(done), Err);
+            },
+        )?;
+        if matched == 0 {
+            return Err(not_found(self.id));
+        }
+        outcome.into_inner()
+    }
+}
+
+impl Part {
+    /// Applies this part to the run document, noting in `done` what
+    /// the caller is told about it.
+    fn apply(&self, doc: &mut Value, done: &mut Committed) -> Result<(), RunError> {
+        match self {
+            Part::Event(event) => push_event(doc, event),
+            Part::Results {
+                sim_ticks,
+                outcome,
+                payload,
+            } => {
+                doc.set_at("results.simTicks", Value::from(*sim_ticks));
+                doc.set_at("results.outcome", Value::from(outcome.as_str()));
+                doc.set_at("results.payload", Value::from(payload.to_hex()));
+                done.payload = Some(*payload);
+            }
+            Part::Attempt {
+                disposition,
+                delay_before,
+            } => done.attempts = push_attempt(doc, disposition, *delay_before),
+            Part::Status { next, checked } => {
+                if *checked {
+                    let from = doc
+                        .at("status")
+                        .and_then(Value::as_str)
+                        .and_then(|status| status.parse::<RunStatus>().ok())
+                        .ok_or_else(|| RunError::Corrupt {
+                            reason: "missing or unknown `status`".to_owned(),
+                        })?;
+                    if !from.can_transition_to(*next) {
+                        done.refused.push((from, *next));
+                        return Ok(());
+                    }
+                }
+                observe::count("run.transitions", 1);
+                doc.set_at("status", Value::from(next.to_string()));
+                push_event(doc, &format!("status:{next}"));
+            }
+        }
+        Ok(())
+    }
+}
+
 /// One recorded attempt of a run — the persisted mirror of the task
 /// layer's attempt records. `delay_ms` is the scheduled backoff before
 /// the attempt, so histories are deterministic for a fixed retry seed.
@@ -352,13 +510,43 @@ fn not_found(id: Uuid) -> RunError {
 
 /// Appends one entry to a run document's provenance event log.
 fn push_event(doc: &mut Value, event: &str) {
-    let mut events: Vec<Value> = doc
-        .at("events")
-        .and_then(Value::as_array)
-        .map(<[Value]>::to_vec)
-        .unwrap_or_default();
-    events.push(Value::from(event));
-    doc.set_at("events", Value::array(events));
+    push_to(doc, "events", Value::from(event));
+}
+
+/// Appends `item` to the array under the document's top-level `field`,
+/// in place; a missing (or non-array) field becomes a fresh array.
+fn push_to(doc: &mut Value, field: &str, item: Value) {
+    let Value::Map(map) = doc else {
+        return;
+    };
+    match map.get_mut(field) {
+        Some(Value::Array(items)) => items.push(item),
+        _ => {
+            map.insert(field.to_owned(), Value::Array(vec![item]));
+        }
+    }
+}
+
+/// Records one attempt on a run document — counter, history entry and
+/// `attempt:<n>:<disposition>` event — and returns the new count.
+fn push_attempt(doc: &mut Value, disposition: &str, delay_before: Duration) -> u32 {
+    let prior = doc.at("attemptCount").and_then(Value::as_int).unwrap_or(0);
+    let count = u32::try_from(prior).unwrap_or(0).saturating_add(1);
+    doc.set_at("attemptCount", Value::from(u64::from(count)));
+    push_to(
+        doc,
+        "attempts",
+        Value::map([
+            ("index", Value::from(u64::from(count))),
+            ("disposition", Value::from(disposition)),
+            (
+                "delayMs",
+                Value::from(u64::try_from(delay_before.as_millis()).unwrap_or(u64::MAX)),
+            ),
+        ]),
+    );
+    push_event(doc, &format!("attempt:{count}:{disposition}"));
+    count
 }
 
 fn run_to_doc(run: &FsRun) -> Value {

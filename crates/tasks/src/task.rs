@@ -415,12 +415,23 @@ fn run_attempt(work: TaskFn, timeout: Option<Duration>) -> AttemptOutcome {
             // runaway thread is detached (it cannot be force-killed
             // safely) and the task is reported as terminated.
             let (tx, rx) = bounded(1);
-            std::thread::spawn(move || {
+            let attempt = std::thread::spawn(move || {
                 let _ = tx.send(run_caught(&work));
             });
             match rx.recv_timeout(limit) {
-                Ok(Ok(output)) => AttemptOutcome::Success(output),
-                Ok(Err(err)) => AttemptOutcome::Error(err),
+                Ok(result) => {
+                    // The thread has nothing left to do but exit: reap
+                    // it before the next attempt spawns. The allocator
+                    // hands an exited thread's arena to the next new
+                    // thread; one still exiting makes that thread grow
+                    // an arena of its own (about +5 MB of peak RSS per
+                    // lost race on the `parsec_detailed` campaign).
+                    let _ = attempt.join();
+                    match result {
+                        Ok(output) => AttemptOutcome::Success(output),
+                        Err(err) => AttemptOutcome::Error(err),
+                    }
+                }
                 Err(_) => AttemptOutcome::TimedOut,
             }
         }
