@@ -1,7 +1,8 @@
 //! Diagnostics: stable lint codes, severities, lint-level overrides,
 //! and text/JSON rendering.
 
-use simart_db::{json, Value};
+use simart_codec::json;
+use simart_db::Value;
 use std::collections::HashSet;
 use std::fmt;
 

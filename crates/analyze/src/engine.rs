@@ -7,12 +7,13 @@
 //! step of the check→launch→check loop — even though PR 4's journal
 //! already records *exactly* what changed since the last checkpoint.
 //! This module reuses that record: every lint is a state machine that
-//! can be (a) built from a full scan, (b) advanced by one replayed
-//! [`JournalOp`], and (c) serialized into the `analysis_state`
-//! collection together with the [`JournalCursor`] it is valid at. A
-//! later `simart check --incremental` restores the state, replays only
-//! the journal suffix past the cursor, and reports — cost proportional
-//! to the delta, not the database.
+//! (a) learns about a document only through [`Lint::apply_delta`] —
+//! a full scan is that same path run once over every stored document —
+//! and (b) can be serialized into the `analysis_state` collection
+//! together with the [`JournalCursor`] it is valid at. A later
+//! `simart check --incremental` restores the state, replays only the
+//! journal suffix past the cursor, and reports — cost proportional to
+//! the delta, not the database.
 //!
 //! # Soundness
 //!
@@ -64,20 +65,12 @@ const STATE_VERSION: i64 = 2;
 /// bound across repeated checks.
 const STATE_REFRESH_DELTA: usize = 1024;
 
-/// What a lint observes: journal records touching these collections
-/// (or the blob store) are routed to its [`Lint::apply_delta`].
-#[derive(Debug, Clone, Copy)]
-pub struct Observes {
-    /// Collection names whose document writes/deletes/drops matter.
-    pub collections: &'static [&'static str],
-    /// Whether blob-store puts/removes matter.
-    pub blobs: bool,
-}
-
-/// One replayed journal record, normalized for lint consumption:
-/// inserts and upserts collapse to [`Delta::Write`] (journal replay
-/// makes the journal document the final content either way), and blob
-/// payloads are pre-hashed to their [`BlobKey`].
+/// One change to database content, normalized for lint consumption —
+/// a replayed journal record, or one stored document or blob met by
+/// [`Engine::full_scan`]'s walk. Inserts and upserts collapse to
+/// [`Delta::Write`] (journal replay makes the journal document the
+/// final content either way), and blob payloads are pre-hashed to
+/// their [`BlobKey`].
 #[derive(Debug)]
 pub enum Delta<'a> {
     /// A document now has this content (insert or upsert).
@@ -143,10 +136,10 @@ impl<'a> Delta<'a> {
         }
     }
 
-    fn observed_by(&self, observes: Observes) -> bool {
+    fn observed_by(&self, row: &Registered) -> bool {
         match self.collection() {
-            Some(collection) => observes.collections.contains(&collection),
-            None => observes.blobs,
+            Some(collection) => row.collections.contains(&collection),
+            None => row.blobs,
         }
     }
 }
@@ -154,22 +147,27 @@ impl<'a> Delta<'a> {
 /// One lint as an incremental state machine. Implementations live in
 /// `crate::lints`; the registry instantiates all of them.
 ///
-/// The contract mirrors the soundness argument above: after either
-/// `full_scan(db)` *or* `restore(state) + apply_delta(each suffix
-/// record)`, `emit` must produce the same multiset of diagnostics the
-/// monolithic scan would for the same database content. `apply_delta`
-/// must not touch the database — it sees only the replayed record.
+/// The contract mirrors the soundness argument above: however the
+/// deltas arrived — the full-scan walk, `restore(state)` plus each
+/// suffix record, or any order of writes that ends in the same
+/// database content — `emit` must produce the same multiset of
+/// diagnostics.
 pub trait Lint {
-    /// Stable identifier, used as the key in the persisted state map.
-    fn name(&self) -> &'static str;
-    /// Metric name of this lint's `analyze.lint_us.*` histogram.
-    fn timer_metric(&self) -> &'static str;
-    /// What journal records this lint wants to see.
-    fn observes(&self) -> Observes;
-    /// Rebuilds state from scratch by scanning the database.
-    fn full_scan(&mut self, db: &Database);
-    /// Advances state by one journal record (no database access).
+    /// Advances state by one change. This is the only way a lint
+    /// learns about a document or a blob; it never sees the database.
     fn apply_delta(&mut self, delta: &Delta<'_>);
+    /// Re-derives findings that span documents for whatever the deltas
+    /// since the last call touched. The engine calls it after every
+    /// replayed record and once after a full-scan walk, which is what
+    /// lets the dependency-graph lint (SA0002/SA0003) validate each
+    /// component once per walk instead of once per document. Lints
+    /// whose `apply_delta` leaves findings current keep the no-op.
+    fn settle(&mut self) {}
+    /// Examines what only the live database can show (its in-memory
+    /// indexes). Runs once per full scan, after the walk; only SA0017's
+    /// lint overrides it, so no other lint is ever handed a
+    /// [`Database`].
+    fn scan_database(&mut self, _db: &Database) {}
     /// Re-examines on-disk context that is not journaled (blob files,
     /// journal layout). Runs on every directory check, incremental or
     /// not; lints without environment findings keep the default no-op.
@@ -187,9 +185,24 @@ pub trait Lint {
     fn restore(&mut self, state: &Value) -> Result<(), String>;
 }
 
+/// One row of the lint registry: a lint and the facts the engine
+/// routes by.
+pub(crate) struct Registered {
+    /// Stable identifier, the key in the persisted state map.
+    pub(crate) name: &'static str,
+    /// Metric name of this lint's `analyze.lint_us.*` histogram.
+    pub(crate) timer_metric: &'static str,
+    /// Collections whose document writes/deletes/drops it is fed.
+    pub(crate) collections: &'static [&'static str],
+    /// Whether it is fed blob-store puts/removes.
+    pub(crate) blobs: bool,
+    /// The state machine itself.
+    pub(crate) lint: Box<dyn Lint>,
+}
+
 /// The full lint registry driven as one unit: scan, advance, report.
 pub struct Engine {
-    lints: Vec<Box<dyn Lint>>,
+    lints: Vec<Registered>,
 }
 
 impl Default for Engine {
@@ -206,12 +219,44 @@ impl Engine {
         }
     }
 
-    /// Rebuilds every lint's state by scanning the database.
+    /// Rebuilds every lint's state from the database: resets the
+    /// registry, then feeds each stored blob key and — from one
+    /// snapshot per collection — each document, by reference, through
+    /// the same [`Lint::apply_delta`] that journal replay drives. Blobs
+    /// and collections go in name order, so a reference usually meets
+    /// its target already present; no lint depends on that.
     pub fn full_scan(&mut self, db: &Database) {
         observe::count("analyze.full_scans", 1);
-        for lint in &mut self.lints {
-            let _timer = observe::timer(lint.timer_metric());
-            lint.full_scan(db);
+        self.lints = lints::registry();
+        let blobs = db.blobs().keys();
+        for row in self.lints.iter_mut().filter(|row| row.blobs) {
+            let _timer = observe::timer(row.timer_metric);
+            for key in &blobs {
+                row.lint.apply_delta(&Delta::BlobPut(*key));
+            }
+        }
+        for collection in db.collection_names() {
+            let mut snapshot = None;
+            for row in &mut self.lints {
+                if !row.collections.contains(&collection.as_str()) {
+                    continue;
+                }
+                let snapshot =
+                    snapshot.get_or_insert_with(|| db.collection(&collection).snapshot());
+                let _timer = observe::timer(row.timer_metric);
+                for (id, doc) in snapshot.iter() {
+                    row.lint.apply_delta(&Delta::Write {
+                        collection: &collection,
+                        id,
+                        doc,
+                    });
+                }
+            }
+        }
+        for row in &mut self.lints {
+            let _timer = observe::timer(row.timer_metric);
+            row.lint.settle();
+            row.lint.scan_database(db);
         }
     }
 
@@ -226,27 +271,28 @@ impl Engine {
             return;
         }
         observe::count("analyze.delta_records", 1);
-        for lint in &mut self.lints {
-            if delta.observed_by(lint.observes()) {
-                let _timer = observe::timer(lint.timer_metric());
-                lint.apply_delta(&delta);
+        for row in &mut self.lints {
+            if delta.observed_by(row) {
+                let _timer = observe::timer(row.timer_metric);
+                row.lint.apply_delta(&delta);
+                row.lint.settle();
             }
         }
     }
 
     /// Runs every lint's environment pass over the database directory.
     pub fn scan_environment(&mut self, dir: &Path, report: &LoadReport) {
-        for lint in &mut self.lints {
-            let _timer = observe::timer(lint.timer_metric());
-            lint.scan_environment(dir, report);
+        for row in &mut self.lints {
+            let _timer = observe::timer(row.timer_metric);
+            row.lint.scan_environment(dir, report);
         }
     }
 
     /// All current findings in the stable report order.
     pub fn diagnostics(&self) -> Vec<Diagnostic> {
         let mut out = Vec::new();
-        for lint in &self.lints {
-            lint.emit(&mut out);
+        for row in &self.lints {
+            row.lint.emit(&mut out);
         }
         sort_diagnostics(&mut out);
         out
@@ -266,7 +312,11 @@ impl Engine {
             ),
             (
                 "lints".to_owned(),
-                Value::map(self.lints.iter().map(|l| (l.name().to_owned(), l.state()))),
+                Value::map(
+                    self.lints
+                        .iter()
+                        .map(|row| (row.name.to_owned(), row.lint.state())),
+                ),
             ),
         ])
     }
@@ -288,11 +338,11 @@ impl Engine {
             .and_then(Value::as_int)
             .and_then(|c| u32::try_from(c).ok())
             .ok_or("analysis state is missing its journal cursor")?;
-        for lint in &mut self.lints {
+        for row in &mut self.lints {
             let state = doc
-                .at(&format!("lints.{}", lint.name()))
-                .ok_or_else(|| format!("analysis state has no entry for lint '{}'", lint.name()))?;
-            lint.restore(state)?;
+                .at(&format!("lints.{}", row.name))
+                .ok_or_else(|| format!("analysis state has no entry for lint '{}'", row.name))?;
+            row.lint.restore(state)?;
         }
         Ok(JournalCursor {
             offset: offset as u64,
@@ -331,8 +381,7 @@ fn resume_or_rescan(db: &Database, report: &LoadReport) -> Result<(Engine, Check
         }
         Err(reason) => {
             // A failed restore may have left some lints half-filled;
-            // start over from empty states.
-            let mut engine = Engine::new();
+            // `full_scan` starts over from a fresh registry.
             engine.full_scan(db);
             let outcome = CheckOutcome {
                 diagnostics: Vec::new(),
@@ -509,7 +558,7 @@ mod tests {
         engine.full_scan(&db);
         let doc = engine.state_doc(JournalCursor { offset: 7, crc: 9 });
         // Round-trip through the on-disk JSON form, like a real reload.
-        let doc = simart_db::json::from_json(&simart_db::json::to_json(&doc)).unwrap();
+        let doc = simart_codec::json::from_json(&simart_codec::json::to_json(&doc)).unwrap();
         let mut restored = Engine::new();
         let cursor = restored.restore_state(&doc).expect("restore");
         assert_eq!(cursor, JournalCursor { offset: 7, crc: 9 });

@@ -1,12 +1,12 @@
 //! The lint registry: every SA lint as an incremental state machine.
 //!
-//! Each unit implements [`Lint`]: it can rebuild its state from a full
-//! database scan, advance it by one replayed journal record, serialize
-//! the *committed* part of that state (derived caches are rebuilt on
-//! restore), and emit its current findings. The diagnostics produced
-//! must be byte-identical to what the pre-engine monolithic scan
-//! produced for the same database content — the property test in
-//! `tests/incremental_props.rs` holds every unit to that.
+//! Each unit implements [`Lint`]: it advances by one [`Delta`] at a
+//! time — a replayed journal record, or one stored document met by a
+//! full scan's walk; the unit cannot tell which — serializes the
+//! *committed* part of its state (derived caches are rebuilt on
+//! restore), and emits its current findings. The diagnostics produced
+//! must be byte-identical however the deltas arrived — the property
+//! tests in `tests/incremental_props.rs` hold every unit to that.
 //!
 //! State layouts follow one discipline: maps keyed by the document id
 //! the finding hangs off, so a rewrite of one document recomputes only
@@ -15,31 +15,57 @@
 //! components).
 
 use crate::diag::{Diagnostic, LintCode};
-use crate::engine::{Delta, Lint, Observes};
+use crate::engine::{Delta, Lint, Registered};
 use simart_artifact::dag::{DependencyGraph, GraphIssue};
 use simart_artifact::Uuid;
+use simart_codec::json;
 use simart_db::{BlobKey, Database, LoadReport, Value};
 use simart_run::RunStatus;
 use std::collections::{BTreeMap, BTreeSet, HashMap, HashSet};
 use std::path::Path;
 
-/// One instance of every lint, in registration order. SA0010
+/// One instance of every lint, in registration order, with the
+/// collections (and whether the blob store) each is fed. SA0010
 /// (`UnknownResource`) is represented by [`ResourceLint`], whose logic
 /// runs over experiment axes in the prelaunch gate rather than over
 /// database content.
-pub(crate) fn registry() -> Vec<Box<dyn Lint>> {
+pub(crate) fn registry() -> Vec<Registered> {
+    macro_rules! row {
+        ($name:literal, $collections:expr, $blobs:literal, $lint:expr) => {
+            Registered {
+                name: $name,
+                timer_metric: concat!("analyze.lint_us.", $name),
+                collections: $collections,
+                blobs: $blobs,
+                lint: Box::new($lint),
+            }
+        };
+    }
     vec![
-        Box::new(RefLint::default()),
-        Box::new(DagLint::default()),
-        Box::new(BlobRefLint::default()),
-        Box::new(BlobFileLint::default()),
-        Box::new(RunLogLint::default()),
-        Box::new(DupArtifactLint::default()),
-        Box::new(DupRunLint::default()),
-        Box::new(ResourceLint),
-        Box::new(QuarantineLint::default()),
-        Box::new(JournalLint::default()),
-        Box::new(IndexLint::default()),
+        row!("refs", &["artifacts", "runs"], false, RefLint::default()),
+        row!("dag", &["artifacts"], false, DagLint::default()),
+        row!(
+            "blob_refs",
+            &["artifacts", "runs"],
+            true,
+            BlobRefLint::default()
+        ),
+        row!("blob_files", &[], false, BlobFileLint::default()), // environment pass only
+        row!("run_log", &["runs"], false, RunLogLint::default()),
+        row!("dup_artifacts", &["artifacts"], false, DupLint::artifacts()),
+        row!("dup_runs", &["runs"], false, DupLint::runs()),
+        row!("resources", &[], false, ResourceLint),
+        row!(
+            "quarantine",
+            &["quarantine", "runs"],
+            false,
+            QuarantineLint::default()
+        ),
+        row!("journal", &[], false, JournalLint::default()), // environment pass only
+        // Indexes are maintained at the write commit point and rebuilt
+        // from documents on load; no journal record can change whether
+        // they diverge, so there is nothing to feed.
+        row!("indexes", &[], false, IndexLint::default()),
     ]
 }
 
@@ -112,7 +138,7 @@ fn sorted_str_array<'a>(items: impl IntoIterator<Item = &'a String>) -> Value {
 }
 
 /// The string inputs of an artifact/run document, in declaration
-/// order. Non-string items are ignored, exactly like the full scan.
+/// order. Non-string items are ignored.
 fn doc_inputs(doc: &Value) -> Vec<String> {
     doc.at("inputs")
         .and_then(Value::as_array)
@@ -198,82 +224,9 @@ impl RefLint {
             .map(|runs| runs.iter().cloned().collect())
             .unwrap_or_default()
     }
-
-    fn rebuild_derived(&mut self) {
-        self.rev.clear();
-        self.findings.clear();
-        let runs: Vec<String> = self.run_inputs.keys().cloned().collect();
-        for run in runs {
-            let inputs = self.run_inputs[&run].clone();
-            for input in &inputs {
-                self.rev
-                    .entry(input.clone())
-                    .or_default()
-                    .insert(run.clone());
-            }
-            self.recompute(&run);
-        }
-    }
 }
 
 impl Lint for RefLint {
-    fn name(&self) -> &'static str {
-        "refs"
-    }
-
-    fn timer_metric(&self) -> &'static str {
-        "analyze.lint_us.refs"
-    }
-
-    fn observes(&self) -> Observes {
-        Observes {
-            collections: &["artifacts", "runs"],
-            blobs: false,
-        }
-    }
-
-    fn full_scan(&mut self, db: &Database) {
-        *self = RefLint::default();
-        if db.has_collection("artifacts") {
-            for doc in db.collection("artifacts").all() {
-                if let Some(id) = doc.at("_id").and_then(Value::as_str) {
-                    self.artifacts.insert(id.to_owned());
-                }
-            }
-        }
-        if db.has_collection("runs") {
-            let runs = db.collection("runs");
-            for doc in runs.all() {
-                let id = doc
-                    .at("_id")
-                    .and_then(Value::as_str)
-                    .unwrap_or("<missing _id>");
-                self.run_inputs.insert(id.to_owned(), doc_inputs(&doc));
-            }
-            // A declared multikey hash index on `inputs` (the run
-            // store installs one) already holds input -> runs; seed
-            // the reverse map from it instead of re-walking every
-            // run's input list. Extra entries (a run whose `inputs`
-            // is a plain string, the whole-array key) are harmless:
-            // findings are recomputed from `run_inputs`, the reverse
-            // map only decides which runs an artifact change touches.
-            if let Some(entries) = runs.index_entries("inputs") {
-                for (value, ids) in entries {
-                    let Value::Str(input) = value else { continue };
-                    for id in ids {
-                        self.rev.entry(input.clone()).or_default().insert(id);
-                    }
-                }
-                let run_ids: Vec<String> = self.run_inputs.keys().cloned().collect();
-                for run in run_ids {
-                    self.recompute(&run);
-                }
-                return;
-            }
-        }
-        self.rebuild_derived();
-    }
-
     fn apply_delta(&mut self, delta: &Delta<'_>) {
         match delta {
             Delta::Write {
@@ -334,7 +287,8 @@ impl Lint for RefLint {
                 Value::map(
                     self.run_inputs
                         .iter()
-                        .map(|(id, inputs)| (id.clone(), sorted_str_array_keeping_order(inputs))),
+                        // Inputs keep document order.
+                        .map(|(id, inputs)| (id.clone(), Value::from(inputs.clone()))),
                 ),
             ),
         ])
@@ -349,19 +303,10 @@ impl Lint for RefLint {
         .into_iter()
         .collect();
         for (id, inputs) in expect_map(state.at("runs").unwrap_or(&Value::Null), "run input map")? {
-            self.run_inputs
-                .insert(id.clone(), str_items(inputs, "run input list")?);
+            self.set_run(id, str_items(inputs, "run input list")?);
         }
-        self.rebuild_derived();
         Ok(())
     }
-}
-
-/// Inputs keep document order (it determines finding order within a
-/// run before the final sort — and the final sort makes that moot, but
-/// preserving it keeps state diffs honest).
-fn sorted_str_array_keeping_order(items: &[String]) -> Value {
-    Value::array(items.iter().map(|s| Value::from(s.clone())))
 }
 
 // ---------------------------------------------------------------------
@@ -389,6 +334,8 @@ struct DagLint {
     members: HashMap<Uuid, Vec<Uuid>>,
     /// Root → cycle/orphan findings from the last re-validation.
     component_findings: HashMap<Uuid, Vec<Diagnostic>>,
+    /// Nodes whose component changed since the last `settle`.
+    dirty: Vec<Uuid>,
 }
 
 impl DagLint {
@@ -462,8 +409,8 @@ impl DagLint {
         }
     }
 
-    /// Plays one committed record into the derived caches, then
-    /// re-validates the (possibly merged) component it landed in.
+    /// Plays one committed record into the derived caches and marks
+    /// the (possibly merged) component it landed in for `settle`.
     fn integrate(&mut self, id: &str, record: &DagRecord) {
         let Some(inputs) = record else {
             self.doc_findings.insert(
@@ -499,8 +446,7 @@ impl DagLint {
         } else {
             self.doc_findings.insert(id.to_owned(), diags);
         }
-        let root = self.find(uuid);
-        self.revalidate(root);
+        self.dirty.push(uuid);
     }
 
     /// Rebuilds every derived cache from the committed records. This
@@ -515,6 +461,7 @@ impl DagLint {
         self.parent.clear();
         self.members.clear();
         self.component_findings.clear();
+        self.dirty.clear();
         let docs: Vec<(String, DagRecord)> = self
             .docs
             .iter()
@@ -523,6 +470,7 @@ impl DagLint {
         for (id, record) in docs {
             self.integrate(&id, &record);
         }
+        self.settle();
     }
 
     fn record_for(id: &str, doc: &Value) -> DagRecord {
@@ -566,35 +514,6 @@ fn graph_issue_diags(issues: Vec<GraphIssue>) -> Vec<Diagnostic> {
 }
 
 impl Lint for DagLint {
-    fn name(&self) -> &'static str {
-        "dag"
-    }
-
-    fn timer_metric(&self) -> &'static str {
-        "analyze.lint_us.dag"
-    }
-
-    fn observes(&self) -> Observes {
-        Observes {
-            collections: &["artifacts"],
-            blobs: false,
-        }
-    }
-
-    fn full_scan(&mut self, db: &Database) {
-        *self = DagLint::default();
-        if db.has_collection("artifacts") {
-            for doc in db.collection("artifacts").all() {
-                let Some(id) = doc.at("_id").and_then(Value::as_str) else {
-                    continue;
-                };
-                self.docs
-                    .insert(id.to_owned(), DagLint::record_for(id, &doc));
-            }
-        }
-        self.rebuild();
-    }
-
     fn apply_delta(&mut self, delta: &Delta<'_>) {
         match delta {
             Delta::Write {
@@ -628,6 +547,18 @@ impl Lint for DagLint {
                 self.rebuild();
             }
             _ => {}
+        }
+    }
+
+    /// Re-validates every component a delta touched since the last
+    /// call, once each however many of its documents arrived.
+    fn settle(&mut self) {
+        let mut done = HashSet::new();
+        for node in std::mem::take(&mut self.dirty) {
+            let root = self.find(node);
+            if done.insert(root) {
+                self.revalidate(root);
+            }
         }
     }
 
@@ -760,8 +691,7 @@ impl BlobRefLint {
     }
 
     /// The payload hex an artifact document contributes — gated on a
-    /// valid uuid `_id`, exactly like the monolithic scan (malformed
-    /// ids stop at their SA0003 finding).
+    /// valid uuid `_id` (malformed ids stop at their SA0003 finding).
     fn artifact_ref(id: &str, doc: &Value) -> Option<String> {
         if id.parse::<Uuid>().is_err() {
             return None;
@@ -777,47 +707,6 @@ impl BlobRefLint {
 }
 
 impl Lint for BlobRefLint {
-    fn name(&self) -> &'static str {
-        "blob_refs"
-    }
-
-    fn timer_metric(&self) -> &'static str {
-        "analyze.lint_us.blob_refs"
-    }
-
-    fn observes(&self) -> Observes {
-        Observes {
-            collections: &["artifacts", "runs"],
-            blobs: true,
-        }
-    }
-
-    fn full_scan(&mut self, db: &Database) {
-        *self = BlobRefLint::default();
-        self.blobs = db.blobs().keys().into_iter().collect();
-        if db.has_collection("artifacts") {
-            for doc in db.collection("artifacts").all() {
-                let Some(id) = doc.at("_id").and_then(Value::as_str) else {
-                    continue;
-                };
-                if let Some(hex) = BlobRefLint::artifact_ref(id, &doc) {
-                    self.set_ref(&format!("artifact:{id}"), Some(hex));
-                }
-            }
-        }
-        if db.has_collection("runs") {
-            for doc in db.collection("runs").all() {
-                let id = doc
-                    .at("_id")
-                    .and_then(Value::as_str)
-                    .unwrap_or("<missing _id>");
-                if let Some(hex) = BlobRefLint::run_ref(&doc) {
-                    self.set_ref(&format!("run:{id}"), Some(hex));
-                }
-            }
-        }
-    }
-
     fn apply_delta(&mut self, delta: &Delta<'_>) {
         match delta {
             Delta::Write {
@@ -910,25 +799,6 @@ struct BlobFileLint {
 }
 
 impl Lint for BlobFileLint {
-    fn name(&self) -> &'static str {
-        "blob_files"
-    }
-
-    fn timer_metric(&self) -> &'static str {
-        "analyze.lint_us.blob_files"
-    }
-
-    fn observes(&self) -> Observes {
-        Observes {
-            collections: &[],
-            blobs: false,
-        }
-    }
-
-    fn full_scan(&mut self, _db: &Database) {
-        self.findings.clear();
-    }
-
     fn apply_delta(&mut self, _delta: &Delta<'_>) {}
 
     fn scan_environment(&mut self, dir: &Path, _report: &LoadReport) {
@@ -963,10 +833,11 @@ impl RunLogLint {
     fn compute(&mut self, id: &str, doc: &Value) {
         let subject = format!("run:{id}");
         let mut diags = Vec::new();
+        let remote = lint_remote_trail(doc, &subject);
         replay_events(doc, &subject, &mut diags);
-        lint_remote_attempts(doc, &subject, &mut diags);
+        diags.extend(remote.orphan);
         lint_checkpoint_events(doc, &subject, &mut diags);
-        lint_session_resume(doc, &subject, &mut diags);
+        diags.extend(remote.divergence);
         if diags.is_empty() {
             self.findings.remove(id);
         } else {
@@ -976,34 +847,6 @@ impl RunLogLint {
 }
 
 impl Lint for RunLogLint {
-    fn name(&self) -> &'static str {
-        "run_log"
-    }
-
-    fn timer_metric(&self) -> &'static str {
-        "analyze.lint_us.run_log"
-    }
-
-    fn observes(&self) -> Observes {
-        Observes {
-            collections: &["runs"],
-            blobs: false,
-        }
-    }
-
-    fn full_scan(&mut self, db: &Database) {
-        *self = RunLogLint::default();
-        if db.has_collection("runs") {
-            for doc in db.collection("runs").all() {
-                let id = doc
-                    .at("_id")
-                    .and_then(Value::as_str)
-                    .unwrap_or("<missing _id>");
-                self.compute(id, &doc);
-            }
-        }
-    }
-
     fn apply_delta(&mut self, delta: &Delta<'_>) {
         match delta {
             Delta::Write {
@@ -1046,14 +889,18 @@ impl Lint for RunLogLint {
 }
 
 // ---------------------------------------------------------------------
-// SA0008 / SA0009 — duplicate content hashes. Both maintain
-// hash → id-set groups; a group of two or more is a finding.
+// SA0008 / SA0009 — duplicate content hashes: one state machine, two
+// registry rows. It maintains hash → id-set groups over the one
+// collection its row feeds it; a group of two or more is a finding.
 
-struct HashGroups {
+struct DupLint {
     /// The code the group finding fires as.
     code: LintCode,
     /// Renders the finding message for a duplicate group.
     message: fn(&str, &BTreeSet<String>) -> String,
+    /// Whether only documents with a uuid `_id` count (artifacts:
+    /// malformed ids stop at their SA0003 finding).
+    uuid_ids_only: bool,
     /// id → its hash (the committed state).
     hashes: BTreeMap<String, String>,
     /// Derived: hash → ids carrying it.
@@ -1062,15 +909,30 @@ struct HashGroups {
     findings: BTreeMap<String, Diagnostic>,
 }
 
-impl HashGroups {
-    fn new(code: LintCode, message: fn(&str, &BTreeSet<String>) -> String) -> HashGroups {
-        HashGroups {
+impl DupLint {
+    fn new(
+        code: LintCode,
+        message: fn(&str, &BTreeSet<String>) -> String,
+        uuid_ids_only: bool,
+    ) -> DupLint {
+        DupLint {
             code,
             message,
+            uuid_ids_only,
             hashes: BTreeMap::new(),
             groups: HashMap::new(),
             findings: BTreeMap::new(),
         }
+    }
+
+    /// SA0008 over `artifacts`.
+    fn artifacts() -> DupLint {
+        DupLint::new(LintCode::DuplicateArtifact, artifact_dup_message, true)
+    }
+
+    /// SA0009 over `runs`.
+    fn runs() -> DupLint {
+        DupLint::new(LintCode::DuplicateRunHash, run_dup_message, false)
     }
 
     fn clear(&mut self) {
@@ -1111,74 +973,6 @@ impl HashGroups {
             }
         }
     }
-
-    fn rebuild(&mut self) {
-        self.groups.clear();
-        self.findings.clear();
-        for (id, hash) in &self.hashes {
-            self.groups
-                .entry(hash.clone())
-                .or_default()
-                .insert(id.clone());
-        }
-        let hashes: Vec<String> = self.groups.keys().cloned().collect();
-        for hash in hashes {
-            self.recompute(&hash);
-        }
-    }
-
-    fn state(&self) -> Value {
-        Value::map(
-            self.hashes
-                .iter()
-                .map(|(id, h)| (id.clone(), Value::from(h.clone()))),
-        )
-    }
-
-    fn restore(&mut self, state: &Value) -> Result<(), String> {
-        self.clear();
-        for (id, hash) in expect_map(state, "hash map")? {
-            let hash = hash
-                .as_str()
-                .ok_or("persisted hash is not a string")?
-                .to_owned();
-            self.hashes.insert(id.clone(), hash);
-        }
-        self.rebuild();
-        Ok(())
-    }
-}
-
-/// Seeds duplicate-hash groups from a declared `hash` index instead of
-/// scanning every document. Returns `false` (caller must scan) when the
-/// collection has no hash index on `hash`. Each candidate id is
-/// confirmed against its document — the index is multikey, so an
-/// array-valued `hash` field contributes element keys the scan path
-/// would never see — which keeps the seeded result byte-identical to a
-/// scan while touching only the colliding documents.
-fn seed_hash_groups(
-    collection: &simart_db::Collection,
-    groups: &mut HashGroups,
-    admit: impl Fn(&str) -> bool,
-) -> bool {
-    let Some(entries) = collection.index_entries("hash") else {
-        return false;
-    };
-    for (value, ids) in entries {
-        let Value::Str(hash) = value else { continue };
-        for id in ids {
-            if !admit(&id) {
-                continue;
-            }
-            let confirmed = collection
-                .get(&id)
-                .and_then(|doc| doc.at("hash").and_then(Value::as_str).map(str::to_owned));
-            if confirmed.as_deref() == Some(hash.as_str()) {
-                groups.set(&id, confirmed);
-            }
-        }
-    }
-    true
 }
 
 fn artifact_dup_message(hash: &str, ids: &BTreeSet<String>) -> String {
@@ -1197,173 +991,47 @@ fn run_dup_message(hash: &str, ids: &BTreeSet<String>) -> String {
     )
 }
 
-struct DupArtifactLint {
-    groups: HashGroups,
-}
-
-impl Default for DupArtifactLint {
-    fn default() -> Self {
-        DupArtifactLint {
-            groups: HashGroups::new(LintCode::DuplicateArtifact, artifact_dup_message),
-        }
-    }
-}
-
-impl Lint for DupArtifactLint {
-    fn name(&self) -> &'static str {
-        "dup_artifacts"
-    }
-
-    fn timer_metric(&self) -> &'static str {
-        "analyze.lint_us.dup_artifacts"
-    }
-
-    fn observes(&self) -> Observes {
-        Observes {
-            collections: &["artifacts"],
-            blobs: false,
-        }
-    }
-
-    fn full_scan(&mut self, db: &Database) {
-        self.groups.clear();
-        if db.has_collection("artifacts") {
-            let artifacts = db.collection("artifacts");
-            if seed_hash_groups(&artifacts, &mut self.groups, |id| {
-                id.parse::<Uuid>().is_ok() // malformed ids stop at SA0003
-            }) {
-                return;
-            }
-            for doc in artifacts.all() {
-                let Some(id) = doc.at("_id").and_then(Value::as_str) else {
-                    continue;
-                };
-                if id.parse::<Uuid>().is_err() {
-                    continue; // malformed ids stop at SA0003, like the full scan
-                }
-                let hash = doc.at("hash").and_then(Value::as_str).map(str::to_owned);
-                self.groups.set(id, hash);
-            }
-        }
-    }
-
+impl Lint for DupLint {
+    /// The engine feeds each instance one collection only (its registry
+    /// row), so the collection name is not matched here.
     fn apply_delta(&mut self, delta: &Delta<'_>) {
         match delta {
-            Delta::Write {
-                collection: "artifacts",
-                id,
-                doc,
-            } => {
-                let hash = if id.parse::<Uuid>().is_ok() {
-                    doc.at("hash").and_then(Value::as_str).map(str::to_owned)
-                } else {
+            Delta::Write { id, doc, .. } => {
+                let hash = if self.uuid_ids_only && id.parse::<Uuid>().is_err() {
                     None
+                } else {
+                    doc.at("hash").and_then(Value::as_str).map(str::to_owned)
                 };
-                self.groups.set(id, hash);
+                self.set(id, hash);
             }
-            Delta::Delete {
-                collection: "artifacts",
-                id,
-            } => {
-                self.groups.set(id, None);
-            }
-            Delta::Drop {
-                collection: "artifacts",
-            } => self.groups.clear(),
-            _ => {}
+            Delta::Delete { id, .. } => self.set(id, None),
+            Delta::Drop { .. } => self.clear(),
+            Delta::BlobPut(_) | Delta::BlobRemove(_) => {}
         }
     }
 
     fn emit(&self, out: &mut Vec<Diagnostic>) {
-        out.extend(self.groups.findings.values().cloned());
+        out.extend(self.findings.values().cloned());
     }
 
     fn state(&self) -> Value {
-        self.groups.state()
+        Value::map(
+            self.hashes
+                .iter()
+                .map(|(id, h)| (id.clone(), Value::from(h.clone()))),
+        )
     }
 
     fn restore(&mut self, state: &Value) -> Result<(), String> {
-        self.groups.restore(state)
-    }
-}
-
-struct DupRunLint {
-    groups: HashGroups,
-}
-
-impl Default for DupRunLint {
-    fn default() -> Self {
-        DupRunLint {
-            groups: HashGroups::new(LintCode::DuplicateRunHash, run_dup_message),
+        self.clear();
+        for (id, hash) in expect_map(state, "hash map")? {
+            let hash = hash
+                .as_str()
+                .ok_or("persisted hash is not a string")?
+                .to_owned();
+            self.set(id, Some(hash));
         }
-    }
-}
-
-impl Lint for DupRunLint {
-    fn name(&self) -> &'static str {
-        "dup_runs"
-    }
-
-    fn timer_metric(&self) -> &'static str {
-        "analyze.lint_us.dup_runs"
-    }
-
-    fn observes(&self) -> Observes {
-        Observes {
-            collections: &["runs"],
-            blobs: false,
-        }
-    }
-
-    fn full_scan(&mut self, db: &Database) {
-        self.groups.clear();
-        if db.has_collection("runs") {
-            let runs = db.collection("runs");
-            if seed_hash_groups(&runs, &mut self.groups, |_| true) {
-                return;
-            }
-            for doc in runs.all() {
-                let id = doc
-                    .at("_id")
-                    .and_then(Value::as_str)
-                    .unwrap_or("<missing _id>");
-                let hash = doc.at("hash").and_then(Value::as_str).map(str::to_owned);
-                self.groups.set(id, hash);
-            }
-        }
-    }
-
-    fn apply_delta(&mut self, delta: &Delta<'_>) {
-        match delta {
-            Delta::Write {
-                collection: "runs",
-                id,
-                doc,
-            } => {
-                let hash = doc.at("hash").and_then(Value::as_str).map(str::to_owned);
-                self.groups.set(id, hash);
-            }
-            Delta::Delete {
-                collection: "runs",
-                id,
-            } => {
-                self.groups.set(id, None);
-            }
-            Delta::Drop { collection: "runs" } => self.groups.clear(),
-            _ => {}
-        }
-    }
-
-    fn emit(&self, out: &mut Vec<Diagnostic>) {
-        out.extend(self.groups.findings.values().cloned());
-    }
-
-    fn state(&self) -> Value {
-        self.groups.state()
-    }
-
-    fn restore(&mut self, state: &Value) -> Result<(), String> {
-        self.groups.restore(state)
+        Ok(())
     }
 }
 
@@ -1376,23 +1044,6 @@ impl Lint for DupRunLint {
 struct ResourceLint;
 
 impl Lint for ResourceLint {
-    fn name(&self) -> &'static str {
-        "resources"
-    }
-
-    fn timer_metric(&self) -> &'static str {
-        "analyze.lint_us.resources"
-    }
-
-    fn observes(&self) -> Observes {
-        Observes {
-            collections: &[],
-            blobs: false,
-        }
-    }
-
-    fn full_scan(&mut self, _db: &Database) {}
-
     fn apply_delta(&mut self, _delta: &Delta<'_>) {}
 
     fn emit(&self, _out: &mut Vec<Diagnostic>) {}
@@ -1461,44 +1112,6 @@ impl QuarantineLint {
 }
 
 impl Lint for QuarantineLint {
-    fn name(&self) -> &'static str {
-        "quarantine"
-    }
-
-    fn timer_metric(&self) -> &'static str {
-        "analyze.lint_us.quarantine"
-    }
-
-    fn observes(&self) -> Observes {
-        Observes {
-            collections: &["quarantine", "runs"],
-            blobs: false,
-        }
-    }
-
-    fn full_scan(&mut self, db: &Database) {
-        *self = QuarantineLint::default();
-        if db.has_collection("runs") {
-            for doc in db.collection("runs").all() {
-                let Some(id) = doc.at("_id").and_then(Value::as_str) else {
-                    continue;
-                };
-                self.run_status
-                    .insert(id.to_owned(), QuarantineLint::status_of(&doc));
-            }
-        }
-        if db.has_collection("quarantine") {
-            for doc in db.collection("quarantine").all() {
-                let Some(id) = doc.at("_id").and_then(Value::as_str) else {
-                    continue;
-                };
-                let released = doc.at("released").and_then(Value::as_bool).unwrap_or(false);
-                self.letters.insert(id.to_owned(), released);
-                self.recompute(id);
-            }
-        }
-    }
-
     fn apply_delta(&mut self, delta: &Delta<'_>) {
         match delta {
             Delta::Write {
@@ -1622,25 +1235,6 @@ struct JournalLint {
 }
 
 impl Lint for JournalLint {
-    fn name(&self) -> &'static str {
-        "journal"
-    }
-
-    fn timer_metric(&self) -> &'static str {
-        "analyze.lint_us.journal"
-    }
-
-    fn observes(&self) -> Observes {
-        Observes {
-            collections: &[],
-            blobs: false,
-        }
-    }
-
-    fn full_scan(&mut self, _db: &Database) {
-        self.findings.clear();
-    }
-
     fn apply_delta(&mut self, _delta: &Delta<'_>) {}
 
     fn scan_environment(&mut self, dir: &Path, report: &LoadReport) {
@@ -1684,7 +1278,7 @@ impl Lint for JournalLint {
 /// Cross-checks declared secondary indexes against the documents they
 /// cover. Two passes share the code:
 ///
-/// * the *live* pass (`full_scan`) runs
+/// * the *live* pass (`scan_database`) runs
 ///   [`verify_indexes`](simart_db::Collection::verify_indexes) over
 ///   every collection — this catches a write path whose incremental
 ///   index maintenance drifted from the documents at runtime;
@@ -1701,10 +1295,10 @@ impl Lint for JournalLint {
 /// (SA0012/SA0013 already report that state). Incremental resumes
 /// always leave journal records behind (the analysis-state document
 /// itself is journaled), so the gate also keeps the pass off resumed
-/// state, where `full_scan` never stashed a database handle.
+/// state, where `scan_database` never stashed a database handle.
 #[derive(Default)]
 struct IndexLint {
-    /// Handle stashed by `full_scan` for the environment pass.
+    /// Handle stashed by `scan_database` for the environment pass.
     db: Option<Database>,
     /// Live-pass findings (in-memory index vs documents).
     live: Vec<Diagnostic>,
@@ -1713,26 +1307,9 @@ struct IndexLint {
 }
 
 impl Lint for IndexLint {
-    fn name(&self) -> &'static str {
-        "indexes"
-    }
+    fn apply_delta(&mut self, _delta: &Delta<'_>) {}
 
-    fn timer_metric(&self) -> &'static str {
-        "analyze.lint_us.indexes"
-    }
-
-    fn observes(&self) -> Observes {
-        // Indexes are maintained at the write commit point and rebuilt
-        // from documents on load; no journal record can change whether
-        // they diverge, so there is nothing to advance incrementally.
-        Observes {
-            collections: &[],
-            blobs: false,
-        }
-    }
-
-    fn full_scan(&mut self, db: &Database) {
-        *self = IndexLint::default();
+    fn scan_database(&mut self, db: &Database) {
         self.db = Some(db.clone());
         for name in db.collection_names() {
             for divergence in db.collection(&name).verify_indexes() {
@@ -1744,8 +1321,6 @@ impl Lint for IndexLint {
             }
         }
     }
-
-    fn apply_delta(&mut self, _delta: &Delta<'_>) {}
 
     fn scan_environment(&mut self, dir: &Path, report: &LoadReport) {
         self.environment.clear();
@@ -1762,7 +1337,7 @@ impl Lint for IndexLint {
         let Ok(text) = std::fs::read_to_string(&path) else {
             return; // no manifest recorded: nothing to compare
         };
-        let Ok(manifest) = simart_db::json::from_json(text.trim()) else {
+        let Ok(manifest) = json::from_json(text.trim()) else {
             self.environment.push(Diagnostic::new(
                 LintCode::IndexDivergence,
                 format!("manifest:{}", simart_db::INDEX_MANIFEST_FILE),
@@ -1810,6 +1385,15 @@ impl Lint for IndexLint {
 // Shared scan primitives (used by the units above; `pub(crate)` so
 // `lint.rs` unit tests can exercise them directly).
 
+/// The string entries of a run document's `events` array, in order.
+fn events(doc: &Value) -> impl Iterator<Item = &str> {
+    doc.at("events")
+        .and_then(Value::as_array)
+        .unwrap_or(&[])
+        .iter()
+        .filter_map(Value::as_str)
+}
+
 /// Replays a run's provenance event log against the lifecycle rules:
 /// every `status:` event must be a legal transition from the replayed
 /// state (SA0006), `retrying` needs a prior failed attempt (SA0007),
@@ -1817,10 +1401,7 @@ impl Lint for IndexLint {
 pub(crate) fn replay_events(doc: &Value, subject: &str, diagnostics: &mut Vec<Diagnostic>) {
     let mut current = RunStatus::Created;
     let mut saw_failed_attempt = false;
-    for event in doc.at("events").and_then(Value::as_array).unwrap_or(&[]) {
-        let Some(event) = event.as_str() else {
-            continue;
-        };
+    for event in events(doc) {
         if let Some(status) = event.strip_prefix("status:") {
             let Ok(next) = status.parse::<RunStatus>() else {
                 diagnostics.push(Diagnostic::new(
@@ -1862,31 +1443,82 @@ pub(crate) fn replay_events(doc: &Value, subject: &str, diagnostics: &mut Vec<Di
     }
 }
 
-/// Scans a run's event log for orphaned remote attempts (SA0015): a
-/// `remote-dispatch:<delivery>:g<generation>` that is never followed
-/// by a `remote-ack`, another dispatch (a redelivery supersedes the
-/// orphan), a quarantine, or a re-queue. Such a run was dispatched to
-/// a worker whose answer the coordinator never journaled — the
-/// signature of a coordinator crash mid-campaign — so its recorded
-/// status may not reflect its last delivery.
-pub(crate) fn lint_remote_attempts(doc: &Value, subject: &str, diagnostics: &mut Vec<Diagnostic>) {
+/// What a run's remote delivery trail shows, read in one pass for the
+/// two lints that audit it.
+pub(crate) struct RemoteTrail {
+    /// SA0015, when the last dispatch was left open.
+    pub(crate) orphan: Option<Diagnostic>,
+    /// SA0018 findings, in event order.
+    pub(crate) divergence: Vec<Diagnostic>,
+}
+
+/// Walks a run's `remote-dispatch:<delivery>:g<generation>` /
+/// `remote-ack:<delivery>:g<generation>` trail once, for two audits
+/// (`remote-reconnect` events change neither):
+///
+/// * orphaned remote attempts (SA0015): a dispatch that is never
+///   followed by a `remote-ack`, another dispatch (a redelivery
+///   supersedes the orphan), a quarantine, or a re-queue. Such a run
+///   was dispatched to a worker whose answer the coordinator never
+///   journaled — the signature of a coordinator crash mid-campaign — so
+///   its recorded status may not reflect its last delivery.
+/// * session-resume divergence (SA0018): every ack must pair with a
+///   prior dispatch of the *same* delivery under the *same* generation,
+///   and no delivery may be acked under two different generations. A
+///   resumed session acking a delivery the coordinator never
+///   dispatched, or the same delivery acked by two worker generations,
+///   is the split-brain signature: two incarnations of one session both
+///   believed they owned the work, so the run's recorded output cannot
+///   be attributed to a single delivery.
+pub(crate) fn lint_remote_trail(doc: &Value, subject: &str) -> RemoteTrail {
     let mut open: Option<&str> = None;
-    for event in doc.at("events").and_then(Value::as_array).unwrap_or(&[]) {
-        let Some(event) = event.as_str() else {
-            continue;
-        };
+    let mut dispatched: Vec<(&str, &str)> = Vec::new();
+    let mut acked: Vec<(&str, &str)> = Vec::new();
+    let mut divergence = Vec::new();
+    for event in events(doc) {
         if let Some(dispatch) = event.strip_prefix("remote-dispatch:") {
             open = Some(dispatch);
-        } else if event.starts_with("remote-ack:")
-            || event == "status:queued"
-            || event == "status:quarantined"
-        {
+            dispatched.extend(dispatch.split_once(":g"));
+        } else if let Some(ack) = event.strip_prefix("remote-ack:") {
+            open = None;
+            let Some((delivery, generation)) = ack.split_once(":g") else {
+                continue;
+            };
+            if !dispatched.contains(&(delivery, generation)) {
+                divergence.push(Diagnostic::new(
+                    LintCode::SessionResumeDivergence,
+                    subject.to_owned(),
+                    format!(
+                        "remote-ack for delivery {delivery} under worker \
+                         generation {generation} has no matching \
+                         remote-dispatch — a resumed session acked work the \
+                         coordinator never handed it (split-brain?)"
+                    ),
+                ));
+            }
+            if let Some(&(_, earlier)) = acked
+                .iter()
+                .find(|(d, g)| *d == delivery && *g != generation)
+            {
+                divergence.push(Diagnostic::new(
+                    LintCode::SessionResumeDivergence,
+                    subject.to_owned(),
+                    format!(
+                        "delivery {delivery} was acked under two worker \
+                         generations ({earlier} and {generation}) — two \
+                         incarnations of the session both completed the same \
+                         delivery (split-brain)"
+                    ),
+                ));
+            }
+            acked.push((delivery, generation));
+        } else if event == "status:queued" || event == "status:quarantined" {
             open = None;
         }
     }
-    if let Some(dispatch) = open {
+    let orphan = open.map(|dispatch| {
         let (delivery, generation) = dispatch.split_once(":g").unwrap_or((dispatch, "?"));
-        diagnostics.push(Diagnostic::new(
+        Diagnostic::new(
             LintCode::OrphanedRemoteAttempt,
             subject.to_owned(),
             format!(
@@ -1894,8 +1526,9 @@ pub(crate) fn lint_remote_attempts(doc: &Value, subject: &str, diagnostics: &mut
                  {generation}) was never acked, re-delivered, or quarantined — \
                  orphaned by a coordinator crash?"
             ),
-        ));
-    }
+        )
+    });
+    RemoteTrail { orphan, divergence }
 }
 
 /// Scans a run's event log for stale checkpoints (SA0016): every
@@ -1912,10 +1545,7 @@ pub(crate) fn lint_checkpoint_events(
     diagnostics: &mut Vec<Diagnostic>,
 ) {
     let mut declared: Option<&str> = None;
-    for event in doc.at("events").and_then(Value::as_array).unwrap_or(&[]) {
-        let Some(event) = event.as_str() else {
-            continue;
-        };
+    for event in events(doc) {
         if let Some(key) = event.strip_prefix("checkpoint-key:") {
             declared = Some(key);
             continue;
@@ -1947,62 +1577,6 @@ pub(crate) fn lint_checkpoint_events(
                 ),
             )),
             Some(_) => {}
-        }
-    }
-}
-
-/// Scans a run's event log for session-resume divergence (SA0018): every
-/// `remote-ack:<delivery>:g<generation>` must pair with a prior
-/// `remote-dispatch` of the *same* delivery under the *same* generation,
-/// and no delivery may be acked under two different generations. A
-/// resumed session acking a delivery the coordinator never dispatched,
-/// or the same delivery acked by two worker generations, is the
-/// split-brain signature: two incarnations of one session both believed
-/// they owned the work, so the run's recorded output cannot be
-/// attributed to a single delivery.
-pub(crate) fn lint_session_resume(doc: &Value, subject: &str, diagnostics: &mut Vec<Diagnostic>) {
-    let mut dispatched: Vec<(&str, &str)> = Vec::new();
-    let mut acked: Vec<(&str, &str)> = Vec::new();
-    for event in doc.at("events").and_then(Value::as_array).unwrap_or(&[]) {
-        let Some(event) = event.as_str() else {
-            continue;
-        };
-        if let Some(dispatch) = event.strip_prefix("remote-dispatch:") {
-            if let Some(pair) = dispatch.split_once(":g") {
-                dispatched.push(pair);
-            }
-        } else if let Some(ack) = event.strip_prefix("remote-ack:") {
-            let Some((delivery, generation)) = ack.split_once(":g") else {
-                continue;
-            };
-            if !dispatched.contains(&(delivery, generation)) {
-                diagnostics.push(Diagnostic::new(
-                    LintCode::SessionResumeDivergence,
-                    subject.to_owned(),
-                    format!(
-                        "remote-ack for delivery {delivery} under worker \
-                         generation {generation} has no matching \
-                         remote-dispatch — a resumed session acked work the \
-                         coordinator never handed it (split-brain?)"
-                    ),
-                ));
-            }
-            if let Some(&(_, earlier)) = acked
-                .iter()
-                .find(|(d, g)| *d == delivery && *g != generation)
-            {
-                diagnostics.push(Diagnostic::new(
-                    LintCode::SessionResumeDivergence,
-                    subject.to_owned(),
-                    format!(
-                        "delivery {delivery} was acked under two worker \
-                         generations ({earlier} and {generation}) — two \
-                         incarnations of the session both completed the same \
-                         delivery (split-brain)"
-                    ),
-                ));
-            }
-            acked.push((delivery, generation));
         }
     }
 }
@@ -2119,4 +1693,16 @@ pub(crate) fn journal_report_diagnostics(
         ));
     }
     diagnostics
+}
+
+/// The SA0015 half of [`lint_remote_trail`], for the unit tests.
+#[cfg(test)]
+pub(crate) fn lint_remote_attempts(doc: &Value, subject: &str, diagnostics: &mut Vec<Diagnostic>) {
+    diagnostics.extend(lint_remote_trail(doc, subject).orphan);
+}
+
+/// The SA0018 half of [`lint_remote_trail`], for the unit tests.
+#[cfg(test)]
+pub(crate) fn lint_session_resume(doc: &Value, subject: &str, diagnostics: &mut Vec<Diagnostic>) {
+    diagnostics.extend(lint_remote_trail(doc, subject).divergence);
 }

@@ -12,7 +12,7 @@ use proptest::prelude::*;
 use simart_analyze::diag::render_text;
 use simart_analyze::{check_dir_incremental, lint, Engine};
 use simart_artifact::Uuid;
-use simart_db::{read_journal_from, BlobKey, Database, Value};
+use simart_db::{read_journal_from, BlobKey, Database, JournalOp, Value};
 use std::path::PathBuf;
 use std::sync::atomic::{AtomicUsize, Ordering};
 
@@ -282,6 +282,35 @@ proptest! {
         }
         drop(db);
         let _ = std::fs::remove_dir_all(&dir);
+    }
+
+    /// A full scan is one walk over the stored documents and blobs,
+    /// and the walk must not depend on its visiting order: feeding the
+    /// same final content to a fresh engine back to front — collections
+    /// in reverse name order, documents in reverse id order, blobs last
+    /// instead of first — renders the same report.
+    #[test]
+    fn reversed_replay_of_final_content_matches_full_scan(ops in vec(op_strategy(), 1..25)) {
+        let db = Database::in_memory();
+        for op in &ops {
+            apply(&db, op);
+        }
+        let mut scanned = Engine::new();
+        scanned.full_scan(&db);
+        let mut replayed = Engine::new();
+        for collection in db.collection_names().into_iter().rev() {
+            for doc in db.collection(&collection).all().into_iter().rev() {
+                replayed.apply_op(&JournalOp::Upsert { collection: collection.clone(), doc });
+            }
+        }
+        for key in db.blobs().keys().into_iter().rev() {
+            let data = db.blobs().get(key).expect("listed blob").to_vec();
+            replayed.apply_op(&JournalOp::BlobPut { data });
+        }
+        prop_assert_eq!(
+            render_text(&replayed.diagnostics()),
+            render_text(&scanned.diagnostics())
+        );
     }
 }
 

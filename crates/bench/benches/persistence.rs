@@ -24,9 +24,6 @@
 //!   saves and stay flat as the database grows; indexed lookups stay
 //!   flat from 1k to 100k docs while unindexed scans grow ≥10x),
 //!   exiting nonzero on regression.
-//! - `... --bench persistence -- --json PATH` — also write the
-//!   measured numbers as JSON (the tracked `BENCH_db.json` at the
-//!   repo root is this output).
 
 use simart_db::{Database, Filter, IndexSpec, Value};
 use std::path::PathBuf;
@@ -188,10 +185,6 @@ fn planner_counters(db: &Database) -> (u64, u64) {
 fn main() {
     let args: Vec<String> = std::env::args().collect();
     let test_mode = args.iter().any(|a| a == "--test");
-    let json_path = args
-        .iter()
-        .position(|a| a == "--json")
-        .and_then(|i| args.get(i + 1));
 
     let sizes = [100usize, 1000];
     let mut saves = Vec::new();
@@ -248,40 +241,6 @@ fn main() {
     };
     #[cfg(not(feature = "observe"))]
     let (planned, scanned) = (0u64, 0u64);
-
-    if let Some(path) = json_path {
-        let persistence: Vec<String> = sizes
-            .iter()
-            .zip(saves.iter().zip(&appends))
-            .map(|(docs, (save, append))| {
-                format!(
-                    "    {{\"docs\": {docs}, \"saveUs\": {:.1}, \"appendUs\": {:.2}}}",
-                    save.as_secs_f64() * 1e6,
-                    append.as_secs_f64() * 1e6,
-                )
-            })
-            .collect();
-        let query: Vec<String> = QUERY_SIZES
-            .iter()
-            .zip(lookups.iter().zip(&scans))
-            .map(|(docs, (lookup, scan))| {
-                format!(
-                    "    {{\"docs\": {docs}, \"indexedLookupUs\": {:.2}, \"scanUs\": {:.1}}}",
-                    lookup.as_secs_f64() * 1e6,
-                    scan.as_secs_f64() * 1e6,
-                )
-            })
-            .collect();
-        let json = format!(
-            "{{\n  \"bench\": \"persistence\",\n  \"schema\": 1,\n  \
-             \"persistence\": [\n{}\n  ],\n  \"query\": [\n{}\n  ],\n  \
-             \"planner\": {{\"plannedIndex\": {planned}, \"scans\": {scanned}}}\n}}\n",
-            persistence.join(",\n"),
-            query.join(",\n"),
-        );
-        std::fs::write(path, json).expect("write bench json");
-        println!("\nwrote {path}");
-    }
 
     if test_mode {
         // O(delta) claim, with generous margins against CI noise:

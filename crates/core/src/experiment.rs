@@ -670,7 +670,7 @@ impl Experiment {
                 Err(_) => summary.failed += 1,
             }
         }
-        self.settle(handles, options, summary, |edit, report| {
+        let summary = self.settle(handles, options, summary, |edit, report| {
             // The attempt ran in a worker process, so nothing about it
             // is archived yet. A worker reporting `success: false`
             // (e.g. a kernel panic) still produced real results — only
@@ -688,7 +688,12 @@ impl Experiment {
                 report.state = TaskState::Failed;
             }
             edit
-        })
+        });
+        // The hook holds `ids` and a store handle for this launch only:
+        // left installed, a later submit under one of these task names
+        // would journal onto a run that has already settled.
+        scheduler.clear_event_hook();
+        summary
     }
 
     /// Queries run documents (workflow step ⑧).

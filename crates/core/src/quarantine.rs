@@ -187,7 +187,7 @@ pub fn render_text(letters: &[DeadLetter]) -> String {
 /// Renders the quarantine as a JSON array (one object per record).
 pub fn render_json(letters: &[DeadLetter]) -> String {
     let docs: Vec<Value> = letters.iter().map(DeadLetter::to_doc).collect();
-    simart_db::json::to_json(&Value::array(docs))
+    simart_codec::json::to_json(&Value::array(docs))
 }
 
 #[cfg(test)]

@@ -21,7 +21,7 @@
 //! error) rather than silently misinterpret fields.
 
 use crate::experiment::ExecOutcome;
-use simart_db::json::{from_json, to_json};
+use simart_codec::json::{from_json, to_json};
 use simart_db::Value;
 use simart_fullsim::checkpoint::CheckpointStore;
 use simart_fullsim::system::{Fidelity, SystemConfig};

@@ -6,9 +6,10 @@
 //! stable human interface to recorded metrics, and any formatting
 //! drift should be a conscious decision, not an accident.
 
-use simart::db::{json, Database, Value};
+use simart::db::{Database, Value};
 use simart::metrics::persist_snapshot;
 use simart::observe::{HistogramSnapshot, MetricValue, Snapshot};
+use simart_codec::json;
 use std::path::{Path, PathBuf};
 use std::process::{Command, Output};
 

@@ -9,9 +9,9 @@
 
 use simart::artifact::{Artifact, ArtifactId, ArtifactKind, ContentSource};
 use simart::db::{read_journal, Database, JournalOp};
-use simart::remote::CHECKPOINT_DIR_ENV;
+use simart::remote::{encode_run_payload, CAMPAIGN_KIND, CHECKPOINT_DIR_ENV};
 use simart::run::{FsRun, RunStore};
-use simart::tasks::{PoolScheduler, RemoteScheduler, WorkerCommand};
+use simart::tasks::{PoolScheduler, RemoteScheduler, RemoteTaskSpec, WorkerCommand};
 use simart::{ExecOutcome, Experiment, LaunchOptions};
 use std::collections::BTreeMap;
 use std::path::{Path, PathBuf};
@@ -213,6 +213,43 @@ fn a_remote_launched_run_is_journaled_four_times() {
     ];
     let expected: Vec<(FsRun, &[&str])> = runs.into_iter().map(|run| (run, golden)).collect();
     assert_runs(&experiment, &dir, &expected);
+    drop(experiment);
+    let _ = std::fs::remove_dir_all(&dir);
+    let _ = std::fs::remove_dir_all(&checkpoints);
+}
+
+/// A launch's provenance hook ends with the launch: once it has
+/// settled, a bare submit that reuses one of its task names is none of
+/// that campaign's business and must not write to its run record.
+#[test]
+fn a_settled_remote_launch_is_deaf_to_later_submits() {
+    let dir = temp_dir("hook");
+    let checkpoints = temp_dir("hook-ckpt");
+    let experiment =
+        Experiment::with_database("writes", Database::open(&dir).expect("open")).expect("session");
+    let ids = register_components(&experiment);
+    let run = make_run(&experiment, ids, &["kvm", "1"]);
+
+    let command = WorkerCommand::new(env!("CARGO_BIN_EXE_simart"))
+        .arg("worker")
+        .env(CHECKPOINT_DIR_ENV, checkpoints.display().to_string());
+    let remote = RemoteScheduler::new(command, 1).expect("spawn workers");
+    let summary = experiment.launch_remote(vec![run.clone()], &remote, &LaunchOptions::default());
+    assert_eq!(summary.done, 1, "{summary:?}");
+    let settled = (run_records(&dir), experiment.runs().events(run.id()));
+
+    let spec = RemoteTaskSpec::new(
+        format!("writes/{}", run.run_hash()),
+        CAMPAIGN_KIND,
+        encode_run_payload(run.params()),
+    );
+    remote.submit(spec).expect("submit").wait();
+    assert!(remote.shutdown());
+    assert_eq!(
+        (run_records(&dir), experiment.runs().events(run.id())),
+        settled,
+        "the settled run was written to again"
+    );
     drop(experiment);
     let _ = std::fs::remove_dir_all(&dir);
     let _ = std::fs::remove_dir_all(&checkpoints);

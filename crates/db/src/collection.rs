@@ -453,6 +453,12 @@ impl Snapshot {
         self.docs.get(id).cloned()
     }
 
+    /// Every `(_id, document)` pair in `_id` order, borrowed from the
+    /// snapshot — the read for callers that only look.
+    pub fn iter(&self) -> impl Iterator<Item = (&str, &Value)> {
+        self.docs.iter().map(|(id, doc)| (id.as_str(), doc))
+    }
+
     /// All documents, ordered by `_id`.
     pub fn all(&self) -> Vec<Value> {
         self.find(&Filter::All)
@@ -657,30 +663,6 @@ impl Collection {
             .iter()
             .map(|ix| ix.spec.clone())
             .collect()
-    }
-
-    /// The entries of the index on `path` as `(key value, sorted ids)`
-    /// pairs in key order, or `None` when no index covers `path`.
-    /// Hash-index keys are decoded from their rendered form; multikey
-    /// array entries appear both whole and per element.
-    pub fn index_entries(&self, path: &str) -> Option<Vec<(Value, Vec<String>)>> {
-        let state = self.inner.read();
-        let index = state.indexes.get(path)?;
-        Some(match &index.data {
-            IndexData::Hash(map) => map
-                .iter()
-                .map(|(key, ids)| {
-                    (
-                        crate::json::from_json(key).unwrap_or(Value::Null),
-                        ids.iter().cloned().collect(),
-                    )
-                })
-                .collect(),
-            IndexData::Ordered(map) => map
-                .iter()
-                .map(|(key, ids)| (key.value.clone(), ids.iter().cloned().collect()))
-                .collect(),
-        })
     }
 
     /// Canonical, deterministic rendering of every index: an array
@@ -1389,6 +1371,12 @@ mod tests {
         let mut sorted = ids.clone();
         sorted.sort();
         assert_eq!(ids, sorted);
+        // The borrowing walk sees the same documents under the same ids.
+        let walked: Vec<&str> = snap.iter().map(|(id, _)| id).collect();
+        assert_eq!(walked, ids);
+        assert!(snap
+            .iter()
+            .all(|(id, d)| d.at("_id").and_then(Value::as_str) == Some(id)));
     }
 
     #[test]
@@ -1507,36 +1495,6 @@ mod tests {
             ids(c.find_sorted(&Filter::gt("t", 3i64), "t", SortOrder::Ascending)),
             vec!["a", "e"]
         );
-    }
-
-    #[test]
-    fn index_entries_expose_multikey_arrays() {
-        let c = Collection::new("runs");
-        c.ensure_index(IndexSpec::hash("inputs")).unwrap();
-        c.insert(doc(
-            "r1",
-            [(
-                "inputs",
-                Value::array([Value::from("art-a"), Value::from("art-b")]),
-            )],
-        ))
-        .unwrap();
-        c.insert(doc(
-            "r2",
-            [("inputs", Value::array([Value::from("art-b")]))],
-        ))
-        .unwrap();
-        let entries = c.index_entries("inputs").unwrap();
-        let by_key: BTreeMap<String, Vec<String>> = entries
-            .into_iter()
-            .map(|(k, ids)| (crate::json::to_json(&k), ids))
-            .collect();
-        assert_eq!(by_key["\"art-a\""], vec!["r1"]);
-        assert_eq!(by_key["\"art-b\""], vec!["r1", "r2"]);
-        assert!(by_key.contains_key("[\"art-a\",\"art-b\"]"));
-        assert!(c.index_entries("nope").is_none());
-        // The multikey index serves elem_match probes.
-        assert_eq!(c.find(&Filter::elem_match("inputs", "art-b")).len(), 2);
     }
 
     #[test]

@@ -66,4 +66,5 @@ pub use journal::{
     JOURNAL_FILE,
 };
 pub use query::{Filter, SortOrder};
-pub use simart_codec::{json, Value};
+use simart_codec::json;
+pub use simart_codec::Value;

@@ -16,7 +16,8 @@
 //! panicking thread fails the test instead of hanging it: nothing waits
 //! on a thread mid-work, and `done` is raised whatever the writers did.
 
-use simart_db::{json, Collection, Database, DbError, Filter, IndexSpec, Value};
+use simart_codec::json;
+use simart_db::{Collection, Database, DbError, Filter, IndexSpec, Value};
 use std::cell::RefCell;
 use std::collections::{BTreeMap, BTreeSet};
 use std::path::PathBuf;

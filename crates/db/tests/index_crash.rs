@@ -14,7 +14,8 @@
 //! env-gated writer below) so the kill hits a real separate process
 //! mid-append, not a simulated truncation.
 
-use simart_db::{json, Database, Filter, IndexSpec, Value, JOURNAL_FILE};
+use simart_codec::json;
+use simart_db::{Database, Filter, IndexSpec, Value, JOURNAL_FILE};
 use std::path::PathBuf;
 use std::process::{Command, Stdio};
 use std::time::{Duration, Instant};

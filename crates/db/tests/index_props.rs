@@ -9,7 +9,8 @@
 //! and reloading rebuilds the exact same index state.
 
 use proptest::prelude::*;
-use simart_db::{json, Collection, Database, Filter, IndexSpec, Value};
+use simart_codec::json;
+use simart_db::{Collection, Database, Filter, IndexSpec, Value};
 use std::fs;
 
 /// The three index shapes under test: a scalar hash key, a multikey

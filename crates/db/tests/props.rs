@@ -2,7 +2,8 @@
 //! engine, and blob store.
 
 use proptest::prelude::*;
-use simart_db::{json, BlobStore, Database, Filter, Value};
+use simart_codec::json;
+use simart_db::{BlobStore, Database, Filter, Value};
 
 /// Strategy for arbitrary document values (bounded depth).
 fn value_strategy() -> impl Strategy<Value = Value> {

@@ -16,9 +16,6 @@
 //! - `... --bench hotpath -- --test` — additionally assert the
 //!   performance claims (cache ≥5× re-decode, restore ≥10× cold boot),
 //!   exiting nonzero on regression. CI runs this mode.
-//! - `... --bench hotpath -- --json PATH` — also write the measured
-//!   numbers as JSON (the tracked `BENCH_fullsim.json` at the repo
-//!   root is generated this way).
 
 use simart_fullsim::checkpoint::CheckpointStore;
 use simart_fullsim::cpu::CpuKind;
@@ -138,10 +135,6 @@ fn measure_checkpoint() -> (Duration, Duration, f64) {
 fn main() {
     let args: Vec<String> = std::env::args().collect();
     let test_mode = args.iter().any(|a| a == "--test");
-    let json_path = args
-        .iter()
-        .position(|a| a == "--json")
-        .and_then(|i| args.get(i + 1));
 
     println!("fullsim hot paths (best of {REPEATS})");
 
@@ -167,25 +160,6 @@ fn main() {
         cold.as_secs_f64() / restore.as_secs_f64().max(1e-12),
         ips,
     );
-
-    if let Some(path) = json_path {
-        let json = format!(
-            "{{\n  \"bench\": \"hotpath\",\n  \"schema\": 1,\n  \"decode\": {{\n    \
-             \"cachedNsPerInst\": {:.1},\n    \"redecodeNsPerInst\": {:.1},\n    \
-             \"speedup\": {:.1}\n  }},\n  \
-             \"checkpoint\": {{\n    \"coldBootMs\": {:.2},\n    \"restoreMs\": {:.3},\n    \
-             \"speedup\": {:.0},\n    \"coldBootInstPerSec\": {:.0}\n  }}\n}}\n",
-            cached.as_secs_f64() * 1e9,
-            decoded.as_secs_f64() * 1e9,
-            decode_speedup,
-            cold.as_secs_f64() * 1e3,
-            restore.as_secs_f64() * 1e3,
-            cold.as_secs_f64() / restore.as_secs_f64().max(1e-12),
-            ips,
-        );
-        std::fs::write(path, json).expect("write bench json");
-        println!("\nwrote {path}");
-    }
 
     if test_mode {
         // 1. The decode cache must make repeat visits much cheaper than

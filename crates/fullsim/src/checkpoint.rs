@@ -23,9 +23,9 @@
 //! `restored_workload_is_bit_identical_to_cold_boot` in
 //! `tests/checkpoint_roundtrip.rs`.
 
-use crate::rng::fnv1a;
 use crate::stats::{StatValue, Stats};
 use crate::system::{Checkpoint, SimOutput, SystemConfig};
+use simart_codec::fnv1a;
 use simart_codec::frame::{self, push_frame, Frame};
 use std::fmt;
 use std::fs;

@@ -132,7 +132,7 @@ impl CpuModel for O3Cpu {
             last_complete = last_complete.max(complete);
 
             if inst.op == OpClass::Branch && inst.taken {
-                let hash = crate::rng::fnv1a(&(self.committed + i).to_le_bytes());
+                let hash = simart_codec::fnv1a(&(self.committed + i).to_le_bytes());
                 if (hash % 10_000) as f64 / 10_000.0 < cfg.mispredict_rate {
                     self.mispredicts += 1;
                     // Front end restarts after the branch resolves.

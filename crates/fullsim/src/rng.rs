@@ -9,7 +9,7 @@
 use rand::rngs::SmallRng;
 use rand::{Rng, RngCore, SeedableRng};
 
-pub use simart_codec::fnv1a;
+use simart_codec::fnv1a;
 
 /// A deterministic RNG derived from a textual seed.
 #[derive(Debug, Clone)]

@@ -4,7 +4,8 @@
 
 use proptest::prelude::*;
 use simart_artifact::{Artifact, ArtifactKind, ArtifactRegistry, ContentSource};
-use simart_db::{json, Database};
+use simart_codec::json;
+use simart_db::Database;
 use simart_run::{FsRun, RunError, RunStatus, RunStore};
 use std::sync::Barrier;
 use std::time::Duration;

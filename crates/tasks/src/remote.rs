@@ -607,6 +607,12 @@ impl RemoteScheduler {
         *self.shared.hook.lock().unwrap_or_else(|p| p.into_inner()) = Some(Arc::new(hook));
     }
 
+    /// Removes the lifecycle event hook and drops what it captured;
+    /// later events go unobserved until another hook is installed.
+    pub fn clear_event_hook(&self) {
+        *self.shared.hook.lock().unwrap_or_else(|p| p.into_inner()) = None;
+    }
+
     /// Gracefully drains: refuses new submits, waits (up to the drain
     /// deadline) for queued and in-flight work to finish — the
     /// supervisor keeps respawning and redelivering during the wait —

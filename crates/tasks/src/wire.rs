@@ -17,12 +17,9 @@
 //! valid frame decodes to "incomplete", not garbage (see the fuzz
 //! test below).
 
-use simart_codec::frame::{self, Frame};
+use simart_codec::frame::{self, encode_frame, Frame, MAX_FRAME_LEN};
 use simart_codec::{json, Value};
 use std::fmt;
-
-pub use simart_codec::crc32;
-pub use simart_codec::frame::{encode_frame, MAX_FRAME_LEN};
 
 /// Protocol version spoken by this build. A worker whose
 /// [`Message::Hello`] carries a different version is rejected during
