@@ -32,8 +32,8 @@ use simart::sim::system::{Fidelity, SystemConfig};
 use simart::sim::ticks::format_ticks;
 use simart::sim::workload::{gapbs_profile, npb_profile, parsec_profile, InputSize};
 use simart::tasks::{
-    BrokerScheduler, FaultInjector, PoolScheduler, RemoteConfig, RemoteScheduler, RetryPolicy,
-    SupervisorConfig, TransportKind, WorkerCommand,
+    BrokerScheduler, FaultInjector, RemoteConfig, RemoteScheduler, RetryPolicy, SupervisorConfig,
+    TransportKind, WorkerCommand,
 };
 use simart::{ExecOutcome, Experiment, LaunchOptions, LaunchSummary};
 use std::sync::Arc;
@@ -73,8 +73,8 @@ fn main() {
                  gpu options:      <app> --alloc simple|dynamic\n\
                  campaign options: --db DIR  --resume  --retries N  --suite NAME  --trace-out FILE\n\
                  \u{20}                 --fault-rate R --fault-seed S (deterministic fault injection)\n\
-                 \u{20}                 --scheduler pool|broker|remote  --workers N\n\
-                 \u{20}                 --max-redeliveries N  --kill-rate R\n\
+                 \u{20}                 --scheduler pool|broker|remote  --workers N  (pool = broker:\n\
+                 \u{20}                 one supervised thread driver)  --max-redeliveries N  --kill-rate R\n\
                  \u{20}                 --transport pipe|tcp  --partition-rate R (network chaos, tcp only)\n\
                  \u{20}                 --checkpoint-dir DIR (boot once, restore many)\n\
                  \u{20}                 --check (lint the database after the campaign)\n\
@@ -374,13 +374,6 @@ fn campaign(args: &[String]) -> i32 {
     let workers: usize = flag(args, "--workers")
         .and_then(|s| s.parse().ok())
         .unwrap_or(2);
-    // Worker-kill chaos only makes sense under a supervisor that can
-    // redeliver (the broker's threads or the remote coordinator's
-    // processes); a killed pool worker would simply strand its run.
-    if kill_rate > 0.0 && scheduler_kind == "pool" {
-        eprintln!("error: --kill-rate requires --scheduler broker or remote");
-        return 2;
-    }
     // Remote workers are supervised by redelivery, and their faults are
     // real process kills; `launch_remote` has no per-attempt retry or
     // in-process error injection to hand these two options to.
@@ -502,16 +495,17 @@ fn campaign(args: &[String]) -> i32 {
     // `observe` feature).
     simart::observe::reset();
     simart::observe::enable();
+    // Threads or processes, the same lease supervises the workers.
+    let supervisor = SupervisorConfig {
+        max_redeliveries,
+        ..SupervisorConfig::default()
+    };
     let summary: LaunchSummary = if scheduler_kind == "remote" {
         // Crash-isolated worker processes: this same binary re-executed
         // as `simart worker`, speaking the framed wire protocol.
         let Ok(program) = std::env::current_exe() else {
             eprintln!("error: cannot locate the simart binary for worker processes");
             return 2;
-        };
-        let supervisor = SupervisorConfig {
-            max_redeliveries,
-            ..SupervisorConfig::default()
         };
         let mut config = RemoteConfig {
             supervisor,
@@ -548,16 +542,10 @@ fn campaign(args: &[String]) -> i32 {
             eprintln!("warning: remote scheduler shut down with work outstanding");
         }
         summary
-    } else if scheduler_kind == "broker" {
-        let config = SupervisorConfig {
-            max_redeliveries,
-            ..SupervisorConfig::default()
-        };
-        let broker = BrokerScheduler::with_config(workers, config);
-        experiment.launch_with(runs, &broker, execute_campaign_run, &options)
     } else {
-        let pool = PoolScheduler::new(workers);
-        experiment.launch_with(runs, &pool, execute_campaign_run, &options)
+        // `pool` and `broker` name one supervised thread driver.
+        let broker = BrokerScheduler::with_config(workers, supervisor);
+        experiment.launch_with(runs, &broker, execute_campaign_run, &options)
     };
     println!(
         "campaign: {} runs — fresh {}, requeued {}, skipped done {}, skipped duplicates {}, \

@@ -146,8 +146,9 @@ pub struct LaunchOptions {
     /// Optional deterministic fault injector threaded into every task.
     pub fault: Option<Arc<FaultInjector>>,
     /// Optional injector for worker-level chaos (stalls and kills),
-    /// attached to each task so supervised schedulers consult it at
-    /// dequeue time. Keep its attempt-level rates at zero — attempt
+    /// attached to each task so the scheduler's workers — serial, pool
+    /// and broker alike — consult it at dequeue time; the supervisor
+    /// recovers the lease. Keep its attempt-level rates at zero — attempt
     /// faults belong in [`LaunchOptions::fault`], which is injected
     /// around the executor so provenance still records the attempt.
     pub worker_fault: Option<Arc<FaultInjector>>,
@@ -482,7 +483,7 @@ impl Experiment {
         .timeout(timeout)
         .retry_policy(options.retry_policy.clone());
         if let Some(injector) = &options.worker_fault {
-            // Consulted by supervised schedulers for worker-level
+            // Consulted by the scheduler's workers for worker-level
             // chaos; its attempt stream is expected to stay silent.
             task = task.fault_injector(Arc::clone(injector));
         }

@@ -1,17 +1,28 @@
-//! The broker/worker executor (the Celery analogue).
+//! The supervised thread driver: the one in-process executor.
 //!
-//! Tasks flow through a named broker queue; workers register with the
-//! broker and pull work. The structure mirrors a distributed Celery
+//! Tasks flow through a queue; worker threads pull from it, and a
+//! supervisor watches them. The structure mirrors a distributed Celery
 //! deployment collapsed into one process: the queue carries task
 //! metadata + payload, workers ack by reporting, and per-queue
 //! statistics are observable while the system runs.
 //!
+//! The driver serves three constructors that differ only in their
+//! arguments and in the label they report under:
+//! [`BrokerScheduler::with_config`] (any worker count, any
+//! [`SupervisorConfig`]), [`PoolScheduler::new`](crate::PoolScheduler::new)
+//! (`n` workers, default config) and
+//! [`SerialScheduler::new`](crate::SerialScheduler::new) (one worker,
+//! default config, `submit` waits for the report).
+//!
 //! # Supervision
 //!
 //! Every dequeued job carries a *lease*: a deadline of the task's
-//! timeout plus a grace period, owned by the worker that dequeued it.
-//! A supervisor thread ticks on a heartbeat
-//! ([`SupervisorConfig::heartbeat`]) and each tick:
+//! timeout plus a grace period, owned by the worker that dequeued it
+//! and re-armed by that worker as it starts each attempt — so the
+//! timeout bounds an attempt, and a task backing off between attempts
+//! is not overdue. The lease is the only deadline: attempts run on the
+//! worker's own thread, unwatched. A supervisor thread ticks on a
+//! heartbeat ([`SupervisorConfig::heartbeat`]) and each tick:
 //!
 //! 1. **reaps** detached worker threads that have since finished
 //!    (joining them, so the live-detached gauge returns to zero);
@@ -35,14 +46,14 @@
 //! drives it with threads.
 //!
 //! With the default config (`max_redeliveries: 0`) an expired lease is
-//! reported as [`TaskState::TimedOut`] at once, matching the classic
-//! watchdog behaviour — but unlike the watchdog, the wedged thread is
-//! reaped once it finishes instead of leaking forever.
+//! reported as [`TaskState::TimedOut`] at once: the task is terminated
+//! as far as its submitter can tell, and the wedged thread is reaped
+//! once it finishes.
 
 use crate::fault::Fault;
 use crate::lease::{Cause, JobId, LeaseTable, Owner, Revoked, Settled};
 use crate::supervise::SupervisorConfig;
-use crate::task::{execute_supervised, Task, TaskHandle, TaskReport, TaskState};
+use crate::task::{execute, Task, TaskHandle, TaskReport, TaskState};
 use crate::{trace, Scheduler};
 use crossbeam::channel::{bounded, unbounded, Receiver, RecvTimeoutError, Sender};
 use parking_lot::Mutex;
@@ -52,6 +63,20 @@ use std::sync::atomic::{AtomicBool, AtomicU64, Ordering};
 use std::sync::Arc;
 use std::thread::JoinHandle;
 use std::time::Instant;
+
+/// What tells the schedulers of the driver's three constructors apart:
+/// the name they report under and their queue-traffic counters.
+pub(crate) struct Label {
+    pub(crate) name: &'static str,
+    pub(crate) enqueued: &'static str,
+    pub(crate) dequeued: &'static str,
+}
+
+const BROKER: Label = Label {
+    name: "broker",
+    enqueued: "broker.enqueued",
+    dequeued: "broker.dequeued",
+};
 
 /// What the lease table keeps for each job: the task, and where its
 /// single report goes.
@@ -107,6 +132,7 @@ struct SupervisionState {
 
 /// State shared between the scheduler handle, workers, and supervisor.
 struct Shared {
+    label: &'static Label,
     stats: BrokerStats,
     config: SupervisorConfig,
     /// Receiving half of the ticket queue: workers pull job ids from
@@ -127,8 +153,8 @@ pub struct BrokerScheduler {
 
 impl BrokerScheduler {
     /// Starts a broker with `workers` attached worker threads and the
-    /// default [`SupervisorConfig`] (no redelivery — classic watchdog
-    /// semantics, plus detached-thread reaping and worker respawn).
+    /// default [`SupervisorConfig`] (no redelivery: an expired lease is
+    /// reported as timed-out).
     ///
     /// # Panics
     ///
@@ -143,14 +169,25 @@ impl BrokerScheduler {
     ///
     /// Panics if `workers` is zero.
     pub fn with_config(workers: usize, config: SupervisorConfig) -> BrokerScheduler {
-        assert!(workers > 0, "a broker needs at least one worker");
+        Self::start(&BROKER, workers, config)
+    }
+
+    /// Starts the driver under `label`.
+    pub(crate) fn start(
+        label: &'static Label,
+        workers: usize,
+        config: SupervisorConfig,
+    ) -> BrokerScheduler {
+        let name = label.name;
+        assert!(workers > 0, "a {name} scheduler needs at least one worker");
         let (tx, rx) = unbounded::<JobId>();
         let shared = Arc::new(Shared {
+            label,
             stats: BrokerStats::default(),
             config,
             pending: rx,
             state: Mutex::new(SupervisionState {
-                slots: Vec::with_capacity(workers),
+                slots: Vec::new(),
                 table: LeaseTable::new(config),
                 queue: Some(tx),
                 detached: Vec::new(),
@@ -158,18 +195,9 @@ impl BrokerScheduler {
             }),
             queue_trace_id: trace::fresh_id(),
         });
-        {
-            let mut st = shared.state.lock();
-            for slot in 0..workers {
-                let flags = Arc::new(WorkerFlags::default());
-                let handle = spawn_worker(&shared, slot, 0, Arc::clone(&flags));
-                st.slots.push(WorkerSlot {
-                    handle: Some(handle),
-                    flags,
-                    generation: 0,
-                });
-            }
-        }
+        let slots = (0..workers).map(|slot| spawn_worker(&shared, slot, 0));
+        let slots: Vec<WorkerSlot> = slots.collect();
+        shared.state.lock().slots = slots;
         let (stop_tx, stop_rx) = bounded::<()>(0);
         let supervisor = spawn_supervisor(Arc::clone(&shared), stop_rx);
         BrokerScheduler {
@@ -308,7 +336,7 @@ impl Scheduler for BrokerScheduler {
                     report_tx: tx,
                 };
                 let job = table.submit(name.clone(), timeout, payload, Instant::now());
-                observe::count("broker.enqueued", 1);
+                observe::count(self.shared.label.enqueued, 1);
                 trace::enqueue(self.shared.queue_trace_id);
                 // All receivers gone (queue torn down mid-send):
                 // degrade to the drop path instead of stranding the
@@ -329,7 +357,7 @@ impl Scheduler for BrokerScheduler {
     }
 
     fn name(&self) -> &'static str {
-        "broker"
+        self.shared.label.name
     }
 }
 
@@ -364,23 +392,26 @@ impl Drop for BrokerScheduler {
     }
 }
 
-fn spawn_worker(
-    shared: &Arc<Shared>,
-    slot: usize,
-    generation: u64,
-    flags: Arc<WorkerFlags>,
-) -> JoinHandle<()> {
-    let shared = Arc::clone(shared);
-    std::thread::Builder::new()
-        .name(format!("simart-broker-worker-{slot}-g{generation}"))
-        .spawn(move || worker_loop(&shared, Owner { slot, generation }, &flags))
-        .expect("spawning broker worker")
+/// Starts the worker thread occupying `slot` as `generation`.
+fn spawn_worker(shared: &Arc<Shared>, slot: usize, generation: u64) -> WorkerSlot {
+    let flags = Arc::new(WorkerFlags::default());
+    let (shared, worker_flags) = (Arc::clone(shared), Arc::clone(&flags));
+    let name = format!("simart-{}-worker-{slot}-g{generation}", shared.label.name);
+    let handle = std::thread::Builder::new()
+        .name(name)
+        .spawn(move || worker_loop(&shared, Owner { slot, generation }, &worker_flags))
+        .expect("spawning scheduler worker");
+    WorkerSlot {
+        handle: Some(handle),
+        flags,
+        generation,
+    }
 }
 
 fn worker_loop(shared: &Arc<Shared>, owner: Owner, flags: &Arc<WorkerFlags>) {
     while let Ok(job) = shared.pending.recv() {
         trace::dequeue(shared.queue_trace_id);
-        observe::count("broker.dequeued", 1);
+        observe::count(shared.label.dequeued, 1);
         // Take the lease before consulting worker faults, so a killed
         // worker leaves a lease behind for the supervisor to recover.
         let granted = shared
@@ -416,7 +447,11 @@ fn worker_loop(shared: &Arc<Shared>, owner: Owner, flags: &Arc<WorkerFlags>) {
             Some(Fault::WorkerStall(stall)) => std::thread::sleep(stall),
             _ => {}
         }
-        let report = execute_supervised(task);
+        // Each attempt re-arms the lease, so the task's timeout bounds
+        // the attempt and a backoff sleep is never overdue.
+        let report = execute(task, |attempt, start| {
+            shared.state.lock().table.rearm(job, owner, attempt, start);
+        });
         // First report wins: a delivery whose job already settled (it
         // was dead-lettered, or another delivery finished first) gets
         // nothing back and its report is discarded.
@@ -438,13 +473,13 @@ fn worker_loop(shared: &Arc<Shared>, owner: Owner, flags: &Arc<WorkerFlags>) {
 
 fn spawn_supervisor(shared: Arc<Shared>, stop: Receiver<()>) -> JoinHandle<()> {
     std::thread::Builder::new()
-        .name("simart-broker-supervisor".to_owned())
+        .name(format!("simart-{}-supervisor", shared.label.name))
         .spawn(move || {
             while let Err(RecvTimeoutError::Timeout) = stop.recv_timeout(shared.config.heartbeat) {
                 supervise_tick(&shared);
             }
         })
-        .expect("spawning broker supervisor")
+        .expect("spawning scheduler supervisor")
 }
 
 /// One supervisor heartbeat: reap, respawn, expire.
@@ -542,14 +577,7 @@ fn detach_and_respawn(shared: &Arc<Shared>, st: &mut SupervisionState, slot_idx:
 /// Spawns a fresh worker into a slot (new generation, fresh flags).
 fn respawn(shared: &Arc<Shared>, st: &mut SupervisionState, slot_idx: usize) {
     st.next_generation += 1;
-    let generation = st.next_generation;
-    let flags = Arc::new(WorkerFlags::default());
-    let handle = spawn_worker(shared, slot_idx, generation, Arc::clone(&flags));
-    st.slots[slot_idx] = WorkerSlot {
-        handle: Some(handle),
-        flags,
-        generation,
-    };
+    st.slots[slot_idx] = spawn_worker(shared, slot_idx, st.next_generation);
     shared.stats.worker_respawns.fetch_add(1, Ordering::SeqCst);
     observe::count("broker.worker_respawns", 1);
 }
@@ -587,6 +615,9 @@ fn revoke_lease(shared: &Shared, st: &mut SupervisionState, job: JobId, cause: C
     }) = dead
     {
         shared.stats.dead_lettered.fetch_add(1, Ordering::SeqCst);
+        if report.state == TaskState::TimedOut {
+            observe::count("tasks.timeouts", 1);
+        }
         // The thread behind an expired, never-redelivered lease was
         // detached and is still running somewhere.
         report.detached = cause == Cause::LeaseExpired && report.state == TaskState::TimedOut;

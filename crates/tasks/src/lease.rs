@@ -7,7 +7,9 @@
 //!   whoever reports first wins, and a settled job leaves the table so
 //!   no later report, revocation or ticket can produce a second one;
 //! * deliveries are numbered from 1; a *grant* leases the current
-//!   delivery to an [`Owner`] until `timeout + grace`;
+//!   delivery to an [`Owner`] until `timeout + grace`, and the owner
+//!   *re-arms* that deadline as it starts each further attempt, so the
+//!   timeout bounds an attempt, not the delivery;
 //! * a *revoked* lease appends one `delivery:<n>:<cause>` event and is
 //!   redelivered (`n + 1`) while the redelivery cap allows, otherwise
 //!   dead-lettered with the single cause → ([`TaskState`], error text)
@@ -95,6 +97,9 @@ pub(crate) struct Lease {
     /// `None` for jobs without a timeout: recovered only when their
     /// owner is lost.
     pub(crate) deadline: Option<Instant>,
+    /// The last attempt the owner announced ([`LeaseTable::rearm`]);
+    /// `0` until it announces one. A dead letter reports it.
+    pub(crate) attempt: u32,
 }
 
 /// A job leaving the table with its single report.
@@ -186,9 +191,22 @@ impl<P> LeaseTable<P> {
                 owner,
                 granted: now,
                 deadline,
+                attempt: 0,
             },
         );
         Some(record)
+    }
+
+    /// `owner` announces attempt `attempt` of its leased job, due to
+    /// start at `start` (now, or when a backoff sleep ends): the
+    /// deadline moves to `start + timeout + grace`. A no-op unless
+    /// `owner` still holds the job's lease.
+    pub(crate) fn rearm(&mut self, job: JobId, owner: Owner, attempt: u32, start: Instant) {
+        if let Some(lease) = self.leases.get_mut(&job).filter(|l| l.owner == owner) {
+            let timeout = self.jobs.get(&job).and_then(|record| record.timeout);
+            lease.deadline = timeout.map(|t| start + t + self.config.grace);
+            lease.attempt = attempt;
+        }
     }
 
     /// Settles the job with a worker's report, stamped with the
@@ -253,7 +271,8 @@ impl<P> LeaseTable<P> {
     /// is revoked (and the event recorded) first.
     pub(crate) fn fail(&mut self, job: JobId, cause: Cause, now: Instant) -> Option<Settled<P>> {
         let mut record = self.jobs.remove(&job)?;
-        if self.leases.remove(&job).is_some() {
+        let lease = self.leases.remove(&job);
+        if lease.is_some() {
             record.events.push(event(record.delivery, cause));
         }
         let (state, error) = self.classify(&record, cause);
@@ -264,7 +283,7 @@ impl<P> LeaseTable<P> {
                 state,
                 output: None,
                 error: Some(error),
-                attempts: 0,
+                attempts: lease.map_or(0, |lease| lease.attempt),
                 duration: now.saturating_duration_since(record.submitted),
                 detached: false,
                 history: Vec::new(),
@@ -389,7 +408,8 @@ mod tests {
     struct Shadow {
         delivery: u32,
         events: Vec<String>,
-        lease: Option<(Owner, Option<Instant>)>,
+        /// Owner, deadline and last announced attempt of the lease.
+        lease: Option<(Owner, Option<Instant>, u32)>,
         /// Reports delivered plus discards: must end at exactly one.
         outcomes: u32,
     }
@@ -468,13 +488,14 @@ mod tests {
         }
 
         /// A report left the table: it must be the job's first, and
-        /// must carry the job's whole delivery history.
-        fn reported(&mut self, job: JobId, report: &TaskReport) {
+        /// must carry the job's whole delivery history and `attempts`.
+        fn reported(&mut self, job: JobId, report: &TaskReport, attempts: u32) {
             let shadow = self.jobs.get_mut(&job).expect("reported job was submitted");
             shadow.outcomes += 1;
             shadow.lease = None;
             let (delivery, events) = (shadow.delivery, shadow.events.clone());
             self.ensure(self.jobs[&job].outcomes == 1, "a job got a second report");
+            self.ensure(report.attempts == attempts, "attempts differ");
             self.ensure(
                 report.redeliveries + 1 == delivery,
                 "redeliveries != delivery - 1",
@@ -489,13 +510,14 @@ mod tests {
         }
 
         /// Revokes (or, once closed, fails) a lease and checks the
-        /// single event it must append.
+        /// single event it must append; a dead letter carries the last
+        /// attempt the lease's owner announced.
         fn revoke(&mut self, job: JobId, cause: Cause) {
             let delivery = self.jobs[&job].delivery;
             let expect_event = format!("delivery:{delivery}:{}", cause.label());
             let shadow = self.jobs.get_mut(&job).expect("revoked job was submitted");
             shadow.events.push(expect_event);
-            shadow.lease = None;
+            let (_, _, attempt) = shadow.lease.take().expect("revoked job was leased");
             let outcome = if self.closed {
                 self.table
                     .fail(job, cause, self.now)
@@ -520,7 +542,7 @@ mod tests {
                         self.closed || delivery > self.cap,
                         "dead-lettered with budget left",
                     );
-                    self.reported(job, &settled.report);
+                    self.reported(job, &settled.report, attempt);
                 }
                 None => self.ensure(false, "a held lease could not be revoked"),
             }
@@ -529,7 +551,7 @@ mod tests {
         fn step(&mut self) {
             let live = self.live();
             let leased = self.leased();
-            match self.below(10) {
+            match self.below(11) {
                 0 | 1 => {
                     let timeout = match self.below(3) {
                         0 => None,
@@ -562,7 +584,9 @@ mod tests {
                         let deadline = timeout.map(|t| self.now + t + GRACE);
                         let lease = self.table.lease(job).expect("granted job is leased");
                         self.ensure(lease.deadline == deadline, "deadline != timeout + grace");
-                        self.jobs.get_mut(&job).expect("checked").lease = Some((owner, deadline));
+                        self.ensure(lease.attempt == 0, "a grant announces no attempt");
+                        self.jobs.get_mut(&job).expect("checked").lease =
+                            Some((owner, deadline, 0));
                         self.executions.push(job);
                     }
                 }
@@ -580,7 +604,7 @@ mod tests {
                     self.ensure(settled.is_some() == first, "first report must win, once");
                     if let Some(settled) = settled {
                         self.ensure(settled.report.state.is_success(), "worker report kept");
-                        self.reported(job, &settled.report);
+                        self.reported(job, &settled.report, 1);
                     }
                 }
                 5 => {
@@ -590,7 +614,7 @@ mod tests {
                     let due: BTreeSet<JobId> = leased
                         .iter()
                         .filter(|job| {
-                            let (_, deadline) = self.jobs[job].lease.expect("leased");
+                            let (_, deadline, _) = self.jobs[job].lease.expect("leased");
                             deadline.is_some_and(|deadline| self.now >= deadline)
                         })
                         .copied()
@@ -634,6 +658,34 @@ mod tests {
                     }
                 }
                 8 => {
+                    // A worker announces an attempt — the lease's owner
+                    // or a stale one, on any known job: only the owner
+                    // of a held lease moves its deadline.
+                    let all: Vec<JobId> = self.jobs.keys().copied().collect();
+                    let Some(job) = self.pick(&all) else { return };
+                    let held = self.jobs[&job].lease;
+                    let owner = match held {
+                        Some((owner, ..)) if self.below(2) == 0 => owner,
+                        _ => self.owner(),
+                    };
+                    let attempt = self.below(5) as u32 + 1;
+                    let start = self.now + Duration::from_millis(self.below(80));
+                    self.ops
+                        .push(format!("rearm {job} by {owner:?} attempt {attempt}"));
+                    self.table.rearm(job, owner, attempt, start);
+                    let mut expect = held;
+                    if let Some(lease) = expect.as_mut().filter(|lease| lease.0 == owner) {
+                        let timeout = self.table.get(job).and_then(|record| record.timeout);
+                        *lease = (owner, timeout.map(|t| start + t + GRACE), attempt);
+                        self.jobs.get_mut(&job).expect("checked").lease = expect;
+                    }
+                    let lease = self.table.lease(job);
+                    self.ensure(
+                        lease.map(|l| (l.owner, l.deadline, l.attempt)) == expect,
+                        "rearm by anyone but the lease's owner must change nothing",
+                    );
+                }
+                9 => {
                     // Rare, or nothing else would ever get far.
                     if self.below(8) != 0 {
                         return;
@@ -667,29 +719,33 @@ mod tests {
                     .events
                     .push(format!("delivery:{delivery}:no-workers"));
             }
+            let attempts: Vec<u32> = live
+                .iter()
+                .map(|job| self.jobs[job].lease.map_or(0, |(_, _, attempt)| attempt))
+                .collect();
             let settled = self.table.fail_all(Cause::NoWorkers, self.now);
             self.ensure(
                 settled.len() == live.len(),
                 "fail_all must settle every job",
             );
-            for (job, settled) in live.into_iter().zip(settled) {
+            for ((job, settled), attempt) in live.into_iter().zip(settled).zip(attempts) {
                 let expect = if self.jobs[&job].delivery > 1 {
                     TaskState::Quarantined
                 } else {
                     TaskState::Failed
                 };
                 self.ensure(settled.report.state == expect, "fail_all state");
-                self.reported(job, &settled.report);
+                self.reported(job, &settled.report, attempt);
             }
             self.ensure(self.table.is_empty(), "fail_all left jobs behind");
         }
     }
 
     proptest! {
-        /// Random interleavings of submit / grant / complete (current
-        /// and stale) / expire / worker-lost / resend / fail_all /
-        /// shutdown: every job gets exactly one outcome and the
-        /// delivery bookkeeping never drifts.
+        /// Random interleavings of submit / grant / re-arm (owner and
+        /// stale) / complete (current and stale) / expire / worker-lost
+        /// / resend / fail_all / shutdown: every job gets exactly one
+        /// outcome and the delivery bookkeeping never drifts.
         #[test]
         fn interleavings_keep_the_contract(seed in any::<u64>(), cap in 0u32..4) {
             let mut model = Model::new(seed, cap);
@@ -700,7 +756,7 @@ mod tests {
             // may end without its one outcome.
             while let Some(job) = model.executions.pop() {
                 if let Some(settled) = model.table.complete(job, worker_report("w")) {
-                    model.reported(job, &settled.report);
+                    model.reported(job, &settled.report, 1);
                 }
             }
             model.fail_all();

@@ -4,35 +4,39 @@
 //! `gem5art-tasks` package, which hands run objects to Celery, the
 //! Python `multiprocessing` library, or no scheduler at all.
 //!
-//! Four schedulers; the first three share the [`Scheduler`] interface:
+//! Two executors. In process there is one — a queue drained by
+//! supervised worker threads — behind the three [`Scheduler`] names the
+//! paper's modes call for; they differ only in how it is started, so a
+//! task means the same thing on each:
 //!
-//! * [`SerialScheduler`] — runs tasks inline ("no job scheduler at
-//!   all");
-//! * [`PoolScheduler`] — a fixed thread pool (the `multiprocessing`
-//!   analogue);
-//! * [`BrokerScheduler`] — a broker queue drained by supervised worker
-//!   threads, with retries and per-task timeouts (the Celery analogue);
-//! * [`RemoteScheduler`] — the same delivery contract over
-//!   crash-isolated worker *processes* (pipes or TCP). It takes
-//!   [`RemoteTaskSpec`]s, not closures, so it has its own `submit`.
+//! * [`SerialScheduler`] — one worker, and `submit` returns when the
+//!   task has settled ("no job scheduler at all");
+//! * [`PoolScheduler`] — `n` workers (the `multiprocessing` analogue);
+//! * [`BrokerScheduler`] — `n` workers and a chosen
+//!   [`SupervisorConfig`], e.g. with redelivery (the Celery analogue).
+//!
+//! [`RemoteScheduler`] is the same delivery contract over
+//! crash-isolated worker *processes* (pipes or TCP). It takes
+//! [`RemoteTaskSpec`]s, not closures, so it has its own `submit`.
 //!
 //! Every submission returns a [`TaskHandle`] whose
 //! [`TaskHandle::wait`] yields the final [`TaskReport`]. Like the
 //! paper's framework, a task that exceeds its timeout is *terminated*
 //! (reported as [`TaskState::TimedOut`]) rather than left to run the
-//! cluster dry.
+//! cluster dry. The timeout bounds each attempt and is enforced in one
+//! place on every scheduler: the lease below.
 //!
 //! Fault tolerance is first-class: a [`RetryPolicy`] gives tasks
 //! deterministic backoff schedules (fixed or exponential, seeded
-//! jitter, per-attempt and total deadlines), and a seeded
+//! jitter, a total deadline), and a seeded
 //! [`FaultInjector`] deterministically injects panics, spurious
 //! errors, and delays to exercise those paths. Reports carry the full
 //! per-attempt history ([`AttemptRecord`]), which is bit-identical
 //! across runs with equal seeds.
 //!
-//! The broker and the remote scheduler *supervise* their workers, and
-//! the contract is written once, in the crate-private `lease` module:
-//! every delivery holds a lease, a heartbeat supervisor redelivers work
+//! Every scheduler *supervises* its workers, and the contract is
+//! written once, in the crate-private `lease` module: every delivery
+//! holds a lease, a heartbeat supervisor redelivers work
 //! whose lease expired or whose worker died (up to
 //! [`SupervisorConfig::max_redeliveries`]) and replaces the worker,
 //! the first report wins, and a task that exhausts redelivery is
@@ -150,42 +154,80 @@ mod tests {
 
     #[test]
     fn timeouts_terminate_runaway_tasks() {
+        use std::sync::atomic::{AtomicU32, Ordering};
+        use std::sync::Arc;
+        let mut shapes = Vec::new();
         for scheduler in schedulers() {
-            let task = Task::new("runaway", || {
+            let ran = Arc::new(AtomicU32::new(0));
+            let seen = Arc::clone(&ran);
+            let task = Task::new("runaway", move || {
+                seen.fetch_add(1, Ordering::SeqCst);
                 std::thread::sleep(Duration::from_secs(30));
                 Ok(String::new())
             })
-            .timeout(Duration::from_millis(50));
+            .timeout(Duration::from_millis(50))
+            .retries(2);
             let report = scheduler.submit(task).wait();
             assert_eq!(report.state, TaskState::TimedOut, "{}", scheduler.name());
             assert!(report.duration < Duration::from_secs(5));
+            // Timeouts are terminal: the retries are not spent on them.
+            assert_eq!(ran.load(Ordering::SeqCst), 1, "{}", scheduler.name());
+            shapes.push((
+                report.state,
+                report.attempts,
+                report.detached,
+                report.history.len(),
+            ));
         }
+        assert_eq!(shapes, vec![(TaskState::TimedOut, 1, true, 0); 3]);
     }
 
     #[test]
     fn retry_policies_apply_on_every_scheduler() {
         use std::sync::atomic::{AtomicU32, Ordering};
         use std::sync::Arc;
-        for scheduler in schedulers() {
-            let counter = Arc::new(AtomicU32::new(0));
-            let seen = Arc::clone(&counter);
-            let policy = RetryPolicy::fixed(Duration::from_millis(1)).max_attempts(4);
-            let report = scheduler
-                .submit(
-                    Task::new("flaky", move || {
-                        if seen.fetch_add(1, Ordering::SeqCst) < 2 {
-                            Err("transient".to_owned())
-                        } else {
-                            Ok("recovered".to_owned())
-                        }
-                    })
-                    .retry_policy(policy),
-                )
-                .wait();
-            assert!(report.state.is_success(), "{}", scheduler.name());
-            assert_eq!(report.attempts, 3, "{}", scheduler.name());
-            assert_eq!(report.history.len(), 3, "{}", scheduler.name());
-            counter.store(0, Ordering::SeqCst);
+        // (policy, timeout, failing attempts). The first case backs
+        // off for longer than its timeout: the timeout bounds an
+        // attempt, not the sleep between two. It goes first so this
+        // test opens with 450 ms on the serial scheduler: the test
+        // harness starts `schedulers_record_profiling_metrics`, which
+        // counts pool and broker submissions on the process-global
+        // registry, right after this one.
+        let cases = [
+            (
+                RetryPolicy::fixed(Duration::from_millis(400)).max_attempts(3),
+                Some(Duration::from_millis(50)),
+                1,
+            ),
+            (
+                RetryPolicy::fixed(Duration::from_millis(1)).max_attempts(4),
+                None,
+                2,
+            ),
+        ];
+        for (policy, timeout, failures) in cases {
+            for scheduler in schedulers() {
+                let counter = Arc::new(AtomicU32::new(0));
+                let seen = Arc::clone(&counter);
+                let mut task = Task::new("flaky", move || {
+                    if seen.fetch_add(1, Ordering::SeqCst) < failures {
+                        Err("transient".to_owned())
+                    } else {
+                        Ok("recovered".to_owned())
+                    }
+                })
+                .retry_policy(policy.clone());
+                if let Some(timeout) = timeout {
+                    task = task.timeout(timeout);
+                }
+                let report = scheduler.submit(task).wait();
+                let on = format!("{} under {policy}", scheduler.name());
+                assert_eq!(report.state, TaskState::Succeeded, "{on}: {report:?}");
+                assert_eq!(report.attempts, failures + 1, "{on}");
+                assert_eq!(report.history.len() as u32, failures + 1, "{on}");
+                assert_eq!(report.history[1].delay_before, policy.delay_before(2));
+                assert!(!report.detached, "{on}");
+            }
         }
     }
 

@@ -1,31 +1,25 @@
 //! The thread-pool executor (the `multiprocessing` analogue).
 
-use crate::task::{execute_reporting, Task, TaskHandle, TaskReport};
-use crate::{trace, Scheduler};
-use crossbeam::channel::{bounded, unbounded, Receiver, Sender};
-use parking_lot::Mutex;
-use simart_observe as observe;
-use std::sync::atomic::{AtomicU64, Ordering};
-use std::thread::JoinHandle;
+use crate::broker::{BrokerScheduler, Label};
+use crate::supervise::SupervisorConfig;
+use crate::task::{Task, TaskHandle};
+use crate::Scheduler;
 
-type Job = (Task, Sender<TaskReport>);
+const POOL: Label = Label {
+    name: "pool",
+    enqueued: "pool.enqueued",
+    dequeued: "pool.dequeued",
+};
 
-/// A fixed pool of worker threads draining a shared queue.
+/// A fixed pool of worker threads draining a shared queue: the
+/// supervised thread driver ([`BrokerScheduler`]) with the default
+/// [`SupervisorConfig`], reporting as `"pool"`.
 ///
 /// Dropping the pool signals shutdown and joins the workers; queued
-/// tasks still run to completion first. For the broker's
-/// discard-on-shutdown semantics instead, call [`Self::shutdown_now`].
+/// tasks still run to completion first. To discard them instead, call
+/// [`Self::shutdown_now`].
 #[derive(Debug)]
-pub struct PoolScheduler {
-    queue: Mutex<Option<Sender<Job>>>,
-    /// The pool's own view of the queue, used by [`Self::shutdown_now`]
-    /// to drain jobs the workers will never run.
-    pending: Receiver<Job>,
-    dropped: AtomicU64,
-    workers: Mutex<Vec<JoinHandle<()>>>,
-    size: usize,
-    queue_trace_id: u64,
-}
+pub struct PoolScheduler(BrokerScheduler);
 
 impl PoolScheduler {
     /// Creates a pool with `size` workers.
@@ -34,105 +28,34 @@ impl PoolScheduler {
     ///
     /// Panics if `size` is zero.
     pub fn new(size: usize) -> PoolScheduler {
-        assert!(size > 0, "a pool needs at least one worker");
-        let (tx, rx) = unbounded::<Job>();
-        let queue_trace_id = trace::fresh_id();
-        let workers = (0..size)
-            .map(|i| {
-                let rx = rx.clone();
-                std::thread::Builder::new()
-                    .name(format!("simart-pool-{i}"))
-                    .spawn(move || {
-                        while let Ok((task, report_tx)) = rx.recv() {
-                            trace::dequeue(queue_trace_id);
-                            observe::count("pool.dequeued", 1);
-                            execute_reporting(task, report_tx);
-                        }
-                    })
-                    .expect("spawning pool worker")
-            })
-            .collect();
-        PoolScheduler {
-            queue: Mutex::new(Some(tx)),
-            pending: rx,
-            dropped: AtomicU64::new(0),
-            workers: Mutex::new(workers),
+        PoolScheduler(BrokerScheduler::start(
+            &POOL,
             size,
-            queue_trace_id,
-        }
+            SupervisorConfig::default(),
+        ))
     }
 
-    /// Number of worker threads.
-    pub fn size(&self) -> usize {
-        self.size
-    }
-
-    /// Closes the queue and discards still-queued jobs without running
-    /// them (in-progress tasks finish) — the same semantics as
-    /// [`BrokerScheduler::shutdown_now`](crate::BrokerScheduler::shutdown_now),
-    /// in contrast to the pool's default drop behaviour of draining the
-    /// queue to completion. Handles of discarded tasks resolve to
-    /// synthesized "scheduler dropped task" failure reports; later
-    /// submissions are dropped the same way. Returns the number of
-    /// jobs discarded by this call.
+    /// [`BrokerScheduler::shutdown_now`]: closes the queue and discards
+    /// still-queued jobs without running them, in contrast to the
+    /// default drop behaviour of draining the queue to completion.
     pub fn shutdown_now(&self) -> u64 {
-        let _ = self.queue.lock().take();
-        let mut discarded = 0u64;
-        // Race with workers draining the same queue is fine: each job
-        // goes to exactly one side.
-        while let Ok((_task, report_tx)) = self.pending.try_recv() {
-            drop(report_tx);
-            discarded += 1;
-        }
-        self.dropped.fetch_add(discarded, Ordering::SeqCst);
-        discarded
+        self.0.shutdown_now()
     }
 
     /// Tasks dropped without execution (shutdown or post-shutdown
     /// submission).
     pub fn dropped(&self) -> u64 {
-        self.dropped.load(Ordering::SeqCst)
+        self.0.dropped()
     }
 }
 
 impl Scheduler for PoolScheduler {
-    fn submit(&self, mut task: Task) -> TaskHandle {
-        let name = task.name().to_owned();
-        let (tx, rx) = bounded(1);
-        task.stamp_queued();
-        trace::task_submit(task.trace_id);
-        match self.queue.lock().as_ref() {
-            Some(sender) => {
-                observe::count("pool.enqueued", 1);
-                trace::enqueue(self.queue_trace_id);
-                if sender.send((task, tx)).is_err() {
-                    // All receivers gone: degrade to the drop path
-                    // instead of panicking.
-                    self.dropped.fetch_add(1, Ordering::SeqCst);
-                }
-            }
-            None => {
-                // Shut down: drop the report sender so the handle
-                // resolves to a synthesized failure.
-                self.dropped.fetch_add(1, Ordering::SeqCst);
-                drop(tx);
-            }
-        }
-        TaskHandle { receiver: rx, name }
+    fn submit(&self, task: Task) -> TaskHandle {
+        self.0.submit(task)
     }
 
     fn name(&self) -> &'static str {
-        "pool"
-    }
-}
-
-impl Drop for PoolScheduler {
-    fn drop(&mut self) {
-        // Closing the channel lets workers drain and exit.
-        self.queue.get_mut().take();
-        for worker in self.workers.get_mut().drain(..) {
-            let _ = worker.join();
-        }
+        self.0.name()
     }
 }
 
@@ -140,6 +63,7 @@ impl Drop for PoolScheduler {
 mod tests {
     use super::*;
     use crate::task::TaskState;
+    use crossbeam::channel::unbounded;
     use std::sync::atomic::{AtomicUsize, Ordering};
     use std::sync::Arc;
     use std::time::Duration;

@@ -34,8 +34,9 @@ pub enum Backoff {
 
 /// When and how often a task is retried after an error.
 ///
-/// Panics and plain errors are retried; per-attempt timeouts are
-/// terminal (a run that outlived its deadline once will do so again).
+/// Panics and plain errors are retried; an attempt that outlives the
+/// task's timeout ([`Task::timeout`](crate::Task::timeout)) is terminal
+/// (a run that outlived its deadline once will do so again).
 #[derive(Debug, Clone, PartialEq)]
 pub struct RetryPolicy {
     backoff: Backoff,
@@ -43,7 +44,6 @@ pub struct RetryPolicy {
     cap: Option<Duration>,
     jitter: f64,
     seed: u64,
-    attempt_deadline: Option<Duration>,
     total_deadline: Option<Duration>,
 }
 
@@ -58,7 +58,6 @@ impl RetryPolicy {
             cap: None,
             jitter: 0.0,
             seed: 0,
-            attempt_deadline: None,
             total_deadline: None,
         }
     }
@@ -128,13 +127,6 @@ impl RetryPolicy {
         self
     }
 
-    /// Deadline for each individual attempt. A task-level timeout, if
-    /// set, takes precedence.
-    pub fn attempt_deadline(mut self, deadline: Duration) -> RetryPolicy {
-        self.attempt_deadline = Some(deadline);
-        self
-    }
-
     /// Wall-clock budget across *all* attempts and backoff sleeps; once
     /// exhausted no further retry is scheduled.
     pub fn total_deadline(mut self, deadline: Duration) -> RetryPolicy {
@@ -145,11 +137,6 @@ impl RetryPolicy {
     /// Total attempts this policy allows (≥ 1).
     pub fn attempts_allowed(&self) -> u32 {
         self.max_attempts
-    }
-
-    /// The per-attempt deadline, if any.
-    pub fn per_attempt_deadline(&self) -> Option<Duration> {
-        self.attempt_deadline
     }
 
     /// The all-attempts wall-clock budget, if any.
@@ -321,10 +308,8 @@ mod tests {
 
     #[test]
     fn deadlines_are_recorded() {
-        let policy = RetryPolicy::fixed(Duration::from_millis(5))
-            .attempt_deadline(Duration::from_secs(1))
-            .total_deadline(Duration::from_secs(3));
-        assert_eq!(policy.per_attempt_deadline(), Some(Duration::from_secs(1)));
+        let policy =
+            RetryPolicy::fixed(Duration::from_millis(5)).total_deadline(Duration::from_secs(3));
         assert_eq!(policy.total_budget(), Some(Duration::from_secs(3)));
     }
 

@@ -1,33 +1,57 @@
 //! The serial (no-scheduler) executor.
 
-use crate::task::{execute_reporting, Task, TaskHandle};
-use crate::{trace, Scheduler};
+use crate::broker::{BrokerScheduler, Label};
+use crate::supervise::SupervisorConfig;
+use crate::task::{Task, TaskHandle};
+use crate::Scheduler;
 use crossbeam::channel::bounded;
 
-/// Runs each task inline on the submitting thread — the paper's "no
-/// job scheduler at all" mode. Useful for debugging a single run.
-#[derive(Debug, Default, Clone, Copy)]
-pub struct SerialScheduler;
+const SERIAL: Label = Label {
+    name: "serial",
+    enqueued: "serial.enqueued",
+    dequeued: "serial.dequeued",
+};
+
+/// Runs one task at a time, in submission order — the paper's "no job
+/// scheduler at all" mode. Useful for debugging a single run.
+///
+/// It is the supervised thread driver ([`BrokerScheduler`]) with one
+/// worker and the default [`SupervisorConfig`], whose `submit` returns
+/// once the task has settled: the handle is already resolved. A task
+/// that submits to the *same* serial scheduler from inside its work
+/// would therefore wait on itself.
+#[derive(Debug)]
+pub struct SerialScheduler(BrokerScheduler);
 
 impl SerialScheduler {
     /// Creates the serial scheduler.
     pub fn new() -> SerialScheduler {
-        SerialScheduler
+        SerialScheduler(BrokerScheduler::start(
+            &SERIAL,
+            1,
+            SupervisorConfig::default(),
+        ))
+    }
+}
+
+impl Default for SerialScheduler {
+    fn default() -> SerialScheduler {
+        SerialScheduler::new()
     }
 }
 
 impl Scheduler for SerialScheduler {
-    fn submit(&self, mut task: Task) -> TaskHandle {
-        let name = task.name().to_owned();
+    fn submit(&self, task: Task) -> TaskHandle {
+        let handle = self.0.submit(task);
+        let name = handle.name().to_owned();
         let (tx, rx) = bounded(1);
-        task.stamp_queued();
-        trace::task_submit(task.trace_id);
-        execute_reporting(task, tx);
+        // Cannot fail: `rx` is alive and has room for the one report.
+        let _ = tx.send(handle.wait());
         TaskHandle { receiver: rx, name }
     }
 
     fn name(&self) -> &'static str {
-        "serial"
+        self.0.name()
     }
 }
 

@@ -1,13 +1,14 @@
-//! Supervision policy shared by the broker and remote schedulers.
+//! Supervision policy shared by every scheduler.
 //!
-//! Both pair every delivery with a *lease* — a deadline of the task's
+//! All pair every delivery with a *lease* — a deadline of the task's
 //! timeout plus a grace period — and run a supervisor that ticks on a
 //! heartbeat, replaces workers that died or wedged, and recovers their
 //! leases by redelivering the task (up to a cap) or dead-lettering it
 //! (the crate-private `lease` module is that contract).
-//! [`SupervisorConfig`] is the knob set; the defaults reproduce the
-//! classic watchdog semantics (no redelivery, timeouts reported as
-//! timed-out) so redelivery is strictly opt-in per scheduler instance.
+//! [`SupervisorConfig`] is the knob set; with the defaults — what the
+//! serial and pool schedulers run under — nothing is redelivered and
+//! an expired lease is reported as timed-out, so redelivery is
+//! strictly opt-in per scheduler instance.
 
 use std::time::Duration;
 
@@ -28,14 +29,14 @@ pub struct SupervisorConfig {
     /// death are detected within one heartbeat of happening.
     pub heartbeat: Duration,
     /// Slack added to a task's timeout when computing its lease
-    /// deadline, so a task finishing *at* its timeout is not falsely
+    /// deadline, so an attempt finishing *at* its timeout is not falsely
     /// redelivered. Tasks without a timeout hold open-ended leases and
     /// are only recovered if their worker dies.
     pub grace: Duration,
     /// How many times an expired or orphaned lease may be redelivered
     /// before the task is dead-lettered. `0` (the default) disables
     /// redelivery: an expired lease is reported as timed-out
-    /// immediately, matching the pre-supervision watchdog behaviour.
+    /// immediately.
     pub max_redeliveries: u32,
     /// Cap on live detached (presumed-wedged) worker threads. Once
     /// reached, further lease expirations fail fast with a clear error

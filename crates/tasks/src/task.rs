@@ -3,7 +3,7 @@
 use crate::fault::FaultInjector;
 use crate::retry::RetryPolicy;
 use crate::trace;
-use crossbeam::channel::{bounded, Receiver, Sender};
+use crossbeam::channel::Receiver;
 use simart_observe as observe;
 use std::fmt;
 use std::panic::{catch_unwind, AssertUnwindSafe};
@@ -24,8 +24,8 @@ pub enum TaskState {
     Failed,
     /// Exceeded its timeout and was terminated.
     TimedOut,
-    /// Exhausted the broker's redelivery cap (its lease expired or its
-    /// worker died on every delivery) and was dead-lettered. Terminal:
+    /// Exhausted the scheduler's redelivery cap (its lease expired or
+    /// its worker died on every delivery) and was dead-lettered. Terminal:
     /// the task is never automatically retried or redelivered again.
     Quarantined,
 }
@@ -55,8 +55,6 @@ pub enum AttemptDisposition {
     Succeeded,
     /// The attempt returned an error or panicked.
     Errored,
-    /// The attempt outlived its deadline.
-    TimedOut,
 }
 
 impl fmt::Display for AttemptDisposition {
@@ -64,7 +62,6 @@ impl fmt::Display for AttemptDisposition {
         match self {
             AttemptDisposition::Succeeded => f.write_str("succeeded"),
             AttemptDisposition::Errored => f.write_str("errored"),
-            AttemptDisposition::TimedOut => f.write_str("timed-out"),
         }
     }
 }
@@ -124,9 +121,12 @@ impl Task {
         self.queue_stamp = observe::Stamp::now();
     }
 
-    /// Sets a wall-clock timeout (the paper's framework kills gem5 jobs
-    /// that exceed theirs). Takes precedence over the retry policy's
-    /// per-attempt deadline.
+    /// Sets the wall-clock timeout of each attempt (the paper's
+    /// framework kills gem5 jobs that exceed theirs). It is the one
+    /// deadline, and every scheduler enforces it the same way: through
+    /// the task's lease, which expires `timeout` plus
+    /// [`SupervisorConfig::grace`](crate::SupervisorConfig::grace) after
+    /// an attempt starts. Backoff sleeps between attempts do not count.
     pub fn timeout(mut self, timeout: Duration) -> Task {
         self.timeout = Some(timeout);
         self
@@ -141,8 +141,8 @@ impl Task {
         self
     }
 
-    /// Installs a full retry policy (attempts, backoff, jitter,
-    /// deadlines), replacing any previous policy or `retries` setting.
+    /// Installs a full retry policy (attempts, backoff, jitter, total
+    /// deadline), replacing any previous policy or `retries` setting.
     pub fn retry_policy(mut self, policy: RetryPolicy) -> Task {
         self.policy = policy;
         self
@@ -187,22 +187,26 @@ pub struct TaskReport {
     pub output: Option<String>,
     /// Error message on failure/timeout.
     pub error: Option<String>,
-    /// Number of execution attempts made.
+    /// Number of execution attempts started — including, for a task
+    /// whose lease expired, the attempt that never returned. `0` when
+    /// the task never reached a worker.
     pub attempts: u32,
     /// Wall-clock duration across all attempts.
     pub duration: Duration,
-    /// Whether a watchdogged worker thread was detached (leaked) when
-    /// the task timed out. Detached workers keep running until their
-    /// work returns; brokers count them in their stats.
+    /// Whether the worker thread running the task was detached when
+    /// its lease expired (the task timed out). A detached worker cannot
+    /// be killed; it runs until its work returns and is then joined by
+    /// the supervisor, which counts it in the scheduler's stats.
     pub detached: bool,
-    /// Per-attempt history, in order.
+    /// History of the attempts that returned, in order (empty for a
+    /// task whose lease expired: its worker still holds it).
     pub history: Vec<AttemptRecord>,
-    /// How many times the broker's supervisor redelivered the task
-    /// after a lease expired or its worker died (`0` outside the
-    /// broker or when nothing went wrong).
+    /// How many times the scheduler's supervisor redelivered the task
+    /// after a lease expired or its worker died (`0` when nothing went
+    /// wrong).
     pub redeliveries: u32,
     /// Supervisor lease events (`"delivery:<n>:<cause>"`), in order.
-    /// Empty outside the broker or when no lease was ever recovered.
+    /// Empty when no lease was ever recovered.
     pub lease_events: Vec<String>,
 }
 
@@ -258,28 +262,18 @@ impl TaskHandle {
     }
 }
 
-/// Executes one task to completion — retries with backoff, per-attempt
-/// and total deadlines, fault injection — and returns its report.
-/// Shared by all schedulers.
-pub(crate) fn execute(task: Task) -> TaskReport {
-    execute_mode(task, false)
-}
-
-/// Executes one task under external (lease-based) supervision: no
-/// watchdog thread is spawned and neither the task timeout nor the
-/// policy's per-attempt deadline is enforced in-process — the broker's
-/// supervisor enforces the deadline via the task's lease, so a runaway
-/// attempt wedges only its worker thread instead of leaking an
-/// unreaped watchdog thread per attempt.
-pub(crate) fn execute_supervised(task: Task) -> TaskReport {
-    execute_mode(task, true)
-}
-
-fn execute_mode(task: Task, supervised: bool) -> TaskReport {
+/// Executes one task to completion on the calling thread — retries
+/// with backoff, the total deadline, fault injection — and returns its
+/// report. No deadline is enforced here: `arm` is told each attempt's
+/// number and start instant as it starts (and, before a backoff sleep,
+/// the instant it is due), so the scheduler's lease bounds it — a
+/// runaway attempt wedges only the calling worker, which the
+/// supervisor detaches and replaces.
+pub(crate) fn execute(task: Task, mut arm: impl FnMut(u32, Instant)) -> TaskReport {
     let Task {
         name,
         work,
-        timeout,
+        timeout: _,
         policy,
         fault,
         trace_id,
@@ -288,46 +282,41 @@ fn execute_mode(task: Task, supervised: bool) -> TaskReport {
     queue_stamp.observe_into("tasks.queue_wait_us");
     observe::count("tasks.executed", 1);
     let _task_span = observe::span(|| format!("task:{name}"));
-    let attempt_deadline = if supervised {
-        None
-    } else {
-        timeout.or(policy.per_attempt_deadline())
-    };
     let started = Instant::now();
     let mut attempts = 0u32;
     let mut history = Vec::new();
-    let mut detached = false;
     let mut delay_before = Duration::ZERO;
     let (state, output, error) = loop {
         attempts += 1;
+        if !delay_before.is_zero() {
+            // The lease must outlive the backoff: until the attempt
+            // starts, count its timeout from when it is due.
+            arm(attempts, Instant::now() + delay_before);
+            std::thread::sleep(delay_before);
+        }
+        arm(attempts, Instant::now());
         trace::task_start(trace_id);
-        let attempt_work = wrap_with_faults(&work, &fault, &name, attempts);
         let attempt_stamp = observe::Stamp::now();
-        let outcome = run_attempt(attempt_work, attempt_deadline);
+        // An injected fault fires *inside* the attempt: injected panics
+        // are caught, injected delays count against the attempt's lease.
+        let outcome = run_caught(|| {
+            if let Some(injector) = &fault {
+                injector.inject(&name, attempts)?;
+            }
+            work()
+        });
         attempt_stamp.observe_into("tasks.run_time_us");
         history.push(AttemptRecord {
             index: attempts,
             disposition: match outcome {
-                AttemptOutcome::Success(_) => AttemptDisposition::Succeeded,
-                AttemptOutcome::Error(_) => AttemptDisposition::Errored,
-                AttemptOutcome::TimedOut => AttemptDisposition::TimedOut,
+                Ok(_) => AttemptDisposition::Succeeded,
+                Err(_) => AttemptDisposition::Errored,
             },
             delay_before,
         });
         match outcome {
-            AttemptOutcome::Success(output) => break (TaskState::Succeeded, Some(output), None),
-            AttemptOutcome::TimedOut => {
-                // The watchdogged worker cannot be killed safely; it is
-                // detached and keeps running until its work returns.
-                detached = true;
-                observe::count("tasks.timeouts", 1);
-                break (
-                    TaskState::TimedOut,
-                    None,
-                    Some(format!("task exceeded its timeout of {attempt_deadline:?}")),
-                );
-            }
-            AttemptOutcome::Error(err) => {
+            Ok(output) => break (TaskState::Succeeded, Some(output), None),
+            Err(err) => {
                 if attempts >= policy.attempts_allowed() {
                     break (TaskState::Failed, None, Some(err));
                 }
@@ -346,9 +335,6 @@ fn execute_mode(task: Task, supervised: bool) -> TaskReport {
                 }
                 observe::count("tasks.retries", 1);
                 observe::observe_us("tasks.retry_delay_us", delay.as_micros() as u64);
-                if !delay.is_zero() {
-                    std::thread::sleep(delay);
-                }
                 delay_before = delay;
                 trace::task_requeue(trace_id);
             }
@@ -362,84 +348,15 @@ fn execute_mode(task: Task, supervised: bool) -> TaskReport {
         error,
         attempts,
         duration: started.elapsed(),
-        detached,
+        detached: false,
         history,
         redeliveries: 0,
         lease_events: Vec::new(),
     }
 }
 
-/// Executes one task, reporting through `report_tx`.
-pub(crate) fn execute_reporting(task: Task, report_tx: Sender<TaskReport>) {
-    // A dropped handle is fine: the result is simply unobserved.
-    let _ = report_tx.send(execute(task));
-}
-
-/// Wraps the work closure so any injected fault fires *inside* the
-/// attempt: injected panics are caught, injected delays are subject to
-/// the attempt deadline.
-fn wrap_with_faults(
-    work: &TaskFn,
-    fault: &Option<Arc<FaultInjector>>,
-    name: &str,
-    attempt: u32,
-) -> TaskFn {
-    match fault {
-        None => Arc::clone(work),
-        Some(injector) => {
-            let injector = Arc::clone(injector);
-            let inner = Arc::clone(work);
-            let task_name = name.to_owned();
-            Arc::new(move || {
-                injector.inject(&task_name, attempt)?;
-                inner()
-            })
-        }
-    }
-}
-
-enum AttemptOutcome {
-    Success(String),
-    Error(String),
-    TimedOut,
-}
-
-fn run_attempt(work: TaskFn, timeout: Option<Duration>) -> AttemptOutcome {
-    match timeout {
-        None => match run_caught(&work) {
-            Ok(output) => AttemptOutcome::Success(output),
-            Err(err) => AttemptOutcome::Error(err),
-        },
-        Some(limit) => {
-            // Run the work on a watchdog-observed thread; on timeout the
-            // runaway thread is detached (it cannot be force-killed
-            // safely) and the task is reported as terminated.
-            let (tx, rx) = bounded(1);
-            let attempt = std::thread::spawn(move || {
-                let _ = tx.send(run_caught(&work));
-            });
-            match rx.recv_timeout(limit) {
-                Ok(result) => {
-                    // The thread has nothing left to do but exit: reap
-                    // it before the next attempt spawns. The allocator
-                    // hands an exited thread's arena to the next new
-                    // thread; one still exiting makes that thread grow
-                    // an arena of its own (about +5 MB of peak RSS per
-                    // lost race on the `parsec_detailed` campaign).
-                    let _ = attempt.join();
-                    match result {
-                        Ok(output) => AttemptOutcome::Success(output),
-                        Err(err) => AttemptOutcome::Error(err),
-                    }
-                }
-                Err(_) => AttemptOutcome::TimedOut,
-            }
-        }
-    }
-}
-
-fn run_caught(work: &TaskFn) -> Result<String, String> {
-    match catch_unwind(AssertUnwindSafe(|| work())) {
+fn run_caught(work: impl FnOnce() -> Result<String, String>) -> Result<String, String> {
+    match catch_unwind(AssertUnwindSafe(work)) {
         Ok(result) => result,
         Err(payload) => {
             let message = payload
@@ -455,7 +372,14 @@ fn run_caught(work: &TaskFn) -> Result<String, String> {
 #[cfg(test)]
 mod tests {
     use super::*;
+    use crate::{BrokerScheduler, Scheduler, SerialScheduler};
+    use crossbeam::channel::bounded;
     use std::sync::atomic::{AtomicU32, Ordering};
+
+    /// Runs a task with no lease to re-arm.
+    fn execute(task: Task) -> TaskReport {
+        super::execute(task, |_, _| {})
+    }
 
     #[test]
     fn task_builder_records_options() {
@@ -477,10 +401,8 @@ mod tests {
     }
 
     #[test]
-    fn execute_reporting_success_path() {
-        let (tx, rx) = bounded(1);
-        execute_reporting(Task::new("ok", || Ok("done".to_owned())), tx);
-        let report = rx.recv().unwrap();
+    fn execute_success_path() {
+        let report = execute(Task::new("ok", || Ok("done".to_owned())));
         assert!(report.state.is_success());
         assert_eq!(report.output.as_deref(), Some("done"));
         assert!(report.error.is_none());
@@ -507,9 +429,7 @@ mod tests {
             }
         })
         .retries(5);
-        let (tx, rx) = bounded(1);
-        execute_reporting(task, tx);
-        let report = rx.recv().unwrap();
+        let report = execute(task);
         assert!(report.state.is_success());
         assert_eq!(report.attempts, 3);
         assert_eq!(counter.load(Ordering::SeqCst), 3);
@@ -520,9 +440,7 @@ mod tests {
     #[test]
     fn retries_exhaust_to_failure() {
         let task = Task::new("hopeless", || Err("always".to_owned())).retries(2);
-        let (tx, rx) = bounded(1);
-        execute_reporting(task, tx);
-        let report = rx.recv().unwrap();
+        let report = execute(task);
         assert_eq!(report.state, TaskState::Failed);
         assert_eq!(report.attempts, 3);
         assert!(report
@@ -542,19 +460,20 @@ mod tests {
         })
         .timeout(Duration::from_millis(30))
         .retries(5);
-        let (tx, rx) = bounded(1);
-        execute_reporting(task, tx);
-        let report = rx.recv().unwrap();
+        let report = SerialScheduler::new().submit(task).wait();
         assert_eq!(report.state, TaskState::TimedOut);
         assert_eq!(report.attempts, 1);
-        assert!(report.detached, "timed-out watchdog worker is detached");
+        assert!(report.detached, "the timed-out worker is detached");
+        assert_eq!(counter.load(Ordering::SeqCst), 1, "the work ran once");
     }
 
     #[test]
     fn dropped_handle_does_not_panic_worker() {
-        let (tx, rx) = bounded(1);
-        drop(rx);
-        execute_reporting(Task::new("orphan", || Ok(String::new())), tx);
+        let broker = BrokerScheduler::new(1);
+        drop(broker.submit(Task::new("orphan", || Ok(String::new()))));
+        let next = broker.submit(Task::new("next", || Ok(String::new())));
+        assert!(next.wait().state.is_success());
+        assert_eq!(broker.worker_respawns(), 0, "the one worker lived on");
     }
 
     #[test]
@@ -605,18 +524,6 @@ mod tests {
     }
 
     #[test]
-    fn policy_attempt_deadline_applies_without_task_timeout() {
-        let task = Task::new("slow", || {
-            std::thread::sleep(Duration::from_secs(10));
-            Ok(String::new())
-        })
-        .retry_policy(RetryPolicy::none().attempt_deadline(Duration::from_millis(30)));
-        let report = execute(task);
-        assert_eq!(report.state, TaskState::TimedOut);
-        assert!(report.detached);
-    }
-
-    #[test]
     fn injected_spurious_errors_are_retried() {
         // Seed chosen so the injector fires on some attempts; error
         // rate 1.0 makes every attempt fail via injection.
@@ -646,23 +553,6 @@ mod tests {
         assert_eq!(report.attempts, 2);
         assert_eq!(injector.injected_panics(), 2);
         assert!(report.error.as_deref().unwrap_or("").contains("panic"));
-    }
-
-    #[test]
-    fn supervised_execution_leaves_deadlines_to_the_lease() {
-        // Under supervision no watchdog thread runs: a task slower than
-        // its timeout completes normally (the broker's lease, not the
-        // executor, decides when it is overdue).
-        let task = Task::new("slowish", || {
-            std::thread::sleep(Duration::from_millis(60));
-            Ok("late but fine".to_owned())
-        })
-        .timeout(Duration::from_millis(10));
-        let report = execute_supervised(task);
-        assert!(report.state.is_success());
-        assert!(!report.detached);
-        assert_eq!(report.redeliveries, 0);
-        assert!(report.lease_events.is_empty());
     }
 
     #[test]
