@@ -11,9 +11,9 @@
 //! practice, flat for any campaign you can store — while a filter over
 //! an unindexed path scans every document, O(n). Both are measured on the
 //! same documents at 1k and 100k so the planner's benefit is a number
-//! too. Built with `--features observe`, the bench also proves the
-//! planner took the index route by reading the
-//! `db.query_planned_index` / `db.query_scans` counters.
+//! too. The bench also proves the planner took the index route by
+//! reading the `db.query_planned_index` / `db.query_scans` counters
+//! over a capture window.
 //!
 //! Run modes:
 //!
@@ -156,10 +156,9 @@ fn measure_scan(db: &Database, docs: usize) -> Duration {
     best
 }
 
-/// With observability compiled in: run a known mix of planned and
-/// scanned queries inside a capture window and return the
-/// (`db.query_planned_index`, `db.query_scans`) counters.
-#[cfg(feature = "observe")]
+/// Runs a known mix of planned and scanned queries inside a capture
+/// window and returns the (`db.query_planned_index`, `db.query_scans`)
+/// counters.
 fn planner_counters(db: &Database) -> (u64, u64) {
     use simart_observe as observe;
     let runs = db.collection("runs");
@@ -228,19 +227,11 @@ fn main() {
         scans.push(scan);
     }
 
-    #[cfg(feature = "observe")]
-    let (planned, scanned) = {
-        let db = indexed_db(QUERY_SIZES[0]);
-        let counts = planner_counters(&db);
-        println!(
-            "\nplanner counters over a 40 lookup / 10 scan mix: \
-             db.query_planned_index={} db.query_scans={}",
-            counts.0, counts.1
-        );
-        counts
-    };
-    #[cfg(not(feature = "observe"))]
-    let (planned, scanned) = (0u64, 0u64);
+    let (planned, scanned) = planner_counters(&indexed_db(QUERY_SIZES[0]));
+    println!(
+        "\nplanner counters over a 40 lookup / 10 scan mix: \
+         db.query_planned_index={planned} db.query_scans={scanned}"
+    );
 
     if test_mode {
         // O(delta) claim, with generous margins against CI noise:
@@ -293,22 +284,16 @@ fn main() {
             scans[1],
             QUERY_SIZES[1],
         );
-        // 6. With observability compiled in, the planner counters prove
-        //    the lookups actually took the index route and the
-        //    unindexed filter actually scanned.
-        #[cfg(feature = "observe")]
-        {
-            assert!(
-                planned >= 40,
-                "point lookups must be planned through the index: planned={planned}"
-            );
-            assert!(
-                scanned >= 10,
-                "unindexed filters must be counted as scans: scans={scanned}"
-            );
-        }
-        #[cfg(not(feature = "observe"))]
-        let _ = (planned, scanned);
+        // 6. The planner counters prove the lookups actually took the
+        //    index route and the unindexed filter actually scanned.
+        assert!(
+            planned >= 40,
+            "point lookups must be planned through the index: planned={planned}"
+        );
+        assert!(
+            scanned >= 10,
+            "unindexed filters must be counted as scans: scans={scanned}"
+        );
         println!("persistence bench assertions passed");
     }
 }

@@ -2,8 +2,8 @@
 //!
 //! The benchmark harness: drivers that regenerate **every table and
 //! figure** of the paper's evaluation, shared by the runnable binaries
-//! (`usecase1`, `usecase2`, `usecase3`, `table1`, `table4`), the
-//! Criterion benches, and the workspace integration tests.
+//! (`usecase1`, `usecase2`, `usecase3`, `table1`, `table4`) and the
+//! workspace integration tests.
 //!
 //! | paper item | driver | binary |
 //! |---|---|---|

@@ -12,6 +12,10 @@
 //! simart selftest                    run the bundled test programs
 //! simart matrix                      triage the Figure 8 boot matrix
 //! ```
+//!
+//! Exit code 2 is a usage problem. An option the subcommand does not
+//! have, or a value it cannot read, is one — nothing mistyped falls
+//! back to a default.
 
 use simart::analyze::diag::{has_errors, render_json, render_text};
 use simart::analyze::{lint, prelaunch, LintLevels};
@@ -40,6 +44,9 @@ use std::sync::Arc;
 
 fn main() {
     let args: Vec<String> = std::env::args().skip(1).collect();
+    if let Some(cmd) = args.first() {
+        check_options(cmd, &args[1..]);
+    }
     let code = match args.first().map(String::as_str) {
         // Hidden subcommand: run as a remote campaign worker. Over
         // pipes stdout is the wire — the handler registry must never
@@ -90,11 +97,85 @@ fn main() {
     std::process::exit(code);
 }
 
+/// Prints one `error:` line and exits 2, the usage-problem code of
+/// every subcommand.
+fn usage_error(message: String) -> ! {
+    eprintln!("error: {message}");
+    std::process::exit(2)
+}
+
+/// The options `cmd` understands: those that take a value, then the
+/// bare switches.
+fn options_of(cmd: &str) -> (&'static [&'static str], &'static [&'static str]) {
+    match cmd {
+        "worker" => (&["--connect"], &[]),
+        "boot" => (&["--cpu", "--cores", "--mem", "--kernel", "--boot"], &[]),
+        "parsec" | "npb" | "gapbs" => (&["--os", "--cores"], &[]),
+        "gpu" => (&["--alloc"], &[]),
+        "campaign" => (
+            &[
+                "--db",
+                "--trace-out",
+                "--retries",
+                "--suite",
+                "--fault-rate",
+                "--fault-seed",
+                "--scheduler",
+                "--workers",
+                "--max-redeliveries",
+                "--kill-rate",
+                "--transport",
+                "--partition-rate",
+                "--checkpoint-dir",
+            ],
+            &["--resume", "--check"],
+        ),
+        "metrics" => (&["--db", "--format"], &[]),
+        "quarantine" => (&["--db", "--format", "--release"], &[]),
+        "check" => (
+            &["--db", "--format", "--deny", "--allow"],
+            &["--incremental", "--self-test"],
+        ),
+        _ => (&[], &[]),
+    }
+}
+
+/// Refuses what `cmd` would otherwise ignore: an `--option` it does
+/// not have, or a valued option with nothing after it.
+fn check_options(cmd: &str, args: &[String]) {
+    let (valued, switches) = options_of(cmd);
+    let mut rest = args.iter().map(String::as_str);
+    while let Some(arg) = rest.next() {
+        if valued.contains(&arg) {
+            if rest.next().is_none() {
+                usage_error(format!("{arg} needs a value"));
+            }
+        } else if arg.starts_with("--") && !switches.contains(&arg) {
+            usage_error(format!("unknown option `{arg}` for `simart {cmd}`"));
+        }
+    }
+}
+
 fn flag(args: &[String], name: &str) -> Option<String> {
     args.iter()
         .position(|a| a == name)
         .and_then(|i| args.get(i + 1))
         .cloned()
+}
+
+/// The value of `--name` as read by `parse`, or `default` when the
+/// option is absent. A value `parse` refuses is a usage error — never
+/// the default, which would run something other than what was asked.
+fn parsed<T>(args: &[String], name: &str, default: T, parse: impl Fn(&str) -> Option<T>) -> T {
+    match flag(args, name) {
+        None => default,
+        Some(value) => parse(&value)
+            .unwrap_or_else(|| usage_error(format!("invalid value `{value}` for {name}"))),
+    }
+}
+
+fn number<T: std::str::FromStr>(s: &str) -> Option<T> {
+    s.parse().ok()
 }
 
 /// All values of a repeatable `--name value` flag, in order.
@@ -154,22 +235,15 @@ fn parse_kernel(s: &str) -> Option<KernelVersion> {
 }
 
 fn boot(args: &[String]) -> i32 {
-    let cpu = flag(args, "--cpu")
-        .and_then(|s| parse_cpu(&s))
-        .unwrap_or(CpuKind::TimingSimple);
-    let cores: u32 = flag(args, "--cores")
-        .and_then(|s| s.parse().ok())
-        .unwrap_or(1);
-    let mem = flag(args, "--mem")
-        .and_then(|s| parse_mem(&s))
-        .unwrap_or(MemKind::classic_fast());
-    let kernel = flag(args, "--kernel")
-        .and_then(|s| parse_kernel(&s))
-        .unwrap_or(KernelVersion::V5_4);
-    let boot_kind = match flag(args, "--boot").as_deref() {
-        Some("kernel") => BootKind::KernelOnly,
-        _ => BootKind::Systemd,
-    };
+    let cpu = parsed(args, "--cpu", CpuKind::TimingSimple, parse_cpu);
+    let cores: u32 = parsed(args, "--cores", 1, number);
+    let mem = parsed(args, "--mem", MemKind::classic_fast(), parse_mem);
+    let kernel = parsed(args, "--kernel", KernelVersion::V5_4, parse_kernel);
+    let boot_kind = parsed(args, "--boot", BootKind::Systemd, |s| match s {
+        "kernel" => Some(BootKind::KernelOnly),
+        "systemd" => Some(BootKind::Systemd),
+        _ => None,
+    });
     let config = match SystemConfig::builder()
         .cpu(cpu)
         .cores(cores)
@@ -219,13 +293,12 @@ fn workload_cmd(args: &[String], suite: &str) -> i32 {
         eprintln!("error: unknown {suite} application `{app}`");
         return 2;
     };
-    let os = match flag(args, "--os").as_deref() {
-        Some("20.04") => OsImage::Ubuntu2004,
-        _ => OsImage::Ubuntu1804,
-    };
-    let cores: u32 = flag(args, "--cores")
-        .and_then(|s| s.parse().ok())
-        .unwrap_or(2);
+    let os = parsed(args, "--os", OsImage::Ubuntu1804, |s| match s {
+        "18.04" => Some(OsImage::Ubuntu1804),
+        "20.04" => Some(OsImage::Ubuntu2004),
+        _ => None,
+    });
+    let cores: u32 = parsed(args, "--cores", 2, number);
     let config = match SystemConfig::builder()
         .cores(cores)
         .os(os)
@@ -263,13 +336,14 @@ fn gpu(args: &[String]) -> i32 {
         return 2;
     };
     let Some(kernel) = workloads::by_name(app) else {
-        eprintln!("error: unknown GPU workload `{app}` (see `simart gpu --list`)");
+        eprintln!("error: unknown GPU workload `{app}`");
         return 2;
     };
-    let policy = match flag(args, "--alloc").as_deref() {
-        Some("dynamic") => AllocPolicy::Dynamic,
-        _ => AllocPolicy::Simple,
-    };
+    let policy = parsed(args, "--alloc", AllocPolicy::Simple, |s| match s {
+        "simple" => Some(AllocPolicy::Simple),
+        "dynamic" => Some(AllocPolicy::Dynamic),
+        _ => None,
+    });
     let result = Gpu::table3().run(&kernel, policy);
     println!("{app} under the {policy} register allocator:");
     println!("  shader ticks  : {}", result.ticks);
@@ -330,21 +404,11 @@ fn campaign(args: &[String]) -> i32 {
     let db_dir = flag(args, "--db").map(std::path::PathBuf::from);
     let trace_out = flag(args, "--trace-out").map(std::path::PathBuf::from);
     let resume = args.iter().any(|a| a == "--resume");
-    let retries: u32 = flag(args, "--retries")
-        .and_then(|s| s.parse().ok())
-        .unwrap_or(0);
-    let fault_rate: f64 = flag(args, "--fault-rate")
-        .and_then(|s| s.parse().ok())
-        .unwrap_or(0.0);
-    let fault_seed: u64 = flag(args, "--fault-seed")
-        .and_then(|s| s.parse().ok())
-        .unwrap_or(0);
-    let kill_rate: f64 = flag(args, "--kill-rate")
-        .and_then(|s| s.parse().ok())
-        .unwrap_or(0.0);
-    let partition_rate: f64 = flag(args, "--partition-rate")
-        .and_then(|s| s.parse().ok())
-        .unwrap_or(0.0);
+    let retries: u32 = parsed(args, "--retries", 0, number);
+    let fault_rate: f64 = parsed(args, "--fault-rate", 0.0, number);
+    let fault_seed: u64 = parsed(args, "--fault-seed", 0, number);
+    let kill_rate: f64 = parsed(args, "--kill-rate", 0.0, number);
+    let partition_rate: f64 = parsed(args, "--partition-rate", 0.0, number);
     let scheduler_kind = flag(args, "--scheduler").unwrap_or_else(|| "pool".to_owned());
     if !["pool", "broker", "remote"].contains(&scheduler_kind.as_str()) {
         eprintln!("error: unknown scheduler `{scheduler_kind}` (expected pool, broker, or remote)");
@@ -371,9 +435,7 @@ fn campaign(args: &[String]) -> i32 {
         eprintln!("error: --partition-rate requires --transport tcp");
         return 2;
     }
-    let workers: usize = flag(args, "--workers")
-        .and_then(|s| s.parse().ok())
-        .unwrap_or(2);
+    let workers: usize = parsed(args, "--workers", 2, number);
     // Remote workers are supervised by redelivery, and their faults are
     // real process kills; `launch_remote` has no per-attempt retry or
     // in-process error injection to hand these two options to.
@@ -385,9 +447,7 @@ fn campaign(args: &[String]) -> i32 {
         eprintln!("error: --fault-rate has no effect with --scheduler remote; use --kill-rate");
         return 2;
     }
-    let max_redeliveries: u32 = flag(args, "--max-redeliveries")
-        .and_then(|s| s.parse().ok())
-        .unwrap_or(1);
+    let max_redeliveries: u32 = parsed(args, "--max-redeliveries", 1, number);
 
     let check_after = args.iter().any(|a| a == "--check");
 
@@ -491,8 +551,7 @@ fn campaign(args: &[String]) -> i32 {
     }
 
     // Profiling capture window: everything the campaign does from here
-    // on records spans and metrics (a no-op in builds without the
-    // `observe` feature).
+    // on records spans and metrics.
     simart::observe::reset();
     simart::observe::enable();
     // Threads or processes, the same lease supervises the workers.

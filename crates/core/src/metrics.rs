@@ -4,8 +4,8 @@
 //! into a `metrics` collection — one document per metric — before it
 //! checkpoints its database, and `simart metrics` reconstructs a
 //! [`Snapshot`] from those documents to render it. The persisted form
-//! is plain database documents, so *reading* recorded metrics works in
-//! any build, including ones compiled without observability.
+//! is plain database documents, so *reading* recorded metrics never
+//! opens a capture window.
 //!
 //! Document shapes (`_id` is the metric name):
 //!
@@ -23,10 +23,10 @@ use simart_observe::{bucket_bounds_us, HistogramSnapshot, MetricValue, Snapshot}
 pub const METRICS_COLLECTION: &str = "metrics";
 
 /// Replaces the database's `metrics` collection with the snapshot's
-/// contents (one document per metric). An empty snapshot (e.g. from a
-/// build without observability) leaves the database untouched, so
-/// re-saving a campaign with a metrics-less binary does not erase
-/// previously recorded metrics.
+/// contents (one document per metric). An empty snapshot (nothing
+/// was recorded: no capture window was open) leaves the database
+/// untouched, so re-saving a campaign from a process that recorded
+/// nothing does not erase previously recorded metrics.
 ///
 /// # Errors
 ///

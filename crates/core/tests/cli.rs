@@ -113,6 +113,27 @@ fn remote_scheduler_rejects_the_options_it_would_ignore() {
 }
 
 #[test]
+fn mistyped_options_are_refused_not_defaulted() {
+    // Each of these exited 0 having run something other than what was
+    // asked: two workers, no chaos, one core.
+    for (args, culprit) in [
+        (&["campaign", "--workers", "abc"][..], "--workers"),
+        (&["campaign", "--kil-rate", "1.0"], "--kil-rate"),
+        (&["campaign", "--retries"], "--retries"),
+        (&["boot", "--cores", "x"], "--cores"),
+        (&["boot", "--cpu", "k v m"], "--cpu"),
+        (&["matrix", "--fast"], "--fast"),
+    ] {
+        let (stdout, stderr, code) = simart(args);
+        assert_eq!(code, 2, "{args:?}: {stdout}{stderr}");
+        assert_eq!(stderr.lines().count(), 1, "one line: {stderr}");
+        assert!(stderr.starts_with("error: "), "{stderr}");
+        assert!(stderr.contains(culprit), "{stderr}");
+        assert_eq!(stdout, "", "nothing ran");
+    }
+}
+
+#[test]
 fn matrix_totals_match_figure_8() {
     let (stdout, _, code) = simart(&["matrix"]);
     assert_eq!(code, 0);

@@ -803,7 +803,7 @@ impl Collection {
         // Write-ahead: the journal record lands before the in-memory
         // mutation, so a failed append leaves memory untouched and a
         // crash right after it replays to the same state.
-        journal::append_doc_if_attached(&self.journal, DocRecord::Insert, &self.name, &doc)?;
+        journal::append_docs_if_attached(&self.journal, DocRecord::Insert, &self.name, [&doc])?;
         state.indexes.add_doc(&id, &doc);
         Arc::make_mut(&mut state.docs).insert(id, doc);
         Ok(())
@@ -820,7 +820,7 @@ impl Collection {
         let previous = state.docs.get(&id).cloned();
         // The occupant being replaced is exempt from unique checks.
         state.indexes.check_unique(&self.name, &id, &doc)?;
-        journal::append_doc_if_attached(&self.journal, DocRecord::Upsert, &self.name, &doc)?;
+        journal::append_docs_if_attached(&self.journal, DocRecord::Upsert, &self.name, [&doc])?;
         if let Some(prev) = &previous {
             state.indexes.remove_doc(&id, prev);
         }
@@ -982,15 +982,19 @@ impl Collection {
     /// runs under the write lock, so no writer interleaves, and unique
     /// indexes are re-enforced at commit: every rewritten document is
     /// checked (including against the other rewrites in the batch)
-    /// before anything is journaled or stored, so a rejected batch
-    /// leaves the collection exactly as it was.
+    /// before anything is journaled, and the batch's records are
+    /// journaled as a unit before anything is stored, so a rejected
+    /// batch leaves the collection exactly as it was.
     ///
     /// # Errors
     ///
-    /// [`DbError::UniqueViolation`] when any rewritten document would
-    /// collide with an existing document or another rewrite on a
-    /// declared unique index; the whole batch is rejected and no state
-    /// changes.
+    /// * [`DbError::UniqueViolation`] when any rewritten document would
+    ///   collide with an existing document or another rewrite on a
+    ///   declared unique index.
+    /// * The journal's error when an attached journal refuses the
+    ///   batch's records.
+    ///
+    /// Either way the whole batch is rejected and no state changes.
     pub fn update_many(
         &self,
         filter: &Filter,
@@ -1014,44 +1018,51 @@ impl Collection {
             }
             ControlFlow::Continue(())
         });
+        // A batch that changed nothing touches neither the journal nor
+        // the map (`make_mut` copies it when a snapshot holds it).
+        if staged.is_empty() {
+            return Ok(matched);
+        }
         // Trial-apply against the index state we hold exclusively:
         // retract every old document, then admit the rewrites one by
         // one so batch-internal collisions are caught too. On a
-        // violation, undo the trial — the caller sees unchanged state.
+        // failure, undo the trial — the caller sees unchanged state.
+        let undo_trial = |indexes: &mut IndexSet, admitted: usize| {
+            for (id, _, new) in &staged[..admitted] {
+                indexes.remove_doc(id, new);
+            }
+            for (id, old, _) in &staged {
+                indexes.add_doc(id, old);
+            }
+        };
         for (id, old, _) in &staged {
             indexes.remove_doc(id, old);
         }
         for (admitted, (id, _, new)) in staged.iter().enumerate() {
             if let Err(err) = indexes.check_unique(&self.name, id, new) {
-                for (id, _, new) in &staged[..admitted] {
-                    indexes.remove_doc(id, new);
-                }
-                for (id, old, _) in &staged {
-                    indexes.add_doc(id, old);
-                }
+                undo_trial(indexes, admitted);
                 return Err(err);
             }
             indexes.add_doc(id, new);
         }
+        // Write-ahead, as in `insert`: the batch's records land in the
+        // journal — all or none — before anything is stored.
+        if let Err(err) = journal::append_docs_if_attached(
+            &self.journal,
+            DocRecord::Upsert,
+            &self.name,
+            staged.iter().map(|(_, _, new)| new),
+        ) {
+            undo_trial(indexes, staged.len());
+            return Err(err);
+        }
         let rewrites: Vec<(String, Value)> = staged
             .into_iter()
-            .map(|(id, _, new)| {
-                journal::count_append_error(journal::append_doc_if_attached(
-                    &self.journal,
-                    DocRecord::Upsert,
-                    &self.name,
-                    &new,
-                ));
-                (id.to_owned(), new)
-            })
+            .map(|(id, _, new)| (id.to_owned(), new))
             .collect();
-        // `make_mut` copies the map when a snapshot holds it: not for
-        // a batch that changed nothing.
-        if !rewrites.is_empty() {
-            let docs = Arc::make_mut(docs);
-            for (id, new) in rewrites {
-                docs.insert(id, new);
-            }
+        let docs = Arc::make_mut(docs);
+        for (id, new) in rewrites {
+            docs.insert(id, new);
         }
         Ok(matched)
     }

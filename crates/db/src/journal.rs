@@ -407,34 +407,30 @@ pub(crate) fn append_if_attached(cell: &JournalCell, op: &JournalOp) -> Result<(
     }
 }
 
-/// [`append_if_attached`] for a document record, serialised from the
-/// borrowed document.
-pub(crate) fn append_doc_if_attached(
+/// [`append_if_attached`] for one document record per document of
+/// `docs`, serialised from the borrowed documents and appended as a
+/// unit: every record lands, or none does.
+pub(crate) fn append_docs_if_attached<'a>(
     cell: &JournalCell,
     record: DocRecord,
     collection: &str,
-    doc: &Value,
+    docs: impl IntoIterator<Item = &'a Value>,
 ) -> Result<(), DbError> {
     match cell.read().as_ref() {
-        Some(journal) => journal.append_rendered(|| record.payload(collection, doc)),
+        Some(journal) => {
+            journal.append_rendered(docs.into_iter().map(|doc| record.payload(collection, doc)))
+        }
         None => Ok(()),
     }
 }
 
-/// Like [`append_if_attached`] for write paths that do not return an
-/// append failure: `delete` and blob puts have no error to return it
-/// in, and `update_many` has already applied the batch to the indexes
-/// when its appends run. The failure is counted on the
-/// `db.journal_append_errors` metric and the in-memory mutation
-/// proceeds — durability of that one record is then deferred to the
-/// next checkpoint.
+/// Like [`append_if_attached`] for the write paths that have no error
+/// to return an append failure in: `delete` and blob puts. The failure
+/// is counted on the `db.journal_append_errors` metric and the
+/// in-memory mutation proceeds — durability of that one record is then
+/// deferred to the next checkpoint.
 pub(crate) fn append_best_effort(cell: &JournalCell, op: &JournalOp) {
-    count_append_error(append_if_attached(cell, op));
-}
-
-/// Counts a best-effort append's failure (see [`append_best_effort`]).
-pub(crate) fn count_append_error(appended: Result<(), DbError>) {
-    if appended.is_err() {
+    if append_if_attached(cell, op).is_err() {
         observe::count("db.journal_append_errors", 1);
     }
 }
@@ -497,26 +493,31 @@ impl Journal {
 
     /// Appends one framed record.
     pub(crate) fn append(&self, op: &JournalOp) -> Result<(), DbError> {
-        self.append_rendered(|| op.to_payload())
+        self.append_rendered([op.to_payload()])
     }
 
-    /// Appends one framed record carrying the payload `render` gives.
+    /// Appends one framed record per payload, all with one write.
     ///
-    /// A failed write is rolled back to the previous frame boundary so
-    /// a torn frame can never sit *between* intact records (replay
-    /// would silently discard everything after it). If the rollback
-    /// itself fails the journal is poisoned: every further append
-    /// returns [`DbError::JournalPoisoned`] instead of appending after
-    /// the tear, until a checkpoint compaction rewrites the file.
-    fn append_rendered(&self, render: impl FnOnce() -> String) -> Result<(), DbError> {
+    /// A failed write is rolled back to the previous frame boundary —
+    /// the one before the first of these records — so a torn frame can
+    /// never sit *between* intact records (replay would silently
+    /// discard everything after it) and a batch is never half
+    /// journaled. If the rollback itself fails the journal is poisoned:
+    /// every further append returns [`DbError::JournalPoisoned`]
+    /// instead of appending after the tear, until a checkpoint
+    /// compaction rewrites the file.
+    fn append_rendered(&self, payloads: impl IntoIterator<Item = String>) -> Result<(), DbError> {
         let _timer = observe::timer("db.journal_append_us");
-        let frame = frame::encode_frame(render().as_bytes());
+        let mut frames = Vec::new();
+        for payload in payloads {
+            frame::push_frame(&mut frames, payload.as_bytes());
+        }
         let mut writer = self.writer.lock();
         if writer.poisoned {
             return Err(DbError::JournalPoisoned);
         }
         let start = writer.len;
-        if let Err(err) = writer.file.write_all(&frame) {
+        if let Err(err) = writer.file.write_all(&frames) {
             let rolled_back = writer.file.set_len(start).is_ok()
                 && writer.file.seek(SeekFrom::Start(start)).is_ok();
             if !rolled_back {
@@ -525,7 +526,7 @@ impl Journal {
             }
             return Err(err.into());
         }
-        writer.len = start + frame.len() as u64;
+        writer.len = start + frames.len() as u64;
         Ok(())
     }
 
@@ -755,6 +756,61 @@ mod tests {
         let replay = read_journal(&dir).unwrap();
         assert_eq!(replay.ops, vec![good, post]);
         assert_eq!(replay.torn_bytes, 0);
+        fs::remove_dir_all(&dir).unwrap();
+    }
+
+    #[test]
+    fn update_many_is_write_ahead_a_refused_append_changes_nothing() {
+        use crate::{Collection, Filter};
+        let dir =
+            std::env::temp_dir().join(format!("simart-journal-update-{}", std::process::id()));
+        let _ = fs::remove_dir_all(&dir);
+        fs::create_dir_all(&dir).unwrap();
+        let cell: JournalCell = Arc::new(RwLock::new(Some(Journal::attach(&dir, 0).unwrap())));
+        let runs = Collection::with_journal("runs", Arc::clone(&cell));
+        runs.ensure_unique("hash").unwrap();
+        let queued = Value::map([
+            ("_id", Value::from("r1")),
+            ("hash", Value::from("h1")),
+            ("status", Value::from("queued")),
+        ]);
+        runs.insert(queued.clone()).unwrap();
+        let indexed = runs.index_state();
+        // The read-only handle of the poison test: the append fails and
+        // so does its rollback.
+        cell.read().as_ref().unwrap().writer.lock().file = fs::OpenOptions::new()
+            .read(true)
+            .open(dir.join(JOURNAL_FILE))
+            .unwrap();
+        let by_id = Filter::eq("_id", "r1");
+        let finish = |doc: &mut Value| {
+            doc.set_at("hash", Value::from("h2"));
+            doc.set_at("status", Value::from("done"));
+        };
+        let unchanged = || {
+            assert_eq!(runs.get("r1"), Some(queued.clone()));
+            assert_eq!(runs.index_state(), indexed);
+            assert!(runs.verify_indexes().is_empty());
+        };
+        let refused = runs.update_many(&by_id, finish).unwrap_err();
+        assert!(matches!(refused, DbError::Io(_)), "{refused}");
+        unchanged();
+        let refused = runs.update_many(&by_id, finish).unwrap_err();
+        assert!(matches!(refused, DbError::JournalPoisoned), "{refused}");
+        unchanged();
+        // Healed, the same update goes through — journal first.
+        cell.read().as_ref().unwrap().compact_prefix(0).unwrap();
+        assert_eq!(runs.update_many(&by_id, finish).unwrap(), 1);
+        let done = runs.get("r1").unwrap();
+        assert_eq!(done.at("status"), Some(&Value::from("done")));
+        assert!(runs.verify_indexes().is_empty());
+        assert_eq!(
+            read_journal(&dir).unwrap().ops.last(),
+            Some(&JournalOp::Upsert {
+                collection: "runs".into(),
+                doc: done,
+            })
+        );
         fs::remove_dir_all(&dir).unwrap();
     }
 

@@ -1,5 +1,5 @@
-//! The provenance-DAG walks must ride the multikey `inputs` index: with
-//! observability compiled in, a dependent-closure walk bumps
+//! The provenance-DAG walks must ride the multikey `inputs` index:
+//! inside a capture window, a dependent-closure walk bumps
 //! `db.query_planned_index` on every frontier step and never falls back
 //! to a `db.query_scans` collection scan.
 //!
@@ -7,8 +7,6 @@
 //! it is the only test in its binary: sibling test threads querying
 //! collections used to inflate the counters. Scoped registries (ROADMAP
 //! item 5a) are the real fix; process isolation is the cheap one.
-
-#![cfg(feature = "observe")]
 
 use simart_artifact::{Artifact, ArtifactId, ArtifactKind, ArtifactRegistry, ContentSource};
 use simart_db::{ArtifactStore, Database};

@@ -4,19 +4,19 @@
 //! `simart-observe` hooks (counter, histogram, timer, stamp, span) on
 //! every iteration — and reports the per-iteration cost difference.
 //!
-//! Without the `enabled` feature (the default for
-//! `cargo bench -p simart-observe`) every hook must fold to nothing;
-//! `--test` mode asserts that and exits non-zero on a regression, so
-//! CI can gate the no-op path:
+//! The instrumented kernel runs with the capture window **closed** —
+//! the state every program is in unless it calls `enable()` — where
+//! each hook must cost one relaxed atomic load and nothing else (no
+//! clock read, no name formatting, no lock, no allocation). `--test`
+//! mode asserts that and exits non-zero on a regression, so CI can
+//! gate the closed-window path:
 //!
 //! ```text
 //! cargo bench -p simart-observe -- --test
 //! ```
 //!
-//! With `--features enabled` the same binary reports the cost of the
-//! *compiled-in but runtime-disabled* path (one relaxed atomic load
-//! per hook) and of recording inside a capture window; `--test` only
-//! asserts the no-op build, since the enabled path legitimately costs.
+//! The cost of recording inside an open window is printed too, but not
+//! asserted: that path legitimately costs.
 
 use simart_observe as observe;
 use std::hint::black_box;
@@ -83,45 +83,35 @@ fn main() {
     let cold_ns = per_iter_ns(cold, iters);
     let overhead_ns = (cold_ns - base_ns).max(0.0);
 
-    let feature = if cfg!(feature = "enabled") {
-        "enabled"
-    } else {
-        "disabled (no-op)"
-    };
-    println!("observe-overhead ({feature} build, {iters} iters, best of {REPEATS}):");
+    println!("observe-overhead ({iters} iters, best of {REPEATS}):");
     println!("  baseline     {base_ns:>8.2} ns/iter");
     println!("  instrumented {cold_ns:>8.2} ns/iter  (capture window closed)");
     println!("  overhead     {overhead_ns:>8.2} ns/iter");
 
-    if cfg!(feature = "enabled") {
-        // Also show the true recording cost inside a capture window.
-        observe::enable();
-        let hot = measure(instrumented, iters / 10);
-        observe::disable();
-        observe::reset();
-        println!(
-            "  recording    {:>8.2} ns/iter  (capture window open)",
-            per_iter_ns(hot, iters / 10)
-        );
-    }
+    // Also show the true recording cost inside a capture window.
+    observe::enable();
+    let hot = measure(instrumented, iters / 10);
+    observe::disable();
+    observe::reset();
+    println!(
+        "  recording    {:>8.2} ns/iter  (capture window open)",
+        per_iter_ns(hot, iters / 10)
+    );
 
     if test_mode {
-        if cfg!(feature = "enabled") {
-            println!("PASS  overhead bench ran (enabled build; no-op assertion not applicable)");
-            return;
-        }
-        // The disabled path must compile to nothing. Allow generous
-        // slack for scheduler noise: a real regression (any atomic,
-        // lock, or allocation per hook) costs far more than 25 ns/iter
-        // across six hook calls.
+        // Six closed-window hooks are six relaxed loads and two guard
+        // drops (~11 ns/iter measured). The slack is for scheduler
+        // noise: a real regression (a clock read, lock, or allocation
+        // made before the `is_enabled()` check) costs far more than
+        // 25 ns/iter.
         let limit_ns = 25.0;
         if overhead_ns > limit_ns {
             eprintln!(
-                "FAIL  no-op observability path regressed: {overhead_ns:.2} ns/iter overhead \
-                 (limit {limit_ns} ns/iter)"
+                "FAIL  closed-window observability path regressed: {overhead_ns:.2} ns/iter \
+                 overhead (limit {limit_ns} ns/iter)"
             );
             std::process::exit(1);
         }
-        println!("PASS  no-op path within noise ({overhead_ns:.2} <= {limit_ns} ns/iter)");
+        println!("PASS  closed-window path within limit ({overhead_ns:.2} <= {limit_ns} ns/iter)");
     }
 }

@@ -13,13 +13,16 @@
 //! its inclusive upper bound).
 //!
 //! The data model in this module ([`Snapshot`], [`MetricValue`],
-//! [`HistogramSnapshot`]) is always compiled so readers of persisted
-//! metrics work in every build; the recording half follows the crate's
-//! `enabled`-feature contract (see the crate docs).
+//! [`HistogramSnapshot`]) is plain data, so persisted metrics read back
+//! without touching the registry; the recording half only acts inside
+//! the crate's capture window (see the crate docs).
 
 use simart_codec::json::escape;
-use std::collections::BTreeMap;
+use std::collections::{BTreeMap, HashMap};
 use std::fmt::Write as _;
+use std::sync::atomic::{AtomicI64, AtomicU64, Ordering};
+use std::sync::{OnceLock, RwLock};
+use std::time::Instant;
 
 /// Histogram bucket upper bounds in microseconds: a 1-2-5 ladder from
 /// 1 µs to 10 s. Values above the last bound land in an overflow
@@ -30,7 +33,7 @@ const BOUNDS_US: [u64; 22] = [
 ];
 
 /// Number of histogram buckets, including the overflow bucket.
-pub(crate) const BUCKETS: usize = BOUNDS_US.len() + 1;
+const BUCKETS: usize = BOUNDS_US.len() + 1;
 
 /// The fixed histogram bucket upper bounds, in microseconds.
 ///
@@ -43,8 +46,7 @@ pub fn bucket_bounds_us() -> &'static [u64] {
 }
 
 /// Index of the bucket an observation falls into.
-#[cfg_attr(not(feature = "enabled"), allow(dead_code))]
-pub(crate) fn bucket_index(us: u64) -> usize {
+fn bucket_index(us: u64) -> usize {
     BOUNDS_US
         .iter()
         .position(|bound| us <= *bound)
@@ -203,247 +205,166 @@ impl Snapshot {
     }
 }
 
-#[cfg(feature = "enabled")]
-mod recording {
-    use super::{bucket_index, HistogramSnapshot, MetricValue, Snapshot, BUCKETS};
-    use std::collections::HashMap;
-    use std::sync::atomic::{AtomicI64, AtomicU64, Ordering};
-    use std::sync::{OnceLock, RwLock};
-    use std::time::Instant;
+enum Cell {
+    Counter(AtomicU64),
+    Gauge(AtomicI64),
+    Histogram(HistCell),
+}
 
-    enum Cell {
-        Counter(AtomicU64),
-        Gauge(AtomicI64),
-        Histogram(HistCell),
-    }
+struct HistCell {
+    count: AtomicU64,
+    sum_us: AtomicU64,
+    buckets: [AtomicU64; BUCKETS],
+}
 
-    struct HistCell {
-        count: AtomicU64,
-        sum_us: AtomicU64,
-        buckets: [AtomicU64; BUCKETS],
-    }
-
-    impl HistCell {
-        fn new() -> HistCell {
-            HistCell {
-                count: AtomicU64::new(0),
-                sum_us: AtomicU64::new(0),
-                buckets: std::array::from_fn(|_| AtomicU64::new(0)),
-            }
-        }
-    }
-
-    // Cells are leaked on first use so the hot path after lookup is a
-    // plain atomic op with no lock held. The registry is tiny (tens of
-    // static names), so the leak is bounded.
-    fn registry() -> &'static RwLock<HashMap<&'static str, &'static Cell>> {
-        static REGISTRY: OnceLock<RwLock<HashMap<&'static str, &'static Cell>>> = OnceLock::new();
-        REGISTRY.get_or_init(|| RwLock::new(HashMap::new()))
-    }
-
-    fn cell(name: &'static str, make: impl FnOnce() -> Cell) -> &'static Cell {
-        if let Some(cell) = registry()
-            .read()
-            .unwrap_or_else(|e| e.into_inner())
-            .get(name)
-        {
-            return cell;
-        }
-        let mut map = registry().write().unwrap_or_else(|e| e.into_inner());
-        map.entry(name)
-            .or_insert_with(|| Box::leak(Box::new(make())))
-    }
-
-    /// Adds `n` to the named counter (creating it at zero first).
-    pub fn count(name: &'static str, n: u64) {
-        if !crate::is_enabled() {
-            return;
-        }
-        if let Cell::Counter(v) = cell(name, || Cell::Counter(AtomicU64::new(0))) {
-            v.fetch_add(n, Ordering::Relaxed);
-        }
-    }
-
-    /// Sets the named gauge to `v` (last write wins).
-    pub fn gauge(name: &'static str, v: i64) {
-        if !crate::is_enabled() {
-            return;
-        }
-        if let Cell::Gauge(g) = cell(name, || Cell::Gauge(AtomicI64::new(0))) {
-            g.store(v, Ordering::Relaxed);
-        }
-    }
-
-    /// Records one observation of `us` microseconds into the named
-    /// histogram.
-    pub fn observe_us(name: &'static str, us: u64) {
-        if !crate::is_enabled() {
-            return;
-        }
-        if let Cell::Histogram(h) = cell(name, || Cell::Histogram(HistCell::new())) {
-            h.count.fetch_add(1, Ordering::Relaxed);
-            h.sum_us.fetch_add(us, Ordering::Relaxed);
-            h.buckets[bucket_index(us)].fetch_add(1, Ordering::Relaxed);
-        }
-    }
-
-    /// Copies the current registry contents into an immutable
-    /// [`Snapshot`].
-    pub fn snapshot() -> Snapshot {
-        let mut metrics = std::collections::BTreeMap::new();
-        for (name, cell) in registry().read().unwrap_or_else(|e| e.into_inner()).iter() {
-            let value = match cell {
-                Cell::Counter(v) => MetricValue::Counter(v.load(Ordering::Relaxed)),
-                Cell::Gauge(v) => MetricValue::Gauge(v.load(Ordering::Relaxed)),
-                Cell::Histogram(h) => MetricValue::Histogram(HistogramSnapshot {
-                    count: h.count.load(Ordering::Relaxed),
-                    sum_us: h.sum_us.load(Ordering::Relaxed),
-                    buckets: h
-                        .buckets
-                        .iter()
-                        .map(|b| b.load(Ordering::Relaxed))
-                        .collect(),
-                }),
-            };
-            metrics.insert((*name).to_owned(), value);
-        }
-        Snapshot { metrics }
-    }
-
-    /// Clears the registry (the leaked cells are dropped from the map
-    /// but intentionally not reclaimed).
-    pub fn reset_metrics() {
-        registry()
-            .write()
-            .unwrap_or_else(|e| e.into_inner())
-            .clear();
-    }
-
-    /// RAII histogram timer (enabled build): measures from creation to
-    /// drop and records into the named histogram.
-    #[derive(Debug)]
-    pub struct Timer {
-        armed: Option<(&'static str, Instant)>,
-    }
-
-    /// Starts a [`Timer`] that records into the named histogram when
-    /// dropped. Disarmed (never reads the clock) outside a capture
-    /// window.
-    pub fn timer(name: &'static str) -> Timer {
-        let armed = crate::is_enabled().then(|| (name, Instant::now()));
-        Timer { armed }
-    }
-
-    impl Drop for Timer {
-        fn drop(&mut self) {
-            if let Some((name, start)) = self.armed.take() {
-                observe_us(name, start.elapsed().as_micros() as u64);
-            }
-        }
-    }
-
-    /// A monotonic timestamp captured with [`Stamp::now`] (enabled
-    /// build): carries a real [`Instant`] when taken inside a capture
-    /// window.
-    #[derive(Debug, Clone, Copy)]
-    pub struct Stamp {
-        taken: Option<Instant>,
-    }
-
-    impl Stamp {
-        /// Captures the current instant, or a disarmed stamp outside a
-        /// capture window.
-        pub fn now() -> Stamp {
-            Stamp {
-                taken: crate::is_enabled().then(Instant::now),
-            }
-        }
-
-        /// Microseconds since the stamp was taken, if it was armed.
-        pub fn elapsed_us(&self) -> Option<u64> {
-            self.taken.map(|t| t.elapsed().as_micros() as u64)
-        }
-
-        /// Records the elapsed time into the named histogram (no-op if
-        /// the stamp was disarmed).
-        pub fn observe_into(&self, name: &'static str) {
-            if let Some(us) = self.elapsed_us() {
-                observe_us(name, us);
-            }
+impl HistCell {
+    fn new() -> HistCell {
+        HistCell {
+            count: AtomicU64::new(0),
+            sum_us: AtomicU64::new(0),
+            buckets: std::array::from_fn(|_| AtomicU64::new(0)),
         }
     }
 }
 
-#[cfg(feature = "enabled")]
-pub(crate) use recording::reset_metrics;
-#[cfg(feature = "enabled")]
-pub use recording::{count, gauge, observe_us, snapshot, timer, Stamp, Timer};
+// Cells are leaked on first use so the hot path after lookup is a
+// plain atomic op with no lock held. The registry is tiny (tens of
+// static names), so the leak is bounded.
+fn registry() -> &'static RwLock<HashMap<&'static str, &'static Cell>> {
+    static REGISTRY: OnceLock<RwLock<HashMap<&'static str, &'static Cell>>> = OnceLock::new();
+    REGISTRY.get_or_init(|| RwLock::new(HashMap::new()))
+}
 
-/// No-op stand-ins compiled without the `enabled` feature: the whole
-/// metrics surface folds to nothing.
-#[cfg(not(feature = "enabled"))]
-mod disabled {
-    use super::Snapshot;
-
-    /// No-op without the `enabled` feature.
-    #[inline(always)]
-    pub fn count(_name: &'static str, _n: u64) {}
-
-    /// No-op without the `enabled` feature.
-    #[inline(always)]
-    pub fn gauge(_name: &'static str, _v: i64) {}
-
-    /// No-op without the `enabled` feature.
-    #[inline(always)]
-    pub fn observe_us(_name: &'static str, _us: u64) {}
-
-    /// Always empty without the `enabled` feature.
-    #[inline(always)]
-    pub fn snapshot() -> Snapshot {
-        Snapshot::default()
+fn cell(name: &'static str, make: impl FnOnce() -> Cell) -> &'static Cell {
+    if let Some(cell) = registry()
+        .read()
+        .unwrap_or_else(|e| e.into_inner())
+        .get(name)
+    {
+        return cell;
     }
+    let mut map = registry().write().unwrap_or_else(|e| e.into_inner());
+    map.entry(name)
+        .or_insert_with(|| Box::leak(Box::new(make())))
+}
 
-    #[inline(always)]
-    pub(crate) fn reset_metrics() {}
-
-    /// Zero-sized no-op timer compiled without the `enabled` feature.
-    #[derive(Debug)]
-    pub struct Timer;
-
-    /// No-op without the `enabled` feature: never reads the clock.
-    #[inline(always)]
-    pub fn timer(_name: &'static str) -> Timer {
-        Timer
+/// Adds `n` to the named counter (creating it at zero first).
+pub fn count(name: &'static str, n: u64) {
+    if !crate::is_enabled() {
+        return;
     }
-
-    /// Zero-sized no-op timestamp compiled without the `enabled`
-    /// feature.
-    #[derive(Debug, Clone, Copy)]
-    pub struct Stamp;
-
-    impl Stamp {
-        /// No-op without the `enabled` feature: never reads the clock.
-        #[inline(always)]
-        pub fn now() -> Stamp {
-            Stamp
-        }
-
-        /// Always `None` without the `enabled` feature.
-        #[inline(always)]
-        pub fn elapsed_us(&self) -> Option<u64> {
-            None
-        }
-
-        /// No-op without the `enabled` feature.
-        #[inline(always)]
-        pub fn observe_into(&self, _name: &'static str) {}
+    if let Cell::Counter(v) = cell(name, || Cell::Counter(AtomicU64::new(0))) {
+        v.fetch_add(n, Ordering::Relaxed);
     }
 }
 
-#[cfg(not(feature = "enabled"))]
-pub(crate) use disabled::reset_metrics;
-#[cfg(not(feature = "enabled"))]
-pub use disabled::{count, gauge, observe_us, snapshot, timer, Stamp, Timer};
+/// Sets the named gauge to `v` (last write wins).
+pub fn gauge(name: &'static str, v: i64) {
+    if !crate::is_enabled() {
+        return;
+    }
+    if let Cell::Gauge(g) = cell(name, || Cell::Gauge(AtomicI64::new(0))) {
+        g.store(v, Ordering::Relaxed);
+    }
+}
+
+/// Records one observation of `us` microseconds into the named
+/// histogram.
+pub fn observe_us(name: &'static str, us: u64) {
+    if !crate::is_enabled() {
+        return;
+    }
+    if let Cell::Histogram(h) = cell(name, || Cell::Histogram(HistCell::new())) {
+        h.count.fetch_add(1, Ordering::Relaxed);
+        h.sum_us.fetch_add(us, Ordering::Relaxed);
+        h.buckets[bucket_index(us)].fetch_add(1, Ordering::Relaxed);
+    }
+}
+
+/// Copies the current registry contents into an immutable
+/// [`Snapshot`].
+pub fn snapshot() -> Snapshot {
+    let mut metrics = BTreeMap::new();
+    for (name, cell) in registry().read().unwrap_or_else(|e| e.into_inner()).iter() {
+        let value = match cell {
+            Cell::Counter(v) => MetricValue::Counter(v.load(Ordering::Relaxed)),
+            Cell::Gauge(v) => MetricValue::Gauge(v.load(Ordering::Relaxed)),
+            Cell::Histogram(h) => MetricValue::Histogram(HistogramSnapshot {
+                count: h.count.load(Ordering::Relaxed),
+                sum_us: h.sum_us.load(Ordering::Relaxed),
+                buckets: h
+                    .buckets
+                    .iter()
+                    .map(|b| b.load(Ordering::Relaxed))
+                    .collect(),
+            }),
+        };
+        metrics.insert((*name).to_owned(), value);
+    }
+    Snapshot { metrics }
+}
+
+/// Clears the registry (the leaked cells are dropped from the map
+/// but intentionally not reclaimed).
+pub(crate) fn reset_metrics() {
+    registry()
+        .write()
+        .unwrap_or_else(|e| e.into_inner())
+        .clear();
+}
+
+/// RAII histogram timer: measures from creation to drop and
+/// records into the named histogram.
+#[derive(Debug)]
+pub struct Timer {
+    armed: Option<(&'static str, Instant)>,
+}
+
+/// Starts a [`Timer`] that records into the named histogram when
+/// dropped. Disarmed (never reads the clock) outside a capture
+/// window.
+pub fn timer(name: &'static str) -> Timer {
+    let armed = crate::is_enabled().then(|| (name, Instant::now()));
+    Timer { armed }
+}
+
+impl Drop for Timer {
+    fn drop(&mut self) {
+        if let Some((name, start)) = self.armed.take() {
+            observe_us(name, start.elapsed().as_micros() as u64);
+        }
+    }
+}
+
+/// A monotonic timestamp captured with [`Stamp::now`]: carries a
+/// real [`Instant`] when taken inside a capture window.
+#[derive(Debug, Clone, Copy)]
+pub struct Stamp {
+    taken: Option<Instant>,
+}
+
+impl Stamp {
+    /// Captures the current instant, or a disarmed stamp outside a
+    /// capture window.
+    pub fn now() -> Stamp {
+        Stamp {
+            taken: crate::is_enabled().then(Instant::now),
+        }
+    }
+
+    /// Microseconds since the stamp was taken, if it was armed.
+    pub fn elapsed_us(&self) -> Option<u64> {
+        self.taken.map(|t| t.elapsed().as_micros() as u64)
+    }
+
+    /// Records the elapsed time into the named histogram (no-op if
+    /// the stamp was disarmed).
+    pub fn observe_into(&self, name: &'static str) {
+        if let Some(us) = self.elapsed_us() {
+            observe_us(name, us);
+        }
+    }
+}
 
 #[cfg(test)]
 mod tests {

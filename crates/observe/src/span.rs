@@ -13,12 +13,15 @@
 //! ([`Trace::to_chrome_json`], loadable in `chrome://tracing` or
 //! Perfetto) or to JSONL ([`Trace::to_jsonl`]).
 //!
-//! Span and event *names* are passed as closures so the disabled build
-//! never pays for formatting: outside a capture window (or without the
-//! `enabled` feature) the closure is not invoked.
+//! Span and event *names* are passed as closures so a closed capture
+//! window never pays for formatting: outside it the closure is not
+//! invoked.
 
 use simart_codec::json::escape;
 use std::fmt::Write as _;
+use std::sync::atomic::{AtomicU32, AtomicU64, Ordering};
+use std::sync::{Arc, Mutex, OnceLock};
+use std::time::Instant;
 
 /// One completed span: a named interval on one thread.
 #[derive(Debug, Clone, PartialEq, Eq)]
@@ -128,189 +131,145 @@ impl Trace {
     }
 }
 
-#[cfg(feature = "enabled")]
-mod recording {
-    use super::{EventRecord, SpanRecord, Trace};
-    use std::sync::atomic::{AtomicU32, AtomicU64, Ordering};
-    use std::sync::{Arc, Mutex, OnceLock};
-    use std::time::Instant;
+static NEXT_SPAN: AtomicU64 = AtomicU64::new(1);
+static NEXT_THREAD: AtomicU32 = AtomicU32::new(0);
 
-    static NEXT_SPAN: AtomicU64 = AtomicU64::new(1);
-    static NEXT_THREAD: AtomicU32 = AtomicU32::new(0);
+/// Microseconds since the process trace epoch (first clock use).
+fn now_us() -> u64 {
+    static EPOCH: OnceLock<Instant> = OnceLock::new();
+    EPOCH.get_or_init(Instant::now).elapsed().as_micros() as u64
+}
 
-    /// Microseconds since the process trace epoch (first clock use).
-    fn now_us() -> u64 {
-        static EPOCH: OnceLock<Instant> = OnceLock::new();
-        EPOCH.get_or_init(Instant::now).elapsed().as_micros() as u64
+#[derive(Default)]
+struct ThreadBuf {
+    spans: Vec<SpanRecord>,
+    events: Vec<EventRecord>,
+    stack: Vec<u64>,
+}
+
+fn all_bufs() -> &'static Mutex<Vec<Arc<Mutex<ThreadBuf>>>> {
+    static BUFS: OnceLock<Mutex<Vec<Arc<Mutex<ThreadBuf>>>>> = OnceLock::new();
+    BUFS.get_or_init(|| Mutex::new(Vec::new()))
+}
+
+thread_local! {
+    static LOCAL: (Arc<Mutex<ThreadBuf>>, u32) = {
+        let buf = Arc::new(Mutex::new(ThreadBuf::default()));
+        all_bufs().lock().unwrap_or_else(|e| e.into_inner()).push(Arc::clone(&buf));
+        (buf, NEXT_THREAD.fetch_add(1, Ordering::Relaxed))
+    };
+}
+
+/// RAII span guard. Holds the open interval; records it into the
+/// thread buffer on drop.
+#[derive(Debug)]
+pub struct SpanGuard {
+    open: Option<OpenSpan>,
+}
+
+struct OpenSpan {
+    id: u64,
+    parent: u64,
+    name: String,
+    thread: u32,
+    start_us: u64,
+    started: Instant,
+    /// The creating thread's buffer, so a guard moved to (and
+    /// dropped on) another thread still records and unwinds the
+    /// right span stack.
+    home: Arc<Mutex<ThreadBuf>>,
+}
+
+impl std::fmt::Debug for OpenSpan {
+    fn fmt(&self, f: &mut std::fmt::Formatter<'_>) -> std::fmt::Result {
+        f.debug_struct("OpenSpan")
+            .field("id", &self.id)
+            .field("name", &self.name)
+            .finish_non_exhaustive()
     }
+}
 
-    #[derive(Default)]
-    struct ThreadBuf {
-        spans: Vec<SpanRecord>,
-        events: Vec<EventRecord>,
-        stack: Vec<u64>,
+/// Opens a span on the current thread; it closes (and is
+/// recorded) when the returned guard drops. `name` is only invoked
+/// inside a capture window.
+pub fn span<N: FnOnce() -> String>(name: N) -> SpanGuard {
+    if !crate::is_enabled() {
+        return SpanGuard { open: None };
     }
+    let open = LOCAL.with(|(buf, thread)| {
+        let parent;
+        let id = NEXT_SPAN.fetch_add(1, Ordering::Relaxed);
+        {
+            let mut guard = buf.lock().unwrap_or_else(|e| e.into_inner());
+            parent = guard.stack.last().copied().unwrap_or(0);
+            guard.stack.push(id);
+        }
+        OpenSpan {
+            id,
+            parent,
+            name: name(),
+            thread: *thread,
+            start_us: now_us(),
+            started: Instant::now(),
+            home: Arc::clone(buf),
+        }
+    });
+    SpanGuard { open: Some(open) }
+}
 
-    fn all_bufs() -> &'static Mutex<Vec<Arc<Mutex<ThreadBuf>>>> {
-        static BUFS: OnceLock<Mutex<Vec<Arc<Mutex<ThreadBuf>>>>> = OnceLock::new();
-        BUFS.get_or_init(|| Mutex::new(Vec::new()))
-    }
-
-    thread_local! {
-        static LOCAL: (Arc<Mutex<ThreadBuf>>, u32) = {
-            let buf = Arc::new(Mutex::new(ThreadBuf::default()));
-            all_bufs().lock().unwrap_or_else(|e| e.into_inner()).push(Arc::clone(&buf));
-            (buf, NEXT_THREAD.fetch_add(1, Ordering::Relaxed))
+impl Drop for SpanGuard {
+    fn drop(&mut self) {
+        let Some(open) = self.open.take() else { return };
+        let record = SpanRecord {
+            id: open.id,
+            parent: open.parent,
+            name: open.name,
+            thread: open.thread,
+            start_us: open.start_us,
+            dur_us: open.started.elapsed().as_micros() as u64,
         };
-    }
-
-    /// RAII span guard (enabled build). Holds the open interval;
-    /// records it into the thread buffer on drop.
-    #[derive(Debug)]
-    pub struct SpanGuard {
-        open: Option<OpenSpan>,
-    }
-
-    struct OpenSpan {
-        id: u64,
-        parent: u64,
-        name: String,
-        thread: u32,
-        start_us: u64,
-        started: Instant,
-        /// The creating thread's buffer, so a guard moved to (and
-        /// dropped on) another thread still records and unwinds the
-        /// right span stack.
-        home: Arc<Mutex<ThreadBuf>>,
-    }
-
-    impl std::fmt::Debug for OpenSpan {
-        fn fmt(&self, f: &mut std::fmt::Formatter<'_>) -> std::fmt::Result {
-            f.debug_struct("OpenSpan")
-                .field("id", &self.id)
-                .field("name", &self.name)
-                .finish_non_exhaustive()
+        let mut buf = open.home.lock().unwrap_or_else(|e| e.into_inner());
+        // Unwind the stack to below this span (also clearing any
+        // span opened above it that leaked without dropping).
+        if let Some(pos) = buf.stack.iter().rposition(|&id| id == record.id) {
+            buf.stack.truncate(pos);
         }
-    }
-
-    /// Opens a span on the current thread; it closes (and is
-    /// recorded) when the returned guard drops. `name` is only invoked
-    /// inside a capture window.
-    pub fn span<N: FnOnce() -> String>(name: N) -> SpanGuard {
-        if !crate::is_enabled() {
-            return SpanGuard { open: None };
-        }
-        let open = LOCAL.with(|(buf, thread)| {
-            let parent;
-            let id = NEXT_SPAN.fetch_add(1, Ordering::Relaxed);
-            {
-                let mut guard = buf.lock().unwrap_or_else(|e| e.into_inner());
-                parent = guard.stack.last().copied().unwrap_or(0);
-                guard.stack.push(id);
-            }
-            OpenSpan {
-                id,
-                parent,
-                name: name(),
-                thread: *thread,
-                start_us: now_us(),
-                started: Instant::now(),
-                home: Arc::clone(buf),
-            }
-        });
-        SpanGuard { open: Some(open) }
-    }
-
-    impl Drop for SpanGuard {
-        fn drop(&mut self) {
-            let Some(open) = self.open.take() else { return };
-            let record = SpanRecord {
-                id: open.id,
-                parent: open.parent,
-                name: open.name,
-                thread: open.thread,
-                start_us: open.start_us,
-                dur_us: open.started.elapsed().as_micros() as u64,
-            };
-            let mut buf = open.home.lock().unwrap_or_else(|e| e.into_inner());
-            // Unwind the stack to below this span (also clearing any
-            // span opened above it that leaked without dropping).
-            if let Some(pos) = buf.stack.iter().rposition(|&id| id == record.id) {
-                buf.stack.truncate(pos);
-            }
-            buf.spans.push(record);
-        }
-    }
-
-    /// Records an instant event on the current thread. `name` is only
-    /// invoked inside a capture window.
-    pub fn event<N: FnOnce() -> String>(name: N) {
-        if !crate::is_enabled() {
-            return;
-        }
-        LOCAL.with(|(buf, thread)| {
-            let record = EventRecord {
-                name: name(),
-                thread: *thread,
-                ts_us: now_us(),
-            };
-            buf.lock()
-                .unwrap_or_else(|e| e.into_inner())
-                .events
-                .push(record);
-        });
-    }
-
-    /// Moves everything recorded so far (on every thread) out into a
-    /// [`Trace`], sorted by start time. Buffers are left empty.
-    pub fn drain_trace() -> Trace {
-        let mut trace = Trace::default();
-        for buf in all_bufs().lock().unwrap_or_else(|e| e.into_inner()).iter() {
-            let mut buf = buf.lock().unwrap_or_else(|e| e.into_inner());
-            trace.spans.append(&mut buf.spans);
-            trace.events.append(&mut buf.events);
-        }
-        trace.spans.sort_by_key(|s| (s.start_us, s.id));
-        trace.events.sort_by_key(|e| e.ts_us);
-        trace
+        buf.spans.push(record);
     }
 }
 
-#[cfg(feature = "enabled")]
-pub use recording::{drain_trace, event, span, SpanGuard};
-
-/// No-op stand-ins compiled without the `enabled` feature: the whole
-/// tracing surface folds to nothing and name closures never run.
-#[cfg(not(feature = "enabled"))]
-mod disabled {
-    use super::Trace;
-
-    /// Zero-sized no-op span guard compiled without the `enabled`
-    /// feature.
-    #[derive(Debug)]
-    pub struct SpanGuard;
-
-    /// No-op without the `enabled` feature; `name` is never invoked.
-    #[inline(always)]
-    pub fn span<N: FnOnce() -> String>(_name: N) -> SpanGuard {
-        SpanGuard
+/// Records an instant event on the current thread. `name` is only
+/// invoked inside a capture window.
+pub fn event<N: FnOnce() -> String>(name: N) {
+    if !crate::is_enabled() {
+        return;
     }
-
-    /// No-op without the `enabled` feature; `name` is never invoked.
-    #[inline(always)]
-    pub fn event<N: FnOnce() -> String>(_name: N) {}
-
-    /// Always empty without the `enabled` feature.
-    #[inline(always)]
-    /// Moves everything recorded so far (on every thread) out into a
-    /// [`Trace`], sorted by start time. Buffers are left empty.
-    pub fn drain_trace() -> Trace {
-        Trace::default()
-    }
+    LOCAL.with(|(buf, thread)| {
+        let record = EventRecord {
+            name: name(),
+            thread: *thread,
+            ts_us: now_us(),
+        };
+        buf.lock()
+            .unwrap_or_else(|e| e.into_inner())
+            .events
+            .push(record);
+    });
 }
 
-#[cfg(not(feature = "enabled"))]
-pub use disabled::{drain_trace, event, span, SpanGuard};
+/// Moves everything recorded so far (on every thread) out into a
+/// [`Trace`], sorted by start time. Buffers are left empty.
+pub fn drain_trace() -> Trace {
+    let mut trace = Trace::default();
+    for buf in all_bufs().lock().unwrap_or_else(|e| e.into_inner()).iter() {
+        let mut buf = buf.lock().unwrap_or_else(|e| e.into_inner());
+        trace.spans.append(&mut buf.spans);
+        trace.events.append(&mut buf.events);
+    }
+    trace.spans.sort_by_key(|s| (s.start_us, s.id));
+    trace.events.sort_by_key(|e| e.ts_us);
+    trace
+}
 
 #[cfg(test)]
 mod tests {

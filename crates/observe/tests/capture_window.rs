@@ -8,8 +8,6 @@
 //! isolation is the cheap one. `timer_stamp.rs` is the fourth of the
 //! kind.
 
-#![cfg(feature = "enabled")]
-
 use simart_observe::{
     count, disable, drain_trace, enable, event, gauge, observe_us, reset, snapshot, span,
     MetricValue,

@@ -5,8 +5,6 @@
 //! resetting) the same registry used to make it flaky. Scoped registries
 //! (ROADMAP item 5a) are the real fix; process isolation is the cheap one.
 
-#![cfg(feature = "enabled")]
-
 use simart_observe::{self as observe, MetricValue, Stamp};
 
 #[test]

@@ -280,7 +280,6 @@ mod tests {
         assert!(any(|op| matches!(op, Op::ChanSend(_))) >= 3);
     }
 
-    #[cfg(feature = "observe")]
     #[test]
     fn schedulers_record_profiling_metrics() {
         use simart_observe as observe;

@@ -91,9 +91,8 @@ pub struct Task {
     /// Id for race-detector tracepoints (`0` when tracing is compiled
     /// out). Clones share the id: they are the same logical task.
     pub(crate) trace_id: u64,
-    /// When the task entered a scheduler queue (zero-sized unless the
-    /// `observe` feature is on); feeds the `tasks.queue_wait_us`
-    /// histogram.
+    /// When the task entered a scheduler queue (disarmed outside a
+    /// capture window); feeds the `tasks.queue_wait_us` histogram.
     pub(crate) queue_stamp: observe::Stamp,
 }
 

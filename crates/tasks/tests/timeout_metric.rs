@@ -1,7 +1,6 @@
 //! `tasks.timeouts` counts the tasks reported timed-out, whichever
 //! scheduler ran them. The metrics registry is process-global, so the
 //! check has this test binary to itself.
-#![cfg(feature = "observe")]
 
 use simart_observe as observe;
 use simart_tasks::{BrokerScheduler, PoolScheduler, Scheduler, SerialScheduler, Task, TaskState};
