@@ -114,9 +114,6 @@ pub enum LintCode {
     /// split-brain resume: two incarnations of a session both believe
     /// they own the delivery.
     SessionResumeDivergence,
-    /// SA0101: the race detector found conflicting unsynchronized
-    /// accesses in a recorded trace.
-    DataRace,
 }
 
 /// All lint codes, in code order.
@@ -139,7 +136,6 @@ pub const ALL_CODES: &[LintCode] = &[
     LintCode::StaleCheckpoint,
     LintCode::IndexDivergence,
     LintCode::SessionResumeDivergence,
-    LintCode::DataRace,
 ];
 
 impl LintCode {
@@ -164,7 +160,6 @@ impl LintCode {
             LintCode::StaleCheckpoint => "SA0016",
             LintCode::IndexDivergence => "SA0017",
             LintCode::SessionResumeDivergence => "SA0018",
-            LintCode::DataRace => "SA0101",
         }
     }
 
@@ -189,7 +184,6 @@ impl LintCode {
             LintCode::StaleCheckpoint => "stale-checkpoint",
             LintCode::IndexDivergence => "index-divergence",
             LintCode::SessionResumeDivergence => "session-resume-divergence",
-            LintCode::DataRace => "data-race",
         }
     }
 
@@ -420,6 +414,9 @@ mod tests {
         let names: HashSet<&str> = ALL_CODES.iter().map(|c| c.name()).collect();
         assert_eq!(codes.len(), ALL_CODES.len());
         assert_eq!(names.len(), ALL_CODES.len());
+        let contiguous: Vec<String> = (1..=18).map(|n| format!("SA{n:04}")).collect();
+        let in_order: Vec<&str> = ALL_CODES.iter().map(|c| c.code()).collect();
+        assert_eq!(in_order, contiguous, "18 codes, SA0001-SA0018");
         assert_eq!(LintCode::from_spec("SA0004"), Some(LintCode::MissingBlob));
         assert_eq!(LintCode::from_spec("sa0004"), Some(LintCode::MissingBlob));
         assert_eq!(

@@ -1,11 +1,11 @@
 //! # simart-analyze
 //!
-//! The analysis layer: static provenance linting and dynamic race
-//! detection for simart databases and schedulers.
+//! The analysis layer: static provenance linting for simart
+//! databases.
 //!
 //! The rest of the workspace *records* provenance (artifacts, runs,
 //! lifecycle events) the way the gem5art paper prescribes; this crate
-//! *audits* it. Two engines:
+//! *audits* it:
 //!
 //! * **[`lint`]** — a read-only pass over a [`simart_db::Database`]
 //!   (in memory or on disk) emitting typed, severity-ranked
@@ -14,17 +14,11 @@
 //!   lifecycle event-log violations, missed deduplication.
 //!   [`prelaunch`] extends the same reporting to experiment
 //!   cross-products before any simulation is launched.
-//! * **[`race`]** — a vector-clock happens-before checker replaying
-//!   [`tracepoint`] event traces recorded by the instrumented sync
-//!   shims and `simart-tasks`, flagging unsynchronized conflicting
-//!   accesses. Instrumentation is compile-time gated (`race-detect`
-//!   feature → `tracepoint/enabled`): production builds record
-//!   nothing and pay nothing.
 //!
-//! Both engines ship self-tests (`lint::self_test`,
-//! `race::self_test`) wired into `simart check --self-test` so CI
-//! proves the detectors actually detect.
+//! The self-test (`lint::self_test`) is wired into `simart check
+//! --self-test` so CI proves the detectors actually detect.
 
+#![forbid(unsafe_code)]
 #![deny(missing_docs)]
 
 pub mod diag;
@@ -32,7 +26,6 @@ pub mod engine;
 pub mod lint;
 mod lints;
 pub mod prelaunch;
-pub mod race;
 
 pub use diag::{Diagnostic, LintCode, LintLevels, Severity};
 pub use engine::{campaign_check, check_dir_incremental, record_state, CheckOutcome, Engine};

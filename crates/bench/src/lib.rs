@@ -12,6 +12,7 @@
 //! | Fig 8 | [`usecase2`] | `usecase2` |
 //! | Tables III, IV + Fig 9 | [`usecase3`] | `usecase3`, `table4` |
 
+#![forbid(unsafe_code)]
 #![warn(missing_docs)]
 
 pub mod ablation;

@@ -17,6 +17,7 @@
 //! the wire decoder waits for more bytes, a checkpoint refuses the whole
 //! file); the formats themselves live here.
 
+#![forbid(unsafe_code)]
 #![deny(missing_docs)]
 
 pub mod frame;

@@ -30,7 +30,7 @@
 //!
 //! | module | crate | role |
 //! |---|---|---|
-//! | [`analyze`] | `simart-analyze` | provenance linting + race detection |
+//! | [`analyze`] | `simart-analyze` | provenance linting |
 //! | [`artifact`] | `simart-artifact` | provenance records |
 //! | [`db`] | `simart-db` | embedded document database |
 //! | [`run`] | `simart-run` | run objects |
@@ -40,6 +40,7 @@
 //! | [`resources`] | `simart-resources` | the resource catalog |
 //! | [`observe`] | `simart-observe` | span tracing + metrics registry |
 
+#![forbid(unsafe_code)]
 #![warn(missing_docs)]
 
 pub use simart_analyze as analyze;

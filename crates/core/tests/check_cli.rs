@@ -436,8 +436,13 @@ fn deny_warnings_makes_warnings_fatal_and_allow_suppresses() {
     );
 
     // Unknown lint names are usage errors.
-    let bogus = run_check(&dir, &["--deny", "no-such-lint"]);
-    assert_eq!(bogus.status.code(), Some(2));
+    // The retired data-race lint, by code and by name, is unknown too.
+    for spec in ["no-such-lint", "sa0101", "data-race"] {
+        let bogus = run_check(&dir, &["--deny", spec]);
+        assert_eq!(bogus.status.code(), Some(2), "{spec}");
+        let stderr = String::from_utf8_lossy(&bogus.stderr);
+        assert!(stderr.contains("unknown lint"), "{spec}: {stderr}");
+    }
     let _ = std::fs::remove_dir_all(&dir);
 }
 
@@ -619,4 +624,9 @@ fn self_test_subcommand_passes() {
     let stdout = String::from_utf8_lossy(&out.stdout);
     assert_eq!(out.status.code(), Some(0), "{stdout}");
     assert!(stdout.contains("PASS  lint self-test"), "{stdout}");
+    assert_eq!(
+        stdout.lines().count(),
+        1,
+        "one PASS line, no SKIP: {stdout}"
+    );
 }

@@ -52,6 +52,7 @@
 //! JSON string escaping): it sits at the bottom of the simart stack so
 //! every crate can instrument itself without dependency cycles.
 
+#![forbid(unsafe_code)]
 #![deny(missing_docs)]
 
 pub mod metrics;

@@ -38,6 +38,7 @@
 //! assert_eq!(parsec.kind, ResourceKind::Benchmark);
 //! ```
 
+#![forbid(unsafe_code)]
 #![warn(missing_docs)]
 
 pub mod catalog;

@@ -2,13 +2,14 @@
 //!
 //! Provides `crossbeam::channel` with multi-producer multi-consumer
 //! semantics (std's mpsc receivers cannot be cloned, which the task
-//! schedulers rely on). Capacity hints from [`channel::bounded`] are
-//! accepted but not enforced; every queue is unbounded, which is
-//! sufficient for the send-once/oneshot and work-queue patterns used
-//! by the schedulers.
+//! schedulers rely on). Every queue is unbounded, which is sufficient
+//! for the send-once/oneshot and work-queue patterns used by the
+//! schedulers.
+
+#![forbid(unsafe_code)]
 
 pub mod channel {
-    //! MPMC channels: `unbounded`, `bounded`, `Sender`, `Receiver`.
+    //! MPMC channels: `unbounded`, `Sender`, `Receiver`.
 
     use std::collections::VecDeque;
     use std::fmt;
@@ -21,8 +22,6 @@ pub mod channel {
         ready: Condvar,
         senders: AtomicUsize,
         receivers: AtomicUsize,
-        #[cfg(feature = "trace")]
-        trace_id: u64,
     }
 
     /// Sending half of a channel. Cloneable.
@@ -94,8 +93,6 @@ pub mod channel {
             ready: Condvar::new(),
             senders: AtomicUsize::new(1),
             receivers: AtomicUsize::new(1),
-            #[cfg(feature = "trace")]
-            trace_id: tracepoint::fresh_id(),
         });
         (
             Sender {
@@ -103,11 +100,6 @@ pub mod channel {
             },
             Receiver { shared },
         )
-    }
-
-    /// Creates a channel with a capacity hint (not enforced).
-    pub fn bounded<T>(_capacity: usize) -> (Sender<T>, Receiver<T>) {
-        unbounded()
     }
 
     impl<T> Clone for Sender<T> {
@@ -153,8 +145,6 @@ pub mod channel {
             let mut queue = self.shared.queue.lock().unwrap_or_else(|e| e.into_inner());
             queue.push_back(value);
             drop(queue);
-            #[cfg(feature = "trace")]
-            tracepoint::record(tracepoint::Op::ChanSend(self.shared.trace_id));
             self.shared.ready.notify_one();
             Ok(())
         }
@@ -167,8 +157,6 @@ pub mod channel {
             loop {
                 if let Some(value) = queue.pop_front() {
                     drop(queue);
-                    #[cfg(feature = "trace")]
-                    tracepoint::record(tracepoint::Op::ChanRecv(self.shared.trace_id));
                     return Ok(value);
                 }
                 if self.shared.senders.load(Ordering::SeqCst) == 0 {
@@ -188,8 +176,6 @@ pub mod channel {
             match queue.pop_front() {
                 Some(value) => {
                     drop(queue);
-                    #[cfg(feature = "trace")]
-                    tracepoint::record(tracepoint::Op::ChanRecv(self.shared.trace_id));
                     Ok(value)
                 }
                 None if self.shared.senders.load(Ordering::SeqCst) == 0 => {
@@ -206,8 +192,6 @@ pub mod channel {
             loop {
                 if let Some(value) = queue.pop_front() {
                     drop(queue);
-                    #[cfg(feature = "trace")]
-                    tracepoint::record(tracepoint::Op::ChanRecv(self.shared.trace_id));
                     return Ok(value);
                 }
                 if self.shared.senders.load(Ordering::SeqCst) == 0 {
@@ -269,10 +253,10 @@ mod tests {
 
     #[test]
     fn disconnect_semantics() {
-        let (tx, rx) = bounded::<i32>(1);
+        let (tx, rx) = unbounded::<i32>();
         drop(tx);
         assert_eq!(rx.recv(), Err(RecvError));
-        let (tx, rx) = bounded(1);
+        let (tx, rx) = unbounded();
         drop(rx);
         assert_eq!(tx.send(7), Err(SendError(7)));
     }
@@ -297,29 +281,6 @@ mod tests {
         let a = std::thread::spawn(move || rx.iter().count());
         let b = std::thread::spawn(move || rx2.iter().count());
         assert_eq!(a.join().unwrap() + b.join().unwrap(), 64);
-    }
-
-    #[cfg(feature = "trace")]
-    #[test]
-    fn channel_ops_emit_send_recv_events() {
-        tracepoint::enable();
-        let (tx, rx) = unbounded();
-        tx.send(1).unwrap();
-        tx.send(2).unwrap();
-        assert_eq!(rx.recv(), Ok(1));
-        assert_eq!(rx.try_recv(), Ok(2));
-        let events = tracepoint::drain();
-        tracepoint::disable();
-        let sends = events
-            .iter()
-            .filter(|e| matches!(e.op, tracepoint::Op::ChanSend(_)))
-            .count();
-        let recvs = events
-            .iter()
-            .filter(|e| matches!(e.op, tracepoint::Op::ChanRecv(_)))
-            .count();
-        assert_eq!(sends, 2);
-        assert_eq!(recvs, 2);
     }
 
     #[test]

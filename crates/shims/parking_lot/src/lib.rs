@@ -3,56 +3,26 @@
 //! The build environment has no network access to crates.io, so the
 //! workspace vendors the minimal API surface it actually uses: a
 //! [`Mutex`] and an [`RwLock`] whose guards are returned directly
-//! (poison is swallowed, as parking_lot does by construction).
-//!
-//! With the `trace` cargo feature, every lock acquire/release emits a
-//! `tracepoint` event for the simart-analyze race detector. The guards
-//! are thin newtypes over the std guards either way; without the
-//! feature they carry no extra state and no `Drop` impl, so tracing
-//! support costs nothing when disabled.
+//! (poison is swallowed, as parking_lot does by construction). The
+//! guards are the `std::sync` guards themselves.
+
+#![forbid(unsafe_code)]
 
 use std::fmt;
-use std::ops::{Deref, DerefMut};
 use std::sync;
 
-#[cfg(feature = "trace")]
-use std::sync::atomic::{AtomicU64, Ordering};
-
-/// Lazily assigns (on first use) and returns a lock's trace id.
-#[cfg(feature = "trace")]
-fn trace_id(slot: &AtomicU64) -> u64 {
-    let id = slot.load(Ordering::Relaxed);
-    if id != 0 {
-        return id;
-    }
-    let fresh = tracepoint::fresh_id();
-    match slot.compare_exchange(0, fresh, Ordering::Relaxed, Ordering::Relaxed) {
-        Ok(_) => fresh,
-        Err(raced) => raced,
-    }
-}
+pub use std::sync::{MutexGuard, RwLockReadGuard, RwLockWriteGuard};
 
 /// A mutual-exclusion lock whose `lock` never returns a poison error.
 #[derive(Default)]
 pub struct Mutex<T: ?Sized> {
-    #[cfg(feature = "trace")]
-    id: AtomicU64,
     inner: sync::Mutex<T>,
-}
-
-/// RAII guard for [`Mutex::lock`].
-pub struct MutexGuard<'a, T: ?Sized> {
-    #[cfg(feature = "trace")]
-    id: u64,
-    inner: sync::MutexGuard<'a, T>,
 }
 
 impl<T> Mutex<T> {
     /// Creates a new mutex.
     pub const fn new(value: T) -> Mutex<T> {
         Mutex {
-            #[cfg(feature = "trace")]
-            id: AtomicU64::new(0),
             inner: sync::Mutex::new(value),
         }
     }
@@ -66,41 +36,12 @@ impl<T> Mutex<T> {
 impl<T: ?Sized> Mutex<T> {
     /// Acquires the lock, blocking until available.
     pub fn lock(&self) -> MutexGuard<'_, T> {
-        let inner = self.inner.lock().unwrap_or_else(|e| e.into_inner());
-        #[cfg(feature = "trace")]
-        {
-            let id = trace_id(&self.id);
-            tracepoint::record(tracepoint::Op::LockAcquire(id));
-            MutexGuard { id, inner }
-        }
-        #[cfg(not(feature = "trace"))]
-        MutexGuard { inner }
+        self.inner.lock().unwrap_or_else(|e| e.into_inner())
     }
 
     /// Mutable access without locking (requires exclusive ownership).
     pub fn get_mut(&mut self) -> &mut T {
         self.inner.get_mut().unwrap_or_else(|e| e.into_inner())
-    }
-}
-
-impl<T: ?Sized> Deref for MutexGuard<'_, T> {
-    type Target = T;
-
-    fn deref(&self) -> &T {
-        &self.inner
-    }
-}
-
-impl<T: ?Sized> DerefMut for MutexGuard<'_, T> {
-    fn deref_mut(&mut self) -> &mut T {
-        &mut self.inner
-    }
-}
-
-#[cfg(feature = "trace")]
-impl<T: ?Sized> Drop for MutexGuard<'_, T> {
-    fn drop(&mut self) {
-        tracepoint::record(tracepoint::Op::LockRelease(self.id));
     }
 }
 
@@ -113,35 +54,13 @@ impl<T: ?Sized + fmt::Debug> fmt::Debug for Mutex<T> {
 /// A reader-writer lock whose guards are returned without poison.
 #[derive(Default)]
 pub struct RwLock<T: ?Sized> {
-    #[cfg(feature = "trace")]
-    id: AtomicU64,
     inner: sync::RwLock<T>,
-}
-
-/// RAII guard for [`RwLock::read`].
-///
-/// Traced as a full acquire/release pair: conservative (two concurrent
-/// readers appear ordered to the detector) but never hides a
-/// writer-involved race behind a missing edge.
-pub struct RwLockReadGuard<'a, T: ?Sized> {
-    #[cfg(feature = "trace")]
-    id: u64,
-    inner: sync::RwLockReadGuard<'a, T>,
-}
-
-/// RAII guard for [`RwLock::write`].
-pub struct RwLockWriteGuard<'a, T: ?Sized> {
-    #[cfg(feature = "trace")]
-    id: u64,
-    inner: sync::RwLockWriteGuard<'a, T>,
 }
 
 impl<T> RwLock<T> {
     /// Creates a new reader-writer lock.
     pub const fn new(value: T) -> RwLock<T> {
         RwLock {
-            #[cfg(feature = "trace")]
-            id: AtomicU64::new(0),
             inner: sync::RwLock::new(value),
         }
     }
@@ -155,69 +74,17 @@ impl<T> RwLock<T> {
 impl<T: ?Sized> RwLock<T> {
     /// Acquires a shared read guard.
     pub fn read(&self) -> RwLockReadGuard<'_, T> {
-        let inner = self.inner.read().unwrap_or_else(|e| e.into_inner());
-        #[cfg(feature = "trace")]
-        {
-            let id = trace_id(&self.id);
-            tracepoint::record(tracepoint::Op::LockAcquire(id));
-            RwLockReadGuard { id, inner }
-        }
-        #[cfg(not(feature = "trace"))]
-        RwLockReadGuard { inner }
+        self.inner.read().unwrap_or_else(|e| e.into_inner())
     }
 
     /// Acquires an exclusive write guard.
     pub fn write(&self) -> RwLockWriteGuard<'_, T> {
-        let inner = self.inner.write().unwrap_or_else(|e| e.into_inner());
-        #[cfg(feature = "trace")]
-        {
-            let id = trace_id(&self.id);
-            tracepoint::record(tracepoint::Op::LockAcquire(id));
-            RwLockWriteGuard { id, inner }
-        }
-        #[cfg(not(feature = "trace"))]
-        RwLockWriteGuard { inner }
+        self.inner.write().unwrap_or_else(|e| e.into_inner())
     }
 
     /// Mutable access without locking (requires exclusive ownership).
     pub fn get_mut(&mut self) -> &mut T {
         self.inner.get_mut().unwrap_or_else(|e| e.into_inner())
-    }
-}
-
-impl<T: ?Sized> Deref for RwLockReadGuard<'_, T> {
-    type Target = T;
-
-    fn deref(&self) -> &T {
-        &self.inner
-    }
-}
-
-impl<T: ?Sized> Deref for RwLockWriteGuard<'_, T> {
-    type Target = T;
-
-    fn deref(&self) -> &T {
-        &self.inner
-    }
-}
-
-impl<T: ?Sized> DerefMut for RwLockWriteGuard<'_, T> {
-    fn deref_mut(&mut self) -> &mut T {
-        &mut self.inner
-    }
-}
-
-#[cfg(feature = "trace")]
-impl<T: ?Sized> Drop for RwLockReadGuard<'_, T> {
-    fn drop(&mut self) {
-        tracepoint::record(tracepoint::Op::LockRelease(self.id));
-    }
-}
-
-#[cfg(feature = "trace")]
-impl<T: ?Sized> Drop for RwLockWriteGuard<'_, T> {
-    fn drop(&mut self) {
-        tracepoint::record(tracepoint::Op::LockRelease(self.id));
     }
 }
 
@@ -244,28 +111,5 @@ mod tests {
         let l = RwLock::new(vec![1]);
         l.write().push(2);
         assert_eq!(*l.read(), vec![1, 2]);
-    }
-
-    #[cfg(feature = "trace")]
-    #[test]
-    fn locks_emit_acquire_release_pairs() {
-        tracepoint::enable();
-        let m = Mutex::new(0);
-        {
-            let mut guard = m.lock();
-            *guard += 1;
-        }
-        let events = tracepoint::drain();
-        tracepoint::disable();
-        let acquires = events
-            .iter()
-            .filter(|e| matches!(e.op, tracepoint::Op::LockAcquire(_)))
-            .count();
-        let releases = events
-            .iter()
-            .filter(|e| matches!(e.op, tracepoint::Op::LockRelease(_)))
-            .count();
-        assert!(acquires >= 1);
-        assert_eq!(acquires, releases);
     }
 }

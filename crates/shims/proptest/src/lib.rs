@@ -11,6 +11,8 @@
 //! is derived deterministically from the test name and case index, so a
 //! failure message names the case and rerunning reproduces it exactly.
 
+#![forbid(unsafe_code)]
+
 pub mod collection;
 pub mod strategy;
 pub mod test_runner;

@@ -5,6 +5,8 @@
 //! quality the simulators rely on), the `RngCore`/`SeedableRng` traits,
 //! and the `Rng` extension with `gen` / `gen_range`.
 
+#![forbid(unsafe_code)]
+
 use std::ops::Range;
 
 /// Core random-number generation: raw integer output.

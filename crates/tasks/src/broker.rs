@@ -54,8 +54,8 @@ use crate::fault::Fault;
 use crate::lease::{Cause, JobId, LeaseTable, Owner, Revoked, Settled};
 use crate::supervise::SupervisorConfig;
 use crate::task::{execute, Task, TaskHandle, TaskReport, TaskState};
-use crate::{trace, Scheduler};
-use crossbeam::channel::{bounded, unbounded, Receiver, RecvTimeoutError, Sender};
+use crate::Scheduler;
+use crossbeam::channel::{unbounded, Receiver, RecvTimeoutError, Sender};
 use parking_lot::Mutex;
 use simart_observe as observe;
 use std::fmt;
@@ -139,7 +139,6 @@ struct Shared {
     /// it, and `shutdown_now` drains the ones they will never run.
     pending: Receiver<JobId>,
     state: Mutex<SupervisionState>,
-    queue_trace_id: u64,
 }
 
 /// A broker queue with attached worker threads and a supervisor.
@@ -193,12 +192,11 @@ impl BrokerScheduler {
                 detached: Vec::new(),
                 next_generation: 0,
             }),
-            queue_trace_id: trace::fresh_id(),
         });
         let slots = (0..workers).map(|slot| spawn_worker(&shared, slot, 0));
         let slots: Vec<WorkerSlot> = slots.collect();
         shared.state.lock().slots = slots;
-        let (stop_tx, stop_rx) = bounded::<()>(0);
+        let (stop_tx, stop_rx) = unbounded::<()>();
         let supervisor = spawn_supervisor(Arc::clone(&shared), stop_rx);
         BrokerScheduler {
             shared,
@@ -322,10 +320,9 @@ impl fmt::Debug for BrokerScheduler {
 impl Scheduler for BrokerScheduler {
     fn submit(&self, mut task: Task) -> TaskHandle {
         let name = task.name().to_owned();
-        let (tx, rx) = bounded(1);
+        let (tx, rx) = unbounded();
         self.shared.stats.submitted.fetch_add(1, Ordering::SeqCst);
         task.stamp_queued();
-        trace::task_submit(task.trace_id);
         let mut st = self.shared.state.lock();
         let SupervisionState { table, queue, .. } = &mut *st;
         let queued = match queue {
@@ -337,7 +334,6 @@ impl Scheduler for BrokerScheduler {
                 };
                 let job = table.submit(name.clone(), timeout, payload, Instant::now());
                 observe::count(self.shared.label.enqueued, 1);
-                trace::enqueue(self.shared.queue_trace_id);
                 // All receivers gone (queue torn down mid-send):
                 // degrade to the drop path instead of stranding the
                 // handle on a job no worker will ever see.
@@ -410,7 +406,6 @@ fn spawn_worker(shared: &Arc<Shared>, slot: usize, generation: u64) -> WorkerSlo
 
 fn worker_loop(shared: &Arc<Shared>, owner: Owner, flags: &Arc<WorkerFlags>) {
     while let Ok(job) = shared.pending.recv() {
-        trace::dequeue(shared.queue_trace_id);
         observe::count(shared.label.dequeued, 1);
         // Take the lease before consulting worker faults, so a killed
         // worker leaves a lease behind for the supervisor to recover.
@@ -428,7 +423,6 @@ fn worker_loop(shared: &Arc<Shared>, owner: Owner, flags: &Arc<WorkerFlags>) {
             }
             continue;
         };
-        trace::lease_grant(task.trace_id);
         // Broker-to-worker handoff latency (the task's own queue stamp
         // keeps ticking until `execute`).
         if let Some(us) = task.queue_stamp.elapsed_us() {
@@ -587,10 +581,6 @@ fn respawn(shared: &Arc<Shared>, st: &mut SupervisionState, slot_idx: usize) {
 /// closed — and for [`Cause::DetachedCap`], which must not tie up
 /// another thread — nothing is redelivered.
 fn revoke_lease(shared: &Shared, st: &mut SupervisionState, job: JobId, cause: Cause) {
-    let Some(trace_id) = st.table.get(job).map(|job| job.payload.task.trace_id) else {
-        return;
-    };
-    trace::lease_revoke(trace_id);
     let now = Instant::now();
     let SupervisionState { table, queue, .. } = st;
     let dead = match queue {
@@ -598,8 +588,6 @@ fn revoke_lease(shared: &Shared, st: &mut SupervisionState, job: JobId, cause: C
             Some(Revoked::Requeued) => {
                 shared.stats.redelivered.fetch_add(1, Ordering::SeqCst);
                 observe::count("broker.redelivered", 1);
-                trace::task_requeue(trace_id);
-                trace::enqueue(shared.queue_trace_id);
                 // Cannot fail: `Shared` holds a receiver.
                 let _ = sender.send(job);
                 None

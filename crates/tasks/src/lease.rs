@@ -19,9 +19,8 @@
 //!
 //! The table does no I/O, spawns nothing, and never reads a clock —
 //! every operation that needs the time takes `now`. Queue order,
-//! worker lifecycles (detach/respawn, spawn/kill), metrics and
-//! tracepoints belong to the drivers, which act on what the table
-//! returns.
+//! worker lifecycles (detach/respawn, spawn/kill) and metrics belong
+//! to the drivers, which act on what the table returns.
 
 use crate::supervise::SupervisorConfig;
 use crate::task::{TaskReport, TaskState};

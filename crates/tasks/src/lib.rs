@@ -55,6 +55,7 @@
 //! }
 //! ```
 
+#![forbid(unsafe_code)]
 #![deny(missing_docs)]
 
 mod broker;
@@ -66,7 +67,6 @@ mod retry;
 mod serial;
 mod supervise;
 mod task;
-pub(crate) mod trace;
 pub mod transport;
 pub mod wire;
 
@@ -248,36 +248,6 @@ mod tests {
         let histories: Vec<_> = schedulers().into_iter().map(history_on).collect();
         assert_eq!(histories[0], histories[1]);
         assert_eq!(histories[1], histories[2]);
-    }
-
-    #[cfg(feature = "race-trace")]
-    #[test]
-    fn schedulers_emit_lifecycle_tracepoints() {
-        use tracepoint::Op;
-        tracepoint::enable();
-        let tasks: Vec<Task> = (0..3)
-            .map(|i| Task::new(format!("traced-{i}"), || Ok(String::new())))
-            .collect();
-        let ids: Vec<u64> = tasks.iter().map(|t| t.trace_id).collect();
-        let reports = run_all(&PoolScheduler::new(2), tasks);
-        let events = tracepoint::drain();
-        tracepoint::disable();
-        assert!(reports.iter().all(|r| r.state.is_success()));
-        // The trace buffer is global and other tests may run (and
-        // record) concurrently, so count only events for our task ids.
-        let count = |f: fn(&Op) -> bool| {
-            events
-                .iter()
-                .filter(|e| f(&e.op) && ids.contains(&e.op.object()))
-                .count()
-        };
-        assert_eq!(count(|op| matches!(op, Op::TaskSubmit(_))), 3);
-        assert_eq!(count(|op| matches!(op, Op::TaskStart(_))), 3);
-        assert_eq!(count(|op| matches!(op, Op::TaskFinish(_))), 3);
-        let any = |f: fn(&Op) -> bool| events.iter().filter(|e| f(&e.op)).count();
-        assert!(any(|op| matches!(op, Op::Enqueue(_))) >= 3);
-        assert!(any(|op| matches!(op, Op::Dequeue(_))) >= 3);
-        assert!(any(|op| matches!(op, Op::ChanSend(_))) >= 3);
     }
 
     #[test]

@@ -48,12 +48,11 @@ use crate::lease::{Cause, JobId, LeaseTable, Owner, Revoked, Settled};
 use crate::retry::RetryPolicy;
 use crate::supervise::SupervisorConfig;
 use crate::task::{AttemptDisposition, AttemptRecord, TaskHandle, TaskReport, TaskState};
-use crate::trace;
 use crate::transport::{
     self, ChaosReader, ChaosWriter, Duplex, Transport, TransportKind, WORKER_SESSION_ENV,
 };
 use crate::wire::{FrameDecoder, Message, PROTOCOL_VERSION};
-use crossbeam::channel::{bounded, Sender};
+use crossbeam::channel::{unbounded, Sender};
 use simart_observe as observe;
 use std::collections::{HashMap, VecDeque};
 use std::fmt;
@@ -365,7 +364,6 @@ type EventHook = Arc<dyn Fn(&RemoteEvent) + Send + Sync>;
 struct RemoteJob {
     spec: RemoteTaskSpec,
     report_tx: Sender<TaskReport>,
-    trace_id: u64,
 }
 
 struct Slot {
@@ -386,8 +384,6 @@ struct Slot {
     /// Session token minted at spawn; a reconnecting TCP worker
     /// presents it in its Hello to resume this slot.
     session: u64,
-    /// Trace object for the session's reconnect barrier edges.
-    session_trace: u64,
     /// Monotonic id of the currently attached connection (`0` before
     /// the first attach); stale readers carry an older epoch.
     conn_epoch: u64,
@@ -449,7 +445,6 @@ struct Shared {
     stopping: AtomicBool,
     stats: StatCounters,
     hook: Mutex<Option<EventHook>>,
-    queue_trace: u64,
 }
 
 impl Shared {
@@ -516,7 +511,6 @@ impl RemoteScheduler {
             stopping: AtomicBool::new(false),
             stats: StatCounters::default(),
             hook: Mutex::new(None),
-            queue_trace: trace::fresh_id(),
         });
         let mut spawn_error = None;
         {
@@ -561,7 +555,7 @@ impl RemoteScheduler {
     /// shutdown began.
     pub fn submit(&self, spec: RemoteTaskSpec) -> Result<TaskHandle, SubmitError> {
         let name = spec.name.clone();
-        let (report_tx, receiver) = bounded(1);
+        let (report_tx, receiver) = unbounded();
         let deadline = Instant::now() + self.shared.config.submit_deadline;
         let mut st = self.shared.lock();
         loop {
@@ -583,20 +577,14 @@ impl RemoteScheduler {
                 .unwrap_or_else(|poisoned| poisoned.into_inner());
             st = guard;
         }
-        let trace_id = trace::fresh_id();
-        trace::task_submit(trace_id);
         self.shared.stats.submitted.fetch_add(1, Ordering::SeqCst);
         observe::count("broker.remote_submitted", 1);
         let timeout = spec.timeout;
-        let payload = RemoteJob {
-            spec,
-            report_tx,
-            trace_id,
-        };
+        let payload = RemoteJob { spec, report_tx };
         let job = st
             .table
             .submit(name.clone(), timeout, payload, Instant::now());
-        enqueue(&self.shared, &mut st, job);
+        st.pending.push_back(job);
         pump(&self.shared, &mut st);
         Ok(TaskHandle { receiver, name })
     }
@@ -808,7 +796,6 @@ fn dead_slot(generation: u64) -> Slot {
         last_seen: Instant::now(),
         reader: None,
         session: 0,
-        session_trace: 0,
         conn_epoch: 0,
         had_conn: false,
         net_frames: Arc::new(AtomicU64::new(0)),
@@ -845,7 +832,6 @@ fn spawn_worker(
         child: Some(child),
         pid,
         session,
-        session_trace: trace::fresh_id(),
         ..dead_slot(generation)
     };
     if let Some(duplex) = duplex {
@@ -1057,7 +1043,6 @@ fn attach_connection(shared: &Arc<Shared>, mut duplex: Duplex) {
     if resumed {
         shared.stats.reconnects.fetch_add(1, Ordering::SeqCst);
         observe::count("broker.remote_reconnects", 1);
-        trace::remote_reconnect(slot.session_trace);
         // Reconcile in-flight work: the lease stays granted (the
         // worker may still be computing; its re-sent result dedups
         // under first-report-wins, and a dispatch lost in flight
@@ -1132,10 +1117,7 @@ fn handle_message(shared: &Arc<Shared>, slot_idx: usize, generation: u64, messag
                 // budget.
                 if st.table.resend(job, Cause::DispatchLost) {
                     observe::count("broker.remote_lost_dispatches", 1);
-                    if let Some(record) = st.table.get(job) {
-                        trace::lease_revoke(record.payload.trace_id);
-                    }
-                    enqueue(shared, &mut st, job);
+                    st.pending.push_back(job);
                 }
                 pump(shared, &mut st);
                 shared.space.notify_all();
@@ -1210,8 +1192,6 @@ fn accept_result(
         return;
     };
     observe::count("broker.remote_acks", 1);
-    trace::remote_ack(payload.trace_id);
-    trace::task_finish(payload.trace_id);
     emit(
         shared,
         RemoteEvent::Acked {
@@ -1302,16 +1282,13 @@ fn respawn_slot(shared: &Arc<Shared>, st: &mut CoordState, slot_idx: usize) {
 /// Revokes a lease and acts on the table's verdict: queue the next
 /// delivery, or deliver the dead letter.
 fn revoke_lease(shared: &Arc<Shared>, st: &mut CoordState, job: JobId, cause: Cause) {
-    let Some(record) = st.table.get(job) else {
+    let Some(delivery) = st.table.get(job).map(|record| record.delivery) else {
         return;
     };
-    let (trace_id, delivery) = (record.payload.trace_id, record.delivery);
-    trace::lease_revoke(trace_id);
     match st.table.revoke(job, cause, Instant::now()) {
         Some(Revoked::Requeued) => {
             shared.stats.redelivered.fetch_add(1, Ordering::SeqCst);
             observe::count("broker.remote_redelivered", 1);
-            trace::task_requeue(trace_id);
             if let Some(record) = st.table.get(job) {
                 emit(
                     shared,
@@ -1322,7 +1299,7 @@ fn revoke_lease(shared: &Arc<Shared>, st: &mut CoordState, job: JobId, cause: Ca
                     },
                 );
             }
-            enqueue(shared, st, job);
+            st.pending.push_back(job);
         }
         Some(Revoked::DeadLettered(settled)) => deliver_dead_letter(shared, settled, cause),
         None => {}
@@ -1333,7 +1310,6 @@ fn revoke_lease(shared: &Arc<Shared>, st: &mut CoordState, job: JobId, cause: Ca
 fn deliver_dead_letter(shared: &Arc<Shared>, settled: Settled<RemoteJob>, cause: Cause) {
     let Settled { payload, report } = settled;
     observe::count("broker.remote_dead_letters", 1);
-    trace::task_finish(payload.trace_id);
     emit(
         shared,
         RemoteEvent::DeadLettered {
@@ -1343,12 +1319,6 @@ fn deliver_dead_letter(shared: &Arc<Shared>, settled: Settled<RemoteJob>, cause:
     );
     let _ = payload.report_tx.send(report);
     shared.stats.dead_lettered.fetch_add(1, Ordering::SeqCst);
-}
-
-/// Appends a job to the dispatch queue.
-fn enqueue(shared: &Arc<Shared>, st: &mut CoordState, job: JobId) {
-    trace::enqueue(shared.queue_trace);
-    st.pending.push_back(job);
 }
 
 /// Gives every idle, ready worker the oldest queued job.
@@ -1403,7 +1373,6 @@ fn dispatch(shared: &Arc<Shared>, st: &mut CoordState, i: usize) -> bool {
         return false;
     }
     st.pending.pop_front();
-    trace::dequeue(shared.queue_trace);
     let now = Instant::now();
     let Some(record) = st.table.grant(job, owner, now) else {
         return true; // unreachable: queued jobs hold no lease
@@ -1414,8 +1383,6 @@ fn dispatch(shared: &Arc<Shared>, st: &mut CoordState, i: usize) -> bool {
         "broker.remote_queue_latency_us",
         now.duration_since(record.submitted).as_micros() as u64,
     );
-    trace::lease_grant(record.payload.trace_id);
-    trace::remote_dispatch(record.payload.trace_id);
     emit(
         shared,
         RemoteEvent::Dispatched {
@@ -1540,9 +1507,7 @@ fn tick(shared: &Arc<Shared>, st: &mut CoordState) {
 fn fail_everything(shared: &Arc<Shared>, st: &mut CoordState, cause: Cause, now: Instant) {
     st.pending.clear();
     for slot in &mut st.slots {
-        if let Some(record) = slot.busy.take().and_then(|job| st.table.get(job)) {
-            trace::lease_revoke(record.payload.trace_id);
-        }
+        slot.busy = None;
     }
     for settled in st.table.fail_all(cause, now) {
         deliver_dead_letter(shared, settled, cause);

@@ -4,7 +4,7 @@ use crate::broker::{BrokerScheduler, Label};
 use crate::supervise::SupervisorConfig;
 use crate::task::{Task, TaskHandle};
 use crate::Scheduler;
-use crossbeam::channel::bounded;
+use crossbeam::channel::unbounded;
 
 const SERIAL: Label = Label {
     name: "serial",
@@ -44,7 +44,7 @@ impl Scheduler for SerialScheduler {
     fn submit(&self, task: Task) -> TaskHandle {
         let handle = self.0.submit(task);
         let name = handle.name().to_owned();
-        let (tx, rx) = bounded(1);
+        let (tx, rx) = unbounded();
         // Cannot fail: `rx` is alive and has room for the one report.
         let _ = tx.send(handle.wait());
         TaskHandle { receiver: rx, name }

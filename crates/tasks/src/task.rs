@@ -2,7 +2,6 @@
 
 use crate::fault::FaultInjector;
 use crate::retry::RetryPolicy;
-use crate::trace;
 use crossbeam::channel::Receiver;
 use simart_observe as observe;
 use std::fmt;
@@ -88,9 +87,6 @@ pub struct Task {
     pub(crate) timeout: Option<Duration>,
     pub(crate) policy: RetryPolicy,
     pub(crate) fault: Option<Arc<FaultInjector>>,
-    /// Id for race-detector tracepoints (`0` when tracing is compiled
-    /// out). Clones share the id: they are the same logical task.
-    pub(crate) trace_id: u64,
     /// When the task entered a scheduler queue (disarmed outside a
     /// capture window); feeds the `tasks.queue_wait_us` histogram.
     pub(crate) queue_stamp: observe::Stamp,
@@ -108,7 +104,6 @@ impl Task {
             timeout: None,
             policy: RetryPolicy::none(),
             fault: None,
-            trace_id: trace::fresh_id(),
             queue_stamp: observe::Stamp::now(),
         }
     }
@@ -275,7 +270,6 @@ pub(crate) fn execute(task: Task, mut arm: impl FnMut(u32, Instant)) -> TaskRepo
         timeout: _,
         policy,
         fault,
-        trace_id,
         queue_stamp,
     } = task;
     queue_stamp.observe_into("tasks.queue_wait_us");
@@ -294,7 +288,6 @@ pub(crate) fn execute(task: Task, mut arm: impl FnMut(u32, Instant)) -> TaskRepo
             std::thread::sleep(delay_before);
         }
         arm(attempts, Instant::now());
-        trace::task_start(trace_id);
         let attempt_stamp = observe::Stamp::now();
         // An injected fault fires *inside* the attempt: injected panics
         // are caught, injected delays count against the attempt's lease.
@@ -335,11 +328,9 @@ pub(crate) fn execute(task: Task, mut arm: impl FnMut(u32, Instant)) -> TaskRepo
                 observe::count("tasks.retries", 1);
                 observe::observe_us("tasks.retry_delay_us", delay.as_micros() as u64);
                 delay_before = delay;
-                trace::task_requeue(trace_id);
             }
         }
     };
-    trace::task_finish(trace_id);
     TaskReport {
         name,
         state,
@@ -372,7 +363,7 @@ fn run_caught(work: impl FnOnce() -> Result<String, String>) -> Result<String, S
 mod tests {
     use super::*;
     use crate::{BrokerScheduler, Scheduler, SerialScheduler};
-    use crossbeam::channel::bounded;
+    use crossbeam::channel::unbounded;
     use std::sync::atomic::{AtomicU32, Ordering};
 
     /// Runs a task with no lease to re-arm.
@@ -477,7 +468,7 @@ mod tests {
 
     #[test]
     fn wait_on_dropped_scheduler_returns_failed_report() {
-        let (tx, rx) = bounded::<TaskReport>(1);
+        let (tx, rx) = unbounded::<TaskReport>();
         let handle = TaskHandle {
             receiver: rx,
             name: "ghost".to_owned(),

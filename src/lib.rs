@@ -4,6 +4,8 @@
 //! `tests/` and the runnable examples in `examples/`; the library API
 //! lives in the [`simart`] crate and its substrate crates.
 
+#![forbid(unsafe_code)]
+
 pub use simart;
 pub use simart_artifact;
 pub use simart_db;

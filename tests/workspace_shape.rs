@@ -1,0 +1,104 @@
+//! The workspace builds one way: no cargo feature selects code, no
+//! crate can contain `unsafe`, and the vendored shims are the four the
+//! build needs. A `[features]` table, a feature-gated `cfg`, a crate
+//! root without `forbid(unsafe_code)` or a fifth shim fails here.
+
+use std::path::{Path, PathBuf};
+
+fn repo() -> PathBuf {
+    PathBuf::from(env!("CARGO_MANIFEST_DIR"))
+}
+
+/// Every file under `dir` whose name satisfies `wanted`, skipping build
+/// output and hidden directories.
+fn files(dir: &Path, wanted: &dyn Fn(&str) -> bool, out: &mut Vec<PathBuf>) {
+    let Ok(entries) = std::fs::read_dir(dir) else {
+        return;
+    };
+    for entry in entries.flatten() {
+        let (path, name) = (entry.path(), entry.file_name());
+        let name = name.to_string_lossy();
+        if path.is_dir() {
+            if name != "target" && !name.starts_with('.') {
+                files(&path, wanted, out);
+            }
+        } else if wanted(&name) {
+            out.push(path);
+        }
+    }
+}
+
+fn manifests() -> Vec<PathBuf> {
+    let mut out = Vec::new();
+    files(&repo(), &|name| name == "Cargo.toml", &mut out);
+    out
+}
+
+#[test]
+fn no_manifest_declares_features() {
+    let manifests = manifests();
+    assert!(manifests.len() >= 17, "found only {manifests:?}");
+    for manifest in manifests {
+        let text = std::fs::read_to_string(&manifest).unwrap();
+        assert!(
+            !text.lines().any(|line| line.trim() == "[features]"),
+            "{} has a [features] table",
+            manifest.display()
+        );
+    }
+}
+
+#[test]
+fn no_source_is_feature_gated() {
+    // Spelled in two parts so this file does not match itself.
+    let gate = ["feature", "=\""].concat();
+    let mut sources = Vec::new();
+    for dir in ["crates", "src", "tests", "examples"] {
+        files(
+            &repo().join(dir),
+            &|name| name.ends_with(".rs"),
+            &mut sources,
+        );
+    }
+    assert!(sources.len() > 100, "found only {} sources", sources.len());
+    for source in sources {
+        let text = std::fs::read_to_string(&source).unwrap();
+        for (number, line) in text.lines().enumerate() {
+            let dense: String = line.split_whitespace().collect();
+            assert!(
+                !(dense.contains("cfg") && dense.contains(&gate)),
+                "{}:{}: {line}",
+                source.display(),
+                number + 1
+            );
+        }
+    }
+}
+
+#[test]
+fn every_crate_root_forbids_unsafe() {
+    for manifest in manifests() {
+        let package = manifest.parent().unwrap();
+        if package.ends_with("benchmark") {
+            continue; // frozen harness, a workspace of its own
+        }
+        let root = package.join("src/lib.rs");
+        let text = std::fs::read_to_string(&root).unwrap();
+        assert!(
+            text.lines().any(|line| line == "#![forbid(unsafe_code)]"),
+            "{} lacks #![forbid(unsafe_code)]",
+            root.display()
+        );
+    }
+}
+
+#[test]
+fn shims_are_exactly_the_four_vendored_crates() {
+    let mut shims: Vec<String> = std::fs::read_dir(repo().join("crates/shims"))
+        .unwrap()
+        .flatten()
+        .map(|entry| entry.file_name().to_string_lossy().into_owned())
+        .collect();
+    shims.sort();
+    assert_eq!(shims, ["crossbeam", "parking_lot", "proptest", "rand"]);
+}
