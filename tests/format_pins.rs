@@ -4,10 +4,19 @@
 //! shared `simart-codec` crate replaced the per-crate copies of the
 //! frame, CRC-32, FNV-1a and JSON code; they must never change without
 //! a format-version bump.
+//!
+//! `simulator_stat_dumps_are_pinned` does the same for the simulator's
+//! results: `determinism.rs` compares a run with itself, this compares
+//! it with the commit before the interpreter loop was last edited.
 
+use simart_codec::fnv1a;
 use simart_db::{Database, Value};
 use simart_fullsim::checkpoint::{checkpoint_key, CheckpointStore};
+use simart_fullsim::cpu::CpuKind;
+use simart_fullsim::kernel::KernelVersion;
+use simart_fullsim::mem::MemKind;
 use simart_fullsim::system::{Fidelity, SystemConfig};
+use simart_fullsim::workload::{parsec_profile, InputSize};
 use simart_tasks::wire::Message;
 use simart_tasks::{Fault, FaultInjector};
 use std::time::Duration;
@@ -103,5 +112,73 @@ fn fault_stream_draws_are_pinned() {
     assert_eq!(
         injector.worker_fault_for("campaign/abc123", 2),
         Some(Fault::WorkerStall(Duration::from_nanos(990_117_613_985)))
+    );
+}
+
+#[test]
+fn simulator_stat_dumps_are_pinned() {
+    // Kernel 4.4 with MESI_Two_Level is a cell of Figure 8 that O3
+    // boots at both 1 and 4 cores.
+    let config = |cpu, cores, mem, fidelity| {
+        SystemConfig::builder()
+            .cpu(cpu)
+            .cores(cores)
+            .memory(mem)
+            .kernel(KernelVersion::V4_4)
+            .fidelity(fidelity)
+            .build()
+            .unwrap()
+    };
+    let mut lines = Vec::new();
+    for cpu in CpuKind::FIGURE8 {
+        for mem in [
+            MemKind::classic_coherent(),
+            MemKind::RubyMi,
+            MemKind::RubyMesiTwoLevel,
+        ] {
+            let boot = config(cpu, 1, mem, Fidelity::Smoke).boot_only().unwrap();
+            let hash = fnv1a(boot.stats.dump().as_bytes());
+            lines.push(format!("boot {cpu} {mem} {hash:016x}"));
+        }
+    }
+    let mut workload = |app: &str, cpu, cores, fidelity| {
+        let out = config(cpu, cores, MemKind::RubyMesiTwoLevel, fidelity)
+            .run_workload(&parsec_profile(app).unwrap(), InputSize::SimSmall)
+            .unwrap();
+        assert!(out.outcome.is_success(), "{app} {cpu} x{cores}");
+        let hash = fnv1a(out.stats.dump().as_bytes());
+        lines.push(format!("{app} {cpu} x{cores} {fidelity:?} {hash:016x}"));
+    };
+    for app in ["dedup", "streamcluster"] {
+        for cpu in [CpuKind::TimingSimple, CpuKind::O3] {
+            for cores in [1, 4] {
+                workload(app, cpu, cores, Fidelity::Smoke);
+            }
+        }
+    }
+    workload("blackscholes", CpuKind::TimingSimple, 2, Fidelity::Detailed);
+    assert_eq!(
+        lines.join("\n"),
+        "boot kvmCPU Classic(coherent) 3a3f9aa24f2239a6\n\
+         boot kvmCPU MI_example 5e3554ab9ff26a2c\n\
+         boot kvmCPU MESI_Two_Level 3ddd3901022c70c6\n\
+         boot AtomicSimpleCPU Classic(coherent) 878b1e11b5a4de2b\n\
+         boot AtomicSimpleCPU MI_example 9106bc64d49ee5c6\n\
+         boot AtomicSimpleCPU MESI_Two_Level f6d16864958055f1\n\
+         boot TimingSimpleCPU Classic(coherent) 9bbbc7910ef68e10\n\
+         boot TimingSimpleCPU MI_example ded7d044c65425c1\n\
+         boot TimingSimpleCPU MESI_Two_Level a3a56d7100299660\n\
+         boot O3CPU Classic(coherent) 3ccdd9a3b832e0c6\n\
+         boot O3CPU MI_example 8ce4ed89ff9230e4\n\
+         boot O3CPU MESI_Two_Level c2a64c484d24fcb9\n\
+         dedup TimingSimpleCPU x1 Smoke 23490ca48ba01aff\n\
+         dedup TimingSimpleCPU x4 Smoke cd88d9e3daa329e1\n\
+         dedup O3CPU x1 Smoke a6fd77bc604b0894\n\
+         dedup O3CPU x4 Smoke 71e0486bb875b05e\n\
+         streamcluster TimingSimpleCPU x1 Smoke 8ad3d370c29d4051\n\
+         streamcluster TimingSimpleCPU x4 Smoke 16ffde395b033d71\n\
+         streamcluster O3CPU x1 Smoke dbab92a8fe6f13b1\n\
+         streamcluster O3CPU x4 Smoke 8e4e1a03a6cdbc61\n\
+         blackscholes TimingSimpleCPU x2 Detailed 4666d856070c5651"
     );
 }
