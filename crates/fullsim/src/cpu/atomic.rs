@@ -7,7 +7,7 @@
 
 use super::{CpuKind, CpuModel, CpuRunResult};
 use crate::isa::InstStream;
-use crate::mem::{AccessKind, MemorySystem};
+use crate::mem::MemorySystem;
 use crate::stats::Stats;
 
 /// The atomic in-order CPU model.
@@ -41,14 +41,9 @@ impl CpuModel for AtomicSimpleCpu {
         for _ in 0..budget {
             let inst = stream.next_inst();
             cycles += inst.op.base_latency();
-            if inst.op.is_memory() {
+            if let Some(kind) = inst.op.access_kind() {
                 self.memory_ops += 1;
                 // Functional access: state changes, latency ignored.
-                let kind = match inst.op {
-                    crate::isa::OpClass::Store => AccessKind::Write,
-                    crate::isa::OpClass::Atomic => AccessKind::Atomic,
-                    _ => AccessKind::Read,
-                };
                 let _ = mem.access(core, inst.addr, kind);
             }
         }

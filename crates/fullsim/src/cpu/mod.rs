@@ -104,6 +104,15 @@ impl CpuRunResult {
     }
 }
 
+/// Whether the taken branch that is dynamic instruction `index` of its
+/// core is mispredicted at the given `rate`: a deterministic
+/// pseudo-random draw from the index alone (streams carry no predictor
+/// state).
+fn mispredicted(index: u64, rate: f64) -> bool {
+    let hash = simart_codec::fnv1a(&index.to_le_bytes());
+    ((hash % 10_000) as f64 / 10_000.0) < rate
+}
+
 /// A CPU timing model.
 pub trait CpuModel {
     /// Which model this is.

@@ -11,9 +11,9 @@
 //! work overlap (ILP) while dependent chains serialize, which is what
 //! separates `O3CPU` from `TimingSimpleCPU` in the paper's data.
 
-use super::{CpuKind, CpuModel, CpuRunResult};
+use super::{mispredicted, CpuKind, CpuModel, CpuRunResult};
 use crate::isa::{InstStream, OpClass};
-use crate::mem::{AccessKind, MemorySystem};
+use crate::mem::MemorySystem;
 use crate::stats::Stats;
 use std::collections::VecDeque;
 
@@ -118,12 +118,7 @@ impl CpuModel for O3Cpu {
             let issue = fetch_cycle.max(rob_ready).max(deps);
 
             let mut latency = inst.op.base_latency();
-            if inst.op.is_memory() {
-                let kind = match inst.op {
-                    OpClass::Store => AccessKind::Write,
-                    OpClass::Atomic => AccessKind::Atomic,
-                    _ => AccessKind::Read,
-                };
+            if let Some(kind) = inst.op.access_kind() {
                 latency += mem.access(core, inst.addr, kind);
             }
             let complete = issue + latency;
@@ -131,13 +126,13 @@ impl CpuModel for O3Cpu {
             rob.push_back(complete);
             last_complete = last_complete.max(complete);
 
-            if inst.op == OpClass::Branch && inst.taken {
-                let hash = simart_codec::fnv1a(&(self.committed + i).to_le_bytes());
-                if (hash % 10_000) as f64 / 10_000.0 < cfg.mispredict_rate {
-                    self.mispredicts += 1;
-                    // Front end restarts after the branch resolves.
-                    fetch_stall_until = complete + cfg.mispredict_penalty;
-                }
+            if inst.op == OpClass::Branch
+                && inst.taken
+                && mispredicted(self.committed + i, cfg.mispredict_rate)
+            {
+                self.mispredicts += 1;
+                // Front end restarts after the branch resolves.
+                fetch_stall_until = complete + cfg.mispredict_penalty;
             }
         }
         let cycles = last_complete.max(budget / cfg.fetch_width).max(1);

@@ -4,9 +4,9 @@
 //! their base latency, and every memory access blocks the pipeline for
 //! the memory system's full reported latency.
 
-use super::{CpuKind, CpuModel, CpuRunResult};
+use super::{mispredicted, CpuKind, CpuModel, CpuRunResult};
 use crate::isa::{InstStream, OpClass};
-use crate::mem::{AccessKind, MemorySystem};
+use crate::mem::MemorySystem;
 use crate::stats::Stats;
 
 /// The in-order timing CPU model.
@@ -48,24 +48,17 @@ impl CpuModel for TimingSimpleCpu {
         for i in 0..budget {
             let inst = stream.next_inst();
             cycles += inst.op.base_latency();
-            if inst.op.is_memory() {
-                let kind = match inst.op {
-                    OpClass::Store => AccessKind::Write,
-                    OpClass::Atomic => AccessKind::Atomic,
-                    _ => AccessKind::Read,
-                };
+            if let Some(kind) = inst.op.access_kind() {
                 let latency = mem.access(core, inst.addr, kind);
                 cycles += latency;
                 mem_cycles += latency;
             }
-            if inst.op == OpClass::Branch && inst.taken {
-                // Deterministic pseudo-random mispredict from the
-                // instruction index (streams carry no predictor state).
-                let hash = simart_codec::fnv1a(&(self.committed + i).to_le_bytes());
-                if (hash % 10_000) as f64 / 10_000.0 < MISPREDICT_RATE {
-                    cycles += MISPREDICT_PENALTY;
-                    self.branch_mispredicts += 1;
-                }
+            if inst.op == OpClass::Branch
+                && inst.taken
+                && mispredicted(self.committed + i, MISPREDICT_RATE)
+            {
+                cycles += MISPREDICT_PENALTY;
+                self.branch_mispredicts += 1;
             }
         }
         self.committed += budget;

@@ -8,14 +8,14 @@
 //! what lets two simulations of the same configuration produce
 //! bit-identical statistics.
 
-use crate::mem::code::CodeMemory;
+use crate::mem::AccessKind;
 use crate::rng::DetRng;
 use std::fmt;
 
-pub mod decode;
 pub mod func;
+pub mod program;
 
-use decode::{DecodeCache, StaticInst};
+use program::{StaticInst, BLOCK_CAP};
 
 /// Operation classes of the simulated ISA.
 ///
@@ -46,8 +46,9 @@ pub enum OpClass {
 }
 
 impl OpClass {
-    /// All operation classes, in a fixed order used by instruction-mix
-    /// tables.
+    /// All operation classes in declaration order, so that
+    /// `ALL[class as usize] == class` (instruction-mix tables index by
+    /// it).
     pub const ALL: [OpClass; 10] = [
         OpClass::IntAlu,
         OpClass::IntMul,
@@ -63,7 +64,17 @@ impl OpClass {
 
     /// Whether this class accesses memory.
     pub fn is_memory(self) -> bool {
-        matches!(self, OpClass::Load | OpClass::Store | OpClass::Atomic)
+        self.access_kind().is_some()
+    }
+
+    /// The memory access this class issues, if it accesses memory.
+    pub fn access_kind(self) -> Option<AccessKind> {
+        match self {
+            OpClass::Load => Some(AccessKind::Read),
+            OpClass::Store => Some(AccessKind::Write),
+            OpClass::Atomic => Some(AccessKind::Atomic),
+            _ => None,
+        }
     }
 
     /// Execution latency in cycles on a simple in-order pipeline
@@ -117,11 +128,7 @@ impl InstMix {
         let mut weights = [0.0; 10];
         for (class, weight) in entries {
             assert!(*weight >= 0.0, "negative weight for {class}");
-            let idx = OpClass::ALL
-                .iter()
-                .position(|c| c == class)
-                .expect("class in ALL");
-            weights[idx] += weight;
+            weights[*class as usize] += weight;
         }
         assert!(
             weights.iter().sum::<f64>() > 0.0,
@@ -144,11 +151,7 @@ impl InstMix {
 
     /// The normalized fraction of the given class.
     pub fn fraction(&self, class: OpClass) -> f64 {
-        let idx = OpClass::ALL
-            .iter()
-            .position(|c| *c == class)
-            .expect("class in ALL");
-        self.weights[idx] / self.weights.iter().sum::<f64>()
+        self.weights[class as usize] / self.weights.iter().sum::<f64>()
     }
 
     /// Draws one class from the mix.
@@ -160,11 +163,7 @@ impl InstMix {
     /// Used to model, e.g., newer compilers emitting more vector FP ops.
     pub fn scaled(&self, class: OpClass, factor: f64) -> InstMix {
         let mut weights = self.weights;
-        let idx = OpClass::ALL
-            .iter()
-            .position(|c| *c == class)
-            .expect("class in ALL");
-        weights[idx] *= factor;
+        weights[class as usize] *= factor;
         InstMix { weights }
     }
 }
@@ -210,27 +209,31 @@ impl AddressProfile {
     }
 }
 
-/// A deterministic instruction stream for one thread, executed
-/// through a decoded-basic-block cache.
+/// A deterministic instruction stream for one thread, walking an
+/// immutable predecoded program one basic block at a time.
 ///
 /// The *static* program — operation classes and register operands —
-/// is generated once per workload label into a [`CodeMemory`] image
-/// shared in content (not storage) by every thread of the workload,
-/// and decoded lazily into a per-stream [`DecodeCache`]. The *dynamic*
-/// parts of each instruction — effective addresses and branch
-/// outcomes — are drawn at execute time from the per-thread RNG, so
-/// threads running identical code still produce distinct, reproducible
-/// memory and control-flow behaviour.
+/// is generated once per workload label ([`program::generate`]) and is
+/// the same, in content, for every thread of the workload. A block
+/// ends at a branch, at the [`BLOCK_CAP`]th instruction since its
+/// entry, or at the last instruction (wrapping to index 0). The
+/// *dynamic* parts of each instruction — effective addresses and
+/// branch outcomes — are drawn at execute time from the per-thread
+/// RNG, so threads running identical code still produce distinct,
+/// reproducible memory and control-flow behaviour.
 #[derive(Debug, Clone)]
 pub struct InstStream {
     addrs: AddressProfile,
     rng: DetRng,
-    code: CodeMemory,
-    dcache: DecodeCache,
-    /// Entry PC of the basic block currently executing.
-    block_base: u64,
-    /// Index of the next instruction within that block.
-    block_idx: usize,
+    program: Vec<StaticInst>,
+    /// `entered[i]`: a block has been entered at index `i`.
+    entered: Vec<bool>,
+    /// Blocks entered at an index no block was entered at before.
+    first_entries: u64,
+    /// Index of the next instruction.
+    pos: usize,
+    /// Instructions fetched since the current block was entered.
+    run: usize,
     cursor: u64,
     stride_pos: u64,
     tile_base: u64,
@@ -245,26 +248,33 @@ const PRIVATE_BASE: u64 = 0x1000_0000;
 /// Cache-line-sized generation stride.
 const LINE: u64 = 64;
 
-/// Instruction words in a generated program image. Small enough that
-/// the dynamic walk revisits blocks constantly (high decode-cache hit
-/// rates, like a loopy inner kernel), large enough to exercise many
-/// distinct blocks.
-const PROGRAM_WORDS: usize = 1024;
+/// Instructions in a generated program. Small enough that the dynamic
+/// walk revisits blocks constantly (like a loopy inner kernel), large
+/// enough to exercise many distinct blocks.
+const PROGRAM_LEN: usize = 1024;
 
 impl InstStream {
     /// Creates the stream for a (label, thread) pair. `label` should
     /// fingerprint the workload + OS so different setups diverge.
     pub fn new(label: &str, thread: u32, mix: InstMix, addrs: AddressProfile) -> InstStream {
-        let rng = DetRng::from_label(&format!("{label}/t{thread}"));
-        let code = CodeMemory::generate(label, &mix, PROGRAM_WORDS);
-        let block_base = code.base();
+        InstStream::over(
+            program::generate(label, &mix, PROGRAM_LEN),
+            label,
+            thread,
+            addrs,
+        )
+    }
+
+    /// The stream of `thread` over a given (non-empty) program.
+    fn over(program: Vec<StaticInst>, label: &str, thread: u32, addrs: AddressProfile) -> Self {
         InstStream {
             addrs,
-            rng,
-            code,
-            dcache: DecodeCache::new(),
-            block_base,
-            block_idx: 0,
+            rng: DetRng::from_label(&format!("{label}/t{thread}")),
+            entered: vec![false; program.len()],
+            program,
+            first_entries: 0,
+            pos: 0,
+            run: 0,
             cursor: 0,
             stride_pos: 0,
             tile_base: 0,
@@ -278,64 +288,41 @@ impl InstStream {
         self.cursor
     }
 
-    /// The decode cache this stream executes through.
-    pub fn decode_cache(&self) -> &DecodeCache {
-        &self.dcache
+    /// `(hits, misses)` as the `decode.*` statistics report them, one
+    /// count per fetched instruction: the first instruction of a block
+    /// entered at an index where no block was entered before is a
+    /// miss, every other fetch is a hit.
+    pub fn decode_counts(&self) -> (u64, u64) {
+        (self.cursor - self.first_entries, self.first_entries)
     }
 
-    /// The program image this stream executes.
-    pub fn code(&self) -> &CodeMemory {
-        &self.code
-    }
-
-    /// Self-modifying-code write: stores `word` at `pc` and invalidates
-    /// every cached decoded block covering it, upholding the decode
-    /// cache's invalidation contract (DESIGN.md §4.12). Returns `false`
-    /// (and changes nothing) when `pc` is outside the program image.
-    pub fn patch_code(&mut self, pc: u64, word: u32) -> bool {
-        if !self.code.write_word(pc, word) {
-            return false;
-        }
-        self.dcache.invalidate_touching(pc);
-        true
-    }
-
-    /// Fetches the static part of the next instruction through the
-    /// decode cache, resolves its branch outcome, and advances the
-    /// block cursor / control flow. Returns `(inst, taken)`.
+    /// Fetches the static part of the next instruction, resolves its
+    /// branch outcome and advances control flow. Returns
+    /// `(inst, taken)`.
     fn fetch_static(&mut self) -> (StaticInst, bool) {
-        loop {
-            let block = self.dcache.fetch(&self.code, self.block_base);
-            if self.block_idx >= block.insts.len() {
-                // Past the block (it shrank under an SMC patch): continue
-                // at the fall-through.
-                self.block_base = block.next;
-                self.block_idx = 0;
-                continue;
-            }
-            let inst = block.insts[self.block_idx];
-            let next = block.next;
-            self.block_idx += 1;
-            let at_end = self.block_idx >= block.insts.len();
-            if inst.op == OpClass::Branch {
-                // Branch outcome is dynamic: taken jumps to a drawn
-                // target, not-taken falls through (branches always
-                // terminate a decoded block).
-                let taken = self.rng.chance(self.branch_bias);
-                self.block_base = if taken {
-                    self.code.random_entry(&mut self.rng)
-                } else {
-                    next
-                };
-                self.block_idx = 0;
-                return (inst, taken);
-            }
-            if at_end {
-                self.block_base = next;
-                self.block_idx = 0;
-            }
-            return (inst, false);
+        if self.run == 0 && !std::mem::replace(&mut self.entered[self.pos], true) {
+            self.first_entries += 1;
         }
+        let inst = self.program[self.pos];
+        let is_branch = inst.op == OpClass::Branch;
+        // Branch outcome is dynamic: taken jumps to a drawn target,
+        // not-taken falls through.
+        let taken = is_branch && self.rng.chance(self.branch_bias);
+        let fall_through = if self.pos + 1 == self.program.len() {
+            0
+        } else {
+            self.pos + 1
+        };
+        self.pos = if taken {
+            self.rng.below(self.program.len() as u64) as usize
+        } else {
+            fall_through
+        };
+        self.run += 1;
+        if is_branch || self.run == BLOCK_CAP || fall_through == 0 {
+            self.run = 0;
+        }
+        (inst, taken)
     }
 
     /// Generates the next instruction.
@@ -393,6 +380,54 @@ impl InstStream {
 #[cfg(test)]
 mod tests {
     use super::*;
+
+    #[test]
+    fn opclass_all_is_indexed_by_discriminant() {
+        for (i, class) in OpClass::ALL.into_iter().enumerate() {
+            assert_eq!(class as usize, i);
+        }
+    }
+
+    /// A stream over a hand-written program whose branches never take.
+    fn fall_through_stream(ops: &[OpClass]) -> InstStream {
+        let inst = |&op| StaticInst {
+            op,
+            dst: 1,
+            src1: 2,
+            src2: 3,
+        };
+        let program = ops.iter().map(inst).collect();
+        let mut stream = InstStream::over(program, "blocks", 0, AddressProfile::friendly());
+        stream.branch_bias = 0.0;
+        stream
+    }
+
+    #[test]
+    fn blocks_end_at_branches() {
+        use OpClass::{Branch, IntAlu, Load, Store};
+        let mut s = fall_through_stream(&[IntAlu, Load, Branch, Store]);
+        let ops: Vec<_> = (0..4).map(|_| s.next_inst().op).collect();
+        assert_eq!(ops, [IntAlu, Load, Branch, Store]);
+        // The branch ended the block entered at 0; the next one was
+        // entered mid-program and ended at the last index, wrapping.
+        assert_eq!(s.entered, [true, false, false, true]);
+        assert_eq!((s.pos, s.run), (0, 0), "end of program wraps");
+        assert_eq!(s.decode_counts(), (2, 2));
+        for _ in 0..4 {
+            s.next_inst();
+        }
+        assert_eq!(s.decode_counts(), (6, 2), "re-entered blocks only hit");
+    }
+
+    #[test]
+    fn straight_line_code_is_capped() {
+        let mut s = fall_through_stream(&[OpClass::IntAlu; BLOCK_CAP * 2 + 1]);
+        for _ in 0..BLOCK_CAP * 2 + 1 {
+            s.next_inst();
+        }
+        let entries: Vec<_> = (0..s.entered.len()).filter(|i| s.entered[*i]).collect();
+        assert_eq!(entries, [0, BLOCK_CAP, BLOCK_CAP * 2]);
+    }
 
     #[test]
     fn mix_fractions_normalize() {

@@ -19,7 +19,8 @@
 //!   by a DDR3-1600 bank/row timing model;
 //! * [`isa`] — a small RISC-like instruction set plus a workload
 //!   compiler that lowers statistical workload profiles into
-//!   deterministic instruction streams;
+//!   deterministic instruction streams over an immutable, predecoded
+//!   program;
 //! * [`kernel`] — a staged Linux boot model over five LTS kernel
 //!   versions, with the configuration-compatibility matrix that
 //!   produces the paper's Figure 8 outcome classes (success, kernel

@@ -12,7 +12,6 @@
 
 pub mod cache;
 pub mod classic;
-pub mod code;
 pub mod dram;
 pub mod ruby;
 

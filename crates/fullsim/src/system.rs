@@ -13,12 +13,12 @@
 //! for long-running full-system workloads).
 
 use crate::compat::{self, BootConfig, BootOutcome};
-use crate::cpu::CpuKind;
+use crate::cpu::{CpuKind, CpuModel};
 use crate::error::SimError;
 use crate::event::EventQueue;
-use crate::isa::{InstMix, InstStream, OpClass};
+use crate::isa::{AddressProfile, InstMix, InstStream, OpClass};
 use crate::kernel::{BootKind, BootStage, KernelVersion};
-use crate::mem::{self, MemKind};
+use crate::mem::{self, MemKind, MemorySystem};
 use crate::os::OsImage;
 use crate::stats::Stats;
 use crate::ticks::{Clock, Tick};
@@ -216,11 +216,16 @@ impl Checkpoint {
     }
 }
 
-/// Sums decode-cache hits and misses over a set of sampled streams.
-fn decode_telemetry(streams: &[InstStream]) -> (u64, u64) {
-    streams.iter().fold((0, 0), |(h, m), s| {
-        (h + s.decode_cache().hits(), m + s.decode_cache().misses())
-    })
+/// One phase's detailed sample, with the models it ran on (for their
+/// statistics).
+struct PhaseSample {
+    /// Cycles per instruction of each thread.
+    cpis: Vec<f64>,
+    /// `(hits, misses)` summed over the sampled streams
+    /// ([`InstStream::decode_counts`]).
+    decode: (u64, u64),
+    cpus: Vec<Box<dyn CpuModel>>,
+    mem: Box<dyn MemorySystem>,
 }
 
 /// The instruction mix of kernel/boot code: branchy, syscall-heavy,
@@ -297,53 +302,45 @@ impl SystemConfig {
         }
     }
 
-    /// Measures CPI for one phase by detailed simulation of a sample.
+    /// Measures CPI for one phase by detailed simulation of a sample:
+    /// `threads` streams of `mix` over `addrs`, one CPU model each, on
+    /// a memory system built for `mem_cores` cores.
     ///
     /// Threads interleave on the shared memory system in fixed-size
     /// slices so coherence traffic is exercised exactly as concurrent
-    /// execution would. Returns per-thread CPIs plus the decode-cache
-    /// telemetry aggregated over the sampled streams.
-    fn sample_cpi(&self, label: &str, threads: u32, mix: &InstMix) -> (Vec<f64>, (u64, u64)) {
-        let sample = self.fidelity.sample_insts();
-        let mut mem = mem::build(self.mem, threads as usize);
-        let mut cpus: Vec<_> = (0..threads).map(|_| self.cpu.build()).collect();
-        let mut streams: Vec<InstStream> = (0..threads)
-            .map(|t| {
-                let addrs = crate::isa::AddressProfile::friendly();
-                InstStream::new(label, t, mix.clone(), addrs)
-            })
-            .collect();
-        let cpis = self.sample_cpi_with_streams(sample, &mut cpus, &mut streams, mem.as_mut());
-        (cpis, decode_telemetry(&streams))
-    }
-
-    fn sample_cpi_with_streams(
+    /// execution would.
+    fn sample_phase(
         &self,
-        sample: u64,
-        cpus: &mut [Box<dyn crate::cpu::CpuModel>],
-        streams: &mut [InstStream],
-        mem: &mut dyn mem::MemorySystem,
-    ) -> Vec<f64> {
+        label: &str,
+        threads: u32,
+        mix: &InstMix,
+        addrs: AddressProfile,
+        mem_cores: u32,
+    ) -> PhaseSample {
         const SLICE: u64 = 256;
-        let _timer = observe::timer("sim.cpi_sample_us");
-        let threads = cpus.len();
         // Functional warmup (SMARTS-style): run a fixed-length prefix
         // of the stream to populate caches and coherence state, then
         // measure. The warmup length is independent of the fidelity so
         // every sample size measures the same warm steady state —
         // without this, cold-start misses bias small samples and the
         // fidelity levels would disagree.
-        let warmup: u64 = 32_768;
-        let mut run_phase = |measure: bool, budget_per_thread: u64| -> Vec<(u64, u64)> {
-            let mut done = vec![0u64; threads];
-            let mut cycles = vec![0u64; threads];
-            let mut remaining = threads;
+        const WARMUP: u64 = 32_768;
+        let mut mem = mem::build(self.mem, mem_cores as usize);
+        let mut cpus: Vec<_> = (0..threads).map(|_| self.cpu.build()).collect();
+        let mut streams: Vec<_> = (0..threads)
+            .map(|t| InstStream::new(label, t, mix.clone(), addrs))
+            .collect();
+        let _timer = observe::timer("sim.cpi_sample_us");
+        let mut run_phase = |budget_per_thread: u64| -> Vec<f64> {
+            let mut done = vec![0u64; streams.len()];
+            let mut cycles = vec![0u64; streams.len()];
+            let mut remaining = streams.len();
             while remaining > 0 {
                 remaining = 0;
-                for t in 0..threads {
+                for t in 0..streams.len() {
                     if done[t] < budget_per_thread {
                         let budget = SLICE.min(budget_per_thread - done[t]);
-                        let result = cpus[t].run(t, &mut streams[t], budget, mem);
+                        let result = cpus[t].run(t, &mut streams[t], budget, mem.as_mut());
                         observe::count("sim.ticks", result.cycles);
                         done[t] += result.instructions;
                         cycles[t] += result.cycles;
@@ -353,15 +350,22 @@ impl SystemConfig {
                     }
                 }
             }
-            let _ = measure;
-            (0..threads).map(|t| (done[t], cycles[t])).collect()
+            (done.iter().zip(&cycles))
+                .map(|(done, cycles)| *cycles as f64 / (*done).max(1) as f64)
+                .collect()
         };
-        let _ = run_phase(false, warmup);
-        let measured = run_phase(true, sample);
-        measured
-            .iter()
-            .map(|(done, cycles)| *cycles as f64 / (*done).max(1) as f64)
-            .collect()
+        run_phase(WARMUP);
+        let cpis = run_phase(self.fidelity.sample_insts());
+        let decode = streams.iter().fold((0, 0), |(hits, misses), s| {
+            let (h, m) = s.decode_counts();
+            (hits + h, misses + m)
+        });
+        PhaseSample {
+            cpis,
+            decode,
+            cpus,
+            mem,
+        }
     }
 
     /// Boots the system (the use-case 2 "boot-exit" workload).
@@ -380,16 +384,14 @@ impl SystemConfig {
 
         // Per-stage instruction counts for the configured kernel.
         let stages = BootStage::sequence(self.boot);
-        let cpi = {
-            let mix = boot_mix();
-            let (per_thread, (hits, misses)) =
-                self.sample_cpi(&format!("boot/{}", self.label()), 1, &mix);
-            stats.set_count("boot.decode.hits", hits);
-            stats.set_count("boot.decode.misses", misses);
-            observe::count("sim.decode_hits", hits);
-            observe::count("sim.decode_misses", misses);
-            per_thread[0]
-        };
+        let label = format!("boot/{}", self.label());
+        let sample = self.sample_phase(&label, 1, &boot_mix(), AddressProfile::friendly(), 1);
+        let (hits, misses) = sample.decode;
+        stats.set_count("boot.decode.hits", hits);
+        stats.set_count("boot.decode.misses", misses);
+        observe::count("sim.decode_hits", hits);
+        observe::count("sim.decode_misses", misses);
+        let cpi = sample.cpis[0];
 
         // Drive stage completions through the event queue; failures cut
         // the boot short at the failing stage.
@@ -559,63 +561,41 @@ impl SystemConfig {
         // sampling noise.
         let label = format!("{}/{}", workload.name, input);
 
-        // Serial phase: one thread.
-        let mut decode = (0u64, 0u64);
-        let serial_cpi = {
-            let mut mem = mem::build(self.mem, self.cores as usize);
-            let mut cpus = vec![self.cpu.build()];
-            let mut streams = vec![InstStream::new(
+        // Serial phase: one thread on the full memory system, whose
+        // models go before the parallel phase builds its own.
+        let (serial_cpi, serial_decode) = {
+            let serial = self.sample_phase(
                 &format!("{label}/serial"),
-                0,
-                workload.mix.clone(),
+                1,
+                &workload.mix,
                 workload.addrs,
-            )];
-            let cpi = self.sample_cpi_with_streams(
-                self.fidelity.sample_insts(),
-                &mut cpus,
-                &mut streams,
-                mem.as_mut(),
-            )[0];
-            let (hits, misses) = decode_telemetry(&streams);
-            decode = (decode.0 + hits, decode.1 + misses);
-            cpi
+                self.cores,
+            );
+            (serial.cpis[0], serial.decode)
         };
 
         // Parallel phase: all threads interleaved on one memory system.
         // Per-component statistics of this (sampled) phase are dumped
         // gem5-style under `system.*`.
+        let parallel = self.sample_phase(
+            &format!("{label}/parallel"),
+            self.cores,
+            &workload.mix,
+            workload.addrs,
+            self.cores,
+        );
+        let parallel_cpis = parallel.cpis;
         let mut component_stats = Stats::new();
-        let parallel_cpis = {
-            let mut mem = mem::build(self.mem, self.cores as usize);
-            let mut cpus: Vec<_> = (0..self.cores).map(|_| self.cpu.build()).collect();
-            let mut streams: Vec<InstStream> = (0..self.cores)
-                .map(|t| {
-                    InstStream::new(
-                        &format!("{label}/parallel"),
-                        t,
-                        workload.mix.clone(),
-                        workload.addrs,
-                    )
-                })
-                .collect();
-            let cpis = self.sample_cpi_with_streams(
-                self.fidelity.sample_insts(),
-                &mut cpus,
-                &mut streams,
-                mem.as_mut(),
-            );
-            for (i, cpu) in cpus.iter().enumerate() {
-                cpu.dump_stats(&format!("system.cpu{i}"), &mut component_stats);
-            }
-            mem.dump_stats("system.mem", &mut component_stats);
-            let (hits, misses) = decode_telemetry(&streams);
-            decode = (decode.0 + hits, decode.1 + misses);
-            cpis
-        };
-        component_stats.set_count("system.decode.hits", decode.0);
-        component_stats.set_count("system.decode.misses", decode.1);
-        observe::count("sim.decode_hits", decode.0);
-        observe::count("sim.decode_misses", decode.1);
+        for (i, cpu) in parallel.cpus.iter().enumerate() {
+            cpu.dump_stats(&format!("system.cpu{i}"), &mut component_stats);
+        }
+        parallel.mem.dump_stats("system.mem", &mut component_stats);
+        let hits = serial_decode.0 + parallel.decode.0;
+        let misses = serial_decode.1 + parallel.decode.1;
+        component_stats.set_count("system.decode.hits", hits);
+        component_stats.set_count("system.decode.misses", misses);
+        observe::count("sim.decode_hits", hits);
+        observe::count("sim.decode_misses", misses);
 
         // Synchronization: lock/barrier traffic serializes and its cost
         // grows with contention (cores), moderated by kernel futex

@@ -1,13 +1,14 @@
 //! Property-based tests for the simulator substrates: event ordering,
-//! cache capacity, coherence safety, and statistics.
+//! the block walk, cache capacity, coherence safety, and statistics.
 
 use proptest::prelude::*;
 use simart_fullsim::event::EventQueue;
-use simart_fullsim::isa::decode::{decode, encode, StaticInst};
-use simart_fullsim::isa::OpClass;
+use simart_fullsim::isa::program::{generate, BLOCK_CAP};
+use simart_fullsim::isa::{AddressProfile, InstMix, InstStream, OpClass};
 use simart_fullsim::mem::cache::{SetAssocCache, LINE_BYTES};
 use simart_fullsim::mem::ruby::{CoState, RubySystem};
 use simart_fullsim::mem::{AccessKind, MemorySystem};
+use simart_fullsim::rng::DetRng;
 use simart_fullsim::stats::Stats;
 
 proptest! {
@@ -68,17 +69,48 @@ proptest! {
         prop_assert!(oracle.is_empty());
     }
 
-    /// Every encodable instruction round-trips through the 32-bit
-    /// instruction word unchanged.
+    /// The stream walks its program exactly as a reference that keeps
+    /// the set of block-entry indices does: same instructions, blocks
+    /// ending at every branch, at `BLOCK_CAP` and at the last index,
+    /// one miss per distinct entry. The mix has no memory class, so
+    /// branches are the thread RNG's only draws and the reference can
+    /// replay them.
     #[test]
-    fn instruction_words_round_trip(
-        op_idx in 0usize..10,
-        dst in 0u8..33,
-        src1 in 0u8..33,
-        src2 in 0u8..33,
+    fn block_walk_matches_entry_set_reference(
+        weights in proptest::collection::vec(0.01f64..1.0, 7..8),
+        seed in any::<u64>(),
     ) {
-        let inst = StaticInst { op: OpClass::ALL[op_idx], dst, src1, src2 };
-        prop_assert_eq!(decode(encode(inst)), Ok(inst));
+        const CLASSES: [OpClass; 7] = [
+            OpClass::IntAlu, OpClass::IntMul, OpClass::FpAlu, OpClass::FpDiv,
+            OpClass::Branch, OpClass::Fence, OpClass::Syscall,
+        ];
+        let label = format!("walk/{seed:x}");
+        let mix = InstMix::new(&CLASSES.into_iter().zip(weights).collect::<Vec<_>>());
+        let program = generate(&label, &mix, 1024);
+        let mut stream = InstStream::new(&label, 0, mix, AddressProfile::friendly());
+        let mut rng = DetRng::from_label(&format!("{label}/t0"));
+        let mut entries = std::collections::HashSet::new();
+        let (mut pos, mut run) = (0, 0);
+        for _ in 0..50_000 {
+            if run == 0 {
+                entries.insert(pos);
+            }
+            let inst = stream.next_inst();
+            let is_branch = inst.op == OpClass::Branch;
+            prop_assert_eq!((inst.op, inst.dst, inst.src1, inst.src2),
+                (program[pos].op, program[pos].dst, program[pos].src1, program[pos].src2));
+            // 0.88 is the stream's branch bias.
+            prop_assert_eq!(inst.taken, is_branch && rng.chance(0.88));
+            prop_assert_eq!(stream.decode_counts().1, entries.len() as u64);
+            run += 1;
+            if is_branch || run == BLOCK_CAP || pos + 1 == program.len() {
+                run = 0;
+            }
+            pos = if inst.taken { rng.below(1024) as usize } else { (pos + 1) % program.len() };
+        }
+        let (hits, misses) = stream.decode_counts();
+        prop_assert_eq!(hits + misses, stream.generated());
+        prop_assert!(misses <= program.len() as u64);
     }
 
     /// Same-tick events pop in insertion order (determinism anchor).
