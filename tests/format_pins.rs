@@ -13,6 +13,7 @@ use simart_codec::fnv1a;
 use simart_db::{Database, Value};
 use simart_fullsim::checkpoint::{checkpoint_key, CheckpointStore};
 use simart_fullsim::cpu::CpuKind;
+use simart_fullsim::isa::InstStream;
 use simart_fullsim::kernel::KernelVersion;
 use simart_fullsim::mem::MemKind;
 use simart_fullsim::system::{Fidelity, SystemConfig};
@@ -180,5 +181,96 @@ fn simulator_stat_dumps_are_pinned() {
          streamcluster O3CPU x1 Smoke dbab92a8fe6f13b1\n\
          streamcluster O3CPU x4 Smoke 8e4e1a03a6cdbc61\n\
          blackscholes TimingSimpleCPU x2 Detailed 4666d856070c5651"
+    );
+}
+
+/// Table II's other half: TimingSimple on the coherent Classic stack
+/// and O3 on `MI_example`, which `simulator_stat_dumps_are_pinned`
+/// only boots.
+#[test]
+fn classic_and_mi_workload_dumps_are_pinned() {
+    let mut lines = Vec::new();
+    let mut workload = |app: &str, cpu, cores, mem: MemKind| {
+        let out = SystemConfig::builder()
+            .cpu(cpu)
+            .cores(cores)
+            .memory(mem)
+            .fidelity(Fidelity::Smoke)
+            .build()
+            .unwrap()
+            .run_workload(&parsec_profile(app).unwrap(), InputSize::SimSmall)
+            .unwrap();
+        assert!(out.outcome.is_success(), "{app} {cpu} {mem} x{cores}");
+        let hash = fnv1a(out.stats.dump().as_bytes());
+        lines.push(format!("{app} {cpu} {mem} x{cores} {hash:016x}"));
+    };
+    for app in ["dedup", "blackscholes"] {
+        for cores in [1, 2, 8] {
+            workload(
+                app,
+                CpuKind::TimingSimple,
+                cores,
+                MemKind::classic_coherent(),
+            );
+        }
+        workload(app, CpuKind::O3, 4, MemKind::RubyMi);
+    }
+    assert_eq!(
+        lines.join("\n"),
+        "dedup TimingSimpleCPU Classic(coherent) x1 497b2dfb6599b5ce\n\
+         dedup TimingSimpleCPU Classic(coherent) x2 303cc687999da06e\n\
+         dedup TimingSimpleCPU Classic(coherent) x8 6b9d6e4ff1c55c82\n\
+         dedup O3CPU MI_example x4 990fe258afb732c6\n\
+         blackscholes TimingSimpleCPU Classic(coherent) x1 c36b0aeb0de54214\n\
+         blackscholes TimingSimpleCPU Classic(coherent) x2 20185ddfc4153933\n\
+         blackscholes TimingSimpleCPU Classic(coherent) x8 5441237cf0f4ec62\n\
+         blackscholes O3CPU MI_example x4 8654ef8445261c20"
+    );
+}
+
+/// Aggregated statistics can hide two compensating errors; the latency
+/// of every single access cannot. Four threads take turns, one memory
+/// access each, against every memory system: `dedup` streams through
+/// the L2 (evictions and back-invalidations), `swaptions` stays
+/// resident and shares lines (hits, upgrades, downgrades, forwards).
+#[test]
+fn memory_latency_traces_are_pinned() {
+    let mut lines = Vec::new();
+    for app in ["dedup", "swaptions"] {
+        let profile = parsec_profile(app).unwrap();
+        for kind in [
+            MemKind::classic_fast(),
+            MemKind::classic_coherent(),
+            MemKind::RubyMi,
+            MemKind::RubyMesiTwoLevel,
+        ] {
+            let mut mem = simart_fullsim::mem::build(kind, 4);
+            let mut streams: Vec<_> = (0..4)
+                .map(|t| InstStream::new("latency-trace", t, profile.mix.clone(), profile.addrs))
+                .collect();
+            let mut trace = Vec::with_capacity(50_000 * 8);
+            for access in 0..50_000 {
+                let core = access % 4;
+                let (addr, access_kind) = loop {
+                    let inst = streams[core].next_inst();
+                    if let Some(access_kind) = inst.op.access_kind() {
+                        break (inst.addr, access_kind);
+                    }
+                };
+                trace.extend_from_slice(&mem.access(core, addr, access_kind).to_le_bytes());
+            }
+            lines.push(format!("{app} {kind} {:016x}", fnv1a(&trace)));
+        }
+    }
+    assert_eq!(
+        lines.join("\n"),
+        "dedup Classic 66e455f6598d7b6d\n\
+         dedup Classic(coherent) 2c7ad1e3d315f1ed\n\
+         dedup MI_example 77a5e728b675da5d\n\
+         dedup MESI_Two_Level 2fc29a6b6ffcc675\n\
+         swaptions Classic 9179547b8e9b6722\n\
+         swaptions Classic(coherent) 3ab17cc8227ccd52\n\
+         swaptions MI_example 9c6bdb97b7668b9b\n\
+         swaptions MESI_Two_Level f80f3e2ae8098bef"
     );
 }
