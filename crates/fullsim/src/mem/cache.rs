@@ -7,21 +7,9 @@
 /// Cache line size in bytes (fixed at 64 across the simulator).
 pub const LINE_BYTES: u64 = 64;
 
-/// Result of probing a cache.
-#[derive(Debug, Clone, Copy, PartialEq, Eq)]
-pub enum Probe {
-    /// The line is resident.
-    Hit,
-    /// The line is absent.
-    Miss,
-}
-
-#[derive(Debug, Clone)]
-struct Entry<S> {
-    tag: u64,
-    state: S,
-    last_use: u64,
-}
+/// Tag of a free way. No line number equals it: line numbers are
+/// addresses divided by [`LINE_BYTES`].
+const EMPTY: u64 = u64::MAX;
 
 /// A set-associative cache of line-granularity entries.
 ///
@@ -34,12 +22,23 @@ struct Entry<S> {
 /// l1.insert(0x1000, false);
 /// assert!(l1.probe(0x1000).is_some());
 /// ```
+///
+/// Way `w` of set `s` lives at index `s * ways + w` of three parallel
+/// arrays, so a lookup scans `ways` adjacent tags and nothing else.
 #[derive(Debug, Clone)]
 pub struct SetAssocCache<S> {
-    sets: Vec<Vec<Entry<S>>>,
+    /// Line number held by each way, [`EMPTY`] for a free one.
+    tags: Vec<u64>,
+    /// `use_clock` at each way's last hit or fill. Live values are
+    /// distinct and positive; a free way holds 0, so the minimum of a
+    /// set is a free way if there is one and the LRU line otherwise.
+    last_use: Vec<u64>,
+    /// Payload of each way, `None` for a free one.
+    states: Vec<Option<S>>,
     ways: usize,
     set_mask: u64,
     use_clock: u64,
+    len: usize,
 }
 
 impl<S> SetAssocCache<S> {
@@ -57,11 +56,15 @@ impl<S> SetAssocCache<S> {
             set_count > 0 && set_count.is_power_of_two(),
             "cache geometry must give a power-of-two set count (got {set_count})"
         );
+        let slots = set_count * ways;
         SetAssocCache {
-            sets: (0..set_count).map(|_| Vec::with_capacity(ways)).collect(),
+            tags: vec![EMPTY; slots],
+            last_use: vec![0; slots],
+            states: (0..slots).map(|_| None).collect(),
             ways,
             set_mask: set_count as u64 - 1,
             use_clock: 0,
+            len: 0,
         }
     }
 
@@ -69,31 +72,38 @@ impl<S> SetAssocCache<S> {
         addr / LINE_BYTES
     }
 
-    fn set_of(&self, addr: u64) -> usize {
-        (Self::line_of(addr) & self.set_mask) as usize
+    /// The slots of the set `tag` maps to.
+    fn set_of(&self, tag: u64) -> std::ops::Range<usize> {
+        let base = (tag & self.set_mask) as usize * self.ways;
+        base..base + self.ways
+    }
+
+    /// The slot holding `addr`'s line. No early exit: most lookups miss,
+    /// and the branch-free scan is the faster one on a hit too.
+    fn find(&self, addr: u64) -> Option<usize> {
+        let tag = Self::line_of(addr);
+        let set = self.set_of(tag);
+        let mut hit = usize::MAX;
+        for (way, &resident) in self.tags[set.clone()].iter().enumerate() {
+            if resident == tag {
+                hit = way;
+            }
+        }
+        (hit != usize::MAX).then(|| set.start + hit)
     }
 
     /// Probes for `addr`, returning mutable access to its state and
     /// refreshing LRU on a hit.
     pub fn probe(&mut self, addr: u64) -> Option<&mut S> {
-        let tag = Self::line_of(addr);
-        let set = self.set_of(addr);
         self.use_clock += 1;
-        let clock = self.use_clock;
-        self.sets[set].iter_mut().find(|e| e.tag == tag).map(|e| {
-            e.last_use = clock;
-            &mut e.state
-        })
+        let slot = self.find(addr)?;
+        self.last_use[slot] = self.use_clock;
+        self.states[slot].as_mut()
     }
 
     /// Peeks at `addr` without touching LRU state.
     pub fn peek(&self, addr: u64) -> Option<&S> {
-        let tag = Self::line_of(addr);
-        let set = self.set_of(addr);
-        self.sets[set]
-            .iter()
-            .find(|e| e.tag == tag)
-            .map(|e| &e.state)
+        self.states[self.find(addr)?].as_ref()
     }
 
     /// Inserts a line (which must not already be resident), evicting the
@@ -104,55 +114,53 @@ impl<S> SetAssocCache<S> {
     /// Panics if the line is already resident — callers must probe first.
     pub fn insert(&mut self, addr: u64, state: S) -> Option<(u64, S)> {
         let tag = Self::line_of(addr);
-        let set = self.set_of(addr);
-        assert!(
-            !self.sets[set].iter().any(|e| e.tag == tag),
-            "inserting already-resident line {addr:#x}"
-        );
-        self.use_clock += 1;
-        let entry = Entry {
-            tag,
-            state,
-            last_use: self.use_clock,
-        };
-        if self.sets[set].len() < self.ways {
-            self.sets[set].push(entry);
-            return None;
+        let set = self.set_of(tag);
+        let (tags, last_use) = (&self.tags[set.clone()], &self.last_use[set.clone()]);
+        // One branch-free pass: is the line resident, and which way has
+        // the minimum `last_use` — a free one, else the LRU line.
+        let (mut resident, mut way, mut oldest) = (false, 0, u64::MAX);
+        for (candidate, (&held, &used)) in tags.iter().zip(last_use).enumerate() {
+            resident |= held == tag;
+            if used < oldest {
+                (way, oldest) = (candidate, used);
+            }
         }
-        let victim_idx = self.sets[set]
-            .iter()
-            .enumerate()
-            .min_by_key(|(_, e)| e.last_use)
-            .map(|(i, _)| i)
-            .expect("set is full, so non-empty");
-        let victim = std::mem::replace(&mut self.sets[set][victim_idx], entry);
-        Some((victim.tag * LINE_BYTES, victim.state))
+        assert!(!resident, "inserting already-resident line {addr:#x}");
+        let slot = set.start + way;
+        self.use_clock += 1;
+        self.last_use[slot] = self.use_clock;
+        let victim_tag = std::mem::replace(&mut self.tags[slot], tag);
+        let victim = self.states[slot].replace(state);
+        if victim.is_none() {
+            self.len += 1;
+        }
+        victim.map(|state| (victim_tag * LINE_BYTES, state))
     }
 
     /// Removes a line, returning its state.
     pub fn invalidate(&mut self, addr: u64) -> Option<S> {
-        let tag = Self::line_of(addr);
-        let set = self.set_of(addr);
-        let idx = self.sets[set].iter().position(|e| e.tag == tag)?;
-        Some(self.sets[set].swap_remove(idx).state)
+        let slot = self.find(addr)?;
+        self.tags[slot] = EMPTY;
+        self.last_use[slot] = 0;
+        self.len -= 1;
+        self.states[slot].take()
     }
 
     /// Number of resident lines.
     pub fn len(&self) -> usize {
-        self.sets.iter().map(Vec::len).sum()
+        self.len
     }
 
     /// Whether no lines are resident.
     pub fn is_empty(&self) -> bool {
-        self.len() == 0
+        self.len == 0
     }
 
-    /// Iterates over `(line_addr, state)` of all resident lines.
+    /// Iterates over `(line_addr, state)` of all resident lines, in
+    /// unspecified order.
     pub fn iter(&self) -> impl Iterator<Item = (u64, &S)> {
-        self.sets
-            .iter()
-            .flatten()
-            .map(|e| (e.tag * LINE_BYTES, &e.state))
+        let ways = self.tags.iter().zip(&self.states);
+        ways.filter_map(|(tag, state)| state.as_ref().map(|state| (tag * LINE_BYTES, state)))
     }
 }
 

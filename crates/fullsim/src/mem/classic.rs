@@ -11,9 +11,9 @@
 
 use super::cache::SetAssocCache;
 use super::dram::Ddr3Channel;
-use super::{AccessKind, MemKind, MemorySystem};
+use super::{cores_in, AccessKind, LineMap, MemKind, MemorySystem};
 use crate::stats::Stats;
-use std::collections::HashMap;
+use std::collections::hash_map::Entry;
 
 /// Latency constants in CPU cycles.
 mod lat {
@@ -35,8 +35,10 @@ pub struct ClassicMemory {
     l2: SetAssocCache<bool>,
     dram: Ddr3Channel,
     coherent: bool,
-    /// For the coherent crossbar: which cores hold each line.
-    sharers: HashMap<u64, u64>,
+    /// For the coherent crossbar: which cores' L1s hold each line. A
+    /// line without an entry and one with an empty mask are the same
+    /// thing to every reader.
+    sharers: LineMap<u64>,
     hits_l1: u64,
     hits_l2: u64,
     misses: u64,
@@ -54,7 +56,7 @@ impl ClassicMemory {
             l2: SetAssocCache::new(1024 * 1024, 16),
             dram: Ddr3Channel::new(),
             coherent,
-            sharers: HashMap::new(),
+            sharers: LineMap::default(),
             hits_l1: 0,
             hits_l2: 0,
             misses: 0,
@@ -66,33 +68,6 @@ impl ClassicMemory {
     fn line(addr: u64) -> u64 {
         addr / super::cache::LINE_BYTES
     }
-
-    fn snoop_invalidate(&mut self, requester: usize, addr: u64) -> u64 {
-        let line = Self::line(addr);
-        let mut extra = 0;
-        if let Some(mask) = self.sharers.get(&line).copied() {
-            for core in 0..self.l1.len() {
-                if core != requester && mask & (1 << core) != 0 {
-                    if let Some(dirty) = self.l1[core].invalidate(addr) {
-                        self.snoops += 1;
-                        extra += lat::SNOOP;
-                        if dirty {
-                            self.writebacks += 1;
-                            extra += lat::L2; // write the dirty line back to L2
-                        }
-                    }
-                }
-            }
-            self.sharers.insert(line, 1 << requester);
-        }
-        extra
-    }
-
-    fn note_sharer(&mut self, core: usize, addr: u64) {
-        if self.coherent {
-            *self.sharers.entry(Self::line(addr)).or_insert(0) |= 1 << core;
-        }
-    }
 }
 
 impl MemorySystem for ClassicMemory {
@@ -100,9 +75,25 @@ impl MemorySystem for ClassicMemory {
         let needs_write = kind.needs_write();
         let mut latency = lat::L1;
 
-        // Coherent crossbar: writes invalidate other copies first.
-        if self.coherent && needs_write {
-            latency += self.snoop_invalidate(core, addr);
+        if self.coherent {
+            // The one lookup of this line's mask: whichever way the
+            // access goes, it ends with this core holding the line.
+            let mask = self.sharers.entry(Self::line(addr)).or_insert(0);
+            if needs_write {
+                // Writes invalidate the other copies first.
+                for other in cores_in(*mask & !(1 << core)) {
+                    if let Some(dirty) = self.l1[other].invalidate(addr) {
+                        self.snoops += 1;
+                        latency += lat::SNOOP;
+                        if dirty {
+                            self.writebacks += 1;
+                            latency += lat::L2; // write the dirty line back to L2
+                        }
+                    }
+                }
+                *mask = 0;
+            }
+            *mask |= 1 << core;
         }
 
         if let Some(dirty) = self.l1[core].probe(addr) {
@@ -110,7 +101,6 @@ impl MemorySystem for ClassicMemory {
             if needs_write {
                 *dirty = true;
             }
-            self.note_sharer(core, addr);
             return latency;
         }
 
@@ -122,10 +112,17 @@ impl MemorySystem for ClassicMemory {
             latency += self.dram.access(addr, needs_write);
             if let Some((victim, _)) = self.l2.insert(addr, false) {
                 // L2 eviction invalidates L1 copies (inclusive hierarchy).
-                for core_cache in &mut self.l1 {
-                    core_cache.invalidate(victim);
+                if self.coherent {
+                    // The crossbar's mask lists every L1 that holds one.
+                    let holders = self.sharers.remove(&Self::line(victim));
+                    for holder in cores_in(holders.unwrap_or(0)) {
+                        self.l1[holder].invalidate(victim);
+                    }
+                } else {
+                    for core_cache in &mut self.l1 {
+                        core_cache.invalidate(victim);
+                    }
                 }
-                self.sharers.remove(&Self::line(victim));
             }
         } else {
             self.hits_l2 += 1;
@@ -138,12 +135,16 @@ impl MemorySystem for ClassicMemory {
                 latency += 1;
             }
             if self.coherent {
-                if let Some(mask) = self.sharers.get_mut(&Self::line(victim)) {
-                    *mask &= !(1 << core);
+                // A mask that empties is dropped, so `sharers` never
+                // holds more lines than the L1s do together.
+                if let Entry::Occupied(mut mask) = self.sharers.entry(Self::line(victim)) {
+                    *mask.get_mut() &= !(1 << core);
+                    if *mask.get() == 0 {
+                        mask.remove();
+                    }
                 }
             }
         }
-        self.note_sharer(core, addr);
         latency
     }
 
@@ -244,5 +245,43 @@ mod tests {
             mem.access(0, i * 64, AccessKind::Read);
         }
         assert!(mem.writebacks > 0);
+    }
+
+    /// What the back-invalidation by mask and the size of `sharers`
+    /// rest on: every L1-resident line is L2-resident with its core's
+    /// bit set, and a mask names nothing but L1s that hold the line, so
+    /// `sharers` holds at most the L1s' lines (themselves within the
+    /// L2's 16 384). A hot shared set makes the snoops, a wide range
+    /// streams through the L2 and makes the evictions.
+    #[test]
+    fn classic_l1_is_included_in_l2_and_masked() {
+        use crate::rng::DetRng;
+        let mut mem = ClassicMemory::new(4, true);
+        let mut rng = DetRng::from_label("classic-inclusion");
+        for step in 0..60_000 {
+            let core = rng.below(4) as usize;
+            let hot = rng.chance(0.3);
+            let line = rng.below(if hot { 64 } else { 1 << 16 });
+            let kind = [AccessKind::Read, AccessKind::Write][rng.chance(0.3) as usize];
+            mem.access(core, line * 64, kind);
+            if step % 100 != 0 {
+                continue;
+            }
+            for (core, l1) in mem.l1.iter().enumerate() {
+                for (addr, _) in l1.iter() {
+                    assert!(mem.l2.peek(addr).is_some(), "{addr:#x} not in L2");
+                    let mask = mem.sharers.get(&ClassicMemory::line(addr));
+                    assert!(mask.is_some_and(|mask| mask & (1 << core) != 0));
+                }
+            }
+            for (line, &mask) in &mem.sharers {
+                assert!(mask != 0, "empty mask kept for line {line:#x}");
+                assert!(cores_in(mask).all(|core| mem.l1[core].peek(line * 64).is_some()));
+            }
+        }
+        assert!(
+            mem.snoops > 1_000 && mem.misses > 30_000,
+            "traffic too tame"
+        );
     }
 }

@@ -13,8 +13,9 @@ const BANKS: usize = 8;
 /// Row size in bytes (8K columns x 8 devices / 8 bits).
 const ROW_BYTES: u64 = 8 * 1024;
 
-/// DDR3-1600 timings, expressed in CPU cycles at the simulator's
-/// reference 2 GHz core clock (1 ns = 2 cycles).
+/// DDR3-1600 timings in CPU cycles, converted at 2 GHz (1 ns = 2
+/// cycles) whatever the configured core clock is — the builder's
+/// default is 3 GHz, and the cycle counts below do not follow it.
 mod timing {
     /// CAS latency (13.75 ns).
     pub const T_CL: u64 = 28;

@@ -16,7 +16,40 @@ pub mod dram;
 pub mod ruby;
 
 use crate::stats::Stats;
+use std::collections::HashMap;
 use std::fmt;
+use std::hash::{BuildHasherDefault, Hasher};
+
+/// Hashes a cache-line number with one multiplication, folding the
+/// product's well-mixed high half into the low bits the table indexes
+/// by. Line numbers are the simulated program's, never outside input.
+#[derive(Debug, Default, Clone, Copy)]
+struct LineHasher(u64);
+
+impl Hasher for LineHasher {
+    fn write(&mut self, _: &[u8]) {
+        unreachable!("line numbers hash through write_u64");
+    }
+
+    fn write_u64(&mut self, line: u64) {
+        let product = line.wrapping_mul(0x9e37_79b9_7f4a_7c15);
+        self.0 = product ^ (product >> 32);
+    }
+
+    fn finish(&self) -> u64 {
+        self.0
+    }
+}
+
+/// Per-line coherence bookkeeping keyed by line number. Never iterated,
+/// so neither the hasher nor the bucket order can reach a statistic.
+type LineMap<V> = HashMap<u64, V, BuildHasherDefault<LineHasher>>;
+
+/// The cores whose bits are set in `mask`, in ascending order.
+fn cores_in(mask: u64) -> impl Iterator<Item = usize> {
+    let span = mask.trailing_zeros()..u64::BITS - mask.leading_zeros();
+    (span.filter(move |core| mask >> core & 1 != 0)).map(|core| core as usize)
+}
 
 /// The kind of memory access a CPU issues.
 #[derive(Debug, Clone, Copy, PartialEq, Eq, Hash)]

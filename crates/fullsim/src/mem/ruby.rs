@@ -11,9 +11,9 @@
 
 use super::cache::SetAssocCache;
 use super::dram::Ddr3Channel;
-use super::{AccessKind, MemKind, MemorySystem};
+use super::{cores_in, AccessKind, LineMap, MemKind, MemorySystem};
 use crate::stats::Stats;
-use std::collections::HashMap;
+use std::collections::hash_map::Entry;
 
 /// Coherence state of a line in an L1.
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
@@ -35,10 +35,30 @@ pub enum Protocol {
     MesiTwoLevel,
 }
 
-#[derive(Debug, Default, Clone)]
+/// What the directory knows about one line.
+#[derive(Debug, Default, Clone, Copy)]
 struct DirEntry {
     owner: Option<usize>,
     sharers: u64,
+}
+
+impl DirEntry {
+    fn owned_by(core: usize) -> DirEntry {
+        DirEntry {
+            owner: Some(core),
+            sharers: 0,
+        }
+    }
+
+    /// Every core the entry lists, owner or sharer, as a mask.
+    fn holders(self) -> u64 {
+        self.sharers | self.owner.map_or(0, |owner| 1 << owner)
+    }
+
+    /// The owner, unless that is `requester` itself.
+    fn remote_owner(self, requester: usize) -> Option<usize> {
+        self.owner.filter(|&owner| owner != requester)
+    }
 }
 
 /// Latency constants in CPU cycles (Ruby pays more per hop than the
@@ -61,7 +81,10 @@ pub struct RubySystem {
     l1: Vec<SetAssocCache<CoState>>,
     l2: SetAssocCache<bool>,
     dram: Ddr3Channel,
-    directory: HashMap<u64, DirEntry>,
+    /// A line without an entry and one with the default entry are the
+    /// same thing to every reader, so an access reads its line's entry
+    /// once into a local (absent as default) and stores it back once.
+    directory: LineMap<DirEntry>,
     hits: u64,
     misses: u64,
     invalidations: u64,
@@ -90,7 +113,7 @@ impl RubySystem {
                 .collect(),
             l2: SetAssocCache::new(1024 * 1024, 16),
             dram: Ddr3Channel::new(),
-            directory: HashMap::new(),
+            directory: LineMap::default(),
             hits: 0,
             misses: 0,
             invalidations: 0,
@@ -118,88 +141,75 @@ impl RubySystem {
         addr / super::cache::LINE_BYTES
     }
 
-    /// Invalidates every remote copy of `addr`, returning added latency.
-    fn invalidate_remotes(&mut self, requester: usize, addr: u64) -> u64 {
-        let line = Self::line(addr);
-        let entry = self.directory.entry(line).or_default().clone();
+    fn dir_entry(&self, addr: u64) -> DirEntry {
+        (self.directory.get(&Self::line(addr)).copied()).unwrap_or_default()
+    }
+
+    /// Records `core` as the sole holder of `addr`.
+    fn record_owner(&mut self, core: usize, addr: u64) {
+        self.directory
+            .insert(Self::line(addr), DirEntry::owned_by(core));
+    }
+
+    /// Invalidates every remote copy of `addr` that `entry` lists,
+    /// returning added latency. The caller records the new owner.
+    fn invalidate_remotes(&mut self, requester: usize, addr: u64, entry: DirEntry) -> u64 {
         let mut extra = 0;
-        if let Some(owner) = entry.owner {
-            if owner != requester {
-                if let Some(state) = self.l1[owner].invalidate(addr) {
-                    self.forwards += 1;
-                    extra += lat::REMOTE;
-                    if state == CoState::M {
-                        self.writebacks += 1;
-                    }
+        if let Some(owner) = entry.remote_owner(requester) {
+            if let Some(state) = self.l1[owner].invalidate(addr) {
+                self.forwards += 1;
+                extra += lat::REMOTE;
+                if state == CoState::M {
+                    self.writebacks += 1;
                 }
             }
         }
-        let mut sharers = entry.sharers;
-        while sharers != 0 {
-            let core = sharers.trailing_zeros() as usize;
-            sharers &= sharers - 1;
+        for core in cores_in(entry.sharers) {
             if core != requester && self.l1[core].invalidate(addr).is_some() {
                 self.invalidations += 1;
                 extra += lat::REMOTE / 2; // invalidations pipeline
             }
         }
-        let entry = self.directory.entry(line).or_default();
-        entry.owner = None;
-        entry.sharers = 0;
         extra
     }
 
-    /// Downgrades a remote M/E owner to S (MESI read), returning latency.
-    fn downgrade_owner(&mut self, requester: usize, addr: u64) -> u64 {
-        let line = Self::line(addr);
-        let entry = self.directory.entry(line).or_default();
-        let owner = entry.owner;
+    /// Downgrades a remote M/E owner to S (MESI read), moving it from
+    /// `entry`'s owner to its sharers. Returns added latency.
+    fn downgrade_owner(&mut self, requester: usize, addr: u64, entry: &mut DirEntry) -> u64 {
         let mut extra = 0;
-        if let Some(owner) = owner {
-            if owner != requester {
-                if let Some(state) = self.l1[owner].probe(addr) {
-                    if matches!(*state, CoState::M | CoState::E) {
-                        if *state == CoState::M {
-                            self.writebacks += 1;
-                        }
-                        *state = CoState::S;
-                        self.downgrades += 1;
-                        extra += lat::REMOTE;
+        if let Some(owner) = entry.remote_owner(requester) {
+            if let Some(state) = self.l1[owner].probe(addr) {
+                if matches!(*state, CoState::M | CoState::E) {
+                    if *state == CoState::M {
+                        self.writebacks += 1;
                     }
+                    *state = CoState::S;
+                    self.downgrades += 1;
+                    extra += lat::REMOTE;
                 }
-                let entry = self.directory.entry(line).or_default();
-                entry.owner = None;
-                entry.sharers |= 1 << owner;
             }
+            entry.owner = None;
+            entry.sharers |= 1 << owner;
         }
         extra
     }
 
     fn fill_l1(&mut self, core: usize, addr: u64, state: CoState) {
         if let Some((victim_addr, victim_state)) = self.l1[core].insert(addr, state) {
-            // Keep the directory consistent with the eviction.
-            let line = Self::line(victim_addr);
-            if let Some(entry) = self.directory.get_mut(&line) {
+            // Keep the directory consistent with the eviction; dropping
+            // an emptied entry bounds it by what the L1s hold together.
+            if let Entry::Occupied(mut slot) = self.directory.entry(Self::line(victim_addr)) {
+                let entry = slot.get_mut();
                 if entry.owner == Some(core) {
                     entry.owner = None;
                 }
                 entry.sharers &= !(1 << core);
+                if entry.holders() == 0 {
+                    slot.remove();
+                }
             }
             if victim_state == CoState::M {
                 self.writebacks += 1;
-            }
-        }
-    }
-
-    fn record_dir(&mut self, core: usize, addr: u64, state: CoState) {
-        let entry = self.directory.entry(Self::line(addr)).or_default();
-        match state {
-            CoState::M | CoState::E => {
-                entry.owner = Some(core);
-                entry.sharers = 0;
-            }
-            CoState::S => {
-                entry.sharers |= 1 << core;
             }
         }
     }
@@ -212,17 +222,32 @@ impl RubySystem {
             let latency = lat::L2 + self.dram.access(addr, is_write);
             if let Some((victim, _)) = self.l2.insert(addr, false) {
                 // Inclusive L2: back-invalidate L1 copies of the victim.
-                for core in 0..self.l1.len() {
+                // Its directory entry lists every L1 that holds one.
+                let entry = self.directory.remove(&Self::line(victim));
+                for core in cores_in(entry.unwrap_or_default().holders()) {
                     if self.l1[core].invalidate(victim).is_some() {
                         self.invalidations += 1;
                     }
                 }
-                self.directory.remove(&Self::line(victim));
             }
             latency
         } else {
             self.dram.access(addr, is_write)
         }
+    }
+
+    /// Brings `addr` into `core`'s L1 in M on a miss, taking it from
+    /// every other holder. Returns the latency beyond the directory's.
+    fn fetch_exclusive(&mut self, core: usize, addr: u64) -> u64 {
+        let entry = self.dir_entry(addr);
+        let mut latency = self.invalidate_remotes(core, addr, entry);
+        if entry.remote_owner(core).is_none() {
+            // No remote copy to forward from: fetch from memory.
+            latency += self.l2_or_dram(addr, true);
+        }
+        self.fill_l1(core, addr, CoState::M);
+        self.record_owner(core, addr);
+        latency
     }
 
     fn access_mi(&mut self, core: usize, addr: u64, _kind: AccessKind) -> u64 {
@@ -232,17 +257,7 @@ impl RubySystem {
             return lat::L1;
         }
         self.misses += 1;
-        let mut latency = lat::L1 + lat::DIR;
-        let owner = self.directory.get(&Self::line(addr)).and_then(|e| e.owner);
-        let had_remote_owner = matches!(owner, Some(o) if o != core);
-        latency += self.invalidate_remotes(core, addr);
-        if !had_remote_owner {
-            // No remote copy to forward from: fetch from memory.
-            latency += self.l2_or_dram(addr, true);
-        }
-        self.fill_l1(core, addr, CoState::M);
-        self.record_dir(core, addr, CoState::M);
-        latency
+        lat::L1 + lat::DIR + self.fetch_exclusive(core, addr)
     }
 
     fn access_mesi(&mut self, core: usize, addr: u64, kind: AccessKind) -> u64 {
@@ -257,18 +272,19 @@ impl RubySystem {
                     // Silent E -> M upgrade.
                     *state = CoState::M;
                     self.hits += 1;
-                    self.record_dir(core, addr, CoState::M);
+                    self.record_owner(core, addr);
                     return lat::L1;
                 }
                 (CoState::S, true) => {
                     // Upgrade: invalidate other sharers.
                     self.upgrades += 1;
-                    let extra = self.invalidate_remotes(core, addr);
+                    let entry = self.dir_entry(addr);
+                    let extra = self.invalidate_remotes(core, addr, entry);
                     let state = self.l1[core]
                         .probe(addr)
                         .expect("line resident during upgrade");
                     *state = CoState::M;
-                    self.record_dir(core, addr, CoState::M);
+                    self.record_owner(core, addr);
                     return lat::L1 + lat::DIR + extra;
                 }
             }
@@ -277,29 +293,23 @@ impl RubySystem {
         self.misses += 1;
         let mut latency = lat::L1 + lat::DIR;
         if needs_write {
-            let had_remote_owner = matches!(
-                self.directory.get(&Self::line(addr)).and_then(|e| e.owner),
-                Some(o) if o != core
-            );
-            latency += self.invalidate_remotes(core, addr);
-            if !had_remote_owner {
-                latency += self.l2_or_dram(addr, true);
-            }
-            self.fill_l1(core, addr, CoState::M);
-            self.record_dir(core, addr, CoState::M);
-        } else {
-            let forwarded = self.downgrade_owner(core, addr);
-            latency += forwarded;
-            let entry = self.directory.entry(Self::line(addr)).or_default();
-            let has_sharers = entry.sharers != 0;
-            if forwarded == 0 {
-                // No owner forwarded the data; fetch it from L2/DRAM.
-                latency += self.l2_or_dram(addr, false);
-            }
-            let grant = if has_sharers { CoState::S } else { CoState::E };
-            self.fill_l1(core, addr, grant);
-            self.record_dir(core, addr, grant);
+            return latency + self.fetch_exclusive(core, addr);
         }
+        let mut entry = self.dir_entry(addr);
+        let forwarded = self.downgrade_owner(core, addr, &mut entry);
+        latency += forwarded;
+        if forwarded == 0 {
+            // No owner forwarded the data; fetch it from L2/DRAM.
+            latency += self.l2_or_dram(addr, false);
+        }
+        if entry.sharers != 0 {
+            self.fill_l1(core, addr, CoState::S);
+            entry.sharers |= 1 << core;
+        } else {
+            self.fill_l1(core, addr, CoState::E);
+            entry = DirEntry::owned_by(core);
+        }
+        self.directory.insert(Self::line(addr), entry);
         latency
     }
 }
@@ -478,5 +488,47 @@ mod tests {
         sys.dump_stats("ruby", &mut stats);
         assert!(stats.contains("ruby.misses"));
         assert!(stats.contains("ruby.dram.reads"));
+    }
+
+    /// What the back-invalidation by directory entry and the size of
+    /// the directory rest on: an entry lists exactly the L1s that hold
+    /// its line (and under MESI the L2 holds it too), so there are no
+    /// more entries than L1 lines.
+    #[test]
+    fn directory_lists_exactly_the_l1_holders() {
+        use crate::rng::DetRng;
+        for protocol in [Protocol::Mi, Protocol::MesiTwoLevel] {
+            let mut sys = RubySystem::new(protocol, 4);
+            let mut rng = DetRng::from_label("directory-exact");
+            for step in 0..60_000 {
+                let core = rng.below(4) as usize;
+                let hot = rng.chance(0.3);
+                let line = rng.below(if hot { 64 } else { 1 << 16 });
+                let kind = [AccessKind::Read, AccessKind::Write][rng.chance(0.3) as usize];
+                sys.access(core, line * 64, kind);
+                if step % 100 != 0 {
+                    continue;
+                }
+                let mut held = 0;
+                for (core, l1) in sys.l1.iter().enumerate() {
+                    for (addr, _) in l1.iter() {
+                        let entry = sys.dir_entry(addr);
+                        let listed = entry.holders() & (1 << core) != 0;
+                        assert!(listed, "{protocol:?}: {addr:#x} in L1 {core}, {entry:?}");
+                        assert!(protocol == Protocol::Mi || sys.l2.peek(addr).is_some());
+                        held += 1;
+                    }
+                }
+                let mut listed = 0;
+                for (line, entry) in &sys.directory {
+                    assert!(entry.holders() != 0, "empty entry kept for {line:#x}");
+                    listed += cores_in(entry.holders())
+                        .inspect(|&core| assert!(sys.l1[core].peek(line * 64).is_some()))
+                        .count();
+                }
+                assert_eq!(listed, held, "{protocol:?}");
+            }
+            assert!(sys.forwards + sys.invalidations > 1_000, "traffic too tame");
+        }
     }
 }

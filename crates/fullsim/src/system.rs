@@ -318,12 +318,13 @@ impl SystemConfig {
         mem_cores: u32,
     ) -> PhaseSample {
         const SLICE: u64 = 256;
-        // Functional warmup (SMARTS-style): run a fixed-length prefix
-        // of the stream to populate caches and coherence state, then
-        // measure. The warmup length is independent of the fidelity so
-        // every sample size measures the same warm steady state —
-        // without this, cold-start misses bias small samples and the
-        // fidelity levels would disagree.
+        // Warmup: run a fixed-length prefix of the stream on the same
+        // detailed CPU model to populate caches and coherence state,
+        // then measure. Its cycles stay out of the CPI but are counted
+        // in the CPU's `numCycles`. The warmup length is independent
+        // of the fidelity so every sample size measures the same warm
+        // steady state — without this, cold-start misses bias small
+        // samples and the fidelity levels would disagree.
         const WARMUP: u64 = 32_768;
         let mut mem = mem::build(self.mem, mem_cores as usize);
         let mut cpus: Vec<_> = (0..threads).map(|_| self.cpu.build()).collect();

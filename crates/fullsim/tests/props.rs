@@ -11,6 +11,51 @@ use simart_fullsim::mem::{AccessKind, MemorySystem};
 use simart_fullsim::rng::DetRng;
 use simart_fullsim::stats::Stats;
 
+/// The cache as it was before its sets became flat arrays, kept as the
+/// reference model: one `Vec` of `(tag, state, last_use)` per set, the
+/// victim of a full set being the entry with the smallest `last_use`.
+struct ReferenceCache {
+    sets: Vec<Vec<(u64, usize, u64)>>,
+    ways: usize,
+    use_clock: u64,
+}
+
+impl ReferenceCache {
+    fn set_and_tag(&mut self, addr: u64) -> (&mut Vec<(u64, usize, u64)>, u64) {
+        let tag = addr / LINE_BYTES;
+        let set = tag as usize % self.sets.len();
+        (&mut self.sets[set], tag)
+    }
+
+    fn probe(&mut self, addr: u64) -> Option<usize> {
+        self.use_clock += 1;
+        let clock = self.use_clock;
+        let (set, tag) = self.set_and_tag(addr);
+        let entry = set.iter_mut().find(|e| e.0 == tag)?;
+        entry.2 = clock;
+        Some(entry.1)
+    }
+
+    fn insert(&mut self, addr: u64, state: usize) -> Option<(u64, usize)> {
+        self.use_clock += 1;
+        let (clock, ways) = (self.use_clock, self.ways);
+        let (set, tag) = self.set_and_tag(addr);
+        if set.len() < ways {
+            set.push((tag, state, clock));
+            return None;
+        }
+        let lru = (0..ways).min_by_key(|&way| set[way].2).unwrap();
+        let victim = std::mem::replace(&mut set[lru], (tag, state, clock));
+        Some((victim.0 * LINE_BYTES, victim.1))
+    }
+
+    fn invalidate(&mut self, addr: u64) -> Option<usize> {
+        let (set, tag) = self.set_and_tag(addr);
+        let way = set.iter().position(|e| e.0 == tag)?;
+        Some(set.swap_remove(way).1)
+    }
+}
+
 proptest! {
     /// Events pop in nondecreasing time order and none are lost.
     #[test]
@@ -156,6 +201,38 @@ proptest! {
             prop_assert!(cache.len() <= 64);
             prop_assert_eq!(cache.len(), resident.len());
         }
+    }
+
+    /// The flat-array cache and the reference model agree at every step
+    /// of arbitrary traffic on hit or miss, on the state served, on the
+    /// evicted `(addr, state)` and on `len()`. Sixteen candidate lines
+    /// per 4-way set, so most inserts evict; the state is the index of
+    /// the inserting operation, so an evicted pair names its insert.
+    #[test]
+    fn cache_matches_the_per_set_vec_reference(
+        ops in proptest::collection::vec((0u8..4, 0u64..256), 2000..3000),
+    ) {
+        let mut cache = SetAssocCache::<usize>::new(4096, 4); // 16 sets
+        let mut reference = ReferenceCache { sets: vec![Vec::new(); 16], ways: 4, use_clock: 0 };
+        for (step, (op, line)) in ops.into_iter().enumerate() {
+            let addr = line * LINE_BYTES + line % LINE_BYTES;
+            let peeked = reference.sets[line as usize % 16].iter().find(|e| e.0 == line).map(|e| e.1);
+            prop_assert_eq!(cache.peek(addr).copied(), peeked);
+            match op {
+                0 => prop_assert_eq!(cache.probe(addr).copied(), reference.probe(addr)),
+                1 | 2 if peeked.is_none() => {
+                    prop_assert_eq!(cache.insert(addr, step), reference.insert(addr, step));
+                }
+                1 | 2 => {}
+                _ => prop_assert_eq!(cache.invalidate(addr), reference.invalidate(addr)),
+            }
+            prop_assert_eq!(cache.len(), reference.sets.iter().map(Vec::len).sum::<usize>());
+        }
+        let mut resident: Vec<_> = cache.iter().map(|(addr, state)| (addr / LINE_BYTES, *state)).collect();
+        let mut expected: Vec<_> = reference.sets.concat().iter().map(|e| (e.0, e.1)).collect();
+        resident.sort_unstable();
+        expected.sort_unstable();
+        prop_assert_eq!(resident, expected);
     }
 
     /// Coherence safety (SWMR): under arbitrary multi-core traffic, a

@@ -1,7 +1,8 @@
 //! The workspace builds one way: no cargo feature selects code, no
 //! crate can contain `unsafe`, and the vendored shims are the four the
 //! build needs. A `[features]` table, a feature-gated `cfg`, a crate
-//! root without `forbid(unsafe_code)` or a fifth shim fails here.
+//! root without `forbid(unsafe_code)` or a fifth shim fails here, as
+//! does a SipHash map on the simulator's per-access path.
 
 use std::path::{Path, PathBuf};
 
@@ -101,4 +102,31 @@ fn shims_are_exactly_the_four_vendored_crates() {
         .collect();
     shims.sort();
     assert_eq!(shims, ["crossbeam", "parking_lot", "proptest", "rand"]);
+}
+
+#[test]
+fn simulator_hot_path_has_no_siphash() {
+    // Every simulated access probes these maps; std's default hasher
+    // costs more than the probe. Spelled in parts, as above.
+    let banned = [
+        ["HashMap::", "new()"].concat(),
+        ["Random", "State"].concat(),
+    ];
+    let mut sources = Vec::new();
+    for dir in ["mem", "cpu", "isa"] {
+        let dir = repo().join("crates/fullsim/src").join(dir);
+        files(&dir, &|name| name.ends_with(".rs"), &mut sources);
+    }
+    assert!(sources.len() >= 10, "found only {sources:?}");
+    for source in sources {
+        let text = std::fs::read_to_string(&source).unwrap();
+        for (number, line) in text.lines().enumerate() {
+            assert!(
+                !banned.iter().any(|spelling| line.contains(spelling)),
+                "{}:{}: {line}",
+                source.display(),
+                number + 1
+            );
+        }
+    }
 }
