@@ -71,6 +71,61 @@ mod tests {
         }
     }
 
+    /// The IEEE polynomial one bit at a time — the model every table
+    /// layout of `crc32_extend` has to equal.
+    fn crc32_reference(crc: u32, data: &[u8]) -> u32 {
+        let mut state = !crc;
+        for &b in data {
+            state ^= u32::from(b);
+            for _ in 0..8 {
+                state = (state >> 1) ^ (0xEDB8_8320 & 0u32.wrapping_sub(state & 1));
+            }
+        }
+        !state
+    }
+
+    /// xorshift64: deterministic test bytes without a dependency.
+    fn next(seed: &mut u64) -> u64 {
+        *seed ^= *seed << 13;
+        *seed ^= *seed >> 7;
+        *seed ^= *seed << 17;
+        *seed
+    }
+
+    #[test]
+    fn crc32_equals_the_bitwise_reference() {
+        let mut seed = 0x9E37_79B9_7F4A_7C15u64;
+        // Every length up to 64 at every split: the 8-byte body, the
+        // tail, and a state resumed mid-word.
+        for len in 0..=64usize {
+            let data: Vec<u8> = (0..len).map(|_| next(&mut seed) as u8).collect();
+            let whole = crc32_reference(0, &data);
+            assert_eq!(crc32(&data), whole, "len {len}");
+            for cut in 0..=len {
+                let (head, tail) = data.split_at(cut);
+                assert_eq!(
+                    crc32_extend(crc32(head), tail),
+                    whole,
+                    "len {len} cut {cut}"
+                );
+            }
+        }
+        for _ in 0..200 {
+            let len = (next(&mut seed) % 4097) as usize;
+            let data: Vec<u8> = (0..len).map(|_| next(&mut seed) as u8).collect();
+            let cut = (next(&mut seed) as usize) % (len + 1);
+            let (head, tail) = data.split_at(cut);
+            let whole = crc32_reference(0, &data);
+            assert_eq!(crc32(&data), whole, "len {len}");
+            assert_eq!(
+                crc32_extend(crc32(head), tail),
+                whole,
+                "len {len} cut {cut}"
+            );
+            assert_eq!(crc32_reference(crc32_reference(0, head), tail), whole);
+        }
+    }
+
     #[test]
     fn fnv_known_values() {
         // FNV-1a published test vectors.

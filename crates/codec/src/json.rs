@@ -465,6 +465,75 @@ mod tests {
         assert_eq!(escape("\u{1}"), "\\u0001");
     }
 
+    /// One `char` at a time — the model `escape_into` has to equal
+    /// however it batches its copies.
+    fn escape_reference(s: &str) -> String {
+        let mut out = String::new();
+        for c in s.chars() {
+            match c {
+                '"' => out.push_str("\\\""),
+                '\\' => out.push_str("\\\\"),
+                '\n' => out.push_str("\\n"),
+                '\r' => out.push_str("\\r"),
+                '\t' => out.push_str("\\t"),
+                c if (c as u32) < 0x20 => out.push_str(&format!("\\u{:04x}", c as u32)),
+                c => out.push(c),
+            }
+        }
+        out
+    }
+
+    #[test]
+    fn escape_equals_the_charwise_reference() {
+        // All 32 control characters, the two escaped printables, DEL,
+        // plain ASCII and 2- / 3- / 4-byte UTF-8.
+        let mut alphabet: Vec<char> = (0u8..0x20).map(char::from).collect();
+        alphabet.extend([
+            '"',
+            '\\',
+            '\u{7f}',
+            'a',
+            'Z',
+            ' ',
+            '/',
+            'é',
+            '€',
+            '\u{1F600}',
+        ]);
+        for &c in &alphabet {
+            let s = c.to_string();
+            assert_eq!(escape(&s), escape_reference(&s), "{c:?}");
+        }
+        let mut seed = 0x2545_F491_4F6C_DD1Du64;
+        let mut next = || {
+            seed ^= seed << 13;
+            seed ^= seed >> 7;
+            seed ^= seed << 17;
+            seed as usize
+        };
+        for _ in 0..2000 {
+            // Mostly plain runs with escapes scattered through them.
+            let s: String = (0..next() % 48)
+                .map(|_| match next() % 3 {
+                    0 => alphabet[next() % alphabet.len()],
+                    _ => 'x',
+                })
+                .collect();
+            let expected = escape_reference(&s);
+            assert_eq!(escape(&s), expected, "{s:?}");
+            assert_eq!(
+                to_json(&Value::Str(s.clone())),
+                format!("\"{expected}\""),
+                "{s:?}"
+            );
+            let key = Value::Null;
+            assert_eq!(
+                object_to_json([(s.as_str(), &key)]),
+                format!("{{\"{expected}\":null}}")
+            );
+        }
+    }
+
     #[test]
     fn object_fields_keep_the_order_given() {
         let kind = Value::from("hello");

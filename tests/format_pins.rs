@@ -274,3 +274,82 @@ fn memory_latency_traces_are_pinned() {
          swaptions MESI_Two_Level f80f3e2ae8098bef"
     );
 }
+
+/// The files a collection leaves behind — journal records of inserts,
+/// `update_many` rewrites, an upsert and a delete, then the `.jsonl`
+/// snapshot, the index manifest and the post-checkpoint journal tail —
+/// hashed on the commit before `update_many` learned to maintain only
+/// the indexes an edit touches.
+#[test]
+fn collection_files_are_pinned() {
+    use simart_db::{Filter, IndexSpec};
+    let dir = scratch("collection");
+    let db = Database::open(&dir).unwrap();
+    let runs = db.collection("runs");
+    // The four `RunStore` index specs.
+    runs.ensure_index(IndexSpec::hash("hash").unique()).unwrap();
+    runs.ensure_index(IndexSpec::hash("status")).unwrap();
+    runs.ensure_index(IndexSpec::hash("inputs")).unwrap();
+    runs.ensure_index(IndexSpec::ordered("results.simTicks"))
+        .unwrap();
+    let inputs = || Value::array(["art-gem5", "art-kernel", "art-disk \"x\"\n"].map(Value::from));
+    let run = |i: usize| {
+        Value::map([
+            ("_id", Value::from(format!("run-{i:04}"))),
+            ("hash", Value::from(format!("h{i:02}"))),
+            ("status", Value::from("queued")),
+            ("inputs", inputs()),
+            ("events", Value::array([Value::from("status:queued")])),
+            ("name", Value::from(format!("boot/é\t{i}"))),
+        ])
+    };
+    for i in 0..6 {
+        runs.insert(run(i)).unwrap();
+    }
+    let push_event = |doc: &mut Value, event: &str| {
+        let mut events = doc.at("events").and_then(Value::as_array).unwrap().to_vec();
+        events.push(Value::from(event));
+        doc.set_at("events", Value::Array(events));
+    };
+    let by_id = |i: usize| Filter::eq("_id", format!("run-{i:04}"));
+    // Only `events` (no indexed field).
+    runs.update_many(&by_id(1), |d| push_event(d, "dispatch:w1:g1"))
+        .unwrap();
+    // Only `status`, on every queued run.
+    runs.update_many(&Filter::eq("status", "queued"), |d| {
+        d.set_at("status", Value::from("running"));
+    })
+    .unwrap();
+    // `status` + the first `results.simTicks`.
+    runs.update_many(&by_id(2), |d| {
+        d.set_at("status", Value::from("done"));
+        d.set_at("results.simTicks", Value::from(91_000_000i64));
+        push_event(d, "status:done");
+    })
+    .unwrap();
+    let mut replaced = run(3);
+    replaced.set_at("hash", Value::from("h03-again"));
+    replaced.set_at("results.simTicks", Value::from(1.5));
+    runs.upsert(replaced).unwrap();
+    runs.delete("run-0005").unwrap();
+    let pin = |file: &str| format!("{:016x}", fnv1a(&std::fs::read(dir.join(file)).unwrap()));
+    let journal_before = pin("journal.log");
+    db.checkpoint().unwrap();
+    runs.update_many(&by_id(4), |d| {
+        d.set_at("status", Value::from("failed"));
+    })
+    .unwrap();
+    runs.update_many(&by_id(2), |d| push_event(d, "archived"))
+        .unwrap();
+    assert_eq!(
+        [
+            journal_before,
+            pin("runs.jsonl"),
+            pin("indexes.json"),
+            pin("journal.log")
+        ]
+        .join(" "),
+        "a53723f7f3ced529 4b9cbf9413c9e115 b768dd6e6f256e48 a548f83920860d3f"
+    );
+    std::fs::remove_dir_all(&dir).unwrap();
+}
