@@ -7,6 +7,7 @@
 //! MD5-derived) UUIDs in-repo — ~80 lines — instead of adding a dependency.
 
 use crate::hash::Md5;
+use simart_codec::hex;
 use std::fmt;
 use std::str::FromStr;
 
@@ -77,13 +78,15 @@ impl Uuid {
 
 impl fmt::Display for Uuid {
     fn fmt(&self, f: &mut fmt::Formatter<'_>) -> fmt::Result {
-        for (i, byte) in self.0.iter().enumerate() {
-            if matches!(i, 4 | 6 | 8 | 10) {
-                f.write_str("-")?;
-            }
-            write!(f, "{byte:02x}")?;
-        }
-        Ok(())
+        let hex = hex::encode(&self.0);
+        let (a, b, c, d, e) = (
+            &hex[..8],
+            &hex[8..12],
+            &hex[12..16],
+            &hex[16..20],
+            &hex[20..],
+        );
+        write!(f, "{a}-{b}-{c}-{d}-{e}")
     }
 }
 
@@ -109,23 +112,12 @@ impl FromStr for Uuid {
     type Err = ParseUuidError;
 
     fn from_str(s: &str) -> Result<Self, Self::Err> {
-        let hex: String = s.chars().filter(|c| *c != '-').collect();
-        if hex.len() != 32 || s.len() != 36 {
+        let groups: Vec<&str> = s.split('-').collect();
+        if !groups.iter().map(|group| group.len()).eq([8, 4, 4, 4, 12]) {
             return Err(ParseUuidError);
         }
-        let dash_positions: Vec<usize> = s
-            .char_indices()
-            .filter(|(_, c)| *c == '-')
-            .map(|(i, _)| i)
-            .collect();
-        if dash_positions != [8, 13, 18, 23] {
-            return Err(ParseUuidError);
-        }
-        let mut bytes = [0u8; 16];
-        for (i, slot) in bytes.iter_mut().enumerate() {
-            *slot = u8::from_str_radix(&hex[i * 2..i * 2 + 2], 16).map_err(|_| ParseUuidError)?;
-        }
-        Ok(Uuid(bytes))
+        let bytes = hex::decode(&groups.concat()).ok_or(ParseUuidError)?;
+        bytes.try_into().map(Uuid).map_err(|_| ParseUuidError)
     }
 }
 

@@ -1,25 +1,33 @@
 //! The two checksums/hashes whose values are part of on-disk and
 //! on-wire formats.
 
-/// IEEE CRC-32 lookup table, generated at compile time.
-const CRC_TABLE: [u32; 256] = {
-    let mut table = [0u32; 256];
+/// IEEE CRC-32 slice-by-8 tables, generated at compile time: `[0]` is
+/// the one-byte table, `[k][b]` the state after byte `b` and `k` zero
+/// bytes — eight bytes fold in with eight independent lookups.
+const CRC_TABLES: [[u32; 256]; 8] = {
+    let mut tables = [[0u32; 256]; 8];
     let mut i = 0;
     while i < 256 {
         let mut c = i as u32;
         let mut k = 0;
         while k < 8 {
-            c = if c & 1 != 0 {
-                0xEDB8_8320 ^ (c >> 1)
-            } else {
-                c >> 1
-            };
+            c = (c >> 1) ^ (0xEDB8_8320 & 0u32.wrapping_sub(c & 1));
             k += 1;
         }
-        table[i] = c;
+        tables[0][i] = c;
         i += 1;
     }
-    table
+    let mut k = 1;
+    while k < 8 {
+        let mut i = 0;
+        while i < 256 {
+            let prev = tables[k - 1][i];
+            tables[k][i] = tables[0][(prev & 0xFF) as usize] ^ (prev >> 8);
+            i += 1;
+        }
+        k += 1;
+    }
+    tables
 };
 
 /// IEEE CRC-32 of `data` — the checksum in every [`crate::frame`]
@@ -32,9 +40,17 @@ pub fn crc32(data: &[u8]) -> u32 {
 /// everything hashed so far (`0` for nothing), the result the checksum
 /// of that plus `data`. Lets a reader checksum a file in chunks.
 pub fn crc32_extend(crc: u32, data: &[u8]) -> u32 {
+    let table = |k: usize, byte: u32| CRC_TABLES[k][(byte & 0xFF) as usize];
     let mut state = !crc;
-    for &b in data {
-        state = CRC_TABLE[((state ^ u32::from(b)) & 0xFF) as usize] ^ (state >> 8);
+    let mut words = data.chunks_exact(8);
+    for w in &mut words {
+        let lo = state ^ u32::from_le_bytes([w[0], w[1], w[2], w[3]]);
+        let hi = u32::from_le_bytes([w[4], w[5], w[6], w[7]]);
+        state = table(7, lo) ^ table(6, lo >> 8) ^ table(5, lo >> 16) ^ table(4, lo >> 24);
+        state ^= table(3, hi) ^ table(2, hi >> 8) ^ table(1, hi >> 16) ^ table(0, hi >> 24);
+    }
+    for &b in words.remainder() {
+        state = table(0, state ^ u32::from(b)) ^ (state >> 8);
     }
     !state
 }

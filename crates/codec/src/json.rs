@@ -34,9 +34,25 @@ impl std::error::Error for JsonError {}
 
 /// Serializes a value to compact JSON.
 pub fn to_json(value: &Value) -> String {
-    let mut out = String::new();
+    let mut out = String::with_capacity(size_hint(value));
     write_value(&mut out, value);
     out
+}
+
+/// Roughly how many bytes `value` renders to (exact for a string with
+/// nothing to escape): a render reserves once instead of doubling up.
+fn size_hint(value: &Value) -> usize {
+    match value {
+        Value::Str(s) => s.len() + 2,
+        Value::Array(items) => 2 + items.iter().map(|v| size_hint(v) + 1).sum::<usize>(),
+        Value::Map(map) => {
+            2 + map
+                .iter()
+                .map(|(k, v)| k.len() + 4 + size_hint(v))
+                .sum::<usize>()
+        }
+        _ => 8,
+    }
 }
 
 fn write_value(out: &mut String, value: &Value) {
@@ -81,8 +97,15 @@ fn write_value(out: &mut String, value: &Value) {
 /// A [`Value::Map`] renders its keys sorted; this is for formats whose
 /// field order is part of their bytes (protocol messages lead with
 /// `"type"`).
-pub fn object_to_json<'a>(fields: impl IntoIterator<Item = (&'a str, &'a Value)>) -> String {
-    let mut out = String::new();
+pub fn object_to_json<'a>(
+    fields: impl IntoIterator<Item = (&'a str, &'a Value), IntoIter: Clone>,
+) -> String {
+    let fields = fields.into_iter();
+    let hint: usize = fields
+        .clone()
+        .map(|(k, v)| k.len() + 4 + size_hint(v))
+        .sum();
+    let mut out = String::with_capacity(2 + hint);
     write_object(&mut out, fields);
     out
 }
@@ -115,19 +138,27 @@ pub fn escape(s: &str) -> String {
 }
 
 fn escape_into(out: &mut String, s: &str) {
-    for c in s.chars() {
-        match c {
-            '"' => out.push_str("\\\""),
-            '\\' => out.push_str("\\\\"),
-            '\n' => out.push_str("\\n"),
-            '\r' => out.push_str("\\r"),
-            '\t' => out.push_str("\\t"),
-            c if (c as u32) < 0x20 => {
-                let _ = write!(out, "\\u{:04x}", c as u32);
-            }
-            c => out.push(c),
+    // Copy runs of bytes that need no escape whole. Every escaped byte
+    // is ASCII, so `run..i` always lies on character boundaries.
+    let mut run = 0;
+    for (i, b) in s.bytes().enumerate() {
+        let escape = match b {
+            b'"' => "\\\"",
+            b'\\' => "\\\\",
+            b'\n' => "\\n",
+            b'\r' => "\\r",
+            b'\t' => "\\t",
+            0..=0x1f => "",
+            _ => continue,
+        };
+        out.push_str(&s[run..i]);
+        out.push_str(escape);
+        if escape.is_empty() {
+            let _ = write!(out, "\\u{b:04x}");
         }
+        run = i + 1;
     }
+    out.push_str(&s[run..]);
 }
 
 /// Parses a JSON document into a [`Value`].

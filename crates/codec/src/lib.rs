@@ -7,6 +7,7 @@
 //! * [`crc32`] / [`crc32_extend`] — the IEEE CRC-32 every frame carries;
 //! * [`fnv1a`] — the 64-bit FNV-1a behind configuration fingerprints,
 //!   checkpoint keys and fault-stream seeds;
+//! * [`hex`] — the lowercase hex of blob keys, digests and UUIDs;
 //! * [`frame`] — the `[len][crc][payload]` record frame shared by the
 //!   database journal, the worker wire protocol and checkpoint files;
 //! * [`Value`] and [`json`] — the JSON document model and its text
@@ -22,6 +23,7 @@
 
 pub mod frame;
 mod hash;
+pub mod hex;
 pub mod json;
 mod value;
 

@@ -71,24 +71,24 @@ impl Value {
     /// Returns `false` (leaving the value unchanged beyond any maps
     /// created along the way) when a non-map intermediate blocks the path.
     pub fn set_at(&mut self, path: &str, value: Value) -> bool {
+        let (parents, leaf) = match path.rsplit_once('.') {
+            Some((parents, leaf)) => (Some(parents), leaf),
+            None => (None, path),
+        };
         let mut current = self;
-        let segments: Vec<&str> = path.split('.').collect();
-        for (i, segment) in segments.iter().enumerate() {
-            let is_last = i + 1 == segments.len();
-            match current {
-                Value::Map(map) => {
-                    if is_last {
-                        map.insert((*segment).to_owned(), value);
-                        return true;
-                    }
-                    current = map
-                        .entry((*segment).to_owned())
-                        .or_insert_with(|| Value::Map(BTreeMap::new()));
-                }
-                _ => return false,
-            }
+        for segment in parents.into_iter().flat_map(|p| p.split('.')) {
+            let Value::Map(map) = current else {
+                return false;
+            };
+            current = map
+                .entry(segment.to_owned())
+                .or_insert_with(|| Value::Map(BTreeMap::new()));
         }
-        false
+        let Value::Map(map) = current else {
+            return false;
+        };
+        map.insert(leaf.to_owned(), value);
+        true
     }
 
     /// The string payload, when this is a string.

@@ -11,9 +11,12 @@
 //!
 //! Secondary indexes are declared with [`Collection::ensure_index`]
 //! ([`IndexSpec`]) and maintained write-through at the same commit
-//! point as the journal append. Index state is never load-bearing:
-//! it is rebuilt deterministically from the documents on every load,
-//! and [`Collection::verify_indexes`] can cross-check it at any time.
+//! point as the journal append. A write costs what it changed: only
+//! the indexes whose field differs between the stored document and its
+//! replacement are touched (an index key is a pure function of that
+//! field). Index state is never load-bearing: it is rebuilt
+//! deterministically from the documents on every load, and
+//! [`Collection::verify_indexes`] can cross-check it at any time.
 
 use crate::error::DbError;
 use crate::journal::{self, DocRecord, JournalCell, JournalOp};
@@ -156,10 +159,13 @@ fn class_bound(value: &Value, top: bool) -> OrdKey {
     }
 }
 
+/// Rendered key -> the sorted `_id`s filed under it.
+type Entries<K> = BTreeMap<K, BTreeSet<String>>;
+
 #[derive(Debug)]
 enum IndexData {
-    Hash(BTreeMap<String, BTreeSet<String>>),
-    Ordered(BTreeMap<OrdKey, BTreeSet<String>>),
+    Hash(Entries<String>),
+    Ordered(Entries<OrdKey>),
 }
 
 #[derive(Debug)]
@@ -168,16 +174,20 @@ struct Index {
     data: IndexData,
 }
 
-/// Rendered keys a document contributes to a hash index: the whole
+/// The entries one document holds in one index, rendered once from
+/// the document's value at the index path.
+enum Keys {
+    Hash(Vec<String>),
+    Ordered(Option<OrdKey>),
+}
+
+/// Rendered keys a field value contributes to a hash index: the whole
 /// value, plus each non-null element when the value is an array
 /// (multikey). Null / missing values contribute nothing (sparse).
-fn hash_keys(doc: &Value, path: &str) -> Vec<String> {
-    let Some(value) = doc.at(path) else {
+fn hash_keys(value: Option<&Value>) -> Vec<String> {
+    let Some(value) = value.filter(|value| !value.is_null()) else {
         return Vec::new();
     };
-    if value.is_null() {
-        return Vec::new();
-    }
     let mut keys = vec![crate::json::to_json(value)];
     if let Value::Array(items) = value {
         for item in items {
@@ -193,6 +203,22 @@ fn hash_keys(doc: &Value, path: &str) -> Vec<String> {
     keys
 }
 
+/// Whether two values at an index path render the same keys: `==`,
+/// but floats by bits (`0.0 == -0.0`, yet their JSON differs).
+fn same_keys(old: Option<&Value>, new: Option<&Value>) -> bool {
+    match (old, new) {
+        (Some(Value::Float(a)), Some(Value::Float(b))) => a.to_bits() == b.to_bits(),
+        (Some(Value::Array(a)), Some(Value::Array(b))) => {
+            a.len() == b.len() && a.iter().zip(b).all(|(a, b)| same_keys(Some(a), Some(b)))
+        }
+        (Some(Value::Map(a)), Some(Value::Map(b))) => {
+            let same = |((ka, a), (kb, b))| ka == kb && same_keys(Some(a), Some(b));
+            a.len() == b.len() && a.iter().zip(b).all(same)
+        }
+        _ => old == new,
+    }
+}
+
 impl Index {
     fn new(spec: IndexSpec) -> Index {
         let data = match spec.kind {
@@ -202,83 +228,59 @@ impl Index {
         Index { spec, data }
     }
 
-    /// Unique-constraint check for `doc` arriving as `id`; an existing
+    /// The entries a document whose value at the index path is `value`
+    /// holds in this index.
+    fn keys(&self, value: Option<&Value>) -> Keys {
+        match self.spec.kind {
+            IndexKind::Hash => Keys::Hash(hash_keys(value)),
+            IndexKind::Ordered => Keys::Ordered(value.map(OrdKey::for_value)),
+        }
+    }
+
+    /// Unique-constraint check for `keys` arriving as `id`; an existing
     /// occupant other than `id` itself is a violation.
-    fn check_unique(&self, collection: &str, id: &str, doc: &Value) -> Result<(), DbError> {
-        if !self.spec.unique {
-            return Ok(());
+    fn check_unique(&self, collection: &str, id: &str, keys: &Keys) -> Result<(), DbError> {
+        fn taken<K: Ord>(map: &Entries<K>, key: &K, id: &str) -> bool {
+            map.get(key)
+                .is_some_and(|ids| ids.iter().any(|other| other != id))
         }
-        let violation = |key: &str| DbError::UniqueViolation {
-            collection: collection.to_owned(),
-            field: self.spec.path.clone(),
-            value: key.to_owned(),
+        let held = match (&self.data, keys) {
+            _ if !self.spec.unique => None,
+            (IndexData::Hash(map), Keys::Hash(keys)) => keys.iter().find(|key| taken(map, key, id)),
+            (IndexData::Ordered(map), Keys::Ordered(Some(key))) => {
+                Some(&key.rendered).filter(|_| !key.value.is_null() && taken(map, key, id))
+            }
+            _ => None,
         };
-        match &self.data {
-            IndexData::Hash(map) => {
-                for key in hash_keys(doc, &self.spec.path) {
-                    if let Some(ids) = map.get(&key) {
-                        if ids.iter().any(|other| other != id) {
-                            return Err(violation(&key));
-                        }
-                    }
-                }
-            }
-            IndexData::Ordered(map) => {
-                if let Some(value) = doc.at(&self.spec.path) {
-                    if !value.is_null() {
-                        let key = OrdKey::for_value(value);
-                        if let Some(ids) = map.get(&key) {
-                            if ids.iter().any(|other| other != id) {
-                                return Err(violation(&key.rendered));
-                            }
-                        }
-                    }
+        held.map_or(Ok(()), |key| {
+            Err(DbError::UniqueViolation {
+                collection: collection.to_owned(),
+                field: self.spec.path.clone(),
+                value: key.clone(),
+            })
+        })
+    }
+
+    /// Admits (`admit`) or retracts `id` under each of `keys` — the one
+    /// place index entries are written.
+    fn write(&mut self, id: &str, keys: &Keys, admit: bool) {
+        fn one<K: Ord + Clone>(map: &mut Entries<K>, key: &K, id: &str, admit: bool) {
+            observe::count("db.index_entries_written", 1);
+            if admit {
+                map.entry(key.clone()).or_default().insert(id.to_owned());
+            } else if let Some(ids) = map.get_mut(key) {
+                ids.remove(id);
+                if ids.is_empty() {
+                    map.remove(key);
                 }
             }
         }
-        Ok(())
-    }
-
-    fn add(&mut self, id: &str, doc: &Value) {
-        match &mut self.data {
-            IndexData::Hash(map) => {
-                for key in hash_keys(doc, &self.spec.path) {
-                    map.entry(key).or_default().insert(id.to_owned());
-                }
+        match (&mut self.data, keys) {
+            (IndexData::Hash(map), Keys::Hash(keys)) => {
+                keys.iter().for_each(|key| one(map, key, id, admit));
             }
-            IndexData::Ordered(map) => {
-                if let Some(value) = doc.at(&self.spec.path) {
-                    map.entry(OrdKey::for_value(value))
-                        .or_default()
-                        .insert(id.to_owned());
-                }
-            }
-        }
-    }
-
-    fn remove(&mut self, id: &str, doc: &Value) {
-        match &mut self.data {
-            IndexData::Hash(map) => {
-                for key in hash_keys(doc, &self.spec.path) {
-                    if let Some(ids) = map.get_mut(&key) {
-                        ids.remove(id);
-                        if ids.is_empty() {
-                            map.remove(&key);
-                        }
-                    }
-                }
-            }
-            IndexData::Ordered(map) => {
-                if let Some(value) = doc.at(&self.spec.path) {
-                    let key = OrdKey::for_value(value);
-                    if let Some(ids) = map.get_mut(&key) {
-                        ids.remove(id);
-                        if ids.is_empty() {
-                            map.remove(&key);
-                        }
-                    }
-                }
-            }
+            (IndexData::Ordered(map), Keys::Ordered(Some(key))) => one(map, key, id, admit),
+            _ => {}
         }
     }
 
@@ -369,15 +371,20 @@ impl Index {
 
     /// The keys `doc` is expected to occupy, rendered.
     fn expected_keys(&self, doc: &Value) -> Vec<String> {
-        match self.spec.kind {
-            IndexKind::Hash => hash_keys(doc, &self.spec.path),
-            IndexKind::Ordered => doc
-                .at(&self.spec.path)
-                .map(|v| vec![crate::json::to_json(v)])
-                .unwrap_or_default(),
+        match self.keys(doc.at(&self.spec.path)) {
+            Keys::Hash(keys) => keys,
+            Keys::Ordered(key) => key.into_iter().map(|key| key.rendered).collect(),
         }
     }
 }
+
+/// One staged edit: the `_id`, the stored document (none on insert)
+/// and the document replacing it (none on delete).
+type Edit<'a> = (&'a str, Option<&'a Value>, Option<&'a Value>);
+
+/// A *(document, index)* pair an edit touches: the `_id`, the index's
+/// position, the entries to retract and the entries to admit.
+type Touched<'a> = (&'a str, usize, Keys, Keys);
 
 #[derive(Debug, Default)]
 struct IndexSet {
@@ -389,23 +396,52 @@ impl IndexSet {
         self.indexes.iter().find(|ix| ix.spec.path == path)
     }
 
-    /// Validates every unique constraint before anything is mutated.
-    fn check_unique(&self, collection: &str, id: &str, doc: &Value) -> Result<(), DbError> {
-        for index in &self.indexes {
-            index.check_unique(collection, id, doc)?;
+    /// Applies a batch of edits, touching only what changed: a
+    /// *(document, index)* pair takes part iff the document's value at
+    /// the index path differs between old and new. Every key is a pure
+    /// function of that value, so any other pair's entries are already
+    /// right and stay put, still occupying their unique keys against
+    /// the rest of the batch. Touched pairs' old entries are retracted
+    /// first, then the new ones checked and admitted in staged order: a
+    /// swap inside the batch passes; a collision with a bystander, an
+    /// untouched pair or an earlier rewrite is refused with the indexes
+    /// put back. Returns the touched pairs for [`Self::undo`].
+    fn apply<'a>(
+        &mut self,
+        collection: &str,
+        edits: &[Edit<'a>],
+    ) -> Result<Vec<Touched<'a>>, DbError> {
+        let mut touched = Vec::new();
+        for &(id, old, new) in edits {
+            for (at, index) in self.indexes.iter().enumerate() {
+                let old = old.and_then(|doc| doc.at(&index.spec.path));
+                let new = new.and_then(|doc| doc.at(&index.spec.path));
+                if !same_keys(old, new) {
+                    touched.push((id, at, index.keys(old), index.keys(new)));
+                }
+            }
         }
-        Ok(())
+        for (id, at, old, _) in &touched {
+            self.indexes[*at].write(id, old, false);
+        }
+        for (admitted, (id, at, _, new)) in touched.iter().enumerate() {
+            if let Err(err) = self.indexes[*at].check_unique(collection, id, new) {
+                self.undo(&touched, admitted);
+                return Err(err);
+            }
+            self.indexes[*at].write(id, new, true);
+        }
+        Ok(touched)
     }
 
-    fn add_doc(&mut self, id: &str, doc: &Value) {
-        for index in &mut self.indexes {
-            index.add(id, doc);
+    /// Puts back what [`Self::apply`] changed: retracts the first
+    /// `admitted` pairs' new entries and re-admits every old one.
+    fn undo(&mut self, touched: &[Touched<'_>], admitted: usize) {
+        for (id, at, _, new) in &touched[..admitted] {
+            self.indexes[*at].write(id, new, false);
         }
-    }
-
-    fn remove_doc(&mut self, id: &str, doc: &Value) {
-        for index in &mut self.indexes {
-            index.remove(id, doc);
+        for (id, at, old, _) in touched {
+            self.indexes[*at].write(id, old, true);
         }
     }
 }
@@ -414,7 +450,8 @@ impl IndexSet {
 ///
 /// Obtained from [`Collection::snapshot`]; cheap to create (clones one
 /// `Arc` under a brief lock) and never blocks or observes subsequent
-/// writers, which copy-on-write the map instead.
+/// writers, which copy-on-write the map instead. A save writes its
+/// `.jsonl` file from one, by reference ([`Snapshot::iter`]).
 /// Reads on a snapshot record no query metrics.
 #[derive(Debug, Clone)]
 pub struct Snapshot {
@@ -628,8 +665,9 @@ impl Collection {
         }
         let mut index = Index::new(spec.clone());
         for (id, doc) in state.docs.iter() {
-            index.check_unique(&self.name, id, doc)?;
-            index.add(id, doc);
+            let keys = index.keys(doc.at(&spec.path));
+            index.check_unique(&self.name, id, &keys)?;
+            index.write(id, &keys, true);
         }
         journal::append_if_attached(
             &self.journal,
@@ -798,15 +836,28 @@ impl Collection {
                 id,
             });
         }
-        // Validate unique constraints before mutating anything.
-        state.indexes.check_unique(&self.name, &id, &doc)?;
-        // Write-ahead: the journal record lands before the in-memory
-        // mutation, so a failed append leaves memory untouched and a
-        // crash right after it replays to the same state.
-        journal::append_docs_if_attached(&self.journal, DocRecord::Insert, &self.name, [&doc])?;
-        state.indexes.add_doc(&id, &doc);
-        Arc::make_mut(&mut state.docs).insert(id, doc);
+        let State { docs, indexes } = &mut *state;
+        self.commit(indexes, DocRecord::Insert, &[(&id, None, Some(&doc))])?;
+        Arc::make_mut(docs).insert(id, doc);
         Ok(())
+    }
+
+    /// The one write path of `insert`, `upsert` and `update_many`:
+    /// trial-applies `edits` to the indexes ([`IndexSet::apply`]), then
+    /// appends their records — all or none — to an attached journal.
+    /// Write-ahead: the caller stores the documents only once this
+    /// returns `Ok`, so a crash right after the append replays to the
+    /// same state, and a refused trial or append changes nothing.
+    fn commit(
+        &self,
+        indexes: &mut IndexSet,
+        record: DocRecord,
+        edits: &[Edit<'_>],
+    ) -> Result<(), DbError> {
+        let touched = indexes.apply(&self.name, edits)?;
+        let docs = edits.iter().filter_map(|(_, _, new)| *new);
+        journal::append_docs_if_attached(&self.journal, record, &self.name, docs)
+            .inspect_err(|_| indexes.undo(&touched, touched.len()))
     }
 
     /// Inserts the document, or replaces any existing document with the
@@ -817,16 +868,11 @@ impl Collection {
         let _timer = observe::timer("db.insert_us");
         let id = id_of(&doc)?;
         let mut state = self.inner.write();
-        let previous = state.docs.get(&id).cloned();
+        let State { docs, indexes } = &mut *state;
         // The occupant being replaced is exempt from unique checks.
-        state.indexes.check_unique(&self.name, &id, &doc)?;
-        journal::append_docs_if_attached(&self.journal, DocRecord::Upsert, &self.name, [&doc])?;
-        if let Some(prev) = &previous {
-            state.indexes.remove_doc(&id, prev);
-        }
-        state.indexes.add_doc(&id, &doc);
-        Arc::make_mut(&mut state.docs).insert(id, doc);
-        Ok(previous)
+        let edit = (id.as_str(), docs.get(&id), Some(&doc));
+        self.commit(indexes, DocRecord::Upsert, &[edit])?;
+        Ok(Arc::make_mut(docs).insert(id, doc))
     }
 
     /// Fetches a document by `_id`.
@@ -953,7 +999,9 @@ impl Collection {
             },
         );
         let doc = Arc::make_mut(&mut state.docs).remove(id)?;
-        state.indexes.remove_doc(id, &doc);
+        // Retraction only: nothing is admitted, so nothing is refused.
+        let retracted = state.indexes.apply(&self.name, &[(id, Some(&doc), None)]);
+        debug_assert!(retracted.is_ok());
         Some(doc)
     }
 
@@ -980,11 +1028,13 @@ impl Collection {
     /// protected). Returns how many documents matched; one that `update`
     /// leaves as it was is counted, but not journaled again. The whole batch
     /// runs under the write lock, so no writer interleaves, and unique
-    /// indexes are re-enforced at commit: every rewritten document is
-    /// checked (including against the other rewrites in the batch)
-    /// before anything is journaled, and the batch's records are
-    /// journaled as a unit before anything is stored, so a rejected
-    /// batch leaves the collection exactly as it was.
+    /// indexes are re-enforced at commit: in every index whose field a
+    /// rewrite changed (the others already hold the right entries) its
+    /// entries are retracted, checked — against bystanders, unchanged
+    /// entries and the batch's other rewrites — and admitted before
+    /// anything is journaled, and the batch's records are journaled as
+    /// a unit before anything is stored, so a rejected batch leaves the
+    /// collection exactly as it was.
     ///
     /// # Errors
     ///
@@ -1012,7 +1062,9 @@ impl Collection {
             matched += 1;
             let mut new = old.clone();
             update(&mut new);
-            new.set_at("_id", Value::Str(id.to_owned()));
+            if new.at("_id").and_then(Value::as_str) != Some(id) {
+                new.set_at("_id", Value::from(id));
+            }
             if new != *old {
                 staged.push((id, old, new));
             }
@@ -1023,39 +1075,11 @@ impl Collection {
         if staged.is_empty() {
             return Ok(matched);
         }
-        // Trial-apply against the index state we hold exclusively:
-        // retract every old document, then admit the rewrites one by
-        // one so batch-internal collisions are caught too. On a
-        // failure, undo the trial — the caller sees unchanged state.
-        let undo_trial = |indexes: &mut IndexSet, admitted: usize| {
-            for (id, _, new) in &staged[..admitted] {
-                indexes.remove_doc(id, new);
-            }
-            for (id, old, _) in &staged {
-                indexes.add_doc(id, old);
-            }
-        };
-        for (id, old, _) in &staged {
-            indexes.remove_doc(id, old);
-        }
-        for (admitted, (id, _, new)) in staged.iter().enumerate() {
-            if let Err(err) = indexes.check_unique(&self.name, id, new) {
-                undo_trial(indexes, admitted);
-                return Err(err);
-            }
-            indexes.add_doc(id, new);
-        }
-        // Write-ahead, as in `insert`: the batch's records land in the
-        // journal — all or none — before anything is stored.
-        if let Err(err) = journal::append_docs_if_attached(
-            &self.journal,
-            DocRecord::Upsert,
-            &self.name,
-            staged.iter().map(|(_, _, new)| new),
-        ) {
-            undo_trial(indexes, staged.len());
-            return Err(err);
-        }
+        let edits: Vec<Edit> = staged
+            .iter()
+            .map(|(id, old, new)| (*id, Some(*old), Some(new)))
+            .collect();
+        self.commit(indexes, DocRecord::Upsert, &edits)?;
         let rewrites: Vec<(String, Value)> = staged
             .into_iter()
             .map(|(id, _, new)| (id.to_owned(), new))

@@ -3,7 +3,7 @@
 use crate::blobstore::{BlobKey, BlobStore};
 use crate::collection::{Collection, IndexKind, IndexSpec};
 use crate::error::DbError;
-use crate::journal::{self, Journal, JournalCell, JournalCursor, JournalOp};
+use crate::journal::{self, write_atomic, Journal, JournalCell, JournalCursor, JournalOp};
 use crate::json;
 use crate::Value;
 use parking_lot::RwLock;
@@ -255,7 +255,9 @@ impl Database {
 
     /// The snapshot body shared by [`Database::save`] and
     /// [`Database::checkpoint`] — writes `.jsonl` + blob files without
-    /// touching the journal.
+    /// touching the journal. Each collection is read through one frozen
+    /// [`Snapshot`](crate::Snapshot), by reference, so writers proceed
+    /// meanwhile and no document is copied.
     fn write_snapshot(&self, dir: &Path) -> Result<(), DbError> {
         let _timer = observe::timer("db.save_us");
         let _span = observe::span(|| "db.save".to_owned());
@@ -263,16 +265,12 @@ impl Database {
         remove_stale_tmp_files(dir)?;
         let names = self.collection_names();
         for name in &names {
-            let collection = self.collection(name);
-            let tmp = dir.join(format!("{name}.jsonl.tmp"));
-            {
-                let mut file = fs::File::create(&tmp)?;
-                for doc in collection.all() {
-                    writeln!(file, "{}", json::to_json(&doc))?;
-                }
-                file.sync_all()?;
-            }
-            fs::rename(&tmp, dir.join(format!("{name}.jsonl")))?;
+            let snapshot = self.collection(name).snapshot();
+            write_atomic(&dir.join(format!("{name}.jsonl")), |file| {
+                snapshot
+                    .iter()
+                    .try_for_each(|(_, doc)| writeln!(file, "{}", json::to_json(doc)))
+            })?;
         }
         // Delete snapshot files of collections that no longer exist —
         // otherwise a dropped collection would be resurrected on reload
@@ -310,13 +308,7 @@ impl Database {
                 "collections".to_owned(),
                 Value::Map(manifest),
             )]));
-            let tmp = dir.join(format!("{INDEX_MANIFEST_FILE}.tmp"));
-            {
-                let mut file = fs::File::create(&tmp)?;
-                writeln!(file, "{body}")?;
-                file.sync_all()?;
-            }
-            fs::rename(&tmp, &manifest_path)?;
+            write_atomic(&manifest_path, |file| writeln!(file, "{body}"))?;
         }
         let blob_dir = dir.join("blobs");
         fs::create_dir_all(&blob_dir)?;
@@ -330,13 +322,7 @@ impl Database {
                 let Some(content) = self.blobs.get(key) else {
                     continue;
                 };
-                let tmp = blob_dir.join(format!("{}.tmp", key.to_hex()));
-                {
-                    let mut file = fs::File::create(&tmp)?;
-                    file.write_all(&content)?;
-                    file.sync_all()?;
-                }
-                fs::rename(&tmp, &path)?;
+                write_atomic(&path, |file| file.write_all(&content))?;
             }
         }
         // Same reasoning as stale .jsonl files: a blob file whose key

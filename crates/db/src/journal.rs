@@ -44,10 +44,10 @@ use crate::json;
 use crate::Value;
 use parking_lot::{Mutex, RwLock};
 use simart_codec::frame::{self, Frame};
-use simart_codec::{crc32, crc32_extend};
+use simart_codec::{crc32, crc32_extend, hex};
 use simart_observe as observe;
 use std::fs;
-use std::io::{Read as _, Seek as _, SeekFrom, Write as _};
+use std::io::{self, BufWriter, Read as _, Seek as _, SeekFrom, Write as _};
 use std::path::{Path, PathBuf};
 use std::sync::Arc;
 
@@ -130,7 +130,7 @@ impl JournalOp {
             ]),
             JournalOp::BlobPut { data } => Value::map([
                 ("op", Value::from("blob")),
-                ("hex", Value::from(to_hex(data))),
+                ("hex", Value::from(hex::encode(data))),
             ]),
             JournalOp::BlobRemove { key } => Value::map([
                 ("op", Value::from("blobrm")),
@@ -180,7 +180,7 @@ impl JournalOp {
                 collection: field("c")?,
             }),
             "blob" => {
-                let data = from_hex(&field("hex")?)
+                let data = hex::decode(&field("hex")?)
                     .ok_or_else(|| "journal blob record has bad hex".to_owned())?;
                 Ok(JournalOp::BlobPut { data })
             }
@@ -554,13 +554,7 @@ impl Journal {
         // (failed append that could not be rolled back) is left behind.
         let mut rest = vec![0u8; (total - upto) as usize];
         writer.file.read_exact(&mut rest)?;
-        let tmp = self.dir.join(format!("{JOURNAL_FILE}.tmp"));
-        {
-            let mut out = fs::File::create(&tmp)?;
-            out.write_all(&rest)?;
-            out.sync_all()?;
-        }
-        fs::rename(&tmp, &self.path)?;
+        write_atomic(&self.path, |file| file.write_all(&rest))?;
         let mut reopened = fs::OpenOptions::new()
             .create(true)
             .truncate(false)
@@ -575,22 +569,18 @@ impl Journal {
     }
 }
 
-fn to_hex(data: &[u8]) -> String {
-    let mut out = String::with_capacity(data.len() * 2);
-    for b in data {
-        out.push_str(&format!("{b:02x}"));
-    }
-    out
-}
-
-fn from_hex(hex: &str) -> Option<Vec<u8>> {
-    if !hex.len().is_multiple_of(2) {
-        return None;
-    }
-    (0..hex.len())
-        .step_by(2)
-        .map(|i| u8::from_str_radix(hex.get(i..i + 2)?, 16).ok())
-        .collect()
+/// Crash-safe file write: `body` fills a buffered `<path>.tmp` sibling,
+/// which is synced and then renamed over `path`.
+pub(crate) fn write_atomic(
+    path: &Path,
+    body: impl FnOnce(&mut BufWriter<fs::File>) -> io::Result<()>,
+) -> Result<(), DbError> {
+    let mut tmp = path.as_os_str().to_owned();
+    tmp.push(".tmp");
+    let mut file = BufWriter::new(fs::File::create(&tmp)?);
+    body(&mut file)?;
+    file.into_inner().map_err(|e| e.into_error())?.sync_all()?;
+    Ok(fs::rename(&tmp, path)?)
 }
 
 #[cfg(test)]
@@ -632,16 +622,6 @@ mod tests {
             let text = op.to_payload();
             assert_eq!(JournalOp::from_payload(&text).expect("parse"), op);
         }
-    }
-
-    #[test]
-    fn hex_round_trips_and_rejects_garbage() {
-        assert_eq!(
-            from_hex(&to_hex(&[0u8, 255, 16])).unwrap(),
-            vec![0u8, 255, 16]
-        );
-        assert!(from_hex("abc").is_none());
-        assert!(from_hex("zz").is_none());
     }
 
     #[test]
@@ -811,6 +791,44 @@ mod tests {
                 doc: done,
             })
         );
+        fs::remove_dir_all(&dir).unwrap();
+    }
+
+    #[test]
+    fn a_refused_append_undoes_exactly_the_touched_index_pairs() {
+        use crate::collection::IndexSpec;
+        use crate::{Collection, Filter};
+        let dir = std::env::temp_dir().join(format!("simart-journal-delta-{}", std::process::id()));
+        let _ = fs::remove_dir_all(&dir);
+        fs::create_dir_all(&dir).unwrap();
+        let cell: JournalCell = Arc::new(RwLock::new(Some(Journal::attach(&dir, 0).unwrap())));
+        let runs = Collection::with_journal("runs", Arc::clone(&cell));
+        runs.ensure_unique("hash").unwrap();
+        runs.ensure_index(IndexSpec::hash("status")).unwrap();
+        runs.ensure_index(IndexSpec::hash("inputs")).unwrap();
+        for id in ["r1", "r2"] {
+            runs.insert(Value::map([
+                ("_id", Value::from(id)),
+                ("hash", Value::from(format!("h-{id}"))),
+                ("status", Value::from("queued")),
+                ("inputs", Value::array(["gem5", "disk"].map(Value::from))),
+            ]))
+            .unwrap();
+        }
+        let (docs, indexed) = (runs.all(), runs.index_state());
+        // The read-only handle of the poison test: the append fails
+        // after the trial retracted and admitted `status` alone.
+        cell.read().as_ref().unwrap().writer.lock().file = fs::OpenOptions::new()
+            .read(true)
+            .open(dir.join(JOURNAL_FILE))
+            .unwrap();
+        let refused = runs.update_many(&Filter::eq("status", "queued"), |doc| {
+            doc.set_at("status", Value::from("running"));
+        });
+        assert!(matches!(refused, Err(DbError::Io(_))));
+        assert_eq!(runs.all(), docs);
+        assert_eq!(runs.index_state(), indexed);
+        assert!(runs.verify_indexes().is_empty());
         fs::remove_dir_all(&dir).unwrap();
     }
 

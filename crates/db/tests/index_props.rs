@@ -217,3 +217,182 @@ proptest! {
         fs::remove_dir_all(&dir).unwrap();
     }
 }
+
+/// The four `RunStore` index shapes: a unique hash key, a low-cardinality
+/// hash key, a multikey array every document shares, and a sparse
+/// ordered key.
+fn declare_run_indexes(collection: &Collection) {
+    for spec in [
+        IndexSpec::hash("hash").unique(),
+        IndexSpec::hash("status"),
+        IndexSpec::hash("inputs"),
+        IndexSpec::ordered("results.simTicks"),
+    ] {
+        collection.ensure_index(spec).expect("run index");
+    }
+}
+
+fn run_doc(slot: u8) -> Value {
+    Value::map([
+        ("_id", Value::from(format!("r{slot:02}"))),
+        ("hash", Value::from(format!("h{slot:02}"))),
+        ("status", Value::from("queued")),
+        (
+            "inputs",
+            Value::array(["gem5", "kernel", "disk"].map(Value::from)),
+        ),
+        ("events", Value::array([])),
+    ])
+}
+
+/// One edit of the delta generator: (what to change, which documents,
+/// a value). `what` picks non-indexed fields only, indexed fields only,
+/// both, the shared multikey array, or a unique key that may collide.
+type Edit = (u8, u8, i64);
+
+fn apply_edit(collection: &Collection, (what, which, n): Edit) {
+    let filter = match which % 4 {
+        0 => Filter::eq("_id", format!("r{:02}", which % 16)),
+        1 => Filter::eq("status", ["queued", "running", "done"][which as usize % 3]),
+        2 => Filter::elem_match("inputs", "kernel"),
+        _ => Filter::lt("results.simTicks", n % 50),
+    };
+    let status = ["queued", "running", "done"][n.unsigned_abs() as usize % 3];
+    let _ = collection.update_many(&filter, |doc| match what % 6 {
+        0 => {
+            doc.set_at("events", Value::array([Value::from(n)]));
+        }
+        1 => {
+            doc.set_at("status", Value::from(status));
+        }
+        2 => {
+            doc.set_at("status", Value::from(status));
+            doc.set_at("results.simTicks", Value::from(n % 50));
+            doc.set_at("note", Value::from(n));
+        }
+        3 => {
+            doc.set_at(
+                "inputs",
+                Value::array([Value::from("gem5"), Value::from(n % 3)]),
+            );
+        }
+        4 => {
+            // May collide with a bystander or inside the batch: a
+            // refusal must leave everything as it was.
+            doc.set_at("hash", Value::from(format!("h{:02}", n.rem_euclid(20))));
+            doc.set_at("status", Value::from(status));
+        }
+        _ => {
+            // `0.0 == -0.0`, but they render differently.
+            let zero = if n % 2 == 0 { 0.0 } else { -0.0 };
+            doc.set_at("results.simTicks", Value::from(zero));
+            doc.set_at("note", Value::from(n));
+        }
+    });
+}
+
+proptest! {
+    /// The delta: `update_many` retracts and admits only the *(document,
+    /// index)* pairs whose field an edit changed. After every single
+    /// edit — of non-indexed fields only, indexed fields only, both, the
+    /// multikey array all documents share, a unique key that may be
+    /// refused — the write-through state still equals a full rebuild.
+    #[test]
+    fn delta_maintenance_equals_full_retract_and_admit(
+        edits in proptest::collection::vec((any::<u8>(), any::<u8>(), any::<i64>()), 1..40),
+    ) {
+        let collection = Database::in_memory().collection("runs");
+        declare_run_indexes(&collection);
+        for slot in 0..16 {
+            collection.insert(run_doc(slot)).expect("seed run");
+        }
+        for edit in edits {
+            apply_edit(&collection, edit);
+            prop_assert!(collection.verify_indexes().is_empty(), "after {:?}", edit);
+            prop_assert_eq!(
+                json::to_json(&collection.index_state()),
+                json::to_json(&rebuild(&collection)),
+                "after {:?}", edit
+            );
+        }
+    }
+}
+
+#[test]
+fn a_batch_that_swaps_two_unique_keys_is_accepted() {
+    let collection = Database::in_memory().collection("runs");
+    declare_run_indexes(&collection);
+    for slot in 0..3 {
+        collection.insert(run_doc(slot)).unwrap();
+    }
+    let swapped = collection
+        .update_many(&Filter::any_of("_id", ["r00", "r01"]), |doc| {
+            let other = match doc.at("hash").and_then(Value::as_str) {
+                Some("h00") => "h01",
+                _ => "h00",
+            };
+            doc.set_at("hash", Value::from(other));
+        })
+        .expect("old keys are retracted before the new ones are checked");
+    assert_eq!(swapped, 2);
+    assert_eq!(
+        collection.get("r00").unwrap().at("hash"),
+        Some(&Value::from("h01"))
+    );
+    assert_eq!(
+        collection.get("r01").unwrap().at("hash"),
+        Some(&Value::from("h00"))
+    );
+    assert_eq!(collection.index_state(), rebuild(&collection));
+}
+
+#[test]
+fn a_rewrite_onto_an_untouched_documents_unique_key_is_refused() {
+    let collection = Database::in_memory().collection("runs");
+    declare_run_indexes(&collection);
+    for slot in 0..3 {
+        collection.insert(run_doc(slot)).unwrap();
+    }
+    let (docs, indexes) = (collection.all(), collection.index_state());
+    // r01 is in the batch but its `hash` is not rewritten: its entry is
+    // never retracted, and still blocks r00 from taking the key.
+    let refused = collection.update_many(&Filter::any_of("_id", ["r00", "r01"]), |doc| {
+        if doc.at("_id") == Some(&Value::from("r00")) {
+            doc.set_at("hash", Value::from("h01"));
+        }
+        doc.set_at("status", Value::from("running"));
+    });
+    assert!(matches!(
+        refused,
+        Err(simart_db::DbError::UniqueViolation { .. })
+    ));
+    // So does a bystander outside the batch.
+    let refused = collection.update_many(&Filter::eq("_id", "r00"), |doc| {
+        doc.set_at("hash", Value::from("h02"));
+        doc.set_at("status", Value::from("running"));
+    });
+    assert!(matches!(
+        refused,
+        Err(simart_db::DbError::UniqueViolation { .. })
+    ));
+    assert_eq!(collection.all(), docs);
+    assert_eq!(collection.index_state(), indexes);
+    assert!(collection.verify_indexes().is_empty());
+}
+
+#[test]
+fn a_sign_flip_of_zero_moves_the_ordered_key() {
+    let collection = Database::in_memory().collection("runs");
+    declare_run_indexes(&collection);
+    let mut doc = run_doc(0);
+    doc.set_at("results.simTicks", Value::from(0.0));
+    collection.insert(doc).unwrap();
+    collection
+        .update_many(&Filter::All, |doc| {
+            doc.set_at("results.simTicks", Value::from(-0.0));
+            doc.set_at("status", Value::from("done"));
+        })
+        .unwrap();
+    assert!(collection.verify_indexes().is_empty());
+    assert_eq!(collection.index_state(), rebuild(&collection));
+}

@@ -2,7 +2,8 @@
 //! crate can contain `unsafe`, and the vendored shims are the four the
 //! build needs. A `[features]` table, a feature-gated `cfg`, a crate
 //! root without `forbid(unsafe_code)` or a fifth shim fails here, as
-//! does a SipHash map on the simulator's per-access path.
+//! do a SipHash map on the simulator's per-access path and a per-byte
+//! hex `format!` outside `simart_codec::hex`.
 
 use std::path::{Path, PathBuf};
 
@@ -123,6 +124,34 @@ fn simulator_hot_path_has_no_siphash() {
         for (number, line) in text.lines().enumerate() {
             assert!(
                 !banned.iter().any(|spelling| line.contains(spelling)),
+                "{}:{}: {line}",
+                source.display(),
+                number + 1
+            );
+        }
+    }
+}
+
+#[test]
+fn hex_is_rendered_in_one_place() {
+    // A per-byte `format!` of two hex digits costs an allocation per
+    // byte; digests, keys and UUIDs go through `simart_codec::hex`.
+    // Spelled in parts, as above.
+    let banned = ["02", "x}"].concat();
+    let mut sources = Vec::new();
+    for package in std::fs::read_dir(repo().join("crates")).unwrap().flatten() {
+        let src = package.path().join("src");
+        files(&src, &|name| name.ends_with(".rs"), &mut sources);
+    }
+    assert!(sources.len() > 80, "found only {} sources", sources.len());
+    for source in sources {
+        if source.ends_with("crates/codec/src/hex.rs") {
+            continue;
+        }
+        let text = std::fs::read_to_string(&source).unwrap();
+        for (number, line) in text.lines().enumerate() {
+            assert!(
+                !line.contains(&banned),
                 "{}:{}: {line}",
                 source.display(),
                 number + 1
