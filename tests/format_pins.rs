@@ -353,3 +353,110 @@ fn collection_files_are_pinned() {
     );
     std::fs::remove_dir_all(&dir).unwrap();
 }
+
+/// What a campaign's identity rests on: the run ids and run hashes of
+/// the benchmark's three artifact families, and every stored artifact
+/// document with its own id removed and the ids in its `inputs`
+/// replaced by those inputs' content hashes. Artifact ids themselves
+/// are not pinned — only what they name.
+#[test]
+fn run_identity_is_pinned() {
+    use simart::Experiment;
+    use simart_fullsim::os::OsImage;
+    use simart_resources::kernels::KernelResource;
+    use simart_resources::{disks, suite};
+    use std::collections::BTreeMap;
+
+    let experiment = Experiment::new("identity-pin");
+    // (kernel, kernel path, disk, disk path, params) per run.
+    let (repo, binary, script, specs) = experiment
+        .with_registry(|registry| {
+            let [repo, binary, script] = suite::register_simulator(registry, "20.1.0.4", "X86")?;
+            let mut specs = Vec::new();
+            for os in OsImage::ALL {
+                let version = os.profile().default_kernel;
+                let kernel = suite::register_kernel(registry, &KernelResource::standard(version))?;
+                let disk = suite::register_disk_image(registry, &disks::parsec_image(os))?;
+                for app in ["dedup", "blackscholes"] {
+                    specs.push((
+                        kernel.id(),
+                        format!("vmlinux-{}", version.release()),
+                        disk.id(),
+                        format!("disks/parsec-{os}.img"),
+                        vec![app.to_owned(), os.to_string(), "8".to_owned()],
+                    ));
+                }
+            }
+            let boot_exit = suite::register_disk_image(registry, &disks::boot_exit_image())?;
+            for version in KernelVersion::FIGURE8 {
+                let kernel = suite::register_kernel(registry, &KernelResource::standard(version))?;
+                for cores in ["1", "4"] {
+                    specs.push((
+                        kernel.id(),
+                        format!("vmlinux-{}", version.release()),
+                        boot_exit.id(),
+                        "disks/boot-exit.img".to_owned(),
+                        vec![
+                            "boot".to_owned(),
+                            cores.to_owned(),
+                            version.release().to_owned(),
+                        ],
+                    ));
+                }
+            }
+            Ok((repo.id(), binary.id(), script.id(), specs))
+        })
+        .unwrap();
+    let mut identities: Vec<String> = specs
+        .into_iter()
+        .map(|(kernel, kernel_path, disk, disk_path, params)| {
+            let run = experiment
+                .create_fs_run(|b| {
+                    b.simulator(binary, "gem5/build/X86/gem5.opt")
+                        .simulator_repo(repo)
+                        .run_script(script, "configs/run.py")
+                        .kernel(kernel, kernel_path)
+                        .disk_image(disk, disk_path)
+                        .params(params)
+                })
+                .unwrap();
+            format!("{} {}", run.id(), run.run_hash())
+        })
+        .collect();
+    identities.sort();
+
+    let docs = experiment.database().collection("artifacts").all();
+    let hash_of: BTreeMap<String, String> = docs
+        .iter()
+        .map(|doc| {
+            let text = |path| doc.at(path).and_then(Value::as_str).unwrap().to_owned();
+            (text("_id"), text("hash"))
+        })
+        .collect();
+    let mut rendered: Vec<String> = docs
+        .into_iter()
+        .map(|doc| {
+            let Value::Map(mut fields) = doc else {
+                panic!("artifact document is a map")
+            };
+            fields.remove("_id");
+            if let Some(Value::Array(inputs)) = fields.get_mut("inputs") {
+                for input in inputs {
+                    *input = Value::from(hash_of[input.as_str().unwrap()].as_str());
+                }
+            }
+            simart_codec::json::to_json(&Value::Map(fields))
+        })
+        .collect();
+    rendered.sort();
+    assert_eq!(
+        format!(
+            "{} runs {:016x}, {} artifacts {:016x}",
+            identities.len(),
+            fnv1a(identities.join("\n").as_bytes()),
+            rendered.len(),
+            fnv1a(rendered.join("\n").as_bytes()),
+        ),
+        "14 runs 3040827937e1a80f, 12 artifacts 8a238bc9e566e961"
+    );
+}
