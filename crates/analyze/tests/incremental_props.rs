@@ -395,3 +395,51 @@ fn persisted_state_resumes_and_checkpoint_invalidates_the_cursor() {
     assert_eq!(render_text(&fourth.diagnostics), render_text(&full));
     let _ = std::fs::remove_dir_all(&dir);
 }
+
+/// A resumed check replays exactly what was journaled past its cursor,
+/// however large the database: the same appended runs read as the same
+/// `delta_records` over 100 and over 2 000 recorded runs. A count, not
+/// a timing — restoring the state document is still O(database).
+#[test]
+fn resumed_check_replays_exactly_the_appended_records() {
+    const APPENDED: usize = 10;
+    let run = |id: String| {
+        Value::map([
+            ("hash", Value::from(format!("rh-{id}"))),
+            ("_id", Value::from(id)),
+            ("status", Value::from("done")),
+            ("inputs", Value::array([])),
+            (
+                "events",
+                Value::array(["status:queued", "status:running", "status:done"].map(Value::from)),
+            ),
+        ])
+    };
+    for recorded in [100, 2_000] {
+        let dir = unique_dir(&format!("delta-{recorded}"));
+        {
+            let db = Database::open(&dir).expect("open attached database");
+            for i in 0..recorded {
+                db.collection("runs")
+                    .insert(run(format!("run-{i:05}")))
+                    .expect("record run");
+            }
+        }
+        let first = check_dir_incremental(&dir).expect("first check records state");
+        assert!(!first.incremental);
+        {
+            let db = Database::open(&dir).expect("reopen attached database");
+            for i in 0..APPENDED {
+                db.collection("runs")
+                    .insert(run(format!("appended-{i}")))
+                    .expect("append run");
+            }
+        }
+        let second = check_dir_incremental(&dir).expect("resumed check");
+        assert!(second.incremental, "{recorded} runs: {:?}", second.fallback);
+        // The appended runs, plus the state document the first check
+        // journaled just past the cursor it recorded.
+        assert_eq!(second.delta_records, APPENDED + 1, "{recorded} runs");
+        let _ = std::fs::remove_dir_all(&dir);
+    }
+}

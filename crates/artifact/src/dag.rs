@@ -1,13 +1,13 @@
-//! Dependency graph over artifact ids.
+//! Dependency graph over artifact ids, for checking stored provenance.
 //!
-//! Artifacts reference the artifacts they were built from; those edges
-//! form a DAG that the registry uses to compute reproduction closures
-//! ("everything needed to rebuild this disk image") and impact sets
-//! ("everything derived from this kernel").
+//! Artifacts reference the artifacts they were built from. Registration
+//! cannot close a cycle — an input must be registered before its
+//! dependent — but a database can be edited by hand, so the linter
+//! mirrors the stored `inputs` edges into a [`DependencyGraph`] and asks
+//! [`DependencyGraph::validate`] for every cycle and dangling reference.
 
-use crate::error::ArtifactError;
 use crate::uuid::Uuid;
-use std::collections::{HashMap, HashSet, VecDeque};
+use std::collections::{HashMap, HashSet};
 
 /// A structural problem found by [`DependencyGraph::validate`].
 #[derive(Debug, Clone, PartialEq, Eq)]
@@ -18,8 +18,7 @@ pub enum GraphIssue {
         members: Vec<Uuid>,
     },
     /// A node referenced by an edge but never declared with
-    /// [`DependencyGraph::add_node`] / [`DependencyGraph::add_edge`] —
-    /// for graphs loaded from external data, a dangling reference.
+    /// [`DependencyGraph::add_node`] — a dangling reference.
     Orphan {
         /// The undeclared node.
         node: Uuid,
@@ -28,8 +27,8 @@ pub enum GraphIssue {
     },
 }
 
-/// A directed acyclic graph keyed by [`Uuid`].
-#[derive(Debug, Clone, Default, PartialEq, Eq)]
+/// A directed graph keyed by [`Uuid`].
+#[derive(Debug, Default)]
 pub struct DependencyGraph {
     edges_out: HashMap<Uuid, Vec<Uuid>>,
     edges_in: HashMap<Uuid, Vec<Uuid>>,
@@ -52,30 +51,13 @@ impl DependencyGraph {
         self.edges_in.entry(node).or_default();
     }
 
-    /// Adds a `from -> to` edge ("`to` was built from `from`").
+    /// Records a `from -> to` edge ("`to` was built from `from`")
+    /// without declaring the endpoints.
     ///
-    /// # Errors
-    ///
-    /// Returns [`ArtifactError::DependencyCycle`] when the edge would
-    /// close a cycle; the graph is left unchanged in that case.
-    pub fn add_edge(&mut self, from: Uuid, to: Uuid) -> Result<(), ArtifactError> {
-        if from == to || self.reachable(to, from) {
-            return Err(ArtifactError::DependencyCycle { node: to });
-        }
-        self.add_node(from);
-        self.add_node(to);
-        self.edges_out.entry(from).or_default().push(to);
-        self.edges_in.entry(to).or_default().push(from);
-        Ok(())
-    }
-
-    /// Records a `from -> to` edge without the cycle check and without
-    /// declaring the endpoints.
-    ///
-    /// For mirroring externally loaded data (e.g. artifact documents
-    /// read back from a database) that may be inconsistent: cycles and
-    /// references to never-declared nodes are accepted here and
-    /// reported by [`DependencyGraph::validate`] instead of refused.
+    /// The data mirrored here (artifact documents read back from a
+    /// database) may be inconsistent: cycles and references to
+    /// never-declared nodes are accepted and reported by
+    /// [`DependencyGraph::validate`] instead of refused.
     pub fn add_edge_unchecked(&mut self, from: Uuid, to: Uuid) {
         self.edges_in.entry(from).or_default();
         self.edges_out.entry(to).or_default();
@@ -198,147 +180,14 @@ impl DependencyGraph {
         st.components
     }
 
-    /// Whether `to` is reachable from `from` by following edges.
-    pub fn reachable(&self, from: Uuid, to: Uuid) -> bool {
-        if from == to {
-            return true;
-        }
-        let mut seen = HashSet::new();
-        let mut queue = VecDeque::from([from]);
-        while let Some(node) = queue.pop_front() {
-            for next in self.successors(node) {
-                if *next == to {
-                    return true;
-                }
-                if seen.insert(*next) {
-                    queue.push_back(*next);
-                }
-            }
-        }
-        false
-    }
-
     /// Direct successors (dependents) of `node`.
-    pub fn successors(&self, node: Uuid) -> &[Uuid] {
+    fn successors(&self, node: Uuid) -> &[Uuid] {
         self.edges_out.get(&node).map(Vec::as_slice).unwrap_or(&[])
     }
 
     /// Direct predecessors (inputs) of `node`.
-    pub fn predecessors(&self, node: Uuid) -> &[Uuid] {
+    fn predecessors(&self, node: Uuid) -> &[Uuid] {
         self.edges_in.get(&node).map(Vec::as_slice).unwrap_or(&[])
-    }
-
-    /// Number of nodes.
-    pub fn len(&self) -> usize {
-        self.edges_out.len()
-    }
-
-    /// Whether the graph has no nodes.
-    pub fn is_empty(&self) -> bool {
-        self.edges_out.is_empty()
-    }
-
-    /// All ancestors of `node` (its transitive inputs) plus `node`
-    /// itself, in topological order: every artifact appears after all of
-    /// its inputs. Deterministic for a fixed insertion order.
-    pub fn ancestors_topological(&self, node: Uuid) -> Vec<Uuid> {
-        // Gather the ancestor set.
-        let mut in_set = HashSet::from([node]);
-        let mut queue = VecDeque::from([node]);
-        while let Some(current) = queue.pop_front() {
-            for pred in self.predecessors(current) {
-                if in_set.insert(*pred) {
-                    queue.push_back(*pred);
-                }
-            }
-        }
-        // Kahn's algorithm restricted to the ancestor set, preserving
-        // first-seen order for determinism.
-        let mut indegree: HashMap<Uuid, usize> = HashMap::new();
-        let mut order_hint: Vec<Uuid> = Vec::new();
-        let mut seen_hint: HashSet<Uuid> = HashSet::new();
-        let mut stack = vec![node];
-        while let Some(current) = stack.pop() {
-            if !seen_hint.insert(current) {
-                continue;
-            }
-            order_hint.push(current);
-            indegree.insert(
-                current,
-                self.predecessors(current)
-                    .iter()
-                    .filter(|p| in_set.contains(p))
-                    .count(),
-            );
-            for pred in self.predecessors(current) {
-                stack.push(*pred);
-            }
-        }
-        order_hint.reverse(); // roots (no inputs) first, roughly
-
-        let mut ready: VecDeque<Uuid> = order_hint
-            .iter()
-            .copied()
-            .filter(|n| indegree[n] == 0)
-            .collect();
-        let mut result = Vec::with_capacity(in_set.len());
-        let mut emitted = HashSet::new();
-        while let Some(current) = ready.pop_front() {
-            if !emitted.insert(current) {
-                continue;
-            }
-            result.push(current);
-            for succ in self.successors(current) {
-                if let Some(d) = indegree.get_mut(succ) {
-                    *d -= 1;
-                    if *d == 0 {
-                        ready.push_back(*succ);
-                    }
-                }
-            }
-        }
-        result
-    }
-
-    /// Full topological order of the whole graph.
-    ///
-    /// # Errors
-    ///
-    /// Returns [`ArtifactError::DependencyCycle`] if the graph contains a
-    /// cycle (cannot happen through [`DependencyGraph::add_edge`], which
-    /// rejects them, but this method also serves externally loaded graphs).
-    pub fn topological_order(&self) -> Result<Vec<Uuid>, ArtifactError> {
-        let mut indegree: HashMap<Uuid, usize> = self
-            .edges_in
-            .iter()
-            .map(|(n, preds)| (*n, preds.len()))
-            .collect();
-        let mut ready: VecDeque<Uuid> = indegree
-            .iter()
-            .filter(|(_, d)| **d == 0)
-            .map(|(n, _)| *n)
-            .collect();
-        let mut result = Vec::with_capacity(indegree.len());
-        while let Some(node) = ready.pop_front() {
-            result.push(node);
-            for succ in self.successors(node) {
-                if let Some(d) = indegree.get_mut(succ) {
-                    *d = d.saturating_sub(1);
-                    if *d == 0 {
-                        ready.push_back(*succ);
-                    }
-                }
-            }
-        }
-        if result.len() != self.len() {
-            let node = indegree
-                .iter()
-                .find(|(n, _)| !result.contains(n))
-                .map(|(n, _)| *n)
-                .unwrap_or(Uuid::NIL);
-            return Err(ArtifactError::DependencyCycle { node });
-        }
-        Ok(result)
     }
 }
 
@@ -350,98 +199,28 @@ mod tests {
         Uuid::new_v3("dag-test", &n.to_string())
     }
 
-    #[test]
-    fn rejects_self_edge_and_cycles() {
+    /// Declares both endpoints of every edge.
+    fn declared(edges: &[(u64, u64)]) -> DependencyGraph {
         let mut g = DependencyGraph::new();
-        assert!(g.add_edge(id(1), id(1)).is_err());
-        g.add_edge(id(1), id(2)).unwrap();
-        g.add_edge(id(2), id(3)).unwrap();
-        let err = g.add_edge(id(3), id(1)).unwrap_err();
-        assert!(matches!(err, ArtifactError::DependencyCycle { .. }));
-        // Graph unchanged by the failed insertion.
-        assert_eq!(g.successors(id(3)), &[] as &[Uuid]);
-    }
-
-    #[test]
-    fn reachability() {
-        let mut g = DependencyGraph::new();
-        g.add_edge(id(1), id(2)).unwrap();
-        g.add_edge(id(2), id(3)).unwrap();
-        g.add_edge(id(4), id(3)).unwrap();
-        assert!(g.reachable(id(1), id(3)));
-        assert!(!g.reachable(id(3), id(1)));
-        assert!(!g.reachable(id(1), id(4)));
-        assert!(g.reachable(id(1), id(1)));
-    }
-
-    #[test]
-    fn ancestors_topological_orders_inputs_first() {
-        // diamond: 1 -> 2, 1 -> 3, 2 -> 4, 3 -> 4
-        let mut g = DependencyGraph::new();
-        g.add_edge(id(1), id(2)).unwrap();
-        g.add_edge(id(1), id(3)).unwrap();
-        g.add_edge(id(2), id(4)).unwrap();
-        g.add_edge(id(3), id(4)).unwrap();
-        let order = g.ancestors_topological(id(4));
-        assert_eq!(order.len(), 4);
-        let pos = |n: Uuid| order.iter().position(|x| *x == n).unwrap();
-        assert!(pos(id(1)) < pos(id(2)));
-        assert!(pos(id(1)) < pos(id(3)));
-        assert!(pos(id(2)) < pos(id(4)));
-        assert!(pos(id(3)) < pos(id(4)));
-        assert_eq!(order.last(), Some(&id(4)));
-    }
-
-    #[test]
-    fn ancestors_excludes_unrelated_nodes() {
-        let mut g = DependencyGraph::new();
-        g.add_edge(id(1), id(2)).unwrap();
-        g.add_edge(id(10), id(11)).unwrap();
-        let order = g.ancestors_topological(id(2));
-        assert_eq!(order.len(), 2);
-        assert!(!order.contains(&id(10)));
-    }
-
-    #[test]
-    fn full_topological_order_covers_all_nodes() {
-        let mut g = DependencyGraph::new();
-        for i in 0..10u64 {
-            g.add_edge(id(i), id(i + 1)).unwrap();
+        for &(a, b) in edges {
+            g.add_node(id(a));
+            g.add_node(id(b));
+            g.add_edge_unchecked(id(a), id(b));
         }
-        let order = g.topological_order().unwrap();
-        assert_eq!(order.len(), 11);
-        for i in 0..10u64 {
-            let pos = |n: Uuid| order.iter().position(|x| *x == n).unwrap();
-            assert!(pos(id(i)) < pos(id(i + 1)));
-        }
-    }
-
-    #[test]
-    fn isolated_node_appears_in_orders() {
-        let mut g = DependencyGraph::new();
-        g.add_node(id(7));
-        assert_eq!(g.topological_order().unwrap(), vec![id(7)]);
-        assert_eq!(g.ancestors_topological(id(7)), vec![id(7)]);
+        g
     }
 
     #[test]
     fn validate_accepts_clean_graphs() {
-        let mut g = DependencyGraph::new();
-        g.add_edge(id(1), id(2)).unwrap();
-        g.add_edge(id(2), id(3)).unwrap();
+        let mut g = declared(&[(1, 2), (2, 3), (1, 3)]);
         g.add_node(id(9));
         assert!(g.validate().is_empty());
     }
 
     #[test]
     fn validate_reports_every_cycle() {
-        let mut g = DependencyGraph::new();
-        // Two disjoint cycles plus a self-loop, all via unchecked edges.
-        for (a, b) in [(1, 2), (2, 1), (3, 4), (4, 5), (5, 3), (6, 6)] {
-            g.add_node(id(a));
-            g.add_node(id(b));
-            g.add_edge_unchecked(id(a), id(b));
-        }
+        // Two disjoint cycles plus a self-loop.
+        let g = declared(&[(1, 2), (2, 1), (3, 4), (4, 5), (5, 3), (6, 6)]);
         let cycles: Vec<_> = g
             .validate()
             .into_iter()
@@ -455,8 +234,6 @@ mod tests {
         sizes.sort_unstable();
         assert_eq!(sizes, vec![1, 2, 3]);
         assert!(cycles.iter().any(|c| c.contains(&id(6)) && c.len() == 1));
-        // Cycles don't break topological_order into a panic either.
-        assert!(g.topological_order().is_err());
     }
 
     #[test]
@@ -472,15 +249,5 @@ mod tests {
                 referenced_by: vec![id(1)]
             }]
         );
-    }
-
-    #[test]
-    fn rejected_edge_leaves_graph_identical() {
-        let mut g = DependencyGraph::new();
-        g.add_edge(id(1), id(2)).unwrap();
-        g.add_edge(id(2), id(3)).unwrap();
-        let before = g.clone();
-        assert!(g.add_edge(id(3), id(1)).is_err());
-        assert_eq!(g, before);
     }
 }

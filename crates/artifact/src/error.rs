@@ -1,9 +1,9 @@
-//! Error type for artifact registration and lookup.
+//! Error type for artifact registration.
 
 use crate::uuid::Uuid;
 use std::fmt;
 
-/// Errors produced while registering or resolving artifacts.
+/// Errors produced while registering artifacts.
 #[derive(Debug, Clone, PartialEq, Eq)]
 #[non_exhaustive]
 pub enum ArtifactError {
@@ -31,16 +31,6 @@ pub enum ArtifactError {
         /// Name of the artifact being registered.
         artifact: String,
     },
-    /// A lookup by id or name found nothing.
-    NotFound {
-        /// What the caller searched for.
-        query: String,
-    },
-    /// Adding an edge would create a dependency cycle.
-    DependencyCycle {
-        /// One node on the offending cycle.
-        node: Uuid,
-    },
 }
 
 impl fmt::Display for ArtifactError {
@@ -60,10 +50,6 @@ impl fmt::Display for ArtifactError {
             }
             ArtifactError::UnknownInput { input, artifact } => {
                 write!(f, "artifact {artifact:?} lists unregistered input {input}")
-            }
-            ArtifactError::NotFound { query } => write!(f, "no artifact matches {query:?}"),
-            ArtifactError::DependencyCycle { node } => {
-                write!(f, "dependency cycle detected through artifact {node}")
             }
         }
     }

@@ -8,7 +8,8 @@
 //! registered as an [`Artifact`] carrying enough metadata (creation
 //! command, working directory, documentation, input artifacts) to
 //! reproduce it later. Artifacts are deduplicated by content hash and
-//! identified by UUID, and their `inputs` edges form a provenance DAG.
+//! identified by a UUID derived from that hash; their `inputs` edges
+//! form the provenance graph.
 //!
 //! ```
 //! use simart_artifact::{Artifact, ArtifactKind, ArtifactRegistry, ContentSource};
@@ -51,7 +52,7 @@ mod artifact;
 pub use artifact::{Artifact, ArtifactBuilder, ArtifactKind, ContentSource, GitInfo};
 pub use error::ArtifactError;
 pub use hash::Md5;
-pub use registry::{ArtifactRegistry, RegistryStats};
+pub use registry::ArtifactRegistry;
 pub use uuid::Uuid;
 
 /// Identifier of a registered artifact (a UUID).

@@ -1,13 +1,13 @@
 //! In-memory artifact registry with hash-based deduplication.
 
 use crate::artifact::{Artifact, ArtifactBuilder};
-use crate::dag::DependencyGraph;
 use crate::error::ArtifactError;
 use crate::uuid::Uuid;
-use rand::rngs::SmallRng;
-use rand::SeedableRng;
 use std::collections::HashMap;
 use std::sync::Arc;
+
+/// Namespace of the name-based id minted for newly registered content.
+const ID_NAMESPACE: &str = "simart-artifact";
 
 /// Registry holding every artifact of an experiment session.
 ///
@@ -18,56 +18,30 @@ use std::sync::Arc;
 ///   of creating a duplicate;
 /// * registering the same content with *different* metadata is an error
 ///   (duplicate artifacts are not permitted in the database);
-/// * if the content at a path changes (different hash), a brand-new
-///   artifact with a fresh UUID is created even when every other
-///   attribute matches — the hash is the "safety net" of the paper.
-#[derive(Debug)]
+/// * content registered for the first time gets the id
+///   `Uuid::new_v3("simart-artifact", hash)`, so the same content gets
+///   the same id in every session, whatever order it is registered in;
+///   changed content at the same path is a new artifact — the hash is
+///   the "safety net" of the paper.
+///
+/// Records read back from a database enter through
+/// [`ArtifactRegistry::adopt`] and keep their stored ids.
+#[derive(Debug, Default)]
 pub struct ArtifactRegistry {
-    by_id: HashMap<Uuid, Arc<Artifact>>,
-    by_hash: HashMap<String, Uuid>,
-    by_name: HashMap<String, Vec<Uuid>>,
-    graph: DependencyGraph,
-    rng: SmallRng,
-    dedup_hits: usize,
-}
-
-/// Aggregate counters describing a registry.
-#[derive(Debug, Clone, Copy, PartialEq, Eq, Default)]
-pub struct RegistryStats {
-    /// Total registered artifacts.
-    pub artifacts: usize,
-    /// Registration calls deduplicated against an existing record.
-    pub deduplicated: usize,
-    /// Distinct artifact names.
-    pub names: usize,
-}
-
-impl Default for ArtifactRegistry {
-    fn default() -> Self {
-        Self::new()
-    }
+    /// Adopted records first, then registrations in order.
+    artifacts: Vec<Arc<Artifact>>,
+    by_id: HashMap<Uuid, usize>,
+    by_hash: HashMap<String, usize>,
 }
 
 impl ArtifactRegistry {
-    /// Creates an empty registry with a fixed identity seed.
+    /// Creates an empty registry.
     pub fn new() -> Self {
-        Self::with_seed(0x5eed_a27e_fac7)
-    }
-
-    /// Creates an empty registry whose UUID stream derives from `seed`.
-    pub fn with_seed(seed: u64) -> Self {
-        ArtifactRegistry {
-            by_id: HashMap::new(),
-            by_hash: HashMap::new(),
-            by_name: HashMap::new(),
-            graph: DependencyGraph::new(),
-            rng: SmallRng::seed_from_u64(seed),
-            dedup_hits: 0,
-        }
+        Self::default()
     }
 
     /// Registers an artifact, or returns the existing record when the
-    /// identical registration was already made.
+    /// identical registration was already made (or adopted).
     ///
     /// # Errors
     ///
@@ -77,128 +51,72 @@ impl ArtifactRegistry {
     ///   registered before with different metadata.
     pub fn register(&mut self, builder: ArtifactBuilder) -> Result<Arc<Artifact>, ArtifactError> {
         builder.validate()?;
-        for input in &builder.inputs {
-            if !self.by_id.contains_key(input) {
-                return Err(ArtifactError::UnknownInput {
-                    input: *input,
-                    artifact: builder.name.clone(),
-                });
-            }
+        if let Some(&input) = builder.inputs.iter().find(|i| !self.by_id.contains_key(i)) {
+            return Err(ArtifactError::UnknownInput {
+                input,
+                artifact: builder.name.clone(),
+            });
         }
-        let content = builder.content.clone().expect("validated above");
+        let content = builder.content.as_ref().expect("validated above");
         let hash = content.fingerprint().to_hex();
+        let git = content.git_info().cloned();
 
-        if let Some(existing_id) = self.by_hash.get(&hash) {
-            let existing = &self.by_id[existing_id];
+        if let Some(&at) = self.by_hash.get(&hash) {
+            let existing = &self.artifacts[at];
             if let Some(conflict) = conflict_between(existing, &builder) {
                 return Err(ArtifactError::ConflictingDuplicate {
-                    existing: *existing_id,
+                    existing: existing.id(),
                     conflict,
                 });
             }
-            self.dedup_hits += 1;
             return Ok(Arc::clone(existing));
         }
+        let id = Uuid::new_v3(ID_NAMESPACE, &hash);
+        Ok(self.adopt(Artifact::from_parts(id, builder, hash, git)))
+    }
 
-        let id = Uuid::new_v4(&mut self.rng);
-        let git = content.git_info().cloned();
-        let artifact = Arc::new(Artifact::from_parts(id, builder, hash.clone(), git));
-        self.graph.add_node(id);
-        for input in artifact.inputs() {
-            // Inputs pre-exist, so edges always point backwards in
-            // registration order and can never form a cycle; the graph
-            // still checks as a defensive invariant.
-            self.graph
-                .add_edge(*input, id)
-                .expect("edges to pre-existing nodes cannot form a cycle");
+    /// Holds an already-identified record — one read back from a
+    /// database — under its own id, whichever rule minted it, so that
+    /// re-registering its content returns it. Nothing is validated: a
+    /// stored record's inputs may be missing, which `simart check`
+    /// reports. A record whose id or hash is already held is not added;
+    /// the held one is returned.
+    pub fn adopt(&mut self, artifact: Artifact) -> Arc<Artifact> {
+        let held = self
+            .by_id
+            .get(&artifact.id())
+            .or_else(|| self.by_hash.get(artifact.hash()));
+        if let Some(&at) = held {
+            return Arc::clone(&self.artifacts[at]);
         }
-        self.by_hash.insert(hash, id);
-        self.by_name
-            .entry(artifact.name().to_owned())
-            .or_default()
-            .push(id);
-        self.by_id.insert(id, Arc::clone(&artifact));
-        Ok(artifact)
+        let at = self.artifacts.len();
+        self.by_id.insert(artifact.id(), at);
+        self.by_hash.insert(artifact.hash().to_owned(), at);
+        self.artifacts.push(Arc::new(artifact));
+        Arc::clone(&self.artifacts[at])
     }
 
     /// Looks up an artifact by id.
     pub fn get(&self, id: Uuid) -> Option<Arc<Artifact>> {
-        self.by_id.get(&id).cloned()
+        self.by_id
+            .get(&id)
+            .map(|&at| Arc::clone(&self.artifacts[at]))
     }
 
-    /// Looks up an artifact by id, erroring when absent.
-    pub fn try_get(&self, id: Uuid) -> Result<Arc<Artifact>, ArtifactError> {
-        self.get(id).ok_or_else(|| ArtifactError::NotFound {
-            query: id.to_string(),
-        })
-    }
-
-    /// All registrations (historic versions included) under `name`, in
-    /// registration order.
-    pub fn versions_of(&self, name: &str) -> Vec<Arc<Artifact>> {
-        self.by_name
-            .get(name)
-            .map(|ids| ids.iter().map(|id| Arc::clone(&self.by_id[id])).collect())
-            .unwrap_or_default()
-    }
-
-    /// The most recent registration under `name`.
-    pub fn latest(&self, name: &str) -> Option<Arc<Artifact>> {
-        self.by_name
-            .get(name)
-            .and_then(|ids| ids.last())
-            .map(|id| Arc::clone(&self.by_id[id]))
-    }
-
-    /// Finds an artifact by its content hash.
-    pub fn by_hash(&self, hash: &str) -> Option<Arc<Artifact>> {
-        self.by_hash.get(hash).map(|id| Arc::clone(&self.by_id[id]))
-    }
-
-    /// Every artifact `id` transitively depends on, in topological order
-    /// (dependencies before dependents). Used to reconstruct everything
-    /// needed to reproduce a run.
-    pub fn closure(&self, id: Uuid) -> Result<Vec<Arc<Artifact>>, ArtifactError> {
-        self.try_get(id)?;
-        Ok(self
-            .graph
-            .ancestors_topological(id)
-            .into_iter()
-            .map(|node| Arc::clone(&self.by_id[&node]))
-            .collect())
-    }
-
-    /// Artifacts that (directly) used `id` as an input.
-    pub fn dependents(&self, id: Uuid) -> Vec<Arc<Artifact>> {
-        self.graph
-            .successors(id)
-            .iter()
-            .map(|node| Arc::clone(&self.by_id[node]))
-            .collect()
-    }
-
-    /// Iterates over all registered artifacts in arbitrary order.
+    /// Iterates over all held artifacts: adopted records first, then
+    /// registrations in the order they were made.
     pub fn iter(&self) -> impl Iterator<Item = &Arc<Artifact>> {
-        self.by_id.values()
+        self.artifacts.iter()
     }
 
-    /// Number of registered artifacts.
+    /// Number of held artifacts.
     pub fn len(&self) -> usize {
-        self.by_id.len()
+        self.artifacts.len()
     }
 
     /// Whether the registry is empty.
     pub fn is_empty(&self) -> bool {
-        self.by_id.is_empty()
-    }
-
-    /// Aggregate counters for reporting.
-    pub fn stats(&self) -> RegistryStats {
-        RegistryStats {
-            artifacts: self.by_id.len(),
-            deduplicated: self.dedup_hits,
-            names: self.by_name.len(),
-        }
+        self.artifacts.is_empty()
     }
 }
 
@@ -241,7 +159,6 @@ mod tests {
         let b = r.register(binary("tool", b"bits")).unwrap();
         assert_eq!(a.id(), b.id());
         assert_eq!(r.len(), 1);
-        assert_eq!(r.stats().deduplicated, 1);
     }
 
     #[test]
@@ -250,8 +167,55 @@ mod tests {
         let v1 = r.register(binary("tool", b"v1")).unwrap();
         let v2 = r.register(binary("tool", b"v2")).unwrap();
         assert_ne!(v1.id(), v2.id());
-        assert_eq!(r.versions_of("tool").len(), 2);
-        assert_eq!(r.latest("tool").unwrap().id(), v2.id());
+        assert_eq!(r.len(), 2);
+    }
+
+    #[test]
+    fn ids_come_from_content_not_registration_order() {
+        let mut forward = ArtifactRegistry::new();
+        let a = forward.register(binary("a", b"a")).unwrap();
+        let b = forward.register(binary("b", b"b")).unwrap();
+        let mut backward = ArtifactRegistry::new();
+        assert_eq!(backward.register(binary("b", b"b")).unwrap().id(), b.id());
+        assert_eq!(backward.register(binary("a", b"a")).unwrap().id(), a.id());
+        assert_eq!(a.id(), Uuid::new_v3("simart-artifact", a.hash()));
+        assert_eq!(a.id().version(), 3);
+    }
+
+    #[test]
+    fn adopted_records_keep_their_ids() {
+        let mut minted = ArtifactRegistry::new();
+        let tool = minted.register(binary("tool", b"bits")).unwrap();
+        let stored_id = Uuid::from_bytes([0x42; 16]);
+        let stored = Artifact::from_stored(
+            stored_id,
+            tool.name().to_owned(),
+            tool.kind().clone(),
+            tool.command().to_owned(),
+            tool.cwd().to_owned(),
+            tool.path().to_owned(),
+            tool.documentation().to_owned(),
+            Vec::new(),
+            tool.hash().to_owned(),
+            None,
+        );
+        let mut r = ArtifactRegistry::new();
+        assert_eq!(r.adopt(stored.clone()).id(), stored_id);
+        assert_eq!(r.adopt(stored).id(), stored_id, "adoption is idempotent");
+        assert_eq!(r.register(binary("tool", b"bits")).unwrap().id(), stored_id);
+        assert!(r.register(binary("renamed", b"bits")).is_err());
+        assert_eq!(r.len(), 1);
+    }
+
+    #[test]
+    fn iteration_follows_registration_order() {
+        let mut r = ArtifactRegistry::new();
+        let names = ["zeta", "alpha", "mid", "beta"];
+        for name in names {
+            r.register(binary(name, name.as_bytes())).unwrap();
+        }
+        let seen: Vec<&str> = r.iter().map(|a| a.name()).collect();
+        assert_eq!(seen, names);
     }
 
     #[test]
@@ -271,45 +235,11 @@ mod tests {
     }
 
     #[test]
-    fn closure_returns_dependencies_in_topological_order() {
-        let mut r = ArtifactRegistry::new();
-        let repo = r
-            .register(
-                Artifact::builder("repo", ArtifactKind::GitRepo)
-                    .documentation("src")
-                    .content(ContentSource::git("https://x", "rev1")),
-            )
-            .unwrap();
-        let bin = r.register(binary("bin", b"elf").input(repo.id())).unwrap();
-        let disk = r.register(binary("disk", b"img").input(bin.id())).unwrap();
-        let closure = r.closure(disk.id()).unwrap();
-        let ids: Vec<_> = closure.iter().map(|a| a.id()).collect();
-        assert_eq!(ids, vec![repo.id(), bin.id(), disk.id()]);
-    }
-
-    #[test]
-    fn dependents_are_tracked() {
-        let mut r = ArtifactRegistry::new();
-        let repo = r
-            .register(
-                Artifact::builder("repo", ArtifactKind::GitRepo)
-                    .documentation("src")
-                    .content(ContentSource::git("https://x", "rev1")),
-            )
-            .unwrap();
-        let bin = r.register(binary("bin", b"elf").input(repo.id())).unwrap();
-        let dependents = r.dependents(repo.id());
-        assert_eq!(dependents.len(), 1);
-        assert_eq!(dependents[0].id(), bin.id());
-    }
-
-    #[test]
-    fn lookup_by_hash_and_id() {
+    fn lookup_by_id() {
         let mut r = ArtifactRegistry::new();
         let a = r.register(binary("tool", b"bits")).unwrap();
-        assert_eq!(r.by_hash(a.hash()).unwrap().id(), a.id());
         assert_eq!(r.get(a.id()).unwrap().name(), "tool");
-        assert!(r.try_get(Uuid::NIL).is_err());
+        assert!(r.get(Uuid::NIL).is_none());
     }
 
     #[test]

@@ -1,10 +1,11 @@
 //! UUID generation for artifact identity.
 //!
-//! The paper's framework assigns every artifact a UUID in addition to its
-//! content hash: the hash identifies *content*, the UUID identifies the
-//! *registration* (two artifacts may wrap the same bytes under different
-//! roles). We implement random (version 4) and name-based (version 3,
-//! MD5-derived) UUIDs in-repo — ~80 lines — instead of adding a dependency.
+//! The paper's framework gives every artifact a UUID beside its content
+//! hash. Here the UUID is name-based (version 3, MD5-derived) and its
+//! name *is* the content hash, so an artifact's id, like a run's, is a
+//! function of its content; databases written when ids were random
+//! (version 4) keep theirs. Implemented in-repo instead of adding a
+//! dependency.
 
 use crate::hash::Md5;
 use simart_codec::hex;
@@ -27,17 +28,6 @@ pub struct Uuid([u8; 16]);
 impl Uuid {
     /// The all-zero nil UUID.
     pub const NIL: Uuid = Uuid([0u8; 16]);
-
-    /// Creates a random (version 4) UUID from the provided RNG.
-    ///
-    /// Taking the RNG as an argument keeps identity generation
-    /// deterministic when the caller seeds it — important for
-    /// reproducible experiment transcripts.
-    pub fn new_v4<R: rand::RngCore>(rng: &mut R) -> Uuid {
-        let mut bytes = [0u8; 16];
-        rng.fill_bytes(&mut bytes);
-        Uuid(Self::set_version(bytes, 4))
-    }
 
     /// Creates a deterministic, name-based (version 3) UUID from a
     /// namespace string and a name, via MD5.
@@ -124,24 +114,14 @@ impl FromStr for Uuid {
 #[cfg(test)]
 mod tests {
     use super::*;
-    use rand::rngs::SmallRng;
-    use rand::SeedableRng;
 
     #[test]
-    fn v4_has_version_and_variant_bits() {
-        let mut rng = SmallRng::seed_from_u64(7);
-        for _ in 0..100 {
-            let u = Uuid::new_v4(&mut rng);
-            assert_eq!(u.version(), 4);
+    fn v3_has_version_and_variant_bits() {
+        for name in ["", "a", "gem5-binary", "0123456789abcdef0123456789abcdef"] {
+            let u = Uuid::new_v3("artifacts", name);
+            assert_eq!(u.version(), 3);
             assert_eq!(u.as_bytes()[8] & 0xc0, 0x80);
         }
-    }
-
-    #[test]
-    fn v4_is_deterministic_given_seed() {
-        let mut a = SmallRng::seed_from_u64(42);
-        let mut b = SmallRng::seed_from_u64(42);
-        assert_eq!(Uuid::new_v4(&mut a), Uuid::new_v4(&mut b));
     }
 
     #[test]
@@ -156,9 +136,8 @@ mod tests {
 
     #[test]
     fn display_parse_round_trip() {
-        let mut rng = SmallRng::seed_from_u64(3);
-        for _ in 0..20 {
-            let u = Uuid::new_v4(&mut rng);
+        for n in 0..20 {
+            let u = Uuid::new_v3("round-trip", &n.to_string());
             let s = u.to_string();
             assert_eq!(s.parse::<Uuid>().unwrap(), u);
         }
@@ -180,7 +159,6 @@ mod tests {
     #[test]
     fn nil_is_nil() {
         assert!(Uuid::NIL.is_nil());
-        let mut rng = SmallRng::seed_from_u64(1);
-        assert!(!Uuid::new_v4(&mut rng).is_nil());
+        assert!(!Uuid::new_v3("", "").is_nil());
     }
 }

@@ -1,9 +1,50 @@
-//! Property-based tests for hashing, identity, and the provenance DAG.
+//! Property-based tests for hashing, identity, and provenance-graph validation.
 
 use proptest::prelude::*;
-use simart_artifact::dag::DependencyGraph;
+use simart_artifact::dag::{DependencyGraph, GraphIssue};
 use simart_artifact::hash::{Digest, Md5};
 use simart_artifact::{Artifact, ArtifactKind, ArtifactRegistry, ContentSource, Uuid};
+use std::collections::{BTreeMap, BTreeSet};
+
+type Cycles = BTreeSet<BTreeSet<u64>>;
+type Orphans = BTreeMap<u64, BTreeSet<u64>>;
+
+/// The reference: a depth-first reachability set per node; a node is on
+/// a cycle when it reaches itself, and its cycle is every node it
+/// reaches that reaches it back. Orphans are the undeclared endpoints.
+fn reference(edges: &[(u64, u64)], declared: impl Fn(u64) -> bool) -> (Cycles, Orphans) {
+    let reach = |from: u64| {
+        let (mut seen, mut stack) = (BTreeSet::new(), vec![from]);
+        while let Some(node) = stack.pop() {
+            for &(_, to) in edges.iter().filter(|(f, _)| *f == node) {
+                if seen.insert(to) {
+                    stack.push(to);
+                }
+            }
+        }
+        seen
+    };
+    let reaches: BTreeMap<u64, BTreeSet<u64>> = (0..12).map(|n| (n, reach(n))).collect();
+    let cycles = (0..12)
+        .filter(|n| reaches[n].contains(n))
+        .map(|n| {
+            reaches[&n]
+                .iter()
+                .copied()
+                .filter(|m| reaches[m].contains(&n))
+                .collect()
+        })
+        .collect();
+    let mut orphans = Orphans::new();
+    for &(from, to) in edges {
+        for (end, other) in [(from, to), (to, from)] {
+            if !declared(end) {
+                orphans.entry(end).or_default().insert(other);
+            }
+        }
+    }
+    (cycles, orphans)
+}
 
 proptest! {
     /// Streaming MD5 over any chunking equals the one-shot digest
@@ -52,46 +93,37 @@ proptest! {
         prop_assert_ne!(Uuid::new_v3("ns", &a), Uuid::new_v3("ns", &b));
     }
 
-    /// Arbitrary edge insertions never create a cycle: the graph either
-    /// rejects the edge or stays topologically sortable.
+    /// `validate` over arbitrary edges, some with undeclared endpoints,
+    /// reports exactly the cycles the reference finds — one per set of
+    /// mutually reachable nodes, self-loops included — and exactly the
+    /// undeclared endpoints as orphans, each with its neighbours.
     #[test]
-    fn dag_stays_acyclic(edges in proptest::collection::vec((0u64..24, 0u64..24), 0..80)) {
-        let mut graph = DependencyGraph::new();
+    fn validate_matches_reference(edges in proptest::collection::vec((0u64..12, 0u64..12), 0..40),
+                                  declared in any::<u16>()) {
         let id = |n: u64| Uuid::new_v3("props-dag", &n.to_string());
-        for (from, to) in edges {
-            let _ = graph.add_edge(id(from), id(to));
-        }
-        let order = graph.topological_order().expect("graph must stay acyclic");
-        // Every edge respects the order.
-        let position = |node: Uuid| order.iter().position(|n| *n == node).unwrap();
-        for node in &order {
-            for succ in graph.successors(*node) {
-                prop_assert!(position(*node) < position(*succ));
-            }
-        }
-    }
-
-    /// A rejected edge insertion leaves the graph bit-identical: build a
-    /// random graph, then replay every rejected edge again and check the
-    /// graph compares equal to a snapshot taken before the retry.
-    #[test]
-    fn dag_rejected_edge_leaves_graph_identical(
-        edges in proptest::collection::vec((0u64..16, 0u64..16), 1..60)) {
+        let is_declared = |n: u64| declared & (1 << n) != 0;
         let mut graph = DependencyGraph::new();
-        let id = |n: u64| Uuid::new_v3("props-dag-reject", &n.to_string());
-        let mut rejected = Vec::new();
-        for (from, to) in edges {
-            if graph.add_edge(id(from), id(to)).is_err() {
-                rejected.push((id(from), id(to)));
+        for n in (0..12).filter(|&n| is_declared(n)) {
+            graph.add_node(id(n));
+        }
+        for &(from, to) in &edges {
+            graph.add_edge_unchecked(id(from), id(to));
+        }
+        let number: BTreeMap<Uuid, u64> = (0..12).map(|n| (id(n), n)).collect();
+        let (mut cycles, mut orphans) = (BTreeSet::new(), BTreeMap::new());
+        for issue in graph.validate() {
+            match issue {
+                GraphIssue::Cycle { members } => {
+                    cycles.insert(members.iter().map(|m| number[m]).collect::<BTreeSet<_>>());
+                }
+                GraphIssue::Orphan { node, referenced_by } => {
+                    orphans.insert(number[&node], referenced_by.iter().map(|m| number[m]).collect());
+                }
             }
         }
-        let snapshot = graph.clone();
-        for (from, to) in rejected {
-            prop_assert!(graph.add_edge(from, to).is_err(), "still cyclic");
-            prop_assert_eq!(&graph, &snapshot, "rejected edge must not mutate the graph");
-        }
-        // And a clean graph validates clean.
-        prop_assert!(graph.validate().is_empty());
+        let (ref_cycles, ref_orphans) = reference(&edges, is_declared);
+        prop_assert_eq!(cycles, ref_cycles);
+        prop_assert_eq!(orphans, ref_orphans);
     }
 
     /// Registering arbitrary content: identical content+metadata always

@@ -229,6 +229,10 @@ impl Experiment {
     /// Creates an experiment over an existing database (e.g. one loaded
     /// from disk to extend previous results).
     ///
+    /// The stored artifacts are the registry of record: the session
+    /// adopts every one that decodes, so re-registering stored content
+    /// returns the stored record under its stored id.
+    ///
     /// # Errors
     ///
     /// Fails if the database's existing contents violate artifact or
@@ -239,10 +243,14 @@ impl Experiment {
     ) -> Result<Experiment, ExperimentError> {
         let artifacts = ArtifactStore::new(&db)?;
         let runs = RunStore::new(&db)?;
+        let mut registry = ArtifactRegistry::new();
+        for artifact in artifacts.all() {
+            registry.adopt(artifact);
+        }
         Ok(Experiment {
             name: name.into(),
             db,
-            registry: Arc::new(Mutex::new(ArtifactRegistry::new())),
+            registry: Arc::new(Mutex::new(registry)),
             artifacts,
             runs,
         })
@@ -273,9 +281,7 @@ impl Experiment {
         &self,
         builder: ArtifactBuilder,
     ) -> Result<Arc<Artifact>, ExperimentError> {
-        let artifact = self.registry.lock().register(builder)?;
-        self.artifacts.save(&artifact, None)?;
-        Ok(artifact)
+        self.with_registry(|registry| registry.register(builder))
     }
 
     /// Runs a closure with access to the artifact registry (for
@@ -283,22 +289,24 @@ impl Experiment {
     ///
     /// # Errors
     ///
-    /// Returns whatever the closure returns; newly registered artifacts
-    /// are persisted afterwards.
+    /// Returns whatever the closure returns; the artifacts it newly
+    /// registered are persisted first — once each, in registration
+    /// order, even when it then failed.
     pub fn with_registry<T>(
         &self,
         f: impl FnOnce(&mut ArtifactRegistry) -> Result<T, ArtifactError>,
     ) -> Result<T, ExperimentError> {
         let mut registry = self.registry.lock();
-        let result = f(&mut registry)?;
-        // Persist anything new.
-        for artifact in registry.iter() {
+        let held = registry.len();
+        let result = f(&mut registry);
+        for artifact in registry.iter().skip(held) {
             self.artifacts.save(artifact, None)?;
         }
-        Ok(result)
+        Ok(result?)
     }
 
-    /// Number of registered artifacts.
+    /// Number of artifacts the session holds: those adopted from the
+    /// database and those registered since.
     pub fn artifact_count(&self) -> usize {
         self.registry.lock().len()
     }

@@ -10,11 +10,9 @@
 use crate::blobstore::BlobKey;
 use crate::database::Database;
 use crate::error::DbError;
-use crate::query::Filter;
 use crate::Value;
 use simart_artifact::{Artifact, ArtifactId, ArtifactKind, GitInfo};
 use std::str::FromStr;
-use std::sync::Arc;
 
 /// Artifact ↔ document mapping over a [`Database`].
 #[derive(Debug, Clone)]
@@ -26,23 +24,16 @@ impl ArtifactStore {
     /// Collection name used for artifact documents.
     pub const COLLECTION: &'static str = "artifacts";
 
-    /// Wraps a database, installing the hash-uniqueness constraint, the
-    /// lookup indexes behind [`find_by_name`](Self::find_by_name) and
-    /// [`find_by_kind`](Self::find_by_kind), and the multikey `inputs`
-    /// index the provenance-DAG walks ([`dependents`](Self::dependents),
-    /// [`dependent_closure`](Self::dependent_closure)) probe instead of
-    /// scanning the collection.
+    /// Wraps a database, installing the hash-uniqueness constraint —
+    /// the collection's only index: artifacts are read by id, or all at
+    /// once when a session adopts them.
     ///
     /// # Errors
     ///
     /// Fails if the database already contains duplicate artifact hashes.
     pub fn new(db: &Database) -> Result<ArtifactStore, DbError> {
         let store = ArtifactStore { db: db.clone() };
-        let collection = store.collection();
-        collection.ensure_unique("hash")?;
-        collection.ensure_index(crate::IndexSpec::hash("name"))?;
-        collection.ensure_index(crate::IndexSpec::hash("kind"))?;
-        collection.ensure_index(crate::IndexSpec::hash("inputs"))?;
+        store.collection().ensure_unique("hash")?;
         Ok(store)
     }
 
@@ -53,7 +44,9 @@ impl ArtifactStore {
     /// Persists an artifact record, optionally with its payload bytes.
     ///
     /// Re-saving the identical artifact is a no-op (the paper stores a
-    /// file "unless it already exists there").
+    /// file "unless it already exists there"): an id is derived from
+    /// the content or adopted from this database, so an occupied id
+    /// already holds this record.
     ///
     /// # Errors
     ///
@@ -84,100 +77,14 @@ impl ArtifactStore {
         doc_to_artifact(&doc)
     }
 
-    /// Loads the payload bytes stored with an artifact, if any.
-    pub fn load_payload(&self, id: ArtifactId) -> Option<Arc<[u8]>> {
-        let doc = self.collection().get(&id.to_string())?;
-        let key = BlobKey::from_hex(doc.at("payload").and_then(Value::as_str)?)?;
-        self.db.blobs().get(key)
-    }
-
-    /// All stored artifacts with the given name.
-    pub fn find_by_name(&self, name: &str) -> Result<Vec<Artifact>, DbError> {
+    /// Every stored artifact that decodes, in `_id` order. A malformed
+    /// document is skipped here; `simart check` reports it.
+    pub fn all(&self) -> Vec<Artifact> {
         self.collection()
-            .find(&Filter::eq("name", name))
+            .snapshot()
             .iter()
-            .map(doc_to_artifact)
+            .filter_map(|(_, doc)| doc_to_artifact(doc).ok())
             .collect()
-    }
-
-    /// All stored artifacts of the given kind.
-    pub fn find_by_kind(&self, kind: &ArtifactKind) -> Result<Vec<Artifact>, DbError> {
-        self.collection()
-            .find(&Filter::eq("kind", kind_str(kind)))
-            .iter()
-            .map(doc_to_artifact)
-            .collect()
-    }
-
-    /// Direct dependents of an artifact: every stored artifact that
-    /// lists `id` among its `inputs`. One probe of the multikey
-    /// `inputs` index (`db.query_planned_index`), never a collection
-    /// scan.
-    ///
-    /// # Errors
-    ///
-    /// [`DbError::InvalidDocument`] when a stored document is malformed.
-    pub fn dependents(&self, id: ArtifactId) -> Result<Vec<Artifact>, DbError> {
-        self.collection()
-            .find(&Filter::elem_match("inputs", id.to_string()))
-            .iter()
-            .map(doc_to_artifact)
-            .collect()
-    }
-
-    /// Transitive dependents of an artifact (the impact set: everything
-    /// whose provenance includes `id`), breadth-first, nearest layer
-    /// first and `_id`-ordered within a layer. Each frontier step is an
-    /// indexed `inputs` probe, so the walk touches only the reachable
-    /// region of the DAG — not the whole collection.
-    ///
-    /// # Errors
-    ///
-    /// [`DbError::InvalidDocument`] when a stored document is malformed.
-    pub fn dependent_closure(&self, id: ArtifactId) -> Result<Vec<Artifact>, DbError> {
-        let mut seen = std::collections::BTreeSet::new();
-        let mut frontier = std::collections::VecDeque::from([id]);
-        let mut out = Vec::new();
-        while let Some(node) = frontier.pop_front() {
-            let mut layer = self.dependents(node)?;
-            layer.sort_by_key(Artifact::id);
-            for artifact in layer {
-                if seen.insert(artifact.id()) {
-                    frontier.push_back(artifact.id());
-                    out.push(artifact);
-                }
-            }
-        }
-        Ok(out)
-    }
-
-    /// Transitive inputs of an artifact (its reproduction closure as
-    /// stored), breadth-first from `id` itself. Each step is a primary
-    /// key lookup; inputs referencing unstored artifacts are skipped —
-    /// the linter (SA0003) reports them, a walk should not fail on
-    /// them.
-    ///
-    /// # Errors
-    ///
-    /// [`DbError::NotFound`] when `id` itself is not stored;
-    /// [`DbError::InvalidDocument`] when a stored document is malformed.
-    pub fn input_closure(&self, id: ArtifactId) -> Result<Vec<Artifact>, DbError> {
-        let mut seen = std::collections::BTreeSet::from([id]);
-        let mut frontier = vec![self.load(id)?];
-        let mut out = Vec::new();
-        while let Some(artifact) = frontier.pop() {
-            for &input in artifact.inputs() {
-                if seen.insert(input) {
-                    match self.load(input) {
-                        Ok(found) => frontier.push(found),
-                        Err(DbError::NotFound { .. }) => {}
-                        Err(other) => return Err(other),
-                    }
-                }
-            }
-            out.push(artifact);
-        }
-        Ok(out)
     }
 
     /// Number of stored artifacts.
@@ -189,10 +96,6 @@ impl ArtifactStore {
     pub fn is_empty(&self) -> bool {
         self.collection().is_empty()
     }
-}
-
-fn kind_str(kind: &ArtifactKind) -> String {
-    kind.to_string()
 }
 
 fn kind_from_str(s: &str) -> ArtifactKind {
@@ -221,7 +124,7 @@ pub(crate) fn artifact_to_doc(artifact: &Artifact, payload: Option<BlobKey>) -> 
     let mut doc = Value::map([
         ("_id", Value::from(artifact.id().to_string())),
         ("name", Value::from(artifact.name())),
-        ("kind", Value::from(kind_str(artifact.kind()))),
+        ("kind", Value::from(artifact.kind().to_string())),
         ("command", Value::from(artifact.command())),
         ("cwd", Value::from(artifact.cwd())),
         ("path", Value::from(artifact.path())),
@@ -340,10 +243,12 @@ mod tests {
 
         let loaded = store.load(artifact.id()).unwrap();
         assert_eq!(loaded, artifact);
-        assert_eq!(
-            store.load_payload(artifact.id()).unwrap().as_ref(),
-            b"payload-bytes"
-        );
+        let payload = db
+            .collection(ArtifactStore::COLLECTION)
+            .get(&artifact.id().to_string());
+        let key = payload.as_ref().and_then(|doc| doc.at("payload")?.as_str());
+        let key = BlobKey::from_hex(key.unwrap()).unwrap();
+        assert_eq!(db.blobs().get(key).unwrap().as_ref(), b"payload-bytes");
     }
 
     #[test]
@@ -374,100 +279,25 @@ mod tests {
     }
 
     #[test]
-    fn find_by_name_and_kind() {
+    fn all_skips_documents_that_do_not_decode() {
         let (_registry, artifact) = sample_registry();
         let db = Database::in_memory();
         let store = ArtifactStore::new(&db).unwrap();
         store.save(&artifact, None).unwrap();
-        assert_eq!(store.find_by_name("sim-binary").unwrap().len(), 1);
-        assert_eq!(store.find_by_kind(&ArtifactKind::Binary).unwrap().len(), 1);
-        assert!(store
-            .find_by_kind(&ArtifactKind::Kernel)
-            .unwrap()
-            .is_empty());
-    }
-
-    /// A diamond provenance DAG: repo → {bin, script} → results.
-    fn diamond() -> (ArtifactStore, [Artifact; 4]) {
-        let mut registry = ArtifactRegistry::new();
-        let repo = registry
-            .register(
-                Artifact::builder("repo", ArtifactKind::GitRepo)
-                    .documentation("sources")
-                    .content(ContentSource::git("https://example.org/x.git", "rev1")),
-            )
+        db.collection(ArtifactStore::COLLECTION)
+            .insert(Value::map([
+                ("_id", Value::from("not-a-uuid")),
+                ("hash", Value::from("h")),
+            ]))
             .unwrap();
-        let bin = registry
-            .register(
-                Artifact::builder("bin", ArtifactKind::Binary)
-                    .documentation("binary")
-                    .content(ContentSource::bytes(b"elf".to_vec()))
-                    .input(repo.id()),
-            )
-            .unwrap();
-        let script = registry
-            .register(
-                Artifact::builder("script", ArtifactKind::RunScript)
-                    .documentation("script")
-                    .content(ContentSource::bytes(b"#!/bin/sh".to_vec()))
-                    .input(repo.id()),
-            )
-            .unwrap();
-        let results = registry
-            .register(
-                Artifact::builder("results", ArtifactKind::Results)
-                    .documentation("stats")
-                    .content(ContentSource::bytes(b"stats".to_vec()))
-                    .input(bin.id())
-                    .input(script.id()),
-            )
-            .unwrap();
-        let db = Database::in_memory();
-        let store = ArtifactStore::new(&db).unwrap();
-        let arts = [
-            (*repo).clone(),
-            (*bin).clone(),
-            (*script).clone(),
-            (*results).clone(),
-        ];
-        for artifact in &arts {
-            store.save(artifact, None).unwrap();
-        }
-        (store, arts)
-    }
-
-    #[test]
-    fn dependency_walks_cover_the_reachable_region() {
-        let (store, [repo, bin, script, results]) = diamond();
-        // Direct dependents of the root: the middle layer only.
-        let direct: Vec<_> = store
-            .dependents(repo.id())
-            .unwrap()
-            .iter()
-            .map(|a| a.name().to_owned())
-            .collect();
-        assert_eq!(direct.len(), 2);
-        assert!(direct.contains(&"bin".to_owned()));
-        assert!(direct.contains(&"script".to_owned()));
-        // Transitive dependents of the root: everything else, each
-        // exactly once despite the diamond.
-        let impact = store.dependent_closure(repo.id()).unwrap();
-        assert_eq!(impact.len(), 3);
-        assert!(impact.iter().any(|a| a.id() == results.id()));
-        // A leaf has no dependents.
-        assert!(store.dependents(results.id()).unwrap().is_empty());
-        // Input closure from the sink reaches the whole diamond once.
-        let closure = store.input_closure(results.id()).unwrap();
-        assert_eq!(closure.len(), 4);
-        assert!(closure.iter().any(|a| a.id() == repo.id()));
-        assert!(closure.iter().any(|a| a.id() == bin.id()));
-        assert!(closure.iter().any(|a| a.id() == script.id()));
+        assert_eq!(store.len(), 2);
+        assert_eq!(store.all(), vec![artifact]);
     }
 
     #[test]
     fn other_kind_round_trips() {
         assert_eq!(
-            kind_from_str(&kind_str(&ArtifactKind::Other("trace".into()))),
+            kind_from_str(&ArtifactKind::Other("trace".into()).to_string()),
             ArtifactKind::Other("trace".into())
         );
         assert_eq!(kind_from_str("kernel"), ArtifactKind::Kernel);

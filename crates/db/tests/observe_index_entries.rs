@@ -8,7 +8,7 @@
 //! each retracted and admitted again).
 //!
 //! Exact counts on the process-global registry: the only test in its
-//! binary, like `observe_planned_index.rs`.
+//! binary, like `core/tests/observe_planned_index.rs`.
 
 use simart_db::{Database, Filter, IndexSpec, Value};
 use simart_observe as observe;

@@ -152,9 +152,6 @@ mod tests {
         assert_eq!(binary.inputs(), &[repo.id()]);
         assert_eq!(script.inputs(), &[repo.id()]);
         assert_eq!(repo.git().unwrap().revision, "20.1.0.4");
-        // The binary's reproduction closure includes the repository.
-        let closure = registry.closure(binary.id()).unwrap();
-        assert_eq!(closure.len(), 2);
     }
 
     #[test]

@@ -2,8 +2,9 @@
 //! crate can contain `unsafe`, and the vendored shims are the four the
 //! build needs. A `[features]` table, a feature-gated `cfg`, a crate
 //! root without `forbid(unsafe_code)` or a fifth shim fails here, as
-//! do a SipHash map on the simulator's per-access path and a per-byte
-//! hex `format!` outside `simart_codec::hex`.
+//! do a SipHash map on the simulator's per-access path, a per-byte
+//! hex `format!` outside `simart_codec::hex`, an artifact id that is
+//! not a function of content, and a second provenance graph.
 
 use std::path::{Path, PathBuf};
 
@@ -138,11 +139,7 @@ fn hex_is_rendered_in_one_place() {
     // byte; digests, keys and UUIDs go through `simart_codec::hex`.
     // Spelled in parts, as above.
     let banned = ["02", "x}"].concat();
-    let mut sources = Vec::new();
-    for package in std::fs::read_dir(repo().join("crates")).unwrap().flatten() {
-        let src = package.path().join("src");
-        files(&src, &|name| name.ends_with(".rs"), &mut sources);
-    }
+    let sources = package_sources();
     assert!(sources.len() > 80, "found only {} sources", sources.len());
     for source in sources {
         if source.ends_with("crates/codec/src/hex.rs") {
@@ -158,4 +155,75 @@ fn hex_is_rendered_in_one_place() {
             );
         }
     }
+}
+
+/// Every `.rs` file under some package's `src/`.
+fn package_sources() -> Vec<PathBuf> {
+    let mut sources = Vec::new();
+    for package in std::fs::read_dir(repo().join("crates")).unwrap().flatten() {
+        files(
+            &package.path().join("src"),
+            &|name| name.ends_with(".rs"),
+            &mut sources,
+        );
+    }
+    sources
+}
+
+#[test]
+fn artifact_identity_is_content() {
+    // An artifact's id is minted from its content hash, never drawn
+    // from a generator.
+    let manifest = std::fs::read_to_string(repo().join("crates/artifact/Cargo.toml")).unwrap();
+    assert!(
+        !manifest
+            .lines()
+            .any(|line| line.trim_start().starts_with("rand")),
+        "simart-artifact depends on rand"
+    );
+    let mut sources = Vec::new();
+    files(
+        &repo().join("crates/artifact/src"),
+        &|name| name.ends_with(".rs"),
+        &mut sources,
+    );
+    assert!(sources.len() >= 5, "found only {sources:?}");
+    for source in sources {
+        let text = std::fs::read_to_string(&source).unwrap();
+        for banned in ["new_v4", "SmallRng"] {
+            assert!(
+                !text.contains(banned),
+                "{} names {banned}",
+                source.display()
+            );
+        }
+    }
+}
+
+#[test]
+fn one_provenance_graph() {
+    // The stored `inputs` are the provenance graph: only the linter
+    // mirrors them into a `DependencyGraph`, and the `artifacts`
+    // collection indexes nothing but its unique content hash.
+    let mut naming: Vec<String> = package_sources()
+        .into_iter()
+        .filter(|source| {
+            std::fs::read_to_string(source)
+                .unwrap()
+                .contains("DependencyGraph")
+        })
+        .map(|source| source.strip_prefix(repo()).unwrap().display().to_string())
+        .collect();
+    naming.sort();
+    assert_eq!(
+        naming,
+        ["crates/analyze/src/lints.rs", "crates/artifact/src/dag.rs"]
+    );
+    let store = std::fs::read_to_string(repo().join("crates/db/src/artifact_store.rs")).unwrap();
+    let declared: Vec<&str> = store
+        .lines()
+        .filter(|line| line.contains("ensure_"))
+        .map(str::trim)
+        .collect();
+    assert_eq!(declared, [r#"store.collection().ensure_unique("hash")?;"#]);
 }
