@@ -227,3 +227,33 @@ fn one_provenance_graph() {
         .collect();
     assert_eq!(declared, [r#"store.collection().ensure_unique("hash")?;"#]);
 }
+
+#[test]
+fn remote_hook_only_enqueues() {
+    // The remote event hook runs on coordinator threads under the
+    // scheduler's lock; the launching thread journals what it hands
+    // over. A hook that edits or commits a run record writes under
+    // that lock again.
+    let source = std::fs::read_to_string(repo().join("crates/core/src/experiment.rs")).unwrap();
+    let calls: Vec<usize> = source
+        .match_indices("set_event_hook(")
+        .map(|(at, call)| at + call.len())
+        .collect();
+    assert_eq!(calls.len(), 1, "expected one hook installation");
+    let mut depth = 1;
+    let closure: String = source[calls[0]..]
+        .chars()
+        .take_while(|&c| {
+            depth += match c {
+                '(' => 1,
+                ')' => -1,
+                _ => 0,
+            };
+            depth > 0
+        })
+        .collect();
+    assert!(closure.contains(".send("), "hook: {closure}");
+    for banned in [".edit(", ".commit("] {
+        assert!(!closure.contains(banned), "hook calls {banned}: {closure}");
+    }
+}
