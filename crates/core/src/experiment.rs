@@ -751,7 +751,6 @@ impl Deliveries {
                     task,
                     delivery,
                     generation,
-                    ..
                 } => (task, format!("remote-dispatch:{delivery}:g{generation}")),
                 RemoteEvent::Acked {
                     task,
@@ -766,7 +765,6 @@ impl Deliveries {
                     session,
                     generation,
                 } => (task, format!("remote-reconnect:{session}:g{generation}")),
-                RemoteEvent::Redelivered { .. } | RemoteEvent::DeadLettered { .. } => continue,
             };
             let Some(&id) = self.runs.get(task) else {
                 continue;

@@ -5,30 +5,36 @@
 //! *stable string fingerprint* of the configuration, so identical
 //! configurations always produce identical simulations — the property
 //! the paper's reproducibility story depends on.
-
-use rand::rngs::SmallRng;
-use rand::{Rng, RngCore, SeedableRng};
+//!
+//! The generator is xoshiro256++ with its state expanded from a 64-bit
+//! seed by SplitMix64; the simulator's recorded statistics pin every
+//! bit of its output.
 
 use simart_codec::fnv1a;
 
 /// A deterministic RNG derived from a textual seed.
 #[derive(Debug, Clone)]
 pub struct DetRng {
-    inner: SmallRng,
+    state: [u64; 4],
 }
 
 impl DetRng {
     /// Seeds from an arbitrary string (e.g. a config fingerprint).
     pub fn from_label(label: &str) -> DetRng {
-        DetRng {
-            inner: SmallRng::seed_from_u64(fnv1a(label.as_bytes())),
-        }
+        DetRng::seeded(fnv1a(label.as_bytes()))
     }
 
-    /// Seeds from a raw integer.
-    pub fn from_seed_u64(seed: u64) -> DetRng {
+    /// Expands `seed` into the generator state with SplitMix64.
+    fn seeded(mut seed: u64) -> DetRng {
+        let mut splitmix = || {
+            seed = seed.wrapping_add(0x9E37_79B9_7F4A_7C15);
+            let mut z = seed;
+            z = (z ^ (z >> 30)).wrapping_mul(0xBF58_476D_1CE4_E5B9);
+            z = (z ^ (z >> 27)).wrapping_mul(0x94D0_49BB_1331_11EB);
+            z ^ (z >> 31)
+        };
         DetRng {
-            inner: SmallRng::seed_from_u64(seed),
+            state: [splitmix(), splitmix(), splitmix(), splitmix()],
         }
     }
 
@@ -37,35 +43,41 @@ impl DetRng {
         // Mix the component name into a fresh seed rather than cloning
         // state, so sibling components get decorrelated streams.
         let salt = fnv1a(component.as_bytes());
-        DetRng {
-            inner: SmallRng::seed_from_u64(salt ^ self.base_sample()),
-        }
+        DetRng::seeded(salt ^ self.base_sample())
     }
 
     fn base_sample(&self) -> u64 {
         // Clone so `fork` does not perturb this stream.
-        let mut clone = self.inner.clone();
-        clone.next_u64()
+        self.clone().next_u64()
     }
 
-    /// Next u64.
+    /// Next u64 (one xoshiro256++ step).
     pub fn next_u64(&mut self) -> u64 {
-        self.inner.next_u64()
+        let s = &mut self.state;
+        let result = s[0].wrapping_add(s[3]).rotate_left(23).wrapping_add(s[0]);
+        let t = s[1] << 17;
+        s[2] ^= s[0];
+        s[3] ^= s[1];
+        s[1] ^= s[2];
+        s[0] ^= s[3];
+        s[2] ^= t;
+        s[3] = s[3].rotate_left(45);
+        result
     }
 
-    /// Uniform value in `[0, bound)`.
+    /// Uniform value in `[0, bound)`, by multiply-shift.
     ///
     /// # Panics
     ///
     /// Panics if `bound` is zero.
     pub fn below(&mut self, bound: u64) -> u64 {
         assert!(bound > 0, "bound must be positive");
-        self.inner.gen_range(0..bound)
+        ((u128::from(self.next_u64()) * u128::from(bound)) >> 64) as u64
     }
 
-    /// Uniform f64 in `[0, 1)`.
+    /// Uniform f64 in `[0, 1)`: 53 random mantissa bits.
     pub fn unit(&mut self) -> f64 {
-        self.inner.gen::<f64>()
+        (self.next_u64() >> 11) as f64 * (1.0 / (1u64 << 53) as f64)
     }
 
     /// Bernoulli draw.

@@ -63,8 +63,8 @@ impl Scheduler for PoolScheduler {
 mod tests {
     use super::*;
     use crate::task::TaskState;
-    use crossbeam::channel::unbounded;
     use std::sync::atomic::{AtomicUsize, Ordering};
+    use std::sync::mpsc::channel;
     use std::sync::Arc;
     use std::time::Duration;
 
@@ -113,9 +113,11 @@ mod tests {
     #[test]
     fn shutdown_now_discards_queued_tasks() {
         let pool = PoolScheduler::new(1);
-        let (gate_tx, gate_rx) = unbounded::<()>();
+        let (gate_tx, gate_rx) = channel::<()>();
+        // A task must be `Sync`; a receiver is not.
+        let gate_rx = std::sync::Mutex::new(gate_rx);
         let first = pool.submit(Task::new("gated", move || {
-            let _ = gate_rx.recv();
+            let _ = gate_rx.lock().unwrap().recv();
             Ok("released".to_owned())
         }));
         let queued: Vec<_> = (0..3)

@@ -1,26 +1,16 @@
 //! Property-based tests for [`RetryPolicy`] backoff schedules: monotone
-//! non-decreasing, bounded by the cap, and bit-identical for equal
-//! seeds.
+//! non-decreasing, bounded by the cap, and fixed delays repeated
+//! exactly.
 
 use proptest::prelude::*;
 use simart_tasks::RetryPolicy;
 use std::time::Duration;
 
 /// An arbitrary exponential policy from small integer parts (durations
-/// in milliseconds, factor and jitter in thousandths).
-fn policy(
-    base_ms: u64,
-    factor_milli: u64,
-    cap_ms: u64,
-    jitter_milli: u64,
-    seed: u64,
-    attempts: u32,
-) -> RetryPolicy {
+/// in milliseconds).
+fn policy(base_ms: u64, cap_ms: u64, attempts: u32) -> RetryPolicy {
     RetryPolicy::exponential(Duration::from_millis(base_ms))
-        .factor(factor_milli as f64 / 1000.0)
         .cap(Duration::from_millis(cap_ms))
-        .jitter(jitter_milli as f64 / 1000.0)
-        .seed(seed)
         .max_attempts(attempts)
 }
 
@@ -28,75 +18,42 @@ proptest! {
     #![proptest_config(ProptestConfig::with_cases(64))]
 
     /// Delays never shrink: each retry waits at least as long as the
-    /// one before, for any base/factor/cap/jitter/seed combination.
+    /// one before, for any base/cap combination.
     #[test]
     fn schedules_are_monotone_nondecreasing(
         base_ms in 1u64..500,
-        factor_milli in 1000u64..4000,
         cap_ms in 1u64..5000,
-        jitter_milli in 0u64..1000,
-        seed in any::<u64>(),
         attempts in 2u32..16,
     ) {
-        let schedule =
-            policy(base_ms, factor_milli, cap_ms, jitter_milli, seed, attempts)
-                .schedule(attempts);
+        let schedule = policy(base_ms, cap_ms, attempts).schedule(attempts);
         prop_assert_eq!(schedule.len(), (attempts - 1) as usize);
         for pair in schedule.windows(2) {
             prop_assert!(pair[0] <= pair[1], "delay shrank: {:?} -> {:?}", pair[0], pair[1]);
         }
     }
 
-    /// No delay — jitter included — ever exceeds the cap.
+    /// No delay ever exceeds the cap.
     #[test]
     fn schedules_are_bounded_by_the_cap(
         base_ms in 1u64..500,
-        factor_milli in 1000u64..4000,
         cap_ms in 1u64..5000,
-        jitter_milli in 0u64..1000,
-        seed in any::<u64>(),
         attempts in 2u32..16,
     ) {
         let cap = Duration::from_millis(cap_ms);
-        let schedule =
-            policy(base_ms, factor_milli, cap_ms, jitter_milli, seed, attempts)
-                .schedule(attempts);
+        let schedule = policy(base_ms, cap_ms, attempts).schedule(attempts);
         for delay in &schedule {
             prop_assert!(*delay <= cap, "{delay:?} exceeds cap {cap:?}");
         }
     }
 
-    /// Equal seeds give bit-identical schedules; `delay_before` agrees
-    /// with the full schedule entry for entry.
-    #[test]
-    fn equal_seeds_are_bit_identical(
-        base_ms in 1u64..500,
-        factor_milli in 1000u64..4000,
-        cap_ms in 1u64..5000,
-        jitter_milli in 1u64..1000,
-        seed in any::<u64>(),
-        attempts in 2u32..16,
-    ) {
-        let a = policy(base_ms, factor_milli, cap_ms, jitter_milli, seed, attempts);
-        let b = policy(base_ms, factor_milli, cap_ms, jitter_milli, seed, attempts);
-        let schedule = a.schedule(attempts);
-        prop_assert_eq!(&schedule, &b.schedule(attempts));
-        for (i, delay) in schedule.iter().enumerate() {
-            prop_assert_eq!(*delay, b.delay_before(i as u32 + 2));
-        }
-    }
-
-    /// Fixed policies without jitter wait exactly the configured delay
-    /// before every retry, and the first attempt is never delayed.
+    /// Fixed policies wait exactly the configured delay before every
+    /// retry, and the first attempt is never delayed.
     #[test]
     fn fixed_policies_repeat_the_delay(
         delay_ms in 0u64..1000,
         attempts in 2u32..16,
-        seed in any::<u64>(),
     ) {
-        let policy = RetryPolicy::fixed(Duration::from_millis(delay_ms))
-            .seed(seed)
-            .max_attempts(attempts);
+        let policy = RetryPolicy::fixed(Duration::from_millis(delay_ms)).max_attempts(attempts);
         prop_assert_eq!(policy.delay_before(1), Duration::ZERO);
         let schedule = policy.schedule(attempts);
         for delay in schedule {

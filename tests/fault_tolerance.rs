@@ -189,11 +189,7 @@ fn fault_and_retry_schedules_are_reproducible() {
         let run_ids: Vec<_> = runs.iter().map(|r| r.id()).collect();
         let pool = PoolScheduler::new(2);
         let options = LaunchOptions::default()
-            .retry_policy(
-                RetryPolicy::fixed(Duration::from_millis(1))
-                    .max_attempts(3)
-                    .seed(seed),
-            )
+            .retry_policy(RetryPolicy::fixed(Duration::from_millis(1)).max_attempts(3))
             .fault(Arc::new(FaultInjector::new(seed).errors(0.5)));
         experiment.launch_with(runs, &pool, succeed, &options);
         run_ids

@@ -1,10 +1,11 @@
 //! The workspace builds one way: no cargo feature selects code, no
-//! crate can contain `unsafe`, and the vendored shims are the four the
+//! crate can contain `unsafe`, and the vendored shims are the two the
 //! build needs. A `[features]` table, a feature-gated `cfg`, a crate
-//! root without `forbid(unsafe_code)` or a fifth shim fails here, as
+//! root without `forbid(unsafe_code)` or a third shim fails here, as
 //! do a SipHash map on the simulator's per-access path, a per-byte
 //! hex `format!` outside `simart_codec::hex`, an artifact id that is
-//! not a function of content, and a second provenance graph.
+//! not a function of content, a second provenance graph, and a job
+//! queue outside the lease table.
 
 use std::path::{Path, PathBuf};
 
@@ -40,7 +41,7 @@ fn manifests() -> Vec<PathBuf> {
 #[test]
 fn no_manifest_declares_features() {
     let manifests = manifests();
-    assert!(manifests.len() >= 17, "found only {manifests:?}");
+    assert!(manifests.len() >= 16, "found only {manifests:?}");
     for manifest in manifests {
         let text = std::fs::read_to_string(&manifest).unwrap();
         assert!(
@@ -96,14 +97,44 @@ fn every_crate_root_forbids_unsafe() {
 }
 
 #[test]
-fn shims_are_exactly_the_four_vendored_crates() {
+fn shims_are_exactly_the_two_vendored_crates() {
     let mut shims: Vec<String> = std::fs::read_dir(repo().join("crates/shims"))
         .unwrap()
         .flatten()
         .map(|entry| entry.file_name().to_string_lossy().into_owned())
         .collect();
     shims.sort();
-    assert_eq!(shims, ["crossbeam", "parking_lot", "proptest", "rand"]);
+    assert_eq!(shims, ["parking_lot", "proptest"]);
+}
+
+#[test]
+fn one_queue_in_the_lease_table() {
+    // Queue order lives in `LeaseTable` alone: a driver that keeps its
+    // own FIFO of job ids must keep it in step with the table by hand.
+    // Spelled in parts, as above.
+    let banned = ["VecDeque", "Sender", "Receiver"].map(|kind| [kind, "<JobId>"].concat());
+    let mut sources = Vec::new();
+    files(
+        &repo().join("crates/tasks/src"),
+        &|name| name.ends_with(".rs"),
+        &mut sources,
+    );
+    assert!(sources.len() >= 10, "found only {sources:?}");
+    for source in sources {
+        if source.ends_with("lease.rs") {
+            continue;
+        }
+        let text = std::fs::read_to_string(&source).unwrap();
+        for (number, line) in text.lines().enumerate() {
+            let dense: String = line.split_whitespace().collect();
+            assert!(
+                !banned.iter().any(|spelling| dense.contains(spelling)),
+                "{}:{}: {line}",
+                source.display(),
+                number + 1
+            );
+        }
+    }
 }
 
 #[test]
