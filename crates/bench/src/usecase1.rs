@@ -10,17 +10,16 @@
 
 use simart::artifact::ArtifactId;
 use simart::db::{Filter, Value};
+use simart::kinds::{self, ParsecRun, RunKind, RunSpec};
 use simart::resources::{disks, kernels::KernelResource, suite};
 use simart::run::FsRun;
-use simart::sim::cpu::CpuKind;
-use simart::sim::kernel::{BootKind, KernelVersion};
-use simart::sim::mem::MemKind;
+use simart::sim::kernel::KernelVersion;
 use simart::sim::os::OsImage;
-use simart::sim::system::{Fidelity, SystemConfig};
+use simart::sim::system::Fidelity;
 use simart::sim::ticks::Tick;
-use simart::sim::workload::{parsec_profile, InputSize, PARSEC_APPS};
+use simart::sim::workload::{InputSize, PARSEC_APPS};
 use simart::tasks::PoolScheduler;
-use simart::{ExecOutcome, Experiment};
+use simart::Experiment;
 
 /// Core counts evaluated by Table II.
 pub const CORE_COUNTS: [u32; 3] = [1, 2, 8];
@@ -135,20 +134,6 @@ fn register_artifacts(experiment: &Experiment) -> Uc1Artifacts {
         .expect("use-case 1 artifact registration is conflict-free")
 }
 
-/// The Table II system configuration for one run.
-pub fn system_config(os: OsImage, cores: u32, fidelity: Fidelity) -> SystemConfig {
-    SystemConfig::builder()
-        .cpu(CpuKind::TimingSimple)
-        .cores(cores)
-        .memory(MemKind::classic_coherent())
-        .kernel(os.profile().default_kernel)
-        .os(os)
-        .boot(BootKind::Systemd)
-        .fidelity(fidelity)
-        .build()
-        .expect("Table II configuration is valid")
-}
-
 /// Runs the full use-case 1 experiment, returning the measured data.
 ///
 /// `fidelity` selects sample sizes (use [`Fidelity::Smoke`] in tests).
@@ -164,10 +149,10 @@ pub fn run(fidelity: Fidelity) -> Uc1Data {
         .axis("cores", CORE_COUNTS.map(|c| c.to_string()));
     let mut runs: Vec<FsRun> = Vec::new();
     for combo in sweep.iter() {
-        let os = match combo.get("os").expect("os axis") {
-            "ubuntu-18.04" => OsImage::Ubuntu1804,
-            _ => OsImage::Ubuntu2004,
-        };
+        let os: OsImage = combo
+            .get("os")
+            .and_then(|os| os.parse().ok())
+            .expect("the os axis spells OS images");
         let (kernel, disk) = match os {
             OsImage::Ubuntu1804 => (artifacts.kernel_bionic, artifacts.disk_bionic),
             OsImage::Ubuntu2004 => (artifacts.kernel_focal, artifacts.disk_focal),
@@ -176,7 +161,7 @@ pub fn run(fidelity: Fidelity) -> Uc1Data {
             .create_fs_run(|b| {
                 b.simulator(artifacts.simulator, "gem5/build/X86/gem5.opt")
                     .simulator_repo(artifacts.repo)
-                    .run_script(artifacts.script, "configs/run_parsec.py")
+                    .run_script(artifacts.script, RunKind::Table2Parsec.script())
                     .kernel(kernel, format!("vmlinux-{}", os.profile().default_kernel))
                     .disk_image(disk, format!("disks/parsec-{os}.img"))
                     .output_dir(format!("results/{}", combo.label()))
@@ -193,30 +178,7 @@ pub fn run(fidelity: Fidelity) -> Uc1Data {
             .map(|p| p.get())
             .unwrap_or(4),
     );
-    let summary = experiment.launch(runs, &pool, move |run| {
-        let params = run.params();
-        let app = params[0].clone();
-        let os = match params[1].as_str() {
-            "ubuntu-18.04" => OsImage::Ubuntu1804,
-            "ubuntu-20.04" => OsImage::Ubuntu2004,
-            other => return Err(format!("unknown OS image {other}")),
-        };
-        let cores: u32 = params[2]
-            .parse()
-            .map_err(|e| format!("bad core count: {e}"))?;
-        let profile = parsec_profile(&app).ok_or_else(|| format!("unknown PARSEC app {app}"))?;
-        let config = system_config(os, cores, fidelity);
-        let output = config
-            .run_workload(&profile, InputSize::SimMedium)
-            .map_err(|e| e.to_string())?;
-        Ok(ExecOutcome {
-            outcome: output.outcome.label().to_owned(),
-            sim_ticks: output.sim_ticks,
-            payload: output.stats.dump().into_bytes(),
-            success: output.outcome.is_success(),
-            events: vec![],
-        })
-    });
+    let summary = experiment.launch(runs, &pool, move |run| kinds::execute(run, fidelity));
     assert_eq!(
         summary.failed + summary.timed_out,
         0,
@@ -226,20 +188,10 @@ pub fn run(fidelity: Fidelity) -> Uc1Data {
     // Step 8: answer the figures from the database.
     let mut rows = Vec::new();
     for doc in experiment.query_runs(&Filter::eq("status", "done")) {
-        let params = doc
-            .at("params")
-            .and_then(Value::as_array)
-            .expect("params stored");
-        let app = params[0].as_str().expect("app param").to_owned();
-        let os = match params[1].as_str().expect("os param") {
-            "ubuntu-18.04" => OsImage::Ubuntu1804,
-            _ => OsImage::Ubuntu2004,
+        let Ok(RunSpec::Table2(ParsecRun { app, os, cores, .. })) = RunSpec::of_document(&doc)
+        else {
+            panic!("stored params decode as a Table II run");
         };
-        let cores = params[2]
-            .as_str()
-            .expect("cores param")
-            .parse()
-            .expect("cores number");
         let exec_ticks = doc
             .at("results.simTicks")
             .and_then(Value::as_int)
@@ -259,7 +211,7 @@ pub fn run(fidelity: Fidelity) -> Uc1Data {
         let instructions = stats.count("workload.instructions");
         let utilization = stats.scalar("workload.utilization");
         rows.push(Uc1Row {
-            app,
+            app: app.to_owned(),
             os,
             cores,
             exec_ticks,

@@ -9,15 +9,15 @@
 //! timeouts).
 
 use simart::db::Filter;
+use simart::kinds::{self, RunKind, RunSpec};
 use simart::resources::{disks, kernels::KernelResource, suite};
 use simart::run::FsRun;
 use simart::sim::compat::{figure8_configs, BootConfig, BootOutcome};
 use simart::sim::cpu::CpuKind;
-use simart::sim::kernel::{BootKind, KernelVersion};
-use simart::sim::mem::MemKind;
-use simart::sim::system::{Fidelity, SystemConfig};
+use simart::sim::kernel::KernelVersion;
+use simart::sim::system::Fidelity;
 use simart::tasks::PoolScheduler;
-use simart::{ExecOutcome, Experiment};
+use simart::Experiment;
 use std::collections::BTreeMap;
 
 /// One boot-test result.
@@ -65,19 +65,6 @@ impl Uc2Data {
     }
 }
 
-/// Translates a boot configuration into simulator system config.
-pub fn system_config(config: &BootConfig, fidelity: Fidelity) -> SystemConfig {
-    SystemConfig::builder()
-        .cpu(config.cpu)
-        .cores(config.cores)
-        .memory(config.mem)
-        .kernel(config.kernel)
-        .boot(config.boot)
-        .fidelity(fidelity)
-        .build()
-        .expect("figure 8 configurations are structurally buildable")
-}
-
 /// Runs all 480 boot tests through the framework, returning outcomes.
 pub fn run(fidelity: Fidelity) -> Uc2Data {
     let experiment = Experiment::new("usecase2-boot-tests");
@@ -107,17 +94,13 @@ pub fn run(fidelity: Fidelity) -> Uc2Data {
             .create_fs_run(|b| {
                 b.simulator(simulator, "gem5/build/X86/gem5.opt")
                     .simulator_repo(repo)
-                    .run_script(script, "configs/run_exit.py")
+                    .run_script(script, RunKind::Figure8Boot.script())
                     .kernel(
                         kernel_artifact,
                         format!("vmlinux-{}", config.kernel.release()),
                     )
                     .disk_image(disk, "disks/boot-exit.img")
-                    .param(config.cpu.to_string())
-                    .param(config.mem.to_string())
-                    .param(config.cores.to_string())
-                    .param(config.boot.to_string())
-                    .param(config.kernel.release())
+                    .params(RunSpec::Figure8(config).encode())
                     .timeout_seconds(24 * 3600)
             })
             .expect("valid boot-test run");
@@ -129,34 +112,15 @@ pub fn run(fidelity: Fidelity) -> Uc2Data {
             .map(|p| p.get())
             .unwrap_or(4),
     );
-    experiment.launch(runs, &pool, move |run| {
-        let config = config_from_params(run.params())?;
-        let output = system_config(&config, fidelity)
-            .boot_only()
-            .map_err(|e| e.to_string())?;
-        Ok(ExecOutcome {
-            outcome: encode_outcome(&output.outcome),
-            sim_ticks: output.sim_ticks,
-            payload: output.stats.dump().into_bytes(),
-            // Workflow-level success: the *measurement* completed; the
-            // boot outcome itself is the datum.
-            success: true,
-            events: vec![],
-        })
-    });
+    experiment.launch(runs, &pool, move |run| kinds::execute(run, fidelity));
 
     // Reconstruct the matrix from the database.
     let mut rows = Vec::new();
     for doc in experiment.query_runs(&Filter::eq("status", "done")) {
-        let params: Vec<String> = doc
-            .at("params")
-            .and_then(simart::db::Value::as_array)
-            .expect("params stored")
-            .iter()
-            .map(|p| p.as_str().expect("string param").to_owned())
-            .collect();
-        let config = config_from_params(&params).expect("stored params decode");
-        let outcome = decode_outcome(
+        let Ok(RunSpec::Figure8(config)) = RunSpec::of_document(&doc) else {
+            panic!("stored params decode as a Figure 8 boot");
+        };
+        let outcome = kinds::decode_boot_outcome(
             doc.at("results.outcome")
                 .and_then(simart::db::Value::as_str)
                 .expect("outcome"),
@@ -184,87 +148,11 @@ pub fn run(fidelity: Fidelity) -> Uc2Data {
     Uc2Data { rows }
 }
 
-fn config_from_params(params: &[String]) -> Result<BootConfig, String> {
-    let cpu = match params[0].as_str() {
-        "kvmCPU" => CpuKind::Kvm,
-        "AtomicSimpleCPU" => CpuKind::AtomicSimple,
-        "TimingSimpleCPU" => CpuKind::TimingSimple,
-        "O3CPU" => CpuKind::O3,
-        other => return Err(format!("unknown cpu {other}")),
-    };
-    let mem = match params[1].as_str() {
-        "Classic" => MemKind::classic_fast(),
-        "Classic(coherent)" => MemKind::classic_coherent(),
-        "MI_example" => MemKind::RubyMi,
-        "MESI_Two_Level" => MemKind::RubyMesiTwoLevel,
-        other => return Err(format!("unknown memory system {other}")),
-    };
-    let cores: u32 = params[2].parse().map_err(|e| format!("bad cores: {e}"))?;
-    let boot = match params[3].as_str() {
-        "kernel-only" => BootKind::KernelOnly,
-        "systemd-runlevel5" => BootKind::Systemd,
-        other => return Err(format!("unknown boot kind {other}")),
-    };
-    let kernel = KernelVersion::FIGURE8
-        .iter()
-        .copied()
-        .find(|v| v.release() == params[4])
-        .ok_or_else(|| format!("unknown kernel {}", params[4]))?;
-    Ok(BootConfig {
-        cpu,
-        cores,
-        mem,
-        kernel,
-        boot,
-    })
-}
-
-/// Encodes a boot outcome into the stored outcome string.
-fn encode_outcome(outcome: &BootOutcome) -> String {
-    match outcome {
-        BootOutcome::KernelPanic { stage } => format!("kernel-panic:{stage}"),
-        BootOutcome::Unsupported { reason } => format!("unsupported:{reason}"),
-        other => other.label().to_owned(),
-    }
-}
-
-/// Decodes the stored outcome string.
-fn decode_outcome(text: &str) -> BootOutcome {
-    if let Some(reason) = text.strip_prefix("unsupported:") {
-        return BootOutcome::Unsupported {
-            reason: reason.to_owned(),
-        };
-    }
-    if let Some(stage) = text.strip_prefix("kernel-panic:") {
-        use simart::sim::kernel::BootStage;
-        let stage = [
-            BootStage::Decompress,
-            BootStage::EarlyMm,
-            BootStage::SchedInit,
-            BootStage::DriverProbe,
-            BootStage::RootfsMount,
-            BootStage::InitSystem,
-        ]
-        .into_iter()
-        .find(|s| s.to_string() == stage)
-        .unwrap_or(BootStage::DriverProbe);
-        return BootOutcome::KernelPanic { stage };
-    }
-    match text {
-        "success" => BootOutcome::Success,
-        "sim-crash" => BootOutcome::SimulatorCrash,
-        "deadlock" => BootOutcome::ProtocolDeadlock,
-        "timeout" => BootOutcome::Timeout,
-        other => BootOutcome::Unsupported {
-            reason: format!("undecodable outcome {other}"),
-        },
-    }
-}
-
 #[cfg(test)]
 mod tests {
     use super::*;
     use simart::sim::compat::o3_counts;
+    use simart::sim::mem::MemKind;
 
     #[test]
     fn figure8_matrix_matches_the_paper() {

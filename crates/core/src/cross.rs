@@ -84,12 +84,6 @@ impl CrossProduct {
         self
     }
 
-    /// The declared axes with their values, in declaration order —
-    /// the shape pre-launch validation inspects.
-    pub fn axes(&self) -> &[(String, Vec<String>)] {
-        &self.axes
-    }
-
     /// Number of combinations.
     pub fn len(&self) -> usize {
         self.axes.iter().map(|(_, values)| values.len()).product()

@@ -7,6 +7,7 @@
 //! 3. an executor runs them (⑤) and results are stored back (⑥/⑦);
 //! 4. the database can be queried at any time (⑧).
 
+use crate::kinds::RunKind;
 use parking_lot::Mutex;
 use simart_artifact::{
     Artifact, ArtifactBuilder, ArtifactError, ArtifactId, ArtifactRegistry, Uuid,
@@ -34,6 +35,9 @@ pub enum ExperimentError {
     Run(RunError),
     /// Database failure.
     Db(DbError),
+    /// The run's script names a [`RunKind`] whose params these are not:
+    /// one is missing, unread or spelt another way.
+    Params(String),
 }
 
 impl fmt::Display for ExperimentError {
@@ -42,6 +46,7 @@ impl fmt::Display for ExperimentError {
             ExperimentError::Artifact(e) => write!(f, "artifact error: {e}"),
             ExperimentError::Run(e) => write!(f, "run error: {e}"),
             ExperimentError::Db(e) => write!(f, "database error: {e}"),
+            ExperimentError::Params(e) => write!(f, "run params: {e}"),
         }
     }
 }
@@ -52,6 +57,7 @@ impl std::error::Error for ExperimentError {
             ExperimentError::Artifact(e) => Some(e),
             ExperimentError::Run(e) => Some(e),
             ExperimentError::Db(e) => Some(e),
+            ExperimentError::Params(_) => None,
         }
     }
 }
@@ -314,16 +320,23 @@ impl Experiment {
     /// Creates a full-system run builder against this experiment's
     /// registry, yielding the built run (workflow step ③).
     ///
+    /// A run whose script names a [`RunKind`] must carry exactly the
+    /// params that kind records ([`RunKind::check`]); a run under any
+    /// other script is not checked.
+    ///
     /// # Errors
     ///
-    /// Propagates run-construction failures.
+    /// Propagates run-construction failures;
+    /// [`ExperimentError::Params`] for params its kind refuses.
     pub fn create_fs_run(
         &self,
         configure: impl FnOnce(simart_run::FsRunBuilder<'_>) -> simart_run::FsRunBuilder<'_>,
     ) -> Result<FsRun, ExperimentError> {
-        let registry = self.registry.lock();
-        let builder = FsRun::create(&registry);
-        Ok(configure(builder).build()?)
+        let run = configure(FsRun::create(&self.registry.lock())).build()?;
+        if let Some(kind) = RunKind::of_script(run.run_script_path()) {
+            kind.check(run.params()).map_err(ExperimentError::Params)?;
+        }
+        Ok(run)
     }
 
     /// Launches runs through a scheduler (steps ④–⑦).

@@ -39,6 +39,9 @@
 //! | [`gpu`] | `simart-gpu` | the GCN3-like GPU model |
 //! | [`resources`] | `simart-resources` | the resource catalog |
 //! | [`observe`] | `simart-observe` | span tracing + metrics registry |
+//!
+//! What a run's params mean is decided by the run script it records:
+//! [`kinds`] holds the closed table of scripts this program executes.
 
 #![forbid(unsafe_code)]
 #![warn(missing_docs)]
@@ -55,6 +58,7 @@ pub use simart_tasks as tasks;
 
 pub mod cross;
 mod experiment;
+pub mod kinds;
 pub mod metrics;
 pub mod quarantine;
 pub mod remote;

@@ -10,7 +10,8 @@
 //!   [`CAMPAIGN_KIND`];
 //! * the worker process (the hidden `simart worker` subcommand)
 //!   resolves the kind through [`campaign_registry`], boots the
-//!   configuration with [`execute_campaign_params`], and returns the
+//!   configuration with [`execute_campaign_params`] (the
+//!   [`RunKind::CampaignBoot`] params), and returns the
 //!   outcome encoded by [`encode_outcome`];
 //! * the coordinator decodes it with [`decode_outcome`] and archives
 //!   results exactly as a local launch would.
@@ -21,10 +22,10 @@
 //! error) rather than silently misinterpret fields.
 
 use crate::experiment::ExecOutcome;
+use crate::kinds::RunKind;
 use simart_codec::json::{from_json, to_json};
 use simart_db::Value;
-use simart_fullsim::checkpoint::CheckpointStore;
-use simart_fullsim::system::{Fidelity, SystemConfig};
+use simart_fullsim::system::Fidelity;
 use simart_tasks::{HandlerRegistry, WorkerJob};
 
 /// Task kind dispatched to campaign workers: boot the full-system
@@ -130,12 +131,14 @@ pub fn decode_outcome(text: &str) -> Result<ExecOutcome, String> {
 pub const CHECKPOINT_DIR_ENV: &str = "SIMART_CHECKPOINT_DIR";
 
 /// Boots the configuration a campaign run's parameters describe
-/// (`[cpu, cores, ...]` from the sweep cross-product) — the shared
-/// executor behind both the in-process campaign path and the remote
-/// worker.
+/// (`[cpu, cores]`, read by [`RunKind::CampaignBoot`]) at
+/// [`Fidelity::Standard`] — the shared executor behind both the
+/// in-process campaign path and the remote worker. Params past the two
+/// it reads are ignored here; `create_fs_run` refuses them on
+/// `boot.cfg` runs.
 ///
 /// When [`CHECKPOINT_DIR_ENV`] is set, the boot prefix is restored
-/// from (or saved to) the content-addressed [`CheckpointStore`] there,
+/// from (or saved to) the content-addressed checkpoint store there,
 /// and the outcome carries the `checkpoint-*` provenance events for
 /// the run's journal.
 ///
@@ -143,53 +146,9 @@ pub const CHECKPOINT_DIR_ENV: &str = "SIMART_CHECKPOINT_DIR";
 ///
 /// Returns a description of bad parameters or a simulation failure.
 pub fn execute_campaign_params(params: &[String]) -> Result<ExecOutcome, String> {
-    let cpu = params
-        .first()
-        .and_then(|s| parse_cpu(s))
-        .ok_or_else(|| format!("bad cpu parameter {:?}", params.first()))?;
-    let cores: u32 = params
-        .get(1)
-        .and_then(|s| s.parse().ok())
-        .ok_or_else(|| format!("bad core count {:?}", params.get(1)))?;
-    let config = SystemConfig::builder()
-        .cpu(cpu)
-        .cores(cores)
-        .fidelity(Fidelity::Standard)
-        .build()
-        .map_err(|e| e.to_string())?;
-    let (output, events) = match std::env::var(CHECKPOINT_DIR_ENV) {
-        Ok(dir) if !dir.is_empty() => {
-            let store = CheckpointStore::open(dir).map_err(|e| e.to_string())?;
-            let (checkpoint, events) = store.boot_or_restore(&config).map_err(|e| e.to_string())?;
-            (
-                checkpoint.boot().clone(),
-                events.iter().map(|e| e.to_string()).collect(),
-            )
-        }
-        _ => (config.boot_only().map_err(|e| e.to_string())?, Vec::new()),
-    };
-    Ok(ExecOutcome {
-        outcome: output.outcome.to_string(),
-        sim_ticks: output.sim_ticks,
-        payload: format!(
-            "outcome={} ticks={} instructions={}",
-            output.outcome, output.sim_ticks, output.instructions
-        )
-        .into_bytes(),
-        success: output.outcome.is_success(),
-        events,
-    })
-}
-
-fn parse_cpu(s: &str) -> Option<simart_fullsim::cpu::CpuKind> {
-    use simart_fullsim::cpu::CpuKind;
-    Some(match s {
-        "kvm" => CpuKind::Kvm,
-        "atomic" => CpuKind::AtomicSimple,
-        "timing" => CpuKind::TimingSimple,
-        "o3" => CpuKind::O3,
-        _ => return None,
-    })
+    RunKind::CampaignBoot
+        .decode(params)?
+        .execute(Fidelity::Standard)
 }
 
 /// The handler registry a campaign worker process runs under: decodes

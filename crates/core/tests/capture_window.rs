@@ -37,7 +37,9 @@ fn a_campaign_records_only_inside_the_capture_window() {
             .id()
     });
     let pool = PoolScheduler::new(2);
-    // The CLI campaign's boot sweep, launched and checkpointed.
+    // The CLI campaign's boot sweep, launched and checkpointed. The
+    // `tag` param keeps the two sweeps apart; `boot.cfg` reads only
+    // `[cpu, cores]`, so these runs record a script that names no kind.
     let campaign = |tag: &str| -> usize {
         let mut runs = Vec::new();
         for cpu in ["kvm", "atomic", "timing"] {
@@ -45,7 +47,7 @@ fn a_campaign_records_only_inside_the_capture_window() {
                 let run = experiment.create_fs_run(|b| {
                     b.simulator(binary, "sim")
                         .simulator_repo(repo)
-                        .run_script(script, "boot.cfg")
+                        .run_script(script, "run.py")
                         .kernel(kernel, "vmlinux")
                         .disk_image(disk, "disk.img")
                         .params([cpu, cores, tag])

@@ -45,6 +45,15 @@ fn boot_reports_success_and_failure_via_exit_code() {
 }
 
 #[test]
+fn campaign_refuses_suite() {
+    // A campaign is a boot campaign: its runs read `[cpu, cores]`, so a
+    // suite axis would record params nothing runs.
+    let (_, stderr, code) = simart(&["campaign", "--suite", "npb"]);
+    assert_eq!(code, 2, "{stderr}");
+    assert!(stderr.contains("unknown option `--suite`"), "{stderr}");
+}
+
+#[test]
 fn gpu_subcommand_validates_workloads() {
     let (stdout, _, code) = simart(&["gpu", "2dshfl"]);
     assert_eq!(code, 0);

@@ -47,7 +47,6 @@
 #![forbid(unsafe_code)]
 #![deny(missing_docs)]
 
-pub mod aggregate;
 mod artifact_store;
 mod blobstore;
 mod collection;
@@ -56,7 +55,6 @@ mod error;
 pub mod journal;
 mod query;
 
-pub use aggregate::{group_reduce, reduce, Reduce};
 pub use artifact_store::ArtifactStore;
 pub use blobstore::{BlobKey, BlobStore};
 pub use collection::{Collection, IndexDivergence, IndexKind, IndexSpec, Snapshot};

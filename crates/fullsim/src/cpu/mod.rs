@@ -25,6 +25,7 @@ pub use timing::TimingSimpleCpu;
 
 use crate::isa::InstStream;
 use crate::mem::MemorySystem;
+use crate::spelling::{self, UnknownSpelling};
 use crate::stats::Stats;
 use std::fmt;
 
@@ -70,6 +71,26 @@ impl CpuKind {
             CpuKind::O3 => 9.0,
         }
     }
+
+    /// The CLI's short spelling (`kvm`, `atomic`, `timing`, `o3`),
+    /// which the CLI campaign also records as its `cpu` param.
+    pub fn short(self) -> &'static str {
+        match self {
+            CpuKind::Kvm => "kvm",
+            CpuKind::AtomicSimple => "atomic",
+            CpuKind::TimingSimple => "timing",
+            CpuKind::O3 => "o3",
+        }
+    }
+
+    /// The model whose [`CpuKind::short`] spelling is `text`.
+    ///
+    /// # Errors
+    ///
+    /// Returns [`UnknownSpelling`] for any other text.
+    pub fn from_short(text: &str) -> Result<CpuKind, UnknownSpelling> {
+        spelling::parse(&Self::FIGURE8, text, "cpu model", Self::short)
+    }
 }
 
 impl fmt::Display for CpuKind {
@@ -83,6 +104,8 @@ impl fmt::Display for CpuKind {
         f.write_str(s)
     }
 }
+
+spelling::from_display!(CpuKind, CpuKind::FIGURE8, "cpu model");
 
 /// Result of running a batch of instructions on a CPU model.
 #[derive(Debug, Clone, Copy, PartialEq, Eq, Default)]
@@ -154,6 +177,16 @@ mod tests {
         assert_eq!(CpuKind::AtomicSimple.to_string(), "AtomicSimpleCPU");
         assert_eq!(CpuKind::TimingSimple.to_string(), "TimingSimpleCPU");
         assert_eq!(CpuKind::O3.to_string(), "O3CPU");
+    }
+
+    #[test]
+    fn spellings_read_back() {
+        for kind in CpuKind::FIGURE8 {
+            assert_eq!(kind.to_string().parse(), Ok(kind));
+            assert_eq!(CpuKind::from_short(kind.short()), Ok(kind));
+        }
+        assert!("kvm".parse::<CpuKind>().is_err());
+        assert!(CpuKind::from_short("kvmCPU").is_err());
     }
 
     #[test]

@@ -64,6 +64,7 @@ pub mod kernel;
 pub mod mem;
 pub mod os;
 pub mod rng;
+pub mod spelling;
 pub mod stats;
 pub mod system;
 pub mod ticks;

@@ -15,6 +15,7 @@ pub mod classic;
 pub mod dram;
 pub mod ruby;
 
+use crate::spelling::{self, UnknownSpelling};
 use crate::stats::Stats;
 use std::collections::HashMap;
 use std::fmt;
@@ -108,6 +109,33 @@ impl MemKind {
         MemKind::RubyMi,
         MemKind::RubyMesiTwoLevel,
     ];
+
+    /// Every memory system.
+    pub const ALL: [MemKind; 4] = [
+        MemKind::Classic { coherent: false },
+        MemKind::Classic { coherent: true },
+        MemKind::RubyMi,
+        MemKind::RubyMesiTwoLevel,
+    ];
+
+    /// The CLI's short spelling (`classic`, `coherent`, `mi`, `mesi`).
+    pub fn short(self) -> &'static str {
+        match self {
+            MemKind::Classic { coherent: false } => "classic",
+            MemKind::Classic { coherent: true } => "coherent",
+            MemKind::RubyMi => "mi",
+            MemKind::RubyMesiTwoLevel => "mesi",
+        }
+    }
+
+    /// The memory system whose [`MemKind::short`] spelling is `text`.
+    ///
+    /// # Errors
+    ///
+    /// Returns [`UnknownSpelling`] for any other text.
+    pub fn from_short(text: &str) -> Result<MemKind, UnknownSpelling> {
+        spelling::parse(&Self::ALL, text, "memory system", Self::short)
+    }
 }
 
 impl fmt::Display for MemKind {
@@ -120,6 +148,8 @@ impl fmt::Display for MemKind {
         }
     }
 }
+
+spelling::from_display!(MemKind, MemKind::ALL, "memory system");
 
 /// A memory system as seen by the CPU models: per-access timing plus
 /// statistics.
@@ -153,6 +183,15 @@ mod tests {
         assert_eq!(MemKind::classic_fast().to_string(), "Classic");
         assert_eq!(MemKind::RubyMi.to_string(), "MI_example");
         assert_eq!(MemKind::RubyMesiTwoLevel.to_string(), "MESI_Two_Level");
+    }
+
+    #[test]
+    fn spellings_read_back() {
+        for kind in MemKind::ALL {
+            assert_eq!(kind.to_string().parse(), Ok(kind));
+            assert_eq!(MemKind::from_short(kind.short()), Ok(kind));
+        }
+        assert!("mesi".parse::<MemKind>().is_err());
     }
 
     #[test]

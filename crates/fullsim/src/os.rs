@@ -8,6 +8,7 @@
 //! workload is lowered to instruction streams.
 
 use crate::kernel::KernelVersion;
+use crate::spelling;
 use std::fmt;
 
 /// A user-land disk image.
@@ -27,6 +28,8 @@ impl fmt::Display for OsImage {
         }
     }
 }
+
+spelling::from_display!(OsImage, OsImage::ALL, "OS image");
 
 /// Performance-relevant character of an OS image.
 #[derive(Debug, Clone, PartialEq)]
@@ -129,5 +132,9 @@ mod tests {
     fn display_names() {
         assert_eq!(OsImage::Ubuntu1804.to_string(), "ubuntu-18.04");
         assert_eq!(OsImage::Ubuntu2004.to_string(), "ubuntu-20.04");
+        for os in OsImage::ALL {
+            assert_eq!(os.to_string().parse(), Ok(os));
+        }
+        assert!("18.04".parse::<OsImage>().is_err());
     }
 }

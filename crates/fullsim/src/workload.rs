@@ -9,6 +9,7 @@
 //! granularity this simulator models.
 
 use crate::isa::{AddressProfile, InstMix, OpClass};
+use crate::spelling;
 use std::fmt;
 
 /// PARSEC-style input sizes.
@@ -27,6 +28,15 @@ pub enum InputSize {
 }
 
 impl InputSize {
+    /// Every input size, smallest first.
+    pub const ALL: [InputSize; 5] = [
+        InputSize::Test,
+        InputSize::SimSmall,
+        InputSize::SimMedium,
+        InputSize::SimLarge,
+        InputSize::Native,
+    ];
+
     /// Scale factor applied to a workload's base instruction count.
     pub fn scale(self) -> f64 {
         match self {
@@ -51,6 +61,8 @@ impl fmt::Display for InputSize {
         f.write_str(s)
     }
 }
+
+spelling::from_display!(InputSize, InputSize::ALL, "input size");
 
 /// A complete workload description.
 #[derive(Debug, Clone, PartialEq)]
@@ -252,6 +264,14 @@ pub const PARSEC_APPS: [&str; 10] = [
 #[cfg(test)]
 mod tests {
     use super::*;
+
+    #[test]
+    fn input_sizes_read_back() {
+        for input in InputSize::ALL {
+            assert_eq!(input.to_string().parse(), Ok(input));
+        }
+        assert!("SimMedium".parse::<InputSize>().is_err());
+    }
 
     #[test]
     fn all_ten_parsec_apps_have_profiles() {

@@ -77,6 +77,12 @@ impl FsRun {
         self.run_script
     }
 
+    /// The run script's host path: the name the run's params are
+    /// written for.
+    pub fn run_script_path(&self) -> &str {
+        &self.run_script_path
+    }
+
     /// Kernel artifact.
     pub fn kernel(&self) -> ArtifactId {
         self.kernel

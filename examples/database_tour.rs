@@ -1,5 +1,5 @@
 //! Database tour: run a small sweep, then slice the results with the
-//! query and aggregation layers, render Markdown, and persist the
+//! query layer, render Markdown, and persist the
 //! database to disk — everything the paper does in Jupyter, in Rust.
 //!
 //! ```text
@@ -7,15 +7,25 @@
 //! ```
 
 use simart::cross::CrossProduct;
-use simart::db::{aggregate, Database, Filter, Reduce, Value};
+use simart::db::{Database, Filter, Value};
+use simart::kinds::{self, ParsecRun, RunKind, RunSpec};
 use simart::report::Table;
 use simart::resources::{disks, kernels::KernelResource, suite};
 use simart::sim::kernel::KernelVersion;
 use simart::sim::os::OsImage;
-use simart::sim::system::{Fidelity, SystemConfig};
-use simart::sim::workload::{parsec_profile, InputSize};
+use simart::sim::system::Fidelity;
+use simart::sim::workload::InputSize;
 use simart::tasks::PoolScheduler;
-use simart::{ExecOutcome, Experiment};
+use simart::Experiment;
+use std::collections::BTreeMap;
+
+/// A stored run's params, read by the kind its run script names.
+fn parsec_run(doc: &Value) -> ParsecRun {
+    match RunSpec::of_document(doc) {
+        Ok(RunSpec::Table2(run)) => run,
+        other => panic!("not a Table II run: {other:?}"),
+    }
+}
 
 fn main() -> Result<(), Box<dyn std::error::Error>> {
     let experiment = Experiment::new("database-tour");
@@ -26,10 +36,13 @@ fn main() -> Result<(), Box<dyn std::error::Error>> {
         Ok((bin.id(), repo.id(), script.id(), kernel.id(), disk.id()))
     })?;
 
-    // A small sweep: 3 apps x 3 core counts.
+    // A small sweep: 3 apps x 3 core counts, in the Table II layout
+    // `[app, os, cores, input]` its run script records.
     let sweep = CrossProduct::new()
         .axis("app", ["blackscholes", "dedup", "swaptions"])
-        .axis("cores", ["1", "2", "8"]);
+        .axis("os", [OsImage::Ubuntu2004.to_string()])
+        .axis("cores", ["1", "2", "8"])
+        .axis("input", [InputSize::SimSmall.to_string()]);
     let runs: Vec<_> = sweep
         .iter()
         .map(|combo| {
@@ -37,7 +50,7 @@ fn main() -> Result<(), Box<dyn std::error::Error>> {
                 .create_fs_run(|b| {
                     b.simulator(simulator, "sim")
                         .simulator_repo(repo)
-                        .run_script(script, "run.py")
+                        .run_script(script, RunKind::Table2Parsec.script())
                         .kernel(kernel, "vmlinux")
                         .disk_image(disk, "disk.img")
                         .params(combo.params())
@@ -47,45 +60,27 @@ fn main() -> Result<(), Box<dyn std::error::Error>> {
         .collect();
 
     let pool = PoolScheduler::new(4);
-    let summary = experiment.launch(runs, &pool, |run| {
-        let profile = parsec_profile(&run.params()[0]).ok_or("unknown app")?;
-        let cores = run.params()[1].parse().map_err(|e| format!("{e}"))?;
-        let config = SystemConfig::builder()
-            .cores(cores)
-            .os(OsImage::Ubuntu2004)
-            .fidelity(Fidelity::Smoke)
-            .build()
-            .map_err(|e| e.to_string())?;
-        let out = config
-            .run_workload(&profile, InputSize::SimSmall)
-            .map_err(|e| e.to_string())?;
-        Ok(ExecOutcome {
-            outcome: out.outcome.label().into(),
-            sim_ticks: out.sim_ticks,
-            payload: out.stats.dump().into_bytes(),
-            success: out.outcome.is_success(),
-            events: vec![],
-        })
-    });
+    let summary = experiment.launch(runs, &pool, |run| kinds::execute(run, Fidelity::Smoke));
     println!("launched: {summary:?}\n");
 
-    // Query + aggregate: mean simulated time per application. The
-    // aggregation reads a copy-on-write snapshot, so every stage sees
-    // one consistent cut of the collection.
+    // Query, then reduce in plain Rust: mean simulated time per
+    // application over the runs that finished.
     let runs_collection = experiment.database().collection("runs");
-    let means = aggregate::group_reduce(
-        &runs_collection.snapshot(),
-        &Filter::eq("status", "done"),
-        "params.0",
-        "results.simTicks",
-        Reduce::Mean,
-    );
+    let mut ticks: BTreeMap<&str, Vec<i64>> = BTreeMap::new();
+    for doc in runs_collection.find(&Filter::eq("status", "done")) {
+        let sim_ticks = doc.at("results.simTicks").and_then(Value::as_int);
+        ticks
+            .entry(parsec_run(&doc).app)
+            .or_default()
+            .extend(sim_ticks);
+    }
     let mut table = Table::new(
         "Mean simulated ticks per application",
         &["app", "mean ticks"],
     );
-    for (app, mean) in &means {
-        table.row(&[app.clone(), format!("{mean:.0}")]);
+    for (app, ticks) in &ticks {
+        let mean = ticks.iter().map(|&t| t as f64).sum::<f64>() / ticks.len() as f64;
+        table.row(&[(*app).to_owned(), format!("{mean:.0}")]);
     }
     println!("{}", table.render());
     println!("same table as Markdown:\n\n{}", table.render_markdown());
@@ -96,12 +91,8 @@ fn main() -> Result<(), Box<dyn std::error::Error>> {
     );
     println!("{} run(s) finished under 2 simulated seconds:", fast.len());
     for doc in fast {
-        let params = doc.at("params").and_then(Value::as_array).unwrap();
-        println!(
-            "  {} on {} core(s)",
-            params[0].as_str().unwrap_or("?"),
-            params[1].as_str().unwrap_or("?")
-        );
+        let run = parsec_run(&doc);
+        println!("  {} on {} core(s)", run.app, run.cores);
     }
 
     // Persist everything; a collaborator can `Database::load` it.

@@ -9,13 +9,14 @@
 //! ```
 
 use simart::db::Filter;
+use simart::kinds::{self, ParsecRun, RunSpec};
 use simart::resources::{disks, kernels::KernelResource, suite};
 use simart::sim::kernel::KernelVersion;
 use simart::sim::os::OsImage;
-use simart::sim::system::{Fidelity, SystemConfig};
-use simart::sim::workload::{parsec_profile, InputSize};
+use simart::sim::system::Fidelity;
+use simart::sim::workload::InputSize;
 use simart::tasks::SerialScheduler;
-use simart::{ExecOutcome, Experiment};
+use simart::Experiment;
 
 fn main() -> Result<(), Box<dyn std::error::Error>> {
     // 1. An experiment session: artifact registry + database.
@@ -32,38 +33,28 @@ fn main() -> Result<(), Box<dyn std::error::Error>> {
     })?;
     println!("registered {} artifacts", experiment.artifact_count());
 
-    // 3. Create a run object: one unique experiment.
+    // 3. Create a run object: one unique experiment. Its run script
+    //    names the Table II kind, which records `[app, os, cores, input]`.
+    let spec = RunSpec::Table2(ParsecRun {
+        app: "blackscholes",
+        os: OsImage::Ubuntu2004,
+        cores: 2,
+        input: InputSize::SimSmall,
+    });
     let run = experiment.create_fs_run(|b| {
         b.simulator(simulator, "gem5/build/X86/gem5.opt")
             .simulator_repo(repo)
-            .run_script(script, "configs/run_parsec.py")
+            .run_script(script, spec.kind().script())
             .kernel(kernel, "vmlinux-5.4.51")
             .disk_image(disk, "disks/parsec-ubuntu-20.04.img")
-            .param("blackscholes")
-            .param("2")
+            .params(spec.encode())
     })?;
     println!("created run {} (hash {})", run.id(), run.run_hash());
 
-    // 4-7. Launch it: boot the simulated system, run the benchmark,
-    //       archive results.
+    // 4-7. Launch it: the kind boots the simulated system, runs the
+    //       benchmark, and the framework archives the results.
     let summary = experiment.launch(vec![run], &SerialScheduler::new(), |run| {
-        let profile = parsec_profile(&run.params()[0]).ok_or("unknown app")?;
-        let config = SystemConfig::builder()
-            .cores(run.params()[1].parse().map_err(|e| format!("{e}"))?)
-            .os(OsImage::Ubuntu2004)
-            .fidelity(Fidelity::Smoke)
-            .build()
-            .map_err(|e| e.to_string())?;
-        let output = config
-            .run_workload(&profile, InputSize::SimSmall)
-            .map_err(|e| e.to_string())?;
-        Ok(ExecOutcome {
-            outcome: output.outcome.label().to_owned(),
-            sim_ticks: output.sim_ticks,
-            payload: output.stats.dump().into_bytes(),
-            success: output.outcome.is_success(),
-            events: vec![],
-        })
+        kinds::execute(run, Fidelity::Smoke)
     });
     println!("launch summary: {summary:?}");
 

@@ -1,31 +1,16 @@
 //! The reproducibility story, end to end: an experiment recorded in
 //! the database can be reconstructed **from the database alone** and
-//! re-executed to identical results.
+//! re-executed to identical results. The record names its run script,
+//! and the run kind that script names reads the recorded params.
 
 use simart::db::{Database, Filter, Value};
+use simart::kinds::{self, RunSpec};
 use simart::resources::{disks, kernels::KernelResource, suite};
 use simart::sim::kernel::KernelVersion;
 use simart::sim::os::OsImage;
 use simart::sim::system::Fidelity;
-use simart::sim::workload::{parsec_profile, InputSize};
 use simart::tasks::PoolScheduler;
-use simart::{ExecOutcome, Experiment};
-use simart_bench::usecase1;
-
-fn execute(params: &[String]) -> (u64, String) {
-    let app = &params[0];
-    let os = match params[1].as_str() {
-        "ubuntu-18.04" => OsImage::Ubuntu1804,
-        _ => OsImage::Ubuntu2004,
-    };
-    let cores: u32 = params[2].parse().expect("core count");
-    let profile = parsec_profile(app).expect("known app");
-    let config = usecase1::system_config(os, cores, Fidelity::Smoke);
-    let output = config
-        .run_workload(&profile, InputSize::SimSmall)
-        .expect("runs");
-    (output.sim_ticks, output.stats.dump())
-}
+use simart::Experiment;
 
 #[test]
 fn experiments_reproduce_from_database_records_alone() {
@@ -58,27 +43,19 @@ fn experiments_reproduce_from_database_records_alone() {
                     .create_fs_run(|b| {
                         b.simulator(simulator, "sim")
                             .simulator_repo(repo)
-                            .run_script(script, "run.py")
+                            .run_script(script, "configs/run_parsec.py")
                             .kernel(kernel, "vmlinux")
                             .disk_image(disk, "disk.img")
                             .param(*app)
                             .param("ubuntu-20.04")
                             .param("2")
+                            .param("simsmall")
                     })
                     .unwrap()
             })
             .collect();
         let pool = PoolScheduler::new(2);
-        let summary = experiment.launch(runs, &pool, |run| {
-            let (ticks, dump) = execute(run.params());
-            Ok(ExecOutcome {
-                outcome: "success".into(),
-                sim_ticks: ticks,
-                payload: dump.into_bytes(),
-                success: true,
-                events: vec![],
-            })
-        });
+        let summary = experiment.launch(runs, &pool, |run| kinds::execute(run, Fidelity::Smoke));
         assert_eq!(summary.done, 2);
         experiment.database().save(&dir).unwrap();
 
@@ -105,18 +82,12 @@ fn experiments_reproduce_from_database_records_alone() {
         .find(&Filter::eq("status", "done"));
     assert_eq!(run_docs.len(), 2);
     for doc in run_docs {
-        let params: Vec<String> = doc
-            .at("params")
-            .and_then(Value::as_array)
-            .unwrap()
-            .iter()
-            .map(|p| p.as_str().unwrap().to_owned())
-            .collect();
-        let (ticks, _) = execute(&params);
+        let spec = RunSpec::of_document(&doc).expect("recorded params decode");
+        let ticks = spec.execute(Fidelity::Smoke).expect("runs").sim_ticks;
         let recorded = doc.at("results.simTicks").and_then(Value::as_int).unwrap() as u64;
         assert_eq!(
             ticks, recorded,
-            "re-executing {params:?} from the database reproduces the recorded result"
+            "re-executing {spec:?} from the database reproduces the recorded result"
         );
         // Artifact provenance is also intact: every input is resolvable.
         let inputs = doc.at("inputs").and_then(Value::as_array).unwrap();

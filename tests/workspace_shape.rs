@@ -4,8 +4,8 @@
 //! root without `forbid(unsafe_code)` or a third shim fails here, as
 //! do a SipHash map on the simulator's per-access path, a per-byte
 //! hex `format!` outside `simart_codec::hex`, an artifact id that is
-//! not a function of content, a second provenance graph, and a job
-//! queue outside the lease table.
+//! not a function of content, a second provenance graph, a job queue
+//! outside the lease table, and a second decoder of stored params.
 
 use std::path::{Path, PathBuf};
 
@@ -286,5 +286,54 @@ fn remote_hook_only_enqueues() {
     assert!(closure.contains(".send("), "hook: {closure}");
     for banned in [".edit(", ".commit("] {
         assert!(!closure.contains(banned), "hook calls {banned}: {closure}");
+    }
+}
+
+#[test]
+fn one_params_decoder() {
+    // A stored param is read back by the `FromStr` beside its enum in
+    // `simart-fullsim`, through `simart::kinds`: a `match` arm on a
+    // stored spelling anywhere else is a second decoder that can drift
+    // from the first. (`benchmark/` keeps its own until it is unfrozen.)
+    let spellings = [
+        "kvm",
+        "kvmCPU",
+        "MESI_Two_Level",
+        "ubuntu-18.04",
+        "systemd-runlevel5",
+    ];
+    let enum_modules = [
+        "cpu/mod.rs",
+        "mem/mod.rs",
+        "os.rs",
+        "kernel.rs",
+        "workload.rs",
+    ]
+    .map(|module| repo().join("crates/fullsim/src").join(module));
+    let mut sources = Vec::new();
+    for dir in ["crates", "src", "tests", "examples"] {
+        files(
+            &repo().join(dir),
+            &|name| name.ends_with(".rs"),
+            &mut sources,
+        );
+    }
+    assert!(sources.len() > 100, "found only {} sources", sources.len());
+    for source in sources {
+        if enum_modules.contains(&source) {
+            continue;
+        }
+        let text = std::fs::read_to_string(&source).unwrap();
+        for (number, line) in text.lines().enumerate() {
+            let dense: String = line.split_whitespace().collect();
+            for spelling in spellings {
+                let quoted = format!("\"{spelling}\"");
+                let arm = dense.match_indices(&quoted).any(|(at, _)| {
+                    let rest = dense[at + quoted.len()..].trim_start_matches(')');
+                    rest.starts_with("=>") || rest.starts_with('|')
+                });
+                assert!(!arm, "{}:{}: {line}", source.display(), number + 1);
+            }
+        }
     }
 }
