@@ -22,45 +22,45 @@
 //! and re-armed by that worker as it starts each attempt — so the
 //! timeout bounds an attempt, and a task backing off between attempts
 //! is not overdue. The lease is the only deadline: attempts run on the
-//! worker's own thread, unwatched. A supervisor thread ticks on a
-//! heartbeat ([`SupervisorConfig::heartbeat`]) and each tick:
+//! worker's own thread, unwatched.
 //!
-//! 1. **reaps** detached worker threads that have since finished
-//!    (joining them, so the live-detached gauge returns to zero);
-//! 2. **respawns** workers that died holding a lease (e.g. a simulated
-//!    SIGKILL via [`Fault::WorkerKill`]), recovering their leases
-//!    immediately;
-//! 3. **expires** leases past their deadline: the presumed-wedged
-//!    worker is detached (moved to the reap list, a replacement
-//!    spawned — up to [`SupervisorConfig::max_detached`]) and the task
-//!    is *redelivered* to the queue, up to
-//!    [`SupervisorConfig::max_redeliveries`] times, after which it is
-//!    dead-lettered with [`TaskState::Quarantined`].
+//! What happens to a lease or a worker is decided by the pure,
+//! crate-private `Coordinator`, the same core the remote scheduler
+//! drives. This module is its thread shell. A supervisor thread ticks
+//! on a heartbeat ([`SupervisorConfig::heartbeat`]); each tick joins
+//! detached threads that have finished, tells the core which workers
+//! died (e.g. a simulated SIGKILL via [`Fault::WorkerKill`]), and
+//! carries out what it decides: a worker whose lease expired is
+//! presumed wedged and *retired* by detaching its thread (at most
+//! [`SupervisorConfig::max_detached`] at once, else the task fails
+//! fast), a replacement is spawned, and the task is *redelivered*, up
+//! to [`SupervisorConfig::max_redeliveries`] times, after which it is
+//! dead-lettered with [`TaskState::Quarantined`]. A worker learns it
+//! was replaced from the core's generation check and exits after its
+//! current job.
 //!
 //! Exactly one report is ever delivered per submitted task
 //! (first-report-wins: a detached straggler that eventually finishes
 //! after its task was redelivered either wins the race — at-least-once
 //! semantics — or its stale report is discarded).
 //!
-//! The contract itself — one FIFO of waiting jobs, numbered
-//! deliveries, first-report-wins, redeliver-or-dead-letter — is the
-//! pure, crate-private `LeaseTable`; this module drives it with
-//! threads, under one lock.
-//!
 //! With the default config (`max_redeliveries: 0`) an expired lease is
 //! reported as [`TaskState::TimedOut`] at once: the task is terminated
 //! as far as its submitter can tell, and the wedged thread is reaped
 //! once it finishes.
 
+use crate::coord::{Coordinator, Counters, Effect, Observed, Workers};
 use crate::fault::Fault;
-use crate::lease::{Cause, JobId, LeaseTable, Owner, Revoked, Settled};
+use crate::lease::{JobId, Owner, Settled};
 use crate::supervise::SupervisorConfig;
 use crate::task::{execute, Task, TaskHandle, TaskReport, TaskState};
 use crate::Scheduler;
 use parking_lot::Mutex;
 use simart_observe as observe;
 use std::fmt;
-use std::sync::atomic::{AtomicBool, AtomicU64, Ordering};
+// A glob, so the unit tests below (`use super::*`) still find the
+// atomic counters they count with.
+use std::sync::atomic::*;
 use std::sync::mpsc::{channel, sync_channel, Receiver, RecvTimeoutError, Sender, SyncSender};
 use std::sync::{Arc, Condvar, PoisonError};
 use std::thread::JoinHandle;
@@ -87,57 +87,29 @@ struct BrokerJob {
     report_tx: SyncSender<TaskReport>,
 }
 
-/// Flags shared between a worker thread and the supervisor.
-#[derive(Default)]
-struct WorkerFlags {
-    /// Set by the supervisor when it presumes the worker wedged and
-    /// replaces it; the worker exits its loop after its current job.
-    detached: AtomicBool,
-    /// Set by the worker on clean loop exit (queue closed or detached
-    /// hand-off). A finished thread without this flag died abruptly.
-    graceful: AtomicBool,
-}
-
-/// One position in the worker pool. Respawns bump `generation` so
-/// leases can tell the worker that owned them from its replacement.
+/// The thread in one position of the worker pool.
 struct WorkerSlot {
     handle: Option<JoinHandle<()>>,
-    flags: Arc<WorkerFlags>,
-    generation: u64,
-}
-
-#[derive(Debug, Default)]
-struct BrokerStats {
-    submitted: AtomicU64,
-    completed: AtomicU64,
-    dropped: AtomicU64,
-    dead_lettered: AtomicU64,
-    detached_workers: AtomicU64,
-    redelivered: AtomicU64,
-    lease_expirations: AtomicU64,
-    worker_respawns: AtomicU64,
-    detached_reaped: AtomicU64,
+    /// Set by the worker on clean loop exit (queue closed, or replaced).
+    /// A finished thread without it died abruptly.
+    graceful: Arc<AtomicBool>,
 }
 
 /// Mutable supervision state, behind one lock.
 struct SupervisionState {
+    /// Supervision: the queue, leases, generations, counters, and
+    /// whether the queue is closed.
+    coord: Coordinator<BrokerJob>,
     slots: Vec<WorkerSlot>,
-    /// The delivery contract: the queue, leases, redelivery, dead
-    /// letters.
-    table: LeaseTable<BrokerJob>,
-    /// Set by `shutdown_now` / `Drop`: nothing more is queued,
-    /// respawned or redelivered, and workers exit once the queue is
-    /// empty.
-    closed: bool,
+    /// The core's effect buffer, reused by every input.
+    effects: Vec<Effect<BrokerJob>>,
     /// Detached (presumed-wedged) worker threads awaiting reap.
-    detached: Vec<JoinHandle<()>>,
-    next_generation: u64,
+    detached: Vec<(Owner, JoinHandle<()>)>,
 }
 
 /// State shared between the scheduler handle, workers, and supervisor.
 struct Shared {
     label: &'static Label,
-    stats: BrokerStats,
     config: SupervisorConfig,
     state: Mutex<SupervisionState>,
     /// Signalled when the queue gains a job or closes; idle workers
@@ -183,22 +155,32 @@ impl BrokerScheduler {
     ) -> BrokerScheduler {
         let name = label.name;
         assert!(workers > 0, "a {name} scheduler needs at least one worker");
+        let mut spawns = Vec::new();
+        let coord = Coordinator::new(
+            config,
+            Workers::Threads,
+            workers,
+            Instant::now(),
+            &mut spawns,
+        );
+        let slots = (0..workers).map(|_| WorkerSlot {
+            handle: None,
+            graceful: Arc::default(),
+        });
         let shared = Arc::new(Shared {
             label,
-            stats: BrokerStats::default(),
             config,
             state: Mutex::new(SupervisionState {
-                slots: Vec::new(),
-                table: LeaseTable::new(config),
-                closed: false,
+                coord,
+                slots: slots.collect(),
+                effects: Vec::new(),
                 detached: Vec::new(),
-                next_generation: 0,
             }),
             queued: Condvar::new(),
         });
-        let slots = (0..workers).map(|slot| spawn_worker(&shared, slot, 0));
-        let slots: Vec<WorkerSlot> = slots.collect();
-        shared.state.lock().slots = slots;
+        apply(&shared, &mut shared.state.lock(), |_, effects, _| {
+            effects.append(&mut spawns)
+        });
         let (stop_tx, stop_rx) = channel::<()>();
         let supervisor = spawn_supervisor(Arc::clone(&shared), stop_rx);
         BrokerScheduler {
@@ -216,17 +198,10 @@ impl BrokerScheduler {
     /// are no longer redelivered. Returns the number of jobs discarded
     /// by this call.
     pub fn shutdown_now(&self) -> u64 {
-        let mut st = self.shared.state.lock();
-        st.closed = true;
         // Dropping a job drops its report sender, so the handle
         // synthesizes the failure.
-        let discarded = st.table.discard_queued() as u64;
-        drop(st);
+        let discarded = self.shared.state.lock().coord.close(true) as u64;
         self.shared.queued.notify_all();
-        self.shared
-            .stats
-            .dropped
-            .fetch_add(discarded, Ordering::SeqCst);
         discarded
     }
 
@@ -236,27 +211,31 @@ impl BrokerScheduler {
         self.worker_count
     }
 
+    fn counters(&self) -> Counters {
+        self.shared.state.lock().coord.counters
+    }
+
     /// Tasks submitted so far.
     pub fn submitted(&self) -> u64 {
-        self.shared.stats.submitted.load(Ordering::SeqCst)
+        self.counters().submitted
     }
 
     /// Tasks completed so far (a report from an actual execution was
     /// delivered).
     pub fn completed(&self) -> u64 {
-        self.shared.stats.completed.load(Ordering::SeqCst)
+        self.counters().completed
     }
 
     /// Tasks dropped without execution (shutdown or post-shutdown
     /// submission).
     pub fn dropped(&self) -> u64 {
-        self.shared.stats.dropped.load(Ordering::SeqCst)
+        self.counters().dropped
     }
 
     /// Tasks dead-lettered by the supervisor (lease expired or worker
     /// died, with no redelivery allowed or the cap exhausted).
     pub fn dead_lettered(&self) -> u64 {
-        self.shared.stats.dead_lettered.load(Ordering::SeqCst)
+        self.counters().dead_lettered
     }
 
     /// Worker threads detached by lease expirations, cumulatively.
@@ -264,40 +243,41 @@ impl BrokerScheduler {
     /// decreases; it counts how often the broker had to presume a
     /// worker wedged.
     pub fn detached_workers(&self) -> u64 {
-        self.shared.stats.detached_workers.load(Ordering::SeqCst)
+        self.counters().retired
     }
 
     /// Detached worker threads currently alive (not yet reaped). The
     /// supervisor joins finished detached threads each heartbeat, so
     /// this returns to zero once wedged work unwinds.
     pub fn detached_live(&self) -> u64 {
-        self.shared.state.lock().detached.len() as u64
+        self.shared.state.lock().coord.unreaped() as u64
     }
 
     /// Tasks redelivered after a lease expiration or worker death.
     pub fn redelivered(&self) -> u64 {
-        self.shared.stats.redelivered.load(Ordering::SeqCst)
+        self.counters().redelivered
     }
 
     /// Leases that expired (task outlived timeout + grace).
     pub fn lease_expirations(&self) -> u64 {
-        self.shared.stats.lease_expirations.load(Ordering::SeqCst)
+        self.counters().expirations
     }
 
     /// Replacement workers spawned by the supervisor.
     pub fn worker_respawns(&self) -> u64 {
-        self.shared.stats.worker_respawns.load(Ordering::SeqCst)
+        self.counters().respawns
     }
 
     /// Detached worker threads joined (reaped) by the supervisor.
     pub fn detached_reaped(&self) -> u64 {
-        self.shared.stats.detached_reaped.load(Ordering::SeqCst)
+        self.counters().reaped
     }
 
     /// Tasks currently queued or running.
     pub fn in_flight(&self) -> u64 {
-        self.submitted()
-            .saturating_sub(self.completed() + self.dropped() + self.dead_lettered())
+        let c = self.counters();
+        c.submitted
+            .saturating_sub(c.completed + c.dropped + c.dead_lettered)
     }
 }
 
@@ -320,22 +300,21 @@ impl Scheduler for BrokerScheduler {
         let name = task.name().to_owned();
         // Room for the one report: a send never blocks.
         let (tx, rx) = sync_channel(1);
-        self.shared.stats.submitted.fetch_add(1, Ordering::SeqCst);
         task.stamp_queued();
-        let mut st = self.shared.state.lock();
-        if st.closed {
-            // Shut down: the report sender is dropped with the task, so
-            // the handle resolves to a synthesized failure.
-            self.shared.stats.dropped.fetch_add(1, Ordering::SeqCst);
-        } else {
-            let timeout = task.timeout;
-            let payload = BrokerJob {
-                task,
-                report_tx: tx,
-            };
-            st.table
-                .submit(name.clone(), timeout, payload, Instant::now());
-            drop(st);
+        let (job, timeout) = (name.clone(), task.timeout);
+        let payload = BrokerJob {
+            task,
+            report_tx: tx,
+        };
+        // Once shut down, the core drops the job and its report
+        // sender with it, so the handle resolves to a synthesized
+        // failure.
+        let queued = apply(
+            &self.shared,
+            &mut self.shared.state.lock(),
+            |coord, _, now| coord.submit(job, timeout, payload, now).is_some(),
+        );
+        if queued {
             observe::count(self.shared.label.enqueued, 1);
             self.shared.queued.notify_one();
         }
@@ -351,7 +330,7 @@ impl Drop for BrokerScheduler {
     fn drop(&mut self) {
         // Close the queue without discarding: workers run what is
         // already queued, then find it empty and exit.
-        self.shared.state.lock().closed = true;
+        self.shared.state.lock().coord.close(false);
         self.shared.queued.notify_all();
         // Disconnecting the stop channel ends the supervisor loop.
         self.stop.take();
@@ -379,23 +358,81 @@ impl Drop for BrokerScheduler {
     }
 }
 
-/// Starts the worker thread occupying `slot` as `generation`.
-fn spawn_worker(shared: &Arc<Shared>, slot: usize, generation: u64) -> WorkerSlot {
-    let flags = Arc::new(WorkerFlags::default());
-    let (shared, worker_flags) = (Arc::clone(shared), Arc::clone(&flags));
+/// The metric each core counter feeds, counted as the counter moves.
+const OBSERVED: [Observed; 4] = [
+    ("broker.redelivered", |c| c.redelivered),
+    ("broker.lease_expirations", |c| c.expirations),
+    ("broker.worker_respawns", |c| c.respawns),
+    ("broker.detached_reaped", |c| c.reaped),
+];
+
+/// Feeds the core one input, stamped now, and carries out what it
+/// decides — all under the state lock. A retired worker's thread is
+/// detached (or joined, if it already ended).
+fn apply<R>(
+    shared: &Arc<Shared>,
+    st: &mut SupervisionState,
+    input: impl FnOnce(&mut Coordinator<BrokerJob>, &mut Vec<Effect<BrokerJob>>, Instant) -> R,
+) -> R {
+    let before = st.coord.counters;
+    let mut effects = std::mem::take(&mut st.effects);
+    let now = Instant::now();
+    let out = input(&mut st.coord, &mut effects, now);
+    for effect in effects.drain(..) {
+        match effect {
+            Effect::Spawn { slot, generation } => {
+                let owner = Owner { slot, generation };
+                st.slots[slot] = spawn_worker(shared, owner);
+                st.coord.ready(owner, now, None, &mut Vec::new());
+            }
+            Effect::Retire(owner) => {
+                let Some(handle) = st.slots[owner.slot].handle.take() else {
+                    continue;
+                };
+                if handle.is_finished() {
+                    let _ = handle.join();
+                    st.coord.reaped(owner);
+                } else {
+                    st.detached.push((owner, handle));
+                    observe::gauge("broker.detached_live", st.detached.len() as i64);
+                }
+            }
+            Effect::Deliver(Settled { payload, report }) => {
+                if report.state == TaskState::TimedOut {
+                    observe::count("tasks.timeouts", 1);
+                }
+                let _ = payload.report_tx.send(report);
+            }
+            Effect::Event(_) => {}
+        }
+    }
+    st.effects = effects;
+    for (name, moved) in st.coord.counters.moved_since(&before, &OBSERVED) {
+        observe::count(name, moved);
+    }
+    if st.coord.counters.redelivered > before.redelivered {
+        shared.queued.notify_all();
+    }
+    out
+}
+
+/// Starts the worker thread of `owner`.
+fn spawn_worker(shared: &Arc<Shared>, owner: Owner) -> WorkerSlot {
+    let graceful = Arc::new(AtomicBool::new(false));
+    let (shared, exited) = (Arc::clone(shared), Arc::clone(&graceful));
+    let Owner { slot, generation } = owner;
     let name = format!("simart-{}-worker-{slot}-g{generation}", shared.label.name);
     let handle = std::thread::Builder::new()
         .name(name)
-        .spawn(move || worker_loop(&shared, Owner { slot, generation }, &worker_flags))
+        .spawn(move || worker_loop(&shared, owner, &exited))
         .expect("spawning scheduler worker");
     WorkerSlot {
         handle: Some(handle),
-        flags,
-        generation,
+        graceful,
     }
 }
 
-fn worker_loop(shared: &Arc<Shared>, owner: Owner, flags: &Arc<WorkerFlags>) {
+fn worker_loop(shared: &Arc<Shared>, owner: Owner, graceful: &AtomicBool) {
     while let Some((job, task, delivery)) = take_head(shared, owner) {
         observe::count(shared.label.dequeued, 1);
         // Broker-to-worker handoff latency (the task's own queue stamp
@@ -419,39 +456,39 @@ fn worker_loop(shared: &Arc<Shared>, owner: Owner, flags: &Arc<WorkerFlags>) {
         // Each attempt re-arms the lease, so the task's timeout bounds
         // the attempt and a backoff sleep is never overdue.
         let report = execute(task, |attempt, start| {
-            shared.state.lock().table.rearm(job, owner, attempt, start);
+            shared.state.lock().coord.rearm(job, owner, attempt, start);
         });
         // First report wins: a delivery whose job already settled (it
         // was dead-lettered, or another delivery finished first) gets
         // nothing back and its report is discarded.
-        let settled = shared.state.lock().table.complete(job, report);
-        if let Some(settled) = settled {
-            // Count before delivering the report: a waiter that
-            // observes the report must also observe the count.
-            shared.stats.completed.fetch_add(1, Ordering::SeqCst);
-            let _ = settled.payload.report_tx.send(settled.report);
-        }
-        if flags.detached.load(Ordering::SeqCst) {
+        let mut st = shared.state.lock();
+        apply(shared, &mut st, |coord, effects, now| {
+            coord.report(job, owner, delivery, report, now, effects)
+        });
+        if !st.coord.is_current(owner) {
             // The supervisor presumed this worker wedged and already
             // spawned a replacement; exit so the slot has one owner.
             break;
         }
     }
-    flags.graceful.store(true, Ordering::SeqCst);
+    graceful.store(true, Ordering::SeqCst);
 }
 
 /// Waits for a job at the head of the queue and takes its lease in
 /// the same critical section — before the worker consults its faults,
 /// so a killed worker leaves a lease behind for the supervisor to
 /// recover. `None` once the queue is closed and empty.
-fn take_head(shared: &Shared, owner: Owner) -> Option<(JobId, Task, u32)> {
+fn take_head(shared: &Arc<Shared>, owner: Owner) -> Option<(JobId, Task, u32)> {
     let mut st = shared.state.lock();
     loop {
-        if let Some((job, _)) = st.table.head() {
-            let granted = st.table.grant(job, owner, Instant::now());
-            return granted.map(|granted| (job, granted.payload.task.clone(), granted.delivery));
+        if let Some((job, _)) = st.coord.head() {
+            let granted = apply(shared, &mut st, |coord, effects, now| {
+                let granted = coord.grant(job, owner, now, effects)?;
+                Some((granted.payload.task.clone(), granted.delivery))
+            });
+            return granted.map(|(task, delivery)| (job, task, delivery));
         }
-        if st.closed {
+        if st.coord.closed() {
             return None;
         }
         st = shared
@@ -472,139 +509,39 @@ fn spawn_supervisor(shared: Arc<Shared>, stop: Receiver<()>) -> JoinHandle<()> {
         .expect("spawning scheduler supervisor")
 }
 
-/// One supervisor heartbeat: reap, respawn, expire.
+/// One supervisor heartbeat: join finished detached threads, find the
+/// workers that died, and let the core decide the rest.
 fn supervise_tick(shared: &Arc<Shared>) {
     let _tick_span = observe::span(|| "supervisor.tick".to_owned());
-    let mut st = shared.state.lock();
-    reap_detached(shared, &mut st);
-    recover_dead_workers(shared, &mut st);
-    expire_leases(shared, &mut st);
-}
-
-fn reap_detached(shared: &Shared, st: &mut SupervisionState) {
-    let mut alive = Vec::with_capacity(st.detached.len());
-    for handle in st.detached.drain(..) {
-        if handle.is_finished() {
+    let mut guard = shared.state.lock();
+    let st = &mut *guard;
+    let (finished, running) = std::mem::take(&mut st.detached)
+        .into_iter()
+        .partition::<Vec<_>, _>(|(_, handle)| handle.is_finished());
+    st.detached = running;
+    let joined: Vec<Owner> = finished
+        .into_iter()
+        .map(|(owner, handle)| {
             let _ = handle.join();
-            shared.stats.detached_reaped.fetch_add(1, Ordering::SeqCst);
-            observe::count("broker.detached_reaped", 1);
-        } else {
-            alive.push(handle);
-        }
-    }
-    st.detached = alive;
-    observe::gauge("broker.detached_live", st.detached.len() as i64);
-}
-
-fn recover_dead_workers(shared: &Arc<Shared>, st: &mut SupervisionState) {
-    for slot_idx in 0..st.slots.len() {
-        let died = {
-            let slot = &st.slots[slot_idx];
-            slot.handle.as_ref().is_some_and(JoinHandle::is_finished)
-                && !slot.flags.graceful.load(Ordering::SeqCst)
-        };
-        if !died {
-            continue;
-        }
-        let dead = Owner {
-            slot: slot_idx,
-            generation: st.slots[slot_idx].generation,
-        };
-        if let Some(handle) = st.slots[slot_idx].handle.take() {
+            owner
+        })
+        .collect();
+    let mut exited = Vec::new();
+    for (slot, worker) in st.slots.iter_mut().enumerate() {
+        let died = worker.handle.as_ref().is_some_and(JoinHandle::is_finished)
+            && !worker.graceful.load(Ordering::SeqCst);
+        if let Some(handle) = worker.handle.take_if(|_| died) {
             let _ = handle.join();
-        }
-        if !st.closed {
-            respawn(shared, st, slot_idx);
-        }
-        // Whatever lease the dead worker held dies with it: recover it
-        // now instead of waiting out its deadline.
-        for job in st.table.held_by(dead) {
-            revoke_lease(shared, st, job, Cause::WorkerDied);
+            exited.push(st.coord.owner(slot));
         }
     }
-}
-
-fn expire_leases(shared: &Arc<Shared>, st: &mut SupervisionState) {
-    for job in st.table.expired(Instant::now()) {
-        let Some(owner) = st.table.lease(job).map(|lease| lease.owner) else {
-            continue;
-        };
-        shared
-            .stats
-            .lease_expirations
-            .fetch_add(1, Ordering::SeqCst);
-        observe::count("broker.lease_expirations", 1);
-        // The owning worker is presumed wedged in the leased task.
-        // Detach it and spawn a replacement — unless the live-detached
-        // cap is reached, in which case fail fast (the pool degrades
-        // rather than leaking more threads).
-        let owner_current = st.slots[owner.slot].generation == owner.generation && !st.closed;
-        if owner_current && st.detached.len() >= shared.config.max_detached {
-            revoke_lease(shared, st, job, Cause::DetachedCap);
-            continue;
+    apply(shared, st, |coord, effects, now| {
+        for owner in joined {
+            coord.reaped(owner);
         }
-        if owner_current {
-            detach_and_respawn(shared, st, owner.slot);
-        }
-        revoke_lease(shared, st, job, Cause::LeaseExpired);
-    }
-}
-
-/// Moves a slot's worker to the detached reap list and spawns its
-/// replacement.
-fn detach_and_respawn(shared: &Arc<Shared>, st: &mut SupervisionState, slot_idx: usize) {
-    let slot = &mut st.slots[slot_idx];
-    slot.flags.detached.store(true, Ordering::SeqCst);
-    if let Some(handle) = slot.handle.take() {
-        st.detached.push(handle);
-    }
-    shared.stats.detached_workers.fetch_add(1, Ordering::SeqCst);
+        coord.tick(now, &exited, effects)
+    });
     observe::gauge("broker.detached_live", st.detached.len() as i64);
-    respawn(shared, st, slot_idx);
-}
-
-/// Spawns a fresh worker into a slot (new generation, fresh flags).
-fn respawn(shared: &Arc<Shared>, st: &mut SupervisionState, slot_idx: usize) {
-    st.next_generation += 1;
-    st.slots[slot_idx] = spawn_worker(shared, slot_idx, st.next_generation);
-    shared.stats.worker_respawns.fetch_add(1, Ordering::SeqCst);
-    observe::count("broker.worker_respawns", 1);
-}
-
-/// Revokes a lease and acts on the table's verdict: wake a worker for
-/// the requeued delivery, or deliver the dead letter. Once the queue
-/// is closed — and for [`Cause::DetachedCap`], which must not tie up
-/// another thread — nothing is redelivered.
-fn revoke_lease(shared: &Shared, st: &mut SupervisionState, job: JobId, cause: Cause) {
-    let now = Instant::now();
-    let dead = if st.closed || cause == Cause::DetachedCap {
-        st.table.fail(job, cause, now)
-    } else {
-        match st.table.revoke(job, cause, now) {
-            Some(Revoked::Requeued) => {
-                shared.stats.redelivered.fetch_add(1, Ordering::SeqCst);
-                observe::count("broker.redelivered", 1);
-                shared.queued.notify_one();
-                None
-            }
-            Some(Revoked::DeadLettered(settled)) => Some(settled),
-            None => None,
-        }
-    };
-    if let Some(Settled {
-        payload,
-        mut report,
-    }) = dead
-    {
-        shared.stats.dead_lettered.fetch_add(1, Ordering::SeqCst);
-        if report.state == TaskState::TimedOut {
-            observe::count("tasks.timeouts", 1);
-        }
-        // The thread behind an expired, never-redelivered lease was
-        // detached and is still running somewhere.
-        report.detached = cause == Cause::LeaseExpired && report.state == TaskState::TimedOut;
-        let _ = payload.report_tx.send(report);
-    }
 }
 
 #[cfg(test)]

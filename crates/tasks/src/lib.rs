@@ -59,6 +59,7 @@
 #![deny(missing_docs)]
 
 mod broker;
+mod coord;
 mod fault;
 mod lease;
 mod pool;
@@ -69,6 +70,7 @@ mod supervise;
 mod task;
 pub mod transport;
 pub mod wire;
+mod worker;
 
 pub use broker::BrokerScheduler;
 pub use fault::{Fault, FaultInjector, NetFault};

@@ -70,6 +70,10 @@ impl std::str::FromStr for TransportKind {
     }
 }
 
+/// A session's lifetime chaos-frame counter, shared by the
+/// [`ChaosWriter`] of each of its connections.
+pub(crate) type SessionFrames = Arc<AtomicU64>;
+
 /// A connected worker byte stream: a reader half for the coordinator's
 /// per-worker reader thread and a writer half for dispatch frames.
 /// `stream` is the severing capability: present for TCP (so the

@@ -20,6 +20,7 @@
 use simart_codec::frame::{self, encode_frame, Frame, MAX_FRAME_LEN};
 use simart_codec::{json, Value};
 use std::fmt;
+use std::io::Read;
 
 /// Protocol version spoken by this build. A worker whose
 /// [`Message::Hello`] carries a different version is rejected during
@@ -355,6 +356,37 @@ impl Message {
                 pid: num_field("pid")?,
             }),
             other => Err(malformed(format!("unknown message type `{other}`"))),
+        }
+    }
+}
+
+/// Reads whole messages off a byte stream.
+pub(crate) struct WireReader {
+    decoder: FrameDecoder,
+    buf: [u8; 8192],
+}
+
+impl WireReader {
+    pub(crate) fn new() -> WireReader {
+        WireReader {
+            decoder: FrameDecoder::new(),
+            buf: [0u8; 8192],
+        }
+    }
+
+    /// `Ok(None)` once the stream ends (EOF or a read error — either
+    /// way the peer is gone), `Err(why)` on a corrupt frame.
+    pub(crate) fn next(&mut self, input: &mut impl Read) -> Result<Option<Message>, String> {
+        loop {
+            if let Some(payload) = self.decoder.next_frame().map_err(|e| e.to_string())? {
+                return Message::decode(&payload)
+                    .map(Some)
+                    .map_err(|e| e.to_string());
+            }
+            match input.read(&mut self.buf) {
+                Ok(0) | Err(_) => return Ok(None),
+                Ok(n) => self.decoder.feed(&self.buf[..n]),
+            }
         }
     }
 }

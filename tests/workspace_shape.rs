@@ -5,7 +5,8 @@
 //! do a SipHash map on the simulator's per-access path, a per-byte
 //! hex `format!` outside `simart_codec::hex`, an artifact id that is
 //! not a function of content, a second provenance graph, a job queue
-//! outside the lease table, and a second decoder of stored params.
+//! outside the lease table, a second decoder of stored params, and
+//! supervision decided anywhere but the pure coordinator core.
 
 use std::path::{Path, PathBuf};
 
@@ -334,6 +335,40 @@ fn one_params_decoder() {
                 });
                 assert!(!arm, "{}:{}: {line}", source.display(), number + 1);
             }
+        }
+    }
+}
+
+/// The part of a source file before its unit tests.
+fn non_test(path: &Path) -> String {
+    let text = std::fs::read_to_string(path).unwrap();
+    text.split("#[cfg(test)]").next().unwrap().to_owned()
+}
+
+#[test]
+fn one_coordinator() {
+    // Supervision is decided in one pure core: `coord.rs` does no I/O,
+    // takes no lock and reads no clock, and the thread and process
+    // drivers keep no generations, revocations or atomic counters of
+    // their own beside it.
+    let src = repo().join("crates/tasks/src");
+    let core = non_test(&src.join("coord.rs"));
+    for banned in [
+        "std::thread",
+        "std::process",
+        "std::net",
+        "std::io",
+        "Mutex",
+        "Condvar",
+        "Atomic",
+        "Instant::now",
+    ] {
+        assert!(!core.contains(banned), "coord.rs names {banned}");
+    }
+    for driver in ["broker.rs", "remote.rs"] {
+        let shell = non_test(&src.join(driver));
+        for banned in ["next_generation", "fn revoke_lease", "AtomicU64"] {
+            assert!(!shell.contains(banned), "{driver} names {banned}");
         }
     }
 }
