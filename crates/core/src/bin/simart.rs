@@ -41,7 +41,40 @@ use simart::tasks::{
     TransportKind, WorkerCommand,
 };
 use simart::{Experiment, LaunchOptions, LaunchSummary};
+use std::fmt;
+use std::io::{ErrorKind, Write};
 use std::sync::Arc;
+
+/// Writes to stdout, where every human-facing line of the program
+/// goes. A reader that went away (`simart check | head`) stops the
+/// program with status 141, what a shell reports for a process killed
+/// by SIGPIPE, so a cut-off report never reads as a clean one.
+fn emit(text: fmt::Arguments<'_>) {
+    let mut stdout = std::io::stdout().lock();
+    if let Err(err) = stdout.write_fmt(text).and_then(|()| stdout.flush()) {
+        if err.kind() == ErrorKind::BrokenPipe {
+            std::process::exit(141);
+        }
+        panic!("failed printing to stdout: {err}");
+    }
+}
+
+/// `println!` through [`emit`].
+macro_rules! say {
+    () => {
+        emit(format_args!("\n"))
+    };
+    ($($arg:tt)*) => {
+        emit(format_args!("{}\n", format_args!($($arg)*)))
+    };
+}
+
+/// `print!` through [`emit`].
+macro_rules! show {
+    ($($arg:tt)*) => {
+        emit(format_args!($($arg)*))
+    };
+}
 
 fn main() {
     let args: Vec<String> = std::env::args().skip(1).collect();
@@ -198,7 +231,7 @@ fn catalog() -> i32 {
             resource.variant.to_owned(),
         ]);
     }
-    println!("{}", table.render());
+    say!("{}", table.render());
     0
 }
 
@@ -235,11 +268,11 @@ fn boot(args: &[String]) -> i32 {
     };
     match config.boot_only() {
         Ok(output) => {
-            println!("configuration : {}", config.label());
-            println!("outcome       : {}", output.outcome);
-            println!("boot time     : {}", format_ticks(output.sim_ticks));
-            println!("instructions  : {}", output.instructions);
-            println!("host estimate : {:.1}s", output.host_seconds);
+            say!("configuration : {}", config.label());
+            say!("outcome       : {}", output.outcome);
+            say!("boot time     : {}", format_ticks(output.sim_ticks));
+            say!("instructions  : {}", output.instructions);
+            say!("host estimate : {:.1}s", output.host_seconds);
             if output.outcome.is_success() {
                 0
             } else {
@@ -285,11 +318,11 @@ fn workload_cmd(args: &[String], suite: &str) -> i32 {
     };
     match config.run_workload(&profile, InputSize::SimMedium) {
         Ok(output) => {
-            println!("{app} on {os} with {cores} core(s):");
-            println!("  outcome      : {}", output.outcome);
-            println!("  exec time    : {}", format_ticks(output.sim_ticks));
-            println!("  instructions : {}", output.instructions);
-            println!(
+            say!("{app} on {os} with {cores} core(s):");
+            say!("  outcome      : {}", output.outcome);
+            say!("  exec time    : {}", format_ticks(output.sim_ticks));
+            say!("  instructions : {}", output.instructions);
+            say!(
                 "  IPC/core     : {:.3}",
                 output.stats.scalar("workload.utilization")
             );
@@ -317,11 +350,11 @@ fn gpu(args: &[String]) -> i32 {
         _ => None,
     });
     let result = Gpu::table3().run(&kernel, policy);
-    println!("{app} under the {policy} register allocator:");
-    println!("  shader ticks  : {}", result.ticks);
-    println!("  instructions  : {}", result.instructions);
-    println!("  occupancy/CU  : {}", result.peak_occupancy);
-    println!("  lock retries  : {}", result.lock_retries);
+    say!("{app} under the {policy} register allocator:");
+    say!("  shader ticks  : {}", result.ticks);
+    say!("  instructions  : {}", result.instructions);
+    say!("  occupancy/CU  : {}", result.peak_occupancy);
+    say!("  lock retries  : {}", result.lock_retries);
     0
 }
 
@@ -421,7 +454,7 @@ fn campaign(args: &[String]) -> i32 {
     // content-addressed store instead of re-simulating them.
     if let Some(dir) = flag(args, "--checkpoint-dir") {
         std::env::set_var(simart::remote::CHECKPOINT_DIR_ENV, &dir);
-        println!("boot checkpoints: {dir}");
+        say!("boot checkpoints: {dir}");
     }
 
     // A campaign with a database directory runs *attached*: every run
@@ -566,7 +599,7 @@ fn campaign(args: &[String]) -> i32 {
             &options,
         )
     };
-    println!(
+    say!(
         "campaign: {} runs — fresh {}, requeued {}, skipped done {}, skipped duplicates {}, \
          skipped quarantined {}",
         summary.total(),
@@ -576,13 +609,17 @@ fn campaign(args: &[String]) -> i32 {
         summary.skipped_duplicates,
         summary.skipped_quarantined,
     );
-    println!(
+    say!(
         "outcomes: done {}, failed {}, timed out {}, quarantined {}, retried {}",
-        summary.done, summary.failed, summary.timed_out, summary.quarantined, summary.retried,
+        summary.done,
+        summary.failed,
+        summary.timed_out,
+        summary.quarantined,
+        summary.retried,
     );
     if summary.quarantined > 0 {
         if let Some(dir) = &db_dir {
-            println!(
+            say!(
                 "quarantined runs need an explicit release: see `simart quarantine --db {}`",
                 dir.display()
             );
@@ -610,7 +647,7 @@ fn campaign(args: &[String]) -> i32 {
                 eprintln!("note: falling back to a full scan: {reason}");
             }
         }
-        print!("{}", render_text(&outcome.diagnostics));
+        show!("{}", render_text(&outcome.diagnostics));
         check_errors = has_errors(&outcome.diagnostics);
         check_engine = Some(engine);
     }
@@ -632,7 +669,7 @@ fn campaign(args: &[String]) -> i32 {
             );
             return 2;
         }
-        println!("database checkpointed to {}", dir.display());
+        say!("database checkpointed to {}", dir.display());
         // The checkpoint compacts the journal, which invalidates any
         // cursor captured before it — so the analysis state is recorded
         // only now, against the fresh post-checkpoint journal. The
@@ -645,7 +682,7 @@ fn campaign(args: &[String]) -> i32 {
             }
         }
         if !snapshot.metrics.is_empty() {
-            println!(
+            say!(
                 "metrics: {} recorded (inspect with `simart metrics --db {}`)",
                 snapshot.metrics.len(),
                 dir.display()
@@ -660,7 +697,7 @@ fn campaign(args: &[String]) -> i32 {
             eprintln!("error: cannot write trace to {}: {e}", path.display());
             return 2;
         }
-        println!(
+        say!(
             "trace written to {} ({} spans, {} events; open in chrome://tracing or ui.perfetto.dev)",
             path.display(),
             trace.spans.len(),
@@ -710,9 +747,9 @@ fn metrics(args: &[String]) -> i32 {
         }
     };
     if format == "json" {
-        println!("{}", snapshot.render_json());
+        say!("{}", snapshot.render_json());
     } else {
-        print!("{}", snapshot.render_text());
+        show!("{}", snapshot.render_text());
     }
     0
 }
@@ -758,9 +795,9 @@ fn quarantine(args: &[String]) -> i32 {
         }
     };
     if format == "json" {
-        println!("{}", simart::quarantine::render_json(&letters));
+        say!("{}", simart::quarantine::render_json(&letters));
     } else {
-        print!("{}", simart::quarantine::render_text(&letters));
+        show!("{}", simart::quarantine::render_text(&letters));
     }
     0
 }
@@ -807,7 +844,7 @@ fn quarantine_release(path: &std::path::Path, dir: &str, id: &str) -> i32 {
         eprintln!("error: cannot checkpoint database at {dir}: {e}");
         return 2;
     }
-    println!("released {id}: re-queued (run with `simart campaign --db {dir} --resume`)");
+    say!("released {id}: re-queued (run with `simart campaign --db {dir} --resume`)");
     0
 }
 
@@ -883,9 +920,9 @@ fn check(args: &[String]) -> i32 {
         }
     };
     if format == "json" {
-        println!("{}", render_json(&diagnostics));
+        say!("{}", render_json(&diagnostics));
     } else {
-        print!("{}", render_text(&diagnostics));
+        show!("{}", render_text(&diagnostics));
     }
     i32::from(has_errors(&diagnostics))
 }
@@ -895,11 +932,11 @@ fn check(args: &[String]) -> i32 {
 fn check_self_test() -> i32 {
     match lint::self_test() {
         Ok(summary) => {
-            println!("PASS  {summary}");
+            say!("PASS  {summary}");
             0
         }
         Err(e) => {
-            println!("FAIL  lint self-test: {e}");
+            say!("FAIL  lint self-test: {e}");
             1
         }
     }
@@ -908,7 +945,7 @@ fn check_self_test() -> i32 {
 fn selftest() -> i32 {
     let mut failures = 0;
     for (name, passed) in tests_resource::run_all() {
-        println!("{}  {name}", if passed { "PASS" } else { "FAIL" });
+        say!("{}  {name}", if passed { "PASS" } else { "FAIL" });
         if !passed {
             failures += 1;
         }
@@ -928,6 +965,6 @@ fn matrix() -> i32 {
     for (outcome, count) in counts {
         table.row(&[outcome.to_owned(), count.to_string()]);
     }
-    println!("{}", table.render());
+    say!("{}", table.render());
     0
 }

@@ -588,6 +588,13 @@ impl Experiment {
     /// ack, and a dead-lettered delivery lands in the same quarantine
     /// records.
     ///
+    /// A campaign worker reads a run's params as a
+    /// [`RunKind::CampaignBoot`]. A run whose script names another
+    /// [`RunKind`] is refused before admission: it counts in
+    /// `summary.failed`, is neither recorded nor submitted, and a
+    /// record it already has is left as it was. A script that names no
+    /// kind ships as before.
+    ///
     /// Delivery provenance is journaled onto each run as
     /// `remote-dispatch:<delivery>:g<generation>` and
     /// `remote-ack:<delivery>:g<generation>` events — the trail
@@ -651,6 +658,11 @@ impl Experiment {
         };
         let mut waiting: Vec<(Uuid, TaskHandle)> = Vec::new();
         for fs_run in runs {
+            let kind = RunKind::of_script(fs_run.run_script_path());
+            if kind.is_some_and(|kind| kind != RunKind::CampaignBoot) {
+                summary.failed += 1;
+                continue;
+            }
             if let Some(fs_run) = self.admit(fs_run, options, &mut summary) {
                 let name = self.task_name(&fs_run);
                 let spec = RemoteTaskSpec::new(

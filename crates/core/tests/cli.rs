@@ -150,3 +150,18 @@ fn matrix_totals_match_figure_8() {
     assert!(stdout.contains("| sim-crash    | 11"));
     assert!(stdout.contains("| deadlock     | 4"));
 }
+
+#[test]
+fn a_closed_stdout_ends_with_the_sigpipe_status_not_a_panic() {
+    // `simart boot … | true`: the reader is gone before the first line.
+    let (reader, writer) = std::io::pipe().expect("pipe");
+    drop(reader);
+    let output = Command::new(env!("CARGO_BIN_EXE_simart"))
+        .args(["boot", "--cpu", "o3", "--mem", "mesi"])
+        .stdout(writer)
+        .output()
+        .expect("binary runs");
+    let stderr = String::from_utf8_lossy(&output.stderr);
+    assert_eq!(output.status.code(), Some(141), "{stderr}");
+    assert!(!stderr.contains("panicked"), "{stderr}");
+}
