@@ -253,22 +253,43 @@ pub fn self_test() -> Result<String, String> {
         }
     }
 
-    // SA0005 needs a database on disk with a tampered blob file.
+    // SA0005 needs a database on disk with a tampered blob file, and
+    // SA0017's environment pass a checkpoint hand-edited after its
+    // save: moving a document to another key of an indexed field leaves
+    // the manifest's digest of that index disagreeing with a rebuild.
     let dir = std::env::temp_dir().join(format!("simart-check-selftest-{}", std::process::id()));
     let _ = std::fs::remove_dir_all(&dir);
     let disk = Database::in_memory();
     disk.blobs().put(b"intact".to_vec());
+    let notes = disk.collection("notes");
+    notes
+        .ensure_index(simart_db::IndexSpec::hash("topic"))
+        .and_then(|()| {
+            notes.insert(Value::map([
+                ("_id", Value::from("n1")),
+                ("topic", Value::from("boot")),
+            ]))
+        })
+        .map_err(|e| format!("seeding self-test index: {e}"))?;
     disk.save(&dir)
         .map_err(|e| format!("saving self-test db: {e}"))?;
     let fake = BlobKey::for_content(b"original content").to_hex();
     std::fs::write(dir.join("blobs").join(fake), b"tampered")
         .map_err(|e| format!("seeding tampered blob: {e}"))?;
+    std::fs::write(
+        dir.join("notes.jsonl"),
+        "{\"_id\":\"n1\",\"topic\":\"perf\"}\n",
+    )
+    .map_err(|e| format!("seeding edited checkpoint: {e}"))?;
     let disk_diags = lint_dir(&dir).map_err(|e| format!("linting self-test dir: {e}"))?;
     let _ = std::fs::remove_dir_all(&dir);
-    if !disk_diags.iter().any(|d| d.code == LintCode::HashMismatch) {
-        return Err(format!(
-            "tampered blob was not detected; got {disk_diags:?}"
-        ));
+    for (code, seeded) in [
+        (LintCode::HashMismatch, "tampered blob"),
+        (LintCode::IndexDivergence, "hand-edited indexed checkpoint"),
+    ] {
+        if !disk_diags.iter().any(|d| d.code == code) {
+            return Err(format!("{seeded} was not detected; got {disk_diags:?}"));
+        }
     }
 
     // SA0012/SA0013 need a journaled directory: an attached database

@@ -1284,10 +1284,12 @@ impl Lint for JournalLint {
 ///   index maintenance drifted from the documents at runtime;
 /// * the *environment* pass (`scan_environment`) compares the persisted
 ///   `indexes.json` manifest against a rebuild from the loaded
-///   documents — this catches hand-edited checkpoints, since the load
-///   itself rebuilds in-memory indexes from documents (making them
-///   consistent by construction) and only the manifest still testifies
-///   to what was recorded at save time.
+///   documents, digest by digest ([`simart_db::index_manifest`], which
+///   also normalises manifests that recorded full entries) — this
+///   catches hand-edited checkpoints, since the load itself rebuilds
+///   in-memory indexes from documents (making them consistent by
+///   construction) and only the manifest still testifies to what was
+///   recorded at save time.
 ///
 /// The environment comparison only runs over a *quiet* directory — no
 /// unreplayed journal records, torn tail, or divergence — because a
@@ -1352,7 +1354,7 @@ impl Lint for IndexLint {
             .unwrap_or(&empty);
         for (name, state) in recorded {
             let rebuilt = db.collection(name).index_state();
-            if *state != rebuilt {
+            if simart_db::index_manifest(state) != simart_db::index_manifest(&rebuilt) {
                 self.environment.push(Diagnostic::new(
                     LintCode::IndexDivergence,
                     format!("collection:{name}"),

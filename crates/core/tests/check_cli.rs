@@ -630,3 +630,71 @@ fn self_test_subcommand_passes() {
         "one PASS line, no SKIP: {stdout}"
     );
 }
+
+/// Manifests once recorded every index's rendered entries (`keys`)
+/// where they now record one digest. A directory whose manifest has the
+/// entries still rebuilds every index on open, checks clean, and still
+/// shows a hand-edited checkpoint as SA0017.
+#[test]
+fn entry_form_index_manifests_load_and_check() {
+    use simart::db::{IndexSpec, LoadOptions, INDEX_MANIFEST_FILE};
+    let dir = temp_dir("entry-manifest");
+    let db = Database::in_memory();
+    let notes = db.collection("notes");
+    notes
+        .ensure_index(IndexSpec::hash("topic"))
+        .expect("declare hash index");
+    notes
+        .ensure_index(IndexSpec::ordered("rank"))
+        .expect("declare ordered index");
+    for (id, topic, rank) in [
+        ("note-1", "boot", 3i64),
+        ("note-2", "boot", 1),
+        ("note-3", "perf", 2),
+    ] {
+        notes
+            .insert(Value::map([
+                ("_id", Value::from(id)),
+                ("topic", Value::from(topic)),
+                ("rank", Value::from(rank)),
+            ]))
+            .expect("seed note");
+    }
+    db.save(&dir).expect("save fixture");
+    // The entry form is `index_state()` per collection, as written then.
+    let manifest = Value::map([("collections", Value::map([("notes", notes.index_state())]))]);
+    let manifest_path = dir.join(INDEX_MANIFEST_FILE);
+    std::fs::write(
+        &manifest_path,
+        format!("{}\n", simart_codec::json::to_json(&manifest)),
+    )
+    .expect("write entry-form manifest");
+    assert!(std::fs::read_to_string(&manifest_path)
+        .expect("read manifest")
+        .contains("\"keys\""));
+
+    let (reopened, report) =
+        Database::open_with(&dir, &LoadOptions::default()).expect("open entry-form directory");
+    assert_eq!(report.indexes_rebuilt, 2, "{report:?}");
+    assert_eq!(
+        reopened.collection("notes").index_state(),
+        notes.index_state()
+    );
+    drop(reopened);
+
+    let clean = run_check(&dir, &[]);
+    assert_eq!(clean.status.code(), Some(0), "{clean:?}");
+
+    let checkpoint = dir.join("notes.jsonl");
+    let text = std::fs::read_to_string(&checkpoint).expect("read checkpoint");
+    let tampered = text.replace("\"rank\":1", "\"rank\":7");
+    assert_ne!(text, tampered, "the edit must change an indexed field");
+    std::fs::write(&checkpoint, tampered).expect("tamper checkpoint");
+    let out = run_check(&dir, &[]);
+    assert_eq!(out.status.code(), Some(1), "{out:?}");
+    assert!(
+        String::from_utf8_lossy(&out.stdout).contains("error[SA0017] index-divergence"),
+        "{out:?}"
+    );
+    let _ = std::fs::remove_dir_all(&dir);
+}

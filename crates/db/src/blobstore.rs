@@ -126,11 +126,6 @@ impl BlobStore {
         self.inner.read().is_empty()
     }
 
-    /// Total stored bytes across all blobs.
-    pub fn total_bytes(&self) -> usize {
-        self.inner.read().values().map(|data| data.len()).sum()
-    }
-
     /// Snapshot of all keys, sorted for determinism.
     pub fn keys(&self) -> Vec<BlobKey> {
         let mut keys: Vec<BlobKey> = self.inner.read().keys().copied().collect();
@@ -149,7 +144,6 @@ mod tests {
         let key = store.put(b"hello".to_vec());
         assert_eq!(store.get(key).unwrap().as_ref(), b"hello");
         assert!(store.contains(key));
-        assert_eq!(store.total_bytes(), 5);
     }
 
     #[test]

@@ -36,8 +36,8 @@ pub enum IndexKind {
     /// probes. Array fields are multikey — the whole array and each
     /// non-null element are indexed.
     Hash,
-    /// Value-ordered index: serves equality, range (`Gt`/`Gte`/`Lt`/
-    /// `Lte`), and `find_sorted` traversal in [`Value::compare`] order.
+    /// Value-ordered index: serves equality, range (`Gt`/`Gte`), and
+    /// `find_sorted` traversal in [`Value::compare`] order.
     Ordered,
 }
 
@@ -314,39 +314,21 @@ impl Index {
         }
     }
 
-    /// Candidate ids for a range probe (ordered only). Bounds are
-    /// `(value, inclusive)`; `None` is unbounded on that side.
-    fn probe_range(
-        &self,
-        lower: Option<(&Value, bool)>,
-        upper: Option<(&Value, bool)>,
-    ) -> Option<Vec<String>> {
+    /// Candidate ids for a range probe (ordered only), bounded below
+    /// by `(value, inclusive)`.
+    fn probe_range(&self, (value, inclusive): (&Value, bool)) -> Option<Vec<String>> {
         let IndexData::Ordered(map) = &self.data else {
             return None;
         };
-        // Bounds aim at whole compare-equal classes: inclusive bounds
-        // take the class, exclusive bounds skip it.
-        let start = match lower {
-            None => Bound::Unbounded,
-            Some((value, true)) => Bound::Included(class_bound(value, false)),
-            Some((value, false)) => Bound::Excluded(class_bound(value, true)),
+        // The bound aims at a whole compare-equal class: inclusive
+        // takes the class, exclusive skips it.
+        let start = if inclusive {
+            Bound::Included(class_bound(value, false))
+        } else {
+            Bound::Excluded(class_bound(value, true))
         };
-        let end = match upper {
-            None => Bound::Unbounded,
-            Some((value, true)) => Bound::Included(class_bound(value, true)),
-            Some((value, false)) => Bound::Excluded(class_bound(value, false)),
-        };
-        // An inverted range would panic inside BTreeMap::range; it can
-        // only arise from a contradictory filter, which matches nothing.
-        if let (Bound::Included(s) | Bound::Excluded(s), Bound::Included(e) | Bound::Excluded(e)) =
-            (&start, &end)
-        {
-            if s > e {
-                return Some(Vec::new());
-            }
-        }
         Some(
-            map.range((start, end))
+            map.range((start, Bound::Unbounded))
                 .flat_map(|(_, ids)| ids.iter().cloned())
                 .collect(),
         )
@@ -459,16 +441,6 @@ pub struct Snapshot {
     docs: Arc<BTreeMap<String, Value>>,
 }
 
-/// The documents of `docs` matching `filter`, in `_id` order (the
-/// map's own). Every scan — a [`Snapshot`]'s reads and a
-/// [`Collection`]'s unplanned queries — is this iterator.
-fn scan<'a>(
-    docs: &'a BTreeMap<String, Value>,
-    filter: &'a Filter,
-) -> impl Iterator<Item = (&'a String, &'a Value)> {
-    docs.iter().filter(move |(_, doc)| filter.matches(doc))
-}
-
 impl Snapshot {
     /// The collection's name.
     pub fn name(&self) -> &str {
@@ -498,32 +470,7 @@ impl Snapshot {
 
     /// All documents, ordered by `_id`.
     pub fn all(&self) -> Vec<Value> {
-        self.find(&Filter::All)
-    }
-
-    /// Documents matching `filter`, ordered by `_id`.
-    pub fn find(&self, filter: &Filter) -> Vec<Value> {
-        scan(&self.docs, filter)
-            .map(|(_, doc)| doc.clone())
-            .collect()
-    }
-
-    /// The first matching document in `_id` order.
-    pub fn find_one(&self, filter: &Filter) -> Option<Value> {
-        scan(&self.docs, filter).next().map(|(_, doc)| doc.clone())
-    }
-
-    /// Counts matching documents.
-    pub fn count(&self, filter: &Filter) -> usize {
-        scan(&self.docs, filter).count()
-    }
-
-    /// Matching documents sorted by a field path (missing fields sort
-    /// as `Null`; ties keep `_id` order).
-    pub fn find_sorted(&self, filter: &Filter, sort_path: &str, order: SortOrder) -> Vec<Value> {
-        let mut results = self.find(filter);
-        sort_docs(&mut results, sort_path, order);
-        results
+        self.iter().map(|(_, doc)| doc.clone()).collect()
     }
 }
 
@@ -593,22 +540,28 @@ impl State {
 }
 
 /// Walks the documents of `docs` matching `filter` in `_id` order:
-/// the `planned` candidates when there are some, a [`scan`] otherwise.
-/// The full filter is re-applied either way, so probes only need to
-/// over-approximate.
+/// the `planned` candidates when there are some, every document
+/// otherwise. The full filter is re-applied either way, so probes only
+/// need to over-approximate.
 fn walk<'a>(
     docs: &'a BTreeMap<String, Value>,
     planned: Option<Vec<String>>,
     filter: &'a Filter,
     f: &mut dyn FnMut(&'a str, &'a Value) -> ControlFlow<()>,
 ) -> ControlFlow<()> {
+    let visit = |(id, doc): (&'a String, &'a Value)| {
+        if filter.matches(doc) {
+            f(id, doc)
+        } else {
+            ControlFlow::Continue(())
+        }
+    };
     match planned {
         Some(ids) => ids
             .iter()
             .filter_map(|id| docs.get_key_value(id))
-            .filter(|(_, doc)| filter.matches(doc))
-            .try_for_each(|(id, doc)| f(id, doc)),
-        None => scan(docs, filter).try_for_each(|(id, doc)| f(id, doc)),
+            .try_for_each(visit),
+        None => docs.iter().try_for_each(visit),
     }
 }
 
@@ -913,18 +866,6 @@ impl Collection {
         out
     }
 
-    /// Returns the first matching document (in `_id` order).
-    pub fn find_one(&self, filter: &Filter) -> Option<Value> {
-        let _span = observe::span(|| "db.query".to_owned());
-        let _timer = observe::timer("db.query_us");
-        let mut out = None;
-        self.for_each_matching(filter, &mut |_, doc| {
-            out = Some(doc.clone());
-            ControlFlow::Break(())
-        });
-        out
-    }
-
     /// Returns matching documents sorted by a field path.
     ///
     /// With an [`IndexKind::Ordered`] index on `sort_path` the result
@@ -1003,25 +944,6 @@ impl Collection {
         let retracted = state.indexes.apply(&self.name, &[(id, Some(&doc), None)]);
         debug_assert!(retracted.is_ok());
         Some(doc)
-    }
-
-    /// Deletes every matching document, returning how many were removed.
-    pub fn delete_many(&self, filter: &Filter) -> usize {
-        let ids: Vec<String> = {
-            let mut ids = Vec::new();
-            self.for_each_matching(filter, &mut |id, _| {
-                ids.push(id.to_owned());
-                ControlFlow::Continue(())
-            });
-            ids
-        };
-        let mut removed = 0;
-        for id in ids {
-            if self.delete(&id).is_some() {
-                removed += 1;
-            }
-        }
-        removed
     }
 
     /// Applies `update` to every matching document (the `_id` field is
@@ -1131,16 +1053,7 @@ fn planned_ids(indexes: &IndexSet, filter: &Filter) -> Option<Vec<String>> {
             Probe::Ids(ids) => Some(ids.iter().map(|id| (*id).to_owned()).collect()),
             Probe::Eq { path, value } => indexes.get(path).map(|ix| ix.probe_eq(value)),
             Probe::Elem { path, value } => indexes.get(path).and_then(|ix| ix.probe_elem(value)),
-            Probe::In { path, values } => indexes.get(path).map(|ix| {
-                let mut ids: Vec<String> = Vec::new();
-                for value in *values {
-                    ids.extend(ix.probe_eq(value));
-                }
-                ids
-            }),
-            Probe::Range { path, lower, upper } => indexes
-                .get(path)
-                .and_then(|ix| ix.probe_range(*lower, *upper)),
+            Probe::Range { path, lower } => indexes.get(path).and_then(|ix| ix.probe_range(*lower)),
         };
         if let Some(mut ids) = ids {
             ids.sort();
@@ -1264,7 +1177,6 @@ mod tests {
         assert_eq!(ts, vec![9, 5, 3]);
         let apps = c.distinct(&Filter::All, "app");
         assert_eq!(apps.len(), 2);
-        assert!(c.find_one(&Filter::eq("app", "vips")).is_some());
     }
 
     #[test]
@@ -1357,17 +1269,6 @@ mod tests {
     }
 
     #[test]
-    fn delete_many_by_filter() {
-        let c = Collection::new("x");
-        for i in 0..10i64 {
-            c.insert(doc(&i.to_string(), [("even", Value::from(i % 2 == 0))]))
-                .unwrap();
-        }
-        assert_eq!(c.delete_many(&Filter::eq("even", true)), 5);
-        assert_eq!(c.len(), 5);
-    }
-
-    #[test]
     fn clones_share_storage() {
         let c = Collection::new("x");
         let c2 = c.clone();
@@ -1395,7 +1296,6 @@ mod tests {
             snap.get("d3").unwrap().at("n").and_then(Value::as_int),
             Some(3)
         );
-        assert_eq!(snap.count(&Filter::eq("n", -1i64)), 0);
         assert_eq!(c.len(), 20);
         // Snapshot iteration stays in _id order.
         let ids: Vec<String> = snap
@@ -1481,15 +1381,10 @@ mod tests {
             Filter::eq("_id", "d07"),
             Filter::eq("t", Value::Null),
             Filter::gt("t", 10i64),
-            Filter::gte("t", 12.5).and(Filter::lt("t", 30i64)),
-            Filter::lte("t", 20i64),
-            Filter::lt("t", 0i64),
+            Filter::gte("t", 12.5).and(Filter::gt("t", 30i64)),
+            Filter::gt("t", 20i64).and(Filter::gte("t", 20i64)),
             Filter::elem_match("tags", "g2"),
-            Filter::any_of("app", ["vips", "x264"]),
-            Filter::any_of("_id", ["d01", "d02", "zzz"]),
             Filter::eq("app", "dedup").and(Filter::gt("t", 5i64)),
-            Filter::eq("app", "dedup").or(Filter::eq("app", "vips")),
-            Filter::eq("app", "dedup").not(),
             Filter::gt("t", "a"),
         ];
         for filter in &filters {
@@ -1499,7 +1394,6 @@ mod tests {
                 "filter {filter:?} diverged"
             );
             assert_eq!(indexed.count(filter), plain.count(filter));
-            assert_eq!(indexed.find_one(filter), plain.find_one(filter));
         }
         assert!(indexed.verify_indexes().is_empty());
     }

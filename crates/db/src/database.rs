@@ -7,6 +7,7 @@ use crate::journal::{self, write_atomic, Journal, JournalCell, JournalCursor, Jo
 use crate::json;
 use crate::Value;
 use parking_lot::RwLock;
+use simart_codec::fnv1a;
 use simart_observe as observe;
 use std::collections::BTreeMap;
 use std::fs;
@@ -140,12 +141,6 @@ impl Database {
     /// The database's blob store.
     pub fn blobs(&self) -> &BlobStore {
         &self.blobs
-    }
-
-    /// Whether this handle is attached to a directory (opened with
-    /// [`Database::open`]) and journaling its mutations.
-    pub fn is_attached(&self) -> bool {
-        self.journal.read().is_some()
     }
 
     /// The directory this handle is attached to, or `None` for an
@@ -286,7 +281,7 @@ impl Database {
                 fs::remove_file(&path)?;
             }
         }
-        // Persist index *definitions* (plus their current rendered
+        // Persist index *definitions* (plus one digest of each index's
         // entries, for `simart check`'s divergence lint) in one
         // manifest. Index contents are never load-bearing — loading
         // rebuilds every index from the documents — but without the
@@ -296,7 +291,10 @@ impl Database {
             .iter()
             .map(|name| self.collection(name))
             .filter(|collection| !collection.index_specs().is_empty())
-            .map(|collection| (collection.name().to_owned(), collection.index_state()))
+            .map(|collection| {
+                let entries = index_manifest(&collection.index_state());
+                (collection.name().to_owned(), entries)
+            })
             .collect();
         let manifest_path = dir.join(INDEX_MANIFEST_FILE);
         if manifest.is_empty() {
@@ -496,7 +494,7 @@ impl Database {
         }
         // Rebuild declared indexes from the manifest *before* journal
         // replay, so replayed mutations maintain them write-through.
-        // Only the specs are consumed here; the recorded entries exist
+        // Only the specs are consumed here; the recorded digests exist
         // for divergence checking, the indexes themselves are always
         // rebuilt from the loaded documents.
         let manifest_path = dir.join(INDEX_MANIFEST_FILE);
@@ -646,8 +644,27 @@ impl Database {
 }
 
 /// File name of the secondary-index manifest inside a database
-/// directory (index specs + their rendered entries at save time).
+/// directory (index specs + a digest of their entries at save time).
 pub const INDEX_MANIFEST_FILE: &str = "indexes.json";
+
+/// A collection's entries in the [`INDEX_MANIFEST_FILE`] manifest, from
+/// its [`Collection::index_state`]: each index's `keys` map becomes one
+/// `digest` (the 16-hex-digit FNV-1a of the map's JSON) beside `path`,
+/// `kind` and `unique`. The checkpoint writer records this form and
+/// `simart check` compares two of them. An entry that carries no `keys`
+/// is already in this form and passes through, so a manifest that
+/// recorded the full entries normalises to the digests written today.
+pub fn index_manifest(state: &Value) -> Value {
+    let entries = state.as_array().unwrap_or(&[]).iter().map(|entry| {
+        let mut entry = entry.as_map().cloned().unwrap_or_default();
+        if let Some(keys) = entry.remove("keys") {
+            let digest = fnv1a(json::to_json(&keys).as_bytes());
+            entry.insert("digest".to_owned(), Value::from(format!("{digest:016x}")));
+        }
+        Value::Map(entry)
+    });
+    Value::Array(entries.collect())
+}
 
 /// Decodes one manifest / [`Collection::index_state`] entry back into
 /// its [`IndexSpec`]; `None` when fields are missing or malformed.
@@ -763,7 +780,7 @@ mod tests {
         let key;
         {
             let db = Database::open(&dir).unwrap();
-            assert!(db.is_attached());
+            assert_eq!(db.attached_dir(), Some(dir.clone()));
             db.collection("runs")
                 .insert(Value::map([
                     ("_id", Value::from("r1")),
@@ -1151,7 +1168,8 @@ mod tests {
             .unwrap();
         }
         db.save(&dir).unwrap();
-        assert!(dir.join(INDEX_MANIFEST_FILE).is_file());
+        let manifest = fs::read_to_string(dir.join(INDEX_MANIFEST_FILE)).unwrap();
+        assert!(manifest.contains("\"digest\"") && !manifest.contains("\"keys\""));
 
         let (restored, report) = Database::load_with(&dir, &LoadOptions::default()).unwrap();
         assert_eq!(report.indexes_rebuilt, 2);

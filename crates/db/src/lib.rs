@@ -58,7 +58,7 @@ mod query;
 pub use artifact_store::ArtifactStore;
 pub use blobstore::{BlobKey, BlobStore};
 pub use collection::{Collection, IndexDivergence, IndexKind, IndexSpec, Snapshot};
-pub use database::{Database, LoadOptions, LoadReport, INDEX_MANIFEST_FILE};
+pub use database::{index_manifest, Database, LoadOptions, LoadReport, INDEX_MANIFEST_FILE};
 pub use error::DbError;
 pub use journal::{
     prefix_crc, read_journal, read_journal_from, JournalCursor, JournalOp, JournalReplay,

@@ -117,7 +117,7 @@ proptest! {
             let by_scan = collection.all().iter().filter(|d| filter.matches(d)).count();
             prop_assert_eq!(collection.count(&filter), by_scan);
         }
-        let range = Filter::lt("n", 50i64);
+        let range = Filter::gt("n", 50i64);
         let by_scan = collection.all().iter().filter(|d| range.matches(d)).count();
         prop_assert_eq!(collection.count(&range), by_scan);
     }
@@ -218,9 +218,9 @@ proptest! {
     }
 }
 
-/// The four `RunStore` index shapes: a unique hash key, a low-cardinality
-/// hash key, a multikey array every document shares, and a sparse
-/// ordered key.
+/// The three `RunStore` index shapes — a unique hash key, a
+/// low-cardinality hash key, a multikey array every document shares —
+/// plus a sparse ordered key.
 fn declare_run_indexes(collection: &Collection) {
     for spec in [
         IndexSpec::hash("hash").unique(),
@@ -255,7 +255,7 @@ fn apply_edit(collection: &Collection, (what, which, n): Edit) {
         0 => Filter::eq("_id", format!("r{:02}", which % 16)),
         1 => Filter::eq("status", ["queued", "running", "done"][which as usize % 3]),
         2 => Filter::elem_match("inputs", "kernel"),
-        _ => Filter::lt("results.simTicks", n % 50),
+        _ => Filter::gt("results.simTicks", n % 50),
     };
     let status = ["queued", "running", "done"][n.unsigned_abs() as usize % 3];
     let _ = collection.update_many(&filter, |doc| match what % 6 {
@@ -326,22 +326,22 @@ fn a_batch_that_swaps_two_unique_keys_is_accepted() {
         collection.insert(run_doc(slot)).unwrap();
     }
     let swapped = collection
-        .update_many(&Filter::any_of("_id", ["r00", "r01"]), |doc| {
+        .update_many(&Filter::gte("_id", "r01"), |doc| {
             let other = match doc.at("hash").and_then(Value::as_str) {
-                Some("h00") => "h01",
-                _ => "h00",
+                Some("h01") => "h02",
+                _ => "h01",
             };
             doc.set_at("hash", Value::from(other));
         })
         .expect("old keys are retracted before the new ones are checked");
     assert_eq!(swapped, 2);
     assert_eq!(
-        collection.get("r00").unwrap().at("hash"),
-        Some(&Value::from("h01"))
+        collection.get("r01").unwrap().at("hash"),
+        Some(&Value::from("h02"))
     );
     assert_eq!(
-        collection.get("r01").unwrap().at("hash"),
-        Some(&Value::from("h00"))
+        collection.get("r02").unwrap().at("hash"),
+        Some(&Value::from("h01"))
     );
     assert_eq!(collection.index_state(), rebuild(&collection));
 }
@@ -354,11 +354,11 @@ fn a_rewrite_onto_an_untouched_documents_unique_key_is_refused() {
         collection.insert(run_doc(slot)).unwrap();
     }
     let (docs, indexes) = (collection.all(), collection.index_state());
-    // r01 is in the batch but its `hash` is not rewritten: its entry is
-    // never retracted, and still blocks r00 from taking the key.
-    let refused = collection.update_many(&Filter::any_of("_id", ["r00", "r01"]), |doc| {
-        if doc.at("_id") == Some(&Value::from("r00")) {
-            doc.set_at("hash", Value::from("h01"));
+    // r02 is in the batch but its `hash` is not rewritten: its entry is
+    // never retracted, and still blocks r01 from taking the key.
+    let refused = collection.update_many(&Filter::gte("_id", "r01"), |doc| {
+        if doc.at("_id") == Some(&Value::from("r01")) {
+            doc.set_at("hash", Value::from("h02"));
         }
         doc.set_at("status", Value::from("running"));
     });
@@ -367,8 +367,8 @@ fn a_rewrite_onto_an_untouched_documents_unique_key_is_refused() {
         Err(simart_db::DbError::UniqueViolation { .. })
     ));
     // So does a bystander outside the batch.
-    let refused = collection.update_many(&Filter::eq("_id", "r00"), |doc| {
-        doc.set_at("hash", Value::from("h02"));
+    let refused = collection.update_many(&Filter::eq("_id", "r01"), |doc| {
+        doc.set_at("hash", Value::from("h00"));
         doc.set_at("status", Value::from("running"));
     });
     assert!(matches!(

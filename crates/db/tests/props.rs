@@ -1,9 +1,9 @@
-//! Property-based tests for the document model, JSON codec, query
-//! engine, and blob store.
+//! Property-based tests for the document model, JSON codec,
+//! collections, and blob store.
 
 use proptest::prelude::*;
 use simart_codec::json;
-use simart_db::{BlobStore, Database, Filter, Value};
+use simart_db::{BlobStore, Database, Value};
 
 /// Strategy for arbitrary document values (bounded depth).
 fn value_strategy() -> impl Strategy<Value = Value> {
@@ -42,21 +42,6 @@ proptest! {
         prop_assert_eq!(a.compare(&b), b.compare(&a).reverse());
         if a.compare(&b) != Ordering::Greater && b.compare(&c) != Ordering::Greater {
             prop_assert_ne!(a.compare(&c), Ordering::Greater);
-        }
-    }
-
-    /// Double negation of a filter never changes what matches.
-    #[test]
-    fn filter_not_is_involutive(doc in value_strategy(), needle in any::<i64>()) {
-        let filters = [
-            Filter::eq("a", needle),
-            Filter::gt("a", needle),
-            Filter::exists("a"),
-            Filter::contains("a", "x"),
-        ];
-        for f in filters {
-            let double = f.clone().not().not();
-            prop_assert_eq!(f.matches(&doc), double.matches(&doc));
         }
     }
 

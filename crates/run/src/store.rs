@@ -44,7 +44,6 @@ impl RunStore {
         collection.ensure_unique("hash")?;
         collection.ensure_index(simart_db::IndexSpec::hash("status"))?;
         collection.ensure_index(simart_db::IndexSpec::hash("inputs"))?;
-        collection.ensure_index(simart_db::IndexSpec::ordered("results.simTicks"))?;
         Ok(RunStore { db: db.clone() })
     }
 

@@ -535,13 +535,17 @@ fn supervise_tick(shared: &Arc<Shared>) {
             exited.push(st.coord.owner(slot));
         }
     }
+    // The gauge moves only where the detached set changes: here when a
+    // thread was joined, and in the `Retire` arm when one is detached.
+    if !joined.is_empty() {
+        observe::gauge("broker.detached_live", st.detached.len() as i64);
+    }
     apply(shared, st, |coord, effects, now| {
         for owner in joined {
             coord.reaped(owner);
         }
         coord.tick(now, &exited, effects)
     });
-    observe::gauge("broker.detached_live", st.detached.len() as i64);
 }
 
 #[cfg(test)]

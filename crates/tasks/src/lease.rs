@@ -23,8 +23,9 @@
 //!
 //! The table does no I/O, spawns nothing, and never reads a clock —
 //! every operation that needs the time takes `now`. Worker lifecycles
-//! (detach/respawn, spawn/kill), waking idle workers and metrics
-//! belong to the drivers, which act on what the table returns.
+//! (detach/respawn, spawn/kill) are decided by the coordinator core
+//! (`coord.rs`), which owns this table; the drivers carry out only the
+//! I/O those decisions need (threads, processes, frames, metrics).
 
 use crate::supervise::SupervisorConfig;
 use crate::task::{TaskReport, TaskState};

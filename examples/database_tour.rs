@@ -85,12 +85,12 @@ fn main() -> Result<(), Box<dyn std::error::Error>> {
     println!("{}", table.render());
     println!("same table as Markdown:\n\n{}", table.render_markdown());
 
-    // Targeted query: which runs beat 2 simulated seconds?
-    let fast = runs_collection.find(
-        &Filter::eq("status", "done").and(Filter::lt("results.simTicks", 2_000_000_000_000i64)),
+    // Targeted query: which runs took more than 2 simulated seconds?
+    let slow = runs_collection.find(
+        &Filter::eq("status", "done").and(Filter::gt("results.simTicks", 2_000_000_000_000i64)),
     );
-    println!("{} run(s) finished under 2 simulated seconds:", fast.len());
-    for doc in fast {
+    println!("{} run(s) took more than 2 simulated seconds:", slow.len());
+    for doc in slow {
         let run = parsec_run(&doc);
         println!("  {} on {} core(s)", run.app, run.cores);
     }
