@@ -12,7 +12,7 @@
 use crate::diag::{Diagnostic, LintCode};
 use crate::engine::Engine;
 use simart_artifact::Uuid;
-use simart_db::{BlobKey, Database, DbError, LoadOptions, Value};
+use simart_db::{BlobKey, Database, DbError, LoadOptions, LoadReport, Value};
 use std::path::Path;
 
 /// Lints an in-memory database, returning all findings sorted in the
@@ -31,12 +31,12 @@ pub fn lint_database(db: &Database) -> Vec<Diagnostic> {
 /// content does not hash to their file name (SA0005) — exactly the
 /// blobs a lenient `Database::load` discards — and inspects the journal
 /// state the load reported (SA0012 unreplayed-journal, SA0013
-/// journal-divergence).
+/// journal-divergence). Returns the findings and the load's report.
 ///
 /// # Errors
 ///
 /// Propagates load failures (missing directory, corrupt JSONL).
-pub fn lint_dir(dir: &Path) -> Result<Vec<Diagnostic>, DbError> {
+pub fn lint_dir(dir: &Path) -> Result<(Vec<Diagnostic>, LoadReport), DbError> {
     // Lenient load: the linter's job is to *report* damage, so corrupt
     // documents must not abort the whole pass (SA0005/SA0012/SA0013
     // findings describe them instead).
@@ -44,7 +44,7 @@ pub fn lint_dir(dir: &Path) -> Result<Vec<Diagnostic>, DbError> {
     let mut engine = Engine::new();
     engine.full_scan(&db);
     engine.scan_environment(dir, &report);
-    Ok(engine.diagnostics())
+    Ok((engine.diagnostics(), report))
 }
 
 /// Runs the linter against a freshly seeded database containing one
@@ -281,7 +281,7 @@ pub fn self_test() -> Result<String, String> {
         "{\"_id\":\"n1\",\"topic\":\"perf\"}\n",
     )
     .map_err(|e| format!("seeding edited checkpoint: {e}"))?;
-    let disk_diags = lint_dir(&dir).map_err(|e| format!("linting self-test dir: {e}"))?;
+    let (disk_diags, _) = lint_dir(&dir).map_err(|e| format!("linting self-test dir: {e}"))?;
     let _ = std::fs::remove_dir_all(&dir);
     for (code, seeded) in [
         (LintCode::HashMismatch, "tampered blob"),
@@ -314,7 +314,7 @@ pub fn self_test() -> Result<String, String> {
     }
     std::fs::write(jdir.join("notes.jsonl"), "{\"_id\":\"n1\",\"v\":2}\n")
         .map_err(|e| format!("seeding divergent checkpoint: {e}"))?;
-    let journal_diags = lint_dir(&jdir).map_err(|e| format!("linting journaled dir: {e}"))?;
+    let (journal_diags, _) = lint_dir(&jdir).map_err(|e| format!("linting journaled dir: {e}"))?;
     let _ = std::fs::remove_dir_all(&jdir);
     if !journal_diags
         .iter()

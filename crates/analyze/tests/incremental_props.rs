@@ -341,7 +341,7 @@ fn persisted_state_resumes_and_checkpoint_invalidates_the_cursor() {
             .expect("seed run");
     }
 
-    let full = lint::lint_dir(&dir).expect("full lint");
+    let (full, _) = lint::lint_dir(&dir).expect("full lint");
     let first = check_dir_incremental(&dir).expect("first check");
     assert!(!first.incremental);
     assert_eq!(
@@ -363,7 +363,7 @@ fn persisted_state_resumes_and_checkpoint_invalidates_the_cursor() {
             ]))
             .expect("seed defect");
     }
-    let full = lint::lint_dir(&dir).expect("full lint after mutation");
+    let (full, _) = lint::lint_dir(&dir).expect("full lint after mutation");
     let second = check_dir_incremental(&dir).expect("second check");
     assert!(
         second.incremental,
@@ -386,7 +386,7 @@ fn persisted_state_resumes_and_checkpoint_invalidates_the_cursor() {
         third.fallback.as_deref(),
         Some("journal compacted past the analysis cursor")
     );
-    let full = lint::lint_dir(&dir).expect("full lint after checkpoint");
+    let (full, _) = lint::lint_dir(&dir).expect("full lint after checkpoint");
     assert_eq!(render_text(&third.diagnostics), render_text(&full));
 
     let fourth = check_dir_incremental(&dir).expect("final check");

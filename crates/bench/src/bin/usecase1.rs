@@ -33,7 +33,7 @@ fn main() {
     table2.row_strs(&["Input sizes", "simmedium"]);
     println!("{}", table2.render());
 
-    eprintln!("running 60 full-system simulations ({fidelity:?} fidelity)...");
+    eprintln!("running 60 full-system simulations ({fidelity} fidelity)...");
     let data = usecase1::run(fidelity);
 
     let mut results = Table::new(

@@ -136,7 +136,8 @@ fn register_artifacts(experiment: &Experiment) -> Uc1Artifacts {
 
 /// Runs the full use-case 1 experiment, returning the measured data.
 ///
-/// `fidelity` selects sample sizes (use [`Fidelity::Smoke`] in tests).
+/// `fidelity` selects sample sizes (use [`Fidelity::Smoke`] in tests);
+/// each run records it as its last param.
 pub fn run(fidelity: Fidelity) -> Uc1Data {
     let experiment = Experiment::new("usecase1-parsec");
     let artifacts = register_artifacts(&experiment);
@@ -167,6 +168,7 @@ pub fn run(fidelity: Fidelity) -> Uc1Data {
                     .output_dir(format!("results/{}", combo.label()))
                     .params(combo.params())
                     .param(InputSize::SimMedium.to_string())
+                    .param(fidelity.to_string())
                     .timeout_seconds(24 * 3600)
             })
             .expect("valid use-case 1 run");
@@ -178,7 +180,7 @@ pub fn run(fidelity: Fidelity) -> Uc1Data {
             .map(|p| p.get())
             .unwrap_or(4),
     );
-    let summary = experiment.launch(runs, &pool, move |run| kinds::execute(run, fidelity));
+    let summary = experiment.launch(runs, &pool, kinds::execute);
     assert_eq!(
         summary.failed + summary.timed_out,
         0,

@@ -65,7 +65,8 @@ impl Uc2Data {
     }
 }
 
-/// Runs all 480 boot tests through the framework, returning outcomes.
+/// Runs all 480 boot tests through the framework at `fidelity`, which
+/// each run records as its last param, returning outcomes.
 pub fn run(fidelity: Fidelity) -> Uc2Data {
     let experiment = Experiment::new("usecase2-boot-tests");
 
@@ -100,7 +101,7 @@ pub fn run(fidelity: Fidelity) -> Uc2Data {
                         format!("vmlinux-{}", config.kernel.release()),
                     )
                     .disk_image(disk, "disks/boot-exit.img")
-                    .params(RunSpec::Figure8(config).encode())
+                    .params(RunSpec::Figure8(config, fidelity).encode())
                     .timeout_seconds(24 * 3600)
             })
             .expect("valid boot-test run");
@@ -112,12 +113,12 @@ pub fn run(fidelity: Fidelity) -> Uc2Data {
             .map(|p| p.get())
             .unwrap_or(4),
     );
-    experiment.launch(runs, &pool, move |run| kinds::execute(run, fidelity));
+    experiment.launch(runs, &pool, kinds::execute);
 
     // Reconstruct the matrix from the database.
     let mut rows = Vec::new();
     for doc in experiment.query_runs(&Filter::eq("status", "done")) {
-        let Ok(RunSpec::Figure8(config)) = RunSpec::of_document(&doc) else {
+        let Ok(RunSpec::Figure8(config, _)) = RunSpec::of_document(&doc) else {
             panic!("stored params decode as a Figure 8 boot");
         };
         let outcome = kinds::decode_boot_outcome(

@@ -579,21 +579,15 @@ impl Experiment {
     /// ④–⑦ across a process boundary).
     ///
     /// Unlike [`Experiment::launch_with`], no executor closure crosses
-    /// the pipe: each run is encoded as a
-    /// [`crate::remote::CAMPAIGN_KIND`] task whose payload carries the
-    /// run's sweep parameters, and the worker process resolves the
+    /// the pipe: each run is encoded as a task of the kind its run
+    /// script names ([`crate::remote::task_kind`]; a script that names
+    /// none travels as [`crate::remote::CAMPAIGN_KIND`]) whose payload
+    /// carries the run's params, and the worker process resolves the
     /// kind through [`crate::remote::campaign_registry`]. Admission
     /// (dedup and `--resume` semantics) and terminal statuses match
     /// `launch_with`; results are decoded and archived here after the
     /// ack, and a dead-lettered delivery lands in the same quarantine
     /// records.
-    ///
-    /// A campaign worker reads a run's params as a
-    /// [`RunKind::CampaignBoot`]. A run whose script names another
-    /// [`RunKind`] is refused before admission: it counts in
-    /// `summary.failed`, is neither recorded nor submitted, and a
-    /// record it already has is left as it was. A script that names no
-    /// kind ships as before.
     ///
     /// Delivery provenance is journaled onto each run as
     /// `remote-dispatch:<delivery>:g<generation>` and
@@ -658,16 +652,12 @@ impl Experiment {
         };
         let mut waiting: Vec<(Uuid, TaskHandle)> = Vec::new();
         for fs_run in runs {
-            let kind = RunKind::of_script(fs_run.run_script_path());
-            if kind.is_some_and(|kind| kind != RunKind::CampaignBoot) {
-                summary.failed += 1;
-                continue;
-            }
             if let Some(fs_run) = self.admit(fs_run, options, &mut summary) {
                 let name = self.task_name(&fs_run);
+                let kind = RunKind::of_script(fs_run.run_script_path());
                 let spec = RemoteTaskSpec::new(
                     name.clone(),
-                    crate::remote::CAMPAIGN_KIND,
+                    crate::remote::task_kind(kind.unwrap_or(RunKind::CampaignBoot)),
                     crate::remote::encode_run_payload(fs_run.params()),
                 )
                 .timeout(fs_run.timeout());

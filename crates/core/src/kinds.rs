@@ -3,8 +3,9 @@
 //!
 //! [`RunKind`] is the closed table of run scripts this program executes.
 //! A kind decodes params into a typed [`RunSpec`], encodes the spec back
-//! to the exact strings a run records, and executes it at a caller-given
-//! [`Fidelity`]. [`Experiment::create_fs_run`](crate::Experiment::create_fs_run)
+//! to the exact strings a run records, and executes it. The params say
+//! everything that shapes the result, the [`Fidelity`] included, so the
+//! run hash names what ran. [`Experiment::create_fs_run`](crate::Experiment::create_fs_run)
 //! refuses a run of a kind whose params do not round-trip
 //! ([`RunKind::check`]); a script that names no kind is not checked.
 
@@ -26,13 +27,14 @@ use std::fmt::Display;
 #[derive(Debug, Clone, Copy, PartialEq, Eq, Hash)]
 pub enum RunKind {
     /// `boot.cfg`: the CLI campaign's boot, `[cpu, cores]` with the
-    /// short cpu spelling ([`CpuKind::short`]).
+    /// short cpu spelling ([`CpuKind::short`]), at
+    /// [`Fidelity::Standard`].
     CampaignBoot,
     /// `configs/run_exit.py`: a Figure 8 boot,
-    /// `[cpu, mem, cores, boot, kernel]`.
+    /// `[cpu, mem, cores, boot, kernel, fidelity]`.
     Figure8Boot,
     /// `configs/run_parsec.py`: a Table II PARSEC run,
-    /// `[app, os, cores, input]`.
+    /// `[app, os, cores, input, fidelity]`.
     Table2Parsec,
 }
 
@@ -57,8 +59,8 @@ impl RunKind {
     pub fn params(self) -> &'static [&'static str] {
         match self {
             RunKind::CampaignBoot => &["cpu", "cores"],
-            RunKind::Figure8Boot => &["cpu", "mem", "cores", "boot", "kernel"],
-            RunKind::Table2Parsec => &["app", "os", "cores", "input"],
+            RunKind::Figure8Boot => &["cpu", "mem", "cores", "boot", "kernel", "fidelity"],
+            RunKind::Table2Parsec => &["app", "os", "cores", "input", "fidelity"],
         }
     }
 
@@ -79,13 +81,16 @@ impl RunKind {
                 cpu: self.param(params, 0, CpuKind::from_short)?,
                 cores: self.param(params, 1, str::parse)?,
             }),
-            RunKind::Figure8Boot => RunSpec::Figure8(BootConfig {
-                cpu: self.param(params, 0, str::parse)?,
-                mem: self.param(params, 1, str::parse)?,
-                cores: self.param(params, 2, str::parse)?,
-                boot: self.param(params, 3, str::parse)?,
-                kernel: self.param(params, 4, KernelVersion::from_release)?,
-            }),
+            RunKind::Figure8Boot => RunSpec::Figure8(
+                BootConfig {
+                    cpu: self.param(params, 0, str::parse)?,
+                    mem: self.param(params, 1, str::parse)?,
+                    cores: self.param(params, 2, str::parse)?,
+                    boot: self.param(params, 3, str::parse)?,
+                    kernel: self.param(params, 4, KernelVersion::from_release)?,
+                },
+                self.param(params, 5, str::parse)?,
+            ),
             RunKind::Table2Parsec => RunSpec::Table2(ParsecRun {
                 app: self.param(params, 0, |app| {
                     PARSEC_APPS
@@ -96,6 +101,7 @@ impl RunKind {
                 os: self.param(params, 1, str::parse)?,
                 cores: self.param(params, 2, str::parse)?,
                 input: self.param(params, 3, str::parse)?,
+                fidelity: self.param(params, 4, str::parse)?,
             }),
         })
     }
@@ -154,6 +160,8 @@ pub struct ParsecRun {
     pub cores: u32,
     /// Input size.
     pub input: InputSize,
+    /// Sampling fidelity.
+    pub fidelity: Fidelity,
 }
 
 /// A run's params, decoded by its [`RunKind`].
@@ -161,8 +169,9 @@ pub struct ParsecRun {
 pub enum RunSpec {
     /// [`RunKind::CampaignBoot`].
     Campaign(CampaignBoot),
-    /// [`RunKind::Figure8Boot`].
-    Figure8(BootConfig),
+    /// [`RunKind::Figure8Boot`]: the configuration and the fidelity it
+    /// boots at.
+    Figure8(BootConfig, Fidelity),
     /// [`RunKind::Table2Parsec`].
     Table2(ParsecRun),
 }
@@ -197,7 +206,7 @@ impl RunSpec {
     pub fn kind(&self) -> RunKind {
         match self {
             RunSpec::Campaign(_) => RunKind::CampaignBoot,
-            RunSpec::Figure8(_) => RunKind::Figure8Boot,
+            RunSpec::Figure8(..) => RunKind::Figure8Boot,
             RunSpec::Table2(_) => RunKind::Table2Parsec,
         }
     }
@@ -206,23 +215,25 @@ impl RunSpec {
     pub fn encode(&self) -> Vec<String> {
         match self {
             RunSpec::Campaign(boot) => vec![boot.cpu.short().to_owned(), boot.cores.to_string()],
-            RunSpec::Figure8(config) => vec![
+            RunSpec::Figure8(config, fidelity) => vec![
                 config.cpu.to_string(),
                 config.mem.to_string(),
                 config.cores.to_string(),
                 config.boot.to_string(),
                 config.kernel.release().to_owned(),
+                fidelity.to_string(),
             ],
             RunSpec::Table2(run) => vec![
                 run.app.to_owned(),
                 run.os.to_string(),
                 run.cores.to_string(),
                 run.input.to_string(),
+                run.fidelity.to_string(),
             ],
         }
     }
 
-    /// Simulates the spec at `fidelity`.
+    /// Simulates the spec.
     ///
     /// A campaign boot reports `outcome=… ticks=… instructions=…`, and
     /// with [`CHECKPOINT_DIR_ENV`] set restores its boot prefix from
@@ -235,8 +246,8 @@ impl RunSpec {
     /// # Errors
     ///
     /// A configuration the simulator refuses to build or run.
-    pub fn execute(&self, fidelity: Fidelity) -> Result<ExecOutcome, String> {
-        let builder = SystemConfig::builder().fidelity(fidelity);
+    pub fn execute(&self) -> Result<ExecOutcome, String> {
+        let builder = SystemConfig::builder();
         let dumped = |outcome: String, success: bool, output: SimOutput| ExecOutcome {
             outcome,
             sim_ticks: output.sim_ticks,
@@ -246,7 +257,11 @@ impl RunSpec {
         };
         match self {
             RunSpec::Campaign(boot) => {
-                let config = builder.cpu(boot.cpu).cores(boot.cores).build();
+                let config = builder
+                    .fidelity(Fidelity::Standard)
+                    .cpu(boot.cpu)
+                    .cores(boot.cores)
+                    .build();
                 let config = config.map_err(|e| e.to_string())?;
                 let (output, events) = match std::env::var(CHECKPOINT_DIR_ENV) {
                     Ok(dir) if !dir.is_empty() => {
@@ -270,8 +285,9 @@ impl RunSpec {
                     events,
                 })
             }
-            RunSpec::Figure8(config) => {
+            RunSpec::Figure8(config, fidelity) => {
                 let output = builder
+                    .fidelity(*fidelity)
                     .cpu(config.cpu)
                     .cores(config.cores)
                     .memory(config.mem)
@@ -285,6 +301,7 @@ impl RunSpec {
             RunSpec::Table2(run) => {
                 let profile = parsec_profile(run.app).expect("decoded from PARSEC_APPS");
                 let output = builder
+                    .fidelity(run.fidelity)
                     .cpu(CpuKind::TimingSimple)
                     .cores(run.cores)
                     .memory(MemKind::classic_coherent())
@@ -305,17 +322,17 @@ fn kind_of(script: &str) -> Result<RunKind, String> {
     RunKind::of_script(script).ok_or_else(|| format!("run script `{script}` names no run kind"))
 }
 
-/// Executes `run` at `fidelity` through the kind its run script names:
-/// the executor for a launch of registered runs.
+/// Executes `run` through the kind its run script names: the executor
+/// for a launch of registered runs.
 ///
 /// # Errors
 ///
 /// A script that names no kind, params it cannot read, or
 /// [`RunSpec::execute`]'s errors.
-pub fn execute(run: &FsRun, fidelity: Fidelity) -> Result<ExecOutcome, String> {
+pub fn execute(run: &FsRun) -> Result<ExecOutcome, String> {
     kind_of(run.run_script_path())?
         .decode(run.params())?
-        .execute(fidelity)
+        .execute()
 }
 
 /// The outcome string a Figure 8 run stores: the outcome's label, with

@@ -5,14 +5,13 @@
 //! closure used by in-process schedulers cannot cross the boundary.
 //! Instead, both sides agree on a task *kind* plus a JSON payload:
 //!
-//! * the coordinator encodes a run's sweep parameters with
-//!   [`encode_run_payload`] and submits a task of kind
-//!   [`CAMPAIGN_KIND`];
+//! * the coordinator encodes a run's params with [`encode_run_payload`]
+//!   and submits a task of the kind its run script names
+//!   ([`task_kind`]);
 //! * the worker process (the hidden `simart worker` subcommand)
-//!   resolves the kind through [`campaign_registry`], boots the
-//!   configuration with [`execute_campaign_params`] (the
-//!   [`RunKind::CampaignBoot`] params), and returns the
-//!   outcome encoded by [`encode_outcome`];
+//!   resolves the kind through [`campaign_registry`], which holds one
+//!   handler per [`RunKind`], simulates the decoded spec, and returns
+//!   the outcome encoded by [`encode_outcome`];
 //! * the coordinator decodes it with [`decode_outcome`] and archives
 //!   results exactly as a local launch would.
 //!
@@ -25,12 +24,21 @@ use crate::experiment::ExecOutcome;
 use crate::kinds::RunKind;
 use simart_codec::json::{from_json, to_json};
 use simart_db::Value;
-use simart_fullsim::system::Fidelity;
 use simart_tasks::{HandlerRegistry, WorkerJob};
 
-/// Task kind dispatched to campaign workers: boot the full-system
-/// configuration a run's parameters describe.
+/// Task kind dispatched to campaign workers for a
+/// [`RunKind::CampaignBoot`] run, and for a run whose script names no
+/// kind: boot the configuration its `[cpu, cores]` params describe.
 pub const CAMPAIGN_KIND: &str = "campaign-boot";
+
+/// The task kind a run of `kind` travels as: [`CAMPAIGN_KIND`] for a
+/// campaign boot, the run-script path for every other kind.
+pub fn task_kind(kind: RunKind) -> &'static str {
+    match kind {
+        RunKind::CampaignBoot => CAMPAIGN_KIND,
+        other => other.script(),
+    }
+}
 
 /// Encodes a run's sweep parameters as the wire payload for a
 /// [`CAMPAIGN_KIND`] task.
@@ -131,10 +139,8 @@ pub fn decode_outcome(text: &str) -> Result<ExecOutcome, String> {
 pub const CHECKPOINT_DIR_ENV: &str = "SIMART_CHECKPOINT_DIR";
 
 /// Boots the configuration a campaign run's parameters describe
-/// (`[cpu, cores]`, read by [`RunKind::CampaignBoot`]) at
-/// [`Fidelity::Standard`] — the shared executor behind both the
-/// in-process campaign path and the remote worker. Params past the two
-/// it reads are ignored here; `create_fs_run` refuses them on
+/// (`[cpu, cores]`, read by [`RunKind::CampaignBoot`]). Params past the
+/// two it reads are ignored here; `create_fs_run` refuses them on
 /// `boot.cfg` runs.
 ///
 /// When [`CHECKPOINT_DIR_ENV`] is set, the boot prefix is restored
@@ -146,22 +152,24 @@ pub const CHECKPOINT_DIR_ENV: &str = "SIMART_CHECKPOINT_DIR";
 ///
 /// Returns a description of bad parameters or a simulation failure.
 pub fn execute_campaign_params(params: &[String]) -> Result<ExecOutcome, String> {
-    RunKind::CampaignBoot
-        .decode(params)?
-        .execute(Fidelity::Standard)
+    RunKind::CampaignBoot.decode(params)?.execute()
 }
 
-/// The handler registry a campaign worker process runs under: decodes
-/// [`CAMPAIGN_KIND`] payloads, boots them, and returns encoded
-/// outcomes. A simulation-level failure (e.g. a kernel panic) is
-/// reported as `Ok` with `success: false` — the *coordinator* decides
-/// run disposition; only transport/decode problems are worker errors.
+/// The handler registry a campaign worker process runs under: one
+/// handler per [`RunKind`], under its [`task_kind`], that decodes the
+/// payload's params, simulates them, and returns the encoded outcome.
+/// A simulation-level failure (e.g. a kernel panic) is reported as `Ok`
+/// with `success: false` — the *coordinator* decides run disposition;
+/// only transport/decode problems are worker errors.
 pub fn campaign_registry() -> HandlerRegistry {
     let mut registry = HandlerRegistry::new();
-    registry.register(CAMPAIGN_KIND, |job: &WorkerJob| {
-        let params = decode_run_payload(&job.payload)?;
-        execute_campaign_params(&params).map(|outcome| encode_outcome(&outcome))
-    });
+    for kind in RunKind::ALL {
+        registry.register(task_kind(kind), move |job: &WorkerJob| {
+            let params = decode_run_payload(&job.payload)?;
+            let outcome = kind.decode(&params)?.execute()?;
+            Ok(encode_outcome(&outcome))
+        });
+    }
     registry
 }
 

@@ -629,6 +629,11 @@ fn self_test_subcommand_passes() {
         1,
         "one PASS line, no SKIP: {stdout}"
     );
+    let stderr = String::from_utf8_lossy(&out.stderr);
+    assert!(
+        stderr.is_empty(),
+        "a passing self-test prints nothing else: {stderr}"
+    );
 }
 
 /// Manifests once recorded every index's rendered entries (`keys`)

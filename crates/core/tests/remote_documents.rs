@@ -135,7 +135,7 @@ fn remote_run_documents_are_pinned() {
             blob_names(&dir),
         ]
         .join(" "),
-        "274530f0eb688dbb 40d22211a9e7ed80 2 80e3bf579b99627b"
+        "531c7334468f9db3 40d22211a9e7ed80 2 80e3bf579b99627b"
     );
     drop(experiment);
     let _ = std::fs::remove_dir_all(&dir);

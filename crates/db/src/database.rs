@@ -21,8 +21,8 @@ pub struct LoadOptions {
     /// When `true`, the first corrupt document line or mismatched blob
     /// aborts the load with [`DbError::CorruptRecord`]. When `false`
     /// (the default), corrupt records are skipped, counted in the
-    /// [`LoadReport`], surfaced on the `load.skipped_records` metric,
-    /// and announced with one warning line on stderr.
+    /// [`LoadReport`] and surfaced on the `load.skipped_records` metric;
+    /// printing [`LoadReport::warning`] is the caller's choice.
     pub strict: bool,
 }
 
@@ -66,6 +66,19 @@ impl LoadReport {
     /// Total records dropped by a lenient load.
     pub fn skipped(&self) -> usize {
         self.skipped_documents + self.skipped_blobs
+    }
+
+    /// The one warning line a load of `dir` that skipped records
+    /// deserves, or `None` if it skipped nothing.
+    pub fn warning(&self, dir: &Path) -> Option<String> {
+        (self.skipped() > 0).then(|| {
+            format!(
+                "warning: {}: skipped {} corrupt document line(s) and {} mismatched blob(s) during load",
+                dir.display(),
+                self.skipped_documents,
+                self.skipped_blobs
+            )
+        })
     }
 }
 
@@ -550,12 +563,6 @@ impl Database {
         }
         if report.skipped() > 0 {
             observe::count("load.skipped_records", report.skipped() as u64);
-            eprintln!(
-                "warning: {}: skipped {} corrupt document line(s) and {} mismatched blob(s) during load",
-                dir.display(),
-                report.skipped_documents,
-                report.skipped_blobs
-            );
         }
         Ok((db, report))
     }
@@ -771,6 +778,12 @@ mod tests {
         assert!(db.collection("runs").get("a").is_some());
         assert_eq!(report.skipped_documents, 1);
         assert_eq!(report.skipped(), 1);
+        let warning = report
+            .warning(&dir)
+            .expect("a skipped record is worth a warning");
+        assert!(warning
+            .ends_with("skipped 1 corrupt document line(s) and 0 mismatched blob(s) during load"));
+        assert_eq!(LoadReport::default().warning(&dir), None);
         fs::remove_dir_all(&dir).unwrap();
     }
 

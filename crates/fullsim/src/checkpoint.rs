@@ -6,9 +6,9 @@
 //! simulate it once, then restore it for every configuration in a
 //! cross-product that shares it. A [`CheckpointStore`] holds one file
 //! per distinct boot, **content-addressed** by a key derived from every
-//! input that shapes the boot (configuration label, fidelity, format
-//! version) — so a restored checkpoint can never silently stand in for
-//! a different experiment.
+//! input that shapes the boot (configuration label, fidelity, simulator
+//! model, format version) — so a restored checkpoint can never silently
+//! stand in for a different experiment.
 //!
 //! The on-disk format is a magic header followed by three
 //! [`simart_codec::frame`] records (header, boot, stats) — the framing
@@ -25,6 +25,7 @@
 
 use crate::stats::{StatValue, Stats};
 use crate::system::{Checkpoint, SimOutput, SystemConfig};
+use crate::MODEL;
 use simart_codec::fnv1a;
 use simart_codec::frame::{self, push_frame, Frame};
 use std::fmt;
@@ -91,10 +92,10 @@ impl From<io::Error> for CheckpointError {
 ///
 /// Covers every input the boot depends on: the full configuration
 /// label (cores, CPU, memory, kernel, boot target, OS), the sampling
-/// fidelity, and the checkpoint format version.
+/// fidelity, the simulator [`MODEL`] and the checkpoint format version.
 pub fn checkpoint_key(config: &SystemConfig) -> String {
     let material = format!(
-        "simart-checkpoint/v{FORMAT_VERSION}/{}@{:?}",
+        "simart-checkpoint/v{FORMAT_VERSION}/{MODEL}/{}@{}",
         config.label(),
         config.fidelity()
     );

@@ -71,3 +71,9 @@ pub mod ticks;
 pub mod workload;
 
 pub use error::SimError;
+
+/// The version of the simulated model. Every simulated number is a
+/// function of it and of the configuration, so it is hashed into the
+/// simulator artifact and into the boot-checkpoint key: bump it with
+/// any change that moves a simulated number.
+pub const MODEL: &str = "simart-fullsim/1";

@@ -20,10 +20,12 @@ use crate::isa::{AddressProfile, InstMix, InstStream, OpClass};
 use crate::kernel::{BootKind, BootStage, KernelVersion};
 use crate::mem::{self, MemKind, MemorySystem};
 use crate::os::OsImage;
+use crate::spelling;
 use crate::stats::Stats;
 use crate::ticks::{Clock, Tick};
 use crate::workload::{InputSize, WorkloadProfile};
 use simart_observe as observe;
+use std::fmt;
 
 /// How many instructions each timing sample simulates in detail.
 #[derive(Debug, Clone, Copy, PartialEq, Eq, Hash, Default)]
@@ -38,6 +40,9 @@ pub enum Fidelity {
 }
 
 impl Fidelity {
+    /// Every fidelity, smallest samples first.
+    pub const ALL: [Fidelity; 3] = [Fidelity::Smoke, Fidelity::Standard, Fidelity::Detailed];
+
     /// Sampled instructions per phase per thread.
     pub fn sample_insts(self) -> u64 {
         match self {
@@ -47,6 +52,18 @@ impl Fidelity {
         }
     }
 }
+
+impl fmt::Display for Fidelity {
+    fn fmt(&self, f: &mut fmt::Formatter<'_>) -> fmt::Result {
+        f.write_str(match self {
+            Fidelity::Smoke => "smoke",
+            Fidelity::Standard => "standard",
+            Fidelity::Detailed => "detailed",
+        })
+    }
+}
+
+spelling::from_display!(Fidelity, Fidelity::ALL, "fidelity");
 
 /// A fully specified simulated system.
 #[derive(Debug, Clone, PartialEq)]

@@ -10,6 +10,7 @@ use crate::kernels::KernelResource;
 use crate::packfile::DiskImageSpec;
 use simart_artifact::{Artifact, ArtifactKind, ArtifactRegistry, ContentSource};
 use simart_fullsim::os::OsImage;
+use simart_fullsim::MODEL;
 use std::sync::Arc;
 
 /// Registers a kernel resource, returning the kernel artifact.
@@ -57,8 +58,16 @@ pub fn register_disk_image(
     )
 }
 
+/// The content of a simulator binary: its version, its variant and the
+/// simulated `model`, so a change to the model moves the binary's hash
+/// and every run hash over it.
+pub fn simulator_content(version: &str, variant: &str, model: &str) -> ContentSource {
+    ContentSource::descriptor(format!("gem5.opt:{version}:{variant}:{model}"))
+}
+
 /// Registers the standard experiment substrate: simulator repository +
-/// binary and a run script, returning `(repo, binary, script)`.
+/// binary (of the simulator [`MODEL`]) and a run script, returning
+/// `(repo, binary, script)`.
 ///
 /// # Errors
 ///
@@ -89,9 +98,7 @@ pub fn register_simulator(
             .documentation(format!(
                 "optimized {variant} simulator binary at v{version}"
             ))
-            .content(ContentSource::descriptor(format!(
-                "gem5.opt:{version}:{variant}"
-            )))
+            .content(simulator_content(version, variant, MODEL))
             .input(repo.id()),
     )?;
     let script = registry.register(

@@ -48,12 +48,10 @@
 
 mod error;
 mod fs_run;
-mod se_run;
 mod status;
 mod store;
 
 pub use error::RunError;
 pub use fs_run::{FsRun, FsRunBuilder};
-pub use se_run::SeRun;
 pub use status::RunStatus;
 pub use store::{Committed, RunAttempt, RunEdit, RunStore};

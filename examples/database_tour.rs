@@ -37,12 +37,13 @@ fn main() -> Result<(), Box<dyn std::error::Error>> {
     })?;
 
     // A small sweep: 3 apps x 3 core counts, in the Table II layout
-    // `[app, os, cores, input]` its run script records.
+    // `[app, os, cores, input, fidelity]` its run script records.
     let sweep = CrossProduct::new()
         .axis("app", ["blackscholes", "dedup", "swaptions"])
         .axis("os", [OsImage::Ubuntu2004.to_string()])
         .axis("cores", ["1", "2", "8"])
-        .axis("input", [InputSize::SimSmall.to_string()]);
+        .axis("input", [InputSize::SimSmall.to_string()])
+        .axis("fidelity", [Fidelity::Smoke.to_string()]);
     let runs: Vec<_> = sweep
         .iter()
         .map(|combo| {
@@ -60,7 +61,7 @@ fn main() -> Result<(), Box<dyn std::error::Error>> {
         .collect();
 
     let pool = PoolScheduler::new(4);
-    let summary = experiment.launch(runs, &pool, |run| kinds::execute(run, Fidelity::Smoke));
+    let summary = experiment.launch(runs, &pool, kinds::execute);
     println!("launched: {summary:?}\n");
 
     // Query, then reduce in plain Rust: mean simulated time per

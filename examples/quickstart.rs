@@ -34,12 +34,14 @@ fn main() -> Result<(), Box<dyn std::error::Error>> {
     println!("registered {} artifacts", experiment.artifact_count());
 
     // 3. Create a run object: one unique experiment. Its run script
-    //    names the Table II kind, which records `[app, os, cores, input]`.
+    //    names the Table II kind, which records
+    //    `[app, os, cores, input, fidelity]`.
     let spec = RunSpec::Table2(ParsecRun {
         app: "blackscholes",
         os: OsImage::Ubuntu2004,
         cores: 2,
         input: InputSize::SimSmall,
+        fidelity: Fidelity::Smoke,
     });
     let run = experiment.create_fs_run(|b| {
         b.simulator(simulator, "gem5/build/X86/gem5.opt")
@@ -53,9 +55,7 @@ fn main() -> Result<(), Box<dyn std::error::Error>> {
 
     // 4-7. Launch it: the kind boots the simulated system, runs the
     //       benchmark, and the framework archives the results.
-    let summary = experiment.launch(vec![run], &SerialScheduler::new(), |run| {
-        kinds::execute(run, Fidelity::Smoke)
-    });
+    let summary = experiment.launch(vec![run], &SerialScheduler::new(), kinds::execute);
     println!("launch summary: {summary:?}");
 
     // 8. Query the database.

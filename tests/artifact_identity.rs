@@ -211,3 +211,16 @@ fn fresh_sessions_journal_the_same_registrations_identically() {
         );
     }
 }
+
+#[test]
+fn the_simulator_model_is_part_of_the_binary_hash() {
+    let mut registry = simart::artifact::ArtifactRegistry::new();
+    let [_, binary, _] = suite::register_simulator(&mut registry, "20.1.0.4", "X86").unwrap();
+    let content = |model| suite::simulator_content("20.1.0.4", "X86", model).fingerprint();
+    assert_eq!(binary.hash(), content(simart::sim::MODEL).to_hex());
+    assert_ne!(content(simart::sim::MODEL), content("another-model"));
+    assert!(
+        !binary.documentation().contains(simart::sim::MODEL),
+        "the model is content, not documentation"
+    );
+}

@@ -81,7 +81,7 @@ fn checkpoint_key_and_header_frame_are_pinned() {
         .build()
         .unwrap();
     let key = checkpoint_key(&config);
-    assert_eq!(key, "80f59a9b98943900");
+    assert_eq!(key, "bb16ef3f52260fe8");
 
     let dir = scratch("ckpt");
     let store = CheckpointStore::open(&dir).unwrap();
@@ -91,8 +91,8 @@ fn checkpoint_key_and_header_frame_are_pinned() {
     let len = u32::from_le_bytes(file[8..12].try_into().unwrap()) as usize;
     assert_eq!(
         hex(&file[..8 + 8 + len]),
-        "534d41525443500a700000006ae5e12476657273696f6e20310a6b657920383066353961396239383934\
-         333930300a6c6162656c20317854696d696e6753696d706c654350552f436c617373696328636f686572\
+        "534d41525443500a7000000017c3b70976657273696f6e20310a6b657920626231366566336635323236\
+         306665380a6c6162656c20317854696d696e6753696d706c654350552f436c617373696328636f686572\
          656e74292f76352e342e35312f73797374656d642d72756e6c6576656c352f7562756e74752d31382e30\
          340a"
     );
@@ -458,6 +458,6 @@ fn run_identity_is_pinned() {
             rendered.len(),
             fnv1a(rendered.join("\n").as_bytes()),
         ),
-        "14 runs 3040827937e1a80f, 12 artifacts 8a238bc9e566e961"
+        "14 runs 4c335c3dbdc416d5, 12 artifacts 70e8cdf37f10e483"
     );
 }

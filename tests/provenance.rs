@@ -8,7 +8,6 @@ use simart::kinds::{self, RunSpec};
 use simart::resources::{disks, kernels::KernelResource, suite};
 use simart::sim::kernel::KernelVersion;
 use simart::sim::os::OsImage;
-use simart::sim::system::Fidelity;
 use simart::tasks::PoolScheduler;
 use simart::Experiment;
 
@@ -50,12 +49,13 @@ fn experiments_reproduce_from_database_records_alone() {
                             .param("ubuntu-20.04")
                             .param("2")
                             .param("simsmall")
+                            .param("smoke")
                     })
                     .unwrap()
             })
             .collect();
         let pool = PoolScheduler::new(2);
-        let summary = experiment.launch(runs, &pool, |run| kinds::execute(run, Fidelity::Smoke));
+        let summary = experiment.launch(runs, &pool, kinds::execute);
         assert_eq!(summary.done, 2);
         experiment.database().save(&dir).unwrap();
 
@@ -83,7 +83,7 @@ fn experiments_reproduce_from_database_records_alone() {
     assert_eq!(run_docs.len(), 2);
     for doc in run_docs {
         let spec = RunSpec::of_document(&doc).expect("recorded params decode");
-        let ticks = spec.execute(Fidelity::Smoke).expect("runs").sim_ticks;
+        let ticks = spec.execute().expect("runs").sim_ticks;
         let recorded = doc.at("results.simTicks").and_then(Value::as_int).unwrap() as u64;
         assert_eq!(
             ticks, recorded,
