@@ -256,3 +256,47 @@ fn exhausted_redeliveries_quarantine_end_to_end() {
 
     std::fs::remove_dir_all(&dir).unwrap();
 }
+
+/// Releasing rewrites the snapshot, so a document line the load had to
+/// skip is gone from disk afterwards: the release says so on stderr.
+#[test]
+fn release_reports_corrupt_lines_it_drops() {
+    let dir = std::env::temp_dir().join(format!("simart-release-corrupt-{}", std::process::id()));
+    let _ = std::fs::remove_dir_all(&dir);
+    let db_arg = dir.to_str().unwrap().to_owned();
+    let run_id = {
+        let db = Database::open(&dir).unwrap();
+        let experiment = Experiment::with_database("chaos", db).unwrap();
+        let ids = register_artifacts(&experiment);
+        let runs = vec![make_run(&experiment, ids, "poisoned")];
+        let run_id = runs[0].id();
+        let broker = BrokerScheduler::with_config(2, quick_supervision(1));
+        let chaos = Arc::new(FaultInjector::new(7).worker_kills(1.0));
+        let options = LaunchOptions::default().worker_fault(chaos);
+        let summary = experiment.launch_with(runs, &broker, ok_outcome, &options);
+        assert_eq!(summary.quarantined, 1, "{summary:?}");
+        experiment.database().checkpoint().unwrap();
+        run_id
+    };
+    let runs_file = dir.join("runs.jsonl");
+    let mut runs = std::fs::read_to_string(&runs_file).unwrap();
+    runs.push_str("{not a document\n");
+    std::fs::write(&runs_file, runs).unwrap();
+
+    let (stdout, stderr, code) = simart(&[
+        "quarantine",
+        "--db",
+        &db_arg,
+        "--release",
+        &run_id.to_string(),
+    ]);
+    assert_eq!(code, 0, "{stderr}");
+    assert!(stdout.contains("released"), "{stdout}");
+    assert!(
+        stderr.contains(&format!(
+            "warning: {db_arg}: skipped 1 corrupt document line(s)"
+        )),
+        "{stderr}"
+    );
+    std::fs::remove_dir_all(&dir).unwrap();
+}
