@@ -37,10 +37,10 @@ use simart::sim::system::{Fidelity, SystemConfig};
 use simart::sim::ticks::format_ticks;
 use simart::sim::workload::{gapbs_profile, npb_profile, parsec_profile, InputSize};
 use simart::tasks::{
-    BrokerScheduler, FaultInjector, RemoteConfig, RemoteScheduler, RetryPolicy, SupervisorConfig,
-    TransportKind, WorkerCommand,
+    BrokerScheduler, FaultInjector, RemoteConfig, RemoteScheduler, RetryPolicy, Scheduler,
+    SupervisorConfig, TransportKind, WorkerCommand,
 };
-use simart::{Experiment, LaunchOptions, LaunchSummary};
+use simart::{Experiment, LaunchOptions};
 use std::fmt;
 use std::io::{ErrorKind, Write};
 use std::sync::Arc;
@@ -438,7 +438,7 @@ fn campaign(args: &[String]) -> i32 {
     }
     let workers: usize = parsed(args, "--workers", 2, number);
     // Remote workers are supervised by redelivery, and their faults are
-    // real process kills; `launch_remote` has no per-attempt retry or
+    // real process kills; a worker process has no per-attempt retry or
     // in-process error injection to hand these two options to.
     if scheduler_kind == "remote" && retries > 0 {
         eprintln!("error: --retries has no effect with --scheduler remote; use --max-redeliveries");
@@ -554,7 +554,7 @@ fn campaign(args: &[String]) -> i32 {
         max_redeliveries,
         ..SupervisorConfig::default()
     };
-    let summary: LaunchSummary = if scheduler_kind == "remote" {
+    let remote = if scheduler_kind == "remote" {
         // Crash-isolated worker processes: this same binary re-executed
         // as `simart worker`, speaking the framed wire protocol.
         let Ok(program) = std::env::current_exe() else {
@@ -584,23 +584,28 @@ fn campaign(args: &[String]) -> i32 {
             config.fault = Some(Arc::new(injector));
         }
         let command = WorkerCommand::new(program).arg("worker");
-        let remote = match RemoteScheduler::with_config(command, workers, config) {
-            Ok(remote) => remote,
+        match RemoteScheduler::with_config(command, workers, config) {
+            Ok(remote) => Some(remote),
             Err(e) => {
                 eprintln!("error: cannot spawn worker processes: {e}");
                 return 2;
             }
-        };
-        let summary = experiment.launch_remote(runs, &remote, &options);
-        if !remote.shutdown() {
-            eprintln!("warning: remote scheduler shut down with work outstanding");
         }
-        summary
     } else {
-        // `pool` and `broker` name one supervised thread driver.
-        let broker = BrokerScheduler::with_config(workers, supervisor);
-        experiment.launch_with(runs, &broker, simart::kinds::execute, &options)
+        None
     };
+    // `pool` and `broker` name one supervised thread driver.
+    let mut broker = None;
+    let scheduler: &dyn Scheduler = match &remote {
+        Some(remote) => remote,
+        None => broker.insert(BrokerScheduler::with_config(workers, supervisor)),
+    };
+    let summary = experiment.launch_with(runs, scheduler, simart::kinds::execute, &options);
+    // Either driver stops here, before the post-run check and checkpoint.
+    drop(broker);
+    if remote.is_some_and(|remote| !remote.shutdown()) {
+        eprintln!("warning: remote scheduler shut down with work outstanding");
+    }
     say!(
         "campaign: {} runs — fresh {}, requeued {}, skipped done {}, skipped duplicates {}, \
          skipped quarantined {}",

@@ -16,10 +16,10 @@ use simart_db::{ArtifactStore, Database, DbError, Filter, Value};
 use simart_observe as observe;
 use simart_run::{FsRun, RunEdit, RunError, RunStatus, RunStore};
 use simart_tasks::{
-    FaultInjector, RemoteEvent, RemoteScheduler, RemoteTaskSpec, RetryPolicy, Scheduler, Task,
-    TaskHandle, TaskReport, TaskState,
+    FaultInjector, RemoteEvent, RemoteScheduler, RetryPolicy, Scheduler, Task, TaskReport,
+    TaskState,
 };
-use std::collections::HashMap;
+use std::collections::{HashMap, VecDeque};
 use std::fmt;
 use std::sync::atomic::{AtomicU32, Ordering};
 use std::sync::{mpsc, Arc};
@@ -360,15 +360,38 @@ impl Experiment {
 
     /// [`Experiment::launch`] with fault-tolerance options: a
     /// [`RetryPolicy`] honored by the task layer, an optional
-    /// deterministic [`FaultInjector`], and resume mode.
+    /// deterministic [`FaultInjector`], and resume mode. This is the one
+    /// launch body, for every scheduler.
     ///
-    /// Provenance discipline: every status change and attempt is logged
-    /// on the run record, and the *terminal* status (`Done`, `Failed`,
-    /// `TimedOut`) is written exactly once per launched run — after the
-    /// task's report arrives, never from inside the attempt closure. A
-    /// detached attempt that straggles in after its run timed out
-    /// cannot overwrite the terminal state because store transitions
-    /// enforce the lifecycle.
+    /// Each run travels as one task. A thread driver runs its closure,
+    /// which archives each attempt as it ends. The process driver ships
+    /// its wire form instead: the task kind its run script names
+    /// ([`crate::remote::task_kind`]; [`crate::remote::CAMPAIGN_KIND`]
+    /// when it names none) with its params as payload. That attempt is
+    /// archived here from the outcome the worker sent back. A worker
+    /// process honours no retry policy and no fault injector, so a task
+    /// launched with either has no wire form, and the process driver
+    /// panics on it: use [`simart_tasks::SupervisorConfig::max_redeliveries`]
+    /// and [`simart_tasks::RemoteConfig::fault`] there.
+    ///
+    /// Delivery provenance reaches the launch through each task's sink
+    /// and is journaled onto its run as `remote-dispatch:<d>:g<g>` and
+    /// `remote-ack:<d>:g<g>` events — the trail SA0015 audits for
+    /// attempts orphaned by a coordinator crash — and, over TCP, as
+    /// `remote-reconnect:<session>:g<g>` when a worker session resumes
+    /// holding the run's lease (SA0018).
+    ///
+    /// The calling thread writes everything the scheduler reports.
+    /// Between submits it journals the events in (a dispatch together
+    /// with `Running`) and settles the reports already in, oldest first;
+    /// then it blocks on the rest. An ack goes in the same write as the
+    /// result it acknowledges and the terminal status, which is written
+    /// exactly once per launched run, never from inside the attempt
+    /// closure: a detached attempt that straggles in after its run timed
+    /// out cannot overwrite it, because store transitions enforce the
+    /// lifecycle. A run whose task never reached a worker (refused or
+    /// dropped by the scheduler) counts as failed and stays `Queued`, so
+    /// a resuming relaunch picks it up.
     pub fn launch_with<S: Scheduler + ?Sized>(
         &self,
         runs: Vec<FsRun>,
@@ -377,44 +400,97 @@ impl Experiment {
         options: &LaunchOptions,
     ) -> LaunchSummary {
         let _span = observe::span(|| format!("experiment.launch:{}", self.name));
-        let mut summary = LaunchSummary::default();
-        let mut handles = Vec::new();
+        let (sink, events) = mpsc::channel();
+        let mut launch = Launch {
+            summary: LaunchSummary::default(),
+            events,
+            runs: HashMap::new(),
+            acks: HashMap::new(),
+        };
+        let mut waiting = VecDeque::new();
         // Admit and submit run by run: workers start on the first runs
         // while the rest are still being admitted.
         for fs_run in runs {
-            if let Some(fs_run) = self.admit(fs_run, options, &mut summary) {
+            if let Some(fs_run) = self.admit(fs_run, options, &mut launch.summary) {
                 let run_id = fs_run.id();
-                let task = self.local_task(fs_run, execute.clone(), options);
+                let (task, ran_here) = self.task(fs_run, execute.clone(), options);
+                launch.runs.insert(task.name().to_owned(), run_id);
                 observe::count("experiment.runs_launched", 1);
-                handles.push((run_id, scheduler.submit(task)));
+                let handle = scheduler.submit(task.events_to(sink.clone()));
+                waiting.push_back((run_id, ran_here, handle));
+            }
+            launch.drain(&self.runs);
+            while let Some(report) = waiting.front().and_then(|(_, _, handle)| handle.try_wait()) {
+                let (run_id, ran_here, _) = waiting.pop_front().expect("polled the front");
+                self.seal(run_id, &ran_here, report, options, &mut launch);
             }
         }
-        // The task closure archived every attempt as it ran.
-        for (run_id, handle) in handles {
-            let edit = self.runs.edit(run_id);
-            self.seal(run_id, edit, handle.wait(), options, &mut summary);
+        // Every run is submitted: block on the rest, oldest first.
+        for (run_id, ran_here, handle) in waiting {
+            self.seal(run_id, &ran_here, handle.wait(), options, &mut launch);
         }
-        summary
+        launch.summary
     }
 
-    /// The name a run's task travels under. It embeds the run hash, so
-    /// it is unique within the experiment.
-    fn task_name(&self, fs_run: &FsRun) -> String {
-        format!("{}/{}", self.name, fs_run.run_hash())
+    /// [`Experiment::launch_with`] on the process driver, executing
+    /// each run as its kind says ([`crate::kinds::execute`]).
+    ///
+    /// # Panics
+    ///
+    /// Panics if `options` carry a retry policy or a fault injector
+    /// (see [`Experiment::launch_with`]).
+    pub fn launch_remote(
+        &self,
+        runs: Vec<FsRun>,
+        scheduler: &RemoteScheduler,
+        options: &LaunchOptions,
+    ) -> LaunchSummary {
+        self.launch_with(runs, scheduler, crate::kinds::execute, options)
     }
 
     /// Seals a run's terminal status from its task's report, exactly
-    /// once per run, and counts it in `summary`. What `edit` already
-    /// carries — whatever the task itself could not archive — reaches
-    /// the record in the same write as the status.
+    /// once per run, and counts it in the summary. Every event reported
+    /// before the report — the run's dispatch among them — is journaled
+    /// first. `ran_here` counts the attempts the task's closure started
+    /// in this process: those archived themselves. An attempt that ran
+    /// in a worker process instead is archived here from the outcome it
+    /// sent back, in the same write as its ack and the terminal status.
     fn seal(
         &self,
         run_id: Uuid,
-        mut edit: RunEdit<'_>,
-        report: TaskReport,
+        ran_here: &AtomicU32,
+        mut report: TaskReport,
         options: &LaunchOptions,
-        summary: &mut LaunchSummary,
+        launch: &mut Launch,
     ) {
+        launch.drain(&self.runs);
+        launch.runs.remove(&report.name);
+        let summary = &mut launch.summary;
+        if report.attempts == 0 && report.lease_events.is_empty() {
+            // No worker ever took the task: the record stays `Queued`.
+            summary.failed += 1;
+            return;
+        }
+        let mut edit = self.runs.edit(run_id);
+        for ack in launch.acks.remove(&run_id).into_iter().flatten() {
+            edit = edit.event(ack);
+        }
+        let remote = ran_here.load(Ordering::SeqCst) == 0 && report.attempts > 0;
+        if remote && matches!(report.state, TaskState::Succeeded | TaskState::Failed) {
+            // A worker reporting `success: false` (e.g. a kernel panic)
+            // still produced real results — only the terminal status
+            // differs. A version-skewed or mangled outcome encoding
+            // fails loudly: never archive a guess.
+            let outcome = report
+                .output
+                .as_deref()
+                .and_then(|output| crate::remote::decode_outcome(output).ok());
+            let (archived, success) = archive_attempt(edit, outcome.as_ref(), Duration::ZERO);
+            edit = archived;
+            if !success {
+                report.state = TaskState::Failed;
+            }
+        }
         if report.attempts > 1 || report.redeliveries > 0 {
             summary.retried += 1;
         }
@@ -450,16 +526,28 @@ impl Experiment {
         let _ = edit.transition(status).commit();
     }
 
-    /// The in-process task for one run: each attempt executes the run
-    /// and archives what it produced, under the launch's retry policy
-    /// and fault injectors.
-    fn local_task(
+    /// The task for one run, and the count of attempts its closure has
+    /// started. Each attempt executes the run and archives what it
+    /// produced, under the launch's retry policy and fault injectors.
+    /// The task carries the run's wire form only when `options` ask for
+    /// nothing a worker process cannot honour.
+    fn task(
         &self,
         fs_run: FsRun,
         execute: impl Fn(&FsRun) -> Result<ExecOutcome, String> + Send + Sync + 'static,
         options: &LaunchOptions,
-    ) -> Task {
-        let name = self.task_name(&fs_run);
+    ) -> (Task, Arc<AtomicU32>) {
+        let name = format!("{}/{}", self.name, fs_run.run_hash());
+        let wire = (options.retry_policy == RetryPolicy::default()
+            && options.fault.is_none()
+            && options.worker_fault.is_none())
+        .then(|| {
+            let kind = RunKind::of_script(fs_run.run_script_path());
+            (
+                crate::remote::task_kind(kind.unwrap_or(RunKind::CampaignBoot)),
+                crate::remote::encode_run_payload(fs_run.params()),
+            )
+        });
         let store = self.runs.clone();
         let policy = options.retry_policy.clone();
         let fault = options.fault.clone();
@@ -467,7 +555,8 @@ impl Experiment {
         let fault_name = name.clone();
         // 1-based attempt counter for this run, shared across the
         // per-attempt invocations of the closure below.
-        let attempt_counter = AtomicU32::new(0);
+        let attempts = Arc::new(AtomicU32::new(0));
+        let attempt_counter = Arc::clone(&attempts);
         let mut task = Task::new(name, move || {
             let attempt = attempt_counter.fetch_add(1, Ordering::SeqCst) + 1;
             // Queued -> Running on the first attempt, Retrying ->
@@ -508,7 +597,10 @@ impl Experiment {
             // chaos; its attempt stream is expected to stay silent.
             task = task.fault_injector(Arc::clone(injector));
         }
-        task
+        if let Some((kind, payload)) = wire {
+            task = task.wire(kind, payload);
+        }
+        (task, attempts)
     }
 
     /// Admits one run for launch: records fresh runs (already
@@ -575,160 +667,6 @@ impl Experiment {
         }
     }
 
-    /// Launches runs on the multi-process [`RemoteScheduler`] (steps
-    /// ④–⑦ across a process boundary).
-    ///
-    /// Unlike [`Experiment::launch_with`], no executor closure crosses
-    /// the pipe: each run is encoded as a task of the kind its run
-    /// script names ([`crate::remote::task_kind`]; a script that names
-    /// none travels as [`crate::remote::CAMPAIGN_KIND`]) whose payload
-    /// carries the run's params, and the worker process resolves the
-    /// kind through [`crate::remote::campaign_registry`]. Admission
-    /// (dedup and `--resume` semantics) and terminal statuses match
-    /// `launch_with`; results are decoded and archived here after the
-    /// ack, and a dead-lettered delivery lands in the same quarantine
-    /// records.
-    ///
-    /// Delivery provenance is journaled onto each run as
-    /// `remote-dispatch:<delivery>:g<generation>` and
-    /// `remote-ack:<delivery>:g<generation>` events — the trail
-    /// `simart check`'s SA0015 audits for attempts orphaned by a
-    /// coordinator crash — plus, over the TCP transport,
-    /// `remote-reconnect:<session>:g<generation>` events whenever a
-    /// worker session resumes while holding the run's lease (audited
-    /// by SA0018 for session-resume divergence).
-    ///
-    /// The calling thread is the launch's only writer. The scheduler's
-    /// event hook only enqueues; between submits this thread journals
-    /// what was enqueued (a dispatch together with `Running`, a
-    /// reconnect on its own) and settles every report already in,
-    /// oldest first, then blocks on the rest. A dispatch is therefore
-    /// durable from the next drain after it, not from the moment its
-    /// frame was written, and an ack is journaled in the same write as
-    /// the result it acknowledges and the terminal status — a crash
-    /// before that write leaves the dispatch unacked, which is what
-    /// SA0015 flags and `--resume` re-queues.
-    ///
-    /// # Panics
-    ///
-    /// Panics if `options` carries a retry policy or a fault injector:
-    /// across a process boundary, retries are the supervisor's
-    /// redeliveries — use
-    /// [`simart_tasks::SupervisorConfig::max_redeliveries`] — and chaos
-    /// is real SIGKILLs and connection faults — use
-    /// [`simart_tasks::RemoteConfig::fault`]. Only `options.resume`
-    /// applies here.
-    pub fn launch_remote(
-        &self,
-        runs: Vec<FsRun>,
-        scheduler: &RemoteScheduler,
-        options: &LaunchOptions,
-    ) -> LaunchSummary {
-        assert!(
-            options.retry_policy == RetryPolicy::default(),
-            "LaunchOptions::retry_policy has no effect on launch_remote; \
-             use SupervisorConfig::max_redeliveries"
-        );
-        assert!(
-            options.fault.is_none(),
-            "LaunchOptions::fault has no effect on launch_remote; use RemoteConfig::fault"
-        );
-        assert!(
-            options.worker_fault.is_none(),
-            "LaunchOptions::worker_fault has no effect on launch_remote; use RemoteConfig::fault"
-        );
-        let _span = observe::span(|| format!("experiment.launch_remote:{}", self.name));
-        let mut summary = LaunchSummary::default();
-        // The hook runs on coordinator threads under the scheduler's
-        // lock, so it does no I/O: it only hands the event over.
-        let (sender, events) = mpsc::channel();
-        scheduler.set_event_hook(move |event| {
-            let _ = sender.send(event.clone());
-        });
-        let mut deliveries = Deliveries {
-            events,
-            runs: HashMap::new(),
-            acks: HashMap::new(),
-        };
-        let mut waiting: Vec<(Uuid, TaskHandle)> = Vec::new();
-        for fs_run in runs {
-            if let Some(fs_run) = self.admit(fs_run, options, &mut summary) {
-                let name = self.task_name(&fs_run);
-                let kind = RunKind::of_script(fs_run.run_script_path());
-                let spec = RemoteTaskSpec::new(
-                    name.clone(),
-                    crate::remote::task_kind(kind.unwrap_or(RunKind::CampaignBoot)),
-                    crate::remote::encode_run_payload(fs_run.params()),
-                )
-                .timeout(fs_run.timeout());
-                deliveries.runs.insert(name, fs_run.id());
-                observe::count("experiment.runs_launched", 1);
-                match scheduler.submit(spec) {
-                    Ok(handle) => waiting.push((fs_run.id(), handle)),
-                    // Refused (backpressure deadline or shutdown): failed
-                    // in the summary, but the record stays `Queued`, so a
-                    // resuming relaunch picks it up.
-                    Err(_) => summary.failed += 1,
-                }
-            }
-            // Journal what the scheduler reported, then settle every
-            // report already in, oldest first.
-            deliveries.drain(&self.runs);
-            waiting.retain(|(run_id, handle)| match handle.try_wait() {
-                Some(report) => {
-                    self.seal_remote(*run_id, report, options, &mut deliveries, &mut summary);
-                    false
-                }
-                None => true,
-            });
-        }
-        // Every run is submitted: block on the rest, oldest first.
-        for (run_id, handle) in waiting {
-            let report = handle.wait();
-            self.seal_remote(run_id, report, options, &mut deliveries, &mut summary);
-        }
-        // The hook is this launch's only: left installed, a later submit
-        // under one of these task names would reach a settled run.
-        scheduler.clear_event_hook();
-        summary
-    }
-
-    /// Seals a remote run from its report. The attempt ran in a worker
-    /// process, so nothing about it is archived yet: its ack, its
-    /// decoded outcome and its terminal status go in one write, after
-    /// every event enqueued before the report — the run's dispatch
-    /// among them — has been journaled.
-    fn seal_remote(
-        &self,
-        run_id: Uuid,
-        mut report: TaskReport,
-        options: &LaunchOptions,
-        deliveries: &mut Deliveries,
-        summary: &mut LaunchSummary,
-    ) {
-        deliveries.drain(&self.runs);
-        let mut edit = self.runs.edit(run_id);
-        for ack in deliveries.acks.remove(&run_id).into_iter().flatten() {
-            edit = edit.event(ack);
-        }
-        // A worker reporting `success: false` (e.g. a kernel panic)
-        // still produced real results — only the terminal status
-        // differs. A version-skewed or mangled outcome encoding fails
-        // loudly: never archive a guess.
-        if matches!(report.state, TaskState::Succeeded | TaskState::Failed) {
-            let outcome = report
-                .output
-                .as_deref()
-                .and_then(|output| crate::remote::decode_outcome(output).ok());
-            let (archived, success) = archive_attempt(edit, outcome.as_ref(), Duration::ZERO);
-            edit = archived;
-            if !success {
-                report.state = TaskState::Failed;
-            }
-        }
-        self.seal(run_id, edit, report, options, summary);
-    }
-
     /// Queries run documents (workflow step ⑧).
     pub fn query_runs(&self, filter: &Filter) -> Vec<Value> {
         self.db.collection(RunStore::COLLECTION).find(filter)
@@ -745,17 +683,18 @@ impl Experiment {
     }
 }
 
-/// A remote launch's delivery provenance: the events its hook enqueued,
-/// journaled by the launching thread.
-struct Deliveries {
+/// What one launch holds while its reports come in: the summary so
+/// far, and the delivery events its tasks' sink received.
+struct Launch {
+    summary: LaunchSummary,
     events: mpsc::Receiver<RemoteEvent>,
-    /// Run id by task name, for every run the launch submitted.
+    /// Run id by task name, for every run awaiting its report.
     runs: HashMap<String, Uuid>,
     /// `remote-ack` lines held for their run's settle write.
     acks: HashMap<Uuid, Vec<String>>,
 }
 
-impl Deliveries {
+impl Launch {
     /// Journals every event enqueued so far, in order: a dispatch
     /// together with `Running`, a reconnect on its own. An ack is held
     /// for its run's settle write.
@@ -1207,13 +1146,13 @@ mod tests {
     }
 
     #[test]
-    #[should_panic(expected = "LaunchOptions::fault has no effect on launch_remote")]
+    #[should_panic(expected = "for chaos use RemoteConfig::fault")]
     fn launch_remote_rejects_a_fault_injector() {
         launch_remote_with(LaunchOptions::default().fault(Arc::new(FaultInjector::new(1))));
     }
 
     #[test]
-    #[should_panic(expected = "LaunchOptions::worker_fault has no effect on launch_remote")]
+    #[should_panic(expected = "for chaos use RemoteConfig::fault")]
     fn launch_remote_rejects_a_worker_fault_injector() {
         launch_remote_with(LaunchOptions::default().worker_fault(Arc::new(FaultInjector::new(1))));
     }

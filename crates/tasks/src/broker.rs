@@ -397,7 +397,9 @@ fn apply<R>(
                     observe::gauge("broker.detached_live", st.detached.len() as i64);
                 }
             }
-            Effect::Deliver(Settled { payload, report }) => {
+            Effect::Deliver(Settled {
+                payload, report, ..
+            }) => {
                 if report.state == TaskState::TimedOut {
                     observe::count("tasks.timeouts", 1);
                 }

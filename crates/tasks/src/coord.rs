@@ -13,9 +13,10 @@
 //! as [`Effect`]s in a buffer the caller reuses.
 //!
 //! The drivers are shells: they own threads, processes, pipes,
-//! sockets, waits and the event hook, feed the core what happened and
-//! carry out what it returns. A thread driver *retires* an owner by
-//! detaching its thread, a process driver by SIGKILL and reap.
+//! sockets, waits and each job's event sink, feed the core what
+//! happened and carry out what it returns. A thread driver *retires*
+//! an owner by detaching its thread, a process driver by SIGKILL and
+//! reap.
 //!
 //! Broker shutdown [closes](Coordinator::close) the core: nothing is
 //! redelivered or replaced from then on. A remote drain keeps
@@ -36,9 +37,10 @@ pub(crate) enum Workers {
     /// [`SupervisorConfig::max_detached`] at once, and its timed-out
     /// report says it was.
     Threads,
-    /// Worker processes. They heartbeat, so a silent one goes stale; a
-    /// hook hears their lifecycle [events](RemoteEvent); and work that
-    /// finds no reachable worker for `unreachable` fails loudly.
+    /// Worker processes. They heartbeat, so a silent one goes stale;
+    /// each job's sink hears its delivery [events](RemoteEvent); and
+    /// work that finds no reachable worker for `unreachable` fails
+    /// loudly.
     Processes {
         /// How long pending work may find no ready worker.
         unreachable: Duration,
@@ -84,8 +86,8 @@ pub(crate) enum Effect<P> {
     /// Hand a job's one report (a worker's, or a dead letter) to its
     /// submitter.
     Deliver(Settled<P>),
-    /// Tell the event hook.
-    Event(RemoteEvent),
+    /// Tell the job's event sink, before any report of it is delivered.
+    Event((JobId, RemoteEvent)),
 }
 
 /// Both drivers' counters. Their getters read these under the lock
@@ -278,11 +280,14 @@ impl<P> Coordinator<P> {
         }
         let record = self.table.grant(job, owner, now)?;
         if matches!(self.workers, Workers::Processes { .. }) {
-            effects.push(Effect::Event(RemoteEvent::Dispatched {
-                task: record.name.clone(),
-                delivery: record.delivery,
-                generation: owner.generation,
-            }));
+            effects.push(Effect::Event((
+                job,
+                RemoteEvent::Dispatched {
+                    task: record.name.clone(),
+                    delivery: record.delivery,
+                    generation: owner.generation,
+                },
+            )));
         }
         Some(record)
     }
@@ -311,11 +316,14 @@ impl<P> Coordinator<P> {
         };
         self.counters.completed += 1;
         if matches!(self.workers, Workers::Processes { .. }) {
-            effects.push(Effect::Event(RemoteEvent::Acked {
-                task: settled.report.name.clone(),
-                delivery,
-                generation: owner.generation,
-            }));
+            effects.push(Effect::Event((
+                job,
+                RemoteEvent::Acked {
+                    task: settled.report.name.clone(),
+                    delivery,
+                    generation: owner.generation,
+                },
+            )));
         }
         effects.push(Effect::Deliver(settled));
         true
@@ -373,11 +381,14 @@ impl<P> Coordinator<P> {
             };
             self.counters.resume_reconciled += 1;
             if matches!(self.workers, Workers::Processes { .. }) {
-                effects.push(Effect::Event(RemoteEvent::Reconnected {
-                    task: record.name.clone(),
-                    session,
-                    generation: owner.generation,
-                }));
+                effects.push(Effect::Event((
+                    job,
+                    RemoteEvent::Reconnected {
+                        task: record.name.clone(),
+                        session,
+                        generation: owner.generation,
+                    },
+                )));
             }
         }
     }

@@ -108,6 +108,7 @@ pub(crate) struct Lease {
 
 /// A job leaving the table with its single report.
 pub(crate) struct Settled<P> {
+    pub(crate) job: JobId,
     pub(crate) payload: P,
     pub(crate) report: TaskReport,
 }
@@ -247,6 +248,7 @@ impl<P> LeaseTable<P> {
         report.redeliveries = record.delivery - 1;
         report.lease_events = record.events;
         Some(Settled {
+            job,
             payload: record.payload,
             report,
         })
@@ -309,6 +311,7 @@ impl<P> LeaseTable<P> {
         }
         let (state, error) = self.classify(&record, cause);
         Some(Settled {
+            job,
             payload: record.payload,
             report: TaskReport {
                 name: record.name,

@@ -15,9 +15,11 @@
 //! * [`BrokerScheduler`] — `n` workers and a chosen
 //!   [`SupervisorConfig`], e.g. with redelivery (the Celery analogue).
 //!
-//! [`RemoteScheduler`] is the same delivery contract over
-//! crash-isolated worker *processes* (pipes or TCP). It takes
-//! [`RemoteTaskSpec`]s, not closures, so it has its own `submit`.
+//! [`RemoteScheduler`] is the same delivery contract, and the fourth
+//! [`Scheduler`], over crash-isolated worker *processes* (pipes or
+//! TCP). A closure cannot cross a process boundary, so it ships a
+//! task's wire form ([`Task::wire`]) instead, and tells the task's
+//! sink ([`Task::events_to`]) each delivery event.
 //!
 //! Every submission returns a [`TaskHandle`] whose
 //! [`TaskHandle::wait`] yields the final [`TaskReport`]. Like the
@@ -90,7 +92,7 @@ pub trait Scheduler {
     /// Submits a task for execution.
     fn submit(&self, task: Task) -> TaskHandle;
 
-    /// A short name for reports ("serial", "pool", "broker").
+    /// A short name for reports ("serial", "pool", "broker", "remote").
     fn name(&self) -> &'static str;
 }
 

@@ -41,28 +41,36 @@
 //! chaos — a [`FaultInjector`] with a kill rate makes the coordinator
 //! SIGKILL real worker PIDs at dispatch time.
 //!
-//! Because a process boundary cannot ship closures, remote tasks are
-//! [`RemoteTaskSpec`]s: a handler *kind* resolved by the worker's
-//! [`HandlerRegistry`] plus an opaque string payload. The worker side
+//! A process boundary cannot ship closures, so a worker runs a task's
+//! *wire form*: a handler kind resolved by the worker's
+//! [`HandlerRegistry`] plus an opaque string payload. As a
+//! [`Scheduler`] the driver ships a [`Task`]'s wire form
+//! ([`Task::wire`]) and refuses a task without one: a worker process
+//! honours neither the task's retry policy nor its fault injector.
+//! Each job's delivery events go to its own sink ([`Task::events_to`]),
+//! each before the report it precedes. A bare [`RemoteTaskSpec`] is the
+//! same wire form submitted directly; it has no sink. The worker side
 //! of the protocol is [`worker_main`].
 
 use crate::coord::{Coordinator, Effect, Loss, Observed, Phase, Workers};
 use crate::fault::{Fault, FaultInjector};
-use crate::lease::{Cause, Job, Owner, Settled};
+use crate::lease::{Cause, Job, JobId, Owner, Settled};
 use crate::supervise::SupervisorConfig;
-use crate::task::{AttemptDisposition, AttemptRecord, TaskHandle, TaskReport, TaskState};
+use crate::task::{AttemptDisposition, AttemptRecord, Task, TaskHandle, TaskReport, TaskState};
 use crate::transport::{
     self, ChaosReader, ChaosWriter, Duplex, SessionFrames, Transport, TransportKind,
     WORKER_SESSION_ENV,
 };
 use crate::wire::{Message, WireReader, PROTOCOL_VERSION};
+use crate::Scheduler;
 use simart_observe as observe;
+use std::collections::HashMap;
 use std::fmt;
 use std::io::{Read, Write};
 use std::path::PathBuf;
 use std::process::{Child, Command, Stdio};
 use std::sync::atomic::{AtomicBool, Ordering};
-use std::sync::mpsc::{sync_channel, SyncSender};
+use std::sync::mpsc::{sync_channel, Sender, SyncSender};
 use std::sync::{Arc, Condvar, Mutex, MutexGuard};
 use std::thread::JoinHandle;
 use std::time::{Duration, Instant};
@@ -251,12 +259,11 @@ impl fmt::Display for SubmitError {
 
 impl std::error::Error for SubmitError {}
 
-/// Lifecycle notifications for dispatch provenance (consumed by the
-/// experiment layer to journal `remote-dispatch` / `remote-ack` /
-/// `remote-reconnect` events onto runs). Redeliveries and dead letters
-/// reach the run through [`TaskReport::lease_events`] instead. Hooks
-/// run on coordinator threads while internal state is locked: keep
-/// them quick and never call back into the scheduler.
+/// A job's delivery provenance, sent to the sink of the task it names
+/// ([`Task::events_to`]); the experiment layer journals them onto runs
+/// as `remote-dispatch` / `remote-ack` / `remote-reconnect` events.
+/// Redeliveries and dead letters reach the run through
+/// [`TaskReport::lease_events`] instead.
 #[derive(Debug, Clone, PartialEq, Eq)]
 pub enum RemoteEvent {
     /// A job was written to a worker's pipe.
@@ -328,8 +335,6 @@ pub struct RemoteStats {
     pub in_flight: usize,
 }
 
-type EventHook = Arc<dyn Fn(&RemoteEvent) + Send + Sync>;
-
 /// What the lease table keeps for each job: the spec to dispatch, and
 /// where its single report goes.
 struct RemoteJob {
@@ -368,6 +373,8 @@ struct CoordState {
     slots: Vec<Slot>,
     /// The core's effect buffer, reused by every input.
     effects: Vec<Effect<RemoteJob>>,
+    /// Where each unsettled job's delivery events go, if anywhere.
+    sinks: HashMap<JobId, Sender<RemoteEvent>>,
     retired_readers: Vec<JoinHandle<()>>,
     next_session: u64,
     next_epoch: u64,
@@ -387,7 +394,6 @@ struct Shared {
     /// progresses — submitters and the draining shutdown wait here.
     space: Condvar,
     stopping: AtomicBool,
-    hook: Mutex<Option<EventHook>>,
 }
 
 impl Shared {
@@ -448,6 +454,7 @@ impl RemoteScheduler {
                 coord,
                 slots: (0..workers).map(|_| Slot::default()).collect(),
                 effects: Vec::new(),
+                sinks: HashMap::new(),
                 retired_readers: Vec::new(),
                 next_session: 0,
                 next_epoch: 0,
@@ -457,7 +464,6 @@ impl RemoteScheduler {
             }),
             space: Condvar::new(),
             stopping: AtomicBool::new(false),
-            hook: Mutex::new(None),
         });
         let mut spawn_error = None;
         {
@@ -497,6 +503,16 @@ impl RemoteScheduler {
     /// the configured deadline; [`SubmitError::Shutdown`] after
     /// shutdown began.
     pub fn submit(&self, spec: RemoteTaskSpec) -> Result<TaskHandle, SubmitError> {
+        self.enqueue(spec, None)
+    }
+
+    /// [`RemoteScheduler::submit`], telling `sink` the job's delivery
+    /// events.
+    fn enqueue(
+        &self,
+        spec: RemoteTaskSpec,
+        sink: Option<Sender<RemoteEvent>>,
+    ) -> Result<TaskHandle, SubmitError> {
         let name = spec.name.clone();
         // Room for the one report: a send never blocks.
         let (report_tx, receiver) = sync_channel(1);
@@ -524,23 +540,14 @@ impl RemoteScheduler {
         observe::count("broker.remote_submitted", 1);
         let (timeout, job) = (spec.timeout, name.clone());
         let payload = RemoteJob { spec, report_tx };
-        apply(&self.shared, &mut st, |coord, _, now| {
+        let job = apply(&self.shared, &mut st, |coord, _, now| {
             coord.submit(job, timeout, payload, now)
         });
+        if let (Some(job), Some(sink)) = (job, sink) {
+            st.sinks.insert(job, sink);
+        }
         pump(&self.shared, &mut st);
         Ok(TaskHandle { receiver, name })
-    }
-
-    /// Installs the lifecycle event hook (replacing any previous one).
-    /// See [`RemoteEvent`] for the constraints hooks must observe.
-    pub fn set_event_hook(&self, hook: impl Fn(&RemoteEvent) + Send + Sync + 'static) {
-        *self.shared.hook.lock().unwrap_or_else(|p| p.into_inner()) = Some(Arc::new(hook));
-    }
-
-    /// Removes the lifecycle event hook and drops what it captured;
-    /// later events go unobserved until another hook is installed.
-    pub fn clear_event_hook(&self) {
-        *self.shared.hook.lock().unwrap_or_else(|p| p.into_inner()) = None;
     }
 
     /// Gracefully drains: refuses new submits, waits (up to the drain
@@ -707,6 +714,44 @@ impl RemoteScheduler {
     }
 }
 
+/// The process driver: ships each task's wire form under the task's
+/// timeout, and tells the task's sink its delivery events.
+impl Scheduler for RemoteScheduler {
+    /// A submit refused by backpressure or shutdown returns a handle
+    /// that reports the task dropped without an attempt.
+    ///
+    /// # Panics
+    ///
+    /// Panics if the task has no wire form ([`Task::wire`]).
+    fn submit(&self, task: Task) -> TaskHandle {
+        let Some((kind, payload)) = task.wire else {
+            panic!(
+                "task `{}` has no wire form, and a worker process runs nothing else: it honours \
+                 no retry policy or fault injector. For retries use \
+                 SupervisorConfig::max_redeliveries; for chaos use RemoteConfig::fault",
+                task.name
+            );
+        };
+        let spec = RemoteTaskSpec {
+            name: task.name.clone(),
+            kind,
+            payload,
+            timeout: task.timeout,
+        };
+        // Refused: with no sender left, the handle reports the task
+        // dropped.
+        self.enqueue(spec, task.events)
+            .unwrap_or_else(|_| TaskHandle {
+                receiver: std::sync::mpsc::channel().1,
+                name: task.name,
+            })
+    }
+
+    fn name(&self) -> &'static str {
+        "remote"
+    }
+}
+
 impl Drop for RemoteScheduler {
     fn drop(&mut self) {
         let reaped = self.shared.lock().reaped;
@@ -763,17 +808,17 @@ fn apply<R>(
                 }
                 st.coord.reaped(owner);
             }
-            Effect::Deliver(Settled { payload, report }) => {
+            Effect::Deliver(Settled {
+                job,
+                payload,
+                report,
+            }) => {
+                st.sinks.remove(&job);
                 let _ = payload.report_tx.send(report);
             }
-            Effect::Event(event) => {
-                let hook = shared
-                    .hook
-                    .lock()
-                    .unwrap_or_else(|p| p.into_inner())
-                    .clone();
-                if let Some(hook) = hook {
-                    hook(&event);
+            Effect::Event((job, event)) => {
+                if let Some(sink) = st.sinks.get(&job) {
+                    let _ = sink.send(event);
                 }
             }
         }

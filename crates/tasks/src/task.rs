@@ -1,11 +1,12 @@
 //! Task definitions, handles, and reports.
 
 use crate::fault::FaultInjector;
+use crate::remote::RemoteEvent;
 use crate::retry::RetryPolicy;
 use simart_observe as observe;
 use std::fmt;
 use std::panic::{catch_unwind, AssertUnwindSafe};
-use std::sync::mpsc::Receiver;
+use std::sync::mpsc::{Receiver, Sender};
 use std::sync::Arc;
 use std::time::{Duration, Instant};
 
@@ -87,6 +88,12 @@ pub struct Task {
     pub(crate) timeout: Option<Duration>,
     pub(crate) policy: RetryPolicy,
     pub(crate) fault: Option<Arc<FaultInjector>>,
+    /// What a worker process runs in place of `work`: a handler kind
+    /// and its payload. The thread drivers ignore it.
+    pub(crate) wire: Option<(String, String)>,
+    /// Where the process driver sends this task's delivery events. The
+    /// thread drivers have none to send.
+    pub(crate) events: Option<Sender<RemoteEvent>>,
     /// When the task entered a scheduler queue (disarmed outside a
     /// capture window); feeds the `tasks.queue_wait_us` histogram.
     pub(crate) queue_stamp: observe::Stamp,
@@ -104,6 +111,8 @@ impl Task {
             timeout: None,
             policy: RetryPolicy::none(),
             fault: None,
+            wire: None,
+            events: None,
             queue_stamp: observe::Stamp::now(),
         }
     }
@@ -148,6 +157,22 @@ impl Task {
         self
     }
 
+    /// Gives the task a wire form: the handler `kind` a worker process
+    /// resolves ([`crate::HandlerRegistry`]) and the `payload` it is
+    /// handed. The process driver ships only this, and refuses a task
+    /// without one; the thread drivers run the closure.
+    pub fn wire(mut self, kind: impl Into<String>, payload: impl Into<String>) -> Task {
+        self.wire = Some((kind.into(), payload.into()));
+        self
+    }
+
+    /// Sends the task's delivery events ([`RemoteEvent`]) to `sink`, in
+    /// the order they happened, each before the report it precedes.
+    pub fn events_to(mut self, sink: Sender<RemoteEvent>) -> Task {
+        self.events = Some(sink);
+        self
+    }
+
     /// The task's name.
     pub fn name(&self) -> &str {
         &self.name
@@ -166,6 +191,7 @@ impl fmt::Debug for Task {
             .field("timeout", &self.timeout)
             .field("policy", &self.policy)
             .field("fault", &self.fault.is_some())
+            .field("wire", &self.wire.as_ref().map(|(kind, _)| kind))
             .finish_non_exhaustive()
     }
 }
@@ -269,6 +295,8 @@ pub(crate) fn execute(task: Task, mut arm: impl FnMut(u32, Instant)) -> TaskRepo
         timeout: _,
         policy,
         fault,
+        wire: _,
+        events: _,
         queue_stamp,
     } = task;
     queue_stamp.observe_into("tasks.queue_wait_us");

@@ -261,33 +261,22 @@ fn one_provenance_graph() {
 }
 
 #[test]
-fn remote_hook_only_enqueues() {
-    // The remote event hook runs on coordinator threads under the
-    // scheduler's lock; the launching thread journals what it hands
-    // over. A hook that edits or commits a run record writes under
-    // that lock again.
+fn one_launch_body() {
+    // Every scheduler, the process driver included, is launched by
+    // `Experiment::launch_with`: one submit, one seal. Delivery events
+    // reach the launch through each task's sink, an `mpsc::Sender`, so
+    // nothing of the launch runs under the coordinator's lock.
     let source = std::fs::read_to_string(repo().join("crates/core/src/experiment.rs")).unwrap();
-    let calls: Vec<usize> = source
-        .match_indices("set_event_hook(")
-        .map(|(at, call)| at + call.len())
-        .collect();
-    assert_eq!(calls.len(), 1, "expected one hook installation");
-    let mut depth = 1;
-    let closure: String = source[calls[0]..]
-        .chars()
-        .take_while(|&c| {
-            depth += match c {
-                '(' => 1,
-                ')' => -1,
-                _ => 0,
-            };
-            depth > 0
-        })
-        .collect();
-    assert!(closure.contains(".send("), "hook: {closure}");
-    for banned in [".edit(", ".commit("] {
-        assert!(!closure.contains(banned), "hook calls {banned}: {closure}");
+    let code = source.split("#[cfg(test)]").next().unwrap();
+    assert_eq!(code.matches(".submit(").count(), 1, "one submit call site");
+    for gone in ["set_event_hook", "seal_remote"] {
+        assert!(!source.contains(gone), "experiment.rs names {gone}");
     }
+    let cli = std::fs::read_to_string(repo().join("crates/core/src/bin/simart.rs")).unwrap();
+    assert!(
+        !cli.contains("launch_remote"),
+        "the CLI calls launch_remote"
+    );
 }
 
 #[test]
