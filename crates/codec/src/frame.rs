@@ -19,7 +19,7 @@
 use crate::crc32;
 
 /// Bytes of frame header (`len` + `crc`) before the payload.
-const HEADER_LEN: usize = 8;
+pub const HEADER_LEN: usize = 8;
 
 /// Largest payload a reader will *wait* for. A short input whose length
 /// field is beyond this is [`Frame::BadLength`], not

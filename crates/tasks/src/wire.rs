@@ -19,6 +19,7 @@
 
 use simart_codec::frame::{self, encode_frame, Frame, MAX_FRAME_LEN};
 use simart_codec::{json, Value};
+use simart_observe as observe;
 use std::fmt;
 use std::io::Read;
 
@@ -205,9 +206,12 @@ impl Message {
         json::object_to_json(fields.iter().map(|(key, value)| (*key, value))).into_bytes()
     }
 
-    /// The message framed and ready to write to a pipe.
+    /// The message framed and ready to write to a pipe, counted on
+    /// `wire.frames` / `wire.frame_bytes`.
     pub fn to_frame(&self) -> Vec<u8> {
-        encode_frame(&self.encode())
+        let frame = encode_frame(&self.encode());
+        count_frame(frame.len());
+        frame
     }
 
     fn fields(&self) -> Vec<(&'static str, Value)> {
@@ -379,6 +383,7 @@ impl WireReader {
     pub(crate) fn next(&mut self, input: &mut impl Read) -> Result<Option<Message>, String> {
         loop {
             if let Some(payload) = self.decoder.next_frame().map_err(|e| e.to_string())? {
+                count_frame(frame::HEADER_LEN + payload.len());
                 return Message::decode(&payload)
                     .map(Some)
                     .map_err(|e| e.to_string());
@@ -389,6 +394,12 @@ impl WireReader {
             }
         }
     }
+}
+
+/// Counts one whole frame written or read by this process.
+fn count_frame(bytes: usize) {
+    observe::count("wire.frames", 1);
+    observe::count("wire.frame_bytes", bytes as u64);
 }
 
 #[cfg(test)]
