@@ -1284,8 +1284,10 @@ impl Lint for JournalLint {
 ///   index maintenance drifted from the documents at runtime;
 /// * the *environment* pass (`scan_environment`) compares the persisted
 ///   `indexes.json` manifest against a rebuild from the loaded
-///   documents, digest by digest ([`simart_db::index_manifest`], which
-///   also normalises manifests that recorded full entries) — this
+///   documents, digest by digest ([`simart_db::index_manifest`]
+///   normalises the recorded one, also when it recorded full entries;
+///   [`Collection::index_manifest`](simart_db::Collection::index_manifest)
+///   digests the rebuilt indexes in place) — this
 ///   catches hand-edited checkpoints, since the load itself rebuilds
 ///   in-memory indexes from documents (making them consistent by
 ///   construction) and only the manifest still testifies to what was
@@ -1353,8 +1355,7 @@ impl Lint for IndexLint {
             .and_then(Value::as_map)
             .unwrap_or(&empty);
         for (name, state) in recorded {
-            let rebuilt = db.collection(name).index_state();
-            if simart_db::index_manifest(state) != simart_db::index_manifest(&rebuilt) {
+            if simart_db::index_manifest(state) != db.collection(name).index_manifest() {
                 self.environment.push(Diagnostic::new(
                     LintCode::IndexDivergence,
                     format!("collection:{name}"),

@@ -59,7 +59,14 @@ pub fn crc32_extend(crc: u32, data: &[u8]) -> u32 {
 /// releases, so it may name things that outlive a process
 /// (configuration fingerprints, checkpoint keys, fault-stream seeds).
 pub fn fnv1a(bytes: &[u8]) -> u64 {
-    let mut hash: u64 = 0xcbf2_9ce4_8422_2325;
+    fnv1a_extend(0xcbf2_9ce4_8422_2325, bytes)
+}
+
+/// Continues an FNV-1a hash over more bytes: `hash` is the hash of
+/// everything hashed so far (`fnv1a(b"")` for nothing), the result the
+/// hash of that plus `bytes`. Lets a writer hash a text it never holds
+/// whole.
+pub fn fnv1a_extend(mut hash: u64, bytes: &[u8]) -> u64 {
     for &b in bytes {
         hash ^= u64::from(b);
         hash = hash.wrapping_mul(0x0000_0100_0000_01b3);
@@ -148,5 +155,6 @@ mod tests {
         assert_eq!(fnv1a(b""), 0xcbf29ce484222325);
         assert_eq!(fnv1a(b"a"), 0xaf63dc4c8601ec8c);
         assert_eq!(fnv1a(b"foobar"), 0x85944171f73967e8);
+        assert_eq!(fnv1a_extend(fnv1a(b"foo"), b"bar"), fnv1a(b"foobar"));
     }
 }

@@ -123,7 +123,8 @@ fn write_object<'a>(out: &mut String, fields: impl IntoIterator<Item = (&'a str,
     out.push('}');
 }
 
-fn write_string(out: &mut String, s: &str) {
+/// Appends `s` to `out` as a JSON string literal, quotes included.
+pub fn write_string(out: &mut String, s: &str) {
     out.push('"');
     escape_into(out, s);
     out.push('"');
@@ -161,16 +162,24 @@ fn escape_into(out: &mut String, s: &str) {
     out.push_str(&s[run..]);
 }
 
+/// How deeply arrays and maps may nest in a parsed document. The
+/// deepest text the program writes nests 6 levels (the journal record
+/// of the analysis state); the parser recurses once per level, and a
+/// 50 000-deep line overflows the main thread's stack.
+pub const MAX_DEPTH: usize = 128;
+
 /// Parses a JSON document into a [`Value`].
 ///
 /// # Errors
 ///
 /// Returns a [`JsonError`] describing the byte offset and cause for
-/// malformed input, including trailing garbage after the top-level value.
+/// malformed input, including trailing garbage after the top-level value
+/// and arrays or maps nested deeper than [`MAX_DEPTH`].
 pub fn from_json(text: &str) -> Result<Value, JsonError> {
     let mut parser = Parser {
         bytes: text.as_bytes(),
         pos: 0,
+        depth: 0,
     };
     parser.skip_ws();
     let value = parser.parse_value()?;
@@ -184,6 +193,8 @@ pub fn from_json(text: &str) -> Result<Value, JsonError> {
 struct Parser<'a> {
     bytes: &'a [u8],
     pos: usize,
+    /// Arrays and maps open around `pos`.
+    depth: usize,
 }
 
 impl<'a> Parser<'a> {
@@ -226,12 +237,27 @@ impl<'a> Parser<'a> {
             Some(b't') => self.parse_literal("true", Value::Bool(true)),
             Some(b'f') => self.parse_literal("false", Value::Bool(false)),
             Some(b'"') => self.parse_string().map(Value::Str),
-            Some(b'[') => self.parse_array(),
-            Some(b'{') => self.parse_map(),
+            Some(b'[') => self.nested(Self::parse_array),
+            Some(b'{') => self.nested(Self::parse_map),
             Some(b'-' | b'0'..=b'9') => self.parse_number(),
             Some(_) => Err(self.error("unexpected character")),
             None => Err(self.error("unexpected end of input")),
         }
+    }
+
+    /// Parses an array or map one level deeper, refusing to go past
+    /// [`MAX_DEPTH`].
+    fn nested(
+        &mut self,
+        parse: fn(&mut Self) -> Result<Value, JsonError>,
+    ) -> Result<Value, JsonError> {
+        if self.depth == MAX_DEPTH {
+            return Err(self.error(&format!("nested deeper than {MAX_DEPTH} levels")));
+        }
+        self.depth += 1;
+        let value = parse(self);
+        self.depth -= 1;
+        value
     }
 
     fn parse_literal(&mut self, literal: &str, value: Value) -> Result<Value, JsonError> {
@@ -575,6 +601,23 @@ mod tests {
         let map = Value::map([("type", kind.clone()), ("pid", pid.clone())]);
         assert_eq!(to_json(&map), "{\"pid\":7,\"type\":\"hello\"}");
         assert_eq!(from_json(&text).unwrap(), map);
+    }
+
+    #[test]
+    fn nesting_is_capped_at_max_depth() {
+        let nested = |depth: usize, open: &str, close: &str| {
+            format!("{}{}", open.repeat(depth), close.repeat(depth))
+        };
+        assert!(from_json(&nested(MAX_DEPTH, "[", "]")).is_ok());
+        assert!(from_json(&nested(MAX_DEPTH - 1, "{\"k\":", "}").replace(":}", ":{}}")).is_ok());
+        for text in [
+            nested(MAX_DEPTH + 1, "[", "]"),
+            nested(100_000, "[", "]"),
+            nested(100_000, "{\"k\":", ""),
+        ] {
+            let err = from_json(&text).unwrap_err();
+            assert!(err.message.contains("nested deeper"), "{err}");
+        }
     }
 
     #[test]

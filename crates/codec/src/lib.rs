@@ -5,7 +5,7 @@
 //! once:
 //!
 //! * [`crc32`] / [`crc32_extend`] — the IEEE CRC-32 every frame carries;
-//! * [`fnv1a`] — the 64-bit FNV-1a behind configuration fingerprints,
+//! * [`fnv1a`] / [`fnv1a_extend`] — the 64-bit FNV-1a behind configuration fingerprints,
 //!   checkpoint keys and fault-stream seeds;
 //! * [`hex`] — the lowercase hex of blob keys, digests and UUIDs;
 //! * [`frame`] — the `[len][crc][payload]` record frame shared by the
@@ -27,6 +27,6 @@ pub mod hex;
 pub mod json;
 mod value;
 
-pub use hash::{crc32, crc32_extend, fnv1a};
+pub use hash::{crc32, crc32_extend, fnv1a, fnv1a_extend};
 pub use json::JsonError;
 pub use value::Value;

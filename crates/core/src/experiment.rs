@@ -16,8 +16,8 @@ use simart_db::{ArtifactStore, Database, DbError, Filter, Value};
 use simart_observe as observe;
 use simart_run::{FsRun, RunEdit, RunError, RunStatus, RunStore};
 use simart_tasks::{
-    FaultInjector, RemoteEvent, RemoteScheduler, RetryPolicy, Scheduler, Task, TaskReport,
-    TaskState,
+    FaultInjector, RemoteEvent, RemoteScheduler, RetryPolicy, Scheduler, Task, TaskHandle,
+    TaskReport, TaskState,
 };
 use std::collections::{HashMap, VecDeque};
 use std::fmt;
@@ -381,11 +381,16 @@ impl Experiment {
     /// `remote-reconnect:<session>:g<g>` when a worker session resumes
     /// holding the run's lease (SA0018).
     ///
-    /// The calling thread writes everything the scheduler reports.
-    /// Between submits it journals the events in (a dispatch together
-    /// with `Running`) and settles the reports already in, oldest first;
-    /// then it blocks on the rest. An ack goes in the same write as the
-    /// result it acknowledges and the terminal status, which is written
+    /// The calling thread writes everything the scheduler reports, in
+    /// rounds of 64 runs. Each round admits its runs with one
+    /// journal append, submits them all, then journals the events in
+    /// (a dispatch together with `Running`) and settles the reports
+    /// already in, oldest first, as one batched edit: one more append.
+    /// After the last round it blocks on the oldest report and settles
+    /// it the same way, with every report in behind it. Each edit still
+    /// writes its own record, so a run's records are those of writing
+    /// them one at a time. An ack goes in the same record as the result
+    /// it acknowledges and the terminal status, which is written
     /// exactly once per launched run, never from inside the attempt
     /// closure: a detached attempt that straggles in after its run timed
     /// out cannot overwrite it, because store transitions enforce the
@@ -408,10 +413,12 @@ impl Experiment {
             acks: HashMap::new(),
         };
         let mut waiting = VecDeque::new();
-        // Admit and submit run by run: workers start on the first runs
-        // while the rest are still being admitted.
-        for fs_run in runs {
-            if let Some(fs_run) = self.admit(fs_run, options, &mut launch.summary) {
+        let mut runs = runs.into_iter().peekable();
+        // Round by round: workers start on the first round while the
+        // next one is admitted.
+        while runs.peek().is_some() {
+            let round = runs.by_ref().take(ROUND).collect();
+            for fs_run in self.admit(round, options, &mut launch.summary) {
                 let run_id = fs_run.id();
                 let (task, ran_here) = self.task(fs_run, execute.clone(), options);
                 launch.runs.insert(task.name().to_owned(), run_id);
@@ -419,15 +426,15 @@ impl Experiment {
                 let handle = scheduler.submit(task.events_to(sink.clone()));
                 waiting.push_back((run_id, ran_here, handle));
             }
-            launch.drain(&self.runs);
-            while let Some(report) = waiting.front().and_then(|(_, _, handle)| handle.try_wait()) {
-                let (run_id, ran_here, _) = waiting.pop_front().expect("polled the front");
-                self.seal(run_id, &ran_here, report, options, &mut launch);
-            }
+            let reports = take_ready(&mut waiting);
+            self.settle(reports, options, &mut launch);
         }
-        // Every run is submitted: block on the rest, oldest first.
-        for (run_id, ran_here, handle) in waiting {
-            self.seal(run_id, &ran_here, handle.wait(), options, &mut launch);
+        // Every run is submitted: block on the oldest report, and settle
+        // it with every report in behind it.
+        while let Some((run_id, ran_here, handle)) = waiting.pop_front() {
+            let mut reports = vec![(run_id, ran_here, handle.wait())];
+            reports.extend(take_ready(&mut waiting));
+            self.settle(reports, options, &mut launch);
         }
         launch.summary
     }
@@ -448,13 +455,23 @@ impl Experiment {
         self.launch_with(runs, scheduler, crate::kinds::execute, options)
     }
 
-    /// Seals a run's terminal status from its task's report, exactly
-    /// once per run, and counts it in the summary. Every event reported
-    /// before the report — the run's dispatch among them — is journaled
-    /// first. `ran_here` counts the attempts the task's closure started
-    /// in this process: those archived themselves. An attempt that ran
-    /// in a worker process instead is archived here from the outcome it
-    /// sent back, in the same write as its ack and the terminal status.
+    /// Journals every event reported so far and seals `reports`, oldest
+    /// first, as one batched edit. The reports are in before the drain,
+    /// so each run's dispatch is journaled ahead of its seal.
+    fn settle(&self, reports: Vec<Reported>, options: &LaunchOptions, launch: &mut Launch) {
+        let mut edits = launch.drain(&self.runs);
+        for (run_id, ran_here, report) in reports {
+            edits.extend(self.seal(run_id, &ran_here, report, options, launch));
+        }
+        let _ = self.runs.commit_many(edits);
+    }
+
+    /// The edit that seals a run's terminal status from its task's
+    /// report, exactly once per run, and counts it in the summary.
+    /// `ran_here` counts the attempts the task's closure started in
+    /// this process: those archived themselves. An attempt that ran in
+    /// a worker process instead is archived from the outcome it sent
+    /// back, in the same record as its ack and the terminal status.
     fn seal(
         &self,
         run_id: Uuid,
@@ -462,14 +479,13 @@ impl Experiment {
         mut report: TaskReport,
         options: &LaunchOptions,
         launch: &mut Launch,
-    ) {
-        launch.drain(&self.runs);
+    ) -> Option<RunEdit<'_>> {
         launch.runs.remove(&report.name);
         let summary = &mut launch.summary;
         if report.attempts == 0 && report.lease_events.is_empty() {
             // No worker ever took the task: the record stays `Queued`.
             summary.failed += 1;
-            return;
+            return None;
         }
         let mut edit = self.runs.edit(run_id);
         for ack in launch.acks.remove(&run_id).into_iter().flatten() {
@@ -523,7 +539,7 @@ impl Experiment {
             }
         };
         *count += 1;
-        let _ = edit.transition(status).commit();
+        Some(edit.transition(status))
     }
 
     /// The task for one run, and the count of attempts its closure has
@@ -603,68 +619,85 @@ impl Experiment {
         (task, attempts)
     }
 
-    /// Admits one run for launch: records fresh runs (already
-    /// `Queued`, in one write), skips duplicates, and applies resume
-    /// semantics to previously stored records. Returns the run object
-    /// to execute (the *stored* record when resuming, so provenance
-    /// accumulates on one document) or `None` when the run is skipped;
-    /// `summary` is updated either way.
+    /// Admits a round of runs for launch, with one journal append for
+    /// the fresh ones, recorded already `Queued`. A duplicate is skipped,
+    /// or taken back under resume ([`Self::readmit`]). Returns the runs
+    /// to execute, in order; `summary` counts every run either way.
     fn admit(
         &self,
-        mut fs_run: FsRun,
+        mut round: Vec<FsRun>,
+        options: &LaunchOptions,
+        summary: &mut LaunchSummary,
+    ) -> Vec<FsRun> {
+        for fs_run in &mut round {
+            let _ = fs_run.transition(RunStatus::Queued);
+        }
+        let Ok(outcomes) = self.runs.record_many(&round) else {
+            summary.failed += round.len();
+            return Vec::new();
+        };
+        let admitted = round.into_iter().zip(outcomes);
+        admitted
+            .filter_map(|(fs_run, outcome)| match outcome {
+                Ok(()) => {
+                    summary.fresh += 1;
+                    Some(fs_run)
+                }
+                Err(RunError::DuplicateRun { .. }) => self.readmit(&fs_run, options, summary),
+                Err(_) => {
+                    summary.failed += 1;
+                    None
+                }
+            })
+            .collect()
+    }
+
+    /// Applies resume semantics to a run whose hash is already stored:
+    /// returns the *stored* record to execute, so provenance
+    /// accumulates on one document, or `None` when the run is skipped.
+    fn readmit(
+        &self,
+        fs_run: &FsRun,
         options: &LaunchOptions,
         summary: &mut LaunchSummary,
     ) -> Option<FsRun> {
-        let _ = fs_run.transition(RunStatus::Queued);
-        match self.runs.record(&fs_run) {
-            Ok(()) => {
-                summary.fresh += 1;
-                Some(fs_run)
-            }
-            Err(RunError::DuplicateRun { .. }) => {
-                if !options.resume {
-                    summary.skipped_duplicates += 1;
-                    return None;
-                }
-                let stored = match self.runs.find_by_hash(fs_run.run_hash()) {
-                    Ok(Some(stored)) => stored,
-                    _ => {
-                        summary.failed += 1;
-                        return None;
-                    }
-                };
-                match stored.status() {
-                    RunStatus::Done => {
-                        summary.skipped_done += 1;
-                        return None;
-                    }
-                    RunStatus::Quarantined => {
-                        // Dead-lettered runs wait for an explicit
-                        // release; resume never takes that edge.
-                        summary.skipped_quarantined += 1;
-                        return None;
-                    }
-                    RunStatus::Queued => {
-                        // Stranded in the queue; already in the right
-                        // state to relaunch.
-                        summary.requeued += 1;
-                    }
-                    RunStatus::Created
-                    | RunStatus::Running
-                    | RunStatus::Retrying
-                    | RunStatus::Failed
-                    | RunStatus::TimedOut => {
-                        let _ = self.runs.transition(stored.id(), RunStatus::Queued);
-                        summary.requeued += 1;
-                    }
-                }
-                Some(stored)
-            }
-            Err(_) => {
+        if !options.resume {
+            summary.skipped_duplicates += 1;
+            return None;
+        }
+        let stored = match self.runs.find_by_hash(fs_run.run_hash()) {
+            Ok(Some(stored)) => stored,
+            _ => {
                 summary.failed += 1;
-                None
+                return None;
+            }
+        };
+        match stored.status() {
+            RunStatus::Done => {
+                summary.skipped_done += 1;
+                return None;
+            }
+            RunStatus::Quarantined => {
+                // Dead-lettered runs wait for an explicit
+                // release; resume never takes that edge.
+                summary.skipped_quarantined += 1;
+                return None;
+            }
+            RunStatus::Queued => {
+                // Stranded in the queue; already in the right
+                // state to relaunch.
+                summary.requeued += 1;
+            }
+            RunStatus::Created
+            | RunStatus::Running
+            | RunStatus::Retrying
+            | RunStatus::Failed
+            | RunStatus::TimedOut => {
+                let _ = self.runs.transition(stored.id(), RunStatus::Queued);
+                summary.requeued += 1;
             }
         }
+        Some(stored)
     }
 
     /// Queries run documents (workflow step ⑧).
@@ -683,6 +716,29 @@ impl Experiment {
     }
 }
 
+/// Runs per round of [`Experiment::launch_with`]: each round admits
+/// them with one journal append, and each settle pass journals with
+/// one more. Small enough that a round fits the process driver's
+/// 256-job queue with room to spare, so submits do not block on
+/// backpressure while nothing settles; PERFORMANCE.md ("Group commit")
+/// has the sweep.
+const ROUND: usize = 64;
+
+/// A run whose task has reported: its id, the count of attempts its
+/// closure started here, and the report.
+type Reported = (Uuid, Arc<AtomicU32>, TaskReport);
+
+/// Takes every report already in from the front of `waiting`, oldest
+/// first, up to the first task still out.
+fn take_ready(waiting: &mut VecDeque<(Uuid, Arc<AtomicU32>, TaskHandle)>) -> Vec<Reported> {
+    let mut ready = Vec::new();
+    while let Some(report) = waiting.front().and_then(|(_, _, handle)| handle.try_wait()) {
+        let (run_id, ran_here, _) = waiting.pop_front().expect("polled the front");
+        ready.push((run_id, ran_here, report));
+    }
+    ready
+}
+
 /// What one launch holds while its reports come in: the summary so
 /// far, and the delivery events its tasks' sink received.
 struct Launch {
@@ -695,10 +751,11 @@ struct Launch {
 }
 
 impl Launch {
-    /// Journals every event enqueued so far, in order: a dispatch
+    /// The edits of every event enqueued so far, in order: a dispatch
     /// together with `Running`, a reconnect on its own. An ack is held
-    /// for its run's settle write.
-    fn drain(&mut self, store: &RunStore) {
+    /// for its run's settle record.
+    fn drain<'s>(&mut self, store: &'s RunStore) -> Vec<RunEdit<'s>> {
+        let mut edits = Vec::new();
         while let Ok(event) = self.events.try_recv() {
             let (task, line) = match &event {
                 RemoteEvent::Dispatched {
@@ -736,8 +793,9 @@ impl Launch {
                 }
                 _ => store.edit(id).event(line),
             };
-            let _ = edit.commit();
+            edits.push(edit);
         }
+        edits
     }
 }
 

@@ -94,6 +94,48 @@ fn clean_database_exits_zero_with_empty_reports() {
     let _ = std::fs::remove_dir_all(&dir);
 }
 
+/// A 100 000-deep line in a checkpoint file is one more corrupt line:
+/// the lenient load skips and counts it exactly as it does a torn one,
+/// and the check runs to its report instead of overflowing its stack.
+#[test]
+fn a_deeply_nested_line_is_skipped_like_a_broken_one() {
+    let dir = temp_dir("deep");
+    let db = Database::in_memory();
+    let a = uuid("deep-artifact");
+    seed_artifact(&db, &a, &[], "hash-deep", None);
+    seed_run(
+        &db,
+        "run-1",
+        "rh-1",
+        "done",
+        &[&a],
+        &["status:queued", "status:running", "status:done"],
+    );
+    db.save(&dir).expect("save fixture");
+    let checkpoint = dir.join("runs.jsonl");
+    let clean = std::fs::read_to_string(&checkpoint).expect("read checkpoint");
+    let check_with = |line: &str| {
+        std::fs::write(&checkpoint, format!("{clean}{line}\n")).expect("write checkpoint");
+        run_check(&dir, &[])
+    };
+    let broken = check_with("{\"broken");
+    assert_eq!(broken.status.code(), Some(0), "{broken:?}");
+    assert_eq!(
+        String::from_utf8_lossy(&broken.stdout),
+        "check: 0 errors, 0 warnings\n"
+    );
+    assert!(
+        String::from_utf8_lossy(&broken.stderr).contains("skipped 1 corrupt document line(s)"),
+        "{broken:?}"
+    );
+    let deep = check_with(&format!("{}{}", "[".repeat(100_000), "]".repeat(100_000)));
+    assert_eq!(
+        (deep.status.code(), &deep.stdout, &deep.stderr),
+        (broken.status.code(), &broken.stdout, &broken.stderr)
+    );
+    let _ = std::fs::remove_dir_all(&dir);
+}
+
 #[test]
 fn missing_database_is_a_usage_error() {
     let dir = temp_dir("missing").join("nope");

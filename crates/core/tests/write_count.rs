@@ -219,9 +219,10 @@ fn a_remote_launched_run_is_journaled_at_most_four_times() {
     let _ = std::fs::remove_dir_all(&checkpoints);
 }
 
-/// A launch's provenance hook ends with the launch: once it has
-/// settled, a bare submit that reuses one of its task names is none of
-/// that campaign's business and must not write to its run record.
+/// A launch's delivery events reach it through its tasks' own sink,
+/// which ends with the launch: once it has settled, a bare submit that
+/// reuses one of its task names is none of that campaign's business
+/// and must not write to its run record.
 #[test]
 fn a_settled_remote_launch_is_deaf_to_later_submits() {
     let dir = temp_dir("hook");

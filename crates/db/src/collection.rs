@@ -23,8 +23,9 @@ use crate::journal::{self, DocRecord, JournalCell, JournalOp};
 use crate::query::{Filter, Probe, SortOrder};
 use crate::Value;
 use parking_lot::RwLock;
+use simart_codec::{fnv1a, fnv1a_extend};
 use simart_observe as observe;
-use std::collections::{BTreeMap, BTreeSet, HashSet};
+use std::collections::{BTreeMap, BTreeSet, HashMap, HashSet};
 use std::ops::Bound;
 use std::ops::ControlFlow;
 use std::sync::Arc;
@@ -334,8 +335,8 @@ impl Index {
         )
     }
 
-    /// Rendered key -> sorted ids view, shared by the persistence
-    /// manifest, [`Collection::index_state`], and divergence checks.
+    /// Rendered key -> sorted ids view, shared by
+    /// [`Collection::index_state`] and divergence checks.
     fn rendered_entries(&self) -> BTreeMap<String, BTreeSet<String>> {
         match &self.data {
             IndexData::Hash(map) => map.clone(),
@@ -349,6 +350,45 @@ impl Index {
                 out
             }
         }
+    }
+
+    /// The FNV-1a of the JSON text of [`Self::rendered_entries`] as a
+    /// map of id arrays (an entry's `keys` in
+    /// [`Collection::index_state`]), rendered entry by entry from the
+    /// live index into one reused buffer instead of copying it whole.
+    fn digest(&self) -> u64 {
+        let entries: Vec<(&str, &BTreeSet<String>)> = match &self.data {
+            IndexData::Hash(map) => map.iter().map(|(key, ids)| (key.as_str(), ids)).collect(),
+            IndexData::Ordered(map) => {
+                let mut entries: Vec<_> = map
+                    .iter()
+                    .map(|(key, ids)| (key.rendered.as_str(), ids))
+                    .collect();
+                // Distinct ordered keys render distinctly: sorting by
+                // the rendering gives the map's order.
+                entries.sort_unstable_by_key(|&(rendered, _)| rendered);
+                entries
+            }
+        };
+        let mut hash = fnv1a(b"{");
+        let mut text = String::new();
+        for (at, (key, ids)) in entries.into_iter().enumerate() {
+            text.clear();
+            if at > 0 {
+                text.push(',');
+            }
+            crate::json::write_string(&mut text, key);
+            text.push_str(":[");
+            for (at, id) in ids.iter().enumerate() {
+                if at > 0 {
+                    text.push(',');
+                }
+                crate::json::write_string(&mut text, id);
+            }
+            text.push(']');
+            hash = fnv1a_extend(hash, text.as_bytes());
+        }
+        fnv1a_extend(hash, b"}")
     }
 
     /// The keys `doc` is expected to occupy, rendered.
@@ -367,6 +407,40 @@ type Edit<'a> = (&'a str, Option<&'a Value>, Option<&'a Value>);
 /// A *(document, index)* pair an edit touches: the `_id`, the index's
 /// position, the entries to retract and the entries to admit.
 type Touched<'a> = (&'a str, usize, Keys, Keys);
+
+/// A batch of staged rewrites: every version the batch's edits made,
+/// in edit order, and per document its `_id`, its stored version (none
+/// when new) and the position of its last version.
+#[derive(Default)]
+struct Staged<'a> {
+    versions: Vec<Value>,
+    docs: Vec<(&'a str, Option<&'a Value>, usize)>,
+}
+
+impl<'a> Staged<'a> {
+    /// Stages `version` of the document `id`: as the document in
+    /// `slot` when an earlier edit of the batch staged it there, as a
+    /// new slot holding `stored` otherwise.
+    fn push(
+        &mut self,
+        slot: Option<usize>,
+        id: &'a str,
+        stored: Option<&'a Value>,
+        version: Value,
+    ) {
+        self.versions.push(version);
+        let last = self.versions.len() - 1;
+        match slot {
+            Some(slot) => self.docs[slot].2 = last,
+            None => self.docs.push((id, stored, last)),
+        }
+    }
+
+    /// The last version staged in `slot`.
+    fn last(&self, slot: usize) -> &Value {
+        &self.versions[self.docs[slot].2]
+    }
+}
 
 #[derive(Debug, Default)]
 struct IndexSet {
@@ -690,6 +764,25 @@ impl Collection {
         Value::Array(states.into_iter().map(|(_, v)| v).collect())
     }
 
+    /// This collection's entries in the index manifest, byte for byte
+    /// [`index_manifest`](crate::index_manifest)`(&self.index_state())`:
+    /// each index's `{digest, kind, path, unique}`, sorted by path, its
+    /// digest streamed from the live entries under the read lock
+    /// instead of from a copy of them.
+    pub fn index_manifest(&self) -> Value {
+        let state = self.inner.read();
+        let mut entries: Vec<&Index> = state.indexes.indexes.iter().collect();
+        entries.sort_by(|a, b| a.spec.path.cmp(&b.spec.path));
+        Value::array(entries.into_iter().map(|index| {
+            Value::map([
+                ("digest", Value::from(format!("{:016x}", index.digest()))),
+                ("kind", Value::from(index.spec.kind.as_str())),
+                ("path", Value::from(index.spec.path.as_str())),
+                ("unique", Value::from(index.spec.unique)),
+            ])
+        }))
+    }
+
     /// Cross-checks every index against the documents, both directions:
     /// entries pointing at missing documents or stale rendered keys, and
     /// documents absent from an index that should cover them. An empty
@@ -779,38 +872,125 @@ impl Collection {
     /// * [`DbError::InvalidDocument`] — not a map / missing `_id`.
     /// * [`DbError::DuplicateId`] — `_id` already present.
     /// * [`DbError::UniqueViolation`] — a unique index would be violated.
+    /// * The journal's error when an attached journal refuses the record.
     pub fn insert(&self, doc: Value) -> Result<(), DbError> {
-        let _timer = observe::timer("db.insert_us");
-        let id = id_of(&doc)?;
-        let mut state = self.inner.write();
-        if state.docs.contains_key(&id) {
-            return Err(DbError::DuplicateId {
-                collection: self.name.clone(),
-                id,
-            });
-        }
-        let State { docs, indexes } = &mut *state;
-        self.commit(indexes, DocRecord::Insert, &[(&id, None, Some(&doc))])?;
-        Arc::make_mut(docs).insert(id, doc);
-        Ok(())
+        self.insert_many(vec![doc])?
+            .pop()
+            .expect("one outcome per document")
     }
 
-    /// The one write path of `insert`, `upsert` and `update_many`:
-    /// trial-applies `edits` to the indexes ([`IndexSet::apply`]), then
-    /// appends their records — all or none — to an attached journal.
-    /// Write-ahead: the caller stores the documents only once this
-    /// returns `Ok`, so a crash right after the append replays to the
-    /// same state, and a refused trial or append changes nothing.
-    fn commit(
+    /// Inserts `docs` in order, each as [`Collection::insert`] would,
+    /// with one journal append for the batch. A document that insert
+    /// would refuse (invalid, a taken `_id`, a unique key the
+    /// collection or an earlier document of the batch holds) is
+    /// refused alone; the others go in. Returns one outcome per
+    /// document, in order.
+    ///
+    /// # Errors
+    ///
+    /// The journal's error when an attached journal refuses the batch's
+    /// records: then no document of the batch is inserted.
+    pub fn insert_many(&self, docs: Vec<Value>) -> Result<Vec<Result<(), DbError>>, DbError> {
+        let _timer = observe::timer("db.insert_us");
+        let mut outcomes = Vec::with_capacity(docs.len());
+        let mut ids = Vec::with_capacity(docs.len());
+        for doc in &docs {
+            let (id, outcome) = match id_of(doc) {
+                Ok(id) => (Some(id), Ok(())),
+                Err(err) => (None, Err(err)),
+            };
+            ids.push(id);
+            outcomes.push(outcome);
+        }
+        let mut state = self.inner.write();
+        let State {
+            docs: stored,
+            indexes,
+        } = &mut *state;
+        // Each document's index entries are tried alone, so a collision
+        // refuses only its own document.
+        let mut batch = HashSet::new();
+        let mut touched = Vec::new();
+        for ((doc, id), outcome) in docs.iter().zip(&ids).zip(&mut outcomes) {
+            let Some(id) = id else { continue };
+            if stored.contains_key(id) || batch.contains(id.as_str()) {
+                *outcome = Err(DbError::DuplicateId {
+                    collection: self.name.clone(),
+                    id: id.clone(),
+                });
+                continue;
+            }
+            match indexes.apply(&self.name, &[(id, None, Some(doc))]) {
+                Ok(pairs) => {
+                    batch.insert(id.as_str());
+                    touched.extend(pairs);
+                }
+                Err(err) => *outcome = Err(err),
+            }
+        }
+        if batch.is_empty() {
+            return Ok(outcomes);
+        }
+        let admitted = docs
+            .iter()
+            .zip(&outcomes)
+            .filter(|(_, outcome)| outcome.is_ok());
+        self.commit(
+            indexes,
+            &touched,
+            DocRecord::Insert,
+            admitted.map(|(doc, _)| doc),
+        )?;
+        drop((batch, touched));
+        let stored = Arc::make_mut(stored);
+        for ((doc, id), outcome) in docs.into_iter().zip(ids).zip(&outcomes) {
+            if let (Some(id), Ok(())) = (id, outcome) {
+                stored.insert(id, doc);
+            }
+        }
+        Ok(outcomes)
+    }
+
+    /// The commit point of every document write: appends one `record`
+    /// per document of `docs` to an attached journal as a unit — every
+    /// record lands, or none does — after `touched`, the trial of their
+    /// index edits ([`IndexSet::apply`]). Write-ahead: the caller
+    /// stores the documents only once this returns `Ok`, so a crash
+    /// right after the append replays to the same state, and a refused
+    /// append puts the indexes back and changes nothing.
+    fn commit<'a>(
         &self,
         indexes: &mut IndexSet,
+        touched: &[Touched<'_>],
         record: DocRecord,
-        edits: &[Edit<'_>],
+        docs: impl IntoIterator<Item = &'a Value>,
     ) -> Result<(), DbError> {
-        let touched = indexes.apply(&self.name, edits)?;
-        let docs = edits.iter().filter_map(|(_, _, new)| *new);
         journal::append_docs_if_attached(&self.journal, record, &self.name, docs)
-            .inspect_err(|_| indexes.undo(&touched, touched.len()))
+            .inspect_err(|_| indexes.undo(touched, touched.len()))
+    }
+
+    /// Trial-applies a batch of staged rewrites to the indexes, once
+    /// per document from its stored version to its last, then journals
+    /// every version in edit order ([`Self::commit`]). Returns each
+    /// document's `_id` and last version, for the caller to store.
+    fn commit_staged(
+        &self,
+        indexes: &mut IndexSet,
+        mut staged: Staged<'_>,
+    ) -> Result<Vec<(String, Value)>, DbError> {
+        let edits: Vec<Edit> = staged
+            .docs
+            .iter()
+            .map(|&(id, stored, last)| (id, stored, Some(&staged.versions[last])))
+            .collect();
+        let touched = indexes.apply(&self.name, &edits)?;
+        self.commit(indexes, &touched, DocRecord::Upsert, &staged.versions)?;
+        drop(touched);
+        Ok(staged
+            .docs
+            .iter()
+            .map(|&(id, _, last)| (id.to_owned(), std::mem::take(&mut staged.versions[last])))
+            .collect())
     }
 
     /// Inserts the document, or replaces any existing document with the
@@ -823,8 +1003,10 @@ impl Collection {
         let mut state = self.inner.write();
         let State { docs, indexes } = &mut *state;
         // The occupant being replaced is exempt from unique checks.
-        let edit = (id.as_str(), docs.get(&id), Some(&doc));
-        self.commit(indexes, DocRecord::Upsert, &[edit])?;
+        let mut staged = Staged::default();
+        staged.push(None, &id, docs.get(&id), doc);
+        let rewrites = self.commit_staged(indexes, staged)?;
+        let (id, doc) = rewrites.into_iter().next().expect("one staged document");
         Ok(Arc::make_mut(docs).insert(id, doc))
     }
 
@@ -978,7 +1160,7 @@ impl Collection {
         // Stage every rewrite first — nothing is journaled or stored
         // until the whole batch validates. The old documents stay
         // borrowed from the map.
-        let mut staged: Vec<(&str, &Value, Value)> = Vec::new();
+        let mut staged = Staged::default();
         let mut matched = 0;
         let _ = walk(docs, planned, filter, &mut |id, old| {
             matched += 1;
@@ -988,29 +1170,76 @@ impl Collection {
                 new.set_at("_id", Value::from(id));
             }
             if new != *old {
-                staged.push((id, old, new));
+                staged.push(None, id, Some(old), new);
             }
             ControlFlow::Continue(())
         });
         // A batch that changed nothing touches neither the journal nor
         // the map (`make_mut` copies it when a snapshot holds it).
-        if staged.is_empty() {
+        if staged.docs.is_empty() {
             return Ok(matched);
         }
-        let edits: Vec<Edit> = staged
-            .iter()
-            .map(|(id, old, new)| (*id, Some(*old), Some(new)))
-            .collect();
-        self.commit(indexes, DocRecord::Upsert, &edits)?;
-        let rewrites: Vec<(String, Value)> = staged
-            .into_iter()
-            .map(|(id, _, new)| (id.to_owned(), new))
-            .collect();
+        let rewrites = self.commit_staged(indexes, staged)?;
         let docs = Arc::make_mut(docs);
         for (id, new) in rewrites {
             docs.insert(id, new);
         }
         Ok(matched)
+    }
+
+    /// Applies a batch of edits by `_id`, in order: `update(i, doc)`
+    /// edits the document `ids[i]` as the edits before it in the batch
+    /// left it, so an id may come more than once. An id that names no
+    /// document is skipped: `update` is not called for it.
+    ///
+    /// This is [`Collection::update_many`] with every edit kept apart:
+    /// each edit that changes its document journals the version it
+    /// made as a record of its own (`_id` protected; an edit that
+    /// changes nothing journals nothing), so the journal holds the
+    /// records the edits made one at a time would write, in their
+    /// order, in one append. Each document's index entries move once,
+    /// from its stored version to its last. The batch is all or
+    /// nothing, as in `update_many`.
+    ///
+    /// # Errors
+    ///
+    /// As [`Collection::update_many`]; no state changes then.
+    pub fn update_by_ids(
+        &self,
+        ids: &[&str],
+        mut update: impl FnMut(usize, &mut Value),
+    ) -> Result<(), DbError> {
+        let mut state = self.inner.write();
+        let State { docs, indexes } = &mut *state;
+        let mut staged = Staged::default();
+        let mut slots: HashMap<&str, usize> = HashMap::new();
+        for (at, &id) in ids.iter().enumerate() {
+            let Some((id, stored)) = docs.get_key_value(id) else {
+                continue;
+            };
+            let slot = slots.get(id.as_str()).copied();
+            let current = slot.map_or(stored, |slot| staged.last(slot));
+            let mut new = current.clone();
+            update(at, &mut new);
+            if new.at("_id").and_then(Value::as_str) != Some(id) {
+                new.set_at("_id", Value::from(id.as_str()));
+            }
+            if new != *current {
+                if slot.is_none() {
+                    slots.insert(id, staged.docs.len());
+                }
+                staged.push(slot, id, Some(stored), new);
+            }
+        }
+        if staged.docs.is_empty() {
+            return Ok(());
+        }
+        let rewrites = self.commit_staged(indexes, staged)?;
+        let docs = Arc::make_mut(docs);
+        for (id, new) in rewrites {
+            docs.insert(id, new);
+        }
+        Ok(())
     }
 
     /// Number of documents.
@@ -1475,5 +1704,39 @@ mod tests {
             crate::json::to_json(&c.index_state()),
             crate::json::to_json(&rebuilt.index_state())
         );
+    }
+
+    #[test]
+    fn the_manifest_digested_in_place_is_the_one_from_index_state() {
+        let c = Collection::new("x");
+        // Declared out of path order, with a unique and a multikey index.
+        c.ensure_index(IndexSpec::ordered("t")).unwrap();
+        c.ensure_index(IndexSpec::hash("tags")).unwrap();
+        c.ensure_unique("name").unwrap();
+        let manifest = || crate::json::to_json(&c.index_manifest());
+        let from_state = || crate::json::to_json(&crate::index_manifest(&c.index_state()));
+        assert_eq!(manifest(), from_state(), "no documents");
+        let values = [
+            Value::from(1i64),
+            Value::from(1.0),
+            Value::from(-0.0),
+            Value::from("a\"quoted\"\n\u{1}"),
+            Value::Null,
+            Value::array([Value::from("x"), Value::Null, Value::from(2i64)]),
+            Value::map([("k", Value::from(true))]),
+        ];
+        for (i, value) in values.iter().enumerate() {
+            c.insert(doc(
+                &format!("d\"{i}"),
+                [
+                    ("t", value.clone()),
+                    ("tags", value.clone()),
+                    ("name", Value::from(format!("n{i}"))),
+                ],
+            ))
+            .unwrap();
+        }
+        c.delete("d\"0");
+        assert_eq!(manifest(), from_state());
     }
 }

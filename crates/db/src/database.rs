@@ -302,12 +302,8 @@ impl Database {
         // forget which indexes were declared.
         let manifest: BTreeMap<String, Value> = names
             .iter()
-            .map(|name| self.collection(name))
-            .filter(|collection| !collection.index_specs().is_empty())
-            .map(|collection| {
-                let entries = index_manifest(&collection.index_state());
-                (collection.name().to_owned(), entries)
-            })
+            .map(|name| (name.clone(), self.collection(name).index_manifest()))
+            .filter(|(_, entries)| entries.as_array().is_some_and(|e| !e.is_empty()))
             .collect();
         let manifest_path = dir.join(INDEX_MANIFEST_FILE);
         if manifest.is_empty() {
@@ -657,10 +653,12 @@ pub const INDEX_MANIFEST_FILE: &str = "indexes.json";
 /// A collection's entries in the [`INDEX_MANIFEST_FILE`] manifest, from
 /// its [`Collection::index_state`]: each index's `keys` map becomes one
 /// `digest` (the 16-hex-digit FNV-1a of the map's JSON) beside `path`,
-/// `kind` and `unique`. The checkpoint writer records this form and
-/// `simart check` compares two of them. An entry that carries no `keys`
-/// is already in this form and passes through, so a manifest that
-/// recorded the full entries normalises to the digests written today.
+/// `kind` and `unique`. The checkpoint writer records this form, and
+/// `simart check` compares a recorded manifest with it, both taking it
+/// from [`Collection::index_manifest`], which digests the live indexes
+/// without the copy. An entry that carries no `keys` is already in this
+/// form and passes through, so a manifest that recorded the full
+/// entries normalises to the digests written today.
 pub fn index_manifest(state: &Value) -> Value {
     let entries = state.as_array().unwrap_or(&[]).iter().map(|entry| {
         let mut entry = entry.as_map().cloned().unwrap_or_default();

@@ -795,6 +795,100 @@ mod tests {
     }
 
     #[test]
+    fn a_collision_inside_an_insert_many_batch_refuses_only_that_document() {
+        use crate::Collection;
+        let dir = std::env::temp_dir().join(format!("simart-journal-batch-{}", std::process::id()));
+        let _ = fs::remove_dir_all(&dir);
+        fs::create_dir_all(&dir).unwrap();
+        let cell: JournalCell = Arc::new(RwLock::new(Some(Journal::attach(&dir, 0).unwrap())));
+        let runs = Collection::with_journal("runs", Arc::clone(&cell));
+        runs.ensure_unique("hash").unwrap();
+        let run = |id: &str, hash: &str| {
+            Value::map([("_id", Value::from(id)), ("hash", Value::from(hash))])
+        };
+        runs.insert(run("r0", "h0")).unwrap();
+        let before = read_journal(&dir).unwrap().ops.len();
+        let outcomes = runs
+            .insert_many(vec![
+                run("r1", "h1"),
+                run("r2", "h0"),
+                run("r3", "h1"),
+                run("r1", "h4"),
+                Value::from("no map"),
+                run("r5", "h5"),
+            ])
+            .unwrap();
+        let refused: Vec<bool> = outcomes.iter().map(Result::is_err).collect();
+        assert_eq!(refused, [false, true, true, true, true, false]);
+        assert!(matches!(outcomes[1], Err(DbError::UniqueViolation { .. })));
+        assert!(matches!(outcomes[2], Err(DbError::UniqueViolation { .. })));
+        assert!(matches!(outcomes[3], Err(DbError::DuplicateId { .. })));
+        assert!(matches!(outcomes[4], Err(DbError::InvalidDocument { .. })));
+        // One record per admitted document, in batch order.
+        let ops = read_journal(&dir).unwrap().ops;
+        let inserted: Vec<&Value> = ops[before..]
+            .iter()
+            .map(|op| match op {
+                JournalOp::Insert { doc, .. } => doc,
+                other => panic!("{other:?}"),
+            })
+            .collect();
+        assert_eq!(inserted, [&run("r1", "h1"), &run("r5", "h5")]);
+        let ids: Vec<Value> = runs
+            .all()
+            .iter()
+            .map(|doc| doc.at("_id").unwrap().clone())
+            .collect();
+        assert_eq!(ids, ["r0", "r1", "r5"].map(Value::from));
+        assert!(runs.verify_indexes().is_empty());
+        fs::remove_dir_all(&dir).unwrap();
+    }
+
+    #[test]
+    fn a_refused_batch_append_changes_nothing() {
+        use crate::collection::IndexSpec;
+        use crate::Collection;
+        let dir =
+            std::env::temp_dir().join(format!("simart-journal-refused-{}", std::process::id()));
+        let _ = fs::remove_dir_all(&dir);
+        fs::create_dir_all(&dir).unwrap();
+        let cell: JournalCell = Arc::new(RwLock::new(Some(Journal::attach(&dir, 0).unwrap())));
+        let runs = Collection::with_journal("runs", Arc::clone(&cell));
+        runs.ensure_unique("hash").unwrap();
+        runs.ensure_index(IndexSpec::hash("status")).unwrap();
+        let run = |id: &str, status: &str| {
+            Value::map([
+                ("_id", Value::from(id)),
+                ("hash", Value::from(format!("h-{id}"))),
+                ("status", Value::from(status)),
+            ])
+        };
+        runs.insert(run("r1", "queued")).unwrap();
+        let (docs, indexed) = (runs.all(), runs.index_state());
+        // The read-only handle of the poison test: the append fails.
+        cell.read().as_ref().unwrap().writer.lock().file = fs::OpenOptions::new()
+            .read(true)
+            .open(dir.join(JOURNAL_FILE))
+            .unwrap();
+        let unchanged = || {
+            assert_eq!(runs.all(), docs);
+            assert_eq!(runs.index_state(), indexed);
+            assert!(runs.verify_indexes().is_empty());
+        };
+        let batch = vec![run("r2", "queued"), run("r3", "queued")];
+        assert!(matches!(runs.insert_many(batch), Err(DbError::Io(_))));
+        unchanged();
+        // The same run edited twice in one batch.
+        let statuses = ["running", "done"];
+        let refused = runs.update_by_ids(&["r1", "r1"], |at, doc| {
+            doc.set_at("status", Value::from(statuses[at]));
+        });
+        assert!(matches!(refused, Err(DbError::JournalPoisoned)));
+        unchanged();
+        fs::remove_dir_all(&dir).unwrap();
+    }
+
+    #[test]
     fn a_refused_append_undoes_exactly_the_touched_index_pairs() {
         use crate::collection::IndexSpec;
         use crate::{Collection, Filter};

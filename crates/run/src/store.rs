@@ -6,7 +6,6 @@ use crate::status::RunStatus;
 use simart_artifact::{ArtifactId, Uuid};
 use simart_db::{BlobKey, Database, Filter, Value};
 use simart_observe as observe;
-use std::cell::RefCell;
 use std::str::FromStr;
 use std::sync::Arc;
 use std::time::Duration;
@@ -58,21 +57,74 @@ impl RunStore {
     ///
     /// [`RunError::DuplicateRun`] when a run with the same hash exists.
     pub fn record(&self, run: &FsRun) -> Result<(), RunError> {
+        self.record_many(std::slice::from_ref(run))?
+            .pop()
+            .expect("one outcome per run")
+    }
+
+    /// Records new runs, each as [`RunStore::record`] would, with one
+    /// journal append: a duplicate is refused alone. Returns one
+    /// outcome per run, in order.
+    ///
+    /// # Errors
+    ///
+    /// The journal's error when an attached journal refuses the batch:
+    /// then no run of it is recorded.
+    pub fn record_many(&self, runs: &[FsRun]) -> Result<Vec<Result<(), RunError>>, RunError> {
         let _timer = observe::timer("run.record_us");
-        observe::count("run.records", 1);
-        let mut doc = run_to_doc(run);
-        if run.status() != RunStatus::Created {
-            observe::count("run.transitions", 1);
-            push_event(&mut doc, &format!("status:{}", run.status()));
-        }
-        match self.db.collection(Self::COLLECTION).insert(doc) {
-            Ok(()) => Ok(()),
-            Err(simart_db::DbError::UniqueViolation { .. })
-            | Err(simart_db::DbError::DuplicateId { .. }) => Err(RunError::DuplicateRun {
-                hash: run.run_hash().to_owned(),
-            }),
-            Err(other) => Err(other.into()),
-        }
+        let docs = runs
+            .iter()
+            .map(|run| {
+                observe::count("run.records", 1);
+                let mut doc = run_to_doc(run);
+                if run.status() != RunStatus::Created {
+                    observe::count("run.transitions", 1);
+                    push_event(&mut doc, &format!("status:{}", run.status()));
+                }
+                doc
+            })
+            .collect();
+        let outcomes = self.db.collection(Self::COLLECTION).insert_many(docs)?;
+        let outcomes = outcomes.into_iter().zip(runs);
+        Ok(outcomes
+            .map(|(outcome, run)| match outcome {
+                Ok(()) => Ok(()),
+                Err(simart_db::DbError::UniqueViolation { .. })
+                | Err(simart_db::DbError::DuplicateId { .. }) => Err(RunError::DuplicateRun {
+                    hash: run.run_hash().to_owned(),
+                }),
+                Err(other) => Err(other.into()),
+            })
+            .collect())
+    }
+
+    /// Commits `edits` in order as one batch, with one journal append.
+    /// Each edit applies to its run's document as the edits before it
+    /// left it — a run may be edited more than once — and writes its
+    /// own record: the documents, the records and their order are
+    /// those of committing the edits one by one ([`RunEdit::commit`]).
+    /// Returns one outcome per edit, in order.
+    ///
+    /// # Errors
+    ///
+    /// The journal's error when an attached journal refuses the batch:
+    /// then no edit of it is written.
+    pub fn commit_many(
+        &self,
+        edits: Vec<RunEdit<'_>>,
+    ) -> Result<Vec<Result<Committed, RunError>>, RunError> {
+        let ids: Vec<String> = edits.iter().map(|edit| edit.id.to_string()).collect();
+        let ids: Vec<&str> = ids.iter().map(String::as_str).collect();
+        let mut outcomes: Vec<Option<Result<Committed, RunError>>> =
+            edits.iter().map(|_| None).collect();
+        self.db
+            .collection(Self::COLLECTION)
+            .update_by_ids(&ids, |at, doc| outcomes[at] = Some(edits[at].apply(doc)))?;
+        // An edit whose run is unknown was never applied.
+        let outcomes = outcomes.into_iter().zip(&edits);
+        Ok(outcomes
+            .map(|(outcome, edit)| outcome.unwrap_or_else(|| Err(not_found(edit.id))))
+            .collect())
     }
 
     /// Starts an atomic edit of run `id`'s document; see [`RunEdit`].
@@ -422,26 +474,25 @@ impl RunEdit<'_> {
     /// edge found no readable status to leave (the edge is dropped, the
     /// rest of the edit is written).
     pub fn commit(self) -> Result<Committed, RunError> {
-        // `update_many` takes a `Fn`; it runs at most once here, as
-        // `_id` matches at most one document.
-        let outcome = RefCell::new(Ok(Committed::default()));
-        let matched = self.store.db.collection(RunStore::COLLECTION).update_many(
-            &Filter::eq("_id", self.id.to_string()),
-            |doc| {
-                let mut done = Committed::default();
-                let mut unreadable = None;
-                for part in &self.parts {
-                    if let Err(err) = part.apply(doc, &mut done) {
-                        unreadable.get_or_insert(err);
-                    }
-                }
-                *outcome.borrow_mut() = unreadable.map_or(Ok(done), Err);
-            },
-        )?;
-        if matched == 0 {
-            return Err(not_found(self.id));
+        let store = self.store;
+        store
+            .commit_many(vec![self])?
+            .pop()
+            .expect("one outcome per edit")
+    }
+
+    /// Applies the parts to the run document, in order. A checked edge
+    /// that finds no readable status is dropped, and the first such
+    /// failure is returned once the rest of the edit is applied.
+    fn apply(&self, doc: &mut Value) -> Result<Committed, RunError> {
+        let mut done = Committed::default();
+        let mut unreadable = None;
+        for part in &self.parts {
+            if let Err(err) = part.apply(doc, &mut done) {
+                unreadable.get_or_insert(err);
+            }
         }
-        outcome.into_inner()
+        unreadable.map_or(Ok(done), Err)
     }
 }
 

@@ -1,12 +1,16 @@
 //! The run store's one write primitive, [`RunEdit`](simart_run::RunEdit):
-//! a batched edit is the same calls made one at a time, and its
-//! lifecycle check cannot be raced.
+//! a batched edit is the same calls made one at a time, a batch of
+//! edits is the same edits committed one at a time, and the lifecycle
+//! check cannot be raced.
 
 use proptest::prelude::*;
+use simart_artifact::Uuid;
 use simart_artifact::{Artifact, ArtifactKind, ArtifactRegistry, ContentSource};
 use simart_codec::json;
-use simart_db::Database;
-use simart_run::{FsRun, RunError, RunStatus, RunStore};
+use simart_db::{Database, JournalOp};
+use simart_run::{FsRun, RunEdit, RunError, RunStatus, RunStore};
+use std::path::{Path, PathBuf};
+use std::sync::atomic::{AtomicUsize, Ordering};
 use std::sync::Barrier;
 use std::time::Duration;
 
@@ -24,6 +28,12 @@ const STATUSES: [RunStatus; 8] = [
 const DISPOSITIONS: [&str; 3] = ["succeeded", "errored", "timed-out"];
 
 fn sample_run() -> FsRun {
+    run_with("edit")
+}
+
+/// A run whose one param is `param`: runs of distinct params are
+/// distinct runs over the same artifacts.
+fn run_with(param: &str) -> FsRun {
     let mut registry = ArtifactRegistry::new();
     let mut register = |name: &str, kind: ArtifactKind, content: ContentSource| {
         registry
@@ -66,7 +76,7 @@ fn sample_run() -> FsRun {
         .run_script(script, "run.py")
         .kernel(kernel, "vmlinux")
         .disk_image(disk, "disk.img")
-        .param("edit")
+        .param(param)
         .build()
         .unwrap()
 }
@@ -152,6 +162,113 @@ proptest! {
         prop_assert_eq!(committed.payload, archived);
         prop_assert_eq!(batched.load_results(id), stepwise.load_results(id));
         prop_assert_eq!(batched_db.blobs().len(), stepwise_db.blobs().len());
+    }
+}
+
+/// Adds the part `(kind, arg)` names to `edit`: the same five calls,
+/// with the same arguments, as the one-edit property above.
+fn part<'a>(edit: RunEdit<'a>, (kind, arg): (u8, u8)) -> RunEdit<'a> {
+    let status = STATUSES[usize::from(arg) % STATUSES.len()];
+    match kind {
+        0 => edit.event(format!("event:{arg}")),
+        1 => edit.results(
+            u64::from(arg),
+            &format!("outcome-{arg}"),
+            &vec![arg; usize::from(arg % 5)],
+        ),
+        2 => edit.attempt(
+            DISPOSITIONS[usize::from(arg) % DISPOSITIONS.len()],
+            Duration::from_millis(u64::from(arg)),
+        ),
+        3 => edit.transition(status),
+        _ => edit.set_status(status),
+    }
+}
+
+/// A fresh journaled store in its own directory, holding `runs`.
+fn attached_store(tag: &str, runs: &[FsRun]) -> (PathBuf, Database, RunStore) {
+    static STORES: AtomicUsize = AtomicUsize::new(0);
+    let dir = std::env::temp_dir().join(format!(
+        "simart-edit-batch-{tag}-{}-{}",
+        std::process::id(),
+        STORES.fetch_add(1, Ordering::Relaxed)
+    ));
+    let _ = std::fs::remove_dir_all(&dir);
+    let db = Database::open(&dir).unwrap();
+    let store = RunStore::new(&db).unwrap();
+    for run in runs {
+        store.record(run).unwrap();
+    }
+    (dir, db, store)
+}
+
+/// The `runs` records of `dir`'s journal, in append order.
+fn run_records(dir: &Path) -> Vec<String> {
+    simart_db::read_journal(dir)
+        .unwrap()
+        .ops
+        .into_iter()
+        .filter_map(|op| match op {
+            JournalOp::Insert { collection, doc } | JournalOp::Upsert { collection, doc }
+                if collection == RunStore::COLLECTION =>
+            {
+                Some(json::to_json(&doc))
+            }
+            _ => None,
+        })
+        .collect()
+}
+
+proptest! {
+    #![proptest_config(ProptestConfig::with_cases(64))]
+
+    /// Edits across several runs, some run edited more than once and
+    /// some edit naming no run, committed as one batch leave the same
+    /// documents, the same `runs` journal records in the same order,
+    /// the same index state and the same outcomes as the same edits
+    /// committed one by one.
+    #[test]
+    fn a_batch_of_edits_is_the_edits_made_one_at_a_time(
+        edits in proptest::collection::vec(
+            (0usize..4, proptest::collection::vec((0u8..5, any::<u8>()), 0..6)),
+            0..10,
+        ),
+    ) {
+        let runs: Vec<FsRun> = ["a", "b", "c"].into_iter().map(run_with).collect();
+        // Index 3 names a run no store holds.
+        let id = |at: usize| runs.get(at).map_or(Uuid::NIL, FsRun::id);
+        let (batched_dir, batched_db, batched) = attached_store("batched", &runs);
+        let (stepwise_dir, stepwise_db, stepwise) = attached_store("stepwise", &runs);
+
+        let stepwise_outcomes: Vec<String> = edits
+            .iter()
+            .map(|(at, parts)| {
+                let edit = parts.iter().fold(stepwise.edit(id(*at)), |edit, &p| part(edit, p));
+                format!("{:?}", edit.commit())
+            })
+            .collect();
+        let batch = edits
+            .iter()
+            .map(|(at, parts)| parts.iter().fold(batched.edit(id(*at)), |edit, &p| part(edit, p)))
+            .collect();
+        let batched_outcomes: Vec<String> = batched
+            .commit_many(batch)
+            .unwrap()
+            .iter()
+            .map(|outcome| format!("{outcome:?}"))
+            .collect();
+
+        prop_assert_eq!(batched_outcomes, stepwise_outcomes);
+        for run in &runs {
+            prop_assert_eq!(document(&batched_db, run), document(&stepwise_db, run));
+        }
+        prop_assert_eq!(run_records(&batched_dir), run_records(&stepwise_dir));
+        let index_state = |db: &Database| json::to_json(&db.collection(RunStore::COLLECTION).index_state());
+        prop_assert_eq!(index_state(&batched_db), index_state(&stepwise_db));
+        prop_assert!(batched_db.collection(RunStore::COLLECTION).verify_indexes().is_empty());
+        drop((batched, batched_db, stepwise, stepwise_db));
+        let _ = std::fs::remove_dir_all(&batched_dir);
+        let _ = std::fs::remove_dir_all(&stepwise_dir);
     }
 }
 
