@@ -645,7 +645,7 @@ impl<P> Coordinator<P> {
 mod tests {
     use super::*;
     use proptest::prelude::*;
-    use std::collections::BTreeMap;
+    use std::collections::{BTreeMap, BTreeSet, VecDeque};
 
     const GRACE: Duration = Duration::from_millis(40);
     const SLOTS: usize = 3;
@@ -669,14 +669,33 @@ mod tests {
         }
     }
 
-    /// What the model expects of one job.
+    /// A lease as the model expects it.
+    #[derive(Debug, Clone, Copy, PartialEq)]
+    struct Held {
+        owner: Owner,
+        granted: Instant,
+        deadline: Option<Instant>,
+        /// The last attempt its owner announced.
+        attempt: u32,
+    }
+
+    /// What the model independently expects of one job.
     #[derive(Default)]
     struct Shadow {
+        timeout: Option<Duration>,
         delivery: u32,
+        /// The `delivery:<n>:<cause>` trail.
+        events: Vec<String>,
+        lease: Option<Held>,
         /// Reports delivered plus discards: must end at exactly one.
         outcomes: u32,
-        /// Worker results accepted: at most one.
-        accepted: u32,
+    }
+
+    /// A dead letter the current input must deliver.
+    struct Due {
+        attempts: u32,
+        state: TaskState,
+        detached: bool,
     }
 
     /// What one input made the core ask of its driver.
@@ -684,13 +703,14 @@ mod tests {
     struct Drained {
         retired: Vec<Owner>,
         spawned: Vec<(usize, u64)>,
-        delivered: Vec<(JobId, TaskReport)>,
+        delivered: usize,
         events: usize,
     }
 
     /// Drives a [`Coordinator`] through a seeded interleaving under a
     /// hand-advanced clock, playing a driver that carries out every
-    /// effect, and checks the supervision contract after every step.
+    /// effect, and checks the supervision contract after every step:
+    /// the table inside the core must match a shadow kept without it.
     struct Model {
         seed: u64,
         rng: u64,
@@ -701,6 +721,10 @@ mod tests {
         now: Instant,
         next_job: JobId,
         jobs: BTreeMap<JobId, Shadow>,
+        /// The order grants must follow: unsettled, unleased jobs,
+        /// oldest submit / redelivery / resend first.
+        queue: VecDeque<JobId>,
+        due: BTreeMap<JobId, Due>,
         /// Each slot's generation as last seen.
         generations: Vec<u64>,
         /// The largest generation any spawn carried.
@@ -735,6 +759,8 @@ mod tests {
                 now,
                 next_job: 0,
                 jobs: BTreeMap::new(),
+                queue: VecDeque::new(),
+                due: BTreeMap::new(),
                 generations: vec![0; SLOTS],
                 spawned: 0,
                 retiring: Vec::new(),
@@ -755,6 +781,12 @@ mod tests {
             (z ^ (z >> 31)) % bound
         }
 
+        /// Less than `steps` whole 10 ms steps: deadlines and staleness
+        /// windows are whole steps too, so inputs land on them exactly.
+        fn some_wait(&mut self, steps: u64) -> Duration {
+            Duration::from_millis(10 * self.below(steps))
+        }
+
         fn ensure(&self, ok: bool, what: &str) {
             assert!(
                 ok,
@@ -767,6 +799,14 @@ mod tests {
 
         fn processes(&self) -> bool {
             matches!(self.workers, Workers::Processes { .. })
+        }
+
+        /// The cause of a worker that died holding a lease.
+        fn died(&self) -> Cause {
+            match self.workers {
+                Workers::Threads => Cause::WorkerDied,
+                Workers::Processes { .. } => Cause::ProcessLost("worker-died"),
+            }
         }
 
         /// A slot's current owner, or now and then the one before it.
@@ -786,15 +826,107 @@ mod tests {
             self.below(self.next_job + 1)
         }
 
+        /// Jobs with no outcome yet, and no dead letter on its way.
         fn live(&self) -> Vec<JobId> {
-            let live = self.jobs.iter().filter(|(_, shadow)| shadow.outcomes == 0);
+            let live = self
+                .jobs
+                .iter()
+                .filter(|(job, shadow)| shadow.outcomes == 0 && !self.due.contains_key(job));
             live.map(|(job, _)| *job).collect()
         }
 
-        fn deliveries(&self) -> Vec<Option<u32>> {
-            let jobs = self.jobs.keys();
-            jobs.map(|&job| self.coord.table.get(job).map(|record| record.delivery))
-                .collect()
+        /// The job `owner` holds a lease on, by the shadow.
+        fn held(&self, owner: Owner) -> Option<JobId> {
+            let mut held = self
+                .jobs
+                .iter()
+                .filter(|(_, shadow)| shadow.lease.is_some_and(|lease| lease.owner == owner));
+            held.next().map(|(job, _)| *job)
+        }
+
+        /// Ends `job`'s lease, if it holds one, with its one
+        /// `delivery:<n>:<cause>` event.
+        fn end_lease(&mut self, job: JobId, cause: Cause) -> Option<Held> {
+            let shadow = self.jobs.get_mut(&job).expect("leased job was submitted");
+            let lease = shadow.lease.take()?;
+            let event = format!("delivery:{}:{}", shadow.delivery, cause.label());
+            shadow.events.push(event);
+            Some(lease)
+        }
+
+        /// `job`'s lease ends, and the job joins the back of the queue
+        /// under its next delivery when `spend`, else (a resend) under
+        /// the same one.
+        fn requeue(&mut self, job: JobId, cause: Cause, spend: bool) {
+            self.end_lease(job, cause);
+            let shadow = self.jobs.get_mut(&job).expect("requeued job was submitted");
+            shadow.delivery += u32::from(spend);
+            self.queue.push_back(job);
+        }
+
+        /// The input must revoke `job`'s lease for `cause`: requeued
+        /// while the core is open and the budget allows, else a dead
+        /// letter.
+        fn revoke(&mut self, job: JobId, cause: Cause) {
+            let delivery = self.jobs[&job].delivery;
+            if self.coord.closed || cause == Cause::DetachedCap || delivery > self.cap {
+                return self.dead_letter(job, cause);
+            }
+            self.requeue(job, cause, true);
+        }
+
+        /// The input must dead-letter `job`: a held lease's event
+        /// first, then the state the cause table gives, with the last
+        /// attempt announced.
+        fn dead_letter(&mut self, job: JobId, cause: Cause) {
+            let attempts = self.end_lease(job, cause).map_or(0, |lease| lease.attempt);
+            let state = match cause {
+                Cause::DetachedCap => TaskState::TimedOut,
+                _ if self.jobs[&job].delivery > 1 => TaskState::Quarantined,
+                Cause::LeaseExpired => TaskState::TimedOut,
+                _ => TaskState::Failed,
+            };
+            let detached = self.workers == Workers::Threads
+                && cause == Cause::LeaseExpired
+                && state == TaskState::TimedOut;
+            self.queue.retain(|&queued| queued != job);
+            let due = Due {
+                attempts,
+                state,
+                detached,
+            };
+            self.due.insert(job, due);
+        }
+
+        /// A report left the core: the job's first, carrying its whole
+        /// delivery history and `attempts`.
+        fn reported(&mut self, job: JobId, report: &TaskReport, attempts: u32) {
+            self.settle(job);
+            let shadow = &self.jobs[&job];
+            self.ensure(shadow.outcomes == 1, "a job got a second report");
+            self.ensure(report.attempts == attempts, "attempts differ");
+            self.ensure(
+                report.redeliveries + 1 == shadow.delivery,
+                "redeliveries != delivery - 1",
+            );
+            self.ensure(report.redeliveries <= self.cap, "redelivered past the cap");
+            self.ensure(
+                report.lease_events == shadow.events,
+                "lease history differs",
+            );
+            self.ensure(
+                report.state != TaskState::Quarantined || report.redeliveries > 0,
+                "quarantined without a redelivery",
+            );
+            self.ensure(self.coord.table.get(job).is_none(), "a settled job is live");
+        }
+
+        /// `job` left the core, with a report or dropped without one.
+        fn settle(&mut self, job: JobId) {
+            let shadow = self.jobs.get_mut(&job).expect("settled job was submitted");
+            shadow.outcomes += 1;
+            shadow.lease = None;
+            self.queue.retain(|&queued| queued != job);
         }
 
         /// Carries out the effects of the last input as a driver would,
@@ -813,16 +945,20 @@ mod tests {
                         self.retiring.push(owner);
                     }
                     Effect::Deliver(settled) => {
-                        let job = settled.payload;
-                        let report = settled.report;
-                        let shadow = self.jobs.get_mut(&job).expect("delivered job exists");
-                        shadow.outcomes += 1;
-                        shadow.accepted += u32::from(report.output.is_some());
-                        let (outcomes, accepted) = (shadow.outcomes, shadow.accepted);
-                        self.ensure(outcomes == 1, "a job got a second report");
-                        self.ensure(accepted <= 1, "two worker results were accepted");
-                        self.ensure(report.redeliveries <= self.cap, "redelivered past the cap");
-                        out.delivered.push((job, report));
+                        let (job, report) = (settled.payload, settled.report);
+                        let attempts = if report.output.is_some() {
+                            1
+                        } else {
+                            let due = self.due.remove(&job);
+                            let expect = due.as_ref().map(|due| (due.state, due.detached));
+                            self.ensure(
+                                expect == Some((report.state, report.detached)),
+                                "a dead letter the input does not imply, or in another state",
+                            );
+                            due.map_or(0, |due| due.attempts)
+                        };
+                        self.reported(job, &report, attempts);
+                        out.delivered += 1;
                     }
                     Effect::Event(_) => {
                         self.ensure(self.processes(), "a thread driver was sent an event");
@@ -830,16 +966,20 @@ mod tests {
                     }
                 }
             }
+            self.ensure(
+                self.due.is_empty(),
+                "a dead letter the input implies is missing",
+            );
             // A new worker answers at once half the time, and now and
             // then cannot start at all.
             for &(slot, generation) in &out.spawned {
                 let owner = Owner { slot, generation };
-                match self.below(8) {
+                match self.below(16) {
                     0 => {
                         self.ops.push(format!("  spawn of {owner:?} fails"));
                         self.coord.reaped(owner);
                     }
-                    1..=4 => {
+                    1..=8 => {
                         self.ops.push(format!("  {owner:?} ready"));
                         self.coord.ready(owner, self.now, None, &mut self.effects);
                     }
@@ -849,7 +989,8 @@ mod tests {
             out
         }
 
-        /// The contract that holds between any two inputs.
+        /// The contract that holds between any two inputs: the table
+        /// inside the core is the shadow.
         fn check(&mut self) {
             for slot in 0..SLOTS {
                 let generation = self.coord.slots[slot].generation;
@@ -859,29 +1000,49 @@ mod tests {
                 );
                 self.generations[slot] = generation;
             }
-            let deliveries = self.deliveries();
-            let jobs: Vec<JobId> = self.jobs.keys().copied().collect();
-            for (job, delivery) in jobs.into_iter().zip(deliveries) {
-                let shadow = &self.jobs[&job];
-                let (live, before) = (shadow.outcomes == 0, shadow.delivery);
+            let mut due = BTreeSet::new();
+            for (&job, shadow) in &self.jobs {
+                let record = self.coord.table.get(job);
                 self.ensure(
-                    live == delivery.is_some(),
+                    (shadow.outcomes == 0) == record.is_some(),
                     "a job vanished, or outlived its report",
                 );
-                if let Some(delivery) = delivery {
-                    self.ensure(delivery >= before, "a delivery number went back");
-                    self.jobs.get_mut(&job).expect("listed").delivery = delivery;
+                if let Some(record) = record {
+                    self.ensure(record.delivery == shadow.delivery, "delivery differs");
+                    self.ensure(record.events == shadow.events, "lease history differs");
                 }
-                if let Some(lease) = self.coord.table.lease(job) {
-                    let owner = lease.owner;
-                    self.ensure(
-                        self.coord.is_current(owner),
-                        "a replaced owner holds a lease",
-                    );
-                    let held = self.coord.table.held_by(owner).len();
-                    self.ensure(held == 1, "an owner holds two leases");
+                let lease = self.coord.table.lease(job).map(|lease| Held {
+                    owner: lease.owner,
+                    granted: lease.granted,
+                    deadline: lease.deadline,
+                    attempt: lease.attempt,
+                });
+                self.ensure(lease == shadow.lease, "lease differs");
+                let Some(lease) = lease else { continue };
+                self.ensure(
+                    self.coord.is_current(lease.owner),
+                    "a replaced owner holds a lease",
+                );
+                let held = self.coord.table.held_by(lease.owner);
+                self.ensure(held == [job], "an owner holds two leases");
+                if lease.deadline.is_some_and(|deadline| self.now >= deadline) {
+                    due.insert(job);
                 }
             }
+            let expired = self.coord.table.expired(self.now);
+            self.ensure(
+                expired.into_iter().collect::<BTreeSet<_>>() == due,
+                "expired set differs",
+            );
+            self.ensure(
+                self.coord.queued() == self.queue.len(),
+                "queued() differs from the shadow queue",
+            );
+            let head = self.coord.head().map(|(job, _)| job);
+            self.ensure(
+                head == self.queue.front().copied(),
+                "head is not the oldest",
+            );
             for owner in &self.coord.unreaped {
                 self.ensure(self.retiring.contains(owner), "unreaped but never retired");
             }
@@ -928,17 +1089,18 @@ mod tests {
         }
 
         fn step(&mut self) {
-            match self.below(16) {
-                0 | 1 => self.submit(),
-                2..=4 => self.grant(),
-                5 | 6 => self.report(),
-                7 => self.heartbeat(),
-                8 => self.lose(),
-                9 | 10 => self.tick(),
-                11 => self.ready(),
-                12 => self.reap(),
-                13 => self.rearm(),
-                14 => self.exit(),
+            match self.below(27) {
+                0..=2 => self.submit(),
+                3..=7 => self.grant(),
+                8 => self.report(),
+                9..=12 => self.heartbeat(false),
+                13 => self.heartbeat(true),
+                14 | 15 => self.lose(),
+                16..=18 => self.tick(),
+                19..=21 => self.ready(),
+                22 => self.reap(),
+                23 | 24 => self.rearm(),
+                25 => self.exit(),
                 _ => self.shut(),
             }
             self.check();
@@ -955,28 +1117,46 @@ mod tests {
             let got = self.coord.submit(format!("t{job}"), timeout, job, self.now);
             self.ensure(
                 got == (!closed).then_some(job),
-                "a closed core refuses, an open one queues",
+                "a closed core refuses, an open one queues under an unused id",
             );
             if got.is_some() {
                 self.next_job = job;
                 let shadow = Shadow {
+                    timeout,
                     delivery: 1,
                     ..Shadow::default()
                 };
                 self.jobs.insert(job, shadow);
+                self.queue.push_back(job);
             }
         }
 
+        /// `owner` is current, ready and holds no lease, by the shadow.
+        fn idle(&self, owner: Owner) -> bool {
+            self.coord.is_current(owner)
+                && self.coord.slots[owner.slot].phase == Phase::Ready
+                && self.held(owner).is_none()
+        }
+
+        /// The head three times in four, else any id; to an idle worker
+        /// half the time, as a driver grants, else to anyone.
         fn grant(&mut self) {
-            let owner = self.some_owner();
-            let head = self.coord.head().map(|(job, _)| job);
+            let idle: Vec<Owner> = (0..SLOTS)
+                .map(|slot| self.coord.owner(slot))
+                .filter(|&owner| self.idle(owner))
+                .collect();
+            let owner = if !idle.is_empty() && self.below(2) == 0 {
+                idle[self.below(idle.len() as u64) as usize]
+            } else {
+                self.some_owner()
+            };
+            let head = self.queue.front().copied();
             let job = match head {
-                Some(head) if self.below(2) == 0 => head,
+                Some(head) if self.below(4) != 0 => head,
                 _ => self.some_job(),
             };
             self.ops.push(format!("grant {job} to {owner:?}"));
-            let idle = self.coord.is_current(owner) && self.coord.idle(owner.slot);
-            let grantable = head == Some(job) && idle;
+            let grantable = head == Some(job) && self.idle(owner);
             let granted = self.coord.grant(job, owner, self.now, &mut self.effects);
             let delivery = granted.map(|record| record.delivery);
             self.ensure(
@@ -987,10 +1167,16 @@ mod tests {
             let Some(delivery) = delivery else {
                 return self.ensure(drained.events == 0, "an event without a grant");
             };
-            self.ensure(
-                delivery == self.jobs[&job].delivery,
-                "granted another delivery",
-            );
+            self.queue.pop_front();
+            let shadow = self.jobs.get_mut(&job).expect("granted job was submitted");
+            shadow.lease = Some(Held {
+                owner,
+                granted: self.now,
+                deadline: shadow.timeout.map(|t| self.now + t + GRACE),
+                attempt: 0,
+            });
+            let granted = shadow.delivery;
+            self.ensure(delivery == granted, "granted another delivery");
             let events = usize::from(self.processes());
             self.ensure(drained.events == events, "one Dispatched per process grant");
             self.executions.push((job, owner, delivery));
@@ -1012,7 +1198,7 @@ mod tests {
             self.ensure(won == first, "the first report wins, and only it");
             let drained = self.drain();
             self.ensure(
-                drained.delivered.len() == usize::from(won),
+                drained.delivered == usize::from(won),
                 "a winner is delivered once",
             );
             let events = usize::from(won && self.processes());
@@ -1022,40 +1208,46 @@ mod tests {
             );
         }
 
-        fn heartbeat(&mut self) {
-            let owner = self.some_owner();
-            let held = self.coord.table.held_by(owner);
-            let busy = match self.below(3) {
-                0 => 0,
-                1 => held.first().copied().unwrap_or(0),
-                _ => self.some_job(),
+        /// A busy or idle heartbeat. A `late` one comes from a lease
+        /// holder, busy with nothing, once the clock has passed its
+        /// staleness window with no tick in between: what a driver
+        /// sees when beats arrive between supervisor ticks.
+        fn heartbeat(&mut self, late: bool) {
+            let stale_after = self.coord.stale_after();
+            let (owner, busy) = if late {
+                let holders: Vec<Held> = self.jobs.values().filter_map(|s| s.lease).collect();
+                if holders.is_empty() {
+                    return;
+                }
+                let lease = holders[self.below(holders.len() as u64) as usize];
+                let window = lease.granted + stale_after.unwrap_or_default();
+                let advance = window.saturating_duration_since(self.now) + self.some_wait(3);
+                self.now += advance;
+                self.ops.push(format!("advance {advance:?}"));
+                (lease.owner, 0)
+            } else {
+                let owner = self.some_owner();
+                let busy = match self.below(3) {
+                    0 => 0,
+                    1 => self.held(owner).unwrap_or(0),
+                    _ => self.some_job(),
+                };
+                (owner, busy)
             };
             self.ops.push(format!("heartbeat {owner:?} busy {busy}"));
-            let stale_after = self.coord.stale_after();
             let current = self.coord.is_current(owner);
-            let lost: Vec<JobId> = held
-                .into_iter()
-                .filter(|&job| {
-                    let granted = self.coord.table.lease(job).expect("held").granted;
-                    let silent = self.now.saturating_duration_since(granted);
-                    current && job != busy && stale_after.is_some_and(|after| silent >= after)
-                })
-                .collect();
-            let before = self.deliveries();
+            let lost = self.held(owner).filter(|&job| {
+                let granted = self.jobs[&job].lease.expect("held").granted;
+                let silent = self.now.saturating_duration_since(granted);
+                current && job != busy && stale_after.is_some_and(|after| silent >= after)
+            });
             let resent = self.coord.heartbeat(owner, busy, self.now);
             self.ensure(
-                resent != lost.is_empty(),
-                "resends exactly the lost dispatches",
+                resent == lost.is_some(),
+                "resends exactly the lost dispatch",
             );
-            self.ensure(
-                self.deliveries() == before,
-                "a lost dispatch spends no redelivery budget",
-            );
-            for job in lost {
-                self.ensure(
-                    self.coord.table.lease(job).is_none(),
-                    "a resent job kept its lease",
-                );
+            if let Some(job) = lost {
+                self.requeue(job, Cause::DispatchLost, false);
             }
         }
 
@@ -1065,15 +1257,19 @@ mod tests {
             self.ops.push(format!("lost {owner:?} {loss:?}"));
             let phase = self.coord.slots[owner.slot].phase;
             let current = self.coord.is_current(owner);
-            let held = self.coord.table.held_by(owner);
             let was = self.was();
+            let retires = current && phase != Phase::Gone && loss != Loss::Connection;
+            if let Some(job) = self.held(owner).filter(|_| retires) {
+                let cause = match loss {
+                    Loss::TornFrame => Cause::ProcessLost("torn-frame"),
+                    _ => self.died(),
+                };
+                self.revoke(job, cause);
+            }
             self.coord.lost(owner, loss, self.now, &mut self.effects);
             let drained = self.drain();
-            let retires = current && phase != Phase::Gone && loss != Loss::Connection;
             self.expect_retired(owner, retires, phase, was, &drained);
             if loss == Loss::Connection {
-                let kept = self.coord.table.held_by(owner) == held;
-                self.ensure(kept, "a lost connection keeps its leases");
                 let unreachable = current && phase == Phase::Ready;
                 let now = self.coord.slots[owner.slot].phase;
                 self.ensure(
@@ -1084,69 +1280,72 @@ mod tests {
         }
 
         fn tick(&mut self) {
-            let advance = Duration::from_millis(self.below(150));
+            let advance = self.some_wait(15);
             self.now += advance;
             let mut exited = Vec::new();
             for slot in 0..SLOTS {
-                if self.coord.slots[slot].phase != Phase::Gone && self.below(4) == 0 {
+                if self.coord.slots[slot].phase != Phase::Gone && self.below(8) == 0 {
                     exited.push(self.coord.owner(slot));
                 }
             }
             self.ops
                 .push(format!("tick +{advance:?}, exited {exited:?}"));
             // What each slot must see, in slot order: the retired-alive
-            // count grows as the tick goes.
-            let was = self.was();
+            // count grows as the tick goes, and requeued jobs join the
+            // queue in that order.
+            let (closed, abandoned) = self.was();
+            let stale_after = self.coord.stale_after();
             let mut unreaped = self.coord.unreaped.len();
             let mut expect = Vec::new();
             for slot in 0..SLOTS {
                 let owner = self.coord.owner(slot);
                 let phase = self.coord.slots[slot].phase;
-                let lease = self.coord.table.held_by(owner).first().copied();
-                let deadline = lease.and_then(|job| self.coord.table.lease(job)?.deadline);
+                let held = self.held(owner);
+                let lease = held.and_then(|job| self.jobs[&job].lease);
+                let deadline = lease.and_then(|lease| lease.deadline);
                 let expired = phase == Phase::Ready && deadline.is_some_and(|d| self.now >= d);
                 let silent = self
                     .now
                     .saturating_duration_since(self.coord.slots[slot].last_seen);
-                let stale = phase == Phase::Ready
-                    && self
-                        .coord
-                        .stale_after()
-                        .is_some_and(|after| silent >= after);
+                let stale = phase == Phase::Ready && stale_after.is_some_and(|a| silent >= a);
                 let capped = !self.processes() && unreaped >= MAX_DETACHED;
-                let retires = if exited.contains(&owner) {
-                    true
+                let exits = exited.contains(&owner);
+                let (retires, cause) = if exits {
+                    (true, self.died())
+                } else if expired && !closed && capped {
+                    (false, Cause::DetachedCap)
                 } else if expired {
-                    !was.0 && !capped
+                    (!closed, Cause::LeaseExpired)
                 } else {
-                    stale
+                    (stale, Cause::ProcessLost("heartbeat-lost"))
                 };
-                if retires && !exited.contains(&owner) {
+                if retires && !exits {
                     unreaped += 1;
                 }
-                let cap_failed = expired && !was.0 && capped && !exited.contains(&owner);
-                expect.push((owner, retires, phase, lease.filter(|_| cap_failed)));
-            }
-            let live = self.coord.queued() + self.coord.in_flight();
-            let failed = self.coord.tick(self.now, &exited, &mut self.effects);
-            let drained = self.drain();
-            for (owner, retires, phase, capped) in expect {
-                self.expect_retired(owner, retires, phase, was, &drained);
-                if let Some(job) = capped {
-                    let fast = drained.delivered.iter().any(|(settled, report)| {
-                        *settled == job && report.error.as_deref().unwrap_or("").contains("cap")
-                    });
-                    self.ensure(fast, "past the detached cap, an expired lease fails fast");
+                if let Some(job) = held.filter(|_| exits || expired || stale) {
+                    self.revoke(job, cause);
                 }
+                expect.push((owner, retires, phase));
             }
-            if failed.is_some() {
+            let failed = self.coord.tick(self.now, &exited, &mut self.effects);
+            let gone = self.coord.slots.iter().all(|s| s.phase == Phase::Gone);
+            let no_workers = self.processes() && !abandoned && gone && !self.queue.is_empty();
+            self.ensure(
+                no_workers == (failed == Some(Cause::NoWorkers)),
+                "no-workers fails all exactly when work waits and every slot is gone",
+            );
+            if let Some(cause) = failed {
                 self.ensure(
-                    self.processes() && !was.1,
+                    self.processes() && !abandoned,
                     "only a live process core fails all",
                 );
-                self.ensure(self.coord.is_empty(), "a fail-all left jobs behind");
-                let reported = drained.delivered.len() >= live;
-                self.ensure(reported, "a fail-all reports every job");
+                for job in self.live() {
+                    self.dead_letter(job, cause);
+                }
+            }
+            let drained = self.drain();
+            for (owner, retires, phase) in expect {
+                self.expect_retired(owner, retires, phase, (closed, abandoned), &drained);
             }
         }
 
@@ -1189,15 +1388,30 @@ mod tests {
             );
         }
 
+        /// A started delivery's owner, or anyone, announces attempt
+        /// 1–5: only the current owner of a held lease moves its
+        /// deadline and records the attempt.
         fn rearm(&mut self) {
             if self.executions.is_empty() {
                 return;
             }
             let at = self.below(self.executions.len() as u64) as usize;
-            let (job, owner, _) = self.executions[at];
-            let start = self.now + Duration::from_millis(self.below(80));
-            self.ops.push(format!("rearm {job} by {owner:?}"));
-            self.coord.rearm(job, owner, 1, start);
+            let (job, mut owner, _) = self.executions[at];
+            if self.below(3) == 0 {
+                owner = self.some_owner();
+            }
+            let attempt = self.below(5) as u32 + 1;
+            let start = self.now + self.some_wait(8);
+            self.ops.push(format!(
+                "rearm {job} by {owner:?} attempt {attempt} start +{:?}",
+                start - self.now
+            ));
+            self.coord.rearm(job, owner, attempt, start);
+            let shadow = self.jobs.get_mut(&job).expect("started job was submitted");
+            if let Some(lease) = shadow.lease.as_mut().filter(|lease| lease.owner == owner) {
+                lease.deadline = shadow.timeout.map(|t| start + t + GRACE);
+                lease.attempt = attempt;
+            }
         }
 
         fn exit(&mut self) {
@@ -1219,16 +1433,11 @@ mod tests {
 
         /// Rare, or nothing else would ever get far.
         fn shut(&mut self) {
-            if self.below(6) != 0 {
+            if self.below(12) != 0 {
                 return;
             }
-            let live = self.live();
-            let queued: Vec<JobId> = live
-                .iter()
-                .copied()
-                .filter(|&job| self.coord.table.lease(job).is_none())
-                .collect();
-            let discarded = match self.below(3) {
+            let queued: Vec<JobId> = self.queue.iter().copied().collect();
+            let forgotten = match self.below(3) {
                 0 => {
                     self.ops.push("abandon".to_owned());
                     let dropped = self.coord.abandon();
@@ -1239,7 +1448,7 @@ mod tests {
                         .all(|s| matches!(s.phase, Phase::Exiting | Phase::Gone));
                     self.ensure(exiting, "an abandoned core left a worker running");
                     self.ensure(dropped == queued.len(), "abandon counts the queued");
-                    live
+                    self.live()
                 }
                 n => {
                     let discard = n == 1;
@@ -1254,9 +1463,7 @@ mod tests {
                     }
                 }
             };
-            for job in discarded {
-                self.jobs.get_mut(&job).expect("live").outcomes += 1;
-            }
+            forgotten.into_iter().for_each(|job| self.settle(job));
         }
 
         /// Stragglers report, then the rest is abandoned: every job
@@ -1269,16 +1476,9 @@ mod tests {
                 self.drain();
             }
             self.ops.push("finish: abandon".to_owned());
-            let live = self.live();
-            let queued = live
-                .iter()
-                .filter(|&&job| self.coord.table.lease(job).is_none());
-            let queued = queued.count();
             let dropped = self.coord.abandon();
-            self.ensure(dropped == queued, "abandon counts the queued");
-            for job in live {
-                self.jobs.get_mut(&job).expect("live").outcomes += 1;
-            }
+            self.ensure(dropped == self.queue.len(), "abandon counts the queued");
+            self.live().into_iter().for_each(|job| self.settle(job));
             let once = self.jobs.values().all(|shadow| shadow.outcomes == 1);
             self.ensure(once, "a job ended without exactly one outcome");
             self.check();
@@ -1288,12 +1488,14 @@ mod tests {
     proptest! {
         /// Random interleavings of submit / grant (head and any other
         /// id, current and replaced owner) / report (current and stale)
-        /// / busy and idle heartbeats / each loss / ticks with exits,
-        /// expiries and silence / ready / reaped / exiting / close /
-        /// abandon, for threads and for processes: one outcome per job,
-        /// one accepted result, monotone deliveries and generations,
-        /// budget-free resends, head-only grants, and every lost or
-        /// expired owner retired and replaced.
+        /// / busy, idle and late heartbeats / each loss / ticks with
+        /// exits, expiries and silence / re-arm (owner and stale) /
+        /// ready / reaped / exiting / close / abandon, for threads and
+        /// for processes: one outcome per job, grants in one FIFO, the
+        /// exact lease, delivery number and event trail of every job
+        /// after every input, dead letters in the state their cause
+        /// gives, budget-free resends, and every lost or expired owner
+        /// retired and replaced.
         #[test]
         fn interleavings_keep_the_supervision_contract(
             seed in any::<u64>(),

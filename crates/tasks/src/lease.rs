@@ -26,6 +26,12 @@
 //! (detach/respawn, spawn/kill) are decided by the coordinator core
 //! (`coord.rs`), which owns this table; the drivers carry out only the
 //! I/O those decisions need (threads, processes, frames, metrics).
+//!
+//! One seeded model test checks this contract: `coord.rs`'s
+//! `interleavings_keep_the_supervision_contract` drives the core that
+//! owns the table and holds every job's lease, delivery number, event
+//! trail and queue position to a shadow after each input. The examples
+//! here pin each cause's exact dead-letter message.
 
 use crate::supervise::SupervisorConfig;
 use crate::task::{TaskReport, TaskState};
@@ -424,8 +430,6 @@ fn event(delivery: u32, cause: Cause) -> String {
 #[cfg(test)]
 mod tests {
     use super::*;
-    use proptest::prelude::*;
-    use std::collections::BTreeSet;
 
     const GRACE: Duration = Duration::from_millis(40);
 
@@ -444,414 +448,6 @@ mod tests {
             output: Some("ok".to_owned()),
             attempts: 1,
             ..TaskReport::dropped_by_scheduler(name.to_owned())
-        }
-    }
-
-    /// What the model independently expects of one job.
-    #[derive(Default)]
-    struct Shadow {
-        delivery: u32,
-        events: Vec<String>,
-        /// Owner, deadline and last announced attempt of the lease.
-        lease: Option<(Owner, Option<Instant>, u32)>,
-        /// Reports delivered plus discards: must end at exactly one.
-        outcomes: u32,
-    }
-
-    /// Drives a [`LeaseTable`] through a seeded interleaving under a
-    /// hand-advanced clock, checking the contract after every step.
-    struct Model {
-        seed: u64,
-        rng: u64,
-        cap: u32,
-        table: LeaseTable<()>,
-        now: Instant,
-        /// The driver's queue is closed: revocations dead-letter.
-        closed: bool,
-        jobs: BTreeMap<JobId, Shadow>,
-        /// The order grants must follow: unsettled, unleased jobs,
-        /// oldest submit / redelivery / resend first.
-        queue: VecDeque<JobId>,
-        /// Every delivery ever started and not yet reported; stale
-        /// ones (revoked since) stay in, like stragglers do.
-        executions: Vec<JobId>,
-        ops: Vec<String>,
-    }
-
-    impl Model {
-        fn new(seed: u64, cap: u32) -> Model {
-            Model {
-                seed,
-                rng: seed,
-                cap,
-                table: LeaseTable::new(config(cap)),
-                now: Instant::now(),
-                closed: false,
-                jobs: BTreeMap::new(),
-                queue: VecDeque::new(),
-                executions: Vec::new(),
-                ops: Vec::new(),
-            }
-        }
-
-        /// splitmix64
-        fn below(&mut self, bound: u64) -> u64 {
-            self.rng = self.rng.wrapping_add(0x9E37_79B9_7F4A_7C15);
-            let mut z = self.rng;
-            z = (z ^ (z >> 30)).wrapping_mul(0xBF58_476D_1CE4_E5B9);
-            z = (z ^ (z >> 27)).wrapping_mul(0x94D0_49BB_1331_11EB);
-            (z ^ (z >> 31)) % bound
-        }
-
-        fn pick(&mut self, from: &[JobId]) -> Option<JobId> {
-            (!from.is_empty()).then(|| from[self.below(from.len() as u64) as usize])
-        }
-
-        fn ensure(&self, ok: bool, what: &str) {
-            assert!(
-                ok,
-                "{what}\n  seed {} max_redeliveries {}\n  {}",
-                self.seed,
-                self.cap,
-                self.ops.join("\n  ")
-            );
-        }
-
-        fn live(&self) -> Vec<JobId> {
-            let live = self.jobs.iter().filter(|(_, shadow)| shadow.outcomes == 0);
-            live.map(|(job, _)| *job).collect()
-        }
-
-        fn leased(&self) -> Vec<JobId> {
-            let mut live = self.live();
-            live.retain(|job| self.jobs[job].lease.is_some());
-            live
-        }
-
-        fn owner(&mut self) -> Owner {
-            Owner {
-                slot: self.below(3) as usize,
-                generation: self.below(3),
-            }
-        }
-
-        /// A report left the table: it must be the job's first, and
-        /// must carry the job's whole delivery history and `attempts`.
-        fn reported(&mut self, job: JobId, report: &TaskReport, attempts: u32) {
-            let shadow = self.jobs.get_mut(&job).expect("reported job was submitted");
-            shadow.outcomes += 1;
-            shadow.lease = None;
-            let (delivery, events) = (shadow.delivery, shadow.events.clone());
-            self.queue.retain(|&queued| queued != job);
-            self.ensure(self.jobs[&job].outcomes == 1, "a job got a second report");
-            self.ensure(report.attempts == attempts, "attempts differ");
-            self.ensure(
-                report.redeliveries + 1 == delivery,
-                "redeliveries != delivery - 1",
-            );
-            self.ensure(report.redeliveries <= self.cap, "redelivered past the cap");
-            self.ensure(report.lease_events == events, "lease history differs");
-            self.ensure(
-                report.state != TaskState::Quarantined || report.redeliveries > 0,
-                "quarantined without a redelivery",
-            );
-            self.ensure(self.table.get(job).is_none(), "settled job still live");
-        }
-
-        /// Revokes (or, once closed, fails) a lease and checks the
-        /// single event it must append; a dead letter carries the last
-        /// attempt the lease's owner announced.
-        fn revoke(&mut self, job: JobId, cause: Cause) {
-            let delivery = self.jobs[&job].delivery;
-            let expect_event = format!("delivery:{delivery}:{}", cause.label());
-            let shadow = self.jobs.get_mut(&job).expect("revoked job was submitted");
-            shadow.events.push(expect_event);
-            let (_, _, attempt) = shadow.lease.take().expect("revoked job was leased");
-            let outcome = if self.closed {
-                self.table
-                    .fail(job, cause, self.now)
-                    .map(Revoked::DeadLettered)
-            } else {
-                self.table.revoke(job, cause, self.now)
-            };
-            match outcome {
-                Some(Revoked::Requeued) => {
-                    self.ensure(delivery <= self.cap, "redelivered past the cap");
-                    self.jobs.get_mut(&job).expect("checked").delivery += 1;
-                    let record = self.table.get(job).expect("requeued job is live");
-                    self.ensure(record.delivery == delivery + 1, "delivery did not advance");
-                    self.ensure(
-                        record.events == self.jobs[&job].events,
-                        "revocation did not append exactly one event",
-                    );
-                    self.ensure(self.table.lease(job).is_none(), "requeued job kept a lease");
-                    self.queue.push_back(job);
-                }
-                Some(Revoked::DeadLettered(settled)) => {
-                    self.ensure(
-                        self.closed || delivery > self.cap,
-                        "dead-lettered with budget left",
-                    );
-                    self.reported(job, &settled.report, attempt);
-                }
-                None => self.ensure(false, "a held lease could not be revoked"),
-            }
-        }
-
-        fn step(&mut self) {
-            let live = self.live();
-            let leased = self.leased();
-            match self.below(12) {
-                0 | 1 => {
-                    let timeout = match self.below(3) {
-                        0 => None,
-                        n => Some(Duration::from_millis(50 * n)),
-                    };
-                    let job =
-                        self.table
-                            .submit(format!("t{}", self.jobs.len()), timeout, (), self.now);
-                    self.ops.push(format!("submit {job} timeout {timeout:?}"));
-                    self.ensure(!self.jobs.contains_key(&job), "job id reused");
-                    let shadow = Shadow {
-                        delivery: 1,
-                        ..Shadow::default()
-                    };
-                    self.jobs.insert(job, shadow);
-                    self.queue.push_back(job);
-                }
-                2 | 3 => {
-                    // The head half the time, else any known id: a
-                    // settled, leased or younger job must be refused.
-                    let all: Vec<JobId> = self.jobs.keys().copied().collect();
-                    let head = self.queue.front().copied();
-                    let pick = match head {
-                        Some(head) if self.below(2) == 0 => Some(head),
-                        _ => self.pick(&all),
-                    };
-                    let Some(job) = pick else { return };
-                    let owner = self.owner();
-                    self.ops.push(format!("grant {job} to {owner:?}"));
-                    let grantable = head == Some(job);
-                    self.ensure(
-                        !grantable || (live.contains(&job) && !leased.contains(&job)),
-                        "the shadow queue holds a settled or leased job",
-                    );
-                    let granted = self.table.grant(job, owner, self.now).map(|g| g.delivery);
-                    self.ensure(
-                        granted.is_some() == grantable,
-                        "only the head may be granted, and always",
-                    );
-                    if let Some(delivery) = granted {
-                        self.queue.pop_front();
-                        self.ensure(delivery == self.jobs[&job].delivery, "granted delivery");
-                        let timeout = self.table.get(job).and_then(|record| record.timeout);
-                        let deadline = timeout.map(|t| self.now + t + GRACE);
-                        let lease = self.table.lease(job).expect("granted job is leased");
-                        self.ensure(lease.deadline == deadline, "deadline != timeout + grace");
-                        self.ensure(lease.attempt == 0, "a grant announces no attempt");
-                        self.jobs.get_mut(&job).expect("checked").lease =
-                            Some((owner, deadline, 0));
-                        self.executions.push(job);
-                    }
-                }
-                4 => {
-                    // A delivery finishes — the current one, or a
-                    // straggler from an older delivery or generation.
-                    if self.executions.is_empty() {
-                        return;
-                    }
-                    let at = self.below(self.executions.len() as u64) as usize;
-                    let job = self.executions.swap_remove(at);
-                    self.ops.push(format!("complete {job}"));
-                    let first = self.jobs[&job].outcomes == 0;
-                    let settled = self.table.complete(job, worker_report("w"));
-                    self.ensure(settled.is_some() == first, "first report must win, once");
-                    if let Some(settled) = settled {
-                        self.ensure(settled.report.state.is_success(), "worker report kept");
-                        self.reported(job, &settled.report, 1);
-                    }
-                }
-                5 => {
-                    let advance = Duration::from_millis(self.below(120));
-                    self.now += advance;
-                    self.ops.push(format!("advance {advance:?}, expire"));
-                    let due: BTreeSet<JobId> = leased
-                        .iter()
-                        .filter(|job| {
-                            let (_, deadline, _) = self.jobs[job].lease.expect("leased");
-                            deadline.is_some_and(|deadline| self.now >= deadline)
-                        })
-                        .copied()
-                        .collect();
-                    let expired = self.table.expired(self.now);
-                    self.ensure(
-                        expired.iter().copied().collect::<BTreeSet<_>>() == due,
-                        "expired set differs",
-                    );
-                    for job in expired {
-                        self.revoke(job, Cause::LeaseExpired);
-                    }
-                }
-                6 => {
-                    let owner = self.owner();
-                    self.ops.push(format!("lost {owner:?}"));
-                    let held = self.table.held_by(owner);
-                    let mut expect = leased.clone();
-                    expect.retain(|job| self.jobs[job].lease.expect("leased").0 == owner);
-                    self.ensure(held == expect, "held_by differs");
-                    for job in held {
-                        self.revoke(job, Cause::ProcessLost("worker-died"));
-                    }
-                }
-                7 => {
-                    let Some(job) = self.pick(&live) else { return };
-                    self.ops.push(format!("resend {job}"));
-                    let delivery = self.jobs[&job].delivery;
-                    let was_leased = leased.contains(&job);
-                    let resent = self.table.resend(job, Cause::DispatchLost);
-                    self.ensure(resent == was_leased, "resend needs a lease");
-                    if resent {
-                        let shadow = self.jobs.get_mut(&job).expect("checked");
-                        shadow
-                            .events
-                            .push(format!("delivery:{delivery}:dispatch-lost"));
-                        shadow.lease = None;
-                        let record = self.table.get(job).expect("resent job is live");
-                        self.ensure(record.delivery == delivery, "resend spent budget");
-                        self.ensure(record.events == self.jobs[&job].events, "resend event");
-                        self.queue.push_back(job);
-                    }
-                }
-                8 => {
-                    // A worker announces an attempt — the lease's owner
-                    // or a stale one, on any known job: only the owner
-                    // of a held lease moves its deadline.
-                    let all: Vec<JobId> = self.jobs.keys().copied().collect();
-                    let Some(job) = self.pick(&all) else { return };
-                    let held = self.jobs[&job].lease;
-                    let owner = match held {
-                        Some((owner, ..)) if self.below(2) == 0 => owner,
-                        _ => self.owner(),
-                    };
-                    let attempt = self.below(5) as u32 + 1;
-                    let start = self.now + Duration::from_millis(self.below(80));
-                    self.ops
-                        .push(format!("rearm {job} by {owner:?} attempt {attempt}"));
-                    self.table.rearm(job, owner, attempt, start);
-                    let mut expect = held;
-                    if let Some(lease) = expect.as_mut().filter(|lease| lease.0 == owner) {
-                        let timeout = self.table.get(job).and_then(|record| record.timeout);
-                        *lease = (owner, timeout.map(|t| start + t + GRACE), attempt);
-                        self.jobs.get_mut(&job).expect("checked").lease = expect;
-                    }
-                    let lease = self.table.lease(job);
-                    self.ensure(
-                        lease.map(|l| (l.owner, l.deadline, l.attempt)) == expect,
-                        "rearm by anyone but the lease's owner must change nothing",
-                    );
-                }
-                9 => {
-                    // Rare, or nothing else would ever get far.
-                    if self.below(8) != 0 {
-                        return;
-                    }
-                    self.ops.push("shutdown: discard queued".to_owned());
-                    self.closed = true;
-                    let mut waiting = live;
-                    waiting.retain(|job| !leased.contains(job));
-                    let mut queued: Vec<JobId> = self.queue.drain(..).collect();
-                    queued.sort_unstable();
-                    self.ensure(queued == waiting, "the shadow queue lost a job");
-                    let discarded = self.table.discard_queued();
-                    self.ensure(
-                        discarded == queued.len(),
-                        "a queued job could not be discarded",
-                    );
-                    for job in queued {
-                        self.jobs.get_mut(&job).expect("checked").outcomes += 1;
-                    }
-                    let head = self.table.head().map(|(job, _)| job);
-                    self.ensure(head.is_none(), "discard left the queue");
-                }
-                10 => {
-                    self.ops.push("head".to_owned());
-                    let head = self.table.head().map(|(job, _)| job);
-                    self.ensure(
-                        head == self.queue.front().copied(),
-                        "head is not the oldest",
-                    );
-                }
-                _ => {
-                    if self.below(8) != 0 {
-                        return;
-                    }
-                    self.fail_all();
-                }
-            }
-        }
-
-        fn fail_all(&mut self) {
-            self.ops.push("fail_all no-workers".to_owned());
-            let (live, leased) = (self.live(), self.leased());
-            for job in &leased {
-                let delivery = self.jobs[job].delivery;
-                let shadow = self.jobs.get_mut(job).expect("checked");
-                shadow
-                    .events
-                    .push(format!("delivery:{delivery}:no-workers"));
-            }
-            let attempts: Vec<u32> = live
-                .iter()
-                .map(|job| self.jobs[job].lease.map_or(0, |(_, _, attempt)| attempt))
-                .collect();
-            let settled = self.table.fail_all(Cause::NoWorkers, self.now);
-            let head = self.table.head().map(|(job, _)| job);
-            self.ensure(head.is_none(), "fail_all left the queue");
-            self.ensure(
-                settled.len() == live.len(),
-                "fail_all must settle every job",
-            );
-            for ((job, settled), attempt) in live.into_iter().zip(settled).zip(attempts) {
-                let expect = if self.jobs[&job].delivery > 1 {
-                    TaskState::Quarantined
-                } else {
-                    TaskState::Failed
-                };
-                self.ensure(settled.report.state == expect, "fail_all state");
-                self.reported(job, &settled.report, attempt);
-            }
-            self.ensure(self.table.is_empty(), "fail_all left jobs behind");
-        }
-    }
-
-    proptest! {
-        /// Random interleavings of submit / grant (head and any other
-        /// id) / head / re-arm (owner and stale) / complete (current
-        /// and stale) / expire / worker-lost / resend / fail_all /
-        /// shutdown: every job gets exactly one outcome, the delivery
-        /// bookkeeping never drifts, and grants follow one FIFO.
-        #[test]
-        fn interleavings_keep_the_contract(seed in any::<u64>(), cap in 0u32..4) {
-            let mut model = Model::new(seed, cap);
-            for _ in 0..150 {
-                model.step();
-                model.ensure(
-                    model.table.queued() == model.queue.len(),
-                    "queued() differs from the shadow queue",
-                );
-            }
-            // Stragglers first, then whatever is left fails: nothing
-            // may end without its one outcome.
-            while let Some(job) = model.executions.pop() {
-                if let Some(settled) = model.table.complete(job, worker_report("w")) {
-                    model.reported(job, &settled.report, 1);
-                }
-            }
-            model.fail_all();
-            model.ensure(
-                model.jobs.values().all(|shadow| shadow.outcomes == 1),
-                "a job ended without exactly one outcome",
-            );
         }
     }
 
